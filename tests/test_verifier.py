@@ -1,4 +1,6 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +175,54 @@ def test_vacuous_docs_hold(z3_chi):
     doc = idf.central_series_gassmann_identity(catalog.cyclic(6).rep("chi1"), 1, 1)
     assert doc.vacuous
     assert vf.check(doc, z3_chi).holds
+
+
+def _pinned_cases():
+    """Small verdicts of every mode; their JSON (timing aside) is pinned in
+    tests/data/verdicts_pinned.json."""
+    s3_std = catalog.symmetric(3).rep("std")
+    s4 = catalog.symmetric(4)
+    rho4, rho5 = s4.rep("rho4"), s4.rep("rho5")
+    z2, z3 = catalog.cyclic(2).rep("chi1"), catalog.cyclic(3).rep("chi1")
+    x = var("x")
+    comm = sub(prod([inv(var("a")), inv(var("b")), var("a"), var("b")]), const(1))
+    return {
+        "exhaustive-holds": lambda: vf.holds_exhaustive(idf.guard_C(3), z2, budget=10**4),
+        "exhaustive-fails": lambda: vf.holds_exhaustive(idf.guard_C(3), z3, budget=10**4),
+        "exhaustive-jobs2": lambda: vf.holds_exhaustive(idf.guard_C(3), z2, budget=10**4,
+                                                        jobs=2),
+        "guarded-holds": lambda: vf.holds_guarded(idf.character_identity(s3_std), s3_std,
+                                                  seed=3),
+        "guarded-fails": lambda: vf.holds_guarded(idf.dimension_identity(6, 1), s3_std,
+                                                  seed=0, orderings=1),
+        "guarded-fails-shuffled": lambda: vf.holds_guarded(
+            idf.s4_separating_identity(rho4), rho5, seed=5, orderings=2),
+        "guarded-blocked": lambda: vf.holds_guarded(idf.probability_identity(comm, 19, 6),
+                                                    s3_std, seed=4, orderings=1),
+        "sampled-holds": lambda: vf.holds_sampled(idf.disjunctive_identity([power(x, 6)]),
+                                                  s3_std, n=50, seed=42),
+        "sampled-fails": lambda: vf.holds_sampled(idf.disjunctive_identity([power(x, 3)]),
+                                                  s3_std, n=50, seed=42),
+        "structured-class": lambda: vf.holds_structured(idf.class_identity(s3_std), s3_std,
+                                                        seed=0, extra_samples=20),
+        "structured-class-s4": lambda: vf.holds_structured(idf.class_identity(rho4), rho5,
+                                                           seed=5, extra_samples=20),
+        "structured-series": lambda: vf.holds_structured(
+            idf.central_series_gassmann_identity(s3_std, 1, 1), s3_std, seed=0,
+            extra_samples=20),
+    }
+
+
+def _verdict_json(verdict) -> dict:
+    out = verdict.to_json()
+    out.pop("timing_ms", None)
+    return out
+
+
+def test_verdict_json_pinned():
+    pinned = json.loads((Path(__file__).parent / "data" / "verdicts_pinned.json").read_text())
+    cases = _pinned_cases()
+    assert list(cases) == list(pinned)
+    for name, run in cases.items():
+        # dumps keeps key order, so the detail and witness order are pinned too
+        assert json.dumps(_verdict_json(run())) == json.dumps(pinned[name]), name

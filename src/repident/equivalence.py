@@ -8,6 +8,7 @@ to a common conductor before keying, so equality is decided symbolically.
 
 from __future__ import annotations
 
+import weakref
 from math import gcd, lcm
 
 from .grouplab import FiniteGroup
@@ -136,14 +137,15 @@ def similar_reps(rep1: Rep, rep2: Rep, gens=None) -> list[int] | None:
     return None
 
 
-_AUTO_CACHE: dict = {}
+# group -> {generators or None: automorphisms}; an entry goes with its group
+_AUTO_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _cached_automorphisms(group: FiniteGroup, gens):
-    key = (id(group), gens)
-    if key not in _AUTO_CACHE:
-        _AUTO_CACHE[key] = group.automorphisms(list(gens) if gens else None)
-    return _AUTO_CACHE[key]
+    per_group = _AUTO_CACHE.setdefault(group, {})
+    if gens not in per_group:
+        per_group[gens] = group.automorphisms(list(gens) if gens else None)
+    return per_group[gens]
 
 
 def uniformly_gassmann(rep1: Rep, rep2: Rep, limit: int = 200):
@@ -168,10 +170,10 @@ def compare_all(rep1: Rep, rep2: Rep, gens=None, subgroup_limit: int = 200) -> d
         "orders": [rep1.group.order, rep2.group.order],
         "range_equal": ranges_equal(chi1, chi2),
         "range_signature_equal": range_signatures_equal(chi1, chi2),
-        "spectral_signature_equal": gassmann_equivalent(rep1, rep2),
-        "gassmann": gassmann_equivalent(rep1, rep2),
-        "strong_gassmann": strong_gassmann(rep1, rep2),
     }
+    # equal spectral signatures are what Gassmann equivalence means here
+    out["spectral_signature_equal"] = out["gassmann"] = gassmann_equivalent(rep1, rep2)
+    out["strong_gassmann"] = strong_gassmann(rep1, rep2)
     if same_table:
         out["table_equiv"] = table_equivalent(chi1, chi2)
         out["strong_table_equiv"] = strongly_table_equivalent(chi1, chi2)

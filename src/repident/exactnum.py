@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable
 
 # Rational scalars are plain stdlib fractions; they already carry the
 # canonical-form invariants (reduced, positive denominator).
@@ -466,10 +465,3 @@ def sqrt5() -> Cyc:
 def golden_ratio() -> Cyc:
     """(1 + sqrt5)/2 as an exact element of Q(zeta_5)."""
     return (Cyc.one(5) + sqrt5()) / Cyc.from_rational(2, 5)
-
-
-def cyc_sum(values: Iterable[Cyc]) -> Cyc:
-    acc = None
-    for v in values:
-        acc = v if acc is None else acc + v
-    return Cyc.zero() if acc is None else acc

@@ -44,22 +44,6 @@ class StreamUndecided(Exception):
     """A streamed product could not be decided within budget."""
 
 
-class Var:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self):
-        return f"Var({self.name})"
-
-    def __eq__(self, other):
-        return isinstance(other, Var) and other.name == self.name
-
-    def __hash__(self):
-        return hash(("Var", self.name))
-
-
 class Expr:
     __slots__ = ("kind", "value", "children", "_fvs", "_fvt", "_star", "extra")
 
@@ -201,9 +185,7 @@ def const(c) -> Expr:
     return Expr("const", value=c)
 
 
-def var(name) -> Expr:
-    if isinstance(name, Var):
-        name = name.name
+def var(name: str) -> Expr:
     return Expr("var", value=name)
 
 
@@ -276,10 +258,6 @@ def stream_perm_body(group_sizes, pair_exprs) -> Expr:
     """
     return Expr("stream_perm_body", children=tuple(pair_exprs),
                 extra=(tuple(group_sizes),))
-
-
-def star_node(e: Expr) -> Expr:
-    return Expr("star", children=(e,))
 
 
 # -- the star involution --------------------------------------------------

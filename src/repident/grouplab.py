@@ -9,7 +9,7 @@ Everything is index-based: elements are 0..m-1 with 0 the identity.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 
 class GroupError(ValueError):
@@ -267,45 +267,54 @@ class FiniteGroup:
             gens = self.small_generating_set()
         if len(gens) > max_gens:
             raise GroupError(f"automorphism search limited to <= {max_gens} generators")
+        return self._isomorphisms(self, gens, first=False)
+
+    def find_isomorphism(self, other: "FiniteGroup", max_order: int = 128):
+        """Brute-force isomorphism self -> other, or None."""
+        if self.order != other.order:
+            return None
+        if self.order > max_order:
+            raise GroupError(f"isomorphism search limited to order <= {max_order}")
+        found = self._isomorphisms(other, self.small_generating_set(), first=True)
+        return found[0] if found else None
+
+    def _isomorphisms(self, other: "FiniteGroup", gens, first: bool) -> list[list[int]]:
+        """Isomorphisms self -> other (of equal order), as image lists.
+
+        Each generator's image ranges over the elements of other of the same
+        order, in index order, the last generator fastest; an assignment of
+        images extends along the word decomposition and is kept when the
+        extension is a bijective homomorphism. With first, the search stops
+        at the first isomorphism found.
+        """
         words = self._word_decomposition(gens)
-        orders = [self.element_order(g) for g in gens]
-        candidates = [
-            [h for h in range(self.order) if self.element_order(h) == o] for o in orders
-        ]
-        result = []
-
-        def image_map(images) -> list[int] | None:
-            phi = [None] * self.order
-            phi[0] = 0
+        other_orders = [other.element_order(h) for h in range(other.order)]
+        candidates = [[h for h in range(other.order) if other_orders[h] == self.element_order(g)]
+                      for g in gens]
+        table = other.table
+        found = []
+        for images in product(*candidates):
+            phi = [0] * self.order
             for g in range(1, self.order):
-                w = words[g]
                 acc = 0
-                for idx in w:
-                    acc = self.table[acc][images[idx]]
+                for idx in words[g]:
+                    acc = table[acc][images[idx]]
                 phi[g] = acc
-            if len(set(phi)) != self.order:
-                return None
-            # checking phi(g*x) = phi(g)*phi(x) on generators g suffices:
-            # every left factor is a word in the generators
-            t = self.table
-            for gi, g in enumerate(gens):
-                tg, timg = t[g], t[images[gi]]
-                for b in range(self.order):
-                    if phi[tg[b]] != timg[phi[b]]:
-                        return None
-            return phi
+            if len(set(phi)) == self.order and self._respects(phi, gens, other, images):
+                found.append(phi)
+                if first:
+                    break
+        return found
 
-        def search(i, images):
-            if i == len(gens):
-                phi = image_map(images)
-                if phi is not None:
-                    result.append(phi)
-                return
-            for h in candidates[i]:
-                search(i + 1, images + [h])
-
-        search(0, [])
-        return result
+    def _respects(self, phi, gens, other: "FiniteGroup", images) -> bool:
+        """phi(g*x) = phi(g)*phi(x) for every generator g; this suffices, as
+        every left factor is a word in the generators."""
+        for g, h in zip(gens, images):
+            tg, timg = self.table[g], other.table[h]
+            for b in range(self.order):
+                if phi[tg[b]] != timg[phi[b]]:
+                    return False
+        return True
 
     def _word_decomposition(self, gens) -> list[list[int]]:
         """For each element, a word (list of generator indices) composing to it."""
@@ -324,47 +333,6 @@ class FiniteGroup:
         if any(w is None for w in words):
             raise GroupError("given generators do not generate the group")
         return words
-
-    def find_isomorphism(self, other: "FiniteGroup", max_order: int = 128):
-        """Brute-force isomorphism self -> other, or None."""
-        if self.order != other.order:
-            return None
-        if self.order > max_order:
-            raise GroupError(f"isomorphism search limited to order <= {max_order}")
-        gens = self.small_generating_set()
-        words = self._word_decomposition(gens)
-        orders = [self.element_order(g) for g in gens]
-        candidates = [
-            [h for h in range(other.order) if other.element_order(h) == o] for o in orders
-        ]
-
-        def try_images(images):
-            phi = [None] * self.order
-            phi[0] = 0
-            for g in range(1, self.order):
-                acc = 0
-                for idx in words[g]:
-                    acc = other.table[acc][images[idx]]
-                phi[g] = acc
-            if len(set(phi)) != self.order:
-                return None
-            for gi, g in enumerate(gens):
-                tg, timg = self.table[g], other.table[images[gi]]
-                for b in range(self.order):
-                    if phi[tg[b]] != timg[phi[b]]:
-                        return None
-            return phi
-
-        def search(i, images):
-            if i == len(gens):
-                return try_images(images)
-            for h in candidates[i]:
-                res = search(i + 1, images + [h])
-                if res is not None:
-                    return res
-            return None
-
-        return search(0, [])
 
     # -- serialization ---------------------------------------------------
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .exactnum import Cyc, cyc_root_of_unity
 from .grouplab import FiniteGroup, GroupError
@@ -129,7 +129,7 @@ class Rep:
         return [self.adams_vector(block[0]) for block in self.adams_partition]
 
     def galois_conjugate(self, t: int, validate: bool = False) -> "Rep":
-        if _gcd(t, self.conductor) != 1:
+        if gcd(t, self.conductor) != 1:
             raise RepError(f"galois exponent {t} not coprime to entry conductor {self.conductor}")
         return Rep(
             self.group,
@@ -156,12 +156,6 @@ class Rep:
 
     def __repr__(self):
         return f"Rep({self.name}, dim={self.dim}, group={self.group.name})"
-
-
-def _gcd(a, b):
-    from math import gcd
-
-    return gcd(a, b)
 
 
 class Character:
@@ -208,10 +202,6 @@ class Character:
         return [self.values[r] for r in cc.representatives]
 
 
-def character(rep: Rep) -> Character:
-    return rep.character
-
-
 def inner_product(chi1: Character, chi2: Character) -> Cyc:
     if chi1.group is not chi2.group and chi1.group.table != chi2.group.table:
         raise RepError("characters live on different groups")
@@ -221,26 +211,6 @@ def inner_product(chi1: Character, chi2: Character) -> Cyc:
         term = chi1.values[g] * chi2.values[g].conjugate()
         acc = term if acc is None else acc + term
     return acc * Cyc.from_rational(Fraction(1, m))
-
-
-def is_irreducible(rep: Rep) -> bool:
-    return rep.is_irreducible()
-
-
-def is_faithful(rep: Rep) -> bool:
-    return rep.is_faithful()
-
-
-def is_unitary(rep: Rep) -> bool:
-    return rep.is_unitary()
-
-
-def adams_vector(rep: Rep, g: int):
-    return rep.adams_vector(g)
-
-
-def adams_partition(rep: Rep):
-    return rep.adams_partition
 
 
 def sigma_value(rep: Rep, g: int, i: int) -> Cyc:

@@ -1,14 +1,22 @@
 """Decides whether an identity holds in a representation, with graded
-evidence:
+evidence. Every mode is a source of assignments:
 
-- exhaustive: every assignment enumerated (budget-bounded);
+- exhaustive: every assignment enumerated (budget-bounded), optionally
+  split over worker processes;
 - guarded: guard sets range over full group enumerations (canonical plus
   K random orderings), argument variables enumerated or sampled, streamed
   products decided by zero-subset counting;
 - structured: the assignment family that the construction singles out
   (class representatives x centralizer transversals, or series-complement
   tuples), plus random sampling;
-- sampled(N, seed): N uniform assignments, exact evaluation per sample.
+- sampled(N, seed): N uniform assignments.
+
+One loop (`_verify`) decides each assignment, counts the undecided ones and
+builds the verdict, with one of two exact zero tests: the total test
+(`_full_zero`: the whole expression under the assignment as drawn; used by
+exhaustive and sampled) or the separator-quantified test
+(`_Session.decide`: no factor vanishes, then a separator choice keeping the
+product nonzero is searched; used by guarded and structured).
 
 A fails verdict always carries a counterexample whose re-evaluation is
 nonzero (or, for streamed products too large to materialize, an
@@ -31,6 +39,7 @@ from .freeexpr import (
     StreamUndecided,
     prod,
     star,
+    sum_,
 )
 from .idfactory import IdentityDoc
 from .matrices import Mat
@@ -73,74 +82,46 @@ class Verdict:
         return f"Verdict({self.status}/{self.evidence})"
 
 
-def _root_factors(expr: Expr) -> list[Expr]:
-    return list(expr.children) if expr.kind == "prod" else [expr]
+def _ms(t0: float) -> float:
+    return (time.time() - t0) * 1000
+
+
+def _vacuous(evidence: str, t0: float, **detail) -> Verdict:
+    return Verdict("holds", evidence, {**detail, "vacuous": True}, timing_ms=_ms(t0))
 
 
 class _Session:
     """One verification run: owns the evaluator, RNG and witness search."""
 
-    def __init__(self, doc: IdentityDoc, rep: Rep, seed: int, sep_tries: int = 40,
-                 arg_vars=None):
+    def __init__(self, doc: IdentityDoc, rep: Rep, seed: int):
         self.doc = doc
         self.rep = rep
         self.rng = random.Random(seed)
         self.seed = seed
-        self.sep_tries = sep_tries
         self.ev = Evaluator(rep, use_cross_cache=True)
-        self.factors = _root_factors(doc.expr)
+        self.factors = list(doc.expr.children) if doc.expr.kind == "prod" else [doc.expr]
         self.separators = set(doc.vars_with_role("separator")) | set(
             doc.vars_with_role("subset-tag")
         )
         self.sep_list = sorted(self.separators)
-        arg_set = set(arg_vars or ())
-        self.static_factors = []
-        self.dynamic_factors = []
+        # the root factors whose value can vanish, in expression order
+        self.value_factors = [f for f in self.factors
+                              if not (f.kind == "var" and f.value in self.separators)]
         self.last_undecided = False
         self.undecided_count = 0
-        for f in self.factors:
-            if f.kind == "var" and f.value in self.separators:
-                continue
-            if arg_set and f.free_vars() & arg_set:
-                self.dynamic_factors.append(f)
-            else:
-                self.static_factors.append(f)
 
     def scan_factors(self, assignment: dict, factors) -> tuple[bool, bool]:
         """(found_zero, stream_blocked) over the given factor subset.
 
-        Sets the per-call undecided flag when a streamed factor could neither
-        vanish nor certify nonvanishing.
+        stream_blocked means a streamed factor certified nonvanishing, so no
+        explicit witness value can be materialized. Sets the per-call
+        undecided flag when a streamed factor could neither vanish nor
+        certify nonvanishing.
         """
         memo: dict = {}
         blocked = False
         self.last_undecided = False
         for f in factors:
-            try:
-                val = self.ev._eval(f, assignment, memo)
-            except StreamNonvanishing:
-                blocked = True
-                continue
-            except StreamUndecided:
-                self.last_undecided = True
-                continue
-            if self.ev._is_zero(val):
-                return True, False
-        return False, blocked
-
-    def vanishes(self, assignment: dict) -> tuple[bool, bool]:
-        """(vanishes, stream_blocked): scan all root factors for an exact zero.
-
-        stream_blocked means a streamed factor certified nonvanishing, so no
-        explicit witness value can be materialized; the undecided flag marks
-        assignments whose status is unknown.
-        """
-        memo: dict = {}
-        blocked = False
-        self.last_undecided = False
-        for f in self.factors:
-            if f.kind == "var" and f.value in self.separators:
-                continue
             try:
                 val = self.ev._eval(f, assignment, memo)
             except StreamNonvanishing:
@@ -191,16 +172,14 @@ class _Session:
                 assign[s] = 0
             slot = pending[-1]
             pending = []
-            chosen = None
             for u in range(m):
                 cand = prefix * self.rep.image(u) * f
                 if not cand.is_zero():
-                    chosen = u
-                    prefix = cand
                     break
-            if chosen is None:
+            else:
                 return None
-            assign[slot] = chosen
+            assign[slot] = u
+            prefix = cand
         for s in pending:
             assign[s] = 0
         if prefix is None or prefix.is_zero():
@@ -208,7 +187,8 @@ class _Session:
         return assign
 
     def decide(self, assignment: dict):
-        """Full decision for one assignment of non-separator variables.
+        """Separator-quantified decision for one assignment of non-separator
+        variables.
 
         Returns None when the expression vanishes for every separator choice
         reachable here, a witness assignment dict when a nonzero value was
@@ -216,7 +196,7 @@ class _Session:
         without a materializable value, or "undecided" when a streamed factor
         could not be decided (counted, never treated as a verdict).
         """
-        vanished, blocked = self.vanishes(assignment)
+        vanished, blocked = self.scan_factors(assignment, self.value_factors)
         if vanished:
             return None
         if self.last_undecided:
@@ -226,56 +206,13 @@ class _Session:
             return "blocked"
         return self.witness_value(assignment)
 
-    def fail_verdict(self, outcome, assignment: dict, evidence: str, detail: dict) -> Verdict:
-        if outcome == "blocked" or outcome is None:
-            witness = {k: int(v) for k, v in assignment.items() if not isinstance(v, Mat)}
-            detail = dict(detail)
-            detail["witness_kind"] = (
-                "no-vanishing-factor (streamed product; nonzero by simplicity "
-                "with fresh separators)"
-            )
-            return Verdict("fails", "structured", detail, witness)
-        witness = {k: int(v) for k, v in outcome.items()}
-        return Verdict("fails", evidence, detail, witness)
-
-
-def holds_exhaustive(doc: IdentityDoc, rep: Rep, budget: int = 300_000, seed: int = 0,
-                     jobs: int = 1) -> Verdict:
-    t0 = time.time()
-    if doc.vacuous:
-        return Verdict("holds", "exhaustive", {"assignments": 0, "vacuous": True},
-                       timing_ms=(time.time() - t0) * 1000)
-    names = sorted(doc.expr.free_vars())
-    m = rep.group.order
-    total = m ** len(names)
-    if total > budget:
-        raise BudgetExceeded(f"{total} assignments exceed the budget {budget}")
-    session = _Session(doc, rep, seed)
-    if jobs > 1:
-        verdict = _parallel_scan(doc, rep, names, total, seed, jobs)
-        if verdict is not None:
-            verdict.timing_ms = (time.time() - t0) * 1000
-            return verdict
-        return Verdict("holds", "exhaustive", {"assignments": total, "jobs": jobs},
-                       timing_ms=(time.time() - t0) * 1000)
-    for combo in itertools.product(range(m), repeat=len(names)):
-        assignment = dict(zip(names, combo))
-        if _full_zero(session, assignment) is False:
-            return Verdict("fails", "exhaustive", {"assignments": total},
-                           dict(assignment), timing_ms=(time.time() - t0) * 1000)
-    detail = {"assignments": total}
-    if session.undecided_count:
-        detail["undecided"] = session.undecided_count
-    return Verdict("holds", "exhaustive", detail,
-                   timing_ms=(time.time() - t0) * 1000)
-
 
 def _full_zero(session: _Session, assignment: dict):
     """Exact zero test of the whole expression under a total assignment.
 
     True/False when decided; None when a streamed factor was undecidable.
     """
-    vanished, blocked = session.vanishes(assignment)
+    vanished, blocked = session.scan_factors(assignment, session.value_factors)
     if vanished:
         return True
     if session.last_undecided:
@@ -293,57 +230,105 @@ def _full_zero(session: _Session, assignment: dict):
     return value.is_zero()
 
 
-def _parallel_scan(doc, rep, names, total, seed, jobs):
+def _verify(session: _Session, evidence: str, assignments, detail: dict, t0: float,
+            total: bool = False, search: bool = False,
+            fail_detail: dict | None = None) -> Verdict:
+    """The verification loop of every mode: decide each assignment the mode
+    yields, count the undecided ones, build the verdict.
+
+    With total, an assignment is decided by `_full_zero` as drawn; the
+    witness is the assignment itself, or with search the separator choice
+    of `_Session.decide` where it finds one. Otherwise `_Session.decide`
+    decides it. The first assignment that does not vanish fails the verdict
+    (with fail_detail, if given, in place of detail).
+    """
+    for assignment in assignments:
+        if total:
+            if _full_zero(session, assignment) is not False:
+                continue
+            outcome = session.decide(assignment) if search else None
+            if outcome in (None, "undecided"):
+                outcome = assignment
+        else:
+            outcome = session.decide(assignment)
+            if outcome in (None, "undecided"):
+                continue
+        detail = fail_detail or detail
+        if outcome == "blocked":
+            evidence, outcome = "structured", assignment
+            detail["witness_kind"] = (
+                "no-vanishing-factor (streamed product; nonzero by simplicity "
+                "with fresh separators)"
+            )
+        return Verdict("fails", evidence, detail, dict(outcome), timing_ms=_ms(t0))
+    if session.undecided_count:
+        detail["undecided"] = session.undecided_count
+    return Verdict("holds", evidence, detail, timing_ms=_ms(t0))
+
+
+def holds_exhaustive(doc: IdentityDoc, rep: Rep, budget: int = 300_000, seed: int = 0,
+                     jobs: int = 1) -> Verdict:
+    t0 = time.time()
+    if doc.vacuous:
+        return _vacuous("exhaustive", t0, assignments=0)
+    names = sorted(doc.expr.free_vars())
+    source = _all_assignments(names, rep.group.order, budget)  # raises over budget
+    detail = {"assignments": rep.group.order ** len(names)}
+    session = _Session(doc, rep, seed)
+    if jobs > 1:
+        detail["jobs"] = jobs
+        source = _parallel_failures(session, names, detail["assignments"], jobs)
+    return _verify(session, "exhaustive", source, detail, t0, total=True)
+
+
+def _all_assignments(names: list[str], m: int, budget: int):
+    """Every assignment of group elements to names, last name fastest;
+    raises BudgetExceeded at once when there are more than budget."""
+    total = m ** len(names)
+    if total > budget:
+        raise BudgetExceeded(f"{total} assignments exceed the budget {budget}")
+    return (dict(zip(names, combo)) for combo in itertools.product(range(m), repeat=len(names)))
+
+
+def _parallel_failures(session: _Session, names: list[str], total: int, jobs: int):
+    """Split the enumeration into `jobs` ranges scanned by worker processes;
+    yield each worker's nonvanishing assignment (the loop decides it again
+    here) and add the workers' undecided counts to the session."""
     import multiprocessing as mp
 
-    m = rep.group.order
-    ranges = []
     step = (total + jobs - 1) // jobs
-    for start in range(0, total, step):
-        ranges.append((start, min(start + step, total)))
+    ranges = [(start, min(start + step, total)) for start in range(0, total, step)]
     ctx = mp.get_context("fork")
-    with ctx.Pool(jobs, initializer=_worker_init, initargs=(doc, rep, names, seed)) as pool:
-        for result in pool.imap_unordered(_worker_scan, ranges):
-            if result is not None:
-                assignment = dict(zip(names, result))
-                return Verdict("fails", "exhaustive",
-                               {"assignments": total, "jobs": jobs}, assignment)
-    return None
+    with ctx.Pool(jobs, initializer=_worker_init,
+                  initargs=(session.doc, session.rep, names, session.seed)) as pool:
+        for verdict in pool.imap_unordered(_worker_scan, ranges):
+            session.undecided_count += verdict.detail.get("undecided", 0)
+            if not verdict.holds:
+                yield verdict.counterexample
 
 
 _WORKER_STATE: dict = {}
 
 
 def _worker_init(doc, rep, names, seed):
-    _WORKER_STATE["session"] = _Session(doc, rep, seed)
-    _WORKER_STATE["names"] = names
-    _WORKER_STATE["m"] = rep.group.order
+    _WORKER_STATE["args"] = (doc, rep, names, seed)
 
 
-def _worker_scan(rng_pair):
-    start, end = rng_pair
-    session = _WORKER_STATE["session"]
-    names = _WORKER_STATE["names"]
-    m = _WORKER_STATE["m"]
-    k = len(names)
-    for linear in range(start, end):
-        combo = []
-        x = linear
-        for _ in range(k):
-            combo.append(x % m)
-            x //= m
-        assignment = dict(zip(names, combo))
-        if _full_zero(session, assignment) is False:
-            return tuple(combo)
-    return None
+def _worker_scan(bounds) -> Verdict:
+    """Exhaustive verdict over one range of linear assignment indices."""
+    doc, rep, names, seed = _WORKER_STATE["args"]
+    m = rep.group.order
+    source = ({name: (linear // m ** i) % m for i, name in enumerate(names)}
+              for linear in range(*bounds))
+    return _verify(_Session(doc, rep, seed), "exhaustive", source, {}, time.time(),
+                   total=True)
 
 
 def holds_guarded(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 5,
                   arg_budget: int = 20_000, samples_if_over: int = 500) -> Verdict:
     t0 = time.time()
     if doc.vacuous:
-        return Verdict("holds", "guarded", {"vacuous": True},
-                       timing_ms=(time.time() - t0) * 1000)
+        return _vacuous("guarded", t0)
     m = rep.group.order
     groups = doc.guard_groups()
     if not groups:
@@ -355,80 +340,64 @@ def holds_guarded(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 5,
                 f"has order {m}; use the structured mode"
             )
     args = doc.vars_with_role("psi-argument")
-    session = _Session(doc, rep, seed, arg_vars=args)
-    rng = session.rng
+    session = _Session(doc, rep, seed)
     exhaustive_args = m ** len(args) <= arg_budget if args else True
-    checked = 0
+    detail = {"orderings": orderings, "seed": seed, "checked": 0,
+              "args_exhaustive": exhaustive_args}
+    source = _guarded_assignments(session, groups, args, orderings, exhaustive_args,
+                                  samples_if_over, detail)
+    return _verify(session, "guarded", source, detail, t0)
+
+
+def _guarded_assignments(session: _Session, groups: dict, args: list[str], orderings: int,
+                         exhaustive_args: bool, samples_if_over: int, detail: dict):
+    """Guard orderings times argument values; detail["checked"] counts them.
+
+    Per ordering, the factors free of arguments are scanned once and a zero
+    among them settles every argument value; otherwise an assignment is
+    yielded only when no argument-dependent factor vanishes.
+    """
+    m = session.rep.group.order
+    rng = session.rng
+    arg_set = set(args)
+    static = [f for f in session.value_factors if not f.free_vars() & arg_set]
+    dynamic = [f for f in session.value_factors if f.free_vars() & arg_set]
     for rnd in range(orderings + 1):
         assignment: dict = {s: 0 for s in session.sep_list}
-        for label, vars_ in groups.items():
+        for vars_ in groups.values():
             order = list(range(m))
             if rnd > 0:
                 rng.shuffle(order)
-            for v, g in zip(vars_, order):
-                assignment[v] = g
+            assignment.update(zip(vars_, order))
         # arguments need a value even for the static scan's shared memo
-        for name in args:
-            assignment[name] = 0
+        assignment.update(dict.fromkeys(args, 0))
         if exhaustive_args:
             arg_iter = itertools.product(range(m), repeat=len(args))
         else:
             arg_iter = (
                 tuple(rng.randrange(m) for _ in args) for _ in range(samples_if_over)
             )
-        static_zero, blocked0 = session.scan_factors(assignment, session.static_factors)
-        if static_zero:
-            checked += 1
+        if session.scan_factors(assignment, static)[0]:
+            detail["checked"] += 1
             continue
         for combo in arg_iter:
-            for name, val in zip(args, combo):
-                assignment[name] = val
-            checked += 1
-            vanished, blocked = session.scan_factors(assignment, session.dynamic_factors)
-            if vanished:
-                continue
-            outcome = session.decide(dict(assignment))
-            if outcome is None or outcome == "undecided":
-                continue
-            detail = {
-                "orderings": orderings,
-                "seed": seed,
-                "checked": checked,
-                "args_exhaustive": exhaustive_args,
-            }
-            return session.fail_verdict(outcome, dict(assignment), "guarded", detail)
-    detail = {
-        "orderings": orderings,
-        "seed": seed,
-        "checked": checked,
-        "args_exhaustive": exhaustive_args,
-    }
-    if session.undecided_count:
-        detail["undecided"] = session.undecided_count
-    return Verdict("holds", "guarded", detail, timing_ms=(time.time() - t0) * 1000)
+            assignment.update(zip(args, combo))
+            detail["checked"] += 1
+            if not session.scan_factors(assignment, dynamic)[0]:
+                yield dict(assignment)
 
 
 def holds_sampled(doc: IdentityDoc, rep: Rep, n: int = 500, seed: int = 0) -> Verdict:
     t0 = time.time()
     if doc.vacuous:
-        return Verdict("holds", "sampled", {"n": 0, "seed": seed, "vacuous": True},
-                       timing_ms=(time.time() - t0) * 1000)
+        return _vacuous("sampled", t0, n=0, seed=seed)
     m = rep.group.order
     names = sorted(doc.expr.free_vars())
     session = _Session(doc, rep, seed)
     rng = session.rng
-    for _ in range(n):
-        assignment = {name: rng.randrange(m) for name in names}
-        if _full_zero(session, assignment) is False:
-            outcome = session.decide(assignment)
-            if outcome is None or outcome == "undecided":
-                outcome = dict(assignment)
-            return session.fail_verdict(outcome, assignment, "sampled",
-                                        {"n": n, "seed": seed})
-    detail = {"n": n, "seed": seed}
-    if session.undecided_count:
-        detail["undecided"] = session.undecided_count
-    return Verdict("holds", "sampled", detail, timing_ms=(time.time() - t0) * 1000)
+    source = ({name: rng.randrange(m) for name in names} for _ in range(n))
+    return _verify(session, "sampled", source, {"n": n, "seed": seed}, t0,
+                   total=True, search=True)
 
 
 def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 3,
@@ -436,28 +405,27 @@ def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int =
     """Family-specific assignment enumeration plus random sampling."""
     t0 = time.time()
     if doc.vacuous:
-        return Verdict("holds", "structured", {"vacuous": True},
-                       timing_ms=(time.time() - t0) * 1000)
+        return _vacuous("structured", t0)
     if doc.family in ("class", "class-adams"):
-        verdict = _structured_class(doc, rep, seed, orderings)
+        source = _class_assignments
     elif doc.family == "central-series-gassmann":
-        verdict = _structured_series(doc, rep, seed, orderings)
+        source = _series_assignments
     else:
         raise VerifierError(f"no structured family handler for {doc.family}")
-    if verdict is not None:
-        verdict.timing_ms = (time.time() - t0) * 1000
-        return verdict
-    sampled = holds_sampled(doc, rep, n=extra_samples, seed=seed + 1)
-    if not sampled.holds:
-        return sampled
-    return Verdict("holds", "structured",
-                   {"seed": seed, "orderings": orderings,
-                    "extra_samples": extra_samples},
-                   timing_ms=(time.time() - t0) * 1000)
+    session = _Session(doc, rep, seed)
+    verdict = _verify(session, "structured", source(doc, session, orderings),
+                      {"seed": seed, "orderings": orderings, "extra_samples": extra_samples},
+                      t0, fail_detail={"seed": seed, "family": doc.family})
+    if verdict.holds:
+        sampled = holds_sampled(doc, rep, n=extra_samples, seed=seed + 1)
+        if not sampled.holds:
+            return sampled
+        verdict.timing_ms = _ms(t0)
+    return verdict
 
 
-def _structured_class(doc: IdentityDoc, rep: Rep, seed: int, orderings: int,
-                      max_bijections: int = 24):
+def _class_assignments(doc: IdentityDoc, session: _Session, orderings: int,
+                       max_bijections: int = 24):
     """Theorem-style family: x_r over class representatives matched by size,
     Y_r over left transversals of the centralizers.
 
@@ -465,14 +433,11 @@ def _structured_class(doc: IdentityDoc, rep: Rep, seed: int, orderings: int,
     a cap: any single size-valid bijection already witnesses a failing
     value-matching body, and the holding direction is additionally covered
     by the random-sample supplement."""
-    group = rep.group
+    group = session.rep.group
+    rng = session.rng
     sizes = doc.params["sizes"]
     s = doc.params["s"]
     cc = group.conjugacy_classes
-    session = _Session(doc, rep, seed)
-    rng = session.rng
-    # candidate classes per slot, by exact size match
-    slots = [[ci for ci in range(len(cc)) if cc.sizes[ci] == sizes[r]] for r in range(s)]
     size_groups = doc.params["size_groups"]
     base_assign = {sep: 0 for sep in session.sep_list}
 
@@ -498,11 +463,8 @@ def _structured_class(doc: IdentityDoc, rep: Rep, seed: int, orderings: int,
         size = sizes[grp[0] - 1]
         classes = [ci for ci in range(len(cc)) if cc.sizes[ci] == size]
         if len(classes) < len(grp):
-            choices_per_group.append([])
-        else:
-            choices_per_group.append(list(itertools.permutations(classes, len(grp))))
-    if any(not c for c in choices_per_group):
-        return None  # the forcing product vanishes identically; fall to sampling
+            return  # the forcing product vanishes identically; leave it to sampling
+        choices_per_group.append(list(itertools.permutations(classes, len(grp))))
     combos = itertools.islice(itertools.product(*choices_per_group), max_bijections)
     for combo in combos:
         class_for_slot = {}
@@ -523,26 +485,20 @@ def _structured_class(doc: IdentityDoc, rep: Rep, seed: int, orderings: int,
                     break
                 for idx in range(sizes[r - 1]):
                     assignment[f"y{r}_{idx + 1}"] = reps[idx]
-            if not ok:
-                continue
-            outcome = session.decide(assignment)
-            if outcome is not None and outcome != "undecided":
-                return session.fail_verdict(outcome, assignment, "structured",
-                                            {"seed": seed, "family": doc.family})
-    return None
+            if ok:
+                yield assignment
 
 
-def _structured_series(doc: IdentityDoc, rep: Rep, seed: int, orderings: int):
-    group = rep.group
+def _series_assignments(doc: IdentityDoc, session: _Session, orderings: int):
+    group = session.rep.group
+    rng = session.rng
     s = doc.params["outside"]
     t = doc.params["t"]
-    session = _Session(doc, rep, seed)
-    rng = session.rng
     series = group.upper_central_series()
     zt = series[t] if t < len(series) else series[-1]
     outside = sorted(set(range(group.order)) - set(zt))
     if len(outside) != s:
-        return None
+        return
     m = group.order
     xnames = [f"x{i}" for i in range(1, s + 1)]
     unames = [f"c{j}_{st}" for j in range(1, s + 1) for st in range(1, t + 1)]
@@ -552,20 +508,14 @@ def _structured_series(doc: IdentityDoc, rep: Rep, seed: int, orderings: int):
         order = list(range(m))
         if rnd > 0:
             rng.shuffle(order)
-        for v, g in zip(ynames, order):
-            assignment[v] = g
+        assignment.update(zip(ynames, order))
         xs = list(outside)
         if rnd > 0:
             rng.shuffle(xs)
-        for v, g in zip(xnames, xs):
-            assignment[v] = g
+        assignment.update(zip(xnames, xs))
         for u in unames:
             assignment[u] = 0 if rnd == 0 else rng.randrange(m)
-        outcome = session.decide(assignment)
-        if outcome is not None and outcome != "undecided":
-            return session.fail_verdict(outcome, assignment, "structured",
-                                        {"seed": seed, "family": doc.family})
-    return None
+        yield assignment
 
 
 def check(doc: IdentityDoc, rep: Rep, mode: str = "auto", seed: int = 0,
@@ -604,30 +554,23 @@ def scalar_check(expr: Expr, rep: Rep, assignment: dict):
 
 
 def expectation(expr: Expr, rep: Rep, budget: int = 300_000) -> Mat:
-    names = sorted(expr.free_vars())
-    m = rep.group.order
-    total = m ** len(names)
-    if total > budget:
-        raise BudgetExceeded(f"{total} assignments exceed the budget {budget}")
     ev = Evaluator(rep, use_cross_cache=False)
     acc = None
-    for combo in itertools.product(range(m), repeat=len(names)):
-        value = ev.evaluate(expr, dict(zip(names, combo)))
+    total = 0
+    for assignment in _all_assignments(sorted(expr.free_vars()), rep.group.order, budget):
+        value = ev.evaluate(expr, assignment)
         acc = value if acc is None else acc + value
+        total += 1
     return acc.scale(Cyc.from_rational(Fraction(1, total)))
 
 
 def relation_probability(expr: Expr, rep: Rep, budget: int = 300_000) -> Fraction:
-    names = sorted(expr.free_vars())
-    m = rep.group.order
-    total = m ** len(names)
-    if total > budget:
-        raise BudgetExceeded(f"{total} assignments exceed the budget {budget}")
     ev = Evaluator(rep, use_cross_cache=False)
-    hits = 0
-    for combo in itertools.product(range(m), repeat=len(names)):
-        if ev.evaluate(expr, dict(zip(names, combo))).is_zero():
+    hits = total = 0
+    for assignment in _all_assignments(sorted(expr.free_vars()), rep.group.order, budget):
+        if ev.evaluate(expr, assignment).is_zero():
             hits += 1
+        total += 1
     return Fraction(hits, total)
 
 
@@ -635,20 +578,13 @@ def conditional_relation_probability(u: Expr, v: Expr, rep: Rep,
                                      budget: int = 300_000) -> Fraction:
     """Pr(u | v) via the positive-semidefinite combination u u* + v v*."""
     names = sorted(u.free_vars() | v.free_vars())
-    m = rep.group.order
-    total = m ** len(names)
-    if total > budget:
-        raise BudgetExceeded(f"{total} assignments exceed the budget {budget}")
     ev = Evaluator(rep, use_cross_cache=False)
     uu = prod([u, star(u)])
     vv = prod([v, star(v)])
     both = 0
     v_only = 0
-    from .freeexpr import sum_ as _sum
-
-    combined = _sum([uu, vv])
-    for combo in itertools.product(range(m), repeat=len(names)):
-        assignment = dict(zip(names, combo))
+    combined = sum_([uu, vv])
+    for assignment in _all_assignments(names, rep.group.order, budget):
         if ev.evaluate(vv, assignment).is_zero():
             v_only += 1
             if ev.evaluate(combined, assignment).is_zero():
@@ -691,9 +627,9 @@ def sl2_sample_check(expr: Expr, trials: int = 1000, seed: int = 0) -> Verdict:
             }
             return Verdict("fails", "sampled",
                            {"n": trials, "seed": seed, "trial": trial},
-                           witness, timing_ms=(time.time() - t0) * 1000)
+                           witness, timing_ms=_ms(t0))
     return Verdict("holds", "sampled", {"n": trials, "seed": seed},
-                   timing_ms=(time.time() - t0) * 1000)
+                   timing_ms=_ms(t0))
 
 
 def sl2_trace_identity_check(trials: int = 1000, seed: int = 0) -> Verdict:
@@ -711,6 +647,6 @@ def sl2_trace_identity_check(trials: int = 1000, seed: int = 0) -> Verdict:
         if not value.is_zero():
             witness = {"x": [[str(v.rational_value()) for v in row] for row in a.rows]}
             return Verdict("fails", "sampled", {"n": trials, "seed": seed},
-                           witness, timing_ms=(time.time() - t0) * 1000)
+                           witness, timing_ms=_ms(t0))
     return Verdict("holds", "sampled", {"n": trials, "seed": seed},
-                   timing_ms=(time.time() - t0) * 1000)
+                   timing_ms=_ms(t0))

@@ -152,3 +152,22 @@ def test_compare_all_payload(a5):
     s4 = catalog.symmetric(4)
     out2 = eq.compare_all(s4.rep("rho4"), s4.rep("rho5"))
     assert out2["strong_table_equiv"] and not out2["gassmann"] and not out2["similar"]
+
+
+def test_automorphism_cache_drops_freed_groups():
+    import gc
+    import weakref
+
+    from repident.grouplab import FiniteGroup
+
+    group = FiniteGroup([[(a + b) % 5 for b in range(5)] for a in range(5)],
+                        name="cache-probe")
+    entries = len(eq._AUTO_CACHE)
+    assert len(eq._cached_automorphisms(group, None)) == 4
+    assert group in eq._AUTO_CACHE and len(eq._AUTO_CACHE) == entries + 1
+    ref = weakref.ref(group)
+    del group
+    gc.collect()
+    assert ref() is None
+    assert len(eq._AUTO_CACHE) <= entries
+    assert all(g.name != "cache-probe" for g in eq._AUTO_CACHE.keys())

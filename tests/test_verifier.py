@@ -226,3 +226,20 @@ def test_verdict_json_pinned():
     for name, run in cases.items():
         # dumps keeps key order, so the detail and witness order are pinned too
         assert json.dumps(_verdict_json(run())) == json.dumps(pinned[name]), name
+
+
+def test_parallel_exhaustive_reports_undecided():
+    """Workers' undecided counts reach the verdict: --jobs 2 reports what
+    --jobs 1 does."""
+    from repident.freeexpr import stream_subsets
+
+    z2 = catalog.cyclic(2).rep("chi1")
+    # a non-psd streamed product that cannot be decided when x = 0
+    expr = stream_subsets([sub(var("x"), const(1))], 1, "s", psd=False)
+    doc = idf.IdentityDoc("test", expr, {"x": {"role": "psi-argument"}}, {}, "undecided")
+    serial = _verdict_json(vf.holds_exhaustive(doc, z2, budget=100))
+    parallel = _verdict_json(vf.holds_exhaustive(doc, z2, budget=100, jobs=2))
+    assert serial == {"status": "holds", "evidence": "exhaustive", "assignments": 2,
+                      "undecided": 1}
+    assert parallel.pop("jobs") == 2
+    assert parallel == serial

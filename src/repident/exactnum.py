@@ -440,6 +440,15 @@ def cyc_arith(a: Cyc, b: Cyc, op: str) -> Cyc:
     raise ValueError(f"unknown op {op!r}")
 
 
+def demote(a: Cyc) -> "int | Fraction | Cyc":
+    """a as an int or Fraction when it is rational, else a itself."""
+    if not a.is_rational():
+        return a
+    if a.den == 1:
+        return a.num[0]
+    return Fraction(a.num[0], a.den)
+
+
 def cyc_inverse(a: Cyc) -> Cyc:
     return a.inverse()
 

@@ -10,20 +10,26 @@ y * y^-1 persists as a Prod node.  Evaluation semantics is unaffected;
 structural equality is simply finer than equality in the group algebra.
 
 Evaluation maps Vars to group element indices (with a Rep supplying the
-matrices) or directly to matrices.  Words are composed in the group and
-only materialized to matrices at Sum boundaries or mixed products, which
-is what makes guard-heavy identities affordable.  A Prod evaluates its
-factors left to right and short-circuits to zero on the first factor
-that is exactly zero.
+matrices) or directly to matrices.  Words are composed in the group; sums
+and scalar multiples of words stay sparse elements of the group algebra
+Q(zeta)[G], and a class-constant element on an irreducible rep collapses
+to its Schur scalar.  Zero tests fold the support by the scalar subgroup
+and, for rational coefficients, sum integer image vectors; a matrix is
+built when a caller asks for one, or when irrational coefficients leave
+more than two terms.  That is what makes guard-heavy identities
+affordable.
+A Prod evaluates its factors left to right and short-circuits to zero on
+the first factor that is exactly zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Optional
 
-from .exactnum import Cyc
+from .exactnum import Cyc, demote
 from .matrices import Mat
 
 
@@ -294,11 +300,66 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 # -- evaluation ------------------------------------------------------------
 
-_G, _S, _M = 0, 1, 2  # value tags: group index, scalar, matrix
+# Value tags: group index, scalar (a Cyc), matrix, group-algebra element.
+# An _A payload is a dict {group index: coefficient} that is not a single
+# plain word or scalar; a coefficient is a nonzero int or Fraction when it
+# is rational, else an (irrational) Cyc.  Payloads are shared through the
+# memo and the cross-cache, so they are never mutated.
+_G, _S, _M, _A = 0, 1, 2, 3
+
+
+def _add(a, b):
+    """Sum of two coefficients; 0 when they cancel."""
+    if isinstance(a, Cyc) or isinstance(b, Cyc):
+        return demote(a + b)
+    return a + b
+
+
+def _mul(a, b):
+    """Product of two coefficients."""
+    if isinstance(a, Cyc):
+        return demote(a * b) if isinstance(b, Cyc) else _scale(a, b)
+    if isinstance(b, Cyc):
+        return _scale(b, a)
+    return a * b
+
+
+def _scale(c: Cyc, q):
+    """Irrational c times rational q, without lifting q to c's conductor."""
+    if not q:
+        return 0
+    return Cyc(c.conductor, tuple(x * q.numerator for x in c.num), c.den * q.denominator)
+
+
+def _cyc(c) -> Cyc:
+    return c if isinstance(c, Cyc) else Cyc.from_rational(c)
+
+
+def _convolve(a: dict, b: dict, table) -> dict:
+    """Product of two group-algebra elements."""
+    out: dict = {}
+    for g, c in a.items():
+        row = table[g]
+        for h, d in b.items():
+            k = row[h]
+            v = _mul(c, d)
+            out[k] = _add(out[k], v) if k in out else v
+    return out
 
 
 class Evaluator:
     """Evaluates Exprs against a Rep (or raw matrix assignments).
+
+    Words are composed in the group (_G).  Sums and scalar multiples of
+    words, and their products while the supports stay small, are sparse
+    elements of Q(zeta)[G] (_A).  A class-constant element on an
+    irreducible rep collapses to the scalar it acts as (Schur's lemma), so a
+    conjugation average over a full ordering is a scalar (_S).  Matrices
+    (_M) appear only for matrix-valued assignments, inverses of sums and
+    products whose convolution would cost more than the matrices.  An _A
+    value is lifted to a matrix when a caller asks for one (`_to_mat`), and
+    by its zero test (`_is_zero`) only when irrational coefficients leave
+    more than two terms after folding by the scalar subgroup.
 
     cross_cache, when enabled, memoizes sum/prod node values across calls
     keyed by the node and the values of its free variables; this pays off
@@ -314,6 +375,10 @@ class Evaluator:
         self.cross_cache: Optional[dict] = {} if use_cross_cache else None
         self.stream_budget = 250_000
         self.partition_budget = 300_000
+        # a product of two _A values convolves while |A|*|B| stays below
+        # the cost of one matrix product
+        self._convolve_limit = 2 * self.dim ** 3 if self.dim else 0
+        self._classes = None  # rep.central_weights, or False when reducible
 
     # value helpers
 
@@ -323,6 +388,8 @@ class Evaluator:
             return payload
         if tag == _G:
             return self.rep.image(payload)
+        if tag == _A:
+            return self._materialize(payload)
         # scalar
         if self.dim is None:
             raise ValueError("cannot materialize a scalar without a dimension hint")
@@ -332,8 +399,8 @@ class Evaluator:
         tag, payload = val
         if tag == _G:
             return False
-        if tag == _S:
-            return payload.is_zero()
+        if tag == _A:
+            return self._algebra_is_zero(payload)
         return payload.is_zero()
 
     def evaluate(self, e: Expr, assignment: dict) -> Mat:
@@ -350,9 +417,113 @@ class Evaluator:
         tag, payload = val
         if tag == _S:
             return payload
-        if tag == _G:
-            payload = self.rep.image(payload)
-        return payload.is_scalar()
+        return self._to_mat(val).is_scalar()
+
+    # group-algebra values
+
+    def _element(self, terms: dict):
+        """The tagged value of a group-algebra element given by terms."""
+        terms = {g: c for g, c in terms.items() if c}
+        if not terms:
+            return (_S, Cyc.zero())
+        if len(terms) == 1:
+            ((g, c),) = terms.items()
+            if g == 0:
+                return (_S, _cyc(c))
+            if not isinstance(c, Cyc) and c == 1:
+                return (_G, g)
+            return (_A, terms)
+        central = self._central(terms)
+        if central is not None:
+            return (_S, central)
+        return (_A, terms)
+
+    def _central(self, terms: dict):
+        """The scalar a class-constant element acts as on an irreducible rep,
+        else None."""
+        if self._classes is None:
+            self._classes = self.rep.central_weights if self.rep.is_irreducible() else False
+        if not self._classes:
+            return None
+        class_of, sizes, weights = self._classes
+        n = len(terms)
+        per_class: dict = {}
+        for g, c in terms.items():
+            k = class_of[g]
+            seen = per_class.get(k)
+            if seen is None:
+                if sizes[k] > n:
+                    return None
+                per_class[k] = c
+            elif seen != c:
+                return None
+        # every class met is covered whole when the sizes add up to the support
+        if sum(sizes[k] for k in per_class) != n:
+            return None
+        total = 0
+        for k, c in per_class.items():
+            total = _add(total, _mul(c, weights[k]))
+        return _cyc(total)
+
+    def _algebra_is_zero(self, terms: dict) -> bool:
+        """Exact zero test of sum_g c_g rho(g).
+
+        The support is folded onto cosets of the scalar subgroup Z.  At most
+        two folded terms vanish only when none is left: c1 rho(a) + c2 rho(b)
+        = 0 with nonzero c1, c2 makes rho(a^-1 b) scalar, so a and b share a
+        coset.  More terms are summed as integer image vectors when every
+        coefficient is rational, and materialized otherwise.
+        """
+        fold = self.rep.scalar_cosets
+        if fold is not None:
+            folded: dict = {}
+            for g, c in terms.items():
+                r, lam = fold[g]
+                if lam != 1:
+                    c = _mul(c, lam)
+                folded[r] = _add(folded[r], c) if r in folded else c
+            terms = {r: c for r, c in folded.items() if c}
+        if len(terms) <= 2:
+            return not terms
+        if any(isinstance(c, Cyc) for c in terms.values()):
+            return self._materialize(terms).is_zero()
+        return not any(self._integer_sum(terms)[0])
+
+    def _integer_sum(self, terms: dict) -> tuple[list[int], int]:
+        """(vector, den): sum_g c_g rho(g) for rational c_g as one integer
+        coefficient vector over den, laid out as in Rep.integer_images."""
+        phi, den, vectors = self.rep.integer_images
+        scale = 1
+        for c in terms.values():
+            scale = lcm(scale, c.denominator)
+        acc = [0] * (self.dim * self.dim * phi)
+        for g, c in terms.items():
+            k = c.numerator * (scale // c.denominator)
+            for pos, v in vectors[g]:
+                acc[pos] += k * v
+        return acc, den * scale
+
+    def _materialize(self, terms: dict) -> Mat:
+        rep = self.rep
+        n, d = rep.conductor, self.dim
+        phi = rep.integer_images[0]
+        acc, den = self._integer_sum({g: c for g, c in terms.items()
+                                      if not isinstance(c, Cyc)})
+        raw = den == 1
+        rows = [[Cyc(n, tuple(acc[k:k + phi]), den, _raw=raw)
+                 for k in range(i * d * phi, (i + 1) * d * phi, phi)] for i in range(d)]
+        for g, c in terms.items():
+            if not isinstance(c, Cyc):
+                continue
+            if g == 0:
+                for i in range(d):
+                    rows[i][i] = rows[i][i] + c
+                continue
+            for i, row in enumerate(rep.images[g].rows):
+                for j, v in enumerate(row):
+                    if not v.is_zero():
+                        rows[i][j] = rows[i][j] + c * v
+        return Mat(rows)
 
     def _cache_key(self, e: Expr, assignment: dict):
         try:
@@ -402,6 +573,8 @@ class Evaluator:
             if payload.is_zero():
                 raise NonGroupSubtermError("inverse of a zero scalar subterm")
             return (_S, payload.inverse())
+        if tag == _A:
+            payload = self._materialize(payload)
         try:
             return (_M, payload.inverse())
         except ZeroDivisionError as exc:
@@ -414,17 +587,24 @@ class Evaluator:
             if cached is not None and cached in self.cross_cache:
                 return self.cross_cache[cached]
         vals = [self._eval(c, assignment, memo) for c in e.children]
-        if all(tag == _S for tag, _ in vals):
-            acc = vals[0][1]
-            for tag, v in vals[1:]:
-                acc = acc + v
-            out = (_S, acc)
-        else:
+        if any(tag == _M for tag, _ in vals):
             mat = None
             for val in vals:
                 m = self._to_mat(val)
                 mat = m if mat is None else mat + m
             out = (_M, mat)
+        else:
+            terms: dict = {}
+            for tag, payload in vals:
+                if tag == _G:
+                    terms[payload] = terms[payload] + 1 if payload in terms else 1
+                elif tag == _A:
+                    for g, c in payload.items():
+                        terms[g] = _add(terms[g], c) if g in terms else c
+                else:  # a scalar is its multiple of the identity, index 0
+                    c = demote(payload)
+                    terms[0] = _add(terms[0], c) if 0 in terms else c
+            out = self._element(terms)
         if cached is not None:
             self.cross_cache[cached] = out
             if len(self.cross_cache) > 400_000:
@@ -470,6 +650,10 @@ class Evaluator:
             return (_S, Cyc.one() if scalar is None else scalar)
         if len(cores) == 1 and scalar is None:
             return cores[0]
+        if all(tag != _M for tag, _ in cores):
+            out = self._algebra_product(cores, scalar)
+            if out is not None:
+                return out
         mat = None
         for val in cores:
             m = self._to_mat(val)
@@ -477,6 +661,32 @@ class Evaluator:
         if scalar is not None:
             mat = mat.scale(scalar)
         return (_M, mat)
+
+    def _algebra_product(self, cores, scalar):
+        """Product of words and _A values times a scalar, in the group
+        algebra; None when a convolution would cost more than matrices."""
+        table = self.rep.group.table
+        terms = None
+        left = 0  # the word so far, while no _A value has been met
+        for tag, payload in cores:
+            if tag == _G:
+                if terms is None:
+                    left = table[left][payload]
+                else:
+                    terms = {table[g][payload]: c for g, c in terms.items()}
+            elif terms is None:
+                row = table[left]
+                terms = payload if left == 0 else {row[g]: c for g, c in payload.items()}
+            elif len(terms) * len(payload) > self._convolve_limit:
+                return None
+            else:
+                terms = _convolve(terms, payload, table)
+        if terms is None:
+            terms = {left: 1}
+        s = 1 if scalar is None else demote(scalar)
+        if s != 1:
+            terms = {g: _mul(c, s) for g, c in terms.items()}
+        return self._element(terms)
 
     # -- streamed products ------------------------------------------------
 

@@ -1102,7 +1102,7 @@ def expand_doc(doc: IdentityDoc, limit: int = 10_000) -> IdentityDoc:
         hit = memo.get(id(e))
         if hit is not None:
             return hit
-        if e.kind in ("stream_subsets", "stream_partitions"):
+        if e.kind in ("stream_subsets", "stream_partitions", "stream_perm_body"):
             out = expand_stream(e, limit)
         elif e.kind in ("sum", "prod"):
             children = [rewrite(c, memo) for c in e.children]

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .exactnum import Cyc, cyc_root_of_unity
+from .exactnum import Cyc, cyc_root_of_unity, demote, euler_phi
 from .grouplab import FiniteGroup, GroupError
 from .matrices import Mat
 
@@ -81,6 +81,10 @@ class Rep:
         return self.kernel == frozenset({0})
 
     def is_irreducible(self) -> bool:
+        return self._irreducible
+
+    @cached_property
+    def _irreducible(self) -> bool:
         return inner_product(self.character, self.character) == 1
 
     def is_unitary(self) -> bool:
@@ -108,6 +112,69 @@ class Rep:
             if any(e == 0 and mult > 0 for e, mult in spectrum_key(self, g, exp)):
                 return False
         return True
+
+    # -- lazy facts for group-algebra evaluation ------------------------------
+
+    @cached_property
+    def scalar_cosets(self) -> list[tuple[int, object]] | None:
+        """Fold of the group onto the cosets of its scalar subgroup
+        Z = {g : rho(g) = lam I}: entry g is (r, lam) with rho(g) = lam rho(r)
+        and r the least element of gZ; None when Z is trivial.
+
+        lam is an int or Fraction when rational, else a Cyc.
+        """
+        scalars = {}
+        for g, mt in enumerate(self.images):
+            lam = mt.is_scalar()
+            if lam is not None:
+                scalars[g] = demote(lam)
+        if len(scalars) == 1:
+            return None
+        table = self.group.table
+        fold: list = [None] * self.group.order
+        for g in range(self.group.order):
+            if fold[g] is None:
+                for z, lam in scalars.items():
+                    fold[table[g][z]] = (g, lam)
+        return fold
+
+    @cached_property
+    def integer_images(self) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
+        """(phi, den, vectors): every image lifted to the rep's conductor, of
+        degree phi, as an integer coefficient vector over one common
+        denominator den.
+
+        vectors[g] lists the nonzero (position, value) pairs of image g, where
+        entry (i, j) holds positions (i*dim + j)*phi .. +phi-1 in the power
+        basis of the conductor.
+        """
+        n = self.conductor
+        phi = euler_phi(n)
+        lifted = [[v.lift(n) for row in mt.rows for v in row] for mt in self.images]
+        den = 1
+        for entries in lifted:
+            for v in entries:
+                den = lcm(den, v.den)
+        vectors = []
+        for entries in lifted:
+            vec = []
+            for idx, v in enumerate(entries):
+                s = den // v.den
+                vec.extend((idx * phi + k, c * s) for k, c in enumerate(v.num) if c)
+            vectors.append(tuple(vec))
+        return phi, den, tuple(vectors)
+
+    @cached_property
+    def central_weights(self) -> tuple[list[int], list[int], list]:
+        """(class index per element, class sizes, weights): the sum of the
+        class K acts as the scalar |K| chi(g_K) / chi(1) on an irreducible rep
+        (Schur's lemma); weights are ints or Fractions when rational."""
+        cc = self.group.conjugacy_classes
+        chi = self.character
+        class_of = [cc.index_of(g) for g in range(self.group.order)]
+        weights = [demote(chi.value(r) * Cyc.from_rational(Fraction(size, self.dim)))
+                   for r, size in zip(cc.representatives, cc.sizes)]
+        return class_of, cc.sizes, weights
 
     # -- analytics ---------------------------------------------------------
 

@@ -173,7 +173,7 @@ class _Session:
             slot = pending[-1]
             pending = []
             for u in range(m):
-                cand = prefix * self.rep.image(u) * f
+                cand = (prefix * self.rep.image(u) if u else prefix) * f
                 if not cand.is_zero():
                     break
             else:
@@ -221,13 +221,13 @@ def _full_zero(session: _Session, assignment: dict):
     if blocked:
         return False
     try:
-        value = session.ev.evaluate(session.doc.expr, assignment)
+        value = session.ev.evaluate_value(session.doc.expr, assignment)
     except StreamNonvanishing:
         return False
     except StreamUndecided:
         session.undecided_count += 1
         return None
-    return value.is_zero()
+    return session.ev._is_zero(value)
 
 
 def _verify(session: _Session, evidence: str, assignments, detail: dict, t0: float,
@@ -291,9 +291,11 @@ def _all_assignments(names: list[str], m: int, budget: int):
 
 
 def _parallel_failures(session: _Session, names: list[str], total: int, jobs: int):
-    """Split the enumeration into `jobs` ranges scanned by worker processes;
-    yield each worker's nonvanishing assignment (the loop decides it again
-    here) and add the workers' undecided counts to the session."""
+    """Split the serial enumeration into `jobs` consecutive ranges scanned by
+    worker processes; add the workers' undecided counts to the session and
+    yield the nonvanishing assignment of the failing range with the lowest
+    start (the loop decides it again here): the serial run's witness,
+    whatever order the workers finish in."""
     import multiprocessing as mp
 
     step = (total + jobs - 1) // jobs
@@ -301,7 +303,7 @@ def _parallel_failures(session: _Session, names: list[str], total: int, jobs: in
     ctx = mp.get_context("fork")
     with ctx.Pool(jobs, initializer=_worker_init,
                   initargs=(session.doc, session.rep, names, session.seed)) as pool:
-        for verdict in pool.imap_unordered(_worker_scan, ranges):
+        for verdict in pool.imap(_worker_scan, ranges):
             session.undecided_count += verdict.detail.get("undecided", 0)
             if not verdict.holds:
                 yield verdict.counterexample
@@ -315,10 +317,12 @@ def _worker_init(doc, rep, names, seed):
 
 
 def _worker_scan(bounds) -> Verdict:
-    """Exhaustive verdict over one range of linear assignment indices."""
+    """Exhaustive verdict over one range of linear assignment indices, in
+    the serial order (last name fastest)."""
     doc, rep, names, seed = _WORKER_STATE["args"]
     m = rep.group.order
-    source = ({name: (linear // m ** i) % m for i, name in enumerate(names)}
+    last = len(names) - 1
+    source = ({name: (linear // m ** (last - i)) % m for i, name in enumerate(names)}
               for linear in range(*bounds))
     return _verify(_Session(doc, rep, seed), "exhaustive", source, {}, time.time(),
                    total=True)
@@ -420,6 +424,9 @@ def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int =
         sampled = holds_sampled(doc, rep, n=extra_samples, seed=seed + 1)
         if not sampled.holds:
             return sampled
+        undecided = verdict.detail.get("undecided", 0) + sampled.detail.get("undecided", 0)
+        if undecided:
+            verdict.detail["undecided"] = undecided
         verdict.timing_ms = _ms(t0)
     return verdict
 
@@ -568,7 +575,7 @@ def relation_probability(expr: Expr, rep: Rep, budget: int = 300_000) -> Fractio
     ev = Evaluator(rep, use_cross_cache=False)
     hits = total = 0
     for assignment in _all_assignments(sorted(expr.free_vars()), rep.group.order, budget):
-        if ev.evaluate(expr, assignment).is_zero():
+        if ev._is_zero(ev.evaluate_value(expr, assignment)):
             hits += 1
         total += 1
     return Fraction(hits, total)
@@ -585,9 +592,9 @@ def conditional_relation_probability(u: Expr, v: Expr, rep: Rep,
     v_only = 0
     combined = sum_([uu, vv])
     for assignment in _all_assignments(names, rep.group.order, budget):
-        if ev.evaluate(vv, assignment).is_zero():
+        if ev._is_zero(ev.evaluate_value(vv, assignment)):
             v_only += 1
-            if ev.evaluate(combined, assignment).is_zero():
+            if ev._is_zero(ev.evaluate_value(combined, assignment)):
                 both += 1
     if v_only == 0:
         raise VerifierError("conditioning relation never holds")

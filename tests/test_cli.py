@@ -1,13 +1,23 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
+
+import repident
+
+# the CLI subprocess imports the same package as the tests
+_SRC = str(Path(repident.__file__).resolve().parents[1])
 
 
 def run_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "repident.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc
 

@@ -248,3 +248,108 @@ def test_serialization_round_trip():
     blob = e.to_json()
     e2 = Expr.from_json(blob)
     assert e2.to_json() == blob
+
+
+# -- group-algebra values ----------------------------------------------------
+
+
+def _algebra_reps():
+    return [
+        catalog.symmetric(3).rep("std"),
+        catalog.quaternion().rep("dim2"),
+        catalog.cyclic(6).rep("chi1"),
+        catalog.binary_tetrahedral().rep("nat"),
+        # reducible, with a scalar subgroup of order 3
+        catalog.abelian_rep(3, 2, 2, [[1, 0], [1, 1]]),
+    ]
+
+
+def _algebra_expr(rng, names, depth=3) -> Expr:
+    """Random sums and products of words with rational and irrational
+    coefficients, inverses of sums, and differences of equal values."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.7:
+            return var(rng.choice(names))
+        if rng.random() < 0.5:
+            return const(cyc_root_of_unity(rng.choice([3, 4]), rng.randrange(1, 3)))
+        return const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    kind = rng.choice(["sum", "sum", "prod", "prod", "inv", "cancel"])
+    if kind == "inv":
+        return inv(_algebra_expr(rng, names, depth - 1))
+    if kind == "cancel":
+        e = _algebra_expr(rng, names, depth - 1)
+        return sub(e, star(star(e)))
+    children = [_algebra_expr(rng, names, depth - 1) for _ in range(rng.randint(2, 4))]
+    return sum_(children) if kind == "sum" else prod(children)
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_group_algebra_values_match_matrices(index):
+    """evaluate, the zero test and scalar_of agree with the naive matrix
+    oracle, with and without the cross-cache."""
+    rep = _algebra_reps()[index]
+    rng = random.Random(100 + index)
+    names = ["a", "b", "c"]
+    evaluators = [Evaluator(rep), Evaluator(rep, use_cross_cache=True)]
+    # the cross-cache is keyed by node identity, so every node stays alive
+    exprs = []
+    checked = zeros = 0
+    for _ in range(80):
+        e = _algebra_expr(rng, names)
+        exprs.append(e)
+        assignment = {n: rng.randrange(rep.group.order) for n in names}
+        try:
+            slow = naive_eval(e, assignment, rep)
+        except ZeroDivisionError:
+            continue
+        for ev in evaluators:
+            try:
+                fast = ev.evaluate(e, assignment)
+            except NonGroupSubtermError:
+                continue
+            assert fast == slow
+            assert ev._is_zero(ev.evaluate_value(e, assignment)) == slow.is_zero()
+            scalar = ev.scalar_of(e, assignment)
+            expected = slow.is_scalar()
+            assert (scalar is None) == (expected is None)
+            assert expected is None or scalar == expected
+            checked += 1
+            zeros += slow.is_zero()
+    assert checked >= 100 and zeros >= 10
+
+
+def test_scalar_subgroup_fold_on_2t():
+    """x + z x vanishes for the central element z of order 2 (rho(z) = -I):
+    x and z x share a coset of the scalar subgroup."""
+    from repident.freeexpr import _A
+
+    rep = catalog.binary_tetrahedral().rep("nat")
+    z = next(g for g in range(1, rep.group.order) if rep.images[g].is_scalar() is not None)
+    ev = Evaluator(rep)
+    e = sum_([var("x"), prod([var("z"), var("x")])])
+    for x in range(rep.group.order):
+        val = ev.evaluate_value(e, {"x": x, "z": z})
+        # a central x makes the element class-constant: a (zero) scalar
+        assert ev._is_zero(val) and (val[0] == _A or x in (0, z))
+        assert ev.evaluate(e, {"x": x, "z": z}).is_zero()
+
+
+def test_conjugation_average_collapses_to_scalar_on_a5():
+    """psi over a full ordering of A5 is the scalar 60 chi(x) / 3 on dim3a
+    (Schur's lemma), computed without a matrix."""
+    from repident import idfactory
+    from repident.freeexpr import _S
+
+    rep = catalog.alternating(5).rep("dim3a")
+    doc = idfactory.psi(60)
+    rng = random.Random(5)
+    order = list(range(60))
+    rng.shuffle(order)
+    ev = Evaluator(rep)
+    for x in (0, 1, 7, 30, 59):
+        assignment = {f"y{i + 1}": g for i, g in enumerate(order)}
+        assignment["x"] = x
+        tag, value = ev.evaluate_value(doc.expr, assignment)
+        assert tag == _S
+        assert value == rep.character.value(x) * 20
+        assert ev.evaluate(doc.expr, assignment) == naive_eval(doc.expr, assignment, rep)

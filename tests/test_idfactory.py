@@ -233,6 +233,29 @@ def test_expand_doc_matches_streamed_verdict(s3_std):
     assert v1.holds and v2.holds
 
 
+def test_expand_doc_unrolls_permutation_body(s3_std):
+    """Expanding a class identity rewrites its streamed permutation body into
+    explicit sums and products, with the streamed document's verdict."""
+    doc = idf.class_identity(s3_std)
+    expanded = idf.expand_doc(doc)
+
+    def kinds(e, seen):
+        if id(e) not in seen:
+            seen[id(e)] = e.kind
+            for c in e.children:
+                kinds(c, seen)
+        return set(seen.values())
+
+    assert "stream_perm_body" in kinds(doc.expr, {})
+    assert not any(k.startswith("stream") for k in kinds(expanded.expr, {}))
+    for rep in (s3_std, catalog.symmetric(3).rep("sign")):
+        streamed = vf.holds_sampled(doc, rep, n=40, seed=1).to_json()
+        unrolled = vf.holds_sampled(expanded, rep, n=40, seed=1).to_json()
+        streamed.pop("timing_ms")
+        unrolled.pop("timing_ms")
+        assert streamed == unrolled
+
+
 def test_builder_soundness_sweep():
     """Every builder output passes the verifier on its own source rep."""
     targets = [

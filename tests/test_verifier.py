@@ -243,3 +243,32 @@ def test_parallel_exhaustive_reports_undecided():
                       "undecided": 1}
     assert parallel.pop("jobs") == 2
     assert parallel == serial
+
+
+def test_parallel_exhaustive_witness_matches_serial(z3_chi):
+    """--jobs 2 reports the serial run's fails witness: the failing range
+    with the lowest start wins, whatever order the workers finish in."""
+    doc = idf.guard_C(3)
+    serial = _verdict_json(vf.holds_exhaustive(doc, z3_chi, budget=10**4))
+    for _ in range(3):
+        parallel = _verdict_json(vf.holds_exhaustive(doc, z3_chi, budget=10**4, jobs=2))
+        assert parallel.pop("jobs") == 2
+        assert parallel == serial
+
+
+def test_structured_counts_sampled_undecided(s3_std):
+    """The closing sample's undecided assignments reach the structured
+    verdict's count."""
+    from repident.freeexpr import stream_subsets
+
+    params = idf.class_identity(s3_std).params
+    # x3 ranges over the central class {1} in the class enumeration, where the
+    # non-psd streamed product vanishes; a random x3 != 1 leaves it undecided
+    expr = stream_subsets([sub(var("x3"), const(1))], 1, "s", psd=False)
+    doc = idf.IdentityDoc("class", expr, {"x3": {"role": "psi-argument"}}, params,
+                          "undecided when sampled")
+    verdict = vf.holds_structured(doc, s3_std, seed=2, extra_samples=30)
+    sampled = vf.holds_sampled(doc, s3_std, n=30, seed=3)
+    assert verdict.holds and sampled.holds
+    assert sampled.detail["undecided"] > 0
+    assert verdict.detail["undecided"] == sampled.detail["undecided"]

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactnum import Cyc, cyc_root_of_unity, golden_ratio
+from .exactnum import Cyc, cyc_root_of_unity, golden_ratio, mat_mul_mod
 from .grouplab import FiniteGroup, GroupError, group_from_elements
 from .matrices import Mat, column_space_basis
 from .replab import Rep, RepError, induced_rep, restrict_rep, subgroup_group
@@ -665,20 +665,13 @@ def circulant(w: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
     shift = shift_perm_matrix(p)
     powm = [tuple(tuple(1 if i == j else 0 for j in range(p)) for i in range(p))]
     for _ in range(p - 1):
-        powm.append(_mat_mod_mul(powm[-1], shift, p))
+        powm.append(mat_mul_mod(powm[-1], shift, p))
     acc = [[0] * p for _ in range(p)]
     for i, wi in enumerate(w):
         for a in range(p):
             for b in range(p):
                 acc[a][b] = (acc[a][b] + wi * powm[i][a][b]) % p
     return tuple(tuple(r) for r in acc)
-
-
-def _mat_mod_mul(a, b, p):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n)) for i in range(n)
-    )
 
 
 def _mat_mod_det(mat, p) -> int:
@@ -726,7 +719,7 @@ def find_unit_h(p: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
         x = h
         order = 1
         while x != ident:
-            x = _mat_mod_mul(x, h, p)
+            x = mat_mul_mod(x, h, p)
             order += 1
             if order > p:
                 break
@@ -741,7 +734,7 @@ def _iterate_powers(mat, p):
     x = mat
     while x != ident:
         out.append(x)
-        x = _mat_mod_mul(x, mat, p)
+        x = mat_mul_mod(x, mat, p)
     return out
 
 

@@ -137,6 +137,123 @@ def _field(n: int) -> _Field:
     return f
 
 
+# Miller-Rabin with these bases decides primality for every n < 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < _MR_LIMIT."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the deterministic Miller-Rabin range")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+class ModP:
+    """The ring map Z[zeta_n][1/D] -> F_p that sends zeta_n to omega.
+
+    p is the least prime = 1 (mod n) above 2^61 and omega a primitive n-th
+    root of unity mod p, so omega^(n/m) is a root of the m-th cyclotomic
+    polynomial mod p for every m dividing n, and reduction commutes with
+    lifting.  Calling the map on an int, Fraction or Cyc gives its image in
+    0..p-1, or None when the element's conductor does not divide n or p
+    divides its denominator.  Being a ring map, a nonzero image proves the
+    element nonzero; a zero image proves nothing.
+    """
+
+    __slots__ = ("n", "p", "omega", "_pows")
+
+    def __init__(self, n: int):
+        self.n = n
+        p = ((1 << 61) // n + 1) * n + 1
+        while not _is_prime(p):
+            p += n
+        self.p = p
+        cofactors = [n // q for q in _prime_factors(n)]
+        g = 2
+        while True:
+            omega = pow(g, (p - 1) // n, p)
+            if all(pow(omega, c, p) != 1 for c in cofactors):
+                break
+            g += 1
+        self.omega = omega
+        pows = [1] * n
+        for k in range(1, n):
+            pows[k] = pows[k - 1] * omega % p
+        self._pows = pows
+
+    def __call__(self, x) -> int | None:
+        p = self.p
+        if isinstance(x, int):
+            return x % p
+        if isinstance(x, Fraction):
+            if x.denominator % p == 0:
+                return None
+            return x.numerator * pow(x.denominator, -1, p) % p
+        n, c = self.n, x.conductor
+        if n % c or x.den % p == 0:
+            return None
+        step, pows = n // c, self._pows
+        acc = 0
+        for k, a in enumerate(x.num):
+            if a:
+                acc += a * pows[k * step]
+        if x.den != 1:
+            acc *= pow(x.den, -1, p)
+        return acc % p
+
+
+def mat_mul_mod(a, b, p: int) -> tuple[tuple[int, ...], ...]:
+    """Product of two square integer matrices (row tuples), entries mod p."""
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
+                 for row in a)
+
+
+_MOD_P: dict[int, ModP] = {}
+
+
+def mod_p(n: int) -> ModP:
+    """The reduction map of conductor n (see ModP), built once per conductor."""
+    r = _MOD_P.get(n)
+    if r is None:
+        r = ModP(n)
+        _MOD_P[n] = r
+    return r
+
+
 class Cyc:
     """Element of Q(zeta_N) in canonical power-basis form.
 

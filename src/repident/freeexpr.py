@@ -373,6 +373,11 @@ class Evaluator:
         self.dim = dim if dim is not None else (rep.dim if rep is not None else None)
         self.shortcircuit = shortcircuit
         self.cross_cache: Optional[dict] = {} if use_cross_cache else None
+        # id -> node for every node keyed in cross_cache: a key holds id(e),
+        # which a new node could take over once e is freed, so the cache keeps
+        # e alive.  (A key holding e itself would stay tracked by the garbage
+        # collector, while an (int, tuple of ints) key is untracked.)
+        self._cache_nodes: dict = {}
         self.stream_budget = 250_000
         self.partition_budget = 300_000
         # a product of two _A values convolves while |A|*|B| stays below
@@ -402,6 +407,34 @@ class Evaluator:
         if tag == _A:
             return self._algebra_is_zero(payload)
         return payload.is_zero()
+
+    def _mod_p(self, val):
+        """The value as a d x d matrix over F_p, the reduction of
+        `Rep.images_mod_p` (row tuples of ints), or None when an entry or
+        coefficient does not reduce.  An _A value is reduced as
+        sum_g c_g rho_p(g), without building its exact matrix."""
+        red, images = self.rep.images_mod_p
+        tag, payload = val
+        if tag == _G:
+            return images[payload]
+        d, p = self.dim, red.p
+        if tag == _S:
+            c = red(payload)
+            if c is None:
+                return None
+            return tuple(tuple(c if i == j else 0 for j in range(d)) for i in range(d))
+        if tag == _M:
+            rows = tuple(tuple(red(v) for v in row) for row in payload.rows)
+            return None if any(None in row for row in rows) else rows
+        acc = [[0] * d for _ in range(d)]
+        for g, c in payload.items():
+            c, image = red(c), images[g]
+            if c is None or image is None:
+                return None
+            for out, row in zip(acc, image):
+                for j, v in enumerate(row):
+                    out[j] += c * v
+        return tuple(tuple(v % p for v in row) for row in acc)
 
     def evaluate(self, e: Expr, assignment: dict) -> Mat:
         val = self._eval(e, assignment, {})
@@ -607,8 +640,10 @@ class Evaluator:
             out = self._element(terms)
         if cached is not None:
             self.cross_cache[cached] = out
+            self._cache_nodes[cached[0]] = e
             if len(self.cross_cache) > 400_000:
                 self.cross_cache.clear()
+                self._cache_nodes.clear()
         return out
 
     def _eval_prod(self, e, assignment, memo):
@@ -632,8 +667,10 @@ class Evaluator:
             out = self._combine_product(vals)
         if cached is not None:
             self.cross_cache[cached] = out
+            self._cache_nodes[cached[0]] = e
             if len(self.cross_cache) > 400_000:
                 self.cross_cache.clear()
+                self._cache_nodes.clear()
         return out
 
     def _combine_product(self, vals):

@@ -11,12 +11,11 @@ is (1/d) * sum_t chi(g^t) zeta_d^(-kt), an exact cyclotomic computation.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .exactnum import Cyc, cyc_root_of_unity, demote, euler_phi
+from .exactnum import Cyc, cyc_root_of_unity, demote, euler_phi, mod_p
 from .grouplab import FiniteGroup, GroupError
 from .matrices import Mat
 
@@ -26,7 +25,7 @@ class RepError(ValueError):
 
 
 class Rep:
-    def __init__(self, group: FiniteGroup, images, name=None, validate=True, seed=7):
+    def __init__(self, group: FiniteGroup, images, name=None, validate=True):
         self.group = group
         self.images = tuple(images)
         if len(self.images) != group.order:
@@ -34,21 +33,21 @@ class Rep:
         self.dim = self.images[0].n
         self.name = name or f"rep{self.dim}d"
         if validate:
-            self._validate(seed)
+            self._validate()
 
-    def _validate(self, seed):
+    def _validate(self):
+        """rho(e) = I and rho(a) rho(s) = rho(as) for every a and every s in a
+        generating set.  That proves rho a homomorphism: every b is a word
+        s1...sk in the generators, so by induction on k rho(b) =
+        rho(s1)...rho(sk), and then rho(a) rho(b) = rho(ab) step by step."""
         if not self.images[0].is_identity():
             raise RepError("identity element must map to the identity matrix")
-        m = self.group.order
         table = self.group.table
-        if m <= 256:
-            pairs = ((a, b) for a in range(m) for b in range(m))
-        else:
-            rng = random.Random(seed)
-            pairs = ((rng.randrange(m), rng.randrange(m)) for _ in range(1000))
-        for a, b in pairs:
-            if self.images[a] * self.images[b] != self.images[table[a][b]]:
-                raise RepError(f"homomorphism fails at pair ({a},{b})")
+        for s in self.group.small_generating_set():
+            image = self.images[s]
+            for a in range(self.group.order):
+                if self.images[a] * image != self.images[table[a][s]]:
+                    raise RepError(f"homomorphism fails at pair ({a},{s})")
 
     def image(self, g: int) -> Mat:
         return self.images[g]
@@ -163,6 +162,19 @@ class Rep:
                 vec.extend((idx * phi + k, c * s) for k, c in enumerate(v.num) if c)
             vectors.append(tuple(vec))
         return phi, den, tuple(vectors)
+
+    @cached_property
+    def images_mod_p(self) -> tuple:
+        """(red, images): the reduction map red = exactnum.mod_p at the key
+        conductor, and every image reduced by it entry by entry, as a tuple
+        of row tuples of ints mod red.p (None when an entry does not reduce).
+        """
+        red = mod_p(self.key_conductor)
+        images = []
+        for mt in self.images:
+            rows = tuple(tuple(red(v) for v in row) for row in mt.rows)
+            images.append(None if any(None in row for row in rows) else rows)
+        return red, tuple(images)
 
     @cached_property
     def central_weights(self) -> tuple[list[int], list[int], list]:

@@ -18,6 +18,12 @@ exhaustive and sampled) or the separator-quantified test
 (`_Session.decide`: no factor vanishes, then a separator choice keeping the
 product nonzero is searched; used by guarded and structured).
 
+The separator search carries the running product modulo a prime
+p = 1 (mod N) (`exactnum.mod_p`): a nonzero image proves the product
+nonzero, and only a zero image sends it to exact arithmetic, so the search
+chooses the witness exact arithmetic would and gives up only after an
+exact zero test.  No floating point enters any decision.
+
 A fails verdict always carries a counterexample whose re-evaluation is
 nonzero (or, for streamed products too large to materialize, an
 assignment on which no factor vanishes, which with fresh separators and
@@ -31,8 +37,9 @@ import random
 import time
 from fractions import Fraction
 
-from .exactnum import Cyc
+from .exactnum import Cyc, mat_mul_mod
 from .freeexpr import (
+    _G,
     Evaluator,
     Expr,
     StreamNonvanishing,
@@ -136,14 +143,22 @@ class _Session:
 
     def witness_value(self, assignment: dict) -> dict | None:
         """Choose separators greedily left to right so the running product
-        stays nonzero.  On an irreducible target a choice always exists: the
-        two-sided ideal of a nonzero prefix meets any nonzero factor, and by
-        linearity over the span of the image some group element realizes it.
+        stays nonzero: each free slot takes the first group element u that
+        keeps it nonzero.  On an irreducible target a choice always exists:
+        the two-sided ideal of a nonzero prefix meets any nonzero factor, and
+        by linearity over the span of the image some group element realizes
+        it.
+
+        The product is carried modulo a prime (`_Prefix`), which proves it
+        nonzero cheaply; a product whose image is zero is decided exactly.
+        None (the search gives up) and the vanishing-factor error both follow
+        an exact zero test only, so the witness is the one exact arithmetic
+        alone would choose.
         """
         m = self.rep.group.order
         memo: dict = {}
         assign = dict(assignment)
-        prefix: Mat | None = None
+        prefix = _Prefix(self.ev)
         pending: list[str] = []
         for child in self.factors:
             if child.kind == "var" and child.value in self.separators:
@@ -153,18 +168,14 @@ class _Session:
                 val = self.ev._eval(child, assign, memo)
             except StreamNonvanishing:
                 return None
-            f = self.ev._to_mat(val)
-            if f.is_zero():
+            f = _Factor(self.ev, val)
+            if not f.nonzero_mod_p() and self.ev._is_zero(val):
                 raise VerifierError("internal: vanishing factor inside witness search")
-            if prefix is None:
+            if not pending or not prefix.vals:
                 for s in pending:
                     assign[s] = 0
-                prefix = f
                 pending = []
-                continue
-            if not pending:
-                prefix = prefix * f
-                if prefix.is_zero():
+                if not prefix.extend([f]):
                     return None  # adjacent factors collapse; no separator freedom
                 continue
             # one free separator slot carries the choice; earlier ones identity
@@ -173,16 +184,14 @@ class _Session:
             slot = pending[-1]
             pending = []
             for u in range(m):
-                cand = (prefix * self.rep.image(u) if u else prefix) * f
-                if not cand.is_zero():
+                if prefix.extend([_Factor(self.ev, (_G, u)), f] if u else [f]):
                     break
             else:
                 return None
             assign[slot] = u
-            prefix = cand
         for s in pending:
             assign[s] = 0
-        if prefix is None or prefix.is_zero():
+        if not prefix.vals:
             return None
         return assign
 
@@ -205,6 +214,76 @@ class _Session:
         if blocked:
             return "blocked"
         return self.witness_value(assignment)
+
+
+class _Factor:
+    """A factor of the witness product: its image mod p
+    (`Evaluator._mod_p`) and its exact matrix, built on first use."""
+
+    __slots__ = ("ev", "val", "mod", "_mat")
+
+    def __init__(self, ev: Evaluator, val):
+        self.ev = ev
+        self.val = val
+        self.mod = ev._mod_p(val)
+        self._mat = None
+
+    def nonzero_mod_p(self) -> bool:
+        return self.mod is not None and any(any(row) for row in self.mod)
+
+    def mat(self) -> Mat:
+        if self._mat is None:
+            self._mat = self.ev._to_mat(self.val)
+        return self._mat
+
+
+class _Prefix:
+    """The running product of the witness search.
+
+    It is carried modulo the prime p of `Rep.images_mod_p`: reduction is a
+    ring map, so a product whose image is nonzero is nonzero.  A product
+    whose image is zero is tested exactly, from the recorded factor values
+    multiplied lazily and incrementally.  When that test finds it nonzero,
+    the image is a false zero and would stay zero, so from then on the
+    prefix is carried exactly.
+    """
+
+    def __init__(self, ev: Evaluator):
+        self.ev = ev
+        self.p = ev.rep.images_mod_p[0].p
+        d = ev.dim
+        # None once the prefix is carried exactly
+        self.mod = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+        # the tagged values multiplied so far; _Factor objects are not kept,
+        # so a long search leaves no per-factor objects for the collector
+        self.vals: list = []
+        self.exact: Mat | None = None  # product of vals[:done]
+        self.done = 0
+
+    def extend(self, factors: list[_Factor]) -> bool:
+        """Multiply the prefix by factors when the product is nonzero;
+        return False, leaving the prefix as it was, when it is zero."""
+        if self.mod is not None and all(f.mod is not None for f in factors):
+            cand = self.mod
+            for f in factors:
+                cand = mat_mul_mod(cand, f.mod, self.p)
+            if any(any(row) for row in cand):
+                self.mod = cand
+                self.vals.extend(f.val for f in factors)
+                return True
+        for val in self.vals[self.done:]:
+            mat = self.ev._to_mat(val)
+            self.exact = mat if self.exact is None else self.exact * mat
+        self.done = len(self.vals)
+        cand = self.exact
+        for f in factors:
+            cand = f.mat() if cand is None else cand * f.mat()
+        if cand.is_zero():
+            return False
+        self.mod = None
+        self.vals.extend(f.val for f in factors)
+        self.exact, self.done = cand, len(self.vals)
+        return True
 
 
 def _full_zero(session: _Session, assignment: dict):
@@ -565,17 +644,34 @@ def expectation(expr: Expr, rep: Rep, budget: int = 300_000) -> Mat:
     acc = None
     total = 0
     for assignment in _all_assignments(sorted(expr.free_vars()), rep.group.order, budget):
-        value = ev.evaluate(expr, assignment)
+        try:
+            value = ev.evaluate(expr, assignment)
+        except (StreamNonvanishing, StreamUndecided) as exc:
+            raise VerifierError(
+                f"expectation needs the value at {assignment}, a streamed product: {exc}"
+            ) from exc
         acc = value if acc is None else acc + value
         total += 1
     return acc.scale(Cyc.from_rational(Fraction(1, total)))
+
+
+def _vanishes(ev: Evaluator, expr: Expr, assignment: dict) -> bool:
+    """Exact zero test of the relation probabilities: a streamed product
+    certified nonvanishing counts as nonvanishing, and one that cannot be
+    decided raises VerifierError."""
+    try:
+        return ev._is_zero(ev.evaluate_value(expr, assignment))
+    except StreamNonvanishing:
+        return False
+    except StreamUndecided as exc:
+        raise VerifierError(f"relation undecided at {assignment}: {exc}") from exc
 
 
 def relation_probability(expr: Expr, rep: Rep, budget: int = 300_000) -> Fraction:
     ev = Evaluator(rep, use_cross_cache=False)
     hits = total = 0
     for assignment in _all_assignments(sorted(expr.free_vars()), rep.group.order, budget):
-        if ev._is_zero(ev.evaluate_value(expr, assignment)):
+        if _vanishes(ev, expr, assignment):
             hits += 1
         total += 1
     return Fraction(hits, total)
@@ -592,9 +688,9 @@ def conditional_relation_probability(u: Expr, v: Expr, rep: Rep,
     v_only = 0
     combined = sum_([uu, vv])
     for assignment in _all_assignments(names, rep.group.order, budget):
-        if ev._is_zero(ev.evaluate_value(vv, assignment)):
+        if _vanishes(ev, vv, assignment):
             v_only += 1
-            if ev._is_zero(ev.evaluate_value(combined, assignment)):
+            if _vanishes(ev, combined, assignment):
                 both += 1
     if v_only == 0:
         raise VerifierError("conditioning relation never holds")

@@ -14,6 +14,7 @@ from repident.exactnum import (
     cyc_to_float,
     euler_phi,
     golden_ratio,
+    mod_p,
     sqrt5,
 )
 
@@ -171,3 +172,65 @@ def test_numeric_embedding_cross_check():
         b = a.lift(n * rng.choice([1, 2, 3]))
         assert a == b
         assert abs(a.to_complex() - b.to_complex()) < 1e-9
+
+
+def test_mod_p_prime_and_root():
+    """p is the least prime = 1 (mod n) above 2^61 and omega has order n."""
+    from repident.exactnum import _is_prime
+
+    for n in (1, 3, 4, 6, 12, 21, 30, 63):
+        red = mod_p(n)
+        p = red.p
+        assert p > 2**61 and (p - 1) % n == 0 and _is_prime(p)
+        assert not any(_is_prime(q) for q in range(p - n, 2**61, -n))
+        assert pow(red.omega, n, p) == 1
+        assert all(pow(red.omega, k, p) != 1 for k in range(1, n))
+    assert [q for q in range(2, 60) if _is_prime(q)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert not _is_prime(3215031751)  # a strong pseudoprime to bases 2, 3, 5, 7
+
+
+# the key conductors of the catalog representations
+catalog_conductors = st.sampled_from([3, 4, 6, 12, 30, 63])
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@st.composite
+def reduction_cases(draw):
+    """(n, a, b, c): a and b at conductors dividing n, sometimes multiples
+    of p or with p in the denominator; c at any catalog-sized conductor."""
+    n = draw(catalog_conductors)
+    p = mod_p(n).p
+
+    def element(conductors):
+        m = draw(st.sampled_from(conductors))
+        coeffs = draw(st.lists(small_ints, min_size=euler_phi(m), max_size=euler_phi(m)))
+        num_scale = draw(st.sampled_from([1, 1, 1, p]))
+        den = draw(st.integers(min_value=1, max_value=9)) * draw(st.sampled_from([1, 1, 1, p]))
+        return Cyc(m, tuple(c * num_scale for c in coeffs), den)
+
+    divisors = _divisors(n)
+    return n, element(divisors), element(divisors), element([1, 2, 5, 7, 9, 10, 21, 63])
+
+
+@settings(max_examples=200, deadline=None)
+@given(reduction_cases())
+def test_mod_p_is_a_ring_map_that_certifies_nonzero(case):
+    n, a, b, c = case
+    red = mod_p(n)
+    p = red.p
+    for x in (a, b, c, a + b, a * b):
+        image = red(x)
+        undefined = n % x.conductor != 0 or x.den % p == 0
+        assert (image is None) == undefined
+        if image:
+            assert not x.is_zero()
+    if red(a) is not None and red(b) is not None:
+        assert red(a + b) == (red(a) + red(b)) % p
+        assert red(a * b) == red(a) * red(b) % p
+        assert red(a.lift(n)) == red(a)
+    assert red(Fraction(3, 7)) == 3 * pow(7, -1, p) % p
+    assert red(Fraction(1, p)) is None and red(-1) == p - 1

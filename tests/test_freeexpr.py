@@ -286,17 +286,17 @@ def _algebra_expr(rng, names, depth=3) -> Expr:
 @pytest.mark.parametrize("index", range(5))
 def test_group_algebra_values_match_matrices(index):
     """evaluate, the zero test and scalar_of agree with the naive matrix
-    oracle, with and without the cross-cache."""
+    oracle, with and without the cross-cache, whose entries outlive their
+    expressions."""
     rep = _algebra_reps()[index]
     rng = random.Random(100 + index)
     names = ["a", "b", "c"]
     evaluators = [Evaluator(rep), Evaluator(rep, use_cross_cache=True)]
-    # the cross-cache is keyed by node identity, so every node stays alive
-    exprs = []
+    # each expression is freed before the next is built, so new nodes reuse
+    # the ids of nodes the cross-cache has seen
     checked = zeros = 0
     for _ in range(80):
         e = _algebra_expr(rng, names)
-        exprs.append(e)
         assignment = {n: rng.randrange(rep.group.order) for n in names}
         try:
             slow = naive_eval(e, assignment, rep)

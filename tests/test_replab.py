@@ -282,3 +282,80 @@ def test_rep_json_round_trip(s3_std):
     blob = json.loads(json.dumps(s3_std.to_json()))
     rep2 = Rep.from_json(blob)
     assert rep2.character.values == s3_std.character.values
+
+
+def test_validation_rejects_a_rare_failure_on_a_large_group():
+    """A sign character of Z_1024 with one sign flipped at an element that
+    none of 1000 seeded random pairs (a, b, ab) touches: a check on sampled
+    pairs accepts it, the generator check does not."""
+    import random
+
+    from repident.grouplab import FiniteGroup
+
+    m = 1024
+    group = FiniteGroup([[(a + b) % m for b in range(m)] for a in range(m)], name="Z1024")
+    rng = random.Random(7)
+    touched = set()
+    for _ in range(1000):
+        a, b = rng.randrange(m), rng.randrange(m)
+        touched |= {a, b, (a + b) % m}
+    bad = min(set(range(1, m)) - touched)
+    images = [Mat(((Cyc.from_rational((-1) ** (k + (k == bad))),),)) for k in range(m)]
+    with pytest.raises(RepError):
+        Rep(group, images)
+    images[bad] = Mat(((Cyc.from_rational((-1) ** bad),),))
+    Rep(group, images)
+
+
+def _all_pairs_homomorphism(group, images) -> bool:
+    return images[0].is_identity() and all(
+        images[a] * images[b] == images[group.table[a][b]]
+        for a in range(group.order) for b in range(group.order))
+
+
+def test_validation_matches_the_all_pairs_check():
+    """On S3, Q8 and Z6, validation rejects exactly the corrupted image lists
+    that fail rho(a) rho(b) = rho(ab) at some pair: random single-image
+    corruptions, and every left coset g<s> of a cyclic subgroup (g not in
+    <s>) scaled by one factor, which a check of the generator s alone would
+    pass."""
+    import random
+
+    rng = random.Random(11)
+    reps = [catalog.symmetric(3).rep("std"), catalog.quaternion().rep("dim2"),
+            catalog.cyclic(6).rep("chi1")]
+    outcomes = set()
+    for rep in reps:
+        group, m = rep.group, rep.group.order
+        zeta = cyc_root_of_unity(rep.key_conductor, 1)
+        cases = []
+        for _ in range(25):
+            images = list(rep.images)
+            g = rng.randrange(m)
+            kind = rng.choice(["swap", "negate", "twist", "transpose"])
+            if kind == "swap":
+                images[g] = images[rng.randrange(m)]
+            elif kind == "negate":
+                images[g] = images[g].scale(Cyc.from_rational(-1))
+            elif kind == "twist":
+                images[g] = images[g].scale(zeta)
+            else:
+                images[g] = Mat(tuple(zip(*images[g].rows)))
+            cases.append(images)
+        for s in range(1, m):
+            cyclic = {group.power(s, k) for k in range(group.element_order(s))}
+            cosets = {frozenset(group.table[g][c] for c in cyclic) for g in range(m)}
+            for coset in cosets - {frozenset(cyclic)}:
+                for factor in (zeta, Cyc.from_rational(2)):
+                    cases.append([mt.scale(factor) if h in coset else mt
+                                  for h, mt in enumerate(rep.images)])
+        for images in cases:
+            expected = _all_pairs_homomorphism(group, images)
+            try:
+                Rep(group, images)
+                accepted = True
+            except RepError:
+                accepted = False
+            assert accepted == expected, rep.name
+            outcomes.add(accepted)
+    assert outcomes == {True, False}

@@ -272,3 +272,76 @@ def test_structured_counts_sampled_undecided(s3_std):
     assert verdict.holds and sampled.holds
     assert sampled.detail["undecided"] > 0
     assert verdict.detail["undecided"] == sampled.detail["undecided"]
+
+
+def test_witness_search_falls_back_to_exact_on_a_false_modular_zero(s3_std, monkeypatch):
+    """A factor p (1 - x) is nonzero but vanishes mod p, the prime of the
+    witness search: every candidate from it on is zero mod p, so the search
+    decides it exactly and returns the witness exact arithmetic chooses."""
+    from repident.freeexpr import smul
+    from repident.matrices import Mat
+
+    p = s3_std.images_mod_p[0].p
+    x = var("x")
+    plus, minus = sum_([const(1), x]), sub(const(p), smul(p, x))
+    # (1 + x) rho(u) p (1 - x) rho(w) (1 + x): u = 0 gives p (1 - x^2) = 0
+    expr = prod([plus, var("u"), minus, var("w"), plus])
+    roles = {"x": {"role": "psi-argument"}, "u": {"role": "separator"},
+             "w": {"role": "separator"}}
+    doc = idf.IdentityDoc("test", expr, roles, {}, "false modular zero")
+    t = next(g for g in range(6) if s3_std.group.element_order(g) == 2)
+    session = vf._Session(doc, s3_std, seed=0)
+    tested = []
+    is_zero = Mat.is_zero
+
+    def spy(mat):
+        tested.append(is_zero(mat))
+        return tested[-1]
+
+    monkeypatch.setattr(Mat, "is_zero", spy)
+    witness = session.witness_value({"x": t, "u": 0, "w": 0})
+    monkeypatch.undo()
+    # the greedy choice in exact arithmetic
+    a, b = (session.ev.evaluate(f, {"x": t}) for f in (plus, minus))
+    u = next(g for g in range(6) if not (a * s3_std.image(g) * b).is_zero())
+    prefix = a * s3_std.image(u) * b
+    w = next(g for g in range(6) if not (prefix * s3_std.image(g) * a).is_zero())
+    assert u > 0
+    assert witness == {"x": t, "u": u, "w": w}
+    # every candidate from u = 0 on was tested exactly; the prefix stayed exact
+    assert tested == [True] * u + [False] + [True] * w + [False]
+
+
+def test_relation_probability_counts_certified_nonvanishing_streams(s3_std):
+    from repident.freeexpr import stream_subsets
+
+    # vanishes exactly when x = 1; otherwise certified nonvanishing
+    expr = stream_subsets([sub(var("x"), const(1))], 1, "s")
+    assert vf.relation_probability(expr, s3_std) == Fraction(1, 6)
+
+
+def test_conditional_probability_counts_certified_nonvanishing_streams(s3_std):
+    from repident.freeexpr import stream_subsets
+
+    u = stream_subsets([sub(var("x"), const(1))], 1, "s")
+    v = sub(power(var("x"), 2), const(1))
+    assert vf.conditional_relation_probability(u, v, s3_std) == Fraction(1, 4)
+
+
+def test_relation_probability_rejects_undecided_streams(s3_std):
+    from repident.freeexpr import stream_subsets
+
+    expr = stream_subsets([sub(var("x"), const(1))], 1, "s", psd=False)
+    with pytest.raises(vf.VerifierError):
+        vf.relation_probability(expr, s3_std)
+    with pytest.raises(vf.VerifierError):
+        vf.conditional_relation_probability(expr, var("x"), s3_std)
+
+
+def test_expectation_rejects_streamed_values(s3_std):
+    from repident.freeexpr import stream_subsets
+
+    for psd in (True, False):
+        expr = stream_subsets([sub(var("x"), const(1))], 1, "s", psd=psd)
+        with pytest.raises(vf.VerifierError):
+            vf.expectation(expr, s3_std)

@@ -19,7 +19,8 @@ built when a caller asks for one, or when irrational coefficients leave
 more than two terms.  That is what makes guard-heavy identities
 affordable.
 A Prod evaluates its factors left to right and short-circuits to zero on
-the first factor that is exactly zero.
+the first factor that is exactly zero.  An Evaluator keeps no state from
+one call to the next: node values are shared within one evaluation only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .exactnum import Cyc, demote
 from .matrices import Mat
@@ -304,7 +305,7 @@ def free_vars(e: Expr) -> frozenset[str]:
 # An _A payload is a dict {group index: coefficient} that is not a single
 # plain word or scalar; a coefficient is a nonzero int or Fraction when it
 # is rational, else an (irrational) Cyc.  Payloads are shared through the
-# memo and the cross-cache, so they are never mutated.
+# memo, so they are never mutated.
 _G, _S, _M, _A = 0, 1, 2, 3
 
 
@@ -361,24 +362,15 @@ class Evaluator:
     by its zero test (`_is_zero`) only when irrational coefficients leave
     more than two terms after folding by the scalar subgroup.
 
-    cross_cache, when enabled, memoizes sum/prod node values across calls
-    keyed by the node and the values of its free variables; this pays off
-    in verifier loops where a guard enumeration is fixed while one
-    argument variable sweeps the group.
+    Node values are shared within one call (its memo), never across calls.
+    Reuse across assignments belongs to the caller that knows which values
+    repeat (the verifier's vanishing table).
     """
 
-    def __init__(self, rep=None, use_cross_cache: bool = False, shortcircuit: bool = True,
-                 dim: int | None = None):
+    def __init__(self, rep=None, shortcircuit: bool = True, dim: int | None = None):
         self.rep = rep
         self.dim = dim if dim is not None else (rep.dim if rep is not None else None)
         self.shortcircuit = shortcircuit
-        self.cross_cache: Optional[dict] = {} if use_cross_cache else None
-        # id -> node for every node keyed in cross_cache: a key holds id(e),
-        # which a new node could take over once e is freed, so the cache keeps
-        # e alive.  (A key holding e itself would stay tracked by the garbage
-        # collector, while an (int, tuple of ints) key is untracked.)
-        self._cache_nodes: dict = {}
-        self.stream_budget = 250_000
         self.partition_budget = 300_000
         # a product of two _A values convolves while |A|*|B| stays below
         # the cost of one matrix product
@@ -558,16 +550,6 @@ class Evaluator:
                         rows[i][j] = rows[i][j] + c * v
         return Mat(rows)
 
-    def _cache_key(self, e: Expr, assignment: dict):
-        try:
-            vals = tuple(assignment[v] for v in e.sorted_vars())
-        except KeyError:
-            missing = sorted(set(e.free_vars()) - set(assignment))
-            raise KeyError(f"assignment missing variables {missing}")
-        if any(not isinstance(v, int) for v in vals):
-            return None
-        return (id(e), vals)
-
     def _eval(self, e: Expr, assignment: dict, memo: dict):
         key = id(e)
         hit = memo.get(key)
@@ -614,64 +596,36 @@ class Evaluator:
             raise NonGroupSubtermError("inverse of a singular matrix subterm") from exc
 
     def _eval_sum(self, e, assignment, memo):
-        cached = None
-        if self.cross_cache is not None:
-            cached = self._cache_key(e, assignment)
-            if cached is not None and cached in self.cross_cache:
-                return self.cross_cache[cached]
         vals = [self._eval(c, assignment, memo) for c in e.children]
         if any(tag == _M for tag, _ in vals):
             mat = None
             for val in vals:
                 m = self._to_mat(val)
                 mat = m if mat is None else mat + m
-            out = (_M, mat)
-        else:
-            terms: dict = {}
-            for tag, payload in vals:
-                if tag == _G:
-                    terms[payload] = terms[payload] + 1 if payload in terms else 1
-                elif tag == _A:
-                    for g, c in payload.items():
-                        terms[g] = _add(terms[g], c) if g in terms else c
-                else:  # a scalar is its multiple of the identity, index 0
-                    c = demote(payload)
-                    terms[0] = _add(terms[0], c) if 0 in terms else c
-            out = self._element(terms)
-        if cached is not None:
-            self.cross_cache[cached] = out
-            self._cache_nodes[cached[0]] = e
-            if len(self.cross_cache) > 400_000:
-                self.cross_cache.clear()
-                self._cache_nodes.clear()
-        return out
+            return (_M, mat)
+        terms: dict = {}
+        for tag, payload in vals:
+            if tag == _G:
+                terms[payload] = terms[payload] + 1 if payload in terms else 1
+            elif tag == _A:
+                for g, c in payload.items():
+                    terms[g] = _add(terms[g], c) if g in terms else c
+            else:  # a scalar is its multiple of the identity, index 0
+                c = demote(payload)
+                terms[0] = _add(terms[0], c) if 0 in terms else c
+        return self._element(terms)
 
     def _eval_prod(self, e, assignment, memo):
-        cached = None
-        if self.cross_cache is not None:
-            cached = self._cache_key(e, assignment)
-            if cached is not None and cached in self.cross_cache:
-                return self.cross_cache[cached]
         vals = []
-        zero = None
+        zero = False
         for c in e.children:
             val = self._eval(c, assignment, memo)
             if self._is_zero(val):
-                zero = (_S, Cyc.zero())
                 if self.shortcircuit:
-                    break
+                    return (_S, Cyc.zero())
+                zero = True
             vals.append(val)
-        if zero is not None:
-            out = zero
-        else:
-            out = self._combine_product(vals)
-        if cached is not None:
-            self.cross_cache[cached] = out
-            self._cache_nodes[cached[0]] = e
-            if len(self.cross_cache) > 400_000:
-                self.cross_cache.clear()
-                self._cache_nodes.clear()
-        return out
+        return (_S, Cyc.zero()) if zero else self._combine_product(vals)
 
     def _combine_product(self, vals):
         scalar = None
@@ -938,7 +892,6 @@ def _typed_partitions(universe: list[int], sizes: list[int]):
             yield []
         return
     first, rest = sizes[0], sizes[1:]
-    anchor_free = len(universe) == sum(sizes)
     for block in combinations(universe, first):
         remaining = [x for x in universe if x not in block]
         for tail in _typed_partitions(remaining, rest):

@@ -16,7 +16,16 @@ builds the verdict, with one of two exact zero tests: the total test
 (`_full_zero`: the whole expression under the assignment as drawn; used by
 exhaustive and sampled) or the separator-quantified test
 (`_Session.decide`: no factor vanishes, then a separator choice keeping the
-product nonzero is searched; used by guarded and structured).
+product nonzero is searched; used by guarded and structured).  A search
+that gives up is counted as undecided, never as vanishing.
+
+Every mode changes a few variables from one assignment to the next (the
+last name fastest, or an argument sweep under one guard ordering), so a
+root factor meets the same values of its own variables many times.  The
+session's vanishing table remembers, per root factor and per values of
+that factor's variables, whether the factor vanishes, so a factor is
+evaluated at most once per tuple of its variables' values.  A streamed
+factor that certifies nonvanishing or stays undecided is never stored.
 
 The separator search carries the running product modulo a prime
 p = 1 (mod N) (`exactnum.mod_p`): a nonzero image proves the product
@@ -105,7 +114,7 @@ class _Session:
         self.rep = rep
         self.rng = random.Random(seed)
         self.seed = seed
-        self.ev = Evaluator(rep, use_cross_cache=True)
+        self.ev = Evaluator(rep)
         self.factors = list(doc.expr.children) if doc.expr.kind == "prod" else [doc.expr]
         self.separators = set(doc.vars_with_role("separator")) | set(
             doc.vars_with_role("subset-tag")
@@ -116,6 +125,10 @@ class _Session:
                               if not (f.kind == "var" and f.value in self.separators)]
         self.last_undecided = False
         self.undecided_count = 0
+        # (id(root factor), values of its sorted_vars()) -> vanishes.  The
+        # session keeps doc alive, so an id stays its factor's, and keys of
+        # ints are not tracked by the garbage collector.
+        self.vanishing: dict = {}
 
     def scan_factors(self, assignment: dict, factors) -> tuple[bool, bool]:
         """(found_zero, stream_blocked) over the given factor subset.
@@ -123,25 +136,31 @@ class _Session:
         stream_blocked means a streamed factor certified nonvanishing, so no
         explicit witness value can be materialized. Sets the per-call
         undecided flag when a streamed factor could neither vanish nor
-        certify nonvanishing.
+        certify nonvanishing.  Zero tests are looked up in, and recorded in,
+        the session's vanishing table.
         """
         memo: dict = {}
         blocked = False
         self.last_undecided = False
+        table = self.vanishing
         for f in factors:
-            try:
-                val = self.ev._eval(f, assignment, memo)
-            except StreamNonvanishing:
-                blocked = True
-                continue
-            except StreamUndecided:
-                self.last_undecided = True
-                continue
-            if self.ev._is_zero(val):
+            key = (id(f), tuple(assignment[v] for v in f.sorted_vars()))
+            vanishes = table.get(key)
+            if vanishes is None:
+                try:
+                    val = self.ev._eval(f, assignment, memo)
+                except StreamNonvanishing:
+                    blocked = True
+                    continue
+                except StreamUndecided:
+                    self.last_undecided = True
+                    continue
+                vanishes = table[key] = self.ev._is_zero(val)
+            if vanishes:
                 return True, False
         return False, blocked
 
-    def witness_value(self, assignment: dict) -> dict | None:
+    def witness_value(self, assignment: dict) -> dict | str:
         """Choose separators greedily left to right so the running product
         stays nonzero: each free slot takes the first group element u that
         keeps it nonzero.  On an irreducible target a choice always exists:
@@ -151,9 +170,10 @@ class _Session:
 
         The product is carried modulo a prime (`_Prefix`), which proves it
         nonzero cheaply; a product whose image is zero is decided exactly.
-        None (the search gives up) and the vanishing-factor error both follow
-        an exact zero test only, so the witness is the one exact arithmetic
-        alone would choose.
+        "search-failed" (the search gives up: a nonzero value may still
+        exist for other separators) and the vanishing-factor error both
+        follow an exact zero test only, so the witness is the one exact
+        arithmetic alone would choose.
         """
         m = self.rep.group.order
         memo: dict = {}
@@ -167,7 +187,7 @@ class _Session:
             try:
                 val = self.ev._eval(child, assign, memo)
             except StreamNonvanishing:
-                return None
+                return "search-failed"
             f = _Factor(self.ev, val)
             if not f.nonzero_mod_p() and self.ev._is_zero(val):
                 raise VerifierError("internal: vanishing factor inside witness search")
@@ -176,7 +196,7 @@ class _Session:
                     assign[s] = 0
                 pending = []
                 if not prefix.extend([f]):
-                    return None  # adjacent factors collapse; no separator freedom
+                    return "search-failed"  # adjacent factors collapse; no separator freedom
                 continue
             # one free separator slot carries the choice; earlier ones identity
             for s in pending[:-1]:
@@ -187,23 +207,24 @@ class _Session:
                 if prefix.extend([_Factor(self.ev, (_G, u)), f] if u else [f]):
                     break
             else:
-                return None
+                return "search-failed"
             assign[slot] = u
         for s in pending:
             assign[s] = 0
         if not prefix.vals:
-            return None
+            return "search-failed"
         return assign
 
     def decide(self, assignment: dict):
         """Separator-quantified decision for one assignment of non-separator
         variables.
 
-        Returns None when the expression vanishes for every separator choice
-        reachable here, a witness assignment dict when a nonzero value was
-        materialized, "blocked" when a streamed factor certifies nonvanishing
-        without a materializable value, or "undecided" when a streamed factor
-        could not be decided (counted, never treated as a verdict).
+        Returns None when a factor vanishes, a witness assignment dict when a
+        nonzero value was materialized, "blocked" when a streamed factor
+        certifies nonvanishing without a materializable value, "undecided"
+        when a streamed factor could not be decided, or "search-failed" when
+        the separator search gave up.  The last two are counted as
+        undecided, never treated as a verdict.
         """
         vanished, blocked = self.scan_factors(assignment, self.value_factors)
         if vanished:
@@ -213,7 +234,10 @@ class _Session:
             return "undecided"
         if blocked:
             return "blocked"
-        return self.witness_value(assignment)
+        outcome = self.witness_value(assignment)
+        if outcome == "search-failed":
+            self.undecided_count += 1
+        return outcome
 
 
 class _Factor:
@@ -326,11 +350,11 @@ def _verify(session: _Session, evidence: str, assignments, detail: dict, t0: flo
             if _full_zero(session, assignment) is not False:
                 continue
             outcome = session.decide(assignment) if search else None
-            if outcome in (None, "undecided"):
+            if outcome in (None, "undecided", "search-failed"):
                 outcome = assignment
         else:
             outcome = session.decide(assignment)
-            if outcome in (None, "undecided"):
+            if outcome in (None, "undecided", "search-failed"):
                 continue
         detail = fail_detail or detail
         if outcome == "blocked":
@@ -452,8 +476,6 @@ def _guarded_assignments(session: _Session, groups: dict, args: list[str], order
             if rnd > 0:
                 rng.shuffle(order)
             assignment.update(zip(vars_, order))
-        # arguments need a value even for the static scan's shared memo
-        assignment.update(dict.fromkeys(args, 0))
         if exhaustive_args:
             arg_iter = itertools.product(range(m), repeat=len(args))
         else:
@@ -640,7 +662,7 @@ def scalar_check(expr: Expr, rep: Rep, assignment: dict):
 
 
 def expectation(expr: Expr, rep: Rep, budget: int = 300_000) -> Mat:
-    ev = Evaluator(rep, use_cross_cache=False)
+    ev = Evaluator(rep)
     acc = None
     total = 0
     for assignment in _all_assignments(sorted(expr.free_vars()), rep.group.order, budget):
@@ -668,7 +690,7 @@ def _vanishes(ev: Evaluator, expr: Expr, assignment: dict) -> bool:
 
 
 def relation_probability(expr: Expr, rep: Rep, budget: int = 300_000) -> Fraction:
-    ev = Evaluator(rep, use_cross_cache=False)
+    ev = Evaluator(rep)
     hits = total = 0
     for assignment in _all_assignments(sorted(expr.free_vars()), rep.group.order, budget):
         if _vanishes(ev, expr, assignment):
@@ -681,7 +703,7 @@ def conditional_relation_probability(u: Expr, v: Expr, rep: Rep,
                                      budget: int = 300_000) -> Fraction:
     """Pr(u | v) via the positive-semidefinite combination u u* + v v*."""
     names = sorted(u.free_vars() | v.free_vars())
-    ev = Evaluator(rep, use_cross_cache=False)
+    ev = Evaluator(rep)
     uu = prod([u, star(u)])
     vv = prod([v, star(v)])
     both = 0

@@ -250,7 +250,7 @@ def test_criterion_9_central_objects():
     std = catalog.symmetric(3).rep("std")
     with Budget("9", 120):
         c6 = idf.central_laurent(6)
-        ev = Evaluator(std, use_cross_cache=True)
+        ev = Evaluator(std)
         rng = random.Random(17)
         seps = c6.vars_with_role("separator")
         nonzero = False

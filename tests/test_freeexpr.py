@@ -286,14 +286,13 @@ def _algebra_expr(rng, names, depth=3) -> Expr:
 @pytest.mark.parametrize("index", range(5))
 def test_group_algebra_values_match_matrices(index):
     """evaluate, the zero test and scalar_of agree with the naive matrix
-    oracle, with and without the cross-cache, whose entries outlive their
-    expressions."""
+    oracle, with one evaluator reused over every expression."""
     rep = _algebra_reps()[index]
     rng = random.Random(100 + index)
     names = ["a", "b", "c"]
-    evaluators = [Evaluator(rep), Evaluator(rep, use_cross_cache=True)]
+    ev = Evaluator(rep)
     # each expression is freed before the next is built, so new nodes reuse
-    # the ids of nodes the cross-cache has seen
+    # the ids of nodes the evaluator has seen
     checked = zeros = 0
     for _ in range(80):
         e = _algebra_expr(rng, names)
@@ -302,20 +301,19 @@ def test_group_algebra_values_match_matrices(index):
             slow = naive_eval(e, assignment, rep)
         except ZeroDivisionError:
             continue
-        for ev in evaluators:
-            try:
-                fast = ev.evaluate(e, assignment)
-            except NonGroupSubtermError:
-                continue
-            assert fast == slow
-            assert ev._is_zero(ev.evaluate_value(e, assignment)) == slow.is_zero()
-            scalar = ev.scalar_of(e, assignment)
-            expected = slow.is_scalar()
-            assert (scalar is None) == (expected is None)
-            assert expected is None or scalar == expected
-            checked += 1
-            zeros += slow.is_zero()
-    assert checked >= 100 and zeros >= 10
+        try:
+            fast = ev.evaluate(e, assignment)
+        except NonGroupSubtermError:
+            continue
+        assert fast == slow
+        assert ev._is_zero(ev.evaluate_value(e, assignment)) == slow.is_zero()
+        scalar = ev.scalar_of(e, assignment)
+        expected = slow.is_scalar()
+        assert (scalar is None) == (expected is None)
+        assert expected is None or scalar == expected
+        checked += 1
+        zeros += slow.is_zero()
+    assert checked >= 50 and zeros >= 5
 
 
 def test_scalar_subgroup_fold_on_2t():

@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -345,3 +346,117 @@ def test_expectation_rejects_streamed_values(s3_std):
         expr = stream_subsets([sub(var("x"), const(1))], 1, "s", psd=psd)
         with pytest.raises(vf.VerifierError):
             vf.expectation(expr, s3_std)
+
+
+def test_witness_search_give_up_is_undecided(s3_std):
+    """The greedy search fixes v at the first u keeping (z - 1) nonzero and
+    then has no separator before (w - 1): it gives up.  That is counted as
+    undecided, not as vanishing, since v = 2 makes the product nonzero."""
+    gf, roles, _ = idf.guard_factors(6)
+    one = const(1)
+    expr = prod(gf + [sub(var("x"), one), var("v"), sub(var("z"), one), sub(var("w"), one)])
+    roles.update({name: {"role": "psi-argument"} for name in "xzw"})
+    roles["v"] = {"role": "separator"}
+    doc = idf.IdentityDoc("test", expr, roles, {}, "greedy search gives up")
+    session = vf._Session(doc, s3_std, seed=0)
+    assignment = {f"y{i + 1}": i for i in range(6)}
+    assignment.update(dict.fromkeys(session.sep_list, 0))
+    assignment.update(x=1, z=3, w=5)
+    assert session.decide(assignment) == "search-failed"
+    assert session.undecided_count == 1
+    assert not Evaluator(s3_std).evaluate(expr, {**assignment, "v": 2}).is_zero()
+    verdict = vf._verify(vf._Session(doc, s3_std, seed=0), "guarded", [assignment], {}, 0.0)
+    assert verdict.holds and verdict.detail["undecided"] == 1
+    # no u fits the slot of v: on a reducible rep, x = 1 and z = 3 act as
+    # diag(1, zeta) and diag(zeta, 1), so (x - 1) v (z - 1) vanishes for every
+    # v, and the search gives up
+    rep = catalog.abelian_rep(3, 2, 2, [[1, 0], [0, 1]])
+    expr = prod([sub(var("x"), one), var("v"), sub(var("z"), one)])
+    roles = {"x": {"role": "psi-argument"}, "z": {"role": "psi-argument"},
+             "v": {"role": "separator"}}
+    session = vf._Session(idf.IdentityDoc("test", expr, roles, {}, "no u fits"), rep, seed=0)
+    assert session.decide({"x": 1, "z": 3, "v": 0}) == "search-failed"
+    assert session.undecided_count == 1
+
+
+def _factor_expr(rng, names, depth=1):
+    """A random root factor: words, differences, powers minus one and
+    commutators, and sums and products of them."""
+    if depth == 0 or rng.random() < 0.5:
+        kind = rng.choice(["word", "diff", "pow", "commutator"])
+        a, b = (var(n) for n in rng.sample(names, 2))
+        if kind == "word":
+            return prod([a, inv(b)])
+        if kind == "diff":
+            return sub(a, b)
+        if kind == "pow":
+            return sub(power(a, rng.randint(2, 3)), const(1))
+        return sub(prod([a, b]), prod([b, a]))
+    children = [_factor_expr(rng, names, depth - 1) for _ in range(2)]
+    return sum_(children) if rng.random() < 0.5 else prod(children)
+
+
+@pytest.mark.parametrize("rep_name", ["S3:std", "Q8:dim2", "Z6:chi1", "Z3^2:reducible"])
+def test_vanishing_table_matches_fresh_evaluation(rep_name):
+    """Over assignments that repeat values, the session's scan (with its
+    vanishing table) returns what a fresh Evaluator gives factor by factor,
+    streamed factors included."""
+    from repident.freeexpr import StreamNonvanishing, StreamUndecided, stream_subsets
+
+    rep = {
+        "S3:std": lambda: catalog.symmetric(3).rep("std"),
+        "Q8:dim2": lambda: catalog.quaternion().rep("dim2"),
+        "Z6:chi1": lambda: catalog.cyclic(6).rep("chi1"),
+        "Z3^2:reducible": lambda: catalog.abelian_rep(3, 2, 2, [[1, 0], [1, 1]]),
+    }[rep_name]()
+    rng = random.Random(rep_name)
+    names = ["a", "b", "c"]
+
+    def fresh_scan(factors, assignment):
+        blocked = undecided = False
+        for f in factors:
+            ev = Evaluator(rep)
+            try:
+                val = ev.evaluate_value(f, assignment)
+            except StreamNonvanishing:
+                blocked = True
+                continue
+            except StreamUndecided:
+                undecided = True
+                continue
+            if ev._is_zero(val):
+                return (True, False), undecided
+        return (False, blocked), undecided
+
+    seen = set()
+    for _ in range(8):
+        factors = [_factor_expr(rng, names) for _ in range(3)]
+        for psd in (True, False):
+            if rng.random() < 0.5:
+                stream = stream_subsets([sub(var(rng.choice(names)), const(1))], 1, "s", psd)
+                factors.insert(rng.randrange(len(factors) + 1), stream)
+        roles = {n: {"role": "psi-argument"} for n in names}
+        doc = idf.IdentityDoc("test", prod(factors), roles, {}, "random factors")
+        session = vf._Session(doc, rep, seed=0)
+        # sweeps of the last variable under values of the others drawn from
+        # a few elements, so that whole assignments repeat too
+        pool = rng.sample(range(rep.group.order), 3)
+        scans = 0
+        for _ in range(6):
+            assignment = {n: rng.choice(pool) for n in names}
+            for c in pool:
+                assignment["c"] = c
+                expected, undecided = fresh_scan(factors, assignment)
+                assert session.scan_factors(assignment, session.value_factors) == expected
+                assert session.last_undecided == undecided
+                seen.add((expected, undecided))
+                scans += 1
+        assert len(session.vanishing) < scans * len(factors)
+        # a streamed factor is stored only when it vanished: what it raises is not
+        streams = {id(f) for f in factors if f.kind == "stream_subsets"}
+        assert all(vanishes for (node, _), vanishes in session.vanishing.items()
+                   if node in streams)
+    # zero found, nothing found, a certified stream, an undecided stream
+    assert {found for (found, _), _ in seen} == {True, False}
+    assert {blocked for (_, blocked), _ in seen} == {True, False}
+    assert {undecided for _, undecided in seen} == {True, False}

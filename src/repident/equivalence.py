@@ -4,6 +4,8 @@ strong table equivalence, Galois conjugacy and similarity.
 
 Cross-representation comparisons promote all spectral and character data
 to a common conductor before keying, so equality is decided symbolically.
+Uniform Gassmann equivalence compares, per subgroup, the multisets of the
+elements' spectra in the two representations; no restriction is built.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import weakref
 from math import gcd, lcm
 
 from .grouplab import FiniteGroup
-from .replab import Character, Rep, restrict_rep, spectrum_key
+from .replab import Character, Rep, spectrum_key
 
 
 def _common_conductor(*reps_or_chis) -> int:
@@ -150,13 +152,22 @@ def _cached_automorphisms(group: FiniteGroup, gens):
 
 def uniformly_gassmann(rep1: Rep, rep2: Rep, limit: int = 200):
     """(verdict, failing subgroup or None): Gassmann equivalence of the
-    restrictions to every subgroup."""
+    restrictions to every subgroup.
+
+    The first dim power traces fix the spectrum (Newton's identities), so an
+    Adams block of a restriction is exactly one spectrum, and an element's
+    spectrum in rho|H is its spectrum in rho.  The restrictions are then
+    Gassmann equivalent exactly when their per-element spectrum keys agree as
+    multisets on the subgroup; unequal dimensions fail on the trivial one.
+    """
     if rep1.group.table != rep2.group.table:
         raise ValueError("uniform Gassmann test expects one underlying group")
-    for sub in rep1.group.all_subgroups(limit):
-        r1 = restrict_rep(rep1, sorted(sub))
-        r2 = restrict_rep(rep2, sorted(sub))
-        if not gassmann_equivalent(r1, r2):
+    subgroups = rep1.group.all_subgroups(limit)
+    kc = _common_conductor(rep1, rep2)
+    keys1, keys2 = ([spectrum_key(rep, g, kc) for g in range(rep.group.order)]
+                    for rep in (rep1, rep2))
+    for sub in subgroups:
+        if sorted(keys1[g] for g in sub) != sorted(keys2[g] for g in sub):
             return False, sub
     return True, None
 

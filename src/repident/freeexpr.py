@@ -773,43 +773,48 @@ class Evaluator:
         return backtrack(0, set(range(m)))
 
     def _class_assembly_hint(self, assignment, var_names, sizes, target_mats, mats) -> bool:
+        """Fill the blocks in order from unions of whole conjugacy classes:
+        per block, a depth-first search over the unused classes, largest
+        first, keeps the first union of the block's size whose sum matches
+        its target.  False when a block has none, when a class is left over,
+        or after 10,000 class trials."""
         group = self.rep.group
         cls_of = {}
         for i, v in enumerate(var_names):
             cls_of.setdefault(group.class_of(assignment[v]), []).append(i)
-        # try to match blocks to unions of classes greedily by exact size+sum
-        items = sorted(cls_of.items(), key=lambda kv: -len(kv[1]))
+        items = sorted(cls_of.values(), key=lambda idxs: -len(idxs))
+        lens = [len(idxs) for idxs in items]
+        sums = [sum((mats[i] for i in idxs[1:]), mats[idxs[0]]) for idxs in items]
         used = [False] * len(items)
-
-        def fits(block_idx, chosen, size_left, acc):
-            if size_left == 0:
-                target = target_mats[block_idx].scale(Cyc.from_rational(sizes[block_idx]))
-                return (acc - target).is_zero() if acc is not None else target.is_zero()
-            for k, (_, idxs) in enumerate(items):
-                if used[k] or len(idxs) > size_left:
+        trials = 10_000
+        for size, target in zip(sizes, target_mats):
+            target = target.scale(Cyc.from_rational(size))
+            chosen = []  # (class, sum before it) along the search path
+            k, left, acc = 0, size, None
+            while True:
+                if left == 0:
+                    if (acc - target).is_zero() if acc is not None else target.is_zero():
+                        break
+                    k = len(items)
+                while k < len(items) and (used[k] or lens[k] > left):
+                    k += 1
+                if k < len(items):
+                    trials -= 1
+                    if trials < 0:
+                        return False
+                    used[k] = True
+                    chosen.append((k, acc))
+                    acc = sums[k] if acc is None else acc + sums[k]
+                    left -= lens[k]
+                    k = 0
                     continue
-                used[k] = True
-                s = None
-                for i in idxs:
-                    s = mats[i] if s is None else s + mats[i]
-                new_acc = s if acc is None else acc + s
-                if fits(block_idx, chosen + [k], size_left - len(idxs), new_acc):
-                    return True
+                if not chosen:
+                    return False
+                k, acc = chosen.pop()
                 used[k] = False
-            return False
-
-        def assemble(block_idx):
-            if block_idx == len(sizes):
-                return all(used)
-            if fits(block_idx, [], sizes[block_idx], None):
-                if assemble(block_idx + 1):
-                    return True
-            return False
-
-        try:
-            return assemble(0)
-        except RecursionError:
-            return False
+                left += lens[k]
+                k += 1
+        return all(used)
 
 
 def _has_perfect_matching(adj: list[list[bool]]) -> bool:

@@ -9,7 +9,7 @@ Everything is index-based: elements are 0..m-1 with 0 the identity.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 
 
 class GroupError(ValueError):
@@ -184,30 +184,25 @@ class FiniteGroup:
     def all_subgroups(self, limit: int = 200) -> list[frozenset[int]]:
         if self.order > limit:
             raise GroupError(f"subgroup lattice limited to order <= {limit}")
-        gens_of: dict[frozenset, tuple[int, ...]] = {}
-
-        def record(sub: frozenset, gens: tuple[int, ...]):
-            if sub not in gens_of or len(gens) < len(gens_of[sub]):
-                gens_of[sub] = gens
-
-        record(frozenset({0}), ())
-        for g in range(1, self.order):
-            record(self.subgroup_generated([g]), (g,))
-        for g, h in combinations(range(1, self.order), 2):
-            record(self.subgroup_generated([g, h]), (g, h))
-        # close under pairwise joins, generating joins from stored generators
-        changed = True
-        while changed:
-            changed = False
-            current = list(gens_of.items())
-            for (a, ga), (b, gb) in combinations(current, 2):
-                if a <= b or b <= a:
-                    continue
-                gens = tuple(dict.fromkeys(ga + gb))
-                j = self.subgroup_generated(gens)
-                if j not in gens_of:
-                    record(j, gens)
-                    changed = True
+        # cyclic extension: every subgroup is a cyclic subgroup or the join of
+        # a smaller subgroup with a cyclic subgroup it does not contain
+        cyclic: dict[frozenset, int] = {}
+        for g in range(self.order):
+            cyclic.setdefault(self.subgroup_generated([g]), g)
+        gens_of = {sub: (g,) for sub, g in cyclic.items()}
+        found = list(gens_of)
+        while found:
+            new = []
+            for sub in found:
+                for c, g in cyclic.items():
+                    if c <= sub:
+                        continue
+                    gens = gens_of[sub] + (g,)
+                    join = self.subgroup_generated(gens)
+                    if join not in gens_of:
+                        gens_of[join] = gens
+                        new.append(join)
+            found = new
         return sorted(gens_of, key=lambda s: (len(s), sorted(s)))
 
     def is_normal(self, sub) -> bool:

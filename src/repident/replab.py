@@ -7,6 +7,8 @@ and Molien series coefficients.
 Spectra are always computed from power traces (the Adams data), never
 from an eigenvalue solver: for g of order d the multiplicity of zeta_d^k
 is (1/d) * sum_t chi(g^t) zeta_d^(-kt), an exact cyclotomic computation.
+A spectrum is a class function, so it is computed once per conjugacy class
+(Rep.class_spectra) and every per-element query is a lookup.
 """
 
 from __future__ import annotations
@@ -70,6 +72,37 @@ class Rep:
     def character(self) -> "Character":
         return Character(self.group, [mt.trace() for mt in self.images], rep=self)
 
+    @cached_property
+    def class_spectra(self) -> list[list[tuple[int, int, int]]]:
+        """Per conjugacy class, the eigenvalues of the class representative g
+        as (order d, exponent k, multiplicity) with k ascending.
+
+        Fourier inversion over the cyclic group generated by g; multiplicities
+        must come out as non-negative integers summing to the dimension.
+        """
+        chi = self.character
+        out = []
+        for g in self.group.conjugacy_classes.representatives:
+            d = self.group.element_order(g)
+            powers = [chi.value(self.group.power(g, t)) for t in range(d)]
+            dd = Cyc.from_rational(Fraction(1, d))
+            spec = []
+            for k in range(d):
+                acc = None
+                for t, v in enumerate(powers):
+                    term = v * cyc_root_of_unity(d, (-k * t) % d)
+                    acc = term if acc is None else acc + term
+                mult = acc * dd
+                q = mult.rational_value() if mult.is_rational() else None
+                if q is None or q.denominator != 1 or q < 0:
+                    raise RepError("non-integer eigenvalue multiplicity; not a representation")
+                if q:
+                    spec.append((d, k, int(q)))
+            if sum(mult for _, _, mult in spec) != self.dim:
+                raise RepError("eigenvalue multiplicities do not sum to the dimension")
+            out.append(spec)
+        return out
+
     # -- predicates -------------------------------------------------------
 
     @cached_property
@@ -106,11 +139,9 @@ class Rep:
 
     def is_fixed_point_free(self) -> bool:
         """No nontrivial element has eigenvalue 1."""
-        exp = self.key_conductor
-        for g in range(1, self.group.order):
-            if any(e == 0 and mult > 0 for e, mult in spectrum_key(self, g, exp)):
-                return False
-        return True
+        reps = self.group.conjugacy_classes.representatives
+        return not any(k == 0 for g, spec in zip(reps, self.class_spectra) if g
+                       for _, k, _ in spec)
 
     # -- lazy facts for group-algebra evaluation ------------------------------
 
@@ -315,33 +346,9 @@ def sigma_value(rep: Rep, g: int, i: int) -> Cyc:
 
 
 def spectrum(rep: Rep, g: int) -> list[tuple[int, int, int]]:
-    """Multiset of eigenvalues of rep(g) as (order d, exponent k, multiplicity).
-
-    Fourier inversion over the cyclic group generated by g; multiplicities
-    must come out as non-negative integers summing to the dimension.
-    """
-    d = rep.group.element_order(g)
-    chi = rep.character
-    out = []
-    total = 0
-    dd = Cyc.from_rational(Fraction(1, d))
-    for k in range(d):
-        acc = None
-        for t in range(d):
-            term = chi.value(rep.group.power(g, t)) * cyc_root_of_unity(d, (-k * t) % d)
-            acc = term if acc is None else acc + term
-        mult = acc * dd
-        if not mult.is_rational():
-            raise RepError("non-integer eigenvalue multiplicity; not a representation")
-        q = mult.rational_value()
-        if q.denominator != 1 or q < 0:
-            raise RepError("non-integer eigenvalue multiplicity; not a representation")
-        if q:
-            out.append((d, k, int(q)))
-            total += int(q)
-    if total != rep.dim:
-        raise RepError("eigenvalue multiplicities do not sum to the dimension")
-    return out
+    """Multiset of eigenvalues of rep(g) as (order d, exponent k, multiplicity),
+    read from the spectrum of g's conjugacy class."""
+    return list(rep.class_spectra[rep.group.conjugacy_classes.index_of(g)])
 
 
 def spectrum_key(rep: Rep, g: int, conductor: int) -> tuple[tuple[int, int], ...]:
@@ -358,10 +365,8 @@ def eig_sets(rep: Rep) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     Eigenvalues are exponents at the rep's key conductor, each set sorted.
     """
     kc = rep.key_conductor
-    per_element = set()
-    for g in range(rep.group.order):
-        eigs = tuple(sorted(e for e, _ in spectrum_key(rep, g, kc)))
-        per_element.add(eigs)
+    per_element = {tuple(sorted(e for e, _ in spectrum_key(rep, g, kc)))
+                   for g in rep.group.conjugacy_classes.representatives}
     union = tuple(sorted({e for s in per_element for e in s}))
     maximal = [
         s
@@ -474,10 +479,13 @@ def molien_coefficients(rep: Rep, degree: int) -> list[Fraction]:
 
     (1/|G|) sum_g 1/det(I - rep(g)^-1 t), expanded via the eigenvalue
     factorization prod_j 1/(1 - conj(eps_j) t) truncated at the degree.
+    g -> g^-1 permutes the conjugacy classes, so each class contributes its
+    size times the term of its representative.
     """
     m = rep.group.order
+    cc = rep.group.conjugacy_classes
     total = [Cyc.zero() for _ in range(degree + 1)]
-    for g in range(rep.group.order):
+    for g, size in zip(cc.representatives, cc.sizes):
         ginv = rep.group.inverse[g]
         series = [Cyc.one()] + [Cyc.zero()] * degree
         for d, k, mult in spectrum(rep, ginv):
@@ -492,8 +500,9 @@ def molien_coefficients(rep: Rep, degree: int) -> list[Fraction]:
                     for b in range(degree + 1 - a):
                         new[a + b] = new[a + b] + series[a] * powcache[b]
                 series = new
+        weight = Cyc.from_rational(size)
         for a in range(degree + 1):
-            total[a] = total[a] + series[a]
+            total[a] = total[a] + series[a] * weight
     out = []
     inv_m = Cyc.from_rational(Fraction(1, m))
     for a in range(degree + 1):

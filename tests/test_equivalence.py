@@ -1,6 +1,11 @@
+import json
+from itertools import combinations, combinations_with_replacement
+from pathlib import Path
+
 import pytest
 
 from repident import catalog, equivalence as eq
+from repident.replab import restrict_rep
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +176,62 @@ def test_automorphism_cache_drops_freed_groups():
     assert ref() is None
     assert len(eq._AUTO_CACHE) <= entries
     assert all(g.name != "cache-probe" for g in eq._AUTO_CACHE.keys())
+
+
+# gamma(7,9,2) irreducibles; every pair of them is compared by the benchmark
+_GAMMA_PIS = ("pi(1,1)", "pi(1,2)", "pi(1,4)", "pi(2,1)", "pi(3,1)", "pi(2,2)")
+# forms V of diagonal reps a -> diag(zeta_3^(V a)) of the order-9 abelian group
+_Z3SQ_FORMS = (
+    (((1, 0), (0, 1)), ((0, 1), (1, 0))),
+    (((1, 1), (0, 1)), ((2, 0), (0, 1))),
+    (((1, 2), (2, 2)), ((1, 0), (0, 2))),
+)
+
+
+def _compare_cases():
+    """compare_all pairs whose JSON output is pinned in
+    tests/data/compare_pinned.json."""
+    s4, h3 = catalog.symmetric(4), catalog.heisenberg(3)
+    a5, w3 = catalog.alternating(5), catalog.wreath(3)
+    cases = {
+        "S4 rho4/rho5": (s4.rep("rho4"), s4.rep("rho5")),
+        "H3 theta1/theta2": (h3.rep("theta1"), h3.rep("theta2")),
+        "A5 dim3a/dim3b": (a5.rep("dim3a"), a5.rep("dim3b")),
+        "W3 rho_w/rho_hw": (w3.rep("rho_w"), w3.rep("rho_hw")),
+    }
+    gam = catalog.gamma_d(7, 9, 2)
+    for a, b in combinations(_GAMMA_PIS, 2):
+        cases[f"gamma {a}/{b}"] = (gam.rep(a), gam.rep(b))
+    for i, (u, v) in enumerate(_Z3SQ_FORMS):
+        cases[f"Z3^2 pair{i}"] = (catalog.abelian_rep(3, 2, 2, u), catalog.abelian_rep(3, 2, 2, v))
+    return cases
+
+
+def test_compare_json_pinned():
+    pinned = json.loads((Path(__file__).parent / "data" / "compare_pinned.json").read_text())
+    cases = _compare_cases()
+    assert list(cases) == list(pinned)
+    for name, (rep1, rep2) in cases.items():
+        assert json.dumps(eq.compare_all(rep1, rep2)) == json.dumps(pinned[name]), name
+
+
+@pytest.mark.parametrize("name", ["S4", "H3", "W3"])
+def test_uniform_gassmann_matches_restriction_definition(name):
+    """Verdict and witness agree with restricting both reps to every
+    subgroup and testing Gassmann equivalence there."""
+    entry = catalog.get_entry(name)
+    subgroups = entry.group.all_subgroups()
+    restricted = {}
+
+    def restriction(rep_name, sub):
+        key = (rep_name, sub)
+        if key not in restricted:
+            restricted[key] = restrict_rep(entry.rep(rep_name), sorted(sub))
+        return restricted[key]
+
+    for a, b in combinations_with_replacement(entry.rep_names(), 2):
+        expected = next(((False, sub) for sub in subgroups
+                         if not eq.gassmann_equivalent(restriction(a, sub), restriction(b, sub))),
+                        (True, None))
+        assert eq.uniformly_gassmann(entry.rep(a), entry.rep(b)) == expected, (a, b)
+        assert eq.uniformly_gassmann(entry.rep(b), entry.rep(a)) == expected, (b, a)

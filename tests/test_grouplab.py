@@ -123,6 +123,38 @@ def test_subgroups():
     assert set(subs) == brute
 
 
+def _pairwise_closure_lattice(group):
+    """Reference lattice: the subgroups generated by one or two elements,
+    closed under joins of incomparable pairs until nothing new appears."""
+    from itertools import combinations
+
+    subs = {group.subgroup_generated([g, h]) for g in range(group.order)
+            for h in range(g, group.order)}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in combinations(list(subs), 2):
+            if not (a <= b or b <= a):
+                join = group.subgroup_generated(a | b)
+                if join not in subs:
+                    subs.add(join)
+                    changed = True
+    return sorted(subs, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("name", ["Z6", "Q8", "S4", "A5", "H3", "W3", "gamma(7,9,2)"])
+def test_subgroup_lattice_matches_pairwise_closure(name):
+    group = catalog.get_entry(name).group
+    assert group.all_subgroups() == _pairwise_closure_lattice(group)
+
+
+def test_subgroup_lattice_limit():
+    w3 = catalog.wreath(3).group
+    with pytest.raises(GroupError):
+        w3.all_subgroups(limit=80)
+    assert len(w3.all_subgroups(limit=81)) == 50
+
+
 def test_automorphisms():
     assert len(catalog.cyclic(5).group.automorphisms()) == 4
     z2z2 = from_cayley_table([[i ^ j for j in range(4)] for i in range(4)])

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repident import catalog
 from repident.exactnum import Cyc, cyc_root_of_unity
@@ -157,6 +158,48 @@ def test_spectrum_rejects_non_representation():
     bogus.character.values[1] = two
     with pytest.raises(RepError):
         spectrum(bogus, 1)
+
+
+def _spectrum_reference(rep, g):
+    """Per-element Fourier inversion over the cyclic group generated by g."""
+    group = rep.group
+    d = group.element_order(g)
+    out = []
+    for k in range(d):
+        acc = Cyc.zero()
+        for t in range(d):
+            acc = acc + rep.character.value(group.power(g, t)) * cyc_root_of_unity(d, (-k * t) % d)
+        mult = (acc * Fraction(1, d)).rational_value()
+        if mult:
+            out.append((d, k, int(mult)))
+    return out
+
+
+_SPECTRUM_REPS = [
+    ("S4", "rho3"), ("S4", "rho4"), ("S4", "rho5"), ("A4", "tau"), ("A5", "dim3a"),
+    ("A5", "dim4"), ("A5", "dim5"), ("Q8", "dim2"), ("2T", "nat"), ("H3", "theta1"),
+    ("W3", "rho_w"), ("gamma(7,9,2)", "pi(1,1)"), ("gamma(7,9,2)", "pi(2,4)"),
+]
+
+
+def _spectrum_rep(index):
+    if index == len(_SPECTRUM_REPS):
+        # a Galois conjugate, built without validation
+        return catalog.alternating(5).rep("dim3a").galois_conjugate(2)
+    group, name = _SPECTRUM_REPS[index]
+    return catalog.get_entry(group).rep(name)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, len(_SPECTRUM_REPS)), st.data())
+def test_class_spectra_match_per_element_inversion(index, data):
+    rep = _spectrum_rep(index)
+    g = data.draw(st.integers(0, rep.group.order - 1))
+    sp = spectrum(rep, g)
+    assert sp == _spectrum_reference(rep, g)
+    # a fresh list each call
+    sp.append(None)
+    assert spectrum(rep, g) == _spectrum_reference(rep, g)
 
 
 def test_eig_sets(s4):

@@ -648,10 +648,6 @@ def _pi_kl_rep(group: FiniteGroup, elems, gamma: GammaGroup, k: int, l: int) -> 
     return Rep(group, images, name=f"{gamma.entry_name}:pi({k},{l})")
 
 
-def pi_kl(entry: CatalogEntry, k: int, l: int) -> Rep:
-    return entry.rep(f"pi({k},{l})")
-
-
 # -- wreath product Z_p^p . C_p ----------------------------------------------
 
 

@@ -11,6 +11,7 @@ elements' spectra in the two representations; no restriction is built.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from math import gcd, lcm
 
 from .grouplab import FiniteGroup
@@ -30,10 +31,7 @@ def _common_conductor(*reps_or_chis) -> int:
 def range_signature(chi: Character, conductor: int | None = None):
     """Sorted tuple of (value key, level-set size); sizes sum to |G|."""
     kc = conductor or chi.key_conductor()
-    counts: dict = {}
-    for v in chi.values:
-        counts[v.key(kc)] = counts.get(v.key(kc), 0) + 1
-    return tuple(sorted(counts.items()))
+    return tuple(sorted(Counter(v.key(kc) for v in chi.values).items()))
 
 
 def spectral_signature(rep: Rep, conductor: int | None = None):

@@ -18,9 +18,9 @@ and, for rational coefficients, sum integer image vectors; a matrix is
 built when a caller asks for one, or when irrational coefficients leave
 more than two terms.  That is what makes guard-heavy identities
 affordable.
-A Prod evaluates its factors left to right and short-circuits to zero on
-the first factor that is exactly zero.  An Evaluator keeps no state from
-one call to the next: node values are shared within one evaluation only.
+A Prod short-circuits to zero on the first exactly zero factor that has a
+non-leaf factor after it.  An Evaluator keeps no state from one call to
+the next: node values are shared within one evaluation only.
 """
 
 from __future__ import annotations
@@ -360,7 +360,9 @@ class Evaluator:
     products whose convolution would cost more than the matrices.  An _A
     value is lifted to a matrix when a caller asks for one (`_to_mat`), and
     by its zero test (`_is_zero`) only when irrational coefficients leave
-    more than two terms after folding by the scalar subgroup.
+    more than two terms after folding by the scalar subgroup.  A product
+    zero-tests a factor only when a factor other than a Var or a Const
+    follows it: a test before leaves alone would skip no work.
 
     Node values are shared within one call (its memo), never across calls.
     Reuse across assignments belongs to the caller that knows which values
@@ -616,16 +618,16 @@ class Evaluator:
         return self._element(terms)
 
     def _eval_prod(self, e, assignment, memo):
+        last = len(e.children) - 1 if self.shortcircuit else 0
+        while last > 0 and e.children[last].kind in ("var", "const"):
+            last -= 1
         vals = []
-        zero = False
-        for c in e.children:
+        for i, c in enumerate(e.children):
             val = self._eval(c, assignment, memo)
-            if self._is_zero(val):
-                if self.shortcircuit:
-                    return (_S, Cyc.zero())
-                zero = True
+            if i < last and self._is_zero(val):
+                return (_S, Cyc.zero())
             vals.append(val)
-        return (_S, Cyc.zero()) if zero else self._combine_product(vals)
+        return self._combine_product(vals)
 
     def _combine_product(self, vals):
         scalar = None

@@ -184,6 +184,10 @@ class FiniteGroup:
     def all_subgroups(self, limit: int = 200) -> list[frozenset[int]]:
         if self.order > limit:
             raise GroupError(f"subgroup lattice limited to order <= {limit}")
+        return list(self._subgroup_lattice)
+
+    @cached_property
+    def _subgroup_lattice(self) -> tuple[frozenset[int], ...]:
         # cyclic extension: every subgroup is a cyclic subgroup or the join of
         # a smaller subgroup with a cyclic subgroup it does not contain
         cyclic: dict[frozenset, int] = {}
@@ -203,7 +207,7 @@ class FiniteGroup:
                         gens_of[join] = gens
                         new.append(join)
             found = new
-        return sorted(gens_of, key=lambda s: (len(s), sorted(s)))
+        return tuple(sorted(gens_of, key=lambda s: (len(s), sorted(s))))
 
     def is_normal(self, sub) -> bool:
         s = set(sub)

@@ -394,11 +394,11 @@ def _all_assignments(names: list[str], m: int, budget: int):
 
 
 def _parallel_failures(session: _Session, names: list[str], total: int, jobs: int):
-    """Split the serial enumeration into `jobs` consecutive ranges scanned by
-    worker processes; add the workers' undecided counts to the session and
-    yield the nonvanishing assignment of the failing range with the lowest
-    start (the loop decides it again here): the serial run's witness,
-    whatever order the workers finish in."""
+    """Split the serial enumeration into `jobs` consecutive ranges and scan
+    them all in worker processes that exit on their own (terminating one
+    while it writes its result leaves the result queue locked); add their
+    undecided counts to the session and yield the nonvanishing assignment of
+    the failing range with the lowest start, the serial run's witness."""
     import multiprocessing as mp
 
     step = (total + jobs - 1) // jobs
@@ -406,10 +406,13 @@ def _parallel_failures(session: _Session, names: list[str], total: int, jobs: in
     ctx = mp.get_context("fork")
     with ctx.Pool(jobs, initializer=_worker_init,
                   initargs=(session.doc, session.rep, names, session.seed)) as pool:
-        for verdict in pool.imap(_worker_scan, ranges):
-            session.undecided_count += verdict.detail.get("undecided", 0)
-            if not verdict.holds:
-                yield verdict.counterexample
+        verdicts = pool.map(_worker_scan, ranges)
+        pool.close()
+        pool.join()
+    for verdict in verdicts:
+        session.undecided_count += verdict.detail.get("undecided", 0)
+        if not verdict.holds:
+            yield verdict.counterexample
 
 
 _WORKER_STATE: dict = {}

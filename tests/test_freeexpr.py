@@ -351,3 +351,117 @@ def test_conjugation_average_collapses_to_scalar_on_a5():
         assert tag == _S
         assert value == rep.character.value(x) * 20
         assert ev.evaluate(doc.expr, assignment) == naive_eval(doc.expr, assignment, rep)
+
+
+# -- which product factors are zero-tested -------------------------------------
+
+
+def _zero_factor_cases():
+    """(rep, assignment extras, operator-zero factors) per representation.
+
+    On the reducible Z3 representation diag(w^a, w^2a), which has no
+    trivial constituent, 1 + t + t^2 with t a generator is the full Z3 sum:
+    zero as an operator, yet a group-algebra element with three terms that
+    no Schur scalar collapses."""
+    zero_scalar = sub(var("a"), var("a"))
+    zero_sum = sum_([const(1), var("t"), prod([var("t"), var("t")])])
+    return [
+        (catalog.symmetric(3).rep("std"), {}, [zero_scalar]),
+        (catalog.quaternion().rep("dim2"), {}, [zero_scalar]),
+        (catalog.abelian_rep(3, 1, 2, [[1], [2]]), {"t": 1}, [zero_scalar, zero_sum]),
+    ]
+
+
+def _leaf(rng, names) -> Expr:
+    if rng.random() < 0.7:
+        return var(rng.choice(names))
+    return const(rng.choice([Fraction(rng.randint(1, 3), rng.randint(1, 3)),
+                             cyc_root_of_unity(4, 1)]))
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_zero_factor_before_leaves_matches_naive_oracle(index):
+    """Products with operator-zero factors placed before leaves and before
+    non-leaf factors: evaluate and the zero test agree with the naive oracle,
+    with and without short-circuiting."""
+    rep, extras, zeros = _zero_factor_cases()[index]
+    rng = random.Random(300 + index)
+    names = ["a", "b", "c"]
+    evaluators = [Evaluator(rep), Evaluator(rep, shortcircuit=False)]
+    checked = 0
+    placements = {"before leaves only": 0, "before a non-leaf": 0}
+    for _ in range(60):
+        children = []
+        for _ in range(rng.randint(2, 5)):
+            pick = rng.random()
+            if pick < 0.3:
+                children.append(rng.choice(zeros))
+            elif pick < 0.7:
+                children.append(_leaf(rng, names))
+            else:
+                children.append(_algebra_expr(rng, names, depth=2))
+        e = prod(children)
+        assignment = {n: rng.randrange(rep.group.order) for n in names}
+        assignment.update(extras)
+        try:
+            slow = naive_eval(e, assignment, rep)
+        except ZeroDivisionError:
+            continue
+        for ev in evaluators:
+            assert ev.evaluate(e, assignment) == slow
+            assert ev._is_zero(ev.evaluate_value(e, assignment)) == slow.is_zero()
+        kinds = [c.kind for c in e.children]
+        for i, c in enumerate(e.children):
+            if any(c is z for z in zeros):
+                later = kinds[i + 1:]
+                if any(k not in ("var", "const") for k in later):
+                    placements["before a non-leaf"] += 1
+                elif later:
+                    placements["before leaves only"] += 1
+        checked += 1
+    assert checked >= 40
+    assert all(n >= 5 for n in placements.values()), placements
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_zero_factor_guards_exceptions(index):
+    """A zero product followed by leaves only still raises under inv; a zero
+    factor still spares an inverse of a zero element after it."""
+    from repident.freeexpr import _A
+
+    rep, extras, zeros = _zero_factor_cases()[index]
+    assignment = dict(extras, a=1, b=2)
+    ev = Evaluator(rep)
+    tags = [ev.evaluate_value(zero, assignment)[0] for zero in zeros]
+    assert all(ev._is_zero(ev.evaluate_value(zero, assignment)) for zero in zeros)
+    assert (_A in tags) == (len(zeros) == 2)
+    for zero in zeros:
+        with pytest.raises(NonGroupSubtermError):
+            ev.evaluate(inv(prod([zero, var("b"), const(2)])), assignment)
+        for other in zeros:
+            val = ev.evaluate_value(prod([zero, inv(other)]), assignment)
+            assert ev._is_zero(val)
+            assert ev.evaluate(prod([var("b"), zero, inv(other)]), assignment).is_zero()
+
+
+def test_standard_identity_makes_no_group_algebra_zero_tests(monkeypatch):
+    """s6 is built from products [const(+-1), node(T), var(y_i)]: a zero test
+    of node(T) could skip only a variable, so none is made."""
+    from repident import idfactory
+
+    rep = catalog.gamma_d(7, 9, 2).rep("pi(1,1)")
+    doc = idfactory.standard_identity(6)
+    calls = []
+    original = Evaluator._algebra_is_zero
+
+    def counting(self, terms):
+        calls.append(len(terms))
+        return original(self, terms)
+
+    monkeypatch.setattr(Evaluator, "_algebra_is_zero", counting)
+    ev = Evaluator(rep)
+    rng = random.Random(17)
+    for _ in range(3):
+        assignment = {f"y{i}": rng.randrange(rep.group.order) for i in range(1, 7)}
+        ev.evaluate_value(doc.expr, assignment)
+    assert calls == []

@@ -155,6 +155,19 @@ def test_subgroup_lattice_limit():
     assert len(w3.all_subgroups(limit=81)) == 50
 
 
+def test_subgroup_lattice_is_kept_but_returned_fresh():
+    s4 = catalog.symmetric(4).group
+    subs = s4.all_subgroups()
+    expected = list(subs)
+    subs.pop()
+    subs.append(frozenset({0}))
+    again = s4.all_subgroups()
+    assert again == expected and again is not subs
+    # the kept lattice does not lift the order limit
+    with pytest.raises(GroupError):
+        s4.all_subgroups(limit=23)
+
+
 def test_automorphisms():
     assert len(catalog.cyclic(5).group.automorphisms()) == 4
     z2z2 = from_cayley_table([[i ^ j for j in range(4)] for i in range(4)])

@@ -18,9 +18,9 @@ and, for rational coefficients, sum integer image vectors; a matrix is
 built when a caller asks for one, or when irrational coefficients leave
 more than two terms.  That is what makes guard-heavy identities
 affordable.
-A Prod short-circuits to zero on the first exactly zero factor that has a
-non-leaf factor after it.  An Evaluator keeps no state from one call to
-the next: node values are shared within one evaluation only.
+A Sum adds a linear Prod (leaves around at most one other node) to its
+terms word by word, without building the product; any Prod is zero at a
+zero factor with a non-leaf after it.  Node values live for one evaluation.
 """
 
 from __future__ import annotations
@@ -360,9 +360,9 @@ class Evaluator:
     products whose convolution would cost more than the matrices.  An _A
     value is lifted to a matrix when a caller asks for one (`_to_mat`), and
     by its zero test (`_is_zero`) only when irrational coefficients leave
-    more than two terms after folding by the scalar subgroup.  A product
-    zero-tests a factor only when a factor other than a Var or a Const
-    follows it: a test before leaves alone would skip no work.
+    more than two terms after folding by the scalar subgroup.  A linear
+    product s a T b (T its one non-leaf factor) is added to a sum's terms as
+    s c_g at a g b; a product zero-tests only factors before a non-leaf.
 
     Node values are shared within one call (its memo), never across calls.
     Reuse across assignments belongs to the caller that knows which values
@@ -598,26 +598,74 @@ class Evaluator:
             raise NonGroupSubtermError("inverse of a singular matrix subterm") from exc
 
     def _eval_sum(self, e, assignment, memo):
-        vals = [self._eval(c, assignment, memo) for c in e.children]
-        if any(tag == _M for tag, _ in vals):
-            mat = None
-            for val in vals:
-                m = self._to_mat(val)
-                mat = m if mat is None else mat + m
-            return (_M, mat)
         terms: dict = {}
-        for tag, payload in vals:
-            if tag == _G:
-                terms[payload] = terms[payload] + 1 if payload in terms else 1
-            elif tag == _A:
-                for g, c in payload.items():
-                    terms[g] = _add(terms[g], c) if g in terms else c
-            else:  # a scalar is its multiple of the identity, index 0
-                c = demote(payload)
-                terms[0] = _add(terms[0], c) if 0 in terms else c
-        return self._element(terms)
+        mat = None
+        for c in e.children:
+            lin = self._linear(c, assignment, memo) if c.kind == "prod" else None
+            if lin is None:
+                val = self._eval(c, assignment, memo)
+                if val[0] == _M:
+                    mat = val[1] if mat is None else mat + val[1]
+                    continue
+                lin = (1, 0, val, 0)
+            self._accumulate(terms, *lin)
+        if mat is None:
+            return self._element(terms)
+        return (_M, mat + self._to_mat(self._element(terms)) if terms else mat)
+
+    def _linear(self, e, assignment, memo):
+        """(s, a, T, b) when the product e is linear, leaves around at most
+        one other node (the core): its value is s a T b, with s the product
+        of its constants, a and b the words of the variables before and after
+        the core, T the core's tagged value or None.  With shortcircuit a zero
+        constant gives s = 0 at once.  None for two non-leaf children, a
+        matrix, or no rep."""
+        cores = [c for c in e.children if c.kind != "var" and c.kind != "const"]
+        if len(cores) > 1 or self.rep is None:
+            return None
+        core = cores[0] if cores else None
+        table = self.rep.group.table
+        s, a, b, val = 1, 0, 0, None
+        for c in e.children:
+            if c is core:
+                val = self._eval(c, assignment, memo)
+                if val[0] == _M:
+                    return None
+            elif c.kind == "const":
+                s = _mul(s, demote(c.value))
+                if not s and self.shortcircuit:
+                    return (0, 0, None, 0)
+            else:
+                v = assignment[c.value]
+                if not isinstance(v, int):
+                    return None
+                if val is None:
+                    a = table[a][v]
+                else:
+                    b = table[b][v]
+        return (s, a, val, b)
+
+    def _accumulate(self, terms: dict, s, a, core, b) -> dict:
+        """terms += s a T b, coefficient by coefficient, for the tagged value
+        T of a linear product's core (1 when core is None); returns terms."""
+        tag, payload = core or (_G, 0)
+        if not s:
+            return terms
+        if tag != _A:
+            payload = {payload: 1} if tag == _G else {0: demote(payload)}
+        sign = s if not isinstance(s, Cyc) and s in (1, -1) else None
+        table = self.rep.group.table if a or b else None
+        for g, c in payload.items():
+            if table:
+                g = table[table[a][g]][b]
+            c = c if sign == 1 else -c if sign == -1 else _mul(c, s)
+            terms[g] = _add(terms[g], c) if g in terms else c
+        return terms
 
     def _eval_prod(self, e, assignment, memo):
+        lin = self._linear(e, assignment, memo)
+        if lin is not None:
+            return self._element(self._accumulate({}, *lin))
         last = len(e.children) - 1 if self.shortcircuit else 0
         while last > 0 and e.children[last].kind in ("var", "const"):
             last -= 1
@@ -641,8 +689,6 @@ class Evaluator:
                 cores.append((tag, payload))
         if not cores:
             return (_S, Cyc.one() if scalar is None else scalar)
-        if len(cores) == 1 and scalar is None:
-            return cores[0]
         if all(tag != _M for tag, _ in cores):
             out = self._algebra_product(cores, scalar)
             if out is not None:

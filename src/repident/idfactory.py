@@ -529,12 +529,6 @@ def su_membership_identity(m: int, n: int) -> IdentityDoc:
 # -- Adams / spectral families ----------------------------------------------------
 
 
-def adams_block(rep: Rep, i: int) -> Expr:
-    """The i-th spectral-block expression in the default variables x, y1..ym."""
-    yvars = [var(f"y{j}") for j in range(1, rep.group.order + 1)]
-    return adams_block_expr(rep, i, var("x"), yvars)
-
-
 def adams_block_expr(rep: Rep, i: int, x: Expr, yvars: list[Expr]) -> Expr:
     rows = rep.adams_rows()
     if not 1 <= i <= len(rows):

@@ -41,13 +41,6 @@ class Mat:
         zero = Cyc.zero(value.conductor)
         return Mat(tuple(tuple(value if i == j else zero for j in range(n)) for i in range(n)))
 
-    @staticmethod
-    def from_permutation(perm: list[int], conductor: int = 1) -> "Mat":
-        n = len(perm)
-        one = Cyc.one(conductor)
-        zero = Cyc.zero(conductor)
-        return Mat(tuple(tuple(one if perm[i] == j else zero for j in range(n)) for i in range(n)))
-
     # -- structure ------------------------------------------------------
 
     def monomial_form(self):

@@ -130,21 +130,22 @@ class _Session:
         # ints are not tracked by the garbage collector.
         self.vanishing: dict = {}
 
-    def scan_factors(self, assignment: dict, factors) -> tuple[bool, bool]:
+    def scan_factors(self, assignment: dict, factors, keys=None) -> tuple[bool, bool]:
         """(found_zero, stream_blocked) over the given factor subset.
 
         stream_blocked means a streamed factor certified nonvanishing, so no
         explicit witness value can be materialized. Sets the per-call
         undecided flag when a streamed factor could neither vanish nor
         certify nonvanishing.  Zero tests are looked up in, and recorded in,
-        the session's vanishing table.
+        the session's vanishing table keyed by all of a factor's variables,
+        or as keys gives: one (variables, table) per factor.
         """
         memo: dict = {}
         blocked = False
         self.last_undecided = False
-        table = self.vanishing
-        for f in factors:
-            key = (id(f), tuple(assignment[v] for v in f.sorted_vars()))
+        for i, f in enumerate(factors):
+            names, table = keys[i] if keys else (f.sorted_vars(), self.vanishing)
+            key = (id(f), tuple(assignment[v] for v in names))
             vanishes = table.get(key)
             if vanishes is None:
                 try:
@@ -465,14 +466,20 @@ def _guarded_assignments(session: _Session, groups: dict, args: list[str], order
 
     Per ordering, the factors free of arguments are scanned once and a zero
     among them settles every argument value; otherwise an assignment is
-    yielded only when no argument-dependent factor vanishes.
+    yielded only when no argument-dependent factor vanishes, keyed by its
+    argument values in a table of the ordering (in the session's table,
+    across orderings, when all its variables are arguments).
     """
     m = session.rep.group.order
     rng = session.rng
     arg_set = set(args)
     static = [f for f in session.value_factors if not f.free_vars() & arg_set]
     dynamic = [f for f in session.value_factors if f.free_vars() & arg_set]
+    arg_names = [tuple(v for v in f.sorted_vars() if v in arg_set) for f in dynamic]
     for rnd in range(orderings + 1):
+        local: dict = {}
+        keys = [(names, session.vanishing if len(names) == len(f.sorted_vars()) else local)
+                for f, names in zip(dynamic, arg_names)]
         assignment: dict = {s: 0 for s in session.sep_list}
         for vars_ in groups.values():
             order = list(range(m))
@@ -491,7 +498,7 @@ def _guarded_assignments(session: _Session, groups: dict, args: list[str], order
         for combo in arg_iter:
             assignment.update(zip(args, combo))
             detail["checked"] += 1
-            if not session.scan_factors(assignment, dynamic)[0]:
+            if not session.scan_factors(assignment, dynamic, keys)[0]:
                 yield dict(assignment)
 
 

@@ -31,7 +31,8 @@ def naive_eval(e: Expr, assignment: dict, rep) -> Mat:
     if e.kind == "const":
         return Mat.scalar(n, e.value)
     if e.kind == "var":
-        return rep.images[assignment[e.value]]
+        v = assignment[e.value]
+        return v if isinstance(v, Mat) else rep.images[v]
     if e.kind == "inv":
         return naive_eval(e.children[0], assignment, rep).inverse()
     if e.kind == "star":
@@ -461,6 +462,125 @@ def test_standard_identity_makes_no_group_algebra_zero_tests(monkeypatch):
     monkeypatch.setattr(Evaluator, "_algebra_is_zero", counting)
     ev = Evaluator(rep)
     rng = random.Random(17)
+    for _ in range(3):
+        assignment = {f"y{i}": rng.randrange(rep.group.order) for i in range(1, 7)}
+        ev.evaluate_value(doc.expr, assignment)
+    assert calls == []
+
+
+# -- linear products: leaves around at most one other node ---------------------
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_linear_products_match_naive_oracle(index):
+    """Sums of linear products (leaves around at most one core) and of
+    products with two non-leaf factors, with rational and irrational
+    constants and zero constants before and after the core.  One product
+    node is shared by two sums and is also a root factor, all three
+    evaluated under one memo.  Values and zero tests agree with the naive
+    oracle, with and without short-circuiting and with a matrix-valued
+    variable."""
+    rep, extras, zeros = _zero_factor_cases()[index]
+    rng = random.Random(500 + index)
+    names = ["a", "b", "c"]
+    seen = dict.fromkeys(["zero before core", "zero after core", "irrational",
+                          "two non-leaves", "matrix"], 0)
+
+    def leaf():
+        pick = rng.random()
+        if pick < 0.15:
+            return const(0)
+        if pick < 0.35:
+            return const(cyc_root_of_unity(rng.choice([3, 4]), 1))
+        if pick < 0.45:
+            return const(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
+        return var(rng.choice(names))
+
+    def product(cores):
+        children = [leaf() for _ in range(rng.randint(1, 3))]
+        pick = rng.random()
+        for _ in range(2 if pick < 0.2 else 1 if pick < 0.85 else 0):
+            children.insert(rng.randrange(len(children) + 1), rng.choice(cores))
+        return prod(children)
+
+    checked = 0
+    for _ in range(60):
+        cores = [_algebra_expr(rng, names, depth=2) for _ in range(2)] + zeros
+        shared = product(cores)
+        factors = [sum_([shared] + [product(cores) for _ in range(rng.randint(1, 3))]),
+                   shared,
+                   sum_([product(cores), leaf(), shared])]
+        assignment = {n: rng.randrange(rep.group.order) for n in names}
+        assignment.update(extras)
+        if rng.random() < 0.25:
+            g, h = rng.sample(range(rep.group.order), 2)
+            assignment["c"] = rep.images[g] + rep.images[h]
+        try:
+            slow = [naive_eval(f, assignment, rep) for f in factors]
+        except ZeroDivisionError:
+            continue
+        for ev in (Evaluator(rep), Evaluator(rep, shortcircuit=False)):
+            memo: dict = {}
+            for f, expected in zip(factors, slow):
+                val = ev._eval(f, assignment, memo)
+                assert ev._to_mat(val) == expected
+                assert ev._is_zero(val) == expected.is_zero()
+                assert ev.evaluate(f, assignment) == expected
+        products = [f for s in factors if s.kind == "sum" for f in s.children
+                    if f.kind == "prod"]
+        for p in products:
+            kinds = [c.kind not in ("var", "const") for c in p.children]
+            if sum(kinds) > 1:
+                seen["two non-leaves"] += 1
+            elif any(kinds):
+                core = kinds.index(True)
+                for i, c in enumerate(p.children):
+                    if c.kind == "const" and c.value.is_zero():
+                        seen["zero before core" if i < core else "zero after core"] += 1
+            seen["irrational"] += any(c.kind == "const" and not c.value.is_rational()
+                                      for c in p.children)
+        seen["matrix"] += not isinstance(assignment["c"], int)
+        checked += 1
+    assert checked >= 40
+    assert all(n >= 5 for n in seen.values()), seen
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_zero_constant_spares_the_core(index):
+    """A zero constant before the core makes a linear product zero without
+    evaluating the core, in a sum and on its own; without short-circuiting
+    the inverse of a zero element is evaluated and raises."""
+    rep, extras, zeros = _zero_factor_cases()[index]
+    assignment = dict(extras, a=1, b=2)
+    for zero in zeros:
+        spared = prod([var("a"), const(0), inv(zero), var("b")])
+        e = sum_([var("b"), spared, prod([const(2), var("a")])])
+        expected = naive_eval(sum_([var("b"), prod([const(2), var("a")])]), assignment, rep)
+        ev = Evaluator(rep)
+        assert ev.evaluate(e, assignment) == expected
+        assert ev._is_zero(ev.evaluate_value(spared, assignment))
+        with pytest.raises(NonGroupSubtermError):
+            Evaluator(rep, shortcircuit=False).evaluate(e, assignment)
+
+
+def test_standard_identity_makes_no_combined_products(monkeypatch):
+    """Every product of s6 is linear ([const(+-1), node(T), var(y_i)] or a
+    product of leaves), so its sums add the products' terms directly and no
+    product goes through _combine_product."""
+    from repident import idfactory
+
+    rep = catalog.gamma_d(7, 9, 2).rep("pi(1,1)")
+    doc = idfactory.standard_identity(6)
+    calls = []
+    original = Evaluator._combine_product
+
+    def counting(self, vals):
+        calls.append(len(vals))
+        return original(self, vals)
+
+    monkeypatch.setattr(Evaluator, "_combine_product", counting)
+    ev = Evaluator(rep)
+    rng = random.Random(23)
     for _ in range(3):
         assignment = {f"y{i}": rng.randrange(rep.group.order) for i in range(1, 7)}
         ev.evaluate_value(doc.expr, assignment)

@@ -460,3 +460,39 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
     assert {found for (found, _), _ in seen} == {True, False}
     assert {blocked for (_, blocked), _ in seen} == {True, False}
     assert {undecided for _, undecided in seen} == {True, False}
+
+
+def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
+    """(y1 x - 1) vanishes at x = y1^-1, which moves with the guard
+    ordering: in every ordering the guarded source yields exactly the x a
+    fresh evaluation finds nonvanishing.  The all-argument factor (x x - 1)
+    is decided once per x across orderings, in the session's table."""
+    m = s3_std.group.order
+    moving = sub(prod([var("y1"), var("x")]), const(1))
+    fixed = sub(prod([var("x"), var("x")]), const(1))
+    roles = {f"y{i}": {"role": "guard", "group": "g"} for i in range(1, m + 1)}
+    roles.update(x={"role": "psi-argument"}, u={"role": "separator"})
+    guards = prod([var(f"y{i}") for i in range(2, m + 1)])
+    doc = idf.IdentityDoc("test", prod([moving, var("u"), fixed, var("u"), guards]),
+                          roles, {}, "a zero set that moves with the ordering")
+    session = vf._Session(doc, s3_std, seed=4)
+    orderings = []
+    scan = session.scan_factors
+
+    def recording(assignment, factors, *keys):
+        if not any(f is moving for f in factors):  # the static scan of an ordering
+            orderings.append(dict(assignment))
+        return scan(assignment, factors, *keys)
+
+    session.scan_factors = recording
+    yielded = list(vf._guarded_assignments(session, doc.guard_groups(), ["x"], 5, True,
+                                           500, {"checked": 0}))
+    ev = Evaluator(s3_std)
+    expected = [(guard["y1"], x) for guard in orderings for x in range(m)
+                if not any(ev._is_zero(ev.evaluate_value(f, dict(guard, x=x)))
+                           for f in (moving, fixed))]
+    assert len(orderings) == 6 and len({guard["y1"] for guard in orderings}) > 2
+    assert [(a["y1"], a["x"]) for a in yielded] == expected
+    assert not any(node == id(moving) for node, _ in session.vanishing)
+    assert sorted(key for node, key in session.vanishing if node == id(fixed)) == [
+        (x,) for x in range(m)]

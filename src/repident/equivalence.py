@@ -18,20 +18,17 @@ from .grouplab import FiniteGroup
 from .replab import Character, Rep, spectrum_key
 
 
-def _common_conductor(*reps_or_chis) -> int:
-    c = 1
-    for obj in reps_or_chis:
-        if isinstance(obj, Rep):
-            c = lcm(c, obj.key_conductor)
-        else:
-            c = lcm(c, obj.key_conductor())
-    return c
+def _common_conductor(rep1: Rep, rep2: Rep) -> int:
+    return lcm(rep1.key_conductor, rep2.key_conductor)
 
 
 def range_signature(chi: Character, conductor: int | None = None):
     """Sorted tuple of (value key, level-set size); sizes sum to |G|."""
     kc = conductor or chi.key_conductor()
-    return tuple(sorted(Counter(v.key(kc) for v in chi.values).items()))
+    counts: Counter = Counter()
+    for v, size in zip(chi.class_values(), chi.group.conjugacy_classes.sizes):
+        counts[v.key(kc)] += size
+    return tuple(sorted(counts.items()))
 
 
 def spectral_signature(rep: Rep, conductor: int | None = None):
@@ -46,9 +43,8 @@ def spectral_signature(rep: Rep, conductor: int | None = None):
 
 def ranges_equal(chi1: Character, chi2: Character) -> bool:
     kc = lcm(chi1.key_conductor(), chi2.key_conductor())
-    r1 = {v.key(kc) for v in chi1.values}
-    r2 = {v.key(kc) for v in chi2.values}
-    return r1 == r2
+    return ({v.key(kc) for v in chi1.class_values()}
+            == {v.key(kc) for v in chi2.class_values()})
 
 
 def range_signatures_equal(chi1: Character, chi2: Character) -> bool:

@@ -18,10 +18,6 @@ import cmath
 from fractions import Fraction
 from math import gcd, lcm
 
-# Rational scalars are plain stdlib fractions; they already carry the
-# canonical-form invariants (reduced, positive denominator).
-Rational = Fraction
-
 
 def euler_phi(n: int) -> int:
     result = n
@@ -356,7 +352,7 @@ class Cyc:
         return self.lift(m), other.lift(m)
 
     def __add__(self, other):
-        other = _coerce(other, self.conductor)
+        other = _coerce(other)
         a, b = self._common(other)
         da, db = a.den, b.den
         if da == db:
@@ -369,7 +365,7 @@ class Cyc:
         return self.__add__(other)
 
     def __sub__(self, other):
-        other = _coerce(other, self.conductor)
+        other = _coerce(other)
         a, b = self._common(other)
         da, db = a.den, b.den
         if da == db:
@@ -379,13 +375,13 @@ class Cyc:
         return Cyc(a.conductor, vec, da * db)
 
     def __rsub__(self, other):
-        return _coerce(other, self.conductor).__sub__(self)
+        return _coerce(other).__sub__(self)
 
     def __neg__(self):
         return Cyc(self.conductor, tuple(-c for c in self.num), self.den, _raw=True)
 
     def __mul__(self, other):
-        other = _coerce(other, self.conductor)
+        other = _coerce(other)
         a, b = self._common(other)
         f = _field(a.conductor)
         deg = f.phi
@@ -452,7 +448,7 @@ class Cyc:
         return out
 
     def __truediv__(self, other):
-        other = _coerce(other, self.conductor)
+        other = _coerce(other)
         return self * other.inverse()
 
     def galois(self, t: int) -> "Cyc":
@@ -528,7 +524,7 @@ class Cyc:
         return Cyc(n, vec, den)
 
 
-def _coerce(x, conductor_hint: int = 1) -> Cyc:
+def _coerce(x) -> Cyc:
     if isinstance(x, Cyc):
         return x
     if isinstance(x, (int, Fraction)):

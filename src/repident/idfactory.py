@@ -2,6 +2,9 @@
 IdentityDoc: an evaluable expression plus variable-role metadata and a
 short description of the family.
 
+Every family is assembled from the same pieces: guard products, conjugation
+averages psi, separator variables and power-trace distance sums.
+
 Naming conventions are fixed so rebuilding with equal parameters yields a
 byte-identical serialization: guard variables y1..ym / x1..xm, guard
 separators u0, u{i}_{j} (s0, s{i}_{j} for a second guard), factor
@@ -36,7 +39,7 @@ from .freeexpr import (
     sum_,
     var,
 )
-from .replab import Rep, RepError, sigma_value, spectrum_key
+from .replab import Rep, eig_maximal, eig_union, fixed_point_dimension, sigma_value
 
 
 class BuildError(ValueError):
@@ -113,23 +116,37 @@ def _role(role: str, group: str | None = None) -> dict:
     return out
 
 
+def _separate(factors: list, roles: dict, name: str) -> None:
+    """Append the separator variable `name` to a factor list."""
+    factors.append(var(name))
+    roles[name] = _role("separator")
+
+
 # -- guard term ---------------------------------------------------------------
 
 
 def guard_factors(m: int, var_prefix: str = "y", sep_prefix: str = "u"):
     """Flattened factor list u0 (y_i - y_j) u{i}_{j} ... plus the role map."""
-    factors = [var(f"{sep_prefix}0")]
-    roles = {f"{sep_prefix}0": _role("separator")}
+    factors: list[Expr] = []
+    roles: dict = {}
+    _separate(factors, roles, f"{sep_prefix}0")
     yvars = [var(f"{var_prefix}{i}") for i in range(1, m + 1)]
     for name in (f"{var_prefix}{i}" for i in range(1, m + 1)):
         roles[name] = _role("guard", var_prefix.upper())
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            sep = f"{sep_prefix}{i}_{j}"
             factors.append(sub(yvars[i - 1], yvars[j - 1]))
-            factors.append(var(sep))
-            roles[sep] = _role("separator")
+            _separate(factors, roles, f"{sep_prefix}{i}_{j}")
     return factors, roles, yvars
+
+
+def _double_guard(mx: int, my: int):
+    """The x/s guard on mx variables followed by the y/u guard on my:
+    (factors, roles, xvars, yvars)."""
+    gx, roles, xvars = guard_factors(mx, "x", "s")
+    gy, roles_y, yvars = guard_factors(my, "y", "u")
+    roles.update(roles_y)
+    return gx + gy, roles, xvars, yvars
 
 
 def guard_C(m: int, var_prefix: str = "y", sep_prefix: str = "u") -> IdentityDoc:
@@ -151,6 +168,18 @@ def guard_C(m: int, var_prefix: str = "y", sep_prefix: str = "u") -> IdentityDoc
 
 def psi_expr(x_expr: Expr, yvars: list[Expr]) -> Expr:
     return sum_([prod([y, x_expr, inv(y)]) for y in yvars])
+
+
+def _distance_sum(row, ratio: Cyc, x: Expr, yvars: list[Expr]) -> Expr:
+    """sum_k (psi(x^k) - a_k)(psi(x^-k) - conj(a_k)) with a_k = row[k-1] * ratio:
+    zero exactly when the scaled power traces of x match the row."""
+    terms = []
+    for k, value in enumerate(row, start=1):
+        a = value * ratio
+        left = sum_([psi_expr(power(x, k), yvars), const(-a)])
+        right = sum_([psi_expr(power(inv(x), k), yvars), const(-a.conjugate())])
+        terms.append(prod([left, right]))
+    return sum_(terms)
 
 
 def psi(m: int, x_name: str = "x", var_prefix: str = "y") -> IdentityDoc:
@@ -195,19 +224,17 @@ def character_identity(rep: Rep, separated: bool = True) -> IdentityDoc:
     psi_node = psi_expr(var("x"), yvars)
     roles["x"] = _role("psi-argument")
     ratio = Fraction(m, n)
-    factors = []
+    factors = gf
     constants = []
     for i, chi in enumerate(values, start=1):
         c = chi * Cyc.from_rational(ratio)
         constants.append(c)
         factors.append(sum_([psi_node, const(-c)]))
         if separated and i < len(values):
-            sep = f"v{i}"
-            factors.append(var(sep))
-            roles[sep] = _role("separator")
+            _separate(factors, roles, f"v{i}")
     return IdentityDoc(
         "character" if separated else "character-unseparated",
-        prod(gf + factors),
+        prod(factors),
         roles,
         {
             "m": m,
@@ -219,14 +246,12 @@ def character_identity(rep: Rep, separated: bool = True) -> IdentityDoc:
 
 
 def dimension_identity(m: int, n: int) -> IdentityDoc:
-    gx, roles_x, xvars = guard_factors(m, "x", "s")
-    gy, roles_y, yvars = guard_factors(m, "y", "u")
-    roles = {**roles_x, **roles_y}
+    guards, roles, xvars, yvars = _double_guard(m, m)
     terms = [prod([psi_expr(x, yvars), inv(x)]) for x in xvars]
     body = sum_(terms + [const(-Cyc.from_rational(Fraction(m, n) ** 2))])
     return IdentityDoc(
         "dimension",
-        prod(gx + gy + [body]),
+        prod(guards + [body]),
         roles,
         {"m": m, "n": n},
         "doubly guarded sum of averaged commutators minus the squared ratio "
@@ -235,14 +260,12 @@ def dimension_identity(m: int, n: int) -> IdentityDoc:
 
 
 def dimension_identity_alt(m: int, n: int) -> IdentityDoc:
-    gx, roles_x, xvars = guard_factors(m, "x", "s")
-    gy, roles_y, yvars = guard_factors(m, "y", "u")
-    roles = {**roles_x, **roles_y}
+    guards, roles, xvars, yvars = _double_guard(m, m)
     terms = [prod([psi_expr(x, yvars), psi_expr(inv(x), yvars)]) for x in xvars]
     body = sum_(terms + [const(-Cyc.from_rational(Fraction(m**3, n**2)))])
     return IdentityDoc(
         "dimension-alt",
-        prod(gx + gy + [body]),
+        prod(guards + [body]),
         roles,
         {"m": m, "n": n},
         "doubly guarded sum of conjugation averages paired with their "
@@ -257,19 +280,14 @@ def range_identity(rep: Rep, xi: Cyc) -> IdentityDoc:
     if not in_range:
         raise BuildError("value outside the character range would make the "
                          "identity vacuous by construction")
-    gx, roles_x, xvars = guard_factors(m, "x", "s")
-    gy, roles_y, yvars = guard_factors(m, "y", "u")
-    roles = {**roles_x, **roles_y}
+    factors, roles, xvars, yvars = _double_guard(m, m)
     c = xi * Cyc.from_rational(Fraction(m, n))
-    factors = []
     for i, x in enumerate(xvars, start=1):
         factors.append(sum_([psi_expr(x, yvars), const(-c)]))
-        sep = f"v{i}"
-        factors.append(var(sep))
-        roles[sep] = _role("separator")
+        _separate(factors, roles, f"v{i}")
     return IdentityDoc(
         "range",
-        prod(gx + gy + factors),
+        prod(factors),
         roles,
         {"m": m, "n": n, "xi": xi.to_json()},
         "guarded product asserting one prescribed character value is attained",
@@ -284,20 +302,13 @@ def level_set_identity(rep: Rep, i: int) -> IdentityDoc:
         raise BuildError(f"level index {i} out of range 1..{len(values)}")
     chi_i = values[i - 1]
     t_i = len(rep.character.level_set(chi_i))
-    gx, roles_x, xvars = guard_factors(m, "x", "s")
-    gy, roles_y, yvars = guard_factors(m, "y", "u")
-    roles = {**roles_x, **roles_y}
-    c = chi_i * Cyc.from_rational(Fraction(m, n))
-    cbar = c.conjugate()
-    bases = []
-    for x in xvars:
-        left = sum_([psi_expr(x, yvars), const(-c)])
-        right = sum_([psi_expr(inv(x), yvars), const(-cbar)])
-        bases.append(prod([left, right]))
+    guards, roles, xvars, yvars = _double_guard(m, m)
+    ratio = Cyc.from_rational(Fraction(m, n))
+    bases = [_distance_sum([chi_i], ratio, x, yvars) for x in xvars]
     node = stream_subsets(bases, t_i, "v_S")
     return IdentityDoc(
         "level-set",
-        prod(gx + gy + [node]),
+        prod(guards + [node]),
         roles,
         {
             "m": m,
@@ -326,8 +337,7 @@ def class_identity(rep: Rep, variant: str = "character") -> IdentityDoc:
     cc = group.conjugacy_classes
     s = len(cc)
     sizes = cc.sizes
-    chi = rep.character
-    class_vals = [chi.value(r) for r in cc.representatives]
+    class_vals = rep.character.class_values()
     if group.order == 1:
         return IdentityDoc("class", const(0), {}, {"s": 0, "variant": variant},
                            "empty-class degenerate form", vacuous=True)
@@ -357,36 +367,24 @@ def class_identity(rep: Rep, variant: str = "character") -> IdentityDoc:
                 word = prod([inv(ys[a]), ys[b]])
                 comm = prod([inv(xr), inv(word), xr, word])
                 factors.append(sub(const(1), comm))
-                sep = f"u{r}_{a + 1}_{b + 1}"
-                roles[sep] = _role("separator")
-                factors.append(var(sep))
+                _separate(factors, roles, f"u{r}_{a + 1}_{b + 1}")
     # cross-class separation: x_q avoids every conjugate of x_p over Y_p;
     # conjugation is y x y^-1 so left-coset-distinct Y_p covers the class
     for p in range(1, s + 1):
         for q in range(p + 1, s + 1):
             for idx, y in enumerate(yvar_sets[p - 1], start=1):
                 factors.append(sub(xvars[q - 1], prod([y, xvars[p - 1], inv(y)])))
-                sep = f"v{p}_{q}_{idx}"
-                roles[sep] = _role("separator")
-                factors.append(var(sep))
+                _separate(factors, roles, f"v{p}_{q}_{idx}")
 
     def e_term(a: int, b: int) -> Expr:
         # conjugation average of x_a over Y_a against class-b data
-        ta, tb = sizes[a - 1], sizes[b - 1]
+        x, ys = xvars[a - 1], yvar_sets[a - 1]
         if variant == "character":
-            c = class_vals[b - 1] * Cyc.from_rational(Fraction(tb, n))
-            base = sum_([psi_expr(xvars[a - 1], yvar_sets[a - 1]), const(-c)])
+            c = class_vals[b - 1] * Cyc.from_rational(Fraction(sizes[b - 1], n))
+            base = sum_([psi_expr(x, ys), const(-c)])
             return prod([base, star(base)])
-        terms = []
-        rb = cc.representatives[b - 1]
-        for k in range(1, n + 1):
-            ak = chi.value(group.power(rb, k))
-            c = ak * Cyc.from_rational(Fraction(ta, n))
-            left = sum_([psi_expr(power(xvars[a - 1], k), yvar_sets[a - 1]), const(-c)])
-            right = sum_([psi_expr(power(inv(xvars[a - 1]), k), yvar_sets[a - 1]),
-                          const(-c.conjugate())])
-            terms.append(prod([left, right]))
-        return sum_(terms)
+        row = rep.adams_vector(cc.representatives[b - 1])
+        return _distance_sum(row, Cyc.from_rational(Fraction(sizes[a - 1], n)), x, ys)
 
     # same-size class groups; the permutation products over each group are
     # streamed (their size is factorial in the number of equal-size classes)
@@ -439,12 +437,8 @@ def sigma_monomials(i: int) -> list[tuple[Fraction, tuple[int, ...]]]:
     return [(coef, mono) for mono, coef in sorted(e[i].items(), key=lambda kv: kv[0])]
 
 
-def _psi_power_nodes(x: Expr, yvars: list[Expr], ks: set[int]) -> dict[int, Expr]:
-    nodes = {}
-    for k in sorted(ks):
-        arg = power(x, k) if k >= 0 else power(inv(x), -k)
-        nodes[k] = psi_expr(arg, yvars)
-    return nodes
+def _psi_power_nodes(x: Expr, yvars: list[Expr], ks) -> dict[int, Expr]:
+    return {k: psi_expr(power(x, k), yvars) for k in sorted(ks)}
 
 
 def sigma_hat_expr(i: int, x: Expr, yvars: list[Expr], m: int, n: int,
@@ -468,8 +462,7 @@ def cayley_hamilton_identity(m: int, n: int) -> IdentityDoc:
     gf, roles, yvars = guard_factors(m)
     roles["x"] = _role("psi-argument")
     x = var("x")
-    ks = set(range(1, n + 1))
-    psi_nodes = _psi_power_nodes(x, yvars, ks)
+    psi_nodes = _psi_power_nodes(x, yvars, range(1, n + 1))
     terms = [power(x, n)]
     for i in range(1, n + 1):
         sig = sigma_hat_expr(i, x, yvars, m, n, psi_nodes)
@@ -498,15 +491,13 @@ def sigma_identity(rep: Rep, i: int) -> IdentityDoc:
     gf, roles, yvars = guard_factors(m)
     roles["x"] = _role("psi-argument")
     sig = sigma_hat_expr(i, var("x"), yvars, m, n)
-    factors = []
+    factors = gf
     for idx, d in enumerate(deltas, start=1):
         factors.append(sum_([sig, const(-d)]))
-        sep = f"vd{idx}"
-        factors.append(var(sep))
-        roles[sep] = _role("separator")
+        _separate(factors, roles, f"vd{idx}")
     return IdentityDoc(
         "sigma",
-        prod(gf + factors),
+        prod(factors),
         roles,
         {"m": m, "n": n, "index": i, "values": [d.to_json() for d in deltas]},
         "guarded product over all attained values of one symmetric invariant",
@@ -533,16 +524,8 @@ def adams_block_expr(rep: Rep, i: int, x: Expr, yvars: list[Expr]) -> Expr:
     rows = rep.adams_rows()
     if not 1 <= i <= len(rows):
         raise BuildError(f"block index {i} out of range 1..{len(rows)}")
-    row = rows[i - 1]
-    m, n = rep.group.order, rep.dim
-    ratio = Cyc.from_rational(Fraction(m, n))
-    terms = []
-    for k in range(1, n + 1):
-        a = row[k - 1] * ratio
-        left = sum_([psi_expr(power(x, k), yvars), const(-a)])
-        right = sum_([psi_expr(power(inv(x), k), yvars), const(-a.conjugate())])
-        terms.append(prod([left, right]))
-    return sum_(terms)
+    return _distance_sum(rows[i - 1], Cyc.from_rational(Fraction(rep.group.order, rep.dim)),
+                         x, yvars)
 
 
 def spectrum_identity(rep: Rep) -> IdentityDoc:
@@ -550,16 +533,14 @@ def spectrum_identity(rep: Rep) -> IdentityDoc:
     blocks = rep.adams_partition
     gf, roles, yvars = guard_factors(m)
     roles["x"] = _role("psi-argument")
-    factors = []
+    factors = gf
     for i in range(1, len(blocks) + 1):
         factors.append(adams_block_expr(rep, i, var("x"), yvars))
         if i < len(blocks):
-            sep = f"v{i}"
-            factors.append(var(sep))
-            roles[sep] = _role("separator")
+            _separate(factors, roles, f"v{i}")
     return IdentityDoc(
         "spectrum",
-        prod(gf + factors),
+        prod(factors),
         roles,
         {"m": m, "n": rep.dim, "blocks": [len(b) for b in blocks]},
         "guarded product of spectral-block factors, one per distinct "
@@ -569,18 +550,13 @@ def spectrum_identity(rep: Rep) -> IdentityDoc:
 
 def spectrum_level_identity(rep: Rep, i: int) -> IdentityDoc:
     m = rep.group.order
-    gx, roles_x, xvars = guard_factors(m, "x", "s")
-    gy, roles_y, yvars = guard_factors(m, "y", "u")
-    roles = {**roles_x, **roles_y}
-    factors = []
+    factors, roles, xvars, yvars = _double_guard(m, m)
     for j, x in enumerate(xvars, start=1):
         factors.append(adams_block_expr(rep, i, x, yvars))
-        sep = f"w{j}"
-        factors.append(var(sep))
-        roles[sep] = _role("separator")
+        _separate(factors, roles, f"w{j}")
     return IdentityDoc(
         "spectrum-level",
-        prod(gx + gy + factors),
+        prod(factors),
         roles,
         {"m": m, "n": rep.dim, "index": i},
         "guarded product asserting one spectral block is attained by every "
@@ -594,14 +570,12 @@ def gassmann_identity(rep: Rep, i: int) -> IdentityDoc:
     if not 1 <= i <= len(blocks):
         raise BuildError(f"block index {i} out of range 1..{len(blocks)}")
     t = len(blocks[i - 1])
-    gx, roles_x, xvars = guard_factors(m, "x", "s")
-    gy, roles_y, yvars = guard_factors(m, "y", "u")
-    roles = {**roles_x, **roles_y}
+    guards, roles, xvars, yvars = _double_guard(m, m)
     bases = [adams_block_expr(rep, i, x, yvars) for x in xvars]
     node = stream_subsets(bases, t, "v_S")
     return IdentityDoc(
         "gassmann",
-        prod(gx + gy + [node]),
+        prod(guards + [node]),
         roles,
         {
             "m": m,
@@ -621,8 +595,8 @@ def central_series_gassmann_identity(rep: Rep, t: int, i: int) -> IdentityDoc:
     group = rep.group
     series = group.upper_central_series()
     zt = series[t] if t < len(series) else series[-1]
-    outside = sorted(set(range(group.order)) - set(zt))
-    s = len(outside)
+    inside = set(zt)
+    s = group.order - len(inside)
     if s == 0:
         return IdentityDoc(
             "central-series-gassmann", const(0), {},
@@ -630,35 +604,19 @@ def central_series_gassmann_identity(rep: Rep, t: int, i: int) -> IdentityDoc:
             "degenerate form: the series step swallows the whole group",
             vacuous=True,
         )
-    kc = rep.key_conductor
-    blocks: dict[tuple, list[int]] = {}
-    for g in outside:
-        key = tuple(v.key(kc) for v in rep.adams_vector(g))
-        blocks.setdefault(key, []).append(g)
-    block_list = sorted(blocks.values(), key=lambda b: min(b))
-    if not 1 <= i <= len(block_list):
-        raise BuildError(f"block index {i} out of range 1..{len(block_list)}")
-    size = len(block_list[i - 1])
-    gx, roles_x, xvars = guard_factors(s, "x", "s")
-    gy, roles_y, yvars = guard_factors(group.order, "y", "u")
-    roles = {**roles_x, **roles_y}
     # spectral-block sums restricted to the complement of the series term
-    rows = [rep.adams_vector(min(b)) for b in block_list]
-    row = rows[i - 1]
+    blocks = [[g for g in b if g not in inside] for b in rep.adams_partition]
+    blocks = sorted((b for b in blocks if b), key=min)
+    if not 1 <= i <= len(blocks):
+        raise BuildError(f"block index {i} out of range 1..{len(blocks)}")
+    block = blocks[i - 1]
     m, n = group.order, rep.dim
+    factors, roles, xvars, yvars = _double_guard(s, m)
     ratio = Cyc.from_rational(Fraction(m, n))
-    bases = []
-    for x in xvars:
-        terms = []
-        for k in range(1, n + 1):
-            a = row[k - 1] * ratio
-            left = sum_([psi_expr(power(x, k), yvars), const(-a)])
-            right = sum_([psi_expr(power(inv(x), k), yvars), const(-a.conjugate())])
-            terms.append(prod([left, right]))
-        bases.append(sum_(terms))
-    node = stream_subsets(bases, size, "v_S")
+    row = rep.adams_vector(block[0])
+    bases = [_distance_sum(row, ratio, x, yvars) for x in xvars]
+    factors.append(stream_subsets(bases, len(block), "v_S"))
     # commutator chain factors: (c_t(x, U_x) - 1) v_x per guard position
-    tail = []
     for j, x in enumerate(xvars, start=1):
         word = x
         for step in range(1, t + 1):
@@ -666,13 +624,11 @@ def central_series_gassmann_identity(rep: Rep, t: int, i: int) -> IdentityDoc:
             roles[uname] = _role("psi-argument")
             u = var(uname)
             word = prod([inv(word), inv(u), word, u])
-        tail.append(sub(word, const(1)))
-        sep = f"vx{j}"
-        roles[sep] = _role("separator")
-        tail.append(var(sep))
+        factors.append(sub(word, const(1)))
+        _separate(factors, roles, f"vx{j}")
     return IdentityDoc(
         "central-series-gassmann",
-        prod(gx + gy + [node] + tail),
+        prod(factors),
         roles,
         {
             "t": t,
@@ -680,7 +636,7 @@ def central_series_gassmann_identity(rep: Rep, t: int, i: int) -> IdentityDoc:
             "m": m,
             "n": n,
             "outside": s,
-            "block_size": size,
+            "block_size": len(block),
             "stream_separator": "v_S",
         },
         "streamed spectral-block product over the complement of a central "
@@ -692,8 +648,6 @@ def central_series_gassmann_identity(rep: Rep, t: int, i: int) -> IdentityDoc:
 
 
 def minimal_poly_identity(rep: Rep, variant: str = "maximal") -> IdentityDoc:
-    from .replab import eig_maximal, eig_union
-
     kc = rep.key_conductor
     x = var("x")
     roles = {"x": _role("psi-argument")}
@@ -716,9 +670,7 @@ def minimal_poly_identity(rep: Rep, variant: str = "maximal") -> IdentityDoc:
         poly = prod([sub(x, const(cyc_root_of_unity(kc, e))) for e in eset])
         factors.append(poly)
         if i < len(max_sets):
-            sep = f"v{i}"
-            roles[sep] = _role("separator")
-            factors.append(var(sep))
+            _separate(factors, roles, f"v{i}")
     return IdentityDoc(
         "minimal-poly",
         prod(factors),
@@ -839,27 +791,32 @@ def probability_identity(u: Expr, t: int, m: int) -> IdentityDoc:
     )
 
 
-def substitute(e: Expr, mapping: dict[str, Expr], _memo=None) -> Expr:
-    if _memo is None:
-        _memo = {}
-    hit = _memo.get(id(e))
+def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
+    def leaf(node: Expr) -> Expr:
+        if node.kind == "var":
+            return mapping.get(node.value, node)
+        if node.kind == "const":
+            return node
+        raise BuildError(f"cannot substitute inside {node.kind}")
+
+    return _rewrite(e, leaf, {})
+
+
+def _rewrite(e: Expr, leaf, memo: dict) -> Expr:
+    """Rebuild e through its sums, products, inverses and stars with every
+    other node replaced by leaf(node); a shared node is rebuilt once."""
+    hit = memo.get(id(e))
     if hit is not None:
         return hit
-    if e.kind == "var":
-        out = mapping.get(e.value, e)
-    elif e.kind == "const":
-        out = e
-    elif e.kind == "inv":
-        out = inv(substitute(e.children[0], mapping, _memo))
-    elif e.kind == "star":
-        out = star(substitute(e.children[0], mapping, _memo))
-    elif e.kind == "sum":
-        out = sum_([substitute(c, mapping, _memo) for c in e.children])
-    elif e.kind == "prod":
-        out = prod([substitute(c, mapping, _memo) for c in e.children])
+    if e.kind in ("sum", "prod"):
+        children = [_rewrite(c, leaf, memo) for c in e.children]
+        out = sum_(children) if e.kind == "sum" else prod(children)
+    elif e.kind in ("inv", "star"):
+        child = _rewrite(e.children[0], leaf, memo)
+        out = inv(child) if e.kind == "inv" else star(child)
     else:
-        raise BuildError(f"cannot substitute inside {e.kind}")
-    _memo[id(e)] = out
+        out = leaf(e)
+    memo[id(e)] = out
     return out
 
 
@@ -901,7 +858,7 @@ def gamma_separating_identity(entry, l: int) -> IdentityDoc:
     roles["z"] = _role("psi-argument")
     x, y = var("x"), var("z")
     sig = sigma_hat_expr(d, y, yvars, mn, d)
-    factors = list(gf)
+    factors = gf
     # determinant values cover every residue class except 1
     for tt in range(2, nprime + 1):
         factors.append(sum_([sig, const(-cyc_root_of_unity(nprime, (l * tt) % nprime))]))
@@ -922,13 +879,12 @@ def gamma_separating_identity(entry, l: int) -> IdentityDoc:
 def disjunctive_identity(words: list[Expr]) -> IdentityDoc:
     if not words:
         raise BuildError("need at least one word")
-    roles = {"u0": _role("separator")}
-    factors: list[Expr] = [var("u0")]
+    factors: list[Expr] = []
+    roles: dict = {}
+    _separate(factors, roles, "u0")
     for i, w in enumerate(words, start=1):
         factors.append(sub(w, const(1)))
-        sep = f"u{i}"
-        roles[sep] = _role("separator")
-        factors.append(var(sep))
+        _separate(factors, roles, f"u{i}")
         for name in w.free_vars():
             roles.setdefault(name, _role("psi-argument"))
     return IdentityDoc(
@@ -937,51 +893,6 @@ def disjunctive_identity(words: list[Expr]) -> IdentityDoc:
         roles,
         {"clauses": len(words)},
         "separated product of word-minus-one factors",
-    )
-
-
-def trace_disjunction_identity(m: int, n: int, words: list[Expr],
-                               trace_polys: list[list[tuple[Fraction, list[Expr]]]]
-                               ) -> IdentityDoc:
-    """Separated product of plain words and trace polynomials, every formal
-    trace replaced by (n/m) times the conjugation average over a fresh guard.
-
-    A trace polynomial is a list of monomials (coefficient, [words inside
-    traces]); the empty word list is a constant monomial.
-    """
-    gf, roles, yvars = guard_factors(m)
-    factors = list(gf)
-    sep_idx = 0
-    for w in words:
-        factors.append(w)
-        sep_idx += 1
-        sep = f"t{sep_idx}"
-        roles[sep] = _role("separator")
-        factors.append(var(sep))
-        for name in w.free_vars():
-            roles.setdefault(name, _role("psi-argument"))
-    ratio = Fraction(n, m)
-    for j, poly in enumerate(trace_polys):
-        terms = []
-        for coef, inner in poly:
-            parts: list[Expr] = [const(Fraction(coef))]
-            for w in inner:
-                parts.append(smul(ratio, psi_expr(w, yvars)))
-                for name in w.free_vars():
-                    roles.setdefault(name, _role("psi-argument"))
-            terms.append(prod(parts))
-        factors.append(sum_(terms))
-        if j < len(trace_polys) - 1:
-            sep_idx += 1
-            sep = f"t{sep_idx}"
-            roles[sep] = _role("separator")
-            factors.append(var(sep))
-    return IdentityDoc(
-        "trace-disjunction",
-        prod(factors),
-        roles,
-        {"m": m, "n": n, "clauses": len(words), "trace_clauses": len(trace_polys)},
-        "guarded disjunction of word clauses and trace-polynomial clauses",
     )
 
 
@@ -997,13 +908,13 @@ def s4_separating_identity(rep: Rep) -> IdentityDoc:
     c = rep.character.value(four_cycle) * Cyc.from_rational(Fraction(m, n))
     gf, roles, yvars = guard_factors(m)
     roles["x"] = _role("psi-argument")
-    roles["y25"] = _role("separator")
     x = var("x")
-    clause = sub(power(x, 6), const(1))
-    psi_factor = sum_([psi_expr(x, yvars), const(-c)])
+    factors = gf + [sub(power(x, 6), const(1))]
+    _separate(factors, roles, "y25")
+    factors.append(sum_([psi_expr(x, yvars), const(-c)]))
     return IdentityDoc(
         "s4-separation",
-        prod(gf + [clause, var("y25"), psi_factor]),
+        prod(factors),
         roles,
         {"m": m, "n": n, "constant": c.to_json()},
         "sixth-power clause or the 4-cycle character value is attained",
@@ -1022,30 +933,23 @@ def fixed_point_identity(rep: Rep, i: int) -> IdentityDoc:
     gf, roles, yvars = guard_factors(m)
     roles["x"] = _role("psi-argument")
     x = var("x")
-    factors = list(gf)
+    factors = gf
     for d in orders:
-        if d == d_i:
-            continue
-        factors.append(sub(power(x, d), const(1)))
-        sep = f"yd{d}"
-        roles[sep] = _role("separator")
-        factors.append(var(sep))
+        if d != d_i:
+            factors.append(sub(power(x, d), const(1)))
+            _separate(factors, roles, f"yd{d}")
     # distinct fixed-space dimensions of order-d_i cyclic subgroups
     dims = set()
-    from .replab import fixed_point_dimension
-
     for g in range(group.order):
         if group.element_order(g) == d_i:
             cyc = group.subgroup_generated([g])
             dims.add(fixed_point_dimension(rep, sorted(cyc)))
-    psi_nodes = _psi_power_nodes(x, yvars, set(range(1, d_i)))
+    psi_nodes = _psi_power_nodes(x, yvars, range(1, d_i))
     avg = sum_([const(m)] + [psi_nodes[k] for k in range(1, d_i)])
     for idx, dim in enumerate(sorted(dims), start=1):
         target = Fraction(m, n) * d_i * dim
         factors.append(sum_([avg, const(-target)]))
-        sep = f"w{idx}"
-        roles[sep] = _role("separator")
-        factors.append(var(sep))
+        _separate(factors, roles, f"w{idx}")
     return IdentityDoc(
         "fixed-point",
         prod(factors),
@@ -1091,26 +995,7 @@ def standard_identity(k: int) -> IdentityDoc:
 
 def expand_doc(doc: IdentityDoc, limit: int = 10_000) -> IdentityDoc:
     """Unroll streamed products into explicit factors (size-guarded)."""
-
-    def rewrite(e: Expr, memo: dict) -> Expr:
-        hit = memo.get(id(e))
-        if hit is not None:
-            return hit
-        if e.kind in ("stream_subsets", "stream_partitions", "stream_perm_body"):
-            out = expand_stream(e, limit)
-        elif e.kind in ("sum", "prod"):
-            children = [rewrite(c, memo) for c in e.children]
-            out = sum_(children) if e.kind == "sum" else prod(children)
-        elif e.kind == "inv":
-            out = inv(rewrite(e.children[0], memo))
-        elif e.kind == "star":
-            out = star(rewrite(e.children[0], memo))
-        else:
-            out = e
-        memo[id(e)] = out
-        return out
-
-    expr = rewrite(doc.expr, {})
+    expr = _rewrite(doc.expr, lambda e: expand_stream(e, limit), {})
     roles = dict(doc.var_roles)
     for name in expr.free_vars() - set(roles):
         roles[name] = _role("subset-tag")

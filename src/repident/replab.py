@@ -452,8 +452,6 @@ def induced_rep(group: FiniteGroup, sub_elements, sub_rep: Rep, sub_map: list[in
 
 def galois_conjugate_character(chi: Character, t: int) -> Character:
     exp = chi.group.exponent()
-    from math import gcd
-
     if gcd(t, exp) != 1:
         raise RepError(f"galois exponent {t} not coprime to the group exponent {exp}")
     return Character(chi.group, [chi.values[chi.group.power(g, t)] for g in range(chi.group.order)])

@@ -733,18 +733,16 @@ def conditional_relation_probability(u: Expr, v: Expr, rep: Rep,
 
 
 def random_sl2(rng: random.Random, shears: int = 4, height: int = 10) -> Mat:
-    """Product of elementary shears with bounded rational entries (det = 1)."""
-    acc = Mat.identity(2)
+    """Product of elementary shears with bounded rational entries (det = 1),
+    formed in rationals and lifted to a Mat once."""
+    a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
     for _ in range(shears):
         q = Fraction(rng.randint(-height, height), rng.randint(1, height))
-        c = Cyc.from_rational(q)
-        one = Cyc.one()
-        zero = Cyc.zero()
-        shear = Mat(((one, c), (zero, one))) if rng.random() < 0.5 else Mat(
-            ((one, zero), (c, one))
-        )
-        acc = acc * shear
-    return acc
+        if rng.random() < 0.5:  # times ((1, q), (0, 1))
+            b, d = a * q + b, c * q + d
+        else:  # times ((1, 0), (q, 1))
+            a, c = a + b * q, c + d * q
+    return Mat([[Cyc.from_rational(v) for v in row] for row in ((a, b), (c, d))])
 
 
 def sl2_sample_check(expr: Expr, trials: int = 1000, seed: int = 0) -> Verdict:

@@ -172,6 +172,32 @@ def test_sl2_checks():
     assert vf.sl2_trace_identity_check(trials=300, seed=3).holds
 
 
+def test_random_sl2_is_the_shear_product():
+    """random_sl2 equals the exact Mat product of its shears, entry for entry,
+    and draws the same random numbers in the same order."""
+    from repident.matrices import Mat
+
+    def shear_product(rng, shears, height):
+        acc = Mat.identity(2)
+        one, zero = Cyc.one(), Cyc.zero()
+        for _ in range(shears):
+            c = Cyc.from_rational(Fraction(rng.randint(-height, height),
+                                           rng.randint(1, height)))
+            upper = rng.random() < 0.5
+            acc = acc * Mat(((one, c), (zero, one)) if upper else ((one, zero), (c, one)))
+        return acc
+
+    def entries(mat):
+        return [(v.conductor, v.num, v.den) for row in mat.rows for v in row]
+
+    for seed, shears, height in ((0, 4, 10), (1, 4, 10), (2, 7, 3), (3, 1, 1), (4, 0, 10)):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            got = vf.random_sl2(got_rng, shears, height)
+            assert entries(got) == entries(shear_product(want_rng, shears, height))
+        assert got_rng.getstate() == want_rng.getstate()
+
+
 def test_vacuous_docs_hold(z3_chi):
     doc = idf.central_series_gassmann_identity(catalog.cyclic(6).rep("chi1"), 1, 1)
     assert doc.vacuous

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import catalog, equivalence, idfactory, verifier
 from .exactnum import Cyc, cyc_root_of_unity
-from .freeexpr import Expr, const, inv, power, prod, sub, var
+from .freeexpr import Expr, StreamUndecided, const, inv, power, prod, sub, var
 from .idfactory import IdentityDoc
 from .replab import Rep
 
@@ -432,7 +432,7 @@ def main(argv=None) -> int:
             raise UsageError("--strict refuses the default seed; pass --seed")
         return args.func(args)
     except (UsageError, catalog.CatalogError, idfactory.BuildError,
-            verifier.BudgetExceeded, FileNotFoundError) as exc:
+            verifier.BudgetExceeded, StreamUndecided, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

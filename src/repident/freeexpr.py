@@ -20,7 +20,10 @@ more than two terms.  That is what makes guard-heavy identities
 affordable.
 A Sum adds a linear Prod (leaves around at most one other node) to its
 terms word by word, without building the product; any Prod is zero at a
-zero factor with a non-leaf after it.  Node values live for one evaluation.
+zero factor with a non-leaf after it.  A conjugation average
+sum_{y in Y} y T y^-1 inside a Sum is recognized once per node and, when Y
+is a bijection onto the group, added from class sums without evaluating a
+term.  Node values live for one evaluation.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ class StreamUndecided(Exception):
 
 
 class Expr:
-    __slots__ = ("kind", "value", "children", "_fvs", "_fvt", "_star", "extra")
+    __slots__ = ("kind", "value", "children", "_fvs", "_fvt", "_star", "_psi", "extra")
 
     def __init__(self, kind: str, value=None, children: tuple = (), extra=None):
         self.kind = kind
@@ -62,6 +65,7 @@ class Expr:
         self._fvs = None
         self._fvt = None
         self._star = None
+        self._psi = None
 
     def sorted_vars(self) -> tuple[str, ...]:
         if self._fvt is None:
@@ -148,39 +152,61 @@ class Expr:
 
     @staticmethod
     def from_json(obj: dict) -> "Expr":
-        kind = obj["kind"]
-        if kind == "const":
-            return const(Cyc.from_json(obj["value"]))
-        if kind == "var":
-            return var(obj["name"])
-        if kind == "inv":
-            return inv(Expr.from_json(obj["child"]))
-        if kind == "star":
-            return Expr("star", children=(Expr.from_json(obj["child"]),))
-        if kind == "sum":
-            return sum_([Expr.from_json(c) for c in obj["children"]])
-        if kind == "prod":
-            return prod([Expr.from_json(c) for c in obj["children"]])
-        if kind == "stream_subsets":
-            return stream_subsets(
-                [Expr.from_json(c) for c in obj["bases"]],
-                obj["subset_size"],
-                obj["separator_prefix"],
-                psd=obj["psd"],
-            )
-        if kind == "stream_partitions":
-            return stream_partitions(
-                obj["vars"],
-                obj["sizes"],
-                [Cyc.from_json(t) for t in obj["targets"]],
-                obj["separator_prefix"],
-            )
-        if kind == "stream_perm_body":
-            return stream_perm_body(
-                obj["group_sizes"],
-                [Expr.from_json(c) for c in obj["pairs"]],
-            )
+        """The Expr a to_json() document describes.  Equal subtrees load as
+        one node, so a loaded document keeps the sharing of the builder that
+        wrote it."""
+        return _from_json(obj, {})
+
+
+def _from_json(obj: dict, nodes: dict) -> Expr:
+    """Expr.from_json with nodes mapping each node key (_node_key) to the
+    node already loaded for it."""
+    kind = obj["kind"]
+    if kind == "const":
+        e = const(Cyc.from_json(obj["value"]))
+    elif kind == "var":
+        e = var(obj["name"])
+    elif kind == "inv":
+        e = inv(_from_json(obj["child"], nodes))
+    elif kind == "star":
+        e = Expr("star", children=(_from_json(obj["child"], nodes),))
+    elif kind == "sum":
+        e = sum_([_from_json(c, nodes) for c in obj["children"]])
+    elif kind == "prod":
+        e = prod([_from_json(c, nodes) for c in obj["children"]])
+    elif kind == "stream_subsets":
+        e = stream_subsets(
+            [_from_json(c, nodes) for c in obj["bases"]],
+            obj["subset_size"],
+            obj["separator_prefix"],
+            psd=obj["psd"],
+        )
+    elif kind == "stream_partitions":
+        # its children are made from its parameters; it is loaded unshared
+        return stream_partitions(
+            obj["vars"],
+            obj["sizes"],
+            [Cyc.from_json(t) for t in obj["targets"]],
+            obj["separator_prefix"],
+        )
+    elif kind == "stream_perm_body":
+        e = stream_perm_body(
+            obj["group_sizes"],
+            [_from_json(c, nodes) for c in obj["pairs"]],
+        )
+    else:
         raise ValueError(f"unknown node kind {kind!r}")
+    return nodes.setdefault(_node_key(e), e)
+
+
+def _node_key(e: Expr) -> tuple:
+    """A hashable key equal for two nodes exactly when they have the same
+    kind, value and parameters and the same child objects (not for
+    stream_partitions, whose parameters hold Cycs)."""
+    value = e.value
+    if e.kind == "const":
+        value = (value.conductor, value.num, value.den)
+    return (e.kind, value, e.extra, tuple(map(id, e.children)))
 
 
 # -- constructors (with canonical flattening) ----------------------------
@@ -363,6 +389,11 @@ class Evaluator:
     more than two terms after folding by the scalar subgroup.  A linear
     product s a T b (T its one non-leaf factor) is added to a sum's terms as
     s c_g at a g b; a product zero-tests only factors before a non-leaf.
+    A sum's conjugation averages psi_Y(T) (`_psi_blocks`) over a bijection Y
+    onto the group add |C_G(h)| c_h at every member of h's class, for each
+    term c_h h of T (`_add_class_sums`): the same terms the products y T y^-1
+    would add one by one, which they still do off a bijection or for a
+    matrix T.
 
     Node values are shared within one call (its memo), never across calls.
     Reuse across assignments belongs to the caller that knows which values
@@ -495,21 +526,32 @@ class Evaluator:
     def _algebra_is_zero(self, terms: dict) -> bool:
         """Exact zero test of sum_g c_g rho(g).
 
-        The support is folded onto cosets of the scalar subgroup Z.  At most
-        two folded terms vanish only when none is left: c1 rho(a) + c2 rho(b)
-        = 0 with nonzero c1, c2 makes rho(a^-1 b) scalar, so a and b share a
-        coset.  More terms are summed as integer image vectors when every
+        Terms that share a coset of the scalar subgroup Z are folded onto
+        its least element; a term alone in its coset stays as it is, so
+        rational coefficients stay rational.  At most two terms in distinct
+        cosets vanish only when none is left: c1 rho(a) + c2 rho(b) = 0 with
+        nonzero c1, c2 makes rho(a^-1 b) scalar, so a and b share a coset.
+        More terms are summed as integer image vectors when every
         coefficient is rational, and materialized otherwise.
         """
         fold = self.rep.scalar_cosets
         if fold is not None:
-            folded: dict = {}
-            for g, c in terms.items():
-                r, lam = fold[g]
-                if lam != 1:
-                    c = _mul(c, lam)
-                folded[r] = _add(folded[r], c) if r in folded else c
-            terms = {r: c for r, c in folded.items() if c}
+            shared: dict = {}
+            for g in terms:
+                r = fold[g][0]
+                shared[r] = r in shared
+            if len(shared) < len(terms):
+                folded: dict = {}
+                for g, c in terms.items():
+                    r, lam = fold[g]
+                    if not shared[r]:
+                        folded[g] = c
+                        continue
+                    # demote leaves an irrational lam as a Cyc, never 1
+                    if isinstance(lam, Cyc) or lam != 1:
+                        c = _mul(c, lam)
+                    folded[r] = _add(folded[r], c) if r in folded else c
+                terms = {g: c for g, c in folded.items() if c}
         if len(terms) <= 2:
             return not terms
         if any(isinstance(c, Cyc) for c in terms.values()):
@@ -600,7 +642,16 @@ class Evaluator:
     def _eval_sum(self, e, assignment, memo):
         terms: dict = {}
         mat = None
-        for c in e.children:
+        children = e.children
+        if self.rep is not None:
+            if e._psi is None:
+                e._psi = _psi_blocks(e)
+            if e._psi:
+                blocks, children = e._psi
+                for names, middle, members in blocks:
+                    if not self._add_class_sums(terms, names, middle, assignment, memo):
+                        children += members
+        for c in children:
             lin = self._linear(c, assignment, memo) if c.kind == "prod" else None
             if lin is None:
                 val = self._eval(c, assignment, memo)
@@ -612,6 +663,35 @@ class Evaluator:
         if mat is None:
             return self._element(terms)
         return (_M, mat + self._to_mat(self._element(terms)) if terms else mat)
+
+    def _add_class_sums(self, terms: dict, names, middle, assignment, memo) -> bool:
+        """terms += psi_Y(T) = sum_{y in Y} y T y^-1 for the values Y of names
+        and T of middle, from class sums; False, with terms untouched, unless
+        Y is a bijection onto the group and T is not a matrix.
+
+        Then sum_y y h y^-1 = |C_G(h)| K_h for a group element h, with K_h
+        the sum of h's class, and psi_Y is linear in T.  The bijection test is
+        made once per call (memo) and name tuple."""
+        group = self.rep.group
+        bijective = memo.get(names)
+        if bijective is None:
+            values = [assignment[n] for n in names]
+            bijective = memo[names] = (
+                len(names) == group.order and all(isinstance(v, int) for v in values)
+                and len(set(values)) == len(names))
+        if not bijective:
+            return False
+        tag, payload = self._eval(middle, assignment, memo)
+        if tag == _M:
+            return False
+        if tag != _A:
+            payload = {payload: 1} if tag == _G else {0: demote(payload)}
+        for h, c in payload.items():
+            members, centralizer = group.class_sum(h)
+            c = _mul(c, centralizer)
+            for g in members:
+                terms[g] = _add(terms[g], c) if g in terms else c
+        return True
 
     def _linear(self, e, assignment, memo):
         """(s, a, T, b) when the product e is linear, leaves around at most
@@ -863,6 +943,34 @@ class Evaluator:
                 left += lens[k]
                 k += 1
         return all(used)
+
+
+def _psi_blocks(e: Expr):
+    """The conjugation averages among a sum's children, found once per sum
+    node: (blocks, rest), or () when there is none.
+
+    A block is every child prod([y, *M, inv(y)]) with the same middle factors
+    M (the same objects), when there are at least two.  Each block is
+    (names, middle, members): the y names in child order, the node prod(M)
+    and the member children; rest holds the other children in order.  M has
+    one value per assignment whatever names it holds, and repeated names
+    fail the bijection test, so neither bars a block."""
+    groups: dict = {}
+    for c in e.children:
+        ch = c.children
+        if (c.kind == "prod" and len(ch) > 2 and ch[0].kind == "var"
+                and ch[-1].kind == "inv" and ch[-1].children[0].kind == "var"
+                and ch[-1].children[0].value == ch[0].value):
+            groups.setdefault(tuple(map(id, ch[1:-1])), []).append(c)
+    blocks, in_block = [], set()
+    for members in groups.values():
+        if len(members) > 1:
+            names = tuple(c.children[0].value for c in members)
+            blocks.append((names, prod(members[0].children[1:-1]), tuple(members)))
+            in_block.update(map(id, members))
+    if not blocks:
+        return ()
+    return tuple(blocks), tuple(c for c in e.children if id(c) not in in_block)
 
 
 def _has_perfect_matching(adj: list[list[bool]]) -> bool:

@@ -167,6 +167,23 @@ class FiniteGroup:
     def class_of(self, g: int) -> int:
         return self.conjugacy_classes.index_of(g)
 
+    def class_sum(self, h: int) -> tuple[tuple[int, ...], int]:
+        """(the members of h's class in index order, |C_G(h)|): summed over
+        every y in G, y h y^-1 is |C_G(h)| times the sum of those members.
+        Built per class on first use."""
+        rows = self._class_sums
+        row = rows[h]
+        if row is None:
+            cls = self.conjugacy_classes.classes[self.class_of(h)]
+            row = (tuple(sorted(cls)), self.order // len(cls))
+            for g in cls:
+                rows[g] = row
+        return row
+
+    @cached_property
+    def _class_sums(self) -> list:
+        return [None] * self.order
+
     def centralizer(self, g: int) -> list[int]:
         return [h for h in range(self.order) if self.table[h][g] == self.table[g][h]]
 

@@ -103,3 +103,11 @@ def test_sl2_check(tmp_path):
     assert proc.returncode in (0, 1)
     payload = json.loads(proc.stdout)
     assert payload["evidence"] == "sampled"
+
+
+def test_expansion_over_the_limit_is_a_usage_error():
+    # the class identity's permutation body has 241,920 factors
+    proc = run_cli("build", "class", "--rep", "catalog:H3:theta1", "--emit", "expanded")
+    assert proc.returncode == 2
+    assert "exceed the limit" in json.loads(proc.stderr)["error"]
+    assert "Traceback" not in proc.stderr

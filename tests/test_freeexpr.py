@@ -585,3 +585,319 @@ def test_standard_identity_makes_no_combined_products(monkeypatch):
         assignment = {f"y{i}": rng.randrange(rep.group.order) for i in range(1, 7)}
         ev.evaluate_value(doc.expr, assignment)
     assert calls == []
+
+
+# -- conjugation averages from class sums ---------------------------------------
+
+
+def _psi_reps():
+    return [
+        catalog.symmetric(3).rep("std"),
+        catalog.quaternion().rep("dim2"),
+        catalog.binary_tetrahedral().rep("nat"),
+        catalog.heisenberg(3).rep("theta1"),
+        # reducible: class sums stay group-algebra terms, no Schur scalar
+        catalog.abelian_rep(3, 2, 2, [[1, 0], [1, 1]]),
+    ]
+
+
+@pytest.fixture
+def evaluated(monkeypatch):
+    """Every node Evaluator._eval is called on, in call order."""
+    nodes = []
+    original = Evaluator._eval
+
+    def recording(self, e, assignment, memo):
+        nodes.append(e)
+        return original(self, e, assignment, memo)
+
+    monkeypatch.setattr(Evaluator, "_eval", recording)
+    return nodes
+
+
+def _psi_sum(middle, names):
+    """The terms y T y^-1 over names; middle() gives T, once per term."""
+    return [prod([var(n), middle(), inv(var(n))]) for n in names]
+
+
+def _psi_middles(rep):
+    """T builders, each tagged by the kind of value T takes: a word (_G),
+    x^exponent = 1 (_S), a sum (_A) and a matrix assigned to w (_M)."""
+    i = cyc_root_of_unity(4, 1)
+    return {
+        "word": lambda: var("x"),
+        "scalar": lambda: power(var("x"), rep.group.exponent()),
+        "sum": lambda: sum_([var("x"), smul(i, var("z")), const(Fraction(1, 2))]),
+        "matrix": lambda: var("w"),
+    }
+
+
+def _psi_shapes(middles, names):
+    """(shape, middle kinds, build): build(middle factory for a kind) gives
+    the sum; a factory returning one shared node makes psi blocks, a fresh
+    node per call makes none."""
+    return [
+        ("alone", ("word",), lambda mk: sum_(_psi_sum(mk("word"), names))),
+        ("alone", ("scalar",), lambda mk: sum_(_psi_sum(mk("scalar"), names))),
+        ("alone", ("sum",), lambda mk: sum_(_psi_sum(mk("sum"), names))),
+        ("alone", ("matrix",), lambda mk: sum_(_psi_sum(mk("matrix"), names))),
+        ("two blocks", ("word", "sum"), lambda mk: sum_(
+            _psi_sum(mk("word"), names) + _psi_sum(mk("sum"), names))),
+        ("mixed", ("word",), lambda mk: sum_(
+            [const(-3), var("z")] + _psi_sum(mk("word"), names)
+            + [prod([var("z"), var("x")]), const(Fraction(1, 3))])),
+    ]
+
+
+def _psi_children(e: Expr) -> set:
+    """ids of the prod([y, ..., inv(y)]) children of every sum in e and of
+    their last factors inv(y)."""
+    found, seen, stack = set(), set(), [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.extend(node.children)
+        if node.kind == "sum":
+            for c in node.children:
+                ch = c.children
+                if (c.kind == "prod" and ch[0].kind == "var" and ch[-1].kind == "inv"
+                        and ch[-1].children[0].kind == "var"
+                        and ch[-1].children[0].value == ch[0].value):
+                    found.update((id(c), id(ch[-1])))
+    return found
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_psi_class_sums_match_term_by_term_and_naive_oracle(index, evaluated):
+    """psi over a bijection onto the group, with T a word, a scalar, a sum
+    or a matrix, alone, as two blocks of one sum and beside other terms:
+    the tagged value equals the one the same sum gives term by term, and
+    evaluate and the zero test agree with the naive oracle.  Only a
+    matrix T evaluates a psi child."""
+    rep = _psi_reps()[index]
+    m = rep.group.order
+    names = [f"y{i}" for i in range(1, m + 1)]
+    middles = _psi_middles(rep)
+    rng = random.Random(700 + index)
+    ev = Evaluator(rep)
+    for shape, kinds, build in _psi_shapes(middles, names):
+        shared = {k: middles[k]() for k in kinds}
+        fast = build(lambda k: (lambda: shared[k]))
+        slow = build(lambda k: middles[k])
+        assert fast.to_json() == slow.to_json()
+        assert len(_psi_children(fast)) == 2 * len(kinds) * m
+        for _ in range(3):
+            order = list(range(m))
+            rng.shuffle(order)
+            assignment = dict(zip(names, order))
+            g, h = rng.sample(range(m), 2)
+            assignment.update(x=rng.randrange(m), z=rng.randrange(m),
+                              w=rep.images[g] + rep.images[h])
+            evaluated.clear()
+            val = ev.evaluate_value(fast, assignment)
+            touched = _psi_children(fast) & set(map(id, evaluated))
+            assert bool(touched) == ("matrix" in kinds), (shape, kinds)
+            tag, payload = ev.evaluate_value(slow, assignment)
+            assert val[0] == tag and val[1] == payload, (shape, kinds)
+            expected = naive_eval(fast, assignment, rep)
+            assert ev.evaluate(fast, assignment) == expected
+            assert ev._is_zero(val) == expected.is_zero()
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_psi_falls_back_off_a_bijection(index, evaluated):
+    """A repeated y value, or fewer y names than group elements, evaluates
+    psi term by term, and still agrees with the naive oracle."""
+    rep = _psi_reps()[index]
+    m = rep.group.order
+    x = var("x")
+    rng = random.Random(800 + index)
+    ev = Evaluator(rep)
+    full = [f"y{i}" for i in range(1, m + 1)]
+    for names, repeat in ((full, True), (full[:-1], False)):
+        e = sum_([const(-1)] + _psi_sum(lambda: x, names))
+        for _ in range(3):
+            order = list(range(m))
+            rng.shuffle(order)
+            assignment = dict(zip(names, order))
+            if repeat:
+                assignment[names[1]] = assignment[names[0]]
+            assignment["x"] = rng.randrange(m)
+            evaluated.clear()
+            val = ev.evaluate_value(e, assignment)
+            assert _psi_children(e) & set(map(id, evaluated))
+            expected = naive_eval(e, assignment, rep)
+            assert ev.evaluate(e, assignment) == expected
+            assert ev._is_zero(val) == expected.is_zero()
+
+
+def test_psi_with_a_repeated_name_or_a_y_inside_the_middle():
+    """A repeated y name repeats a value, so it fails the bijection test and
+    falls back; a y inside T only fixes T's value, so the class sums stay
+    exact."""
+    rep = catalog.symmetric(3).rep("std")
+    names = [f"y{i}" for i in range(1, 7)]
+    x, y1 = var("x"), var("y1")
+    repeated = sum_(_psi_sum(lambda: x, names[:5] + ["y1"]))
+    inside = sum_(_psi_sum(lambda: y1, names))
+    ev = Evaluator(rep)
+    for shift in range(6):
+        assignment = {n: (g + shift) % 6 for g, n in enumerate(names)}
+        assignment["x"] = 3
+        for e in (repeated, inside):
+            assert ev.evaluate(e, assignment) == naive_eval(e, assignment, rep)
+    assert inside._psi and repeated._psi
+
+
+def test_guarded_character_identity_evaluates_no_psi_child(evaluated):
+    """Every guard group is a bijection in guarded mode, so a character
+    identity's conjugation averages come from class sums: no psi child, no
+    inv(y) in one and no other inverse is evaluated."""
+    from repident import idfactory, verifier
+
+    rep = catalog.heisenberg(3).rep("theta1")
+    doc = idfactory.character_identity(rep)
+    psi_children = _psi_children(doc.expr)
+    assert len(psi_children) >= rep.group.order
+    verdict = verifier.holds_guarded(doc, rep, orderings=2)
+    assert verdict.status == "holds"
+    kinds = {e.kind for e in evaluated}
+    assert "sum" in kinds and "inv" not in kinds
+    assert not psi_children & set(map(id, evaluated))
+
+
+# -- zero tests folded by the scalar subgroup ----------------------------------
+
+
+@pytest.mark.parametrize("group, rep_name", [("H3", "theta1"), ("gamma(7,9,2)", "pi(1,1)")])
+def test_scalar_fold_zero_test_matches_naive_oracle(group, rep_name):
+    """Supports with terms sharing a coset of the scalar subgroup Z
+    (colliding, some built to cancel) and with one term per coset: the zero
+    test agrees with the matrix sum, for rational and irrational
+    coefficients."""
+    from repident.exactnum import Cyc, demote
+
+    rep = catalog.get_rep(group, rep_name)
+    fold = rep.scalar_cosets
+    order = rep.group.order
+    table = rep.group.table
+    scalars = [g for g in range(order) if fold[g][0] == 0]
+    cosets: dict = {}
+    for g in range(order):
+        cosets.setdefault(fold[g][0], []).append(g)
+    reps = sorted(cosets)
+    assert len(scalars) > 1
+    ev = Evaluator(rep)
+    rng = random.Random(41)
+
+    def coefficient(rational=False):
+        q = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+        if rational or rng.random() < 0.5:
+            return q
+        return demote(cyc_root_of_unity(rng.choice([3, 4, 7]), 1) * Cyc.from_rational(q))
+
+    seen = dict.fromkeys(["colliding", "one per coset", "zero", "rational, 3+ terms"], 0)
+    for trial in range(80):
+        colliding = trial % 2 == 0
+        terms: dict = {}
+        if colliding:
+            for r in rng.sample(reps, rng.randint(1, 3)):
+                for z in rng.sample(scalars, rng.randint(2, len(scalars))):
+                    terms[table[z][r]] = coefficient()
+            if trial % 4 == 0:
+                # c rho(g) - c lam_z^-1 rho(z g) = 0 for each chosen g
+                terms = {}
+                for r in rng.sample(reps, rng.randint(1, 3)):
+                    z = rng.choice(scalars[1:])
+                    c = coefficient()
+                    lam = fold[table[z][r]][1]
+                    terms[r] = c
+                    terms[table[z][r]] = demote(-Cyc.from_rational(1) * _as_cyc(c)
+                                                * _as_cyc(lam).inverse())
+        else:
+            rational = trial % 6 == 1
+            for r in rng.sample(reps, rng.randint(3 if rational else 1, 5)):
+                terms[rng.choice(cosets[r])] = coefficient(rational)
+        expected = None
+        for g, c in terms.items():
+            term = rep.images[g].scale(_as_cyc(c))
+            expected = term if expected is None else expected + term
+        assert ev._algebra_is_zero(terms) == expected.is_zero(), terms
+        seen["colliding" if colliding else "one per coset"] += 1
+        seen["zero"] += expected.is_zero()
+        seen["rational, 3+ terms"] += (len(terms) > 2 and not colliding
+                                      and all(not isinstance(c, Cyc) for c in terms.values()))
+    assert all(n >= 4 for n in seen.values()), seen
+
+
+def _as_cyc(c):
+    from repident.exactnum import Cyc
+
+    return c if isinstance(c, Cyc) else Cyc.from_rational(c)
+
+
+# -- loaded documents keep the builder's sharing --------------------------------
+
+
+def _node_count(root) -> int:
+    seen, stack = set(), [root]
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            stack.extend(e.children)
+    return len(seen)
+
+
+@pytest.mark.parametrize("rep_ref, family", [
+    (("H3", "theta1"), "character"),
+    (("A5", "dim3a"), "character"),
+    (("H3", "theta1"), "spectrum"),
+])
+def test_from_json_shares_equal_subtrees(rep_ref, family):
+    """A document loaded from its JSON writes the same JSON, has no more
+    distinct nodes than the builder made, and gets the same guarded verdict
+    (timing aside)."""
+    import json
+
+    from repident import idfactory, verifier
+
+    rep = catalog.get_rep(*rep_ref)
+    build = {"character": idfactory.character_identity,
+             "spectrum": idfactory.spectrum_identity}[family]
+    doc = build(rep)
+    loaded = idfactory.IdentityDoc.from_json(json.loads(json.dumps(doc.to_json())))
+    assert loaded.to_json() == doc.to_json()
+    assert _node_count(loaded.expr) <= _node_count(doc.expr)
+    verdicts = []
+    for d in (doc, loaded):
+        out = verifier.holds_guarded(d, rep, seed=3, orderings=2).to_json()
+        out.pop("timing_ms", None)
+        verdicts.append(out)
+    assert verdicts[0] == verdicts[1]
+
+
+def test_from_json_round_trips_every_streamed_kind():
+    """Documents with subset, permutation-body and partition streams write
+    the same JSON after loading."""
+    import json
+
+    from repident import idfactory
+
+    rep = catalog.symmetric(3).rep("std")
+    classes = [sorted(c) for c in rep.group.conjugacy_classes.classes]
+    docs = [idfactory.level_set_identity(rep, 1), idfactory.class_identity(rep),
+            idfactory.central_partition_identity(rep, classes)]
+    kinds = set()
+    for doc in docs:
+        blob = json.loads(json.dumps(doc.to_json()))
+        loaded = idfactory.IdentityDoc.from_json(blob)
+        assert loaded.to_json() == blob
+        stack = [loaded.expr]
+        while stack:
+            e = stack.pop()
+            kinds.add(e.kind)
+            stack.extend(e.children)
+    assert {"stream_subsets", "stream_perm_body", "stream_partitions"} <= kinds

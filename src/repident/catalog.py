@@ -138,7 +138,7 @@ def _one_dim_rep(group: FiniteGroup, values: list[Cyc], name: str) -> Rep:
 
 def _linear_characters(group: FiniteGroup, gens: list[int]) -> list[list[Cyc]]:
     """All homomorphisms group -> C^* by brute force over root-of-unity images."""
-    words = group._word_decomposition(gens)
+    steps = group._word_tree(gens)
     orders = [group.element_order(g) for g in gens]
     common = 1
     for o in orders:
@@ -146,12 +146,9 @@ def _linear_characters(group: FiniteGroup, gens: list[int]) -> list[list[Cyc]]:
     results = []
     for choice in itertools.product(*[range(o) for o in orders]):
         imgs = [cyc_root_of_unity(common, choice[i] * (common // orders[i])) for i in range(len(gens))]
-        vals = [None] * group.order
-        for g in range(group.order):
-            acc = Cyc.one(common)
-            for gi in words[g]:
-                acc = acc * imgs[gi]
-            vals[g] = acc
+        vals = [Cyc.one(common)] * group.order
+        for y, parent, gi in steps:
+            vals[y] = vals[parent] * imgs[gi]
         ok = all(
             vals[group.table[a][b]] == vals[a] * vals[b]
             for a in range(group.order)

@@ -10,12 +10,13 @@ elements' spectra in the two representations; no restriction is built.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from math import gcd, lcm
 
-from .grouplab import FiniteGroup
-from .replab import Character, Rep, spectrum_key
+from .replab import Character, Rep, spectrum, spectrum_key
+
+# Never filled: perfbench/workloads.clear_program_caches still clears it.
+_AUTO_CACHE: dict = {}
 
 
 def _common_conductor(rep1: Rep, rep2: Rep) -> int:
@@ -109,39 +110,24 @@ def galois_conjugate_reps(rep1: Rep, rep2: Rep) -> int | None:
     return None
 
 
-def similar_reps(rep1: Rep, rep2: Rep, gens=None) -> list[int] | None:
-    """An automorphism alpha with chi2(alpha(g)) = chi1(g), or None.
+def similar_reps(rep1: Rep, rep2: Rep) -> list[int] | None:
+    """An isomorphism alpha from rep1's group to rep2's (an automorphism when
+    they share a table) with chi2(alpha(g)) = chi1(g), or None.
 
     Characters determine complex representations up to equivalence, so the
-    search is character-level.
+    search is character-level.  Elements are coloured by their spectra,
+    which also fix their orders: a homomorphism alpha has chi2 o alpha = chi1
+    exactly when it keeps every spectrum, since chi on the powers of g fixes
+    g's spectrum.
     """
-    if rep1.group.table != rep2.group.table:
-        iso = rep1.group.find_isomorphism(rep2.group)
-        if iso is None:
-            return None
-        chi1, chi2 = rep1.character, rep2.character
-        g1 = rep1.group
-        for alpha in rep2.group.automorphisms(gens):
-            if all(chi2.values[alpha[iso[g]]] == chi1.values[g] for g in range(g1.order)):
-                return [alpha[iso[g]] for g in range(g1.order)]
+    if rep1.group.order != rep2.group.order or rep1.dim != rep2.dim:
         return None
-    group = rep1.group
-    chi1, chi2 = rep1.character, rep2.character
-    for alpha in _cached_automorphisms(group, tuple(gens) if gens else None):
-        if all(chi2.values[alpha[g]] == chi1.values[g] for g in range(group.order)):
-            return alpha
-    return None
-
-
-# group -> {generators or None: automorphisms}; an entry goes with its group
-_AUTO_CACHE: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _cached_automorphisms(group: FiniteGroup, gens):
-    per_group = _AUTO_CACHE.setdefault(group, {})
-    if gens not in per_group:
-        per_group[gens] = group.automorphisms(list(gens) if gens else None)
-    return per_group[gens]
+    ids: dict = {}  # spectrum -> colour
+    colours = [[ids.setdefault(tuple(spectrum(rep, g)), len(ids)) for g in range(rep.group.order)]
+               for rep in (rep1, rep2)]
+    found = rep1.group._isomorphisms(rep2.group, rep1.group.small_generating_set(),
+                                     first=True, colours=colours)
+    return found[0] if found else None
 
 
 def uniformly_gassmann(rep1: Rep, rep2: Rep, limit: int = 200):
@@ -166,7 +152,7 @@ def uniformly_gassmann(rep1: Rep, rep2: Rep, limit: int = 200):
     return True, None
 
 
-def compare_all(rep1: Rep, rep2: Rep, gens=None, subgroup_limit: int = 200) -> dict:
+def compare_all(rep1: Rep, rep2: Rep) -> dict:
     """The full predicate matrix between two representations."""
     chi1, chi2 = rep1.character, rep2.character
     same_table = rep1.group.table == rep2.group.table
@@ -185,17 +171,11 @@ def compare_all(rep1: Rep, rep2: Rep, gens=None, subgroup_limit: int = 200) -> d
         t = galois_conjugate_reps(rep1, rep2)
         out["galois"] = t is not None
         out["galois_t"] = t
-        if rep1.group.order <= 128:
-            alpha = similar_reps(rep1, rep2, gens)
-            out["similar"] = alpha is not None
-        if rep1.group.order <= subgroup_limit:
-            ok, witness = uniformly_gassmann(rep1, rep2, subgroup_limit)
-            out["uniform_gassmann"] = ok
-            if witness is not None:
-                out["uniform_gassmann_failing_subgroup"] = sorted(witness)
-    else:
-        iso_possible = rep1.group.order == rep2.group.order
-        if iso_possible and rep1.group.order <= 128:
-            alpha = similar_reps(rep1, rep2, gens)
-            out["similar"] = alpha is not None
+    if rep1.group.order == rep2.group.order:
+        out["similar"] = similar_reps(rep1, rep2) is not None
+    if same_table and rep1.group.order <= 200:
+        ok, witness = uniformly_gassmann(rep1, rep2)
+        out["uniform_gassmann"] = ok
+        if witness is not None:
+            out["uniform_gassmann_failing_subgroup"] = sorted(witness)
     return out

@@ -648,8 +648,8 @@ class Evaluator:
                 e._psi = _psi_blocks(e)
             if e._psi:
                 blocks, children = e._psi
-                for names, middle, members in blocks:
-                    if not self._add_class_sums(terms, names, middle, assignment, memo):
+                for names, key, middle, members in blocks:
+                    if not self._add_class_sums(terms, names, key, middle, assignment, memo):
                         children += members
         for c in children:
             lin = self._linear(c, assignment, memo) if c.kind == "prod" else None
@@ -664,14 +664,16 @@ class Evaluator:
             return self._element(terms)
         return (_M, mat + self._to_mat(self._element(terms)) if terms else mat)
 
-    def _add_class_sums(self, terms: dict, names, middle, assignment, memo) -> bool:
+    def _add_class_sums(self, terms: dict, names, key, middle, assignment, memo) -> bool:
         """terms += psi_Y(T) = sum_{y in Y} y T y^-1 for the values Y of names
         and T of middle, from class sums; False, with terms untouched, unless
         Y is a bijection onto the group and T is not a matrix.
 
         Then sum_y y h y^-1 = |C_G(h)| K_h for a group element h, with K_h
         the sum of h's class, and psi_Y is linear in T.  The bijection test is
-        made once per call (memo) and name tuple."""
+        made once per call (memo) and name tuple, and T is evaluated once per
+        call and key, the ids of its factors: sums that share the factors
+        build their own middle nodes."""
         group = self.rep.group
         bijective = memo.get(names)
         if bijective is None:
@@ -681,7 +683,9 @@ class Evaluator:
                 and len(set(values)) == len(names))
         if not bijective:
             return False
-        tag, payload = self._eval(middle, assignment, memo)
+        if key not in memo:
+            memo[key] = self._eval(middle, assignment, memo)
+        tag, payload = memo[key]
         if tag == _M:
             return False
         if tag != _A:
@@ -951,10 +955,11 @@ def _psi_blocks(e: Expr):
 
     A block is every child prod([y, *M, inv(y)]) with the same middle factors
     M (the same objects), when there are at least two.  Each block is
-    (names, middle, members): the y names in child order, the node prod(M)
-    and the member children; rest holds the other children in order.  M has
-    one value per assignment whatever names it holds, and repeated names
-    fail the bijection test, so neither bars a block."""
+    (names, key, middle, members): the y names in child order, the ids of
+    M, the node prod(M) and the member children; rest holds the other
+    children in order.  M has one value per assignment whatever names it
+    holds, and repeated names fail the bijection test, so neither bars a
+    block."""
     groups: dict = {}
     for c in e.children:
         ch = c.children
@@ -963,10 +968,10 @@ def _psi_blocks(e: Expr):
                 and ch[-1].children[0].value == ch[0].value):
             groups.setdefault(tuple(map(id, ch[1:-1])), []).append(c)
     blocks, in_block = [], set()
-    for members in groups.values():
+    for key, members in groups.items():
         if len(members) > 1:
             names = tuple(c.children[0].value for c in members)
-            blocks.append((names, prod(members[0].children[1:-1]), tuple(members)))
+            blocks.append((names, key, prod(members[0].children[1:-1]), tuple(members)))
             in_block.update(map(id, members))
     if not blocks:
         return ()

@@ -1,7 +1,7 @@
 """Finite groups as multiplication tables, plus the derived structure the
 identity machinery consumes: conjugacy classes (with a fixed total order),
 element orders, centralizers, the upper central series, the subgroup
-lattice and brute-force automorphisms.
+lattice, and isomorphisms found by one search over generator images.
 
 Everything is index-based: elements are 0..m-1 with 0 the identity.
 """
@@ -95,12 +95,17 @@ class FiniteGroup:
         return t[t[t[self.inverse[a]][self.inverse[b]]][a]][b]
 
     def element_order(self, a: int) -> int:
-        k = 1
-        x = a
-        while x != 0:
-            x = self.table[x][a]
-            k += 1
-        return k
+        return self.element_orders[a]
+
+    @cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        orders = [1] * self.order
+        for a in range(self.order):
+            x = a
+            while x != 0:
+                x = self.table[x][a]
+                orders[a] += 1
+        return tuple(orders)
 
     def order_statistics(self) -> tuple[int, ...]:
         return tuple(sorted({self.element_order(g) for g in range(self.order)}))
@@ -276,11 +281,10 @@ class FiniteGroup:
         mapping = [self.power(g, t) for g in range(self.order)]
         return mapping, len(set(mapping)) == self.order
 
-    def automorphisms(self, gens=None, max_order: int = 128, max_gens: int = 3):
+    def automorphisms(self, max_order: int = 128, max_gens: int = 3):
         if self.order > max_order:
             raise GroupError(f"automorphism search limited to order <= {max_order}")
-        if gens is None:
-            gens = self.small_generating_set()
+        gens = self.small_generating_set()
         if len(gens) > max_gens:
             raise GroupError(f"automorphism search limited to <= {max_gens} generators")
         return self._isomorphisms(self, gens, first=False)
@@ -294,32 +298,40 @@ class FiniteGroup:
         found = self._isomorphisms(other, self.small_generating_set(), first=True)
         return found[0] if found else None
 
-    def _isomorphisms(self, other: "FiniteGroup", gens, first: bool) -> list[list[int]]:
+    def _isomorphisms(self, other: "FiniteGroup", gens, first: bool,
+                      colours=None) -> list[list[int]]:
         """Isomorphisms self -> other (of equal order), as image lists.
 
-        Each generator's image ranges over the elements of other of the same
-        order, in index order, the last generator fastest; an assignment of
-        images extends along the word decomposition and is kept when the
-        extension is a bijective homomorphism. With first, the search stops
-        at the first isomorphism found.
+        colours is a pair of per-element lists (self's, other's) that an
+        isomorphism must keep, equal at the identity; by default the element
+        orders.  Each generator's image ranges over the elements of other of
+        its colour, in index order, the last generator fastest.  An assignment
+        of images extends along the word tree, shortest words first, so each
+        element's image is its parent's image times one generator image.  It
+        is dropped at the first repeated image or colour mismatch, and kept
+        when the extension is a homomorphism.  With first, the search stops at
+        the first isomorphism found.
         """
-        words = self._word_decomposition(gens)
-        other_orders = [other.element_order(h) for h in range(other.order)]
-        candidates = [[h for h in range(other.order) if other_orders[h] == self.element_order(g)]
-                      for g in gens]
+        mine, theirs = colours or (self.element_orders, other.element_orders)
+        steps = self._word_tree(gens)
+        candidates = [[h for h in range(other.order) if theirs[h] == mine[g]] for g in gens]
         table = other.table
         found = []
         for images in product(*candidates):
             phi = [0] * self.order
-            for g in range(1, self.order):
-                acc = 0
-                for idx in words[g]:
-                    acc = table[acc][images[idx]]
-                phi[g] = acc
-            if len(set(phi)) == self.order and self._respects(phi, gens, other, images):
-                found.append(phi)
-                if first:
+            seen = [False] * other.order
+            seen[0] = True
+            for y, parent, gi in steps:
+                h = table[phi[parent]][images[gi]]
+                if seen[h] or theirs[h] != mine[y]:
                     break
+                seen[h] = True
+                phi[y] = h
+            else:
+                if self._respects(phi, gens, other, images):
+                    found.append(phi)
+                    if first:
+                        break
         return found
 
     def _respects(self, phi, gens, other: "FiniteGroup", images) -> bool:
@@ -332,23 +344,26 @@ class FiniteGroup:
                     return False
         return True
 
-    def _word_decomposition(self, gens) -> list[list[int]]:
-        """For each element, a word (list of generator indices) composing to it."""
-        words: list = [None] * self.order
-        words[0] = []
+    def _word_tree(self, gens) -> list[tuple[int, int, int]]:
+        """(element, parent, generator index) for every element but the
+        identity, shortest words first: element = parent * gens[index]."""
+        steps = []
+        reached = [False] * self.order
+        reached[0] = True
         frontier = [0]
         while frontier:
             nxt = []
             for x in frontier:
                 for gi, g in enumerate(gens):
                     y = self.table[x][g]
-                    if words[y] is None:
-                        words[y] = words[x] + [gi]
+                    if not reached[y]:
+                        reached[y] = True
+                        steps.append((y, x, gi))
                         nxt.append(y)
             frontier = nxt
-        if any(w is None for w in words):
+        if len(steps) != self.order - 1:
             raise GroupError("given generators do not generate the group")
-        return words
+        return steps
 
     # -- serialization ---------------------------------------------------
 

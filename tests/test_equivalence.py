@@ -1,11 +1,13 @@
 import json
+import random
 from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
 from repident import catalog, equivalence as eq
-from repident.replab import restrict_rep
+from repident.grouplab import FiniteGroup
+from repident.replab import Rep, restrict_rep
 
 
 @pytest.fixture(scope="module")
@@ -159,25 +161,6 @@ def test_compare_all_payload(a5):
     assert out2["strong_table_equiv"] and not out2["gassmann"] and not out2["similar"]
 
 
-def test_automorphism_cache_drops_freed_groups():
-    import gc
-    import weakref
-
-    from repident.grouplab import FiniteGroup
-
-    group = FiniteGroup([[(a + b) % 5 for b in range(5)] for a in range(5)],
-                        name="cache-probe")
-    entries = len(eq._AUTO_CACHE)
-    assert len(eq._cached_automorphisms(group, None)) == 4
-    assert group in eq._AUTO_CACHE and len(eq._AUTO_CACHE) == entries + 1
-    ref = weakref.ref(group)
-    del group
-    gc.collect()
-    assert ref() is None
-    assert len(eq._AUTO_CACHE) <= entries
-    assert all(g.name != "cache-probe" for g in eq._AUTO_CACHE.keys())
-
-
 # gamma(7,9,2) irreducibles; every pair of them is compared by the benchmark
 _GAMMA_PIS = ("pi(1,1)", "pi(1,2)", "pi(1,4)", "pi(2,1)", "pi(3,1)", "pi(2,2)")
 # forms V of diagonal reps a -> diag(zeta_3^(V a)) of the order-9 abelian group
@@ -213,6 +196,81 @@ def test_compare_json_pinned():
     assert list(cases) == list(pinned)
     for name, (rep1, rep2) in cases.items():
         assert json.dumps(eq.compare_all(rep1, rep2)) == json.dumps(pinned[name]), name
+
+
+def _assert_similarity(rep1, rep2, alpha):
+    """alpha is a bijective homomorphism from rep1's group onto rep2's that
+    carries chi1 to chi2."""
+    m = rep1.group.order
+    t1, t2 = rep1.group.table, rep2.group.table
+    assert alpha is not None and sorted(alpha) == list(range(m))
+    assert all(alpha[t1[a][b]] == t2[alpha[a]][alpha[b]] for a in range(m) for b in range(m))
+    chi1, chi2 = rep1.character.values, rep2.character.values
+    assert all(chi2[alpha[g]] == chi1[g] for g in range(m))
+
+
+def test_similar_reps_matches_an_automorphism_scan():
+    """On every pinned pair, similar_reps returns the first automorphism of
+    automorphisms() that carries chi1 to chi2, or None when there is none."""
+    scans = {}
+    for name, (rep1, rep2) in _compare_cases().items():
+        group = rep1.group
+        assert group.table == rep2.group.table, name
+        auts = scans.setdefault(group.table, group.automorphisms())
+        chi1, chi2 = rep1.character.values, rep2.character.values
+        expected = next((alpha for alpha in auts
+                         if all(chi2[alpha[g]] == chi1[g] for g in range(group.order))), None)
+        alpha = eq.similar_reps(rep1, rep2)
+        assert alpha == expected, name
+        if alpha is not None:
+            _assert_similarity(rep1, rep2, alpha)
+
+
+@pytest.mark.parametrize("name,others", [("H5", ("theta1", "theta2", "theta3", "theta4")),
+                                         ("H7", ("theta2",))])
+def test_heisenberg_faithful_reps_similar(name, others):
+    """The paper's p-group examples: theta1 is similar to each faithful
+    irreducible of H5, and to theta2 of H7 (order 343)."""
+    entry = catalog.get_entry(name)
+    theta1 = entry.rep("theta1")
+    for other in others:
+        _assert_similarity(theta1, entry.rep(other), eq.similar_reps(theta1, entry.rep(other)))
+
+
+def _relabelled(rep, seed):
+    """rep moved to a copy of its group whose non-identity elements are
+    shuffled."""
+    m = rep.group.order
+    label = [0] + random.Random(seed).sample(range(1, m), m - 1)
+    table = [[0] * m for _ in range(m)]
+    images = [None] * m
+    for a in range(m):
+        images[label[a]] = rep.images[a]
+        for b in range(m):
+            table[label[a]][label[b]] = label[rep.group.table[a][b]]
+    return Rep(FiniteGroup(table), images, name=f"{rep.name} relabelled")
+
+
+@pytest.mark.parametrize("name,rep_name,other", [("S4", "rho4", "rho5"),
+                                                 ("gamma(7,9,2)", "pi(1,2)", "pi(1,1)")])
+def test_similar_reps_across_tables(name, rep_name, other):
+    entry = catalog.get_entry(name)
+    rep = entry.rep(rep_name)
+    copy = _relabelled(rep, 7)
+    assert copy.group.table != rep.group.table
+    for rep1, rep2 in ((rep, copy), (copy, rep)):
+        _assert_similarity(rep1, rep2, eq.similar_reps(rep1, rep2))
+    assert eq.compare_all(rep, copy)["similar"]
+    assert eq.similar_reps(entry.rep(other), copy) is None
+
+
+def test_similar_reps_non_isomorphic_groups():
+    """Z9 and Z3^2 have equal orders but are not isomorphic."""
+    z9 = catalog.cyclic(9).rep("chi3")
+    for rep in (catalog.abelian_rep(3, 2, 1, [[1, 0]]),
+                catalog.abelian_rep(3, 2, 2, [[1, 0], [0, 1]])):
+        assert eq.similar_reps(z9, rep) is None
+        assert eq.compare_all(z9, rep)["similar"] is False
 
 
 @pytest.mark.parametrize("name", ["S4", "H3", "W3"])

@@ -173,6 +173,8 @@ def test_automorphisms():
     z2z2 = from_cayley_table([[i ^ j for j in range(4)] for i in range(4)])
     assert len(z2z2.automorphisms()) == 6
     assert len(catalog.quaternion().group.automorphisms()) == 24
+    for name, count in (("H3", 432), ("W3", 324), ("A5", 120)):
+        assert len(catalog.get_entry(name).group.automorphisms()) == count, name
 
 
 def test_power_map():

@@ -255,6 +255,35 @@ def test_verdict_json_pinned():
         assert json.dumps(_verdict_json(run())) == json.dumps(pinned[name]), name
 
 
+def _psi_pinned_cases():
+    """Guarded verdicts whose documents sum conjugation averages psi_Y over
+    a bijection Y onto the group; their JSON (timing aside) is pinned in
+    tests/data/psi_verdicts_pinned.json."""
+    w3 = catalog.get_rep("W3", "rho_w")
+    h3 = catalog.heisenberg(3).rep("theta1")
+    s3_std = catalog.symmetric(3).rep("std")
+    gam = catalog.gamma_d(7, 9, 2)
+    return {
+        "W3:rho_w gassmann(1)": lambda: vf.holds_guarded(
+            idf.gassmann_identity(w3, 1), w3, seed=2, orderings=1),
+        "H3:theta1 spectrum": lambda: vf.holds_guarded(
+            idf.spectrum_identity(h3), h3, seed=3, orderings=3),
+        "S3:std dimension(6,1)": lambda: vf.holds_guarded(
+            idf.dimension_identity(6, 1), s3_std, seed=4, orderings=2),
+        "gamma(7,9,2) gamma-sep on pi(1,2)": lambda: vf.holds_guarded(
+            idf.gamma_separating_identity(gam, 1), gam.rep("pi(1,2)"), seed=5, orderings=1),
+    }
+
+
+def test_psi_verdict_json_pinned():
+    pinned = json.loads((Path(__file__).parent / "data" / "psi_verdicts_pinned.json")
+                        .read_text())
+    cases = _psi_pinned_cases()
+    assert list(cases) == list(pinned)
+    for name, run in cases.items():
+        assert json.dumps(_verdict_json(run())) == json.dumps(pinned[name]), name
+
+
 def test_parallel_exhaustive_reports_undecided():
     """Workers' undecided counts reach the verdict: --jobs 2 reports what
     --jobs 1 does."""

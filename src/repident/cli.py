@@ -34,9 +34,18 @@ def _resolve_rep(ref: str) -> Rep:
             raise UsageError(f"rep ref {ref!r} needs catalog:<group>:<rep>")
         return catalog.get_rep(group_name, rep_name)
     if ref.startswith("file:"):
-        with open(ref[len("file:"):], encoding="utf-8") as fh:
-            return Rep.from_json(json.load(fh))
+        return _load(ref[len("file:"):], "a representation", Rep.from_json)
     raise UsageError(f"unknown rep ref {ref!r} (use catalog:... or file:...)")
+
+
+def _load(path: str, what: str, parse):
+    """parse(the JSON in path); a UsageError when the file is not JSON or
+    parse rejects it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise UsageError(f"{path} is not {what}: {exc!r}") from exc
 
 
 def _resolve_entry(ref: str):
@@ -199,13 +208,14 @@ def cmd_check(args) -> int:
     t0 = time.time()
     if args.identity.startswith("file:") or args.identity.endswith(".json"):
         path = args.identity[len("file:"):] if args.identity.startswith("file:") else args.identity
-        with open(path, encoding="utf-8") as fh:
-            doc = IdentityDoc.from_json(json.load(fh))
+        doc = _load(path, "an identity document", IdentityDoc.from_json)
     else:
         raise UsageError("check expects an identity file (file:path or path.json)")
     if args.sl2:
         verdict = verifier.sl2_sample_check(doc.expr, trials=args.trials, seed=args.seed)
     else:
+        if not args.rep:
+            raise UsageError("check needs --rep (or --sl2)")
         rep = _resolve_rep(args.rep)
         verdict = verifier.check(doc, rep, mode=args.mode, seed=args.seed,
                                  budget=args.budget, n=args.n,
@@ -432,7 +442,7 @@ def main(argv=None) -> int:
             raise UsageError("--strict refuses the default seed; pass --seed")
         return args.func(args)
     except (UsageError, catalog.CatalogError, idfactory.BuildError,
-            verifier.BudgetExceeded, StreamUndecided, FileNotFoundError) as exc:
+            verifier.VerifierError, StreamUndecided, FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -12,18 +12,18 @@ structural equality is simply finer than equality in the group algebra.
 Evaluation maps Vars to group element indices (with a Rep supplying the
 matrices) or directly to matrices.  Words are composed in the group; sums
 and scalar multiples of words stay sparse elements of the group algebra
-Q(zeta)[G], and a class-constant element on an irreducible rep collapses
-to its Schur scalar.  Zero tests fold the support by the scalar subgroup
-and, for rational coefficients, sum integer image vectors; a matrix is
-built when a caller asks for one, or when irrational coefficients leave
-more than two terms.  That is what makes guard-heavy identities
-affordable.
+Q(zeta)[G].  Zero tests fold the support by the scalar subgroup and, for
+rational coefficients, sum integer image vectors; a matrix is built when a
+caller asks for one, or when irrational coefficients leave more than two
+terms.  That is what makes guard-heavy identities affordable.
 A Sum adds a linear Prod (leaves around at most one other node) to its
 terms word by word, without building the product; any Prod is zero at a
 zero factor with a non-leaf after it.  A conjugation average
 sum_{y in Y} y T y^-1 inside a Sum is recognized once per node and, when Y
-is a bijection onto the group, added from class sums without evaluating a
-term.  Node values live for one evaluation.
+is a bijection onto the group, added without evaluating a term: on an
+irreducible rep of degree d as the scalar (|G| / d) tr rho(T) (a character
+value when T is a word), on a reducible one from class sums.  Node values
+live for one evaluation.
 """
 
 from __future__ import annotations
@@ -379,21 +379,22 @@ class Evaluator:
 
     Words are composed in the group (_G).  Sums and scalar multiples of
     words, and their products while the supports stay small, are sparse
-    elements of Q(zeta)[G] (_A).  A class-constant element on an
-    irreducible rep collapses to the scalar it acts as (Schur's lemma), so a
-    conjugation average over a full ordering is a scalar (_S).  Matrices
-    (_M) appear only for matrix-valued assignments, inverses of sums and
-    products whose convolution would cost more than the matrices.  An _A
-    value is lifted to a matrix when a caller asks for one (`_to_mat`), and
-    by its zero test (`_is_zero`) only when irrational coefficients leave
-    more than two terms after folding by the scalar subgroup.  A linear
-    product s a T b (T its one non-leaf factor) is added to a sum's terms as
-    s c_g at a g b; a product zero-tests only factors before a non-leaf.
+    elements of Q(zeta)[G] (_A); one supported on the identity alone is a
+    scalar (_S).  Matrices (_M) appear only for matrix-valued assignments,
+    inverses of sums and products whose convolution would cost more than
+    the matrices.  An _A value is lifted to a matrix when a caller asks for
+    one (`_to_mat`), and by its zero test (`_is_zero`) only when irrational
+    coefficients leave more than two terms after folding by the scalar
+    subgroup.  A linear product s a T b (T its one non-leaf factor) is added
+    to a sum's terms as s c_g at a g b; a product zero-tests only factors
+    before a non-leaf.
     A sum's conjugation averages psi_Y(T) (`_psi_blocks`) over a bijection Y
-    onto the group add |C_G(h)| c_h at every member of h's class, for each
-    term c_h h of T (`_add_class_sums`): the same terms the products y T y^-1
-    would add one by one, which they still do off a bijection or for a
-    matrix T.
+    onto the group are added without a term y T y^-1 (`_add_class_sums`).
+    On an irreducible rep of degree d, psi_Y(T) is the scalar
+    (|G| / d) tr rho(T) (Schur's lemma), added at the identity, for any T.
+    On a reducible rep each term c_h h of T adds |C_G(h)| c_h at every
+    member of h's class: the terms the products y T y^-1 would add one by
+    one, which they still do off a bijection or for a matrix T there.
 
     Node values are shared within one call (its memo), never across calls.
     Reuse across assignments belongs to the caller that knows which values
@@ -408,7 +409,6 @@ class Evaluator:
         # a product of two _A values convolves while |A|*|B| stays below
         # the cost of one matrix product
         self._convolve_limit = 2 * self.dim ** 3 if self.dim else 0
-        self._classes = None  # rep.central_weights, or False when reducible
 
     # value helpers
 
@@ -490,38 +490,7 @@ class Evaluator:
                 return (_S, _cyc(c))
             if not isinstance(c, Cyc) and c == 1:
                 return (_G, g)
-            return (_A, terms)
-        central = self._central(terms)
-        if central is not None:
-            return (_S, central)
         return (_A, terms)
-
-    def _central(self, terms: dict):
-        """The scalar a class-constant element acts as on an irreducible rep,
-        else None."""
-        if self._classes is None:
-            self._classes = self.rep.central_weights if self.rep.is_irreducible() else False
-        if not self._classes:
-            return None
-        class_of, sizes, weights = self._classes
-        n = len(terms)
-        per_class: dict = {}
-        for g, c in terms.items():
-            k = class_of[g]
-            seen = per_class.get(k)
-            if seen is None:
-                if sizes[k] > n:
-                    return None
-                per_class[k] = c
-            elif seen != c:
-                return None
-        # every class met is covered whole when the sizes add up to the support
-        if sum(sizes[k] for k in per_class) != n:
-            return None
-        total = 0
-        for k, c in per_class.items():
-            total = _add(total, _mul(c, weights[k]))
-        return _cyc(total)
 
     def _algebra_is_zero(self, terms: dict) -> bool:
         """Exact zero test of sum_g c_g rho(g).
@@ -666,11 +635,14 @@ class Evaluator:
 
     def _add_class_sums(self, terms: dict, names, key, middle, assignment, memo) -> bool:
         """terms += psi_Y(T) = sum_{y in Y} y T y^-1 for the values Y of names
-        and T of middle, from class sums; False, with terms untouched, unless
-        Y is a bijection onto the group and T is not a matrix.
+        and T of middle; False, with terms untouched, unless Y is a bijection
+        onto the group.
 
-        Then sum_y y h y^-1 = |C_G(h)| K_h for a group element h, with K_h
-        the sum of h's class, and psi_Y is linear in T.  The bijection test is
+        Then psi_Y(T) commutes with every rho(g), so on an irreducible rep of
+        degree d it is the scalar (|G| / d) tr rho(T) (Schur's lemma), added
+        at the identity.  On a reducible rep, sum_y y h y^-1 = |C_G(h)| K_h
+        for a group element h, with K_h the sum of h's class, and psi_Y is
+        linear in T; a matrix T is left to the terms.  The bijection test is
         made once per call (memo) and name tuple, and T is evaluated once per
         call and key, the ids of its factors: sums that share the factors
         build their own middle nodes."""
@@ -686,6 +658,10 @@ class Evaluator:
         if key not in memo:
             memo[key] = self._eval(middle, assignment, memo)
         tag, payload = memo[key]
+        if self.rep.is_irreducible():
+            c = _mul(self._trace(tag, payload), group.order // self.rep.dim)
+            terms[0] = _add(terms[0], c) if 0 in terms else c
+            return True
         if tag == _M:
             return False
         if tag != _A:
@@ -696,6 +672,20 @@ class Evaluator:
             for g in members:
                 terms[g] = _add(terms[g], c) if g in terms else c
         return True
+
+    def _trace(self, tag, payload):
+        """tr rho(T) of a tagged value T, as a coefficient."""
+        if tag == _M:
+            return demote(payload.trace())
+        if tag == _S:
+            return _mul(demote(payload), self.rep.dim)
+        chi = self.rep.character.values
+        if tag == _G:
+            return demote(chi[payload])
+        trace = 0
+        for h, c in payload.items():
+            trace = _add(trace, _mul(c, demote(chi[h])))
+        return trace
 
     def _linear(self, e, assignment, memo):
         """(s, a, T, b) when the product e is linear, leaves around at most

@@ -207,18 +207,6 @@ class Rep:
             images.append(None if any(None in row for row in rows) else rows)
         return red, tuple(images)
 
-    @cached_property
-    def central_weights(self) -> tuple[list[int], list[int], list]:
-        """(class index per element, class sizes, weights): the sum of the
-        class K acts as the scalar |K| chi(g_K) / chi(1) on an irreducible rep
-        (Schur's lemma); weights are ints or Fractions when rational."""
-        cc = self.group.conjugacy_classes
-        chi = self.character
-        class_of = [cc.index_of(g) for g in range(self.group.order)]
-        weights = [demote(chi.value(r) * Cyc.from_rational(Fraction(size, self.dim)))
-                   for r, size in zip(cc.representatives, cc.sizes)]
-        return class_of, cc.sizes, weights
-
     # -- analytics ---------------------------------------------------------
 
     def adams_vector(self, g: int) -> tuple[Cyc, ...]:

@@ -62,6 +62,16 @@ from .matrices import Mat
 from .replab import Rep
 
 
+# guarded mode enumerates the argument values when there are at most
+# GUARDED_ARG_BUDGET of them, and samples GUARDED_ARG_SAMPLES per ordering
+# otherwise
+GUARDED_ARG_BUDGET = 20_000
+GUARDED_ARG_SAMPLES = 500
+# the class identity's structured source enumerates at most this many
+# slot-to-class bijections
+CLASS_BIJECTIONS = 24
+
+
 class VerifierError(RuntimeError):
     pass
 
@@ -435,8 +445,7 @@ def _worker_scan(bounds) -> Verdict:
                    total=True)
 
 
-def holds_guarded(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 5,
-                  arg_budget: int = 20_000, samples_if_over: int = 500) -> Verdict:
+def holds_guarded(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 5) -> Verdict:
     t0 = time.time()
     if doc.vacuous:
         return _vacuous("guarded", t0)
@@ -452,16 +461,16 @@ def holds_guarded(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 5,
             )
     args = doc.vars_with_role("psi-argument")
     session = _Session(doc, rep, seed)
-    exhaustive_args = m ** len(args) <= arg_budget if args else True
+    exhaustive_args = m ** len(args) <= GUARDED_ARG_BUDGET if args else True
     detail = {"orderings": orderings, "seed": seed, "checked": 0,
               "args_exhaustive": exhaustive_args}
     source = _guarded_assignments(session, groups, args, orderings, exhaustive_args,
-                                  samples_if_over, detail)
+                                  detail)
     return _verify(session, "guarded", source, detail, t0)
 
 
 def _guarded_assignments(session: _Session, groups: dict, args: list[str], orderings: int,
-                         exhaustive_args: bool, samples_if_over: int, detail: dict):
+                         exhaustive_args: bool, detail: dict):
     """Guard orderings times argument values; detail["checked"] counts them.
 
     Per ordering, the factors free of arguments are scanned once and a zero
@@ -490,7 +499,7 @@ def _guarded_assignments(session: _Session, groups: dict, args: list[str], order
             arg_iter = itertools.product(range(m), repeat=len(args))
         else:
             arg_iter = (
-                tuple(rng.randrange(m) for _ in args) for _ in range(samples_if_over)
+                tuple(rng.randrange(m) for _ in args) for _ in range(GUARDED_ARG_SAMPLES)
             )
         if session.scan_factors(assignment, static)[0]:
             detail["checked"] += 1
@@ -542,15 +551,14 @@ def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int =
     return verdict
 
 
-def _class_assignments(doc: IdentityDoc, session: _Session, orderings: int,
-                       max_bijections: int = 24):
+def _class_assignments(doc: IdentityDoc, session: _Session, orderings: int):
     """Theorem-style family: x_r over class representatives matched by size,
     Y_r over left transversals of the centralizers.
 
-    The slot-to-class bijections within each size group are enumerated up to
-    a cap: any single size-valid bijection already witnesses a failing
-    value-matching body, and the holding direction is additionally covered
-    by the random-sample supplement."""
+    At most CLASS_BIJECTIONS slot-to-class bijections within the size groups
+    are enumerated: any single size-valid bijection already witnesses a
+    failing value-matching body, and the holding direction is additionally
+    covered by the random-sample supplement."""
     group = session.rep.group
     rng = session.rng
     sizes = doc.params["sizes"]
@@ -583,7 +591,7 @@ def _class_assignments(doc: IdentityDoc, session: _Session, orderings: int,
         if len(classes) < len(grp):
             return  # the forcing product vanishes identically; leave it to sampling
         choices_per_group.append(list(itertools.permutations(classes, len(grp))))
-    combos = itertools.islice(itertools.product(*choices_per_group), max_bijections)
+    combos = itertools.islice(itertools.product(*choices_per_group), CLASS_BIJECTIONS)
     for combo in combos:
         class_for_slot = {}
         for grp, perm in zip(size_groups, combo):

@@ -111,3 +111,31 @@ def test_expansion_over_the_limit_is_a_usage_error():
     assert proc.returncode == 2
     assert "exceed the limit" in json.loads(proc.stderr)["error"]
     assert "Traceback" not in proc.stderr
+
+
+def test_check_bad_input_is_a_usage_error(tmp_path):
+    psi = tmp_path / "psi.json"
+    assert run_cli("build", "psi", "--m", "3", "-o", str(psi)).returncode == 0
+    char = tmp_path / "char.json"
+    assert run_cli("build", "character", "--rep", "catalog:S3:std",
+                   "-o", str(char)).returncode == 0
+    no_group = tmp_path / "no_group.json"
+    no_group.write_text('{"group": 3}')
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("not json")
+    cases = [
+        # a guard group of 3 variables on a group of order 6
+        (str(psi), "--rep", "catalog:S3:std", "--mode", "guarded"),
+        # the character family has no structured handler
+        (str(char), "--rep", "catalog:S3:std", "--mode", "structured"),
+        (str(char),),
+        (str(char), "--rep", f"file:{no_group}"),
+        (str(char), "--rep", f"file:{not_json}"),
+        (str(not_json), "--rep", "catalog:S3:std"),
+        (str(no_group), "--rep", "catalog:S3:std"),
+    ]
+    for args in cases:
+        proc = run_cli("check", *args)
+        assert proc.returncode == 2, args
+        assert json.loads(proc.stderr)["error"], args
+        assert "Traceback" not in proc.stderr, args

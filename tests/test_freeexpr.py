@@ -328,8 +328,8 @@ def test_scalar_subgroup_fold_on_2t():
     e = sum_([var("x"), prod([var("z"), var("x")])])
     for x in range(rep.group.order):
         val = ev.evaluate_value(e, {"x": x, "z": z})
-        # a central x makes the element class-constant: a (zero) scalar
-        assert ev._is_zero(val) and (val[0] == _A or x in (0, z))
+        # two terms, folded onto one coset by the zero test
+        assert ev._is_zero(val) and val[0] == _A
         assert ev.evaluate(e, {"x": x, "z": z}).is_zero()
 
 
@@ -362,8 +362,7 @@ def _zero_factor_cases():
 
     On the reducible Z3 representation diag(w^a, w^2a), which has no
     trivial constituent, 1 + t + t^2 with t a generator is the full Z3 sum:
-    zero as an operator, yet a group-algebra element with three terms that
-    no Schur scalar collapses."""
+    zero as an operator, yet a group-algebra element with three terms."""
     zero_scalar = sub(var("a"), var("a"))
     zero_sum = sum_([const(1), var("t"), prod([var("t"), var("t")])])
     return [
@@ -673,10 +672,16 @@ def _psi_children(e: Expr) -> set:
 def test_psi_class_sums_match_term_by_term_and_naive_oracle(index, evaluated):
     """psi over a bijection onto the group, with T a word, a scalar, a sum
     or a matrix, alone, as two blocks of one sum and beside other terms:
-    the tagged value equals the one the same sum gives term by term, and
-    evaluate and the zero test agree with the naive oracle.  Only a
-    matrix T evaluates a psi child."""
+    the operator equals the one the same sum gives term by term, and
+    evaluate and the zero test agree with the naive oracle.  On an
+    irreducible rep psi is the scalar (|G| / d) tr rho(T), so no psi child
+    is evaluated for any T and a sum of psi blocks alone is a scalar; on the
+    reducible rep the class sums give the term-by-term value itself, and
+    only a matrix T evaluates a psi child."""
+    from repident.freeexpr import _S
+
     rep = _psi_reps()[index]
+    irreducible = rep.is_irreducible()
     m = rep.group.order
     names = [f"y{i}" for i in range(1, m + 1)]
     middles = _psi_middles(rep)
@@ -698,9 +703,14 @@ def test_psi_class_sums_match_term_by_term_and_naive_oracle(index, evaluated):
             evaluated.clear()
             val = ev.evaluate_value(fast, assignment)
             touched = _psi_children(fast) & set(map(id, evaluated))
-            assert bool(touched) == ("matrix" in kinds), (shape, kinds)
-            tag, payload = ev.evaluate_value(slow, assignment)
-            assert val[0] == tag and val[1] == payload, (shape, kinds)
+            term_by_term = ev.evaluate_value(slow, assignment)
+            if irreducible:
+                assert not touched, (shape, kinds)
+                assert val[0] == _S or shape == "mixed", (shape, kinds)
+            else:
+                assert bool(touched) == ("matrix" in kinds), (shape, kinds)
+                assert val == term_by_term, (shape, kinds)
+            assert ev._to_mat(val) == ev._to_mat(term_by_term), (shape, kinds)
             expected = naive_eval(fast, assignment, rep)
             assert ev.evaluate(fast, assignment) == expected
             assert ev._is_zero(val) == expected.is_zero()

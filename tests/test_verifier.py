@@ -541,7 +541,7 @@ def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
 
     session.scan_factors = recording
     yielded = list(vf._guarded_assignments(session, doc.guard_groups(), ["x"], 5, True,
-                                           500, {"checked": 0}))
+                                           {"checked": 0}))
     ev = Evaluator(s3_std)
     expected = [(guard["y1"], x) for guard in orderings for x in range(m)
                 if not any(ev._is_zero(ev.evaluate_value(f, dict(guard, x=x)))

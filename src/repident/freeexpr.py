@@ -16,9 +16,13 @@ Q(zeta)[G].  Zero tests fold the support by the scalar subgroup and, for
 rational coefficients, sum integer image vectors; a matrix is built when a
 caller asks for one, or when irrational coefficients leave more than two
 terms.  That is what makes guard-heavy identities affordable.
-A Sum adds a linear Prod (leaves around at most one other node) to its
-terms word by word, without building the product; any Prod is zero at a
-zero factor with a non-leaf after it.  A conjugation average
+A Prod is one fold s a T b: s the product of its scalars, a and b words,
+T the group-algebra product of its other values and the words between
+them.  A Sum adds s a T b to its terms without building the product.  A
+zero constant makes a Prod zero at once, and so does a zero non-leaf
+factor with another non-leaf after it.  A Prod with a matrix value, or
+whose convolution would cost more than matrices, is one matrix product.
+A conjugation average
 sum_{y in Y} y T y^-1 inside a Sum is recognized once per node and, when Y
 is a bijection onto the group, added without evaluating a term: on an
 irreducible rep of degree d as the scalar (|G| / d) tr rho(T) (a character
@@ -78,21 +82,13 @@ class Expr:
         if self._fvs is None:
             if self.kind == "var":
                 self._fvs = frozenset({self.value})
-            elif self.kind == "const":
-                self._fvs = frozenset()
-            elif self.kind in ("sum", "prod"):
-                acc = frozenset()
-                for c in self.children:
-                    acc |= c.free_vars()
-                self._fvs = acc
             elif self.kind in ("inv", "star"):
                 self._fvs = self.children[0].free_vars()
-            elif self.kind in ("stream_subsets", "stream_partitions",
-                               "stream_perm_body"):
-                acc = frozenset()
-                for c in self.children:
-                    acc |= c.free_vars()
-                self._fvs = acc
+            elif self.kind in ("const", "sum", "prod", "stream_subsets",
+                               "stream_partitions", "stream_perm_body"):
+                # one union per node: folding child by child would copy a
+                # growing set once per child
+                self._fvs = frozenset().union(*[c.free_vars() for c in self.children])
             else:
                 raise AssertionError(self.kind)
         return self._fvs
@@ -334,6 +330,9 @@ def free_vars(e: Expr) -> frozenset[str]:
 # memo, so they are never mutated.
 _G, _S, _M, _A = 0, 1, 2, 3
 
+# a typed-partition search is undecided after trying this many candidate blocks
+PARTITION_BUDGET = 300_000
+
 
 def _add(a, b):
     """Sum of two coefficients; 0 when they cancel."""
@@ -385,9 +384,11 @@ class Evaluator:
     the matrices.  An _A value is lifted to a matrix when a caller asks for
     one (`_to_mat`), and by its zero test (`_is_zero`) only when irrational
     coefficients leave more than two terms after folding by the scalar
-    subgroup.  A linear product s a T b (T its one non-leaf factor) is added
-    to a sum's terms as s c_g at a g b; a product zero-tests only factors
-    before a non-leaf.
+    subgroup.  A product is one fold s a T b (`_linear`), which a sum adds
+    to its terms as s c_g at a g b, and whose convolutions are made once
+    per call; only a non-leaf factor with another non-leaf after it is
+    zero-tested.  A product that does not fold is one matrix product, its
+    scalars folded into one scale.
     A sum's conjugation averages psi_Y(T) (`_psi_blocks`) over a bijection Y
     onto the group are added without a term y T y^-1 (`_add_class_sums`).
     On an irreducible rep of degree d, psi_Y(T) is the scalar
@@ -396,7 +397,8 @@ class Evaluator:
     member of h's class: the terms the products y T y^-1 would add one by
     one, which they still do off a bijection or for a matrix T there.
 
-    Node values are shared within one call (its memo), never across calls.
+    Node values and product folds are shared within one call (its memo),
+    never across calls.
     Reuse across assignments belongs to the caller that knows which values
     repeat (the verifier's vanishing table).
     """
@@ -405,7 +407,6 @@ class Evaluator:
         self.rep = rep
         self.dim = dim if dim is not None else (rep.dim if rep is not None else None)
         self.shortcircuit = shortcircuit
-        self.partition_budget = 300_000
         # a product of two _A values convolves while |A|*|B| stays below
         # the cost of one matrix product
         self._convolve_limit = 2 * self.dim ** 3 if self.dim else 0
@@ -688,40 +689,69 @@ class Evaluator:
         return trace
 
     def _linear(self, e, assignment, memo):
-        """(s, a, T, b) when the product e is linear, leaves around at most
-        one other node (the core): its value is s a T b, with s the product
-        of its constants, a and b the words of the variables before and after
-        the core, T the core's tagged value or None.  With shortcircuit a zero
-        constant gives s = 0 at once.  None for two non-leaf children, a
-        matrix, or no rep."""
-        cores = [c for c in e.children if c.kind != "var" and c.kind != "const"]
-        if len(cores) > 1 or self.rep is None:
+        """(s, a, T, b) with s a T b the value of the product e: s the product
+        of its scalars, a and b the words before and after T, T the
+        group-algebra product (an _A value, or None for 1) of its other
+        values and the words between them.  With shortcircuit a zero scalar
+        gives s = 0 at once, and so does a zero non-leaf child with another
+        non-leaf child after it.  The fold of a product with two or more
+        non-leaf children is kept in the memo under the node itself, so a
+        product shared by several sums convolves once per call.  None for a
+        matrix, a convolution that costs more than matrices, or no rep."""
+        if self.rep is None:
             return None
-        core = cores[0] if cores else None
+        cores = len([c for c in e.children if c.kind != "var" and c.kind != "const"])
+        shared = cores > 1
+        if shared and e in memo:
+            return memo[e]
         table = self.rep.group.table
-        s, a, b, val = 1, 0, 0, None
+        s, a, core, b = 1, 0, None, 0
+        out = None
         for c in e.children:
-            if c is core:
-                val = self._eval(c, assignment, memo)
-                if val[0] == _M:
-                    return None
+            if c.kind == "var":
+                tag, g = _G, assignment[c.value]
+                if not isinstance(g, int):
+                    break
             elif c.kind == "const":
-                s = _mul(s, demote(c.value))
-                if not s and self.shortcircuit:
-                    return (0, 0, None, 0)
+                tag, g = _S, c.value
             else:
-                v = assignment[c.value]
-                if not isinstance(v, int):
-                    return None
-                if val is None:
-                    a = table[a][v]
+                cores -= 1
+                val = self._eval(c, assignment, memo)
+                if cores and self.shortcircuit and self._is_zero(val):
+                    out = (0, 0, None, 0)
+                    break
+                tag, g = val
+            if tag == _G:
+                if core is None:
+                    a = table[a][g]
                 else:
-                    b = table[b][v]
-        return (s, a, val, b)
+                    b = table[b][g]
+            elif tag == _A:
+                if core is None:
+                    core = val
+                elif len(core[1]) * len(g) > self._convolve_limit:
+                    break
+                else:
+                    terms = core[1]
+                    if b:
+                        terms = {table[h][b]: x for h, x in terms.items()}
+                    core, b = (_A, _convolve(terms, g, table)), 0
+            elif tag == _S:
+                s = _mul(s, demote(g))
+                if not s and self.shortcircuit:
+                    out = (0, 0, None, 0)
+                    break
+            else:  # a matrix
+                break
+        else:
+            out = (s, a, core, b)
+        if shared:
+            memo[e] = out
+        return out
 
     def _accumulate(self, terms: dict, s, a, core, b) -> dict:
-        """terms += s a T b, coefficient by coefficient, for the tagged value
-        T of a linear product's core (1 when core is None); returns terms."""
+        """terms += s a T b, coefficient by coefficient, for a tagged value T
+        (1 when core is None); returns terms."""
         tag, payload = core or (_G, 0)
         if not s:
             return terms
@@ -740,66 +770,26 @@ class Evaluator:
         lin = self._linear(e, assignment, memo)
         if lin is not None:
             return self._element(self._accumulate({}, *lin))
-        last = len(e.children) - 1 if self.shortcircuit else 0
-        while last > 0 and e.children[last].kind in ("var", "const"):
-            last -= 1
-        vals = []
-        for i, c in enumerate(e.children):
+        # one matrix product, its scalars folded into one scale
+        cores = len([c for c in e.children if c.kind != "var" and c.kind != "const"])
+        scalar = mat = None
+        for c in e.children:
             val = self._eval(c, assignment, memo)
-            if i < last and self._is_zero(val):
-                return (_S, Cyc.zero())
-            vals.append(val)
-        return self._combine_product(vals)
-
-    def _combine_product(self, vals):
-        scalar = None
-        cores = []  # tagged values, scalars folded out
-        for tag, payload in vals:
+            if c.kind != "var" and c.kind != "const":
+                cores -= 1
+                if cores and self.shortcircuit and self._is_zero(val):
+                    return (_S, Cyc.zero())
+            tag, payload = val
             if tag == _S:
+                if self.shortcircuit and payload.is_zero():
+                    return (_S, Cyc.zero())
                 scalar = payload if scalar is None else scalar * payload
-            elif tag == _G and cores and cores[-1][0] == _G and self.rep is not None:
-                cores[-1] = (_G, self.rep.group.table[cores[-1][1]][payload])
             else:
-                cores.append((tag, payload))
-        if not cores:
+                m = self._to_mat(val)
+                mat = m if mat is None else mat * m
+        if mat is None:
             return (_S, Cyc.one() if scalar is None else scalar)
-        if all(tag != _M for tag, _ in cores):
-            out = self._algebra_product(cores, scalar)
-            if out is not None:
-                return out
-        mat = None
-        for val in cores:
-            m = self._to_mat(val)
-            mat = m if mat is None else mat * m
-        if scalar is not None:
-            mat = mat.scale(scalar)
-        return (_M, mat)
-
-    def _algebra_product(self, cores, scalar):
-        """Product of words and _A values times a scalar, in the group
-        algebra; None when a convolution would cost more than matrices."""
-        table = self.rep.group.table
-        terms = None
-        left = 0  # the word so far, while no _A value has been met
-        for tag, payload in cores:
-            if tag == _G:
-                if terms is None:
-                    left = table[left][payload]
-                else:
-                    terms = {table[g][payload]: c for g, c in terms.items()}
-            elif terms is None:
-                row = table[left]
-                terms = payload if left == 0 else {row[g]: c for g, c in payload.items()}
-            elif len(terms) * len(payload) > self._convolve_limit:
-                return None
-            else:
-                terms = _convolve(terms, payload, table)
-        if terms is None:
-            terms = {left: 1}
-        s = 1 if scalar is None else demote(scalar)
-        if s != 1:
-            terms = {g: _mul(c, s) for g, c in terms.items()}
-        return self._element(terms)
+        return (_M, mat if scalar is None else mat.scale(scalar))
 
     # -- streamed products ------------------------------------------------
 
@@ -872,7 +862,7 @@ class Evaluator:
             if self._class_assembly_hint(assignment, var_names, sizes, target_mats, mats):
                 return True
         order = sorted(range(len(sizes)), key=lambda i: sizes[i])
-        budget = [self.partition_budget]
+        budget = [PARTITION_BUDGET]
 
         def backtrack(bi, remaining):
             if budget[0] <= 0:

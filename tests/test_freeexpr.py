@@ -426,11 +426,12 @@ def test_zero_factor_before_leaves_matches_naive_oracle(index):
 @pytest.mark.parametrize("index", range(3))
 def test_zero_factor_guards_exceptions(index):
     """A zero product followed by leaves only still raises under inv; a zero
-    factor still spares an inverse of a zero element after it."""
+    factor still spares an inverse of a zero element after it, also in a
+    product that a matrix-valued variable m before it sends to matrices."""
     from repident.freeexpr import _A
 
     rep, extras, zeros = _zero_factor_cases()[index]
-    assignment = dict(extras, a=1, b=2)
+    assignment = dict(extras, a=1, b=2, m=rep.images[1] + rep.images[2])
     ev = Evaluator(rep)
     tags = [ev.evaluate_value(zero, assignment)[0] for zero in zeros]
     assert all(ev._is_zero(ev.evaluate_value(zero, assignment)) for zero in zeros)
@@ -442,6 +443,7 @@ def test_zero_factor_guards_exceptions(index):
             val = ev.evaluate_value(prod([zero, inv(other)]), assignment)
             assert ev._is_zero(val)
             assert ev.evaluate(prod([var("b"), zero, inv(other)]), assignment).is_zero()
+            assert ev.evaluate(prod([var("m"), zero, inv(other)]), assignment).is_zero()
 
 
 def test_standard_identity_makes_no_group_algebra_zero_tests(monkeypatch):
@@ -467,23 +469,36 @@ def test_standard_identity_makes_no_group_algebra_zero_tests(monkeypatch):
     assert calls == []
 
 
-# -- linear products: leaves around at most one other node ---------------------
+# -- products: one fold, matrices when it cannot be done -----------------------
 
 
 @pytest.mark.parametrize("index", range(3))
-def test_linear_products_match_naive_oracle(index):
-    """Sums of linear products (leaves around at most one core) and of
-    products with two non-leaf factors, with rational and irrational
-    constants and zero constants before and after the core.  One product
-    node is shared by two sums and is also a root factor, all three
-    evaluated under one memo.  Values and zero tests agree with the naive
-    oracle, with and without short-circuiting and with a matrix-valued
-    variable."""
+def test_linear_products_match_naive_oracle(index, monkeypatch):
+    """Sums of products with zero to three non-leaf factors, words between
+    them, rational and irrational constants and zero constants before and
+    after a lone non-leaf.  One product node is shared by two sums and is
+    also a root factor, all three evaluated under one memo.  Values and zero
+    tests agree with the naive oracle, with and without short-circuiting,
+    with a matrix-valued variable and with products whose convolution is
+    over the evaluator's limit (lowered to 4 on a second pair of evaluators:
+    Z3 has no support larger than 3), which take the matrix fallback."""
+    from repident.freeexpr import _M
+
     rep, extras, zeros = _zero_factor_cases()[index]
     rng = random.Random(500 + index)
     names = ["a", "b", "c"]
     seen = dict.fromkeys(["zero before core", "zero after core", "irrational",
-                          "two non-leaves", "matrix"], 0)
+                          "two non-leaves", "three non-leaves", "word between non-leaves",
+                          "matrix", "over the limit"], 0)
+    folds = []
+    original_linear = Evaluator._linear
+
+    def linear(self, e, assignment, memo):
+        out = original_linear(self, e, assignment, memo)
+        folds.append((e, memo, out))
+        return out
+
+    monkeypatch.setattr(Evaluator, "_linear", linear)
 
     def leaf():
         pick = rng.random()
@@ -498,10 +513,22 @@ def test_linear_products_match_naive_oracle(index):
     def product(cores):
         children = [leaf() for _ in range(rng.randint(1, 3))]
         pick = rng.random()
-        for _ in range(2 if pick < 0.2 else 1 if pick < 0.85 else 0):
+        for _ in range(3 if pick < 0.15 else 2 if pick < 0.35 else 1 if pick < 0.85 else 0):
             children.insert(rng.randrange(len(children) + 1), rng.choice(cores))
         return prod(children)
 
+    def is_leaf(c):
+        return c.kind in ("var", "const")
+
+    def matrix_valued(c, assignment, memo):
+        if c.kind == "var":
+            return not isinstance(assignment[c.value], int)
+        return not is_leaf(c) and memo.get(id(c), (None,))[0] == _M
+
+    evaluators = [Evaluator(rep), Evaluator(rep, shortcircuit=False)]
+    tight = [Evaluator(rep), Evaluator(rep, shortcircuit=False)]
+    for ev in tight:
+        ev._convolve_limit = 4
     checked = 0
     for _ in range(60):
         cores = [_algebra_expr(rng, names, depth=2) for _ in range(2)] + zeros
@@ -518,19 +545,27 @@ def test_linear_products_match_naive_oracle(index):
             slow = [naive_eval(f, assignment, rep) for f in factors]
         except ZeroDivisionError:
             continue
-        for ev in (Evaluator(rep), Evaluator(rep, shortcircuit=False)):
+        folds.clear()
+        for ev in evaluators + tight:
             memo: dict = {}
             for f, expected in zip(factors, slow):
                 val = ev._eval(f, assignment, memo)
                 assert ev._to_mat(val) == expected
                 assert ev._is_zero(val) == expected.is_zero()
                 assert ev.evaluate(f, assignment) == expected
+        # a fold is None for a matrix value or a convolution over the limit
+        seen["over the limit"] += sum(
+            out is None and not any(matrix_valued(c, assignment, memo) for c in e.children)
+            for e, memo, out in folds)
         products = [f for s in factors if s.kind == "sum" for f in s.children
                     if f.kind == "prod"]
         for p in products:
-            kinds = [c.kind not in ("var", "const") for c in p.children]
+            kinds = [not is_leaf(c) for c in p.children]
             if sum(kinds) > 1:
-                seen["two non-leaves"] += 1
+                seen["two non-leaves" if sum(kinds) == 2 else "three non-leaves"] += 1
+                first, last = kinds.index(True), len(kinds) - 1 - kinds[::-1].index(True)
+                seen["word between non-leaves"] += any(
+                    c.kind == "var" for c in p.children[first:last])
             elif any(kinds):
                 core = kinds.index(True)
                 for i, c in enumerate(p.children):
@@ -542,6 +577,35 @@ def test_linear_products_match_naive_oracle(index):
         checked += 1
     assert checked >= 40
     assert all(n >= 5 for n in seen.values()), seen
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_shared_product_convolves_once_per_call(index, monkeypatch):
+    """A product of two sums with a word between them, shared by two sums
+    and evaluated on its own under the same memo, is convolved once per
+    call; every value agrees with the naive oracle."""
+    from repident import freeexpr
+
+    rep, extras, _zeros = _zero_factor_cases()[index]
+    convolved = []
+    original = freeexpr._convolve
+
+    def convolve(a, b, table):
+        convolved.append((len(a), len(b)))
+        return original(a, b, table)
+
+    monkeypatch.setattr(freeexpr, "_convolve", convolve)
+    a, b, c = var("a"), var("b"), var("c")
+    shared = prod([sum_([a, b]), c, sum_([b, smul(2, c)])])
+    factors = [sum_([shared, a]), sum_([b, shared]), shared]
+    assignment = dict(extras, a=0, b=1, c=2)
+    ev = Evaluator(rep)
+    for calls in (1, 2):
+        memo: dict = {}
+        for f in factors:
+            val = ev._eval(f, assignment, memo)
+            assert ev._to_mat(val) == naive_eval(f, assignment, rep)
+        assert len(convolved) == calls, convolved
 
 
 @pytest.mark.parametrize("index", range(3))
@@ -563,27 +627,35 @@ def test_zero_constant_spares_the_core(index):
 
 
 def test_standard_identity_makes_no_combined_products(monkeypatch):
-    """Every product of s6 is linear ([const(+-1), node(T), var(y_i)] or a
-    product of leaves), so its sums add the products' terms directly and no
-    product goes through _combine_product."""
-    from repident import idfactory
+    """Every product of s6 is [const(+-1), node(T), var(y_i)] or a product
+    of leaves: one non-leaf factor at most, so its sums add the products'
+    terms directly, with no convolution and no matrix product."""
+    from repident import freeexpr, idfactory
 
     rep = catalog.gamma_d(7, 9, 2).rep("pi(1,1)")
     doc = idfactory.standard_identity(6)
-    calls = []
-    original = Evaluator._combine_product
+    convolved, folds = [], []
+    original_convolve, original_linear = freeexpr._convolve, Evaluator._linear
 
-    def counting(self, vals):
-        calls.append(len(vals))
-        return original(self, vals)
+    def convolve(a, b, table):
+        convolved.append((len(a), len(b)))
+        return original_convolve(a, b, table)
 
-    monkeypatch.setattr(Evaluator, "_combine_product", counting)
+    def linear(self, e, assignment, memo):
+        out = original_linear(self, e, assignment, memo)
+        folds.append(out)
+        return out
+
+    monkeypatch.setattr(freeexpr, "_convolve", convolve)
+    monkeypatch.setattr(Evaluator, "_linear", linear)
     ev = Evaluator(rep)
     rng = random.Random(23)
     for _ in range(3):
         assignment = {f"y{i}": rng.randrange(rep.group.order) for i in range(1, 7)}
         ev.evaluate_value(doc.expr, assignment)
-    assert calls == []
+    # a product takes the matrix fallback exactly when its fold is None
+    assert folds and None not in folds
+    assert convolved == []
 
 
 # -- conjugation averages from class sums ---------------------------------------

@@ -9,6 +9,7 @@ decision is seeded and the seed is echoed in the output.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -211,12 +212,16 @@ def cmd_check(args) -> int:
         doc = _load(path, "an identity document", IdentityDoc.from_json)
     else:
         raise UsageError("check expects an identity file (file:path or path.json)")
-    if args.sl2:
-        verdict = verifier.sl2_sample_check(doc.expr, trials=args.trials, seed=args.seed)
-    else:
+    if not args.sl2:
         if not args.rep:
             raise UsageError("check needs --rep (or --sl2)")
         rep = _resolve_rep(args.rep)
+    # the document and rep live until the process exits: frozen, they are
+    # no longer traversed by every full collection the verification makes
+    gc.freeze()
+    if args.sl2:
+        verdict = verifier.sl2_sample_check(doc.expr, trials=args.trials, seed=args.seed)
+    else:
         verdict = verifier.check(doc, rep, mode=args.mode, seed=args.seed,
                                  budget=args.budget, n=args.n,
                                  orderings=args.orderings, jobs=args.jobs)
@@ -403,7 +408,10 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--budget", type=int, default=300_000)
     c.add_argument("--n", type=int, default=500)
-    c.add_argument("--orderings", type=int, default=5)
+    c.add_argument("--orderings", type=int, default=5,
+                   help="guarded mode: random guard orderings after the canonical "
+                        "one; on a document symmetric in its guards, orderings past "
+                        "the first are decided from the first")
     c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--sl2", action="store_true",
                    help="evaluate over exact random determinant-one matrices")

@@ -5,7 +5,11 @@ evidence. Every mode is a source of assignments:
   split over worker processes;
 - guarded: guard sets range over full group enumerations (canonical plus
   K random orderings), argument variables enumerated or sampled, streamed
-  products decided by zero-subset counting;
+  products decided by zero-subset counting; on a document symmetric in its
+  guards (`_guards_symmetric`: guard differences over every pair, and guard
+  variables otherwise only inside full conjugation averages) which
+  enumerated arguments vanish is the same in every ordering, so orderings
+  past the first reuse the first's results;
 - structured: the assignment family that the construction singles out
   (class representatives x centralizer transversals, or series-complement
   tuples), plus random sampling;
@@ -41,6 +45,7 @@ an irreducible target implies nonvanishing).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 import time
@@ -53,6 +58,7 @@ from .freeexpr import (
     Expr,
     StreamNonvanishing,
     StreamUndecided,
+    _psi_blocks,
     prod,
     star,
     sum_,
@@ -478,6 +484,13 @@ def _guarded_assignments(session: _Session, groups: dict, args: list[str], order
     yielded only when no argument-dependent factor vanishes, keyed by its
     argument values in a table of the ordering (in the session's table,
     across orderings, when all its variables are arguments).
+
+    With exhaustive arguments on a document symmetric in its guards
+    (`_guards_symmetric`), which arguments vanish is the same in every
+    ordering, so an ordering past the first scans nothing: it counts what
+    the first counted and yields, with its own guard values, the argument
+    values on which no factor vanished in the first.  Its shuffle is still
+    drawn, so the generator's draws are the same.
     """
     m = session.rep.group.order
     rng = session.rng
@@ -485,6 +498,8 @@ def _guarded_assignments(session: _Session, groups: dict, args: list[str], order
     static = [f for f in session.value_factors if not f.free_vars() & arg_set]
     dynamic = [f for f in session.value_factors if f.free_vars() & arg_set]
     arg_names = [tuple(v for v in f.sorted_vars() if v in arg_set) for f in dynamic]
+    reuse = exhaustive_args and _guards_symmetric(session, groups)
+    survivors: list = []  # the first ordering's argument values on which nothing vanished
     for rnd in range(orderings + 1):
         local: dict = {}
         keys = [(names, session.vanishing if len(names) == len(f.sorted_vars()) else local)
@@ -495,20 +510,103 @@ def _guarded_assignments(session: _Session, groups: dict, args: list[str], order
             if rnd > 0:
                 rng.shuffle(order)
             assignment.update(zip(vars_, order))
+        if rnd > 0 and reuse:
+            detail["checked"] += 1 if static_zero else m ** len(args)
+            for combo in survivors:
+                assignment.update(zip(args, combo))
+                yield dict(assignment)
+            continue
         if exhaustive_args:
             arg_iter = itertools.product(range(m), repeat=len(args))
         else:
             arg_iter = (
                 tuple(rng.randrange(m) for _ in args) for _ in range(GUARDED_ARG_SAMPLES)
             )
-        if session.scan_factors(assignment, static)[0]:
+        static_zero = session.scan_factors(assignment, static)[0]
+        if static_zero:
             detail["checked"] += 1
             continue
         for combo in arg_iter:
             assignment.update(zip(args, combo))
             detail["checked"] += 1
             if not session.scan_factors(assignment, dynamic, keys)[0]:
+                survivors.append(combo)
                 yield dict(assignment)
+
+
+def _guards_symmetric(session: _Session, groups: dict) -> bool:
+    """The guard-symmetry certificate: True when renaming the variables of a
+    guard group by any permutation cannot change whether some root value
+    factor vanishes on a bijection onto the group.  Computed once per
+    document and kept on it.
+
+    Every group Y passes two checks.  (a) The root factors var(a) - var(b)
+    (as `sub` builds them, in either child order) with a != b in Y cover
+    every unordered pair of Y equally often, or there are none: on a
+    bijection some one vanishes exactly when the rep is not faithful.
+    (b) Every other root value factor mentions guard variables only as the
+    conjugators y of a psi block (`freeexpr._psi_blocks`) over all of one
+    group, with a middle free of guard variables, so its value is the same
+    for every bijection.  A streamed node that mentions a guard variable,
+    or a guard variable anywhere else, refuses the certificate.
+    """
+    doc = session.doc
+    if doc.guards_symmetric is not None:
+        return doc.guards_symmetric
+    group_of = {v: label for label, vars_ in groups.items() for v in vars_}
+    guards = frozenset(group_of)
+    pairs: dict = {label: collections.Counter() for label in groups}
+    seen: set = set()
+
+    def difference(f):
+        """(a, b) when f is var(a) - var(b), else None."""
+        if f.kind == "sum" and len(f.children) == 2:
+            for a, b in (f.children, f.children[::-1]):
+                if (a.kind == "var" and b.kind == "prod" and len(b.children) == 2
+                        and b.children[0].kind == "const" and b.children[1].kind == "var"):
+                    c = b.children[0].value  # -1 is (-1, 0, ...) / 1 at every conductor
+                    if c.den == 1 and c.num[0] == -1 and c.is_rational():
+                        return a.value, b.children[1].value
+        return None
+
+    def psi_only(e) -> bool:
+        """Guard variables occur in e only as conjugators of full psi blocks."""
+        if id(e) in seen or e.free_vars().isdisjoint(guards):
+            return True
+        seen.add(id(e))
+        if e.kind == "var" or e.kind.startswith("stream"):
+            return False
+        children = e.children
+        if e.kind == "sum":
+            if e._psi is None:
+                e._psi = _psi_blocks(e)
+            if e._psi:
+                blocks, children = e._psi
+                for names, _, middle, members in blocks:
+                    if guards.isdisjoint(names):
+                        children += members
+                        continue
+                    label = group_of.get(names[0])
+                    # each variable of the group exactly once
+                    if (label is None or sorted(names) != sorted(groups[label])
+                            or not middle.free_vars().isdisjoint(guards)):
+                        return False
+        return all(psi_only(c) for c in children)
+
+    symmetric = True
+    for f in session.value_factors:
+        ab = difference(f)
+        if ab and ab[0] != ab[1] and ab[0] in group_of and group_of[ab[0]] == group_of.get(ab[1]):
+            pairs[group_of[ab[0]]][frozenset(ab)] += 1
+        elif not psi_only(f):
+            symmetric = False
+            break
+    for label, counts in pairs.items():
+        n = len(groups[label])
+        if counts and (len(counts) != n * (n - 1) // 2 or len(set(counts.values())) > 1):
+            symmetric = False
+    doc.guards_symmetric = symmetric
+    return symmetric
 
 
 def holds_sampled(doc: IdentityDoc, rep: Rep, n: int = 500, seed: int = 0) -> Verdict:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -531,6 +532,7 @@ def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
     doc = idf.IdentityDoc("test", prod([moving, var("u"), fixed, var("u"), guards]),
                           roles, {}, "a zero set that moves with the ordering")
     session = vf._Session(doc, s3_std, seed=4)
+    assert not vf._guards_symmetric(session, doc.guard_groups())
     orderings = []
     scan = session.scan_factors
 
@@ -551,3 +553,231 @@ def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
     assert not any(node == id(moving) for node, _ in session.vanishing)
     assert sorted(key for node, key in session.vanishing if node == id(fixed)) == [
         (x,) for x in range(m)]
+
+
+def _guard_doc(rep, extra):
+    """guard_factors over the group order followed by extra(yvars), with x
+    an argument and v a separator."""
+    factors, roles, yvars = idf.guard_factors(rep.group.order)
+    expr = prod(factors + extra(yvars))
+    roles.update({name: {"role": role} for name, role in
+                  (("x", "psi-argument"), ("v", "separator")) if name in expr.free_vars()})
+    return idf.IdentityDoc("test", expr, roles, {}, "a guarded test document")
+
+
+def _undecided_doc(rep):
+    """Guards, psi_Y(x) (zero exactly on the transpositions of S3:std) and a
+    non-psd streamed product of (x - 1), undecided wherever x is not the
+    identity: every assignment that no factor settles is undecided, so the
+    verdict runs through every ordering."""
+    from repident.freeexpr import stream_subsets
+
+    return _guard_doc(rep, lambda ys: [idf.psi_expr(var("x"), ys), var("v"),
+                                       stream_subsets([sub(var("x"), const(1))], 1, "s",
+                                                      psd=False)])
+
+
+def _certified_cases():
+    """(document, rep) pairs the guard-symmetry certificate accepts."""
+    s3 = catalog.symmetric(3).rep("std")
+    s4 = catalog.symmetric(4)
+    rho4, rho5 = s4.rep("rho4"), s4.rep("rho5")
+    gam = catalog.gamma_d(7, 9, 2)
+    h3 = catalog.heisenberg(3).rep("theta1")
+    return {
+        "character": (idf.character_identity(rho4), rho4),
+        "character-unseparated": (idf.character_identity(rho4, separated=False), rho4),
+        "s4-separation": (idf.s4_separating_identity(rho4), rho5),
+        "gamma-separation": (idf.gamma_separating_identity(gam, 1), gam.rep("pi(1,2)")),
+        "spectrum": (idf.spectrum_identity(h3), h3),
+        "theta": (idf.theta(6), s3),
+        "guard": (idf.guard_C(6), s3),
+        "undecided stream": (_undecided_doc(s3), s3),
+    }
+
+
+def _refused_cases():
+    from repident.freeexpr import stream_subsets
+
+    s3 = catalog.symmetric(3).rep("std")
+    h3 = catalog.heisenberg(3).rep("theta1")
+    z3, z4 = catalog.cyclic(3).rep("chi1"), catalog.cyclic(4).rep("chi1")
+    comm = sub(prod([inv(var("a")), inv(var("b")), var("a"), var("b")]), const(1))
+    xi = s3.character.range_values(s3.key_conductor)[0]
+    guard4 = idf.guard_C(4)
+    missing = [f for f in guard4.expr.children if f.free_vars() != {"y2", "y4"}]
+    assert len(missing) == len(guard4.expr.children) - 1
+    return {
+        # X guard variables appear outside psi (as middles, or bare)
+        "dimension": (idf.dimension_identity(6, 1), s3),
+        "range": (idf.range_identity(s3, xi), s3),
+        "level-set": (idf.level_set_identity(s3, 1), s3),
+        "gassmann": (idf.gassmann_identity(h3, 1), h3),
+        # conjugation by single guard variables
+        "class": (idf.class_identity(s3), s3),
+        # guard variables inside a streamed node
+        "probability": (idf.probability_identity(comm, 19, 6), s3),
+        "guard minus one difference": (idf.IdentityDoc(
+            "guard", prod(missing), guard4.var_roles, {}, "pair (2, 4) uncovered"), z4),
+        "a pair covered twice": (_guard_doc(z3, lambda ys: [sub(ys[0], ys[1])]), z3),
+        "psi over all but one": (_guard_doc(s3, lambda ys: [idf.psi_expr(var("x"), ys[:-1])]),
+                                 s3),
+        "psi repeating y1 for y6": (_guard_doc(s3, lambda ys: [
+            idf.psi_expr(var("x"), ys[:-1] + ys[:1])]), s3),
+        "psi with an extra y1": (_guard_doc(s3, lambda ys: [
+            idf.psi_expr(var("x"), ys + ys[:1])]), s3),
+        "psi middle mentions y1": (_guard_doc(s3, lambda ys: [
+            idf.psi_expr(prod([var("x"), ys[0]]), ys)]), s3),
+        "bare guard variable": (_guard_doc(s3, lambda ys: [sub(prod([ys[0], var("x")]),
+                                                               const(1))]), s3),
+        "psi inside a streamed node": (_guard_doc(s3, lambda ys: [stream_subsets(
+            [idf.psi_expr(var("x"), ys)], 1, "s", psd=False)]), s3),
+    }
+
+
+@pytest.mark.parametrize("name", list(_certified_cases()))
+def test_guard_certificate_accepts(name):
+    doc, rep = _certified_cases()[name]
+    assert vf._guards_symmetric(vf._Session(doc, rep, seed=0), doc.guard_groups())
+    assert doc.guards_symmetric is True
+
+
+@pytest.mark.parametrize("name", list(_refused_cases()))
+def test_guard_certificate_refuses(name):
+    doc, rep = _refused_cases()[name]
+    assert not vf._guards_symmetric(vf._Session(doc, rep, seed=0), doc.guard_groups())
+    assert doc.guards_symmetric is False
+
+
+def _same_verdict_cases():
+    s4 = catalog.symmetric(4)
+    rho4, rho5 = s4.rep("rho4"), s4.rep("rho5")
+    two_t = catalog.get_rep("2T", "nat")
+    h3 = catalog.heisenberg(3).rep("theta1")
+    gam = catalog.gamma_d(7, 9, 2)
+    s3 = catalog.symmetric(3).rep("std")
+    sep = idf.s4_separating_identity(rho4)
+    return {
+        "S4 character": (idf.character_identity(rho4), rho4, "holds"),
+        "S4 separation holds": (sep, rho4, "holds"),
+        "S4 separation fails": (sep, rho5, "fails"),
+        "2T character": (idf.character_identity(two_t), two_t, "holds"),
+        "H3 spectrum": (idf.spectrum_identity(h3), h3, "holds"),
+        "gamma-sep on pi(1,2)": (idf.gamma_separating_identity(gam, 1), gam.rep("pi(1,2)"),
+                                 "fails"),
+        # not faithful: some guard difference vanishes in every ordering
+        "guard on S3:sign": (idf.guard_C(6), catalog.symmetric(3).rep("sign"), "holds"),
+        "undecided stream": (_undecided_doc(s3), s3, "holds"),
+    }
+
+
+@pytest.mark.parametrize("name", list(_same_verdict_cases()))
+def test_certified_guarded_verdicts_match_the_reference(name, monkeypatch):
+    """A certified document decides orderings past the first from the first;
+    with the certificate refused (the reference path, which scans every
+    ordering) the verdict JSON, the yielded assignments, their guard values
+    and the rng draws are the same for 0 to 4 extra orderings, and sampled
+    arguments (every ordering draws its own) keep the reference path."""
+    doc, rep, status = _same_verdict_cases()[name]
+    groups = doc.guard_groups()
+    args = doc.vars_with_role("psi-argument")
+    certified = vf._guards_symmetric
+    monkeypatch.setattr(vf, "GUARDED_ARG_SAMPLES", 20)
+
+    def run(orderings):
+        out = [_verdict_json(vf.holds_guarded(doc, rep, seed=orderings, orderings=orderings))]
+        for exhaustive in (True, False):
+            detail = {"checked": 0}
+            session = vf._Session(doc, rep, seed=orderings)
+            out.append(list(vf._guarded_assignments(session, groups, args, orderings,
+                                                    exhaustive, detail)))
+            out += [detail, session.rng.random()]
+        return out
+
+    for orderings in range(5):
+        monkeypatch.setattr(vf, "_guards_symmetric", certified)
+        got = run(orderings)
+        monkeypatch.setattr(vf, "_guards_symmetric", lambda *_: False)
+        assert got == run(orderings), orderings
+        assert got[0]["status"] == status
+    assert doc.guards_symmetric is True
+    if name == "undecided stream":
+        # the two 3-cycles are undecided in every ordering
+        assert got[0]["undecided"] == 2 * 5
+        assert len({tuple(a[y] for y in groups["Y"]) for a in got[1]}) == 5
+
+
+def test_certified_orderings_scan_once(monkeypatch):
+    """On a certified document only the first ordering is scanned: the
+    source's scans do not grow with the ordering count."""
+    rep = catalog.symmetric(4).rep("rho4")
+    doc = idf.character_identity(rep)
+    scans = []
+    scan = vf._Session.scan_factors
+    monkeypatch.setattr(vf._Session, "scan_factors",
+                        lambda self, *a: scans.append(1) or scan(self, *a))
+    counts = []
+    for orderings in (0, 1, 4):
+        scans.clear()
+        assert vf.holds_guarded(doc, rep, seed=1, orderings=orderings).holds
+        counts.append(len(scans))
+    assert counts == [1 + 24] * 3
+
+
+def _vanishing_pattern(doc, rep, guard_values, ev):
+    """Per argument tuple, whether some root value factor of doc vanishes
+    when the guards take guard_values, each factor evaluated afresh."""
+    separators = set(doc.vars_with_role("separator"))
+    factors = [f for f in (doc.expr.children if doc.expr.kind == "prod" else [doc.expr])
+               if not (f.kind == "var" and f.value in separators)]
+    args = doc.vars_with_role("psi-argument")
+    static = [f for f in factors if f.free_vars().isdisjoint(args)]
+    dynamic = [f for f in factors if not f.free_vars().isdisjoint(args)]
+    base = dict(guard_values, **{s: 0 for s in separators})
+
+    def vanishes(f, assignment):
+        return ev._is_zero(ev.evaluate_value(f, assignment))
+
+    static_zero = any(vanishes(f, base) for f in static)
+    pattern = []
+    for combo in itertools.product(range(rep.group.order), repeat=len(args)):
+        assignment = dict(base, **dict(zip(args, combo)))
+        pattern.append(static_zero or any(vanishes(f, assignment) for f in dynamic))
+    return tuple(pattern)
+
+
+def _ordering_patterns(doc, rep, k, seed):
+    rng = random.Random(seed)
+    ev = Evaluator(rep)
+    patterns = []
+    for rnd in range(k + 1):
+        values = {}
+        for vars_ in doc.guard_groups().values():
+            order = list(range(rep.group.order))
+            if rnd:
+                rng.shuffle(order)
+            values.update(zip(vars_, order))
+        patterns.append(_vanishing_pattern(doc, rep, values, ev))
+    return patterns
+
+
+@pytest.mark.parametrize("name", ["character", "s4-separation", "spectrum", "theta",
+                                  "guard"])
+def test_certified_vanishing_pattern_is_ordering_independent(name):
+    """The fact the certificate rests on: under random guard orderings a
+    certified document vanishes on exactly the arguments it vanishes on
+    under the canonical one."""
+    doc, rep = _certified_cases()[name]
+    assert vf._guards_symmetric(vf._Session(doc, rep, seed=0), doc.guard_groups())
+    patterns = _ordering_patterns(doc, rep, 3, seed=name)
+    assert all(p == patterns[0] for p in patterns)
+    if name == "s4-separation":  # the rho4 document fails on rho5
+        assert not all(patterns[0]) and any(patterns[0])
+
+
+def test_uncertified_vanishing_pattern_moves_with_the_ordering():
+    """The pattern comparison above can fail: on a refused document the
+    vanishing arguments move with the guard ordering."""
+    doc, rep = _refused_cases()["bare guard variable"]
+    patterns = _ordering_patterns(doc, rep, 3, seed=1)
+    assert len(set(patterns)) > 1

@@ -41,12 +41,20 @@ def _resolve_rep(ref: str) -> Rep:
 
 def _load(path: str, what: str, parse):
     """parse(the JSON in path); a UsageError when the file is not JSON or
-    parse rejects it."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse(json.load(fh))
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
-            raise UsageError(f"{path} is not {what}: {exc!r}") from exc
+    parse rejects it.  The cyclic collector is off meanwhile: everything
+    json.load and parse allocate stays alive, so the full collections a
+    large document would set off free nothing."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                return parse(json.load(fh))
+            except (ValueError, KeyError, TypeError, IndexError) as exc:
+                raise UsageError(f"{path} is not {what}: {exc!r}") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _resolve_entry(ref: str):

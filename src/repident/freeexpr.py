@@ -26,8 +26,16 @@ A conjugation average
 sum_{y in Y} y T y^-1 inside a Sum is recognized once per node and, when Y
 is a bijection onto the group, added without evaluating a term: on an
 irreducible rep of degree d as the scalar (|G| / d) tr rho(T) (a character
-value when T is a word), on a reducible one from class sums.  Node values
-live for one evaluation.
+value when T is a word), on a reducible one from class sums.
+A word sum (a Sum of vars, rational consts, word sums and products of
+rational consts and vars around at most one word sum, with no
+conjugation average) that holds another word sum compiles a flat plan
+(`wordplan`) on its first evaluation, kept on the node: its sub-sums in
+topological order, shared ones once, each term a rational coefficient,
+the words before and after one inner sum, and that sum.  It runs as
+loops of group table lookups into dicts whenever every variable is a
+group element.
+Node values live for one evaluation.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from typing import Iterable
 
 from .exactnum import Cyc, demote
 from .matrices import Mat
+from .wordplan import plan_terms
 
 
 class NonGroupSubtermError(ValueError):
@@ -59,7 +68,8 @@ class StreamUndecided(Exception):
 
 
 class Expr:
-    __slots__ = ("kind", "value", "children", "_fvs", "_fvt", "_star", "_psi", "extra")
+    __slots__ = ("kind", "value", "children", "_fvs", "_fvt", "_star", "_psi", "_plan",
+                 "extra")
 
     def __init__(self, kind: str, value=None, children: tuple = (), extra=None):
         self.kind = kind
@@ -70,6 +80,9 @@ class Expr:
         self._fvt = None
         self._star = None
         self._psi = None
+        # a sum's word plan (wordplan.plan_terms): False until compiled,
+        # None when the sum has none
+        self._plan = False
 
     def sorted_vars(self) -> tuple[str, ...]:
         if self._fvt is None:
@@ -396,6 +409,10 @@ class Evaluator:
     On a reducible rep each term c_h h of T adds |C_G(h)| c_h at every
     member of h's class: the terms the products y T y^-1 would add one by
     one, which they still do off a bijection or for a matrix T there.
+    A word sum holding another word sum is evaluated from its plan
+    (`wordplan.plan_terms`): its sub-sums step by step, each term added by
+    table lookups, with no recursion and no product folds; with a
+    matrix-valued variable it takes the path above.
 
     Node values and product folds are shared within one call (its memo),
     never across calls.
@@ -614,6 +631,9 @@ class Evaluator:
         mat = None
         children = e.children
         if self.rep is not None:
+            planned = plan_terms(e, self.rep.group.table, assignment)
+            if planned is not None:
+                return self._element(planned)
             if e._psi is None:
                 e._psi = _psi_blocks(e)
             if e._psi:

@@ -1,10 +1,14 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repident
+from repident.cli import UsageError, _load
 
 # the CLI subprocess imports the same package as the tests
 _SRC = str(Path(repident.__file__).resolve().parents[1])
@@ -139,3 +143,29 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
         assert proc.returncode == 2, args
         assert json.loads(proc.stderr)["error"], args
         assert "Traceback" not in proc.stderr, args
+
+
+def test_load_pauses_the_collector_and_restores_it(tmp_path):
+    """The collector is off while a document loads and parses, and back in
+    its prior state after a good file and after one that is not JSON."""
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"a": 1}')
+    bad.write_text("{not json")
+    seen = []
+
+    def parse(obj):
+        seen.append(gc.isenabled())
+        return obj
+
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert _load(str(good), "a test file", parse) == {"a": 1}
+            assert gc.isenabled() is enabled
+            with pytest.raises(UsageError):
+                _load(str(bad), "a test file", parse)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False, False]

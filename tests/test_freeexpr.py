@@ -627,35 +627,283 @@ def test_zero_constant_spares_the_core(index):
 
 
 def test_standard_identity_makes_no_combined_products(monkeypatch):
-    """Every product of s6 is [const(+-1), node(T), var(y_i)] or a product
-    of leaves: one non-leaf factor at most, so its sums add the products'
-    terms directly, with no convolution and no matrix product."""
+    """s6 is one word sum: its plan adds every signed word by table lookups,
+    so evaluating it convolves nothing, multiplies no matrices and folds no
+    product (`_linear` is never called)."""
     from repident import freeexpr, idfactory
 
     rep = catalog.gamma_d(7, 9, 2).rep("pi(1,1)")
     doc = idfactory.standard_identity(6)
-    convolved, folds = [], []
+    calls = []
     original_convolve, original_linear = freeexpr._convolve, Evaluator._linear
+    original_mul = Mat.__mul__
 
     def convolve(a, b, table):
-        convolved.append((len(a), len(b)))
+        calls.append("convolve")
         return original_convolve(a, b, table)
 
     def linear(self, e, assignment, memo):
-        out = original_linear(self, e, assignment, memo)
-        folds.append(out)
-        return out
+        calls.append("linear")
+        return original_linear(self, e, assignment, memo)
+
+    def mul(self, other):
+        calls.append("matrix product")
+        return original_mul(self, other)
 
     monkeypatch.setattr(freeexpr, "_convolve", convolve)
     monkeypatch.setattr(Evaluator, "_linear", linear)
+    monkeypatch.setattr(Mat, "__mul__", mul)
     ev = Evaluator(rep)
     rng = random.Random(23)
     for _ in range(3):
         assignment = {f"y{i}": rng.randrange(rep.group.order) for i in range(1, 7)}
         ev.evaluate_value(doc.expr, assignment)
-    # a product takes the matrix fallback exactly when its fold is None
-    assert folds and None not in folds
-    assert convolved == []
+    assert doc.expr._plan is not None
+    assert calls == []
+
+
+# -- word sums from a compiled plan ---------------------------------------------
+
+
+def _plan_reps():
+    return [
+        catalog.symmetric(3).rep("std"),
+        catalog.quaternion().rep("dim2"),
+        catalog.binary_tetrahedral().rep("nat"),
+        catalog.alternating(5).rep("dim3a"),
+        # reducible
+        catalog.abelian_rep(3, 2, 2, [[1, 0], [1, 1]]),
+    ]
+
+
+def _check_against_oracle(ev, e, assignment, rep):
+    """The evaluator's operator and zero test equal the naive oracle's."""
+    expected = naive_eval(e, assignment, rep)
+    assert ev.evaluate(e, assignment) == expected
+    assert ev._is_zero(ev.evaluate_value(e, assignment)) == expected.is_zero()
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_standard_polynomials_match_naive_oracle(index):
+    """s_k for k = 1..6: s_1 is a var and s_2 a sum of two words (no plan);
+    from s_3 on the root is planned, one step per shared sum.  Values and
+    zero tests equal the naive oracle's, on assignments with and without
+    repeated elements."""
+    from repident import idfactory
+
+    rep = _plan_reps()[index]
+    ev = Evaluator(rep)
+    rng = random.Random(800 + index)
+    for k in range(1, 7):
+        doc = idfactory.standard_identity(k)
+        names = [f"y{i}" for i in range(1, k + 1)]
+        for trial in range(2 if k == 6 else 3):
+            assignment = {n: rng.randrange(rep.group.order) for n in names}
+            if trial == 0 and k > 1:
+                assignment[names[-1]] = assignment[names[0]]
+            _check_against_oracle(ev, doc.expr, assignment, rep)
+        if k >= 3:
+            # one step per subset of two or more variables: s_k's shared sums
+            assert len(doc.expr._plan[1]) == 2 ** k - k - 1
+        elif k == 2:
+            assert doc.expr._plan is None
+
+
+def _random_word_sum(rng, names, pool) -> Expr:
+    """A sum of vars, rational consts and products of rational consts and
+    words around a sum drawn from pool (earlier sums, so shared), with at
+    least one such product."""
+    def word():
+        return [var(rng.choice(names)) for _ in range(rng.randint(0, 2))]
+
+    def coefficient():
+        return [const(rng.choice([1, -1, 2, Fraction(-3, 2), Fraction(1, 3)]))]
+
+    children = [prod(coefficient() + word() + [rng.choice(pool)] + word())]
+    for _ in range(rng.randint(1, 3)):
+        shape = rng.random()
+        if shape < 0.2:
+            children.append(var(rng.choice(names)))
+        elif shape < 0.3:
+            children.append(const(Fraction(rng.randint(-2, 2), rng.randint(1, 2))))
+        elif shape < 0.5:
+            children.append(prod(coefficient() + word() + word()))
+        else:
+            core = [rng.choice(pool)]
+            children.append(prod(word() + core + coefficient() + word()))
+    return Expr("sum", children=tuple(children))
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_random_word_sums_match_naive_oracle(index):
+    """Planned sums with coefficients other than +-1, words before and
+    after their inner sums, rational constants and inner sums shared by
+    several products: values and zero tests equal the naive oracle's."""
+    rep = _plan_reps()[index]
+    ev = Evaluator(rep)
+    rng = random.Random(900 + index)
+    names = ["a", "b", "c"]
+    pool = [sub(prod([var("a"), var("b")]), prod([var("b"), var("a")])),
+            sum_([var("c"), const(Fraction(1, 2))])]
+    for _ in range(6):
+        pool.append(_random_word_sum(rng, names, pool))
+    for _ in range(3):
+        assignment = {n: rng.randrange(rep.group.order) for n in names}
+        for e in pool[2:]:
+            _check_against_oracle(ev, e, assignment, rep)
+    assert all(e._plan is not None for e in pool[2:])
+
+
+def _inner_sums(root: Expr) -> list:
+    """The sums of root's DAG below root, each once, in first-seen order."""
+    found, seen, stack = [], {id(root)}, list(root.children)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node.kind == "sum":
+            found.append(node)
+        stack.extend(node.children)
+    return found
+
+
+def test_plan_inner_node_referenced_from_outside():
+    """A node inside s4's plan that is also a factor and a summand outside
+    it: evaluated on its own (its own plan), through the root's and inside
+    a third plan that holds both, in either order under one memo, with
+    values equal to the naive oracle."""
+    from repident import idfactory
+
+    rep = catalog.symmetric(3).rep("std")
+    root = idfactory.standard_identity(4).expr
+    inner = next(n for n in _inner_sums(root)
+                 if len(n.free_vars()) == 3)
+    outside = [
+        prod([root, inner]),
+        prod([inner, var("y4"), root]),
+        sum_([prod([const(2), root, var("y1")]), inner, prod([inner, var("y2")])]),
+    ]
+    ev = Evaluator(rep)
+    rng = random.Random(31)
+    for _ in range(4):
+        assignment = {f"y{i}": rng.randrange(6) for i in range(1, 5)}
+        for e in outside:
+            _check_against_oracle(ev, e, assignment, rep)
+        memo: dict = {}
+        first = ev._eval(inner, assignment, memo)
+        assert ev._eval(root, assignment, memo) == ev.evaluate_value(root, assignment)
+        assert first == ev.evaluate_value(inner, assignment)
+    assert root._plan is not None and inner._plan is not None
+    assert outside[2]._plan is not None
+
+
+def test_plan_leaves_conjugation_averages_to_class_sums(monkeypatch):
+    """A sum with a psi block beside word-sum children has no plan and
+    still adds the block from class sums; its word-sum child (s3) is
+    planned on its own.  Values equal the naive oracle's."""
+    from repident import idfactory
+
+    rep = catalog.symmetric(3).rep("std")
+    s3 = idfactory.standard_identity(3).expr
+    ys = [f"u{i}" for i in range(1, 7)]
+    x = var("y1")
+    e = sum_([prod([var(y), x, inv(var(y))]) for y in ys]
+             + [prod([const(-1), s3, var("y2")]), s3, var("y3")])
+    class_sums = []
+    original = Evaluator._add_class_sums
+
+    def recording(self, *args):
+        out = original(self, *args)
+        class_sums.append(out)
+        return out
+
+    monkeypatch.setattr(Evaluator, "_add_class_sums", recording)
+    ev = Evaluator(rep)
+    rng = random.Random(37)
+    for _ in range(3):
+        assignment = {f"y{i}": rng.randrange(6) for i in range(1, 4)}
+        assignment.update(zip(ys, rng.sample(range(6), 6)))
+        _check_against_oracle(ev, e, assignment, rep)
+    assert e._plan is None and s3._plan is not None
+    assert class_sums and all(class_sums)
+
+
+def test_plan_refuses_irrational_constants_and_matrices(monkeypatch):
+    """A word sum with an irrational constant has no plan; a planned sum
+    with a variable assigned a matrix takes the recursive path for that
+    call.  Values equal the naive oracle's."""
+    from repident import freeexpr, idfactory
+
+    rep = catalog.alternating(5).rep("dim3a")
+    s3 = idfactory.standard_identity(3).expr
+    i = cyc_root_of_unity(5, 1)
+    irrational = sum_([prod([const(i), s3, var("y1")]), var("y2")])
+    runs = []
+    original = freeexpr.plan_terms
+
+    def recording(e, table, assignment):
+        out = original(e, table, assignment)
+        if e is s3:
+            runs.append(out)
+        return out
+
+    monkeypatch.setattr(freeexpr, "plan_terms", recording)
+    ev = Evaluator(rep)
+    rng = random.Random(41)
+    for _ in range(3):
+        assignment = {f"y{i}": rng.randrange(60) for i in range(1, 4)}
+        _check_against_oracle(ev, irrational, assignment, rep)
+        runs.clear()
+        with_matrix = dict(assignment, y2=rep.images[rng.randrange(60)] + rep.images[0])
+        _check_against_oracle(ev, s3, with_matrix, rep)
+        assert runs and all(out is None for out in runs)
+        assert s3._plan is not None
+    assert irrational._plan is None
+
+
+def test_plan_values_cancel_to_zero_and_reduce_to_one_word():
+    """A planned sum whose words cancel is the zero scalar, and one that
+    leaves a single word with coefficient 1 is that group element."""
+    from repident import idfactory
+    from repident.freeexpr import _G, _S
+
+    rep = catalog.symmetric(3).rep("std")
+    ev = Evaluator(rep)
+    a, b, c, d = var("a"), var("b"), var("c"), var("d")
+    commutator = sub(prod([a, b]), prod([b, a]))
+    one_word = sum_([prod([commutator, d]), c])
+    s3 = idfactory.standard_identity(3).expr
+    for g in range(6):
+        assignment = {"a": g, "b": g, "c": 4, "d": 5}
+        assert ev.evaluate_value(one_word, assignment) == (_G, 4)
+        tag, value = ev.evaluate_value(s3, {"y1": g, "y2": 3, "y3": g})
+        assert tag == _S and value.is_zero()
+    assert one_word._plan is not None and s3._plan is not None
+
+
+def test_plan_compiled_once_per_node(monkeypatch):
+    """Each sum node's plan is compiled on its first evaluation and kept on
+    the node: later calls, and other evaluators, compile nothing."""
+    from repident import idfactory, wordplan
+
+    compiled = []
+    original = wordplan.word_plan
+
+    def counting(e):
+        compiled.append(id(e))
+        return original(e)
+
+    monkeypatch.setattr(wordplan, "word_plan", counting)
+    doc = idfactory.standard_identity(6)
+    rng = random.Random(43)
+    for rep in (catalog.symmetric(3).rep("std"), catalog.quaternion().rep("dim2")):
+        ev = Evaluator(rep)
+        for _ in range(5):
+            assignment = {f"y{i}": rng.randrange(rep.group.order) for i in range(1, 7)}
+            ev.evaluate_value(doc.expr, assignment)
+    assert compiled == [id(doc.expr)]
+    assert all(n._plan is False for n in _inner_sums(doc.expr))
 
 
 # -- conjugation averages from class sums ---------------------------------------

@@ -313,6 +313,20 @@ def test_parallel_exhaustive_witness_matches_serial(z3_chi):
         assert parallel == serial
 
 
+def test_parallel_exhaustive_of_planned_sums_matches_serial(s3_std):
+    """s3 and s4 are planned word sums: --jobs 2 gives the serial verdict
+    JSON, the holding s4 (Amitsur-Levitzki in degree 2) and the failing s3
+    with its witness."""
+    for k, status in ((3, "fails"), (4, "holds")):
+        doc = idf.standard_identity(k)
+        serial = _verdict_json(vf.holds_exhaustive(doc, s3_std, budget=10**4))
+        parallel = _verdict_json(vf.holds_exhaustive(doc, s3_std, budget=10**4, jobs=2))
+        assert doc.expr._plan is not None
+        assert serial["status"] == status
+        assert parallel.pop("jobs") == 2
+        assert parallel == serial
+
+
 def test_structured_counts_sampled_undecided(s3_std):
     """The closing sample's undecided assignments reach the structured
     verdict's count."""

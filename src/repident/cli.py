@@ -415,7 +415,9 @@ def make_parser() -> argparse.ArgumentParser:
                    choices=["auto", "exhaustive", "guarded", "sampled", "structured"])
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--budget", type=int, default=300_000)
-    c.add_argument("--n", type=int, default=500)
+    c.add_argument("--n", type=int, default=500,
+                   help="sampled mode, and structured mode on a group its "
+                        "family does not fit: uniform samples drawn")
     c.add_argument("--orderings", type=int, default=5,
                    help="guarded mode: random guard orderings after the canonical "
                         "one; on a document symmetric in its guards, orderings past "

@@ -12,7 +12,8 @@ evidence. Every mode is a source of assignments:
   past the first reuse the first's results;
 - structured: the assignment family that the construction singles out
   (class representatives x centralizer transversals, or series-complement
-  tuples), plus random sampling;
+  tuples); on a group the family does not fit, where it is empty, the
+  verdict is that of uniform samples;
 - sampled(N, seed): N uniform assignments.
 
 One loop (`_verify`) decides each assignment, counts the undecided ones and
@@ -624,7 +625,9 @@ def holds_sampled(doc: IdentityDoc, rep: Rep, n: int = 500, seed: int = 0) -> Ve
 
 def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 3,
                      extra_samples: int = 200) -> Verdict:
-    """Family-specific assignment enumeration plus random sampling."""
+    """Checks the assignment family the construction singles out. A family
+    that does not fit rep's group is empty; the verdict is then that of
+    extra_samples uniform samples, holds_sampled at seed + 1."""
     t0 = time.time()
     if doc.vacuous:
         return _vacuous("structured", t0)
@@ -635,18 +638,14 @@ def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int =
     else:
         raise VerifierError(f"no structured family handler for {doc.family}")
     session = _Session(doc, rep, seed)
-    verdict = _verify(session, "structured", source(doc, session, orderings),
-                      {"seed": seed, "orderings": orderings, "extra_samples": extra_samples},
-                      t0, fail_detail={"seed": seed, "family": doc.family})
-    if verdict.holds:
-        sampled = holds_sampled(doc, rep, n=extra_samples, seed=seed + 1)
-        if not sampled.holds:
-            return sampled
-        undecided = verdict.detail.get("undecided", 0) + sampled.detail.get("undecided", 0)
-        if undecided:
-            verdict.detail["undecided"] = undecided
-        verdict.timing_ms = _ms(t0)
-    return verdict
+    family = source(doc, session, orderings)
+    # round 0 draws nothing from the rng: peeking at it moves no later draw
+    first = next(family, None)
+    if first is None:
+        return holds_sampled(doc, rep, n=extra_samples, seed=seed + 1)
+    return _verify(session, "structured", itertools.chain([first], family),
+                   {"seed": seed, "orderings": orderings}, t0,
+                   fail_detail={"seed": seed, "family": doc.family})
 
 
 def _class_assignments(doc: IdentityDoc, session: _Session, orderings: int):
@@ -655,8 +654,9 @@ def _class_assignments(doc: IdentityDoc, session: _Session, orderings: int):
 
     At most CLASS_BIJECTIONS slot-to-class bijections within the size groups
     are enumerated: any single size-valid bijection already witnesses a
-    failing value-matching body, and the holding direction is additionally
-    covered by the random-sample supplement."""
+    failing value-matching body. A holding verdict rests on this family
+    alone. It is empty when the group has fewer classes of some size than
+    the document has slots of that size: the family does not fit the group."""
     group = session.rep.group
     rng = session.rng
     sizes = doc.params["sizes"]
@@ -687,7 +687,7 @@ def _class_assignments(doc: IdentityDoc, session: _Session, orderings: int):
         size = sizes[grp[0] - 1]
         classes = [ci for ci in range(len(cc)) if cc.sizes[ci] == size]
         if len(classes) < len(grp):
-            return  # the forcing product vanishes identically; leave it to sampling
+            return  # the family does not fit the group
         choices_per_group.append(list(itertools.permutations(classes, len(grp))))
     combos = itertools.islice(itertools.product(*choices_per_group), CLASS_BIJECTIONS)
     for combo in combos:
@@ -697,23 +697,22 @@ def _class_assignments(doc: IdentityDoc, session: _Session, orderings: int):
                 class_for_slot[slot] = ci
         for rnd in range(orderings + 1):
             assignment = dict(base_assign)
-            ok = True
             for r in range(1, s + 1):
-                ci = class_for_slot[r]
-                members = sorted(cc.classes[ci])
+                members = sorted(cc.classes[class_for_slot[r]])
                 x_val = members[0] if rnd == 0 else rng.choice(members)
                 assignment[f"x{r}"] = x_val
-                reps = left_transversal(x_val, shuffle=rnd > 0)
-                if len(reps) < sizes[r - 1]:
-                    ok = False
-                    break
-                for idx in range(sizes[r - 1]):
-                    assignment[f"y{r}_{idx + 1}"] = reps[idx]
-            if ok:
-                yield assignment
+                # [G : C_G(x)] = |x^G| = sizes[r - 1] transversal members
+                for idx, g in enumerate(left_transversal(x_val, shuffle=rnd > 0)):
+                    assignment[f"y{r}_{idx + 1}"] = g
+            yield assignment
 
 
 def _series_assignments(doc: IdentityDoc, session: _Session, orderings: int):
+    """Series family: y_1..y_|G| a bijection onto G, x_1..x_s the elements
+    outside Z_t (upper central series), c identity in round 0 and uniform
+    after; later rounds shuffle y and x. A holding verdict rests on this
+    family alone. It is empty when G has other than s elements outside Z_t:
+    the family does not fit the group."""
     group = session.rep.group
     rng = session.rng
     s = doc.params["outside"]
@@ -752,13 +751,13 @@ def check(doc: IdentityDoc, rep: Rep, mode: str = "auto", seed: int = 0,
     if mode == "sampled":
         return holds_sampled(doc, rep, n=n, seed=seed)
     if mode == "structured":
-        return holds_structured(doc, rep, seed=seed)
+        return holds_structured(doc, rep, seed=seed, extra_samples=n)
     if mode != "auto":
         raise VerifierError(f"unknown mode {mode!r}")
     if doc.vacuous:
         return Verdict("holds", "structured", {"vacuous": True})
     if doc.family in ("class", "class-adams", "central-series-gassmann"):
-        return holds_structured(doc, rep, seed=seed)
+        return holds_structured(doc, rep, seed=seed, extra_samples=n)
     m = rep.group.order
     groups = doc.guard_groups()
     if groups and all(len(v) == m for v in groups.values()):

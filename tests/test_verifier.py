@@ -232,12 +232,11 @@ def _pinned_cases():
         "sampled-fails": lambda: vf.holds_sampled(idf.disjunctive_identity([power(x, 3)]),
                                                   s3_std, n=50, seed=42),
         "structured-class": lambda: vf.holds_structured(idf.class_identity(s3_std), s3_std,
-                                                        seed=0, extra_samples=20),
+                                                        seed=0),
         "structured-class-s4": lambda: vf.holds_structured(idf.class_identity(rho4), rho5,
-                                                           seed=5, extra_samples=20),
+                                                           seed=5),
         "structured-series": lambda: vf.holds_structured(
-            idf.central_series_gassmann_identity(s3_std, 1, 1), s3_std, seed=0,
-            extra_samples=20),
+            idf.central_series_gassmann_identity(s3_std, 1, 1), s3_std, seed=0),
     }
 
 
@@ -327,22 +326,61 @@ def test_parallel_exhaustive_of_planned_sums_matches_serial(s3_std):
         assert parallel == serial
 
 
-def test_structured_counts_sampled_undecided(s3_std):
-    """The closing sample's undecided assignments reach the structured
-    verdict's count."""
-    from repident.freeexpr import stream_subsets
+def _no_root_factor_vanishes(doc, rep, witness) -> bool:
+    """A no-vanishing-factor witness re-validates: under it, a fresh
+    evaluator finds every root factor nonzero, a streamed one by certifying
+    it nonvanishing."""
+    from repident.freeexpr import StreamNonvanishing
 
-    params = idf.class_identity(s3_std).params
-    # x3 ranges over the central class {1} in the class enumeration, where the
-    # non-psd streamed product vanishes; a random x3 != 1 leaves it undecided
-    expr = stream_subsets([sub(var("x3"), const(1))], 1, "s", psd=False)
-    doc = idf.IdentityDoc("class", expr, {"x3": {"role": "psi-argument"}}, params,
-                          "undecided when sampled")
-    verdict = vf.holds_structured(doc, s3_std, seed=2, extra_samples=30)
-    sampled = vf.holds_sampled(doc, s3_std, n=30, seed=3)
-    assert verdict.holds and sampled.holds
-    assert sampled.detail["undecided"] > 0
-    assert verdict.detail["undecided"] == sampled.detail["undecided"]
+    for f in doc.expr.children if doc.expr.kind == "prod" else [doc.expr]:
+        ev = Evaluator(rep)
+        try:
+            if ev._is_zero(ev.evaluate_value(f, witness)):
+                return False
+        except StreamNonvanishing:
+            pass
+    return True
+
+
+def test_structured_samples_only_when_the_family_does_not_fit(s3_std, monkeypatch):
+    """A family that fits the group is the whole evidence of a structured
+    verdict. On a group it does not fit the family is empty, and the verdict
+    is holds_sampled at seed + 1 with extra_samples (check's n) samples."""
+    q8 = catalog.get_rep("Q8", "dim2")
+    h3 = catalog.heisenberg(3).rep("theta1")
+    rho4 = catalog.symmetric(4).rep("rho4")
+    cls, series = idf.class_identity(q8), idf.central_series_gassmann_identity(q8, 1, 1)
+    for doc, rep in ((cls, h3), (series, rho4)):
+        verdict = _verdict_json(vf.holds_structured(doc, rep, seed=0))
+        assert verdict == _verdict_json(vf.holds_sampled(doc, rep, n=200, seed=1))
+        assert verdict["status"] == "fails"
+        assert verdict["witness_kind"].startswith("no-vanishing-factor")
+        assert _no_root_factor_vanishes(doc, rep, verdict["witness"])
+    assert _verdict_json(vf.holds_structured(cls, rho4, seed=0)) == {
+        "status": "holds", "evidence": "sampled", "n": 200, "seed": 1, "undecided": 45}
+    assert _verdict_json(vf.check(cls, rho4, mode="structured", seed=0, n=20)) == \
+        _verdict_json(vf.holds_sampled(cls, rho4, n=20, seed=1))
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("a fitting family was sampled")
+
+    decided = []
+    decide = vf._Session.decide
+
+    def recorded_decide(session, assignment):
+        decided.append(assignment)
+        return decide(session, assignment)
+
+    monkeypatch.setattr(vf, "holds_sampled", no_sampling)
+    monkeypatch.setattr(vf._Session, "decide", recorded_decide)
+    for doc, rep, source in ((cls, q8, vf._class_assignments),
+                             (series, q8, vf._series_assignments),
+                             (idf.class_identity(s3_std), s3_std, vf._class_assignments)):
+        decided.clear()
+        assert _verdict_json(vf.holds_structured(doc, rep, seed=0)) == {
+            "status": "holds", "evidence": "structured", "seed": 0, "orderings": 3}
+        # every assignment of the family is decided, the first one included
+        assert decided == list(source(doc, vf._Session(doc, rep, 0), 3))
 
 
 def test_witness_search_falls_back_to_exact_on_a_false_modular_zero(s3_std, monkeypatch):

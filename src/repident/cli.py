@@ -240,7 +240,12 @@ def cmd_check(args) -> int:
         "mode": args.mode,
         "seed": args.seed,
     }
-    out.update(verdict.to_json())
+    detail = verdict.to_json()
+    # a structured verdict whose family does not fit samples at its own seed
+    sample_seed = detail.pop("seed", args.seed)
+    if sample_seed != args.seed:
+        detail["sample_seed"] = sample_seed
+    out.update(detail)
     out["timing_ms"] = round((time.time() - t0) * 1000, 3)
     _emit(out, args.output)
     return 0 if verdict.holds else 1

@@ -543,6 +543,22 @@ def cyc_root_of_unity(n: int, k: int) -> Cyc:
     return Cyc(n, f.zeta_pows[k % n], 1)
 
 
+def reduce_cyclic(vec: list[int]) -> list[int]:
+    """Reduce an integer vector of length n, an element of Z[x]/(x^n - 1),
+    modulo Phi_n to its phi(n) power-basis coefficients at conductor n."""
+    f = _field(len(vec))
+    deg = f.phi
+    out = vec[:deg]
+    pows = f.zeta_pows
+    for j in range(deg, f.n):
+        c = vec[j]
+        if c:
+            row = pows[j]
+            for k in range(deg):
+                out[k] += c * row[k]
+    return out
+
+
 def cyc_arith(a: Cyc, b: Cyc, op: str) -> Cyc:
     if op == "add":
         return a + b

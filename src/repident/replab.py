@@ -6,7 +6,10 @@ and Molien series coefficients.
 
 Spectra are always computed from power traces (the Adams data), never
 from an eigenvalue solver: for g of order d the multiplicity of zeta_d^k
-is (1/d) * sum_t chi(g^t) zeta_d^(-kt), an exact cyclotomic computation.
+is (1/d) * sum_t chi(g^t) zeta_d^(-kt).  With the values chi(g^t) written
+as integer vectors in Z[x]/(x^L - 1), multiplying by zeta_d^(-kt) is a
+rotation, so each multiplicity is a sum of d rotated vectors reduced
+modulo the L-th cyclotomic polynomial once: exact, and no Cyc product.
 A spectrum is a class function, so it is computed once per conjugacy class
 (Rep.class_spectra) and every per-element query is a lookup.
 """
@@ -17,7 +20,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .exactnum import Cyc, cyc_root_of_unity, demote, euler_phi, mod_p
+from .exactnum import Cyc, cyc_root_of_unity, demote, euler_phi, mod_p, reduce_cyclic
 from .grouplab import FiniteGroup, GroupError
 from .matrices import Mat
 
@@ -77,27 +80,44 @@ class Rep:
         """Per conjugacy class, the eigenvalues of the class representative g
         as (order d, exponent k, multiplicity) with k ascending.
 
-        Fourier inversion over the cyclic group generated by g; multiplicities
-        must come out as non-negative integers summing to the dimension.
+        Fourier inversion over the cyclic group generated by g, by rotation:
+        the d values chi(g^t) go once into Z[x]/(x^L - 1), L the lcm of d and
+        their conductors, as integer vectors over one common denominator D.
+        Multiplying by zeta_d^(-kt) rotates a vector by (L/d)kt, so
+        d*D*mult_k is a sum of d rotated vectors, reduced modulo Phi_L once.
+        That reduction must be rational, the multiplicities non-negative
+        integers summing to the dimension.
         """
-        chi = self.character
+        values = self.character.values
+        table = self.group.table
         out = []
         for g in self.group.conjugacy_classes.representatives:
             d = self.group.element_order(g)
-            powers = [chi.value(self.group.power(g, t)) for t in range(d)]
-            dd = Cyc.from_rational(Fraction(1, d))
+            powers = []
+            x = 0
+            for _ in range(d):
+                powers.append(values[x])
+                x = table[x][g]
+            n, den = d, 1
+            for v in powers:
+                n, den = lcm(n, v.conductor), lcm(den, v.den)
+            # (position, coefficient, rotation per k) of every term of chi(g^t)
+            s = n // d
+            terms = []
+            for t, v in enumerate(powers):
+                step, scale = n // v.conductor, den // v.den
+                terms.extend((j * step, c * scale, s * t) for j, c in enumerate(v.num) if c)
             spec = []
             for k in range(d):
-                acc = None
-                for t, v in enumerate(powers):
-                    term = v * cyc_root_of_unity(d, (-k * t) % d)
-                    acc = term if acc is None else acc + term
-                mult = acc * dd
-                q = mult.rational_value() if mult.is_rational() else None
-                if q is None or q.denominator != 1 or q < 0:
+                vec = [0] * n
+                for pos, c, rot in terms:
+                    vec[(pos - k * rot) % n] += c
+                red = reduce_cyclic(vec)
+                mult, rem = divmod(red[0], d * den)
+                if any(red[1:]) or rem or mult < 0:
                     raise RepError("non-integer eigenvalue multiplicity; not a representation")
-                if q:
-                    spec.append((d, k, int(q)))
+                if mult:
+                    spec.append((d, k, mult))
             if sum(mult for _, _, mult in spec) != self.dim:
                 raise RepError("eigenvalue multiplicities do not sum to the dimension")
             out.append(spec)

@@ -53,6 +53,18 @@ def test_build_check_round_trip(tmp_path):
     assert payload["status"] == "fails" and "witness" in payload
 
 
+def test_check_keeps_its_seed_beside_the_fallback_seed(tmp_path):
+    """The Q8 class family does not fit H3, so the structured verdict samples
+    at seed + 1; the command's own seed stays under "seed"."""
+    out = tmp_path / "q8class.json"
+    assert run_cli("build", "class", "--rep", "catalog:Q8:dim2", "-o", str(out)).returncode == 0
+    proc = run_cli("check", str(out), "--rep", "catalog:H3:theta1", "--mode", "structured")
+    assert proc.returncode == 1
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "fails"
+    assert payload["seed"] == 0 and payload["sample_seed"] == 1
+
+
 def test_build_gamma_sep(tmp_path):
     out = tmp_path / "gamma.json"
     proc = run_cli("build", "gamma-sep", "--group", "gamma(7,9,2)", "--l", "1",

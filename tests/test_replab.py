@@ -202,6 +202,53 @@ def test_class_spectra_match_per_element_inversion(index, data):
     assert spectrum(rep, g) == _spectrum_reference(rep, g)
 
 
+@pytest.mark.parametrize("group, name", [
+    ("gamma(7,9,2)", "pi(1,2)"), ("W3", "rho_w"), ("H5", "theta1"), ("2T", "nat"),
+    ("A5", "dim3a^galois2"),
+])
+def test_class_spectra_match_reference_on_every_class(group, name):
+    """The rotation sum agrees with the per-element Cyc inversion on every
+    conjugacy class, including an unvalidated Galois conjugate."""
+    if name == "dim3a^galois2":
+        rep = catalog.alternating(5).rep("dim3a").galois_conjugate(2)
+    else:
+        rep = catalog.get_entry(group).rep(name)
+    reps = rep.group.conjugacy_classes.representatives
+    assert len(rep.class_spectra) == len(reps)
+    for g, spec in zip(reps, rep.class_spectra):
+        assert spec == _spectrum_reference(rep, g)
+
+
+@pytest.mark.parametrize("order, values, message", [
+    (2, [1, 3], "non-integer"),  # multiplicities 2 and -1
+    (3, [1, cyc_root_of_unity(4, 1), cyc_root_of_unity(4, 1)], "non-integer"),  # (1 + 2i)/3
+    (2, [2, 0], "do not sum"),  # multiplicities 1 and 1 in dimension 1
+])
+def test_class_spectra_reject_each_bad_character(order, values, message):
+    group = catalog.cyclic(order).group
+    bogus = Rep(group, [Mat.identity(1)] * order, name="bogus", validate=False)
+    bogus.character.values[:] = [Cyc.from_rational(v) if isinstance(v, int) else v
+                                 for v in values]
+    with pytest.raises(RepError, match=message):
+        bogus.class_spectra
+
+
+def test_class_spectra_multiply_no_cyclotomics(monkeypatch):
+    """Spectra add rotated integer vectors: with the character built, not one
+    Cyc product is formed."""
+    built = catalog.gamma_d(7, 9, 2).rep("pi(1,2)")
+    rep = Rep(built.group, built.images, name="fresh", validate=False)
+    rep.character
+
+    def mul(self, other):
+        raise AssertionError("class_spectra multiplied two Cyc")
+
+    monkeypatch.setattr(Cyc, "__mul__", mul)
+    spectra = rep.class_spectra
+    monkeypatch.undo()
+    assert spectra == built.class_spectra
+
+
 def test_eig_sets(s4):
     triv = s4.rep("rho1")
     assert eig_union(triv) == (0,)

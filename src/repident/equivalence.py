@@ -4,8 +4,11 @@ strong table equivalence, Galois conjugacy and similarity.
 
 Cross-representation comparisons promote all spectral and character data
 to a common conductor before keying, so equality is decided symbolically.
-Uniform Gassmann equivalence compares, per subgroup, the multisets of the
-elements' spectra in the two representations; no restriction is built.
+Characters and spectra are class functions, so each class is keyed once per
+conductor and elements read their class's key.  Uniform Gassmann equivalence
+compares, per cyclic subgroup, the multisets of the elements' spectra in the
+two representations; no restriction is built and no subgroup lattice either,
+since a smallest failing subgroup is always cyclic (see uniformly_gassmann).
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd, lcm
 
-from .replab import Character, Rep, spectrum, spectrum_key
+from .replab import Character, Rep, spectrum_key
 
 # Never filled: perfbench/workloads.clear_program_caches still clears it.
 _AUTO_CACHE: dict = {}
@@ -25,10 +28,10 @@ def _common_conductor(rep1: Rep, rep2: Rep) -> int:
 
 def range_signature(chi: Character, conductor: int | None = None):
     """Sorted tuple of (value key, level-set size); sizes sum to |G|."""
-    kc = conductor or chi.key_conductor()
     counts: Counter = Counter()
-    for v, size in zip(chi.class_values(), chi.group.conjugacy_classes.sizes):
-        counts[v.key(kc)] += size
+    for key, size in zip(chi.class_keys(conductor or chi.key_conductor()),
+                         chi.group.conjugacy_classes.sizes):
+        counts[key] += size
     return tuple(sorted(counts.items()))
 
 
@@ -42,10 +45,15 @@ def spectral_signature(rep: Rep, conductor: int | None = None):
     return tuple(sorted(out))
 
 
-def ranges_equal(chi1: Character, chi2: Character) -> bool:
+def _class_keys(chi1: Character, chi2: Character) -> tuple[list[tuple], list[tuple]]:
+    """Both characters' class value keys at their common key conductor."""
     kc = lcm(chi1.key_conductor(), chi2.key_conductor())
-    return ({v.key(kc) for v in chi1.class_values()}
-            == {v.key(kc) for v in chi2.class_values()})
+    return chi1.class_keys(kc), chi2.class_keys(kc)
+
+
+def ranges_equal(chi1: Character, chi2: Character) -> bool:
+    keys1, keys2 = _class_keys(chi1, chi2)
+    return set(keys1) == set(keys2)
 
 
 def range_signatures_equal(chi1: Character, chi2: Character) -> bool:
@@ -79,33 +87,35 @@ def strong_gassmann(rep1: Rep, rep2: Rep) -> bool:
 def table_equivalent(chi1: Character, chi2: Character) -> bool:
     if chi1.group.table != chi2.group.table:
         raise ValueError("table equivalence is defined over one group")
-    kc = lcm(chi1.key_conductor(), chi2.key_conductor())
-    v1 = sorted(v.key(kc) for v in chi1.class_values())
-    v2 = sorted(v.key(kc) for v in chi2.class_values())
-    return v1 == v2
+    keys1, keys2 = _class_keys(chi1, chi2)
+    return sorted(keys1) == sorted(keys2)
 
 
 def strongly_table_equivalent(chi1: Character, chi2: Character) -> bool:
     if chi1.group.table != chi2.group.table:
         raise ValueError("table equivalence is defined over one group")
-    kc = lcm(chi1.key_conductor(), chi2.key_conductor())
-    cc = chi1.group.conjugacy_classes
-    d1 = sorted((cc.sizes[i], chi1.class_values()[i].key(kc)) for i in range(len(cc)))
-    d2 = sorted((cc.sizes[i], chi2.class_values()[i].key(kc)) for i in range(len(cc)))
-    return d1 == d2
+    sizes = chi1.group.conjugacy_classes.sizes
+    keys1, keys2 = _class_keys(chi1, chi2)
+    return sorted(zip(sizes, keys1)) == sorted(zip(sizes, keys2))
 
 
 def galois_conjugate_reps(rep1: Rep, rep2: Rep) -> int | None:
-    """The exponent t with chi2(x) = chi1(x^t) for all x, or None."""
+    """The exponent t with chi2(x) = chi1(x^t) for all x, or None.
+
+    Both sides are class functions (x^t runs over one class as x does), so
+    they are compared on the class representatives.
+    """
     if rep1.group.table != rep2.group.table:
         raise ValueError("galois conjugacy test expects one underlying group")
     group = rep1.group
-    chi1, chi2 = rep1.character, rep2.character
+    cc = group.conjugacy_classes
+    keys1, keys2 = _class_keys(rep1.character, rep2.character)
     exp = group.exponent()
     for t in range(1, exp + 1):
         if gcd(t, exp) != 1:
             continue
-        if all(chi2.values[g] == chi1.values[group.power(g, t)] for g in range(group.order)):
+        if all(key == keys1[cc.index_of(group.power(r, t))]
+               for r, key in zip(cc.representatives, keys2)):
             return t
     return None
 
@@ -123,8 +133,9 @@ def similar_reps(rep1: Rep, rep2: Rep) -> list[int] | None:
     if rep1.group.order != rep2.group.order or rep1.dim != rep2.dim:
         return None
     ids: dict = {}  # spectrum -> colour
-    colours = [[ids.setdefault(tuple(spectrum(rep, g)), len(ids)) for g in range(rep.group.order)]
-               for rep in (rep1, rep2)]
+    colours = [rep.group.conjugacy_classes.spread(
+        [ids.setdefault(tuple(spec), len(ids)) for spec in rep.class_spectra])
+        for rep in (rep1, rep2)]
     found = rep1.group._isomorphisms(rep2.group, rep1.group.small_generating_set(),
                                      first=True, colours=colours)
     return found[0] if found else None
@@ -139,15 +150,29 @@ def uniformly_gassmann(rep1: Rep, rep2: Rep, limit: int = 200):
     spectrum in rho|H is its spectrum in rho.  The restrictions are then
     Gassmann equivalent exactly when their per-element spectrum keys agree as
     multisets on the subgroup; unequal dimensions fail on the trivial one.
+
+    Only the cyclic subgroups need testing.  Suppose the multisets agree on
+    every cyclic subgroup.  By induction on |C| they agree on the generators
+    of each cyclic C: C is the disjoint union of the generator sets of its
+    subgroups, all cyclic, and those of the proper ones agree already.  Any
+    subgroup H is the disjoint union of the generator sets of the cyclic
+    subgroups inside it, so the multisets agree on H.  Hence a failing H
+    contains a failing cyclic subgroup no larger than itself, and the first
+    failing subgroup in the order of FiniteGroup.all_subgroups (by size, then
+    by members) is cyclic: it is the first failing cyclic subgroup.
     """
     if rep1.group.table != rep2.group.table:
         raise ValueError("uniform Gassmann test expects one underlying group")
-    subgroups = rep1.group.all_subgroups(limit)
+    group = rep1.group
+    cyclic = group.cyclic_subgroups(limit)
     kc = _common_conductor(rep1, rep2)
-    keys1, keys2 = ([spectrum_key(rep, g, kc) for g in range(rep.group.order)]
-                    for rep in (rep1, rep2))
-    for sub in subgroups:
-        if sorted(keys1[g] for g in sub) != sorted(keys2[g] for g in sub):
+    cc = group.conjugacy_classes
+    ids: dict = {}  # spectrum key -> number, taken once per class
+    ids1, ids2 = (cc.spread([ids.setdefault(spectrum_key(rep, r, kc), len(ids))
+                             for r in cc.representatives])
+                  for rep in (rep1, rep2))
+    for sub in cyclic:
+        if sorted(ids1[g] for g in sub) != sorted(ids2[g] for g in sub):
             return False, sub
     return True, None
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import product
+from math import lcm
 
 
 class GroupError(ValueError):
@@ -111,12 +112,7 @@ class FiniteGroup:
         return tuple(sorted({self.element_order(g) for g in range(self.order)}))
 
     def exponent(self) -> int:
-        from math import lcm
-
-        e = 1
-        for d in self.order_statistics():
-            e = lcm(e, d)
-        return e
+        return lcm(*self.element_orders)
 
     def small_generating_set(self) -> list[int]:
         gens: list[int] = []
@@ -204,17 +200,33 @@ class FiniteGroup:
         return frozenset(self._closure_set(list(gens)))
 
     def all_subgroups(self, limit: int = 200) -> list[frozenset[int]]:
+        self._check_subgroup_limit(limit)
+        return list(self._subgroup_lattice)
+
+    def cyclic_subgroups(self, limit: int = 200) -> list[frozenset[int]]:
+        """The cyclic subgroups <g>, ordered as in all_subgroups: by size,
+        then by sorted members."""
+        self._check_subgroup_limit(limit)
+        return list(self._cyclic)
+
+    def _check_subgroup_limit(self, limit: int) -> None:
         if self.order > limit:
             raise GroupError(f"subgroup lattice limited to order <= {limit}")
-        return list(self._subgroup_lattice)
+
+    @cached_property
+    def _cyclic(self) -> dict[frozenset[int], int]:
+        """Each cyclic subgroup, mapped to its least generator, in the order
+        of all_subgroups."""
+        cyclic: dict[frozenset, int] = {}
+        for g in range(self.order):
+            cyclic.setdefault(self.subgroup_generated([g]), g)
+        return dict(sorted(cyclic.items(), key=lambda item: (len(item[0]), sorted(item[0]))))
 
     @cached_property
     def _subgroup_lattice(self) -> tuple[frozenset[int], ...]:
         # cyclic extension: every subgroup is a cyclic subgroup or the join of
         # a smaller subgroup with a cyclic subgroup it does not contain
-        cyclic: dict[frozenset, int] = {}
-        for g in range(self.order):
-            cyclic.setdefault(self.subgroup_generated([g]), g)
+        cyclic = self._cyclic
         gens_of = {sub: (g,) for sub, g in cyclic.items()}
         found = list(gens_of)
         while found:
@@ -400,6 +412,11 @@ class ConjClassList:
 
     def index_of(self, g: int) -> int:
         return self._index[g]
+
+    def spread(self, per_class) -> list:
+        """Per element, the entry of per_class at the element's class."""
+        index = self._index
+        return [per_class[index[g]] for g in range(self.group.order)]
 
     def __iter__(self):
         return iter(self.classes)

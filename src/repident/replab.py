@@ -235,13 +235,22 @@ class Rep:
 
     @cached_property
     def adams_partition(self) -> list[list[int]]:
-        """Level sets of the Adams map, ordered by minimal element index."""
-        kc = self.key_conductor
+        """Level sets of the Adams map, ordered by minimal element index.
+
+        The Adams vector is a class function, so it is keyed once per
+        conjugacy class, from the class value keys of the character, and
+        every element takes its class's key.
+        """
+        group = self.group
+        cc = group.conjugacy_classes
+        values = self.character.class_keys(self.key_conductor)
+        class_key = [tuple(values[cc.index_of(group.power(r, k))] for k in range(1, self.dim + 1))
+                     for r in cc.representatives]
         blocks: dict[tuple, list[int]] = {}
-        for g in range(self.group.order):
-            key = tuple(v.key(kc) for v in self.adams_vector(g))
+        # g ascends, so the blocks are made in the order of their least elements
+        for g, key in enumerate(cc.spread(class_key)):
             blocks.setdefault(key, []).append(g)
-        return sorted(blocks.values(), key=lambda b: min(b))
+        return list(blocks.values())
 
     def adams_rows(self) -> list[tuple[Cyc, ...]]:
         return [self.adams_vector(block[0]) for block in self.adams_partition]
@@ -277,12 +286,18 @@ class Rep:
 
 
 class Character:
-    """Class function given by its value on every element."""
+    """Class function given by its value on every element.
+
+    The key conductor and the class value keys are memoized, so values must
+    not change once either has been read.
+    """
 
     def __init__(self, group: FiniteGroup, values, rep: Rep | None = None):
         self.group = group
         self.values = list(values)
         self.rep = rep
+        self._key_conductor: int | None = None
+        self._class_keys: dict[int, list[tuple]] = {}
 
     def value(self, g: int) -> Cyc:
         return self.values[g]
@@ -291,10 +306,16 @@ class Character:
         return self.values[0]
 
     def key_conductor(self) -> int:
-        c = self.group.exponent()
-        for v in self.values:
-            c = lcm(c, v.conductor)
-        return c
+        if self._key_conductor is None:
+            self._key_conductor = lcm(self.group.exponent(), *(v.conductor for v in self.values))
+        return self._key_conductor
+
+    def class_keys(self, conductor: int) -> list[tuple]:
+        """Per conjugacy class, the key of its value at the given conductor."""
+        keys = self._class_keys.get(conductor)
+        if keys is None:
+            keys = self._class_keys[conductor] = [v.key(conductor) for v in self.class_values()]
+        return keys
 
     def is_class_function(self) -> bool:
         cc = self.group.conjugacy_classes

@@ -1,13 +1,13 @@
 import json
 import random
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 
 from repident import catalog, equivalence as eq
-from repident.grouplab import FiniteGroup
-from repident.replab import Rep, restrict_rep
+from repident.grouplab import FiniteGroup, GroupError
+from repident.replab import Rep, restrict_rep, spectrum
 
 
 @pytest.fixture(scope="module")
@@ -293,3 +293,50 @@ def test_uniform_gassmann_matches_restriction_definition(name):
                         (True, None))
         assert eq.uniformly_gassmann(entry.rep(a), entry.rep(b)) == expected, (a, b)
         assert eq.uniformly_gassmann(entry.rep(b), entry.rep(a)) == expected, (b, a)
+
+
+_SMALL_GROUPS = ["Z5", "Z6", "S3", "S4", "A4", "A5", "Q8", "2T", "H3", "H5", "W3", "gamma(7,9,2)",
+                 "Z3^2"]
+_Z3_FORMS = ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[2, 0], [0, 1]], [[1, 2], [2, 2]],
+             [[1, 0], [1, 0]], [[1, 0], [0, 0]], [[0, 0], [0, 0]])
+
+
+def _small_reps(name):
+    if name == "Z3^2":
+        reps = [catalog.abelian_rep(3, 2, 2, form) for form in _Z3_FORMS]
+        return reps[0].group, reps
+    entry = catalog.get_entry(name)
+    return entry.group, [entry.rep(r) for r in entry.rep_names()]
+
+
+@pytest.mark.parametrize("name", _SMALL_GROUPS)
+def test_uniform_gassmann_matches_the_subgroup_lattice(name):
+    """Testing only cyclic subgroups gives the verdict and the witness of
+    the first subgroup of the whole lattice whose per-element spectrum
+    multisets differ, for every pair of reps in both orders."""
+    group, reps = _small_reps(name)
+    subgroups = group.all_subgroups()
+    spectra = [[tuple(spectrum(rep, g)) for g in range(group.order)] for rep in reps]
+    for i, j in product(range(len(reps)), repeat=2):
+        expected = next(((False, sub) for sub in subgroups
+                         if sorted(spectra[i][g] for g in sub)
+                         != sorted(spectra[j][g] for g in sub)),
+                        (True, None))
+        assert eq.uniformly_gassmann(reps[i], reps[j]) == expected, (reps[i].name, reps[j].name)
+
+
+def test_compare_all_builds_no_subgroup_lattice():
+    w3 = catalog.wreath(3)
+    group = FiniteGroup(w3.group.table)
+    rw, rhw = (Rep(group, w3.rep(r).images, validate=False) for r in ("rho_w", "rho_hw"))
+    out = eq.compare_all(rw, rhw)
+    assert out == eq.compare_all(w3.rep("rho_w"), w3.rep("rho_hw"))
+    assert out["uniform_gassmann_failing_subgroup"] == [0, 3, 6]
+    assert "_subgroup_lattice" not in group.__dict__
+
+
+def test_uniform_gassmann_keeps_the_order_cap():
+    h7 = catalog.heisenberg(7)
+    with pytest.raises(GroupError):
+        eq.uniformly_gassmann(h7.rep("theta1"), h7.rep("theta2"))
+    assert "uniform_gassmann" not in eq.compare_all(h7.rep("theta1"), h7.rep("theta2"))

@@ -148,6 +148,25 @@ def test_subgroup_lattice_matches_pairwise_closure(name):
     assert group.all_subgroups() == _pairwise_closure_lattice(group)
 
 
+@pytest.mark.parametrize("name", ["Z6", "Q8", "S4", "A5", "W3"])
+def test_cyclic_subgroups_in_lattice_order(name):
+    group = catalog.get_entry(name).group
+    cyclic = [s for s in group.all_subgroups()
+              if any(group.subgroup_generated([g]) == s for g in s)]
+    assert group.cyclic_subgroups() == cyclic
+    assert len(cyclic) == len({group.subgroup_generated([g]) for g in range(group.order)})
+    with pytest.raises(GroupError):
+        group.cyclic_subgroups(limit=group.order - 1)
+
+
+def test_exponent_is_the_lcm_of_element_orders():
+    from math import lcm
+
+    for name, exponent in (("S4", 12), ("A5", 30), ("Q8", 4), ("W3", 9), ("gamma(7,9,2)", 63)):
+        group = catalog.get_entry(name).group
+        assert group.exponent() == exponent == lcm(*group.order_statistics())
+
+
 def test_subgroup_lattice_limit():
     w3 = catalog.wreath(3).group
     with pytest.raises(GroupError):

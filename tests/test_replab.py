@@ -91,6 +91,43 @@ def test_adams_partition(s4):
     assert len(z6.adams_partition) == 6
 
 
+def _adams_partition_reference(rep):
+    """Level sets of the Adams map keyed element by element, ordered by
+    minimal element."""
+    kc = rep.key_conductor
+    blocks = {}
+    for g in range(rep.group.order):
+        blocks.setdefault(tuple(v.key(kc) for v in rep.adams_vector(g)), []).append(g)
+    return sorted(blocks.values(), key=min)
+
+
+_SMALL_CATALOG = ["Z6", "S3", "S4", "S5", "A4", "A5", "Q8", "2T", "H3", "H5", "W3",
+                  "gamma(7,9,2)"]
+
+
+@pytest.mark.parametrize("name", _SMALL_CATALOG + ["Z3^2"])
+def test_adams_partition_matches_per_element_keys(name):
+    if name == "Z3^2":
+        reps = [catalog.abelian_rep(3, 2, 2, form)
+                for form in ([[1, 0], [0, 1]], [[1, 1], [0, 1]], [[1, 0], [1, 0]])]
+    else:
+        entry = catalog.get_entry(name)
+        reps = [entry.rep(r) for r in entry.rep_names()]
+    for rep in reps:
+        assert rep.adams_partition == _adams_partition_reference(rep), rep.name
+
+
+def test_character_keys_are_taken_once():
+    rep = catalog.heisenberg(3).rep("theta1")
+    chi = Rep(rep.group, rep.images, validate=False).character
+    kc = chi.key_conductor()
+    assert kc == 3 and chi.key_conductor() is kc
+    keys = chi.class_keys(kc)
+    assert keys is chi.class_keys(kc)
+    assert keys == [v.key(kc) for v in chi.class_values()]
+    assert chi.class_keys(2 * kc) == [v.key(2 * kc) for v in chi.class_values()]
+
+
 def test_sigma_values(s4, s3_std):
     group = s4.group
     rho5 = s4.rep("rho5")

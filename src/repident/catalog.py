@@ -137,7 +137,9 @@ def _one_dim_rep(group: FiniteGroup, values: list[Cyc], name: str) -> Rep:
 
 
 def _linear_characters(group: FiniteGroup, gens: list[int]) -> list[list[Cyc]]:
-    """All homomorphisms group -> C^* by brute force over root-of-unity images."""
+    """All homomorphisms group -> C^* by brute force over root-of-unity images,
+    in the order of the generators' exponents: for one generator g of order
+    o, entry k sends g to zeta_o^k."""
     steps = group._word_tree(gens)
     orders = [group.element_order(g) for g in gens]
     common = 1
@@ -218,15 +220,7 @@ def _s3_std(group: FiniteGroup, elems) -> Rep:
     a3 = [g for g, p in enumerate(elems) if _perm_sign(p) == 1]
     sub, sub_map = subgroup_group(group, a3)
     gen = next(g for g in range(sub.order) if sub.element_order(g) == 3)
-    vals = [None] * sub.order
-    for e in range(sub.order):
-        k = 0
-        x = 0
-        while x != e:
-            x = sub.table[x][gen]
-            k += 1
-        vals[e] = cyc_root_of_unity(3, k % 3)
-    one_dim = _one_dim_rep(sub, vals, "A3:omega")
+    one_dim = _one_dim_rep(sub, _linear_characters(sub, [gen])[1], "A3:omega")
     return induced_rep(group, a3, one_dim, sub_map, name="S3:std")
 
 
@@ -363,14 +357,8 @@ def _a4_omega(group, elems, power: int) -> Rep:
           if p == tuple(range(4)) or _cycle_type(p) == (2, 2)]
     quotient, coset_of = group.quotient(frozenset(v4))
     gen = next(q for q in range(quotient.order) if quotient.element_order(q) == 3)
-    vals = [None] * quotient.order
-    for e in range(quotient.order):
-        k = 0
-        x = 0
-        while x != e:
-            x = quotient.table[x][gen]
-            k += 1
-        vals[e] = cyc_root_of_unity(3, (power * k) % 3)
+    # gen -> zeta_3^power
+    vals = _linear_characters(quotient, [gen])[power]
     return _one_dim_rep(group, [vals[coset_of[g]] for g in range(group.order)],
                         f"A4:omega{power}")
 

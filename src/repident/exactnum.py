@@ -53,70 +53,45 @@ def cyclotomic_poly(n: int) -> list[int]:
     poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly = _poly_divmod_exact(poly, cyclotomic_poly_cached(d))
-    return poly
-
-
-_CYCLO_CACHE: dict[int, list[int]] = {}
-
-
-def cyclotomic_poly_cached(n: int) -> list[int]:
-    poly = _CYCLO_CACHE.get(n)
-    if poly is None:
-        poly = cyclotomic_poly(n)
-        _CYCLO_CACHE[n] = poly
+            poly = _poly_divmod_exact(poly, _field(d).modulus)
     return poly
 
 
 class _Field:
-    """Per-conductor tables: reduction rows and powers of zeta."""
+    """Per-conductor table of Q(zeta_n) = Q[x]/(Phi_n).
 
-    __slots__ = ("n", "phi", "modulus", "red_rows", "zeta_pows")
+    pows[k] = x^k mod Phi_n as an integer vector of length phi(n), for
+    every k below max(n, 2*phi(n) - 1): enough for the powers of zeta
+    (k < n), for an element of Z[x]/(x^n - 1) (length n) and for the
+    convolution of two power-basis vectors (length 2*phi - 1).
+    """
+
+    __slots__ = ("phi", "modulus", "pows")
 
     def __init__(self, n: int):
-        self.n = n
-        self.phi = euler_phi(n)
-        self.modulus = cyclotomic_poly_cached(n)
-        # red_rows[j] = x^(phi + j) mod Phi_n as an integer vector
-        deg = self.phi
-        rows: list[tuple[int, ...]] = []
-        cur = [-c for c in self.modulus[:deg]]  # x^phi
-        rows.append(tuple(cur))
-        for _ in range(deg - 2 if deg >= 2 else 0):
-            nxt = [0] + cur[:-1]
+        deg = self.phi = euler_phi(n)
+        modulus = self.modulus = cyclotomic_poly(n)
+        # x^(k+1) = x * x^k, with x^phi = -(modulus[0] + ... + modulus[phi-1] x^(phi-1))
+        cur = [1] + [0] * (deg - 1)
+        pows: list[tuple[int, ...]] = []
+        for _ in range(max(n, 2 * deg - 1)):
+            pows.append(tuple(cur))
             top = cur[-1]
+            cur = [0] + cur[:-1]
             if top:
                 for k in range(deg):
-                    nxt[k] -= top * self.modulus[k]
-            cur = nxt
-            rows.append(tuple(cur))
-        self.red_rows = rows
-        # zeta_pows[k] = x^k mod Phi_n for 0 <= k < n
-        pows: list[tuple[int, ...]] = []
-        for k in range(n):
-            if k < deg:
-                vec = [0] * deg
-                vec[k] = 1
-            else:
-                vec = list(rows[k - deg]) if k - deg < len(rows) else None
-                if vec is None:
-                    prev = list(pows[k - 1])
-                    vec = [0] + prev[:-1]
-                    top = prev[-1]
-                    if top:
-                        for t in range(deg):
-                            vec[t] -= top * self.modulus[t]
-            pows.append(tuple(vec))
-        self.zeta_pows = pows
+                    cur[k] -= top * modulus[k]
+        self.pows = pows
 
     def reduce(self, vec: list[int]) -> list[int]:
-        """Reduce an integer vector of length <= 2*phi-1 modulo Phi_n."""
+        """Reduce an integer vector of length phi to len(pows) modulo Phi_n."""
         deg = self.phi
-        out = list(vec[:deg]) + [0] * (deg - min(deg, len(vec)))
+        pows = self.pows
+        out = vec[:deg]
         for j in range(deg, len(vec)):
             c = vec[j]
             if c:
-                row = self.red_rows[j - deg]
+                row = pows[j]
                 for k in range(deg):
                     out[k] += c * row[k]
         return out
@@ -331,7 +306,7 @@ class Cyc:
         vec = [0] * f.phi
         for k, c in enumerate(self.num):
             if c:
-                row = f.zeta_pows[(k * step) % target]
+                row = f.pows[(k * step) % target]
                 for t in range(f.phi):
                     vec[t] += c * row[t]
         return Cyc(target, tuple(vec), self.den)
@@ -462,7 +437,7 @@ class Cyc:
         vec = [0] * f.phi
         for k, c in enumerate(self.num):
             if c:
-                row = f.zeta_pows[(k * t) % n]
+                row = f.pows[(k * t) % n]
                 for j in range(f.phi):
                     vec[j] += c * row[j]
         return Cyc(n, tuple(vec), self.den)
@@ -540,23 +515,13 @@ def cyc_root_of_unity(n: int, k: int) -> Cyc:
     if n < 1:
         raise ValueError("conductor must be positive")
     f = _field(n)
-    return Cyc(n, f.zeta_pows[k % n], 1)
+    return Cyc(n, f.pows[k % n], 1)
 
 
 def reduce_cyclic(vec: list[int]) -> list[int]:
     """Reduce an integer vector of length n, an element of Z[x]/(x^n - 1),
     modulo Phi_n to its phi(n) power-basis coefficients at conductor n."""
-    f = _field(len(vec))
-    deg = f.phi
-    out = vec[:deg]
-    pows = f.zeta_pows
-    for j in range(deg, f.n):
-        c = vec[j]
-        if c:
-            row = pows[j]
-            for k in range(deg):
-                out[k] += c * row[k]
-    return out
+    return _field(len(vec)).reduce(vec)
 
 
 def cyc_arith(a: Cyc, b: Cyc, op: str) -> Cyc:

@@ -16,13 +16,16 @@ evidence. Every mode is a source of assignments:
   verdict is that of uniform samples;
 - sampled(N, seed): N uniform assignments.
 
-One loop (`_verify`) decides each assignment, counts the undecided ones and
-builds the verdict, with one of two exact zero tests: the total test
-(`_full_zero`: the whole expression under the assignment as drawn; used by
-exhaustive and sampled) or the separator-quantified test
-(`_Session.decide`: no factor vanishes, then a separator choice keeping the
-product nonzero is searched; used by guarded and structured).  A search
-that gives up is counted as undecided, never as vanishing.
+One loop (`_verify`) decides each assignment with `_Session.decide`,
+counts the undecided ones and builds the verdict.  A decision first scans
+the root factors: one vanishing settles it, an undecided streamed factor
+makes it undecided, and a streamed factor certified nonvanishing makes it
+"blocked" (a no-vanishing-factor witness) in every mode.  Otherwise it
+ends in one of two exact zero tests: the total test (the whole expression
+under the assignment as drawn; used by exhaustive and sampled) or the
+separator search (a separator choice keeping the product nonzero; used by
+guarded and structured).  A search that gives up is counted as undecided,
+never as vanishing.
 
 Every mode changes a few variables from one assignment to the next (the
 last name fastest, or an argument sweep under one guard ordering), so a
@@ -77,6 +80,8 @@ GUARDED_ARG_SAMPLES = 500
 # the class identity's structured source enumerates at most this many
 # slot-to-class bijections
 CLASS_BIJECTIONS = 24
+# structured sources draw this many random rounds after the canonical one
+STRUCTURED_ORDERINGS = 3
 
 
 class VerifierError(RuntimeError):
@@ -126,11 +131,10 @@ def _vacuous(evidence: str, t0: float, **detail) -> Verdict:
 class _Session:
     """One verification run: owns the evaluator, RNG and witness search."""
 
-    def __init__(self, doc: IdentityDoc, rep: Rep, seed: int):
+    def __init__(self, doc: IdentityDoc, rep: Rep, seed: int = 0):
         self.doc = doc
         self.rep = rep
         self.rng = random.Random(seed)
-        self.seed = seed
         self.ev = Evaluator(rep)
         self.factors = list(doc.expr.children) if doc.expr.kind == "prod" else [doc.expr]
         self.separators = set(doc.vars_with_role("separator")) | set(
@@ -233,16 +237,19 @@ class _Session:
             return "search-failed"
         return assign
 
-    def decide(self, assignment: dict):
-        """Separator-quantified decision for one assignment of non-separator
-        variables.
+    def decide(self, assignment: dict, total: bool = False):
+        """Decision for one assignment.
 
-        Returns None when a factor vanishes, a witness assignment dict when a
-        nonzero value was materialized, "blocked" when a streamed factor
-        certifies nonvanishing without a materializable value, "undecided"
-        when a streamed factor could not be decided, or "search-failed" when
-        the separator search gave up.  The last two are counted as
-        undecided, never treated as a verdict.
+        The root factors are scanned first.  Then, with total, the whole
+        expression is tested under the assignment as drawn, separators
+        included; otherwise the separators are chosen by `witness_value`.
+
+        Returns None when the value vanishes, a witness assignment dict when
+        it does not (with total, the assignment itself), "blocked" when a
+        streamed factor certifies nonvanishing without a materializable
+        value, "undecided" when a streamed factor could not be decided, or
+        "search-failed" when the separator search gave up.  The last two are
+        counted as undecided, never treated as a verdict.
         """
         vanished, blocked = self.scan_factors(assignment, self.value_factors)
         if vanished:
@@ -252,6 +259,16 @@ class _Session:
             return "undecided"
         if blocked:
             return "blocked"
+        if total:
+            try:
+                if self.ev._is_zero(self.ev.evaluate_value(self.doc.expr, assignment)):
+                    return None
+            except StreamNonvanishing:
+                pass
+            except StreamUndecided:
+                self.undecided_count += 1
+                return "undecided"
+            return assignment
         outcome = self.witness_value(assignment)
         if outcome == "search-failed":
             self.undecided_count += 1
@@ -328,52 +345,26 @@ class _Prefix:
         return True
 
 
-def _full_zero(session: _Session, assignment: dict):
-    """Exact zero test of the whole expression under a total assignment.
-
-    True/False when decided; None when a streamed factor was undecidable.
-    """
-    vanished, blocked = session.scan_factors(assignment, session.value_factors)
-    if vanished:
-        return True
-    if session.last_undecided:
-        session.undecided_count += 1
-        return None
-    if blocked:
-        return False
-    try:
-        value = session.ev.evaluate_value(session.doc.expr, assignment)
-    except StreamNonvanishing:
-        return False
-    except StreamUndecided:
-        session.undecided_count += 1
-        return None
-    return session.ev._is_zero(value)
-
-
 def _verify(session: _Session, evidence: str, assignments, detail: dict, t0: float,
             total: bool = False, search: bool = False,
             fail_detail: dict | None = None) -> Verdict:
     """The verification loop of every mode: decide each assignment the mode
-    yields, count the undecided ones, build the verdict.
+    yields (`_Session.decide`, as drawn with total), count the undecided
+    ones, build the verdict.
 
-    With total, an assignment is decided by `_full_zero` as drawn; the
-    witness is the assignment itself, or with search the separator choice
-    of `_Session.decide` where it finds one. Otherwise `_Session.decide`
-    decides it. The first assignment that does not vanish fails the verdict
-    (with fail_detail, if given, in place of detail).
+    The first assignment that does not vanish fails the verdict (with
+    fail_detail, if given, in place of detail).  Its witness is the
+    decision's; with search, a total decision's witness takes the
+    separators of `_Session.witness_value` where it finds them.
     """
     for assignment in assignments:
-        if total:
-            if _full_zero(session, assignment) is not False:
-                continue
-            outcome = session.decide(assignment) if search else None
-            if outcome in (None, "undecided", "search-failed"):
-                outcome = assignment
-        else:
-            outcome = session.decide(assignment)
-            if outcome in (None, "undecided", "search-failed"):
-                continue
+        outcome = session.decide(assignment, total)
+        if outcome in (None, "undecided", "search-failed"):
+            continue
+        if search and outcome is assignment:
+            found = session.witness_value(assignment)
+            if found != "search-failed":
+                outcome = found
         detail = fail_detail or detail
         if outcome == "blocked":
             evidence, outcome = "structured", assignment
@@ -387,7 +378,7 @@ def _verify(session: _Session, evidence: str, assignments, detail: dict, t0: flo
     return Verdict("holds", evidence, detail, timing_ms=_ms(t0))
 
 
-def holds_exhaustive(doc: IdentityDoc, rep: Rep, budget: int = 300_000, seed: int = 0,
+def holds_exhaustive(doc: IdentityDoc, rep: Rep, budget: int = 300_000,
                      jobs: int = 1) -> Verdict:
     t0 = time.time()
     if doc.vacuous:
@@ -395,7 +386,7 @@ def holds_exhaustive(doc: IdentityDoc, rep: Rep, budget: int = 300_000, seed: in
     names = sorted(doc.expr.free_vars())
     source = _all_assignments(names, rep.group.order, budget)  # raises over budget
     detail = {"assignments": rep.group.order ** len(names)}
-    session = _Session(doc, rep, seed)
+    session = _Session(doc, rep)
     if jobs > 1:
         detail["jobs"] = jobs
         source = _parallel_failures(session, names, detail["assignments"], jobs)
@@ -423,7 +414,7 @@ def _parallel_failures(session: _Session, names: list[str], total: int, jobs: in
     ranges = [(start, min(start + step, total)) for start in range(0, total, step)]
     ctx = mp.get_context("fork")
     with ctx.Pool(jobs, initializer=_worker_init,
-                  initargs=(session.doc, session.rep, names, session.seed)) as pool:
+                  initargs=(session.doc, session.rep, names)) as pool:
         verdicts = pool.map(_worker_scan, ranges)
         pool.close()
         pool.join()
@@ -436,19 +427,19 @@ def _parallel_failures(session: _Session, names: list[str], total: int, jobs: in
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(doc, rep, names, seed):
-    _WORKER_STATE["args"] = (doc, rep, names, seed)
+def _worker_init(doc, rep, names):
+    _WORKER_STATE["args"] = (doc, rep, names)
 
 
 def _worker_scan(bounds) -> Verdict:
     """Exhaustive verdict over one range of linear assignment indices, in
     the serial order (last name fastest)."""
-    doc, rep, names, seed = _WORKER_STATE["args"]
+    doc, rep, names = _WORKER_STATE["args"]
     m = rep.group.order
     last = len(names) - 1
     source = ({name: (linear // m ** (last - i)) % m for i, name in enumerate(names)}
               for linear in range(*bounds))
-    return _verify(_Session(doc, rep, seed), "exhaustive", source, {}, time.time(),
+    return _verify(_Session(doc, rep), "exhaustive", source, {}, time.time(),
                    total=True)
 
 
@@ -623,7 +614,7 @@ def holds_sampled(doc: IdentityDoc, rep: Rep, n: int = 500, seed: int = 0) -> Ve
                    total=True, search=True)
 
 
-def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 3,
+def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0,
                      extra_samples: int = 200) -> Verdict:
     """Checks the assignment family the construction singles out. A family
     that does not fit rep's group is empty; the verdict is then that of
@@ -638,13 +629,13 @@ def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int =
     else:
         raise VerifierError(f"no structured family handler for {doc.family}")
     session = _Session(doc, rep, seed)
-    family = source(doc, session, orderings)
+    family = source(doc, session, STRUCTURED_ORDERINGS)
     # round 0 draws nothing from the rng: peeking at it moves no later draw
     first = next(family, None)
     if first is None:
         return holds_sampled(doc, rep, n=extra_samples, seed=seed + 1)
     return _verify(session, "structured", itertools.chain([first], family),
-                   {"seed": seed, "orderings": orderings}, t0,
+                   {"seed": seed, "orderings": STRUCTURED_ORDERINGS}, t0,
                    fail_detail={"seed": seed, "family": doc.family})
 
 
@@ -745,7 +736,7 @@ def check(doc: IdentityDoc, rep: Rep, mode: str = "auto", seed: int = 0,
           budget: int = 300_000, n: int = 500, orderings: int = 5,
           jobs: int = 1) -> Verdict:
     if mode == "exhaustive":
-        return holds_exhaustive(doc, rep, budget=budget, seed=seed, jobs=jobs)
+        return holds_exhaustive(doc, rep, budget=budget, jobs=jobs)
     if mode == "guarded":
         return holds_guarded(doc, rep, seed=seed, orderings=orderings)
     if mode == "sampled":
@@ -764,7 +755,7 @@ def check(doc: IdentityDoc, rep: Rep, mode: str = "auto", seed: int = 0,
         return holds_guarded(doc, rep, seed=seed, orderings=orderings)
     total = m ** len(doc.expr.free_vars())
     if total <= budget:
-        return holds_exhaustive(doc, rep, budget=budget, seed=seed, jobs=jobs)
+        return holds_exhaustive(doc, rep, budget=budget, jobs=jobs)
     return holds_sampled(doc, rep, n=n, seed=seed)
 
 

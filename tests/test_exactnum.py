@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,12 @@ from repident.exactnum import (
     cyc_inverse,
     cyc_root_of_unity,
     cyc_to_float,
+    cyclotomic_poly,
     euler_phi,
     golden_ratio,
     mod_p,
     sqrt5,
+    _field,
 )
 
 
@@ -24,6 +27,39 @@ def test_roots_of_unity_basics():
     assert cyc_root_of_unity(4, 2) == -1
     z3 = cyc_root_of_unity(3, 1)
     assert cyc_arith(z3, cyc_root_of_unity(3, 2), "add") == -1
+
+
+def _long_division_remainder(vec, modulus):
+    """Remainder of vec (ascending coefficients) by a monic modulus, by
+    schoolbook long division from the top coefficient down."""
+    rem, deg = list(vec), len(modulus) - 1
+    for top in range(len(rem) - 1, deg - 1, -1):
+        c = rem[top]
+        if c:
+            for i, m in enumerate(modulus):
+                rem[top - deg + i] -= c * m
+    return (rem + [0] * deg)[:deg]
+
+
+def test_field_power_table_against_long_division():
+    """One table per conductor: pows[k] is the k-th unit vector below phi(n),
+    and reduce agrees with long division by Phi_n on every vector length it
+    accepts; for prime n the table runs past n, to x^(2n - 4)."""
+    rng = random.Random(20)
+    for n in range(1, 121):
+        f, phi = _field(n), euler_phi(n)
+        modulus = cyclotomic_poly(n)
+        assert f.phi == phi and f.modulus == modulus and modulus[-1] == 1
+        assert len(f.pows) == max(n, 2 * phi - 1)
+        for k in range(phi):
+            assert f.pows[k] == tuple(int(i == k) for i in range(phi)), (n, k)
+        for k, row in enumerate(f.pows):
+            assert list(row) == _long_division_remainder([0] * k + [1], modulus), (n, k)
+        for length in range(phi, len(f.pows) + 1):
+            vec = [rng.randint(-9, 9) for _ in range(length)]
+            assert f.reduce(list(vec)) == _long_division_remainder(vec, modulus), (n, length)
+        if n > 2 and phi == n - 1:
+            assert len(f.pows) == 2 * n - 3
 
 
 def test_gauss_sum_square_is_five():

@@ -342,6 +342,30 @@ def _no_root_factor_vanishes(doc, rep, witness) -> bool:
     return True
 
 
+def test_streamed_product_witness_is_labelled_alike_in_every_mode(s3_std):
+    """A streamed product certified nonvanishing fails with a
+    no-vanishing-factor witness whether the assignments are enumerated
+    (serially or over workers) or sampled: no mode reports its unevaluable
+    value as a plain witness."""
+    from repident.freeexpr import stream_subsets
+
+    expr = prod([stream_subsets([sub(var("x"), const(1))], 1, "s"), var("u")])
+    roles = {"x": {"role": "psi-argument"}, "u": {"role": "separator"}}
+    doc = idf.IdentityDoc("test", expr, roles, {}, "streamed product")
+    kind = ("no-vanishing-factor (streamed product; nonzero by simplicity "
+            "with fresh separators)")
+    exhaustive = _verdict_json(vf.holds_exhaustive(doc, s3_std))
+    assert exhaustive == {"status": "fails", "evidence": "structured", "assignments": 36,
+                          "witness_kind": kind, "witness": {"u": 0, "x": 1}}
+    parallel = _verdict_json(vf.holds_exhaustive(doc, s3_std, jobs=2))
+    assert parallel.pop("jobs") == 2
+    assert parallel == exhaustive
+    sampled = _verdict_json(vf.holds_sampled(doc, s3_std, seed=0))
+    assert (sampled["evidence"], sampled["witness_kind"]) == ("structured", kind)
+    for verdict in (exhaustive, sampled):
+        assert _no_root_factor_vanishes(doc, s3_std, verdict["witness"])
+
+
 def test_structured_samples_only_when_the_family_does_not_fit(s3_std, monkeypatch):
     """A family that fits the group is the whole evidence of a structured
     verdict. On a group it does not fit the family is empty, and the verdict
@@ -367,9 +391,9 @@ def test_structured_samples_only_when_the_family_does_not_fit(s3_std, monkeypatc
     decided = []
     decide = vf._Session.decide
 
-    def recorded_decide(session, assignment):
+    def recorded_decide(session, assignment, total=False):
         decided.append(assignment)
-        return decide(session, assignment)
+        return decide(session, assignment, total)
 
     monkeypatch.setattr(vf, "holds_sampled", no_sampling)
     monkeypatch.setattr(vf._Session, "decide", recorded_decide)

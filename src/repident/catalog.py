@@ -7,9 +7,15 @@ parametrized diagonal representations of elementary abelian groups.
 
 Matrix models are chosen for exactness and speed: permutation-derived
 integral models where they exist, monomial models over small cyclotomic
-fields otherwise.  A representation that is neither unitary nor monomial
-(the split 3-dimensional models of A5) is validated through its invariant
-sesquilinear form instead.
+fields otherwise.  A model defined by generators (the pi_{k,l}, the split
+3-dimensional models of A5 and the one-dimensional characters that S3:std,
+A4:omega and the 3-dimensional irreps of S4 rest on) is built from its
+generator images alone: each image is its parent's image times one
+generator image along the group's word tree.  Closed-form models are
+written entry by entry.  Either way Rep's validation is the one proof that
+a model is a homomorphism.  It is skipped only where it cannot fail: for
+models that reuse validated images, and for the diagonal abelian models,
+whose exponents V a are linear in a.
 """
 
 from __future__ import annotations
@@ -48,9 +54,7 @@ class CatalogEntry:
             if builder is None:
                 raise CatalogError(f"{self.name} has no representation {name!r}; "
                                    f"known: {sorted(self.rep_builders)}")
-            rep = builder()
-            validate_catalog_rep(rep)
-            self._reps[name] = rep
+            self._reps[name] = builder()
         return self._reps[name]
 
     def rep_names(self) -> list[str]:
@@ -136,28 +140,36 @@ def _one_dim_rep(group: FiniteGroup, values: list[Cyc], name: str) -> Rep:
     return Rep(group, [Mat(((v,),)) for v in values], name=name)
 
 
-def _linear_characters(group: FiniteGroup, gens: list[int]) -> list[list[Cyc]]:
-    """All homomorphisms group -> C^* by brute force over root-of-unity images,
-    in the order of the generators' exponents: for one generator g of order
-    o, entry k sends g to zeta_o^k."""
-    steps = group._word_tree(gens)
+def _from_generators(group: FiniteGroup, gens: list[int], gen_images: list[Mat],
+                     name: str) -> Rep:
+    """The representation sending gens[i] to gen_images[i].  Each image is
+    its parent's image times one generator image, along the word tree, and
+    Rep's validation proves the result a homomorphism (RepError if the
+    generator images satisfy no relation the group needs)."""
+    n = gen_images[0].n
+    one = Cyc.one(lcm(*(v.conductor for m in gen_images for row in m.rows for v in row)))
+    # zeros at conductor 1, as Mat products write them
+    images = [Mat(tuple(tuple(one if i == j else Cyc.zero() for j in range(n))
+                        for i in range(n)))] * group.order
+    for y, parent, gi in group._word_tree(gens):
+        images[y] = images[parent] * gen_images[gi]
+    return Rep(group, images, name=name)
+
+
+def _linear_characters(group: FiniteGroup, gens: list[int]) -> list[Rep]:
+    """All one-dimensional representations, by brute force over root-of-unity
+    generator images, in the order of the generators' exponents: for one
+    generator g of order o, entry k sends g to zeta_o^k."""
     orders = [group.element_order(g) for g in gens]
-    common = 1
-    for o in orders:
-        common = lcm(common, o)
+    common = lcm(*orders)
     results = []
     for choice in itertools.product(*[range(o) for o in orders]):
-        imgs = [cyc_root_of_unity(common, choice[i] * (common // orders[i])) for i in range(len(gens))]
-        vals = [Cyc.one(common)] * group.order
-        for y, parent, gi in steps:
-            vals[y] = vals[parent] * imgs[gi]
-        ok = all(
-            vals[group.table[a][b]] == vals[a] * vals[b]
-            for a in range(group.order)
-            for b in range(group.order)
-        )
-        if ok:
-            results.append(vals)
+        imgs = [Mat(((cyc_root_of_unity(common, k * (common // o)),),))
+                for k, o in zip(choice, orders)]
+        try:
+            results.append(_from_generators(group, gens, imgs, f"{group.name}:lin{choice}"))
+        except RepError:
+            pass
     return results
 
 
@@ -186,15 +198,15 @@ def symmetric(n: int) -> CatalogEntry:
         raise CatalogError("symmetric(n) supported for 2 <= n <= 5")
     group, elems = _perm_group(n, even_only=False)
     builders: dict = {}
-    builders["triv"] = lambda: _one_dim_rep(group, [Cyc.one()] * group.order, f"S{n}:triv")
-    builders["sign"] = lambda: _one_dim_rep(
-        group, [Cyc.from_rational(_perm_sign(p)) for p in elems], f"S{n}:sign"
+    # S4 follows its character table's numbering
+    triv, sign = ("rho1", "rho2") if n == 4 else ("triv", "sign")
+    builders[triv] = lambda: _one_dim_rep(group, [Cyc.one()] * group.order, f"S{n}:{triv}")
+    builders[sign] = lambda: _one_dim_rep(
+        group, [Cyc.from_rational(_perm_sign(p)) for p in elems], f"S{n}:{sign}"
     )
     if n == 3:
         builders["std"] = lambda: _s3_std(group, elems)
     if n == 4:
-        builders["rho1"] = builders.pop("triv")
-        builders["rho2"] = builders.pop("sign")
         builders["rho3"] = lambda: _s4_rho3(group, elems)
         builders["rho4"] = lambda: _s4_three_dim(group, elems, "rho4")
         builders["rho5"] = lambda: _s4_three_dim(group, elems, "rho5")
@@ -220,8 +232,7 @@ def _s3_std(group: FiniteGroup, elems) -> Rep:
     a3 = [g for g, p in enumerate(elems) if _perm_sign(p) == 1]
     sub, sub_map = subgroup_group(group, a3)
     gen = next(g for g in range(sub.order) if sub.element_order(g) == 3)
-    one_dim = _one_dim_rep(sub, _linear_characters(sub, [gen])[1], "A3:omega")
-    return induced_rep(group, a3, one_dim, sub_map, name="S3:std")
+    return induced_rep(group, a3, _linear_characters(sub, [gen])[1], sub_map, name="S3:std")
 
 
 def _s4_rho3(group: FiniteGroup, elems) -> Rep:
@@ -275,8 +286,7 @@ def _s4_three_dims() -> dict:
     sub, sub_map = subgroup_group(group, d4)
     sub_gens = [sub_map.index(four_cycle), sub_map.index(swap)]
     out = {}
-    for vals in _linear_characters(sub, sub_gens):
-        one = _one_dim_rep(sub, vals, "D4:lin")
+    for one in _linear_characters(sub, sub_gens):
         ind = induced_rep(group, d4, one, sub_map)
         chi = ind.character
         if ind.is_irreducible():
@@ -339,8 +349,8 @@ def alternating(n: int) -> CatalogEntry:
     builders["triv"] = lambda: _one_dim_rep(group, [Cyc.one()] * group.order,
                                             f"A{n}:triv")
     if n == 4:
-        builders["omega"] = lambda: _a4_omega(group, elems, 1)
-        builders["omega2"] = lambda: _a4_omega(group, elems, 2)
+        builders["omega"] = lambda: _a4_omega(group, elems, 1, "A4:omega")
+        builders["omega2"] = lambda: _a4_omega(group, elems, 2, "A4:omega2")
         builders["tau"] = lambda: Rep(group, [_perm_matrix_std(p) for p in elems],
                                       name="A4:tau")
     if n == 5:
@@ -352,15 +362,14 @@ def alternating(n: int) -> CatalogEntry:
     return CatalogEntry(f"A{n}", group, elems, builders, {"kind": "alternating"})
 
 
-def _a4_omega(group, elems, power: int) -> Rep:
+def _a4_omega(group, elems, power: int, name: str) -> Rep:
     v4 = [g for g, p in enumerate(elems)
           if p == tuple(range(4)) or _cycle_type(p) == (2, 2)]
     quotient, coset_of = group.quotient(frozenset(v4))
     gen = next(q for q in range(quotient.order) if quotient.element_order(q) == 3)
     # gen -> zeta_3^power
-    vals = _linear_characters(quotient, [gen])[power]
-    return _one_dim_rep(group, [vals[coset_of[g]] for g in range(group.order)],
-                        f"A4:omega{power}")
+    chi = _linear_characters(quotient, [gen])[power]
+    return Rep(group, [chi.images[coset_of[g]] for g in range(group.order)], name=name)
 
 
 def _a5_five(group, elems) -> Rep:
@@ -417,22 +426,19 @@ def _a5_three_pair() -> tuple[Rep, Rep]:
     if sel is None:
         raise CatalogError("no coordinatizing rows found")
     combo, inv3 = sel
-    images = []
-    for g in range(group.order):
-        gb = [[None] * 3 for _ in range(6)]
-        for i in range(6):
-            for j in range(3):
-                accv = None
-                for k in range(6):
-                    t = lam[g].rows[i][k] * b_rows[k][j]
-                    accv = t if accv is None else accv + t
-                gb[i][j] = accv
-        sel_rows = Mat(tuple(tuple(gb[i]) for i in combo))
-        images.append(inv3 * sel_rows)
-    rep_a = Rep(group, images, name="A5:dim3a")
+
+    def coordinates(m: Mat) -> Mat:
+        # m acting on the basis columns, read in the coordinatizing rows
+        return inv3 * Mat(tuple(
+            tuple(sum((m.rows[i][k] * b_rows[k][j] for k in range(6)), Cyc.zero(5))
+                  for j in range(3))
+            for i in combo))
+
+    gens = group.small_generating_set()
+    rep_a = _from_generators(group, gens, [coordinates(lam[g]) for g in gens], "A5:dim3a")
     if rep_a.character.values != [chi[g] for g in range(group.order)]:
         raise CatalogError("split rep has unexpected character")
-    rep_b = Rep(group, [m.galois(2) for m in images], name="A5:dim3b")
+    rep_b = Rep(group, [m.galois(2) for m in rep_a.images], name="A5:dim3b")
     return rep_a, rep_b
 
 
@@ -623,14 +629,8 @@ def _pi_kl_rep(group: FiniteGroup, elems, gamma: GammaGroup, k: int, l: int) -> 
             row[0] = corner
         rows.append(tuple(row))
     b_mat = Mat(tuple(rows))
-    cache_a = [Mat.identity(d, conductor)]
-    for _ in range(m - 1):
-        cache_a.append(cache_a[-1] * a_mat)
-    cache_b = [Mat.identity(d, conductor)]
-    for _ in range(gamma.n - 1):
-        cache_b.append(cache_b[-1] * b_mat)
-    images = [cache_a[i] * cache_b[j] for (i, j) in elems]
-    return Rep(group, images, name=f"{gamma.entry_name}:pi({k},{l})")
+    gens = [elems.index((1, 0)), elems.index((0, 1))]
+    return _from_generators(group, gens, [a_mat, b_mat], f"{gamma.entry_name}:pi({k},{l})")
 
 
 # -- wreath product Z_p^p . C_p ----------------------------------------------
@@ -643,10 +643,7 @@ def shift_perm_matrix(p: int) -> tuple[tuple[int, ...], ...]:
 
 def circulant(w: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
     """Circulant matrix of a form w as sum w_i shift^(i-1), entries mod p."""
-    shift = shift_perm_matrix(p)
-    powm = [tuple(tuple(1 if i == j else 0 for j in range(p)) for i in range(p))]
-    for _ in range(p - 1):
-        powm.append(mat_mul_mod(powm[-1], shift, p))
+    powm = _iterate_powers(shift_perm_matrix(p), p)
     acc = [[0] * p for _ in range(p)]
     for i, wi in enumerate(w):
         for a in range(p):
@@ -743,12 +740,8 @@ def wreath(p: int) -> CatalogEntry:
     w0 = tuple([1] + [0] * (p - 1))
     h_coeffs, h_mat = find_unit_h(p)
     hw0 = tuple(sum(h_mat[i][j] * w0[j] for j in range(p)) % p for i in range(p))
-
-    def build_rho(w):
-        return _rho_w(group, elems, p, w)
-
-    builders["rho_w"] = lambda: build_rho(w0)
-    builders["rho_hw"] = lambda: build_rho(hw0)
+    builders["rho_w"] = lambda: _rho_w(group, elems, p, w0, f"W{p}:rho_w")
+    builders["rho_hw"] = lambda: _rho_w(group, elems, p, hw0, f"W{p}:rho_hw")
     return CatalogEntry(
         f"W{p}", group, elems, builders,
         {"kind": "wreath", "p": p, "w": w0, "h": h_coeffs, "hw": hw0},
@@ -757,14 +750,12 @@ def wreath(p: int) -> CatalogEntry:
 
 def rho_w(entry: CatalogEntry, w: tuple[int, ...]) -> Rep:
     p = entry.meta["p"]
+    return _rho_w(entry.group, entry.elements, p, w, f"W{p}:rho{w}")
+
+
+def _rho_w(group: FiniteGroup, elems, p: int, w: tuple[int, ...], name: str) -> Rep:
     if not is_admissible(w, p):
         raise CatalogError(f"form {w} is not admissible (coordinates sum to 0 mod {p})")
-    return _rho_w(entry.group, entry.elements, p, w)
-
-
-def _rho_w(group: FiniteGroup, elems, p: int, w: tuple[int, ...]) -> Rep:
-    if not is_admissible(w, p):
-        raise CatalogError(f"form {w} is not admissible")
     abelian_part = [g for g, (a, s) in enumerate(elems) if s == 0]
     sub, sub_map = subgroup_group(group, abelian_part)
     vals = []
@@ -772,8 +763,7 @@ def _rho_w(group: FiniteGroup, elems, p: int, w: tuple[int, ...]) -> Rep:
         a, _ = elems[sub_map[idx]]
         vals.append(cyc_root_of_unity(p, sum(w[i] * a[i] for i in range(p)) % p))
     one_dim = _one_dim_rep(sub, vals, f"W{p}:w'{w}")
-    return induced_rep(group, abelian_part, one_dim, sub_map,
-                       name=f"W{p}:rho{w}")
+    return induced_rep(group, abelian_part, one_dim, sub_map, name=name)
 
 
 # -- parametrized abelian representations -------------------------------------

@@ -141,7 +141,7 @@ def similar_reps(rep1: Rep, rep2: Rep) -> list[int] | None:
     return found[0] if found else None
 
 
-def uniformly_gassmann(rep1: Rep, rep2: Rep, limit: int = 200):
+def uniformly_gassmann(rep1: Rep, rep2: Rep):
     """(verdict, failing subgroup or None): Gassmann equivalence of the
     restrictions to every subgroup.
 
@@ -164,14 +164,13 @@ def uniformly_gassmann(rep1: Rep, rep2: Rep, limit: int = 200):
     if rep1.group.table != rep2.group.table:
         raise ValueError("uniform Gassmann test expects one underlying group")
     group = rep1.group
-    cyclic = group.cyclic_subgroups(limit)
     kc = _common_conductor(rep1, rep2)
     cc = group.conjugacy_classes
     ids: dict = {}  # spectrum key -> number, taken once per class
     ids1, ids2 = (cc.spread([ids.setdefault(spectrum_key(rep, r, kc), len(ids))
                              for r in cc.representatives])
                   for rep in (rep1, rep2))
-    for sub in cyclic:
+    for sub in group.cyclic_subgroups():
         if sorted(ids1[g] for g in sub) != sorted(ids2[g] for g in sub):
             return False, sub
     return True, None
@@ -198,7 +197,7 @@ def compare_all(rep1: Rep, rep2: Rep) -> dict:
         out["galois_t"] = t
     if rep1.group.order == rep2.group.order:
         out["similar"] = similar_reps(rep1, rep2) is not None
-    if same_table and rep1.group.order <= 200:
+    if same_table:
         ok, witness = uniformly_gassmann(rep1, rep2)
         out["uniform_gassmann"] = ok
         if witness is not None:

@@ -18,13 +18,12 @@ class GroupError(ValueError):
 
 
 class FiniteGroup:
-    def __init__(self, table, labels=None, name=None, validate=True):
+    def __init__(self, table, labels=None, name=None):
         self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         self.name = name or f"group{self.order}"
         self.labels = list(labels) if labels is not None else [str(i) for i in range(self.order)]
-        if validate:
-            self._validate()
+        self._validate()
         self.inverse = self._inverses()
 
     def _validate(self):
@@ -200,18 +199,14 @@ class FiniteGroup:
         return frozenset(self._closure_set(list(gens)))
 
     def all_subgroups(self, limit: int = 200) -> list[frozenset[int]]:
-        self._check_subgroup_limit(limit)
-        return list(self._subgroup_lattice)
-
-    def cyclic_subgroups(self, limit: int = 200) -> list[frozenset[int]]:
-        """The cyclic subgroups <g>, ordered as in all_subgroups: by size,
-        then by sorted members."""
-        self._check_subgroup_limit(limit)
-        return list(self._cyclic)
-
-    def _check_subgroup_limit(self, limit: int) -> None:
         if self.order > limit:
             raise GroupError(f"subgroup lattice limited to order <= {limit}")
+        return list(self._subgroup_lattice)
+
+    def cyclic_subgroups(self) -> list[frozenset[int]]:
+        """The cyclic subgroups <g>, ordered as in all_subgroups: by size,
+        then by sorted members."""
+        return list(self._cyclic)
 
     @cached_property
     def _cyclic(self) -> dict[frozenset[int], int]:

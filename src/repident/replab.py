@@ -255,14 +255,16 @@ class Rep:
     def adams_rows(self) -> list[tuple[Cyc, ...]]:
         return [self.adams_vector(block[0]) for block in self.adams_partition]
 
-    def galois_conjugate(self, t: int, validate: bool = False) -> "Rep":
+    def galois_conjugate(self, t: int) -> "Rep":
+        """The twist by zeta -> zeta^t, entrywise: a homomorphism whenever
+        self is one, so it is not validated again."""
         if gcd(t, self.conductor) != 1:
             raise RepError(f"galois exponent {t} not coprime to entry conductor {self.conductor}")
         return Rep(
             self.group,
             [mt.galois(t) for mt in self.images],
             name=f"{self.name}^galois{t}",
-            validate=validate,
+            validate=False,
         )
 
     # -- serialization ------------------------------------------------------

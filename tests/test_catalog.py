@@ -1,10 +1,14 @@
+import hashlib
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
 from repident import catalog
 from repident.catalog import (
     CatalogError,
+    _from_generators,
     abelian_rep,
     circulant,
     find_unit_h,
@@ -12,6 +16,44 @@ from repident.catalog import (
     validate_catalog_rep,
 )
 from repident.exactnum import cyc_root_of_unity
+from repident.matrices import Mat
+from repident.replab import RepError
+
+PINNED = Path(__file__).parent / "data" / "catalog_pinned.json"
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _fingerprint(rep) -> dict:
+    """The images as values (keys at the rep's conductor, blind to the
+    conductor a zero entry carries), both conductors and the character."""
+    keys = [[list(v.key(rep.conductor)) for row in m.rows for v in row] for m in rep.images]
+    return {"images_sha256": _sha256(keys), "conductor": rep.conductor,
+            "key_conductor": rep.key_conductor,
+            "character_sha256": _sha256([v.to_json() for v in rep.character.values])}
+
+
+def test_catalog_reps_match_the_pinned_models():
+    """Every catalog rep the tests build keeps its images, conductors and
+    character, and carries its catalog name."""
+    pinned = json.loads(PINNED.read_text())
+    for key, expected in pinned.items():
+        group, name = key.split(":", 1)
+        rep = catalog.get_entry(group).rep(name)
+        assert rep.name == f"{group}:{name}"
+        assert _fingerprint(rep) == expected, key
+
+
+def test_from_generators_rejects_a_non_homomorphism():
+    z4 = catalog.cyclic(4).group
+    zeta3 = Mat(((cyc_root_of_unity(3, 1),),))
+    with pytest.raises(RepError):
+        _from_generators(z4, [1], [zeta3], "Z4:bad")
+    # the same route builds the genuine character
+    chi = _from_generators(z4, [1], [Mat(((cyc_root_of_unity(4, 1),),))], "Z4:chi1")
+    assert chi.character.values == catalog.cyclic(4).rep("chi1").character.values
 
 
 def test_s4_rep_names():

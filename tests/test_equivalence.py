@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from repident import catalog, equivalence as eq
-from repident.grouplab import FiniteGroup, GroupError
+from repident.grouplab import FiniteGroup
 from repident.replab import Rep, restrict_rep, spectrum
 
 
@@ -335,8 +335,10 @@ def test_compare_all_builds_no_subgroup_lattice():
     assert "_subgroup_lattice" not in group.__dict__
 
 
-def test_uniform_gassmann_keeps_the_order_cap():
+def test_uniform_gassmann_has_no_order_cap():
+    """H7 has order 343: its Galois pair is uniformly Gassmann, in
+    uniformly_gassmann and in compare_all."""
     h7 = catalog.heisenberg(7)
-    with pytest.raises(GroupError):
-        eq.uniformly_gassmann(h7.rep("theta1"), h7.rep("theta2"))
-    assert "uniform_gassmann" not in eq.compare_all(h7.rep("theta1"), h7.rep("theta2"))
+    theta1, theta2 = h7.rep("theta1"), h7.rep("theta2")
+    assert eq.uniformly_gassmann(theta1, theta2) == (True, None)
+    assert eq.compare_all(theta1, theta2)["uniform_gassmann"] is True

@@ -113,7 +113,13 @@ class FiniteGroup:
     def exponent(self) -> int:
         return lcm(*self.element_orders)
 
-    def small_generating_set(self) -> list[int]:
+    def small_generating_set(self) -> tuple[int, ...]:
+        """Generators taken greedily by descending element order, each one
+        not yet reached by the earlier ones; computed once per group."""
+        return self._generators
+
+    @cached_property
+    def _generators(self) -> tuple[int, ...]:
         gens: list[int] = []
         reached = {0}
         for g in sorted(range(self.order), key=lambda x: (-self.element_order(x), x)):
@@ -123,7 +129,7 @@ class FiniteGroup:
             reached = self._closure_set(gens)
             if len(reached) == self.order:
                 break
-        return gens
+        return tuple(gens)
 
     def _closure_set(self, gens) -> set[int]:
         seen = {0}

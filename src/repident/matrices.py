@@ -188,7 +188,8 @@ class Mat:
 
     def inverse(self) -> "Mat":
         n = self.n
-        work = [list(r) + list(Mat.identity(n).rows[i]) for i, r in enumerate(self.rows)]
+        identity = Mat.identity(n).rows
+        work = [list(r) + list(identity[i]) for i, r in enumerate(self.rows)]
         for col in range(n):
             piv = None
             for r in range(col, n):

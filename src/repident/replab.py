@@ -129,6 +129,19 @@ class Rep:
     def kernel(self) -> frozenset[int]:
         return frozenset(g for g in range(self.group.order) if self.images[g].is_identity())
 
+    @cached_property
+    def kernel_cosets(self) -> tuple[int, ...]:
+        """Entry g is the least element of the coset g ker(rho): rho(x) =
+        rho(y) exactly when x and y have the same entry."""
+        table = self.group.table
+        kernel = sorted(self.kernel)
+        least: list = [None] * self.group.order
+        for g in range(self.group.order):
+            if least[g] is None:  # g ascends: the least element of its coset
+                for k in kernel:
+                    least[table[g][k]] = g
+        return tuple(least)
+
     def is_faithful(self) -> bool:
         return self.kernel == frozenset({0})
 

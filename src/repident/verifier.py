@@ -33,7 +33,11 @@ root factor meets the same values of its own variables many times.  The
 session's vanishing table remembers, per root factor and per values of
 that factor's variables, whether the factor vanishes, so a factor is
 evaluated at most once per tuple of its variables' values.  A streamed
-factor that certifies nonvanishing or stays undecided is never stored.
+factor that certifies nonvanishing or stays undecided is never stored.  A
+root factor var(a) - var(b) (`_difference`) is neither evaluated nor
+stored: rho(x) - rho(y) vanishes exactly when x and y lie in one coset of
+ker rho, read from `Rep.kernel_cosets`, and the witness search builds its
+value and its image mod p from the two terms.
 
 The separator search carries the running product modulo a prime
 p = 1 (mod N) (`exactnum.mod_p`): a nonzero image proves the product
@@ -58,6 +62,7 @@ from fractions import Fraction
 from .exactnum import Cyc, mat_mul_mod
 from .freeexpr import (
     _G,
+    _S,
     Evaluator,
     Expr,
     StreamNonvanishing,
@@ -137,13 +142,21 @@ class _Session:
         self.rng = random.Random(seed)
         self.ev = Evaluator(rep)
         self.factors = list(doc.expr.children) if doc.expr.kind == "prod" else [doc.expr]
-        self.separators = set(doc.vars_with_role("separator")) | set(
-            doc.vars_with_role("subset-tag")
-        )
+        self.separators = {name for name, role in doc.var_roles.items()
+                           if role["role"] in ("separator", "subset-tag")}
         self.sep_list = sorted(self.separators)
         # the root factors whose value can vanish, in expression order
         self.value_factors = [f for f in self.factors
                               if not (f.kind == "var" and f.value in self.separators)]
+        # id -> (a, b) of the root factors var(a) - var(b) with a != b:
+        # rho(x) - rho(y) vanishes exactly when x and y share a coset of
+        # ker rho, so these are decided from `Rep.kernel_cosets`, never
+        # evaluated, and never stored in the vanishing table
+        if doc.differences is None:
+            doc.differences = [(f, ab) for f in self.value_factors
+                               if (ab := _difference(f)) and ab[0] != ab[1]]
+        self.differences = {id(f): ab for f, ab in doc.differences}
+        self.cosets = rep.kernel_cosets if self.differences else None
         self.last_undecided = False
         self.undecided_count = 0
         # (id(root factor), values of its sorted_vars()) -> vanishes.  The
@@ -159,14 +172,24 @@ class _Session:
         undecided flag when a streamed factor could neither vanish nor
         certify nonvanishing.  Zero tests are looked up in, and recorded in,
         the session's vanishing table keyed by all of a factor's variables,
-        or as keys gives: one (variables, table) per factor.
+        or as keys gives: one (variables, table) per factor.  A difference
+        var(a) - var(b) is never in a table: it vanishes when its two values
+        share a kernel coset.
         """
         memo: dict = {}
         blocked = False
         self.last_undecided = False
+        cosets, differences = self.cosets, self.differences
+        value = assignment.__getitem__
         for i, f in enumerate(factors):
+            if cosets is not None:
+                ab = differences.get(id(f))
+                if ab is not None:
+                    if cosets[assignment[ab[0]]] == cosets[assignment[ab[1]]]:
+                        return True, False
+                    continue
             names, table = keys[i] if keys else (f.sorted_vars(), self.vanishing)
-            key = (id(f), tuple(assignment[v] for v in names))
+            key = (id(f), tuple(map(value, names)))
             vanishes = table.get(key)
             if vanishes is None:
                 try:
@@ -201,17 +224,22 @@ class _Session:
         memo: dict = {}
         assign = dict(assignment)
         prefix = _Prefix(self.ev)
+        images = self.rep.images_mod_p[1]
         pending: list[str] = []
         for child in self.factors:
             if child.kind == "var" and child.value in self.separators:
                 pending.append(child.value)
                 continue
-            try:
-                val = self.ev._eval(child, assign, memo)
-            except StreamNonvanishing:
-                return "search-failed"
-            f = _Factor(self.ev, val)
-            if not f.nonzero_mod_p() and self.ev._is_zero(val):
+            ab = self.differences.get(id(child))
+            if ab is not None:
+                f = self._difference_factor(assign[ab[0]], assign[ab[1]])
+            else:
+                try:
+                    val = self.ev._eval(child, assign, memo)
+                except StreamNonvanishing:
+                    return "search-failed"
+                f = _Factor(self.ev, val, self.ev._mod_p(val))
+            if not f.nonzero_mod_p() and self.ev._is_zero(f.val):
                 raise VerifierError("internal: vanishing factor inside witness search")
             if not pending or not prefix.vals:
                 for s in pending:
@@ -226,7 +254,7 @@ class _Session:
             slot = pending[-1]
             pending = []
             for u in range(m):
-                if prefix.extend([_Factor(self.ev, (_G, u)), f] if u else [f]):
+                if prefix.extend([_Factor(self.ev, (_G, u), images[u]), f] if u else [f]):
                     break
             else:
                 return "search-failed"
@@ -236,6 +264,19 @@ class _Session:
         if not prefix.vals:
             return "search-failed"
         return assign
+
+    def _difference_factor(self, x: int, y: int) -> "_Factor":
+        """The factor rho(x) - rho(y) of the witness product, built from its
+        two terms and the rows of `Rep.images_mod_p`, not evaluated."""
+        if x == y:
+            val = (_S, Cyc.zero())
+            return _Factor(self.ev, val, self.ev._mod_p(val))
+        red, images = self.rep.images_mod_p
+        p, mod = red.p, None
+        if images[x] is not None and images[y] is not None:
+            mod = tuple([tuple([(a - b) % p for a, b in zip(rx, ry)])
+                         for rx, ry in zip(images[x], images[y])])
+        return _Factor(self.ev, self.ev._element({x: 1, y: -1}), mod)
 
     def decide(self, assignment: dict, total: bool = False):
         """Decision for one assignment.
@@ -276,15 +317,16 @@ class _Session:
 
 
 class _Factor:
-    """A factor of the witness product: its image mod p
-    (`Evaluator._mod_p`) and its exact matrix, built on first use."""
+    """A factor of the witness product: its tagged value, its image mod p
+    (`Evaluator._mod_p`; None when an entry does not reduce) and its exact
+    matrix, built on first use."""
 
     __slots__ = ("ev", "val", "mod", "_mat")
 
-    def __init__(self, ev: Evaluator, val):
+    def __init__(self, ev: Evaluator, val, mod):
         self.ev = ev
         self.val = val
-        self.mod = ev._mod_p(val)
+        self.mod = mod
         self._mat = None
 
     def nonzero_mod_p(self) -> bool:
@@ -526,6 +568,19 @@ def _guarded_assignments(session: _Session, groups: dict, args: list[str], order
                 yield dict(assignment)
 
 
+def _difference(f: Expr) -> tuple[str, str] | None:
+    """(a, b) when f is var(a) - var(b) as `sub` builds it, in either child
+    order, else None."""
+    if f.kind == "sum" and len(f.children) == 2:
+        for a, b in (f.children, f.children[::-1]):
+            if (a.kind == "var" and b.kind == "prod" and len(b.children) == 2
+                    and b.children[0].kind == "const" and b.children[1].kind == "var"):
+                c = b.children[0].value  # -1 is (-1, 0, ...) / 1 at every conductor
+                if c.den == 1 and c.num[0] == -1 and c.is_rational():
+                    return a.value, b.children[1].value
+    return None
+
+
 def _guards_symmetric(session: _Session, groups: dict) -> bool:
     """The guard-symmetry certificate: True when renaming the variables of a
     guard group by any permutation cannot change whether some root value
@@ -533,9 +588,9 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
     document and kept on it.
 
     Every group Y passes two checks.  (a) The root factors var(a) - var(b)
-    (as `sub` builds them, in either child order) with a != b in Y cover
-    every unordered pair of Y equally often, or there are none: on a
-    bijection some one vanishes exactly when the rep is not faithful.
+    (`_Session.differences`) with a != b in Y cover every unordered pair of
+    Y equally often, or there are none: on a bijection some one vanishes
+    exactly when the rep is not faithful.
     (b) Every other root value factor mentions guard variables only as the
     conjugators y of a psi block (`freeexpr._psi_blocks`) over all of one
     group, with a middle free of guard variables, so its value is the same
@@ -549,17 +604,6 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
     guards = frozenset(group_of)
     pairs: dict = {label: collections.Counter() for label in groups}
     seen: set = set()
-
-    def difference(f):
-        """(a, b) when f is var(a) - var(b), else None."""
-        if f.kind == "sum" and len(f.children) == 2:
-            for a, b in (f.children, f.children[::-1]):
-                if (a.kind == "var" and b.kind == "prod" and len(b.children) == 2
-                        and b.children[0].kind == "const" and b.children[1].kind == "var"):
-                    c = b.children[0].value  # -1 is (-1, 0, ...) / 1 at every conductor
-                    if c.den == 1 and c.num[0] == -1 and c.is_rational():
-                        return a.value, b.children[1].value
-        return None
 
     def psi_only(e) -> bool:
         """Guard variables occur in e only as conjugators of full psi blocks."""
@@ -587,8 +631,8 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
 
     symmetric = True
     for f in session.value_factors:
-        ab = difference(f)
-        if ab and ab[0] != ab[1] and ab[0] in group_of and group_of[ab[0]] == group_of.get(ab[1]):
+        ab = session.differences.get(id(f))
+        if ab and ab[0] in group_of and group_of[ab[0]] == group_of.get(ab[1]):
             pairs[group_of[ab[0]]][frozenset(ab)] += 1
         elif not psi_only(f):
             symmetric = False
@@ -830,15 +874,17 @@ def conditional_relation_probability(u: Expr, v: Expr, rep: Rep,
 
 def random_sl2(rng: random.Random, shears: int = 4, height: int = 10) -> Mat:
     """Product of elementary shears with bounded rational entries (det = 1),
-    formed in rationals and lifted to a Mat once."""
-    a, b, c, d = Fraction(1), Fraction(0), Fraction(0), Fraction(1)
+    formed as four integers over one common denominator and lifted to a Mat
+    once (each entry reduced by `Cyc`)."""
+    a, b, c, d, den = 1, 0, 0, 1, 1
     for _ in range(shears):
-        q = Fraction(rng.randint(-height, height), rng.randint(1, height))
+        n, k = rng.randint(-height, height), rng.randint(1, height)  # q = n / k
         if rng.random() < 0.5:  # times ((1, q), (0, 1))
-            b, d = a * q + b, c * q + d
+            a, b, c, d = a * k, a * n + b * k, c * k, c * n + d * k
         else:  # times ((1, 0), (q, 1))
-            a, c = a + b * q, c + d * q
-    return Mat([[Cyc.from_rational(v) for v in row] for row in ((a, b), (c, d))])
+            a, b, c, d = a * k + b * n, b * k, c * k + d * n, d * k
+        den *= k
+    return Mat([[Cyc(1, (v,), den) for v in row] for row in ((a, b), (c, d))])
 
 
 def sl2_sample_check(expr: Expr, trials: int = 1000, seed: int = 0) -> Verdict:

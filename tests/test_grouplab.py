@@ -167,6 +167,19 @@ def test_exponent_is_the_lcm_of_element_orders():
         assert group.exponent() == exponent == lcm(*group.order_statistics())
 
 
+@pytest.mark.parametrize("name", ["S4", "A5", "Q8", "W3", "gamma(7,9,2)"])
+def test_small_generating_set_is_computed_once(name):
+    """One tuple per group, greedy by descending element order, that
+    generates the group and whose every member is new to the ones before."""
+    group = catalog.get_entry(name).group
+    gens = group.small_generating_set()
+    assert type(gens) is tuple and group.small_generating_set() is gens
+    assert len(group.subgroup_generated(gens)) == group.order
+    orders = [group.element_order(g) for g in gens]
+    assert orders == sorted(orders, reverse=True)
+    assert all(g not in group.subgroup_generated(gens[:i]) for i, g in enumerate(gens))
+
+
 def test_subgroup_lattice_limit():
     w3 = catalog.wreath(3).group
     with pytest.raises(GroupError):

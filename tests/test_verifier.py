@@ -594,6 +594,52 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
     assert {undecided for _, undecided in seen} == {True, False}
 
 
+@pytest.mark.parametrize("rep_name", ["S3:std", "S4:rho2", "S4:rho1", "Z3^2:reducible",
+                                      "gamma:pi(1,1)"])
+def test_differences_are_decided_from_kernel_cosets(rep_name):
+    """A root factor var(a) - var(b), in either child order, is decided
+    without evaluation and stored in no table: for every ordered pair (x, y)
+    the session's decision is an exact zero test of the evaluated
+    difference.  The witness search builds its value and image mod p from
+    the two terms, and both equal the evaluator's."""
+    rep = {
+        "S3:std": lambda: catalog.symmetric(3).rep("std"),  # faithful
+        "S4:rho2": lambda: catalog.symmetric(4).rep("rho2"),  # kernel A4
+        "S4:rho1": lambda: catalog.symmetric(4).rep("rho1"),  # kernel S4
+        "Z3^2:reducible": lambda: catalog.abelian_rep(3, 2, 2, [[1, 0], [1, 0]]),
+        "gamma:pi(1,1)": lambda: catalog.gamma_d(7, 9, 2).rep("pi(1,1)"),
+    }[rep_name]()
+    a, b = var("a"), var("b")
+    forward, backward = sub(a, b), sum_([prod([const(-1), a]), b])  # a - b, -a + b
+    roles = {"a": {"role": "psi-argument"}, "b": {"role": "psi-argument"},
+             "v": {"role": "separator"}}
+    doc = idf.IdentityDoc("test", prod([forward, var("v"), backward]), roles, {},
+                          "two differences")
+    session = vf._Session(doc, rep, seed=0)
+    assert session.differences == {id(forward): ("a", "b"), id(backward): ("b", "a")}
+    ev = Evaluator(rep)
+    session.ev._eval = None  # a scan that evaluates would raise
+    kernel = set(rep.kernel)
+    for x, y in itertools.product(range(rep.group.order), repeat=2):
+        assignment = {"a": x, "b": y, "v": 0}
+        val = ev._eval(forward, assignment, {})
+        want = ev._is_zero(val)
+        assert want == (rep.group.table[rep.group.inverse[x]][y] in kernel)
+        for f in (forward, backward):
+            assert session.scan_factors(assignment, [f]) == (want, False)
+        got = session._difference_factor(x, y)
+        assert got.val == val and got.mod == ev._mod_p(val)
+    assert not session.vanishing
+    assert len(kernel) == {"S3:std": 1, "S4:rho2": 12, "S4:rho1": 24, "Z3^2:reducible": 3,
+                           "gamma:pi(1,1)": 1}[rep_name]
+    del session.ev._eval
+    if len(kernel) == 1:
+        assert session.decide({"a": 1, "b": 2, "v": 0}) == {"a": 1, "b": 2, "v": 0}
+    else:
+        with pytest.raises(vf.VerifierError, match="vanishing factor"):
+            session.witness_value({"a": 0, "b": max(kernel), "v": 0})
+
+
 def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
     """(y1 x - 1) vanishes at x = y1^-1, which moves with the guard
     ordering: in every ordering the guarded source yields exactly the x a

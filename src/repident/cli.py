@@ -82,7 +82,11 @@ def parse_word(text: str) -> Expr:
             return parse_product(s[1:-1])
         if "^" in s:
             head, _, exp = s.rpartition("^")
-            return power(parse_atom(head), int(exp))
+            try:
+                k = int(exp)
+            except ValueError:
+                raise UsageError(f"cannot parse exponent {exp!r} in word atom {s!r}") from None
+            return power(parse_atom(head), k)
         if not s.isidentifier():
             raise UsageError(f"cannot parse word atom {s!r}")
         return var(s)
@@ -107,10 +111,13 @@ def parse_word(text: str) -> Expr:
 
 def _parse_scalar(text: str) -> Cyc:
     """Scalars: 'p/q' rationals or 'zeta:N:k' roots of unity."""
-    if text.startswith("zeta:"):
-        _, n, k = text.split(":")
-        return cyc_root_of_unity(int(n), int(k))
-    return Cyc.from_rational(Fraction(text))
+    try:
+        if text.startswith("zeta:"):
+            _, n, k = text.split(":")
+            return cyc_root_of_unity(int(n), int(k))
+        return Cyc.from_rational(Fraction(text))
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"cannot parse scalar {text!r} (use p/q or zeta:N:k)") from None
 
 
 def build_document(args) -> IdentityDoc:
@@ -163,7 +170,10 @@ def build_document(args) -> IdentityDoc:
     if fam == "central-partition":
         if not args.blocks:
             raise UsageError("central-partition needs --blocks like '0,1|2,3,...'")
-        blocks = [[int(x) for x in b.split(",")] for b in args.blocks.split("|")]
+        try:
+            blocks = [[int(x) for x in b.split(",")] for b in args.blocks.split("|")]
+        except ValueError:
+            raise UsageError(f"cannot parse --blocks {args.blocks!r}") from None
         return idfactory.central_partition_identity(need_rep(), blocks)
     if fam == "probability":
         if not args.word:
@@ -215,6 +225,10 @@ def cmd_build(args) -> int:
 
 def cmd_check(args) -> int:
     t0 = time.time()
+    for flag, value, least in (("--n", args.n, 1), ("--trials", args.trials, 1),
+                               ("--jobs", args.jobs, 1), ("--orderings", args.orderings, 0)):
+        if value < least:
+            raise UsageError(f"{flag} must be at least {least}, got {value}")
     if args.identity.startswith("file:") or args.identity.endswith(".json"):
         path = args.identity[len("file:"):] if args.identity.startswith("file:") else args.identity
         doc = _load(path, "an identity document", IdentityDoc.from_json)

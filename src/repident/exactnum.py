@@ -10,6 +10,10 @@ Conductors are never reduced: an element constructed at conductor 12
 stays at conductor 12 even if it happens to lie in Q.  Promotion to a
 common conductor is cheap and makes equality decidable, which is all
 the rest of the package needs.
+
+Products and Galois conjugates of integer vectors are taken once, by the
+per-conductor `_Field`; an inverse is the product of the other Galois
+conjugates divided by the norm, a rational integer.
 """
 
 from __future__ import annotations
@@ -66,9 +70,10 @@ class _Field:
     convolution of two power-basis vectors (length 2*phi - 1).
     """
 
-    __slots__ = ("phi", "modulus", "pows")
+    __slots__ = ("n", "phi", "modulus", "pows")
 
     def __init__(self, n: int):
+        self.n = n
         deg = self.phi = euler_phi(n)
         modulus = self.modulus = cyclotomic_poly(n)
         # x^(k+1) = x * x^k, with x^phi = -(modulus[0] + ... + modulus[phi-1] x^(phi-1))
@@ -94,6 +99,27 @@ class _Field:
                 row = pows[j]
                 for k in range(deg):
                     out[k] += c * row[k]
+        return out
+
+    def mul(self, a, b) -> list[int]:
+        """Product of two integer power-basis vectors, reduced modulo Phi_n."""
+        conv = [0] * (2 * self.phi - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        conv[i + j] += x * y
+        return self.reduce(conv)
+
+    def galois(self, vec, t: int) -> list[int]:
+        """sigma_t (zeta_n -> zeta_n^t) of an integer power-basis vector."""
+        n, deg, pows = self.n, self.phi, self.pows
+        out = [0] * deg
+        for k, c in enumerate(vec):
+            if c:
+                row = pows[(k * t) % n]
+                for j in range(deg):
+                    out[j] += c * row[j]
         return out
 
 
@@ -359,68 +385,33 @@ class Cyc:
         other = _coerce(other)
         a, b = self._common(other)
         f = _field(a.conductor)
-        deg = f.phi
-        an, bn = a.num, b.num
-        if deg == 1:
-            return Cyc(a.conductor, (an[0] * bn[0],), a.den * b.den)
-        conv = [0] * (2 * deg - 1)
-        for i, x in enumerate(an):
-            if x:
-                for j, y in enumerate(bn):
-                    if y:
-                        conv[i + j] += x * y
-        vec = f.reduce(conv)
-        return Cyc(a.conductor, tuple(vec), a.den * b.den)
+        if f.phi == 1:
+            return Cyc(a.conductor, (a.num[0] * b.num[0],), a.den * b.den)
+        return Cyc(a.conductor, tuple(f.mul(a.num, b.num)), a.den * b.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def inverse(self) -> "Cyc":
-        """Multiplicative inverse via extended gcd with the cyclotomic modulus."""
+        """Multiplicative inverse from the Galois norm.
+
+        With self = num/den and P the product of the conjugates sigma_t(num)
+        over t in (Z/N)* other than 1, num * P is the norm of num: a nonzero
+        rational integer c, so the inverse is den * P / c.
+        """
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        f = _field(self.conductor)
+        n = self.conductor
+        f = _field(n)
         if f.phi == 1:
             q = Fraction(self.den, self.num[0])
             return Cyc.from_rational(q, self.conductor)
-        a = [Fraction(c, self.den) for c in self.num]
-        b = [Fraction(c) for c in f.modulus]
-        # extended Euclid: find u with u*a = gcd (a unit) mod Phi
-        r0, r1 = b, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-
-        def deg_of(p):
-            for i in range(len(p) - 1, -1, -1):
-                if p[i] != 0:
-                    return i
-            return -1
-
-        def sub_scaled(p, q, c, shift):
-            out = list(p) + [Fraction(0)] * max(0, deg_of(q) + shift + 1 - len(p))
-            for i in range(deg_of(q) + 1):
-                out[i + shift] -= c * q[i]
-            return out
-
-        while deg_of(r1) > 0:
-            while deg_of(r0) >= deg_of(r1):
-                d0, d1 = deg_of(r0), deg_of(r1)
-                c = r0[d0] / r1[d1]
-                r0 = sub_scaled(r0, r1, c, d0 - d1)
-                s0 = sub_scaled(s0, s1, c, d0 - d1)
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0
-        const = r1[0]
-        if const == 0:
-            raise ZeroDivisionError("element is a zero divisor (should not happen in a field)")
-        inv = [c / const for c in s1]
-        inv = inv[: f.phi] + [Fraction(0)] * max(0, f.phi - len(inv))
-        # fold back into integer vector + denominator
-        den = 1
-        for c in inv:
-            den = lcm(den, c.denominator)
-        vec = tuple(int(c * den) for c in inv)
-        out = Cyc(self.conductor, vec, den)
-        return out
+        conj = [f.galois(self.num, t) for t in range(2, n) if gcd(t, n) == 1]
+        p = conj[0]
+        for v in conj[1:]:
+            p = f.mul(p, v)
+        c = f.mul(self.num, p)[0]
+        return Cyc(n, tuple(self.den * x for x in p), c)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -433,14 +424,7 @@ class Cyc:
             return self
         if gcd(t, n) != 1:
             raise ValueError(f"galois exponent {t} not coprime to conductor {n}")
-        f = _field(n)
-        vec = [0] * f.phi
-        for k, c in enumerate(self.num):
-            if c:
-                row = f.pows[(k * t) % n]
-                for j in range(f.phi):
-                    vec[j] += c * row[j]
-        return Cyc(n, tuple(vec), self.den)
+        return Cyc(n, tuple(_field(n).galois(self.num, t)), self.den)
 
     def conjugate(self) -> "Cyc":
         n = self.conductor

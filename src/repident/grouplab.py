@@ -13,6 +13,11 @@ from itertools import product
 from math import lcm
 
 
+# Bounds of the brute-force searches over generator images.
+MAX_SEARCH_ORDER = 128
+MAX_AUTOMORPHISM_GENS = 3
+
+
 class GroupError(ValueError):
     pass
 
@@ -294,20 +299,21 @@ class FiniteGroup:
         mapping = [self.power(g, t) for g in range(self.order)]
         return mapping, len(set(mapping)) == self.order
 
-    def automorphisms(self, max_order: int = 128, max_gens: int = 3):
-        if self.order > max_order:
-            raise GroupError(f"automorphism search limited to order <= {max_order}")
+    def automorphisms(self):
+        if self.order > MAX_SEARCH_ORDER:
+            raise GroupError(f"automorphism search limited to order <= {MAX_SEARCH_ORDER}")
         gens = self.small_generating_set()
-        if len(gens) > max_gens:
-            raise GroupError(f"automorphism search limited to <= {max_gens} generators")
+        if len(gens) > MAX_AUTOMORPHISM_GENS:
+            raise GroupError(
+                f"automorphism search limited to <= {MAX_AUTOMORPHISM_GENS} generators")
         return self._isomorphisms(self, gens, first=False)
 
-    def find_isomorphism(self, other: "FiniteGroup", max_order: int = 128):
+    def find_isomorphism(self, other: "FiniteGroup"):
         """Brute-force isomorphism self -> other, or None."""
         if self.order != other.order:
             return None
-        if self.order > max_order:
-            raise GroupError(f"isomorphism search limited to order <= {max_order}")
+        if self.order > MAX_SEARCH_ORDER:
+            raise GroupError(f"isomorphism search limited to order <= {MAX_SEARCH_ORDER}")
         found = self._isomorphisms(other, self.small_generating_set(), first=True)
         return found[0] if found else None
 

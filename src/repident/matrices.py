@@ -3,7 +3,9 @@
 Internal plumbing shared by the representation and evaluation layers.
 All operations are pure; matrices are immutable once built.  A monomial
 fast path (one nonzero entry per row) keeps products of induced /
-permutation-style representation images cheap.
+permutation-style representation images cheap.  One Gauss-Jordan
+elimination serves `rref`, `Mat.inverse` (on [A | I]) and `Mat.det`
+(the signed product of its pivots).
 """
 
 from __future__ import annotations
@@ -189,45 +191,18 @@ class Mat:
     def inverse(self) -> "Mat":
         n = self.n
         identity = Mat.identity(n).rows
-        work = [list(r) + list(identity[i]) for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not work[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                raise ZeroDivisionError("matrix is singular")
-            work[col], work[piv] = work[piv], work[col]
-            inv = work[col][col].inverse()
-            work[col] = [inv * v for v in work[col]]
-            for r in range(n):
-                if r != col and not work[r][col].is_zero():
-                    f = work[r][col]
-                    work[r] = [work[r][j] - f * work[col][j] for j in range(2 * n)]
-        return Mat(tuple(tuple(row[n:]) for row in work))
+        rows, pivots, _, _ = _gauss_jordan([r + identity[i] for i, r in enumerate(self.rows)], n)
+        if len(pivots) < n:
+            raise ZeroDivisionError("matrix is singular")
+        return Mat(tuple(tuple(row[n:]) for row in rows))
 
     def det(self) -> Cyc:
-        n = self.n
-        work = [list(r) for r in self.rows]
-        det = Cyc.one()
-        for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not work[r][col].is_zero():
-                    piv = r
-                    break
-            if piv is None:
-                return Cyc.zero()
-            if piv != col:
-                work[col], work[piv] = work[piv], work[col]
-                det = -det
-            det = det * work[col][col]
-            inv = work[col][col].inverse()
-            for r in range(col + 1, n):
-                if not work[r][col].is_zero():
-                    f = inv * work[r][col]
-                    work[r] = [work[r][j] - f * work[col][j] for j in range(n)]
+        _, pivots, values, sign = _gauss_jordan(self.rows, self.n)
+        if len(pivots) < self.n:
+            return Cyc.zero()
+        det = Cyc.from_rational(sign)
+        for v in values:
+            det = det * v
         return det
 
     # -- serialization --------------------------------------------------
@@ -241,33 +216,49 @@ class Mat:
         return Mat(tuple(tuple(vals[i * n + j] for j in range(n)) for i in range(n)))
 
 
-def rref(rows: list[list[Cyc]]) -> tuple[list[list[Cyc]], list[int]]:
-    """Reduced row echelon form of a rectangular Cyc matrix; returns (rows, pivot columns)."""
+def _gauss_jordan(rows, ncols: int):
+    """Gauss-Jordan elimination of a rectangular Cyc matrix, pivoting on
+    its first ncols columns.
+
+    Returns (reduced rows, pivot columns, pivot values, sign): each pivot
+    value is the entry its row was divided by, and sign is -1 to the number
+    of row swaps, so a square matrix at full rank has determinant sign
+    times the product of the pivot values.  Left of its pivot a pivot row
+    is zero, so each row operation starts at the pivot column.
+    """
     rows = [list(r) for r in rows]
     m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
+    width = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    values: list[Cyc] = []
+    sign = 1
     for col in range(ncols):
-        piv = None
-        for k in range(r, m):
-            if not rows[k][col].is_zero():
-                piv = k
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [inv * v for v in rows[r]]
-        for k in range(m):
-            if k != r and not rows[k][col].is_zero():
-                f = rows[k][col]
-                rows[k] = [rows[k][j] - f * rows[r][j] for j in range(ncols)]
-        pivots.append(col)
-        r += 1
+        r = len(pivots)
         if r == m:
             break
-    return rows, pivots
+        piv = next((k for k in range(r, m) if not rows[k][col].is_zero()), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        value = rows[r][col]
+        inv = value.inverse()
+        prow = rows[r] = rows[r][:col] + [inv * v for v in rows[r][col:]]
+        for k in range(m):
+            f = rows[k][col]
+            if k != r and not f.is_zero():
+                row = rows[k]
+                rows[k] = row[:col] + [row[j] - f * prow[j] for j in range(col, width)]
+        pivots.append(col)
+        values.append(value)
+    return rows, pivots, values, sign
+
+
+def rref(rows: list[list[Cyc]]) -> tuple[list[list[Cyc]], list[int]]:
+    """Reduced row echelon form of a rectangular Cyc matrix; returns (rows, pivot columns)."""
+    reduced, pivots, _, _ = _gauss_jordan(rows, len(rows[0]) if rows else 0)
+    return reduced, pivots
 
 
 def column_space_basis(mat_rows: list[list[Cyc]]) -> list[list[Cyc]]:

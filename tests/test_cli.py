@@ -93,10 +93,21 @@ def test_compare_cli():
 
 
 def test_usage_errors():
-    assert run_cli("build", "not-a-family").returncode == 2
-    assert run_cli("check", "missing.json", "--rep", "catalog:S3:std").returncode == 2
-    assert run_cli("--strict", "compare", "--rep-a", "catalog:S3:std",
-                   "--rep-b", "catalog:S3:std").returncode == 2
+    cases = [
+        ("build", "not-a-family"),
+        ("check", "missing.json", "--rep", "catalog:S3:std"),
+        ("--strict", "compare", "--rep-a", "catalog:S3:std", "--rep-b", "catalog:S3:std"),
+        # text the word, scalar and block parsers cannot read
+        ("build", "disjunctive", "--words", "x^a"),
+        ("build", "range", "--rep", "catalog:S3:std", "--xi", "abc"),
+        ("build", "range", "--rep", "catalog:S3:std", "--xi", "zeta:5"),
+        ("build", "central-partition", "--rep", "catalog:S3:std", "--blocks", "0,a"),
+    ]
+    for args in cases:
+        proc = run_cli(*args)
+        assert proc.returncode == 2, args
+        assert json.loads(proc.stderr)["error"], args
+        assert "Traceback" not in proc.stderr, args
 
 
 def test_experiment_sweep():
@@ -139,6 +150,8 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
     no_group.write_text('{"group": 3}')
     not_json = tmp_path / "not_json.json"
     not_json.write_text("not json")
+    x3 = tmp_path / "x3.json"
+    assert run_cli("build", "disjunctive", "--words", "x^3", "-o", str(x3)).returncode == 0
     cases = [
         # a guard group of 3 variables on a group of order 6
         (str(psi), "--rep", "catalog:S3:std", "--mode", "guarded"),
@@ -149,6 +162,12 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
         (str(char), "--rep", f"file:{not_json}"),
         (str(not_json), "--rep", "catalog:S3:std"),
         (str(no_group), "--rep", "catalog:S3:std"),
+        # counts out of range, which would check nothing and read as holds
+        (str(x3), "--rep", "catalog:S3:std", "--mode", "sampled", "--n", "0"),
+        (str(x3), "--rep", "catalog:S3:std", "--mode", "sampled", "--n", "-4"),
+        (str(char), "--rep", "catalog:S3:std", "--mode", "guarded", "--orderings", "-1"),
+        (str(x3), "--rep", "catalog:S3:std", "--jobs", "0"),
+        (str(x3), "--sl2", "--trials", "0"),
     ]
     for args in cases:
         proc = run_cli("check", *args)

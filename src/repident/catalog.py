@@ -318,24 +318,13 @@ def _s5_five(group: FiniteGroup, elems) -> Rep:
                 break
     if f20 is None:
         raise CatalogError("no 20-element subgroup found in S5")
-    sub_set = set(f20)
-    cosets = []
-    seen = set()
-    for g in range(group.order):
-        if g in seen:
-            continue
-        coset = frozenset(group.table[g][s] for s in sub_set)
-        cosets.append(coset)
-        seen |= coset
-    cosets.sort(key=min)
-    coset_idx = {}
-    for i, c in enumerate(cosets):
-        for x in c:
-            coset_idx[x] = i
+    leaders = group.coset_leaders(f20)
+    transversal = sorted(set(leaders))
+    coset_idx = {t: i for i, t in enumerate(transversal)}
     # permutation action on cosets, then cut the invariant complement
     images = []
     for g in range(group.order):
-        perm = tuple(coset_idx[group.table[g][min(c)]] for c in cosets)
+        perm = tuple(coset_idx[leaders[group.table[g][t]]] for t in transversal)
         images.append(_perm_matrix_std(perm))
     return Rep(group, images, name="S5:five")
 

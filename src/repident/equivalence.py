@@ -2,10 +2,11 @@
 signature, Gassmann equivalence (plain, strong, uniform), table and
 strong table equivalence, Galois conjugacy and similarity.
 
-Cross-representation comparisons promote all spectral and character data
-to a common conductor before keying, so equality is decided symbolically.
-Characters and spectra are class functions, so each class is keyed once per
-conductor and elements read their class's key.  Uniform Gassmann equivalence
+Cross-representation comparisons promote character values to a common
+conductor before keying, so equality is decided symbolically; spectra are
+compared by Rep.class_spectrum_keys, which need no conductor.  Characters
+and spectra are class functions, so each class is keyed once and elements
+read their class's key.  Uniform Gassmann equivalence
 compares, per cyclic subgroup, the multisets of the elements' spectra in the
 two representations; no restriction is built and no subgroup lattice either,
 since a smallest failing subgroup is always cyclic (see uniformly_gassmann).
@@ -16,14 +17,10 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd, lcm
 
-from .replab import Character, Rep, spectrum_key
+from .replab import Character, Rep
 
 # Never filled: perfbench/workloads.clear_program_caches still clears it.
 _AUTO_CACHE: dict = {}
-
-
-def _common_conductor(rep1: Rep, rep2: Rep) -> int:
-    return lcm(rep1.key_conductor, rep2.key_conductor)
 
 
 def range_signature(chi: Character, conductor: int | None = None):
@@ -35,14 +32,13 @@ def range_signature(chi: Character, conductor: int | None = None):
     return tuple(sorted(counts.items()))
 
 
-def spectral_signature(rep: Rep, conductor: int | None = None):
-    """Sorted tuple of (block size, block spectrum key) over the level sets
-    of the power-trace map."""
-    kc = conductor or rep.key_conductor
-    out = []
-    for block in rep.adams_partition:
-        out.append((len(block), spectrum_key(rep, block[0], kc)))
-    return tuple(sorted(out))
+def spectral_signature(rep: Rep):
+    """Sorted tuple of (spectrum key, level-set size) over the level sets of
+    the power-trace map, which are those of the spectrum; sizes sum to |G|."""
+    counts: Counter = Counter()
+    for key, size in zip(rep.class_spectrum_keys, rep.group.conjugacy_classes.sizes):
+        counts[key] += size
+    return tuple(sorted(counts.items()))
 
 
 def _class_keys(chi1: Character, chi2: Character) -> tuple[list[tuple], list[tuple]]:
@@ -64,22 +60,16 @@ def range_signatures_equal(chi1: Character, chi2: Character) -> bool:
 def gassmann_equivalent(rep1: Rep, rep2: Rep) -> bool:
     if rep1.dim != rep2.dim or rep1.group.order != rep2.group.order:
         return False
-    kc = _common_conductor(rep1, rep2)
-    return spectral_signature(rep1, kc) == spectral_signature(rep2, kc)
+    return spectral_signature(rep1) == spectral_signature(rep2)
 
 
 def strong_gassmann(rep1: Rep, rep2: Rep) -> bool:
     """A class-size-preserving bijection matching per-class spectra exists."""
     if rep1.dim != rep2.dim or rep1.group.order != rep2.group.order:
         return False
-    kc = _common_conductor(rep1, rep2)
 
     def class_data(rep):
-        cc = rep.group.conjugacy_classes
-        return sorted(
-            (cc.sizes[i], spectrum_key(rep, cc.representatives[i], kc))
-            for i in range(len(cc))
-        )
+        return sorted(zip(rep.group.conjugacy_classes.sizes, rep.class_spectrum_keys))
 
     return class_data(rep1) == class_data(rep2)
 
@@ -164,11 +154,9 @@ def uniformly_gassmann(rep1: Rep, rep2: Rep):
     if rep1.group.table != rep2.group.table:
         raise ValueError("uniform Gassmann test expects one underlying group")
     group = rep1.group
-    kc = _common_conductor(rep1, rep2)
     cc = group.conjugacy_classes
     ids: dict = {}  # spectrum key -> number, taken once per class
-    ids1, ids2 = (cc.spread([ids.setdefault(spectrum_key(rep, r, kc), len(ids))
-                             for r in cc.representatives])
+    ids1, ids2 = (cc.spread([ids.setdefault(key, len(ids)) for key in rep.class_spectrum_keys])
                   for rep in (rep1, rep2))
     for sub in group.cyclic_subgroups():
         if sorted(ids1[g] for g in sub) != sorted(ids2[g] for g in sub):

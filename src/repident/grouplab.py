@@ -1,7 +1,9 @@
 """Finite groups as multiplication tables, plus the derived structure the
 identity machinery consumes: conjugacy classes (with a fixed total order),
 element orders, centralizers, the upper central series, the subgroup
-lattice, and isomorphisms found by one search over generator images.
+lattice, left cosets as one table of coset leaders (the least element of
+each coset, FiniteGroup.coset_leaders), and isomorphisms found by one
+search over generator images.
 
 Everything is index-based: elements are 0..m-1 with 0 the identity.
 """
@@ -253,29 +255,30 @@ class FiniteGroup:
         s = set(sub)
         return all(self.conj(x, g) in s for x in s for g in range(self.order))
 
-    def quotient(self, normal_sub) -> tuple["FiniteGroup", list[int]]:
-        """Quotient by a normal subgroup; returns (group, coset index per element)."""
-        s = frozenset(normal_sub)
-        if not self.is_normal(s):
-            raise GroupError("subgroup is not normal")
-        coset_of = [None] * self.order
-        cosets = []
+    def coset_leaders(self, sub) -> tuple[int, ...]:
+        """Entry g is the least element of the left coset g*sub: x and y lie in
+        one coset exactly when their entries are equal."""
+        table = self.table
+        members = tuple(sub)
+        least: list = [None] * self.order
         for g in range(self.order):
-            if coset_of[g] is None:
-                coset = frozenset(self.table[g][x] for x in s)
-                idx = len(cosets)
-                cosets.append(coset)
-                for y in coset:
-                    coset_of[y] = idx
-        # coset containing 0 must be index 0
-        if coset_of[0] != 0:
-            z = coset_of[0]
-            remap = {z: 0, 0: z}
-            cosets[0], cosets[z] = cosets[z], cosets[0]
-            coset_of = [remap.get(c, c) for c in coset_of]
-        reps = [min(c) for c in cosets]
-        q = len(cosets)
-        table = [[coset_of[self.table[reps[i]][reps[j]]] for j in range(q)] for i in range(q)]
+            if least[g] is None:  # g ascends: the least element of its coset
+                row = table[g]
+                for h in members:
+                    least[row[h]] = g
+        return tuple(least)
+
+    def quotient(self, normal_sub) -> tuple["FiniteGroup", list[int]]:
+        """Quotient by a normal subgroup; returns (group, coset index per
+        element).  Cosets are numbered in the order of their leaders, so the
+        identity's coset is 0."""
+        if not self.is_normal(normal_sub):
+            raise GroupError("subgroup is not normal")
+        leaders = self.coset_leaders(normal_sub)
+        reps = sorted(set(leaders))
+        index = {r: i for i, r in enumerate(reps)}
+        coset_of = [index[r] for r in leaders]
+        table = [[coset_of[self.table[a][b]] for b in reps] for a in reps]
         return FiniteGroup(table, name=f"{self.name}/N"), coset_of
 
     def upper_central_series(self) -> list[frozenset[int]]:

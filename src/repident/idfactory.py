@@ -115,6 +115,12 @@ def _var_sort_key(name: str):
     return (head, int(tail) if tail else -1)
 
 
+def _need_positive(**sizes: int) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise BuildError(f"need {name} >= 1")
+
+
 def _role(role: str, group: str | None = None) -> dict:
     out = {"role": role}
     if group is not None:
@@ -189,8 +195,7 @@ def _distance_sum(row, ratio: Cyc, x: Expr, yvars: list[Expr]) -> Expr:
 
 
 def psi(m: int, x_name: str = "x", var_prefix: str = "y") -> IdentityDoc:
-    if m < 1:
-        raise BuildError("need m >= 1")
+    _need_positive(m=m)
     yvars = [var(f"{var_prefix}{i}") for i in range(1, m + 1)]
     roles = {f"{var_prefix}{i}": _role("guard", var_prefix.upper()) for i in range(1, m + 1)}
     roles[x_name] = _role("psi-argument")
@@ -206,6 +211,7 @@ def psi(m: int, x_name: str = "x", var_prefix: str = "y") -> IdentityDoc:
 
 
 def theta(m: int) -> IdentityDoc:
+    _need_positive(m=m)
     gf, roles, yvars = guard_factors(m)
     psi_node = psi_expr(var("x"), yvars)
     yfree = var("z")
@@ -252,6 +258,7 @@ def character_identity(rep: Rep, separated: bool = True) -> IdentityDoc:
 
 
 def dimension_identity(m: int, n: int) -> IdentityDoc:
+    _need_positive(m=m, n=n)
     guards, roles, xvars, yvars = _double_guard(m, m)
     terms = [prod([psi_expr(x, yvars), inv(x)]) for x in xvars]
     body = sum_(terms + [const(-Cyc.from_rational(Fraction(m, n) ** 2))])
@@ -266,6 +273,7 @@ def dimension_identity(m: int, n: int) -> IdentityDoc:
 
 
 def dimension_identity_alt(m: int, n: int) -> IdentityDoc:
+    _need_positive(m=m, n=n)
     guards, roles, xvars, yvars = _double_guard(m, m)
     terms = [prod([psi_expr(x, yvars), psi_expr(inv(x), yvars)]) for x in xvars]
     body = sum_(terms + [const(-Cyc.from_rational(Fraction(m**3, n**2)))])
@@ -465,6 +473,7 @@ def sigma_hat_expr(i: int, x: Expr, yvars: list[Expr], m: int, n: int,
 
 
 def cayley_hamilton_identity(m: int, n: int) -> IdentityDoc:
+    _need_positive(m=m, n=n)
     gf, roles, yvars = guard_factors(m)
     roles["x"] = _role("psi-argument")
     x = var("x")
@@ -511,6 +520,7 @@ def sigma_identity(rep: Rep, i: int) -> IdentityDoc:
 
 
 def su_membership_identity(m: int, n: int) -> IdentityDoc:
+    _need_positive(m=m, n=n)
     gf, roles, yvars = guard_factors(m)
     roles["x"] = _role("psi-argument")
     sig = sigma_hat_expr(n, var("x"), yvars, m, n)

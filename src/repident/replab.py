@@ -123,6 +123,21 @@ class Rep:
             out.append(spec)
         return out
 
+    @cached_property
+    def class_spectrum_keys(self) -> list[tuple[tuple[tuple[int, int], int], ...]]:
+        """Per conjugacy class, its spectrum as sorted ((d, k), multiplicity)
+        pairs with each eigenvalue zeta_d^k in lowest terms, gcd(k, d) = 1
+        (eigenvalue 1 is (1, 0)).  A root of unity has one such form, so
+        keys compare across representations without a common conductor."""
+        out = []
+        for spec in self.class_spectra:
+            pairs = []
+            for d, k, mult in spec:
+                g = gcd(k, d)
+                pairs.append(((d // g, k // g), mult))
+            out.append(tuple(sorted(pairs)))
+        return out
+
     # -- predicates -------------------------------------------------------
 
     @cached_property
@@ -133,14 +148,7 @@ class Rep:
     def kernel_cosets(self) -> tuple[int, ...]:
         """Entry g is the least element of the coset g ker(rho): rho(x) =
         rho(y) exactly when x and y have the same entry."""
-        table = self.group.table
-        kernel = sorted(self.kernel)
-        least: list = [None] * self.group.order
-        for g in range(self.group.order):
-            if least[g] is None:  # g ascends: the least element of its coset
-                for k in kernel:
-                    least[table[g][k]] = g
-        return tuple(least)
+        return self.group.coset_leaders(self.kernel)
 
     def is_faithful(self) -> bool:
         return self.kernel == frozenset({0})
@@ -193,13 +201,9 @@ class Rep:
                 scalars[g] = demote(lam)
         if len(scalars) == 1:
             return None
-        table = self.group.table
-        fold: list = [None] * self.group.order
-        for g in range(self.group.order):
-            if fold[g] is None:
-                for z, lam in scalars.items():
-                    fold[table[g][z]] = (g, lam)
-        return fold
+        table, inverse = self.group.table, self.group.inverse
+        return [(r, scalars[table[inverse[r]][g]])
+                for g, r in enumerate(self.group.coset_leaders(scalars))]
 
     @cached_property
     def integer_images(self) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
@@ -250,18 +254,13 @@ class Rep:
     def adams_partition(self) -> list[list[int]]:
         """Level sets of the Adams map, ordered by minimal element index.
 
-        The Adams vector is a class function, so it is keyed once per
-        conjugacy class, from the class value keys of the character, and
-        every element takes its class's key.
+        The first dim power traces fix the spectrum and are fixed by it
+        (Newton's identities), so the level sets are those of the class
+        spectrum keys, and every element takes its class's key.
         """
-        group = self.group
-        cc = group.conjugacy_classes
-        values = self.character.class_keys(self.key_conductor)
-        class_key = [tuple(values[cc.index_of(group.power(r, k))] for k in range(1, self.dim + 1))
-                     for r in cc.representatives]
         blocks: dict[tuple, list[int]] = {}
         # g ascends, so the blocks are made in the order of their least elements
-        for g, key in enumerate(cc.spread(class_key)):
+        for g, key in enumerate(self.group.conjugacy_classes.spread(self.class_spectrum_keys)):
             blocks.setdefault(key, []).append(g)
         return list(blocks.values())
 
@@ -456,33 +455,23 @@ def induced_rep(group: FiniteGroup, sub_elements, sub_rep: Rep, sub_map: list[in
     Coset representatives are the minimal elements of each left coset, in
     ascending order, so induced matrices are byte-reproducible.
     """
-    sub_set = set(sub_map)
     index_in_sub = {e: i for i, e in enumerate(sub_map)}
-    # left cosets t*Sigma
-    seen = set()
-    transversal = []
-    for g in range(group.order):
-        if g in seen:
-            continue
-        coset = {group.table[g][s] for s in sub_set}
-        transversal.append(min(coset))
-        seen |= coset
-    transversal.sort()
+    leaders = group.coset_leaders(sub_map)
+    transversal = sorted(set(leaders))
+    row_of = {t: i for i, t in enumerate(transversal)}
     q = len(transversal)
     d = sub_rep.dim
-    n = q * d
     conductor = sub_rep.conductor
     zero_block = Mat.zeros(d, conductor)
     images = []
     for g in range(group.order):
         blocks = [[zero_block] * q for _ in range(q)]
         for j, tj in enumerate(transversal):
+            # g tj lies in the coset ti Sigma of its leader ti
             gt = group.table[g][tj]
-            for i, ti in enumerate(transversal):
-                x = group.table[group.inverse[ti]][gt]
-                if x in sub_set:
-                    blocks[i][j] = sub_rep.images[index_in_sub[x]]
-                    break
+            ti = leaders[gt]
+            x = group.table[group.inverse[ti]][gt]
+            blocks[row_of[ti]][j] = sub_rep.images[index_in_sub[x]]
         rows = []
         for bi in range(q):
             for r in range(d):

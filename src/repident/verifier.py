@@ -701,17 +701,16 @@ def _class_assignments(doc: IdentityDoc, session: _Session, orderings: int):
     base_assign = {sep: 0 for sep in session.sep_list}
 
     def left_transversal(x: int, shuffle: bool) -> list[int]:
-        cent = set(group.centralizer(x))
-        reps, seen = [], set()
+        # the first member of each coset in the (shuffled) element order;
+        # unshuffled, that is the coset's leader
+        leaders = group.coset_leaders(group.centralizer(x))
         order = list(range(group.order))
         if shuffle:
             rng.shuffle(order)
+        first: dict = {}
         for g in order:
-            coset = frozenset(group.table[g][c] for c in cent)
-            if coset not in seen:
-                seen.add(coset)
-                pick = g if shuffle else min(coset)
-                reps.append(pick)
+            first.setdefault(leaders[g], g)
+        reps = list(first.values())
         if shuffle:
             rng.shuffle(reps)
         return reps

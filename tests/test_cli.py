@@ -102,6 +102,14 @@ def test_usage_errors():
         ("build", "range", "--rep", "catalog:S3:std", "--xi", "abc"),
         ("build", "range", "--rep", "catalog:S3:std", "--xi", "zeta:5"),
         ("build", "central-partition", "--rep", "catalog:S3:std", "--blocks", "0,a"),
+        # sizes below 1
+        ("build", "theta", "--m", "0"),
+        ("build", "theta", "--m", "-1"),
+        ("build", "dimension", "--m", "2", "--n", "0"),
+        ("build", "dimension-alt", "--m", "2", "--n", "0"),
+        ("build", "cayley-hamilton", "--m", "0", "--n", "2"),
+        ("build", "su", "--m", "0", "--n", "1"),
+        ("build", "su", "--m", "2", "--n", "0"),
     ]
     for args in cases:
         proc = run_cli(*args)

@@ -233,6 +233,36 @@ def test_group_json_round_trip():
     assert g2.table == s3.table
 
 
+def _frozenset_cosets(group, sub):
+    """Left cosets g*sub as frozensets, in the order of their first member,
+    so the identity's coset comes first."""
+    cosets = []
+    for g in range(group.order):
+        coset = frozenset(group.table[g][h] for h in sub)
+        if coset not in cosets:
+            cosets.append(coset)
+    return cosets
+
+
+def _coset_cases():
+    for name in ("S4", "A4", "Q8"):
+        group = catalog.get_entry(name).group
+        for sub in group.all_subgroups():
+            yield name, group, sub
+    for name in ("H5", "W3"):
+        group = catalog.get_entry(name).group
+        for sub in group.cyclic_subgroups():
+            yield name, group, sub
+
+
+def test_coset_leaders_match_frozenset_cosets():
+    for name, group, sub in _coset_cases():
+        leaders = group.coset_leaders(sub)
+        for coset in _frozenset_cosets(group, sub):
+            for g in coset:
+                assert leaders[g] == min(coset), (name, sorted(sub), g)
+
+
 def test_quotient():
     s4 = catalog.symmetric(4).group
     v4 = [g for g in range(24)
@@ -242,3 +272,14 @@ def test_quotient():
     assert coset_of[0] == 0
     iso = q.find_isomorphism(catalog.symmetric(3).group)
     assert iso is not None
+    # every normal subgroup: the table of the frozenset cosets, numbered in
+    # the order of their first members
+    for name, group, sub in _coset_cases():
+        if name in ("H5", "W3") or not group.is_normal(sub):
+            continue
+        cosets = _frozenset_cosets(group, sub)
+        index = {g: i for i, coset in enumerate(cosets) for g in coset}
+        reps = [min(coset) for coset in cosets]
+        q, coset_of = group.quotient(sub)
+        assert coset_of == [index[g] for g in range(group.order)], (name, sorted(sub))
+        assert q.table == tuple(tuple(index[group.table[a][b]] for b in reps) for a in reps)

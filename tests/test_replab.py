@@ -1,9 +1,11 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repident import catalog
+from repident import catalog, equivalence as eq
 from repident.exactnum import Cyc, cyc_root_of_unity
 from repident.matrices import Mat
 from repident.replab import (
@@ -115,6 +117,48 @@ def test_adams_partition_matches_per_element_keys(name):
         reps = [entry.rep(r) for r in entry.rep_names()]
     for rep in reps:
         assert rep.adams_partition == _adams_partition_reference(rep), rep.name
+
+
+def _spectral_reference(rep1, rep2):
+    """Plain, strong and uniform Gassmann equivalence with every spectrum
+    keyed by spectrum_key at the lcm of both reps' key conductors; the
+    uniform verdict only over one table."""
+    kc = lcm(rep1.key_conductor, rep2.key_conductor)
+    if rep1.dim != rep2.dim or rep1.group.order != rep2.group.order:
+        return False, False, None
+    keys1, keys2 = ([spectrum_key(rep, g, kc) for g in range(rep.group.order)]
+                    for rep in (rep1, rep2))
+    cc1, cc2 = rep1.group.conjugacy_classes, rep2.group.conjugacy_classes
+    strong = (sorted((size, keys1[r]) for size, r in zip(cc1.sizes, cc1.representatives))
+              == sorted((size, keys2[r]) for size, r in zip(cc2.sizes, cc2.representatives)))
+    uniform = None
+    if rep1.group.table == rep2.group.table:
+        uniform = next(((False, sub) for sub in rep1.group.cyclic_subgroups()
+                        if sorted(keys1[g] for g in sub) != sorted(keys2[g] for g in sub)),
+                       (True, None))
+    return sorted(keys1) == sorted(keys2), strong, uniform
+
+
+def test_spectral_predicates_match_the_conductor_reference():
+    """Every same-order pair over the small catalog, the cross-group pairs
+    S4/2T and Z6/S3 included: the conductor-free class spectrum keys give
+    the verdicts of keys at a common conductor, and the spectral signature
+    has the blocks of the Adams partition."""
+    by_order: dict = {}
+    for name in _SMALL_CATALOG:
+        entry = catalog.get_entry(name)
+        by_order.setdefault(entry.group.order, []).extend(entry.rep(r) for r in entry.rep_names())
+    assert {len({rep.group.name for rep in reps}) for reps in by_order.values()} == {1, 2}
+    for reps in by_order.values():
+        for rep in reps:
+            assert (sorted(size for _, size in eq.spectral_signature(rep))
+                    == sorted(len(block) for block in _adams_partition_reference(rep))), rep.name
+        for rep1, rep2 in combinations_with_replacement(reps, 2):
+            gassmann, strong, uniform = _spectral_reference(rep1, rep2)
+            assert eq.gassmann_equivalent(rep1, rep2) is gassmann, (rep1.name, rep2.name)
+            assert eq.strong_gassmann(rep1, rep2) is strong, (rep1.name, rep2.name)
+            if uniform is not None:
+                assert eq.uniformly_gassmann(rep1, rep2) == uniform, (rep1.name, rep2.name)
 
 
 def test_character_keys_are_taken_once():

@@ -61,9 +61,9 @@ class IdentityDoc:
         # whether guarded mode may decide every guard ordering from the
         # first; set by verifier._guards_symmetric on first use
         self.guards_symmetric: bool | None = None
-        # the root factors var(a) - var(b) as (factor, (a, b)); set by
-        # verifier._Session on first use
-        self.differences: list | None = None
+        # the verifier's tables of this document's root factors
+        # (verifier._doc_tables); set on first use
+        self.tables = None
         fv = expr.free_vars()
         missing = fv - set(var_roles)
         if missing:

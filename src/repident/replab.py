@@ -453,8 +453,12 @@ def induced_rep(group: FiniteGroup, sub_elements, sub_rep: Rep, sub_map: list[in
     """Induce sub_rep from the subgroup (given by parent indices sub_map) to group.
 
     Coset representatives are the minimal elements of each left coset, in
-    ascending order, so induced matrices are byte-reproducible.
+    ascending order, so induced matrices are byte-reproducible.  Raises
+    RepError when sub_elements and sub_map do not hold the same elements.
     """
+    if set(sub_elements) != set(sub_map):
+        raise RepError(f"sub_elements {sorted(set(sub_elements))} and sub_map "
+                       f"{sorted(set(sub_map))} name different subgroups")
     index_in_sub = {e: i for i, e in enumerate(sub_map)}
     leaders = group.coset_leaders(sub_map)
     transversal = sorted(set(leaders))

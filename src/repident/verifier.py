@@ -1,8 +1,13 @@
 """Decides whether an identity holds in a representation, with graded
 evidence. Every mode is a source of assignments:
 
-- exhaustive: every assignment enumerated (budget-bounded), optionally
-  split over worker processes;
+- exhaustive: every assignment enumerated (budget-bounded), last name
+  fastest, optionally split over worker processes that each walk one window
+  of that order.  A pure separator is a variable no root value factor
+  reads, so it cannot change whether a root factor vanishes: once every
+  assignment under one value of a pure separator (and fixed values of the
+  names before it) has a vanishing root factor, its other values are
+  skipped (`_exhaustive_decisions`);
 - guarded: guard sets range over full group enumerations (canonical plus
   K random orderings), argument variables enumerated or sampled, streamed
   products decided by zero-subset counting; on a document symmetric in its
@@ -16,8 +21,9 @@ evidence. Every mode is a source of assignments:
   verdict is that of uniform samples;
 - sampled(N, seed): N uniform assignments.
 
-One loop (`_verify`) decides each assignment with `_Session.decide`,
-counts the undecided ones and builds the verdict.  A decision first scans
+One loop (`_verify`) takes each assignment's decision (`_Session.decide`;
+the exhaustive walk makes the same decision from its own scan), counts the
+undecided ones and builds the verdict.  A decision first scans
 the root factors: one vanishing settles it, an undecided streamed factor
 makes it undecided, and a streamed factor certified nonvanishing makes it
 "blocked" (a no-vanishing-factor witness) in every mode.  Otherwise it
@@ -32,7 +38,11 @@ last name fastest, or an argument sweep under one guard ordering), so a
 root factor meets the same values of its own variables many times.  The
 session's vanishing table remembers, per root factor and per values of
 that factor's variables, whether the factor vanishes, so a factor is
-evaluated at most once per tuple of its variables' values.  A streamed
+evaluated at most once per tuple of its variables' values.  In exhaustive
+mode the walk scans each assignment once, and one that differs from a
+vanishing assignment only in pure separators, by the rule above, is not
+even enumerated.  The root factor lists the scan reads are built once per
+document (`_doc_tables`).  A streamed
 factor that certifies nonvanishing or stays undecided is never stored.  A
 root factor var(a) - var(b) (`_difference`) is neither evaluated nor
 stored: rho(x) - rho(y) vanishes exactly when x and y lie in one coset of
@@ -133,6 +143,36 @@ def _vacuous(evidence: str, t0: float, **detail) -> Verdict:
     return Verdict("holds", evidence, {**detail, "vacuous": True}, timing_ms=_ms(t0))
 
 
+_DocTables = collections.namedtuple(
+    "_DocTables", "factors separators sep_list value_factors differences value_vars")
+
+
+def _doc_tables(doc: IdentityDoc) -> _DocTables:
+    """What a session reads of its document alone, built on first use and
+    kept on the document (`IdentityDoc.tables`).  Root factors are keyed by
+    the factor objects themselves, never by id, so a pickled document
+    carries its tables intact."""
+    if doc.tables is None:
+        factors = list(doc.expr.children) if doc.expr.kind == "prod" else [doc.expr]
+        separators = {name for name, role in doc.var_roles.items()
+                      if role["role"] in ("separator", "subset-tag")}
+        # the root factors whose value can vanish, in expression order
+        value_factors = [f for f in factors
+                         if not (f.kind == "var" and f.value in separators)]
+        # root factor -> (a, b) of the factors var(a) - var(b) with a != b:
+        # rho(x) - rho(y) vanishes exactly when x and y share a coset of
+        # ker rho, so these are decided from `Rep.kernel_cosets`, never
+        # evaluated, and never stored in the vanishing table
+        differences = {f: ab for f in value_factors
+                       if (ab := _difference(f)) and ab[0] != ab[1]}
+        # the variables some root value factor reads; the others (pure
+        # separators) cannot change whether a root factor vanishes
+        value_vars = frozenset().union(*[f.free_vars() for f in value_factors])
+        doc.tables = _DocTables(factors, separators, sorted(separators), value_factors,
+                                differences, value_vars)
+    return doc.tables
+
+
 class _Session:
     """One verification run: owns the evaluator, RNG and witness search."""
 
@@ -141,21 +181,8 @@ class _Session:
         self.rep = rep
         self.rng = random.Random(seed)
         self.ev = Evaluator(rep)
-        self.factors = list(doc.expr.children) if doc.expr.kind == "prod" else [doc.expr]
-        self.separators = {name for name, role in doc.var_roles.items()
-                           if role["role"] in ("separator", "subset-tag")}
-        self.sep_list = sorted(self.separators)
-        # the root factors whose value can vanish, in expression order
-        self.value_factors = [f for f in self.factors
-                              if not (f.kind == "var" and f.value in self.separators)]
-        # id -> (a, b) of the root factors var(a) - var(b) with a != b:
-        # rho(x) - rho(y) vanishes exactly when x and y share a coset of
-        # ker rho, so these are decided from `Rep.kernel_cosets`, never
-        # evaluated, and never stored in the vanishing table
-        if doc.differences is None:
-            doc.differences = [(f, ab) for f in self.value_factors
-                               if (ab := _difference(f)) and ab[0] != ab[1]]
-        self.differences = {id(f): ab for f, ab in doc.differences}
+        (self.factors, self.separators, self.sep_list, self.value_factors,
+         self.differences, self.value_vars) = _doc_tables(doc)
         self.cosets = rep.kernel_cosets if self.differences else None
         self.last_undecided = False
         self.undecided_count = 0
@@ -183,7 +210,7 @@ class _Session:
         value = assignment.__getitem__
         for i, f in enumerate(factors):
             if cosets is not None:
-                ab = differences.get(id(f))
+                ab = differences.get(f)
                 if ab is not None:
                     if cosets[assignment[ab[0]]] == cosets[assignment[ab[1]]]:
                         return True, False
@@ -230,7 +257,7 @@ class _Session:
             if child.kind == "var" and child.value in self.separators:
                 pending.append(child.value)
                 continue
-            ab = self.differences.get(id(child))
+            ab = self.differences.get(child)
             if ab is not None:
                 f = self._difference_factor(assign[ab[0]], assign[ab[1]])
             else:
@@ -293,8 +320,15 @@ class _Session:
         counted as undecided, never treated as a verdict.
         """
         vanished, blocked = self.scan_factors(assignment, self.value_factors)
-        if vanished:
-            return None
+        return None if vanished else self.settle(assignment, blocked, total)
+
+    def decisions(self, assignments, total: bool = False):
+        """(assignment, `decide`'s outcome) for each assignment."""
+        return ((assignment, self.decide(assignment, total)) for assignment in assignments)
+
+    def settle(self, assignment: dict, blocked: bool, total: bool = False):
+        """`decide`'s outcome after a root factor scan of assignment, just
+        made, found no vanishing factor (blocked as the scan returned it)."""
         if self.last_undecided:
             self.undecided_count += 1
             return "undecided"
@@ -387,20 +421,18 @@ class _Prefix:
         return True
 
 
-def _verify(session: _Session, evidence: str, assignments, detail: dict, t0: float,
-            total: bool = False, search: bool = False,
-            fail_detail: dict | None = None) -> Verdict:
-    """The verification loop of every mode: decide each assignment the mode
-    yields (`_Session.decide`, as drawn with total), count the undecided
-    ones, build the verdict.
+def _verify(session: _Session, evidence: str, decisions, detail: dict, t0: float,
+            search: bool = False, fail_detail: dict | None = None) -> Verdict:
+    """The verification loop of every mode: take each (assignment, outcome)
+    the mode decides (`_Session.decisions`, or the exhaustive walk), count
+    the undecided ones, build the verdict.
 
     The first assignment that does not vanish fails the verdict (with
     fail_detail, if given, in place of detail).  Its witness is the
     decision's; with search, a total decision's witness takes the
     separators of `_Session.witness_value` where it finds them.
     """
-    for assignment in assignments:
-        outcome = session.decide(assignment, total)
+    for assignment, outcome in decisions:
         if outcome in (None, "undecided", "search-failed"):
             continue
         if search and outcome is assignment:
@@ -426,30 +458,84 @@ def holds_exhaustive(doc: IdentityDoc, rep: Rep, budget: int = 300_000,
     if doc.vacuous:
         return _vacuous("exhaustive", t0, assignments=0)
     names = sorted(doc.expr.free_vars())
-    source = _all_assignments(names, rep.group.order, budget)  # raises over budget
-    detail = {"assignments": rep.group.order ** len(names)}
+    total = _assignment_count(names, rep.group.order, budget)  # raises over budget
+    detail = {"assignments": total}
     session = _Session(doc, rep)
     if jobs > 1:
         detail["jobs"] = jobs
-        source = _parallel_failures(session, names, detail["assignments"], jobs)
-    return _verify(session, "exhaustive", source, detail, t0, total=True)
+        decisions = session.decisions(_parallel_failures(session, names, total, jobs), True)
+    else:
+        decisions = _exhaustive_decisions(session, names, 0, total)
+    return _verify(session, "exhaustive", decisions, detail, t0)
+
+
+def _assignment_count(names: list[str], m: int, budget: int) -> int:
+    """m ** len(names); raises BudgetExceeded when that exceeds budget."""
+    total = m ** len(names)
+    if total > budget:
+        raise BudgetExceeded(f"{total} assignments exceed the budget {budget}")
+    return total
 
 
 def _all_assignments(names: list[str], m: int, budget: int):
     """Every assignment of group elements to names, last name fastest;
     raises BudgetExceeded at once when there are more than budget."""
-    total = m ** len(names)
-    if total > budget:
-        raise BudgetExceeded(f"{total} assignments exceed the budget {budget}")
+    _assignment_count(names, m, budget)
     return (dict(zip(names, combo)) for combo in itertools.product(range(m), repeat=len(names)))
 
 
+def _exhaustive_decisions(session: _Session, names: list[str], start: int, stop: int):
+    """The source of exhaustive mode: (assignment, outcome of
+    `_Session.decide` with total) for the assignments with linear index in
+    [start, stop) of the serial order (every assignment of group elements
+    to names, last name fastest), less those whose root factor scan finds a
+    vanishing factor, which `decide` would settle as None.
+
+    A pure separator is a name that no root value factor reads
+    (`_Session.value_vars`), so whether the scan finds a vanishing factor
+    depends on the other names' values alone.  The walk goes down the tree
+    of the serial order, one name per level.  Under a node, the children
+    that differ in the value of a pure separator have the same leaves up to
+    that name: once one of them lies in the window and every one of its
+    leaves vanished in the scan, so do the later ones, which are never
+    entered.  A scan that raises ends the walk at its assignment.  Without
+    a pure separator every assignment of the window is scanned, in order.
+    """
+    m, k = session.rep.group.order, len(names)
+    pure = [name not in session.value_vars for name in names]
+    leaves = [m ** (k - d) for d in range(k + 1)]  # under a node at depth d
+    values = [0] * k
+
+    def walk(d: int, lo: int):
+        """Yield the decisions of the window's nonvanishing leaves under the
+        node at depth d whose first leaf has index lo; return whether the
+        node lies in the window and every one of its leaves vanished."""
+        if d == k:
+            assignment = dict(zip(names, values))
+            vanished, blocked = session.scan_factors(assignment, session.value_factors)
+            if not vanished:
+                yield assignment, session.settle(assignment, blocked, total=True)
+            return vanished
+        vanished = start <= lo and lo + leaves[d] <= stop
+        size = leaves[d + 1]
+        for v in range(max(0, (start - lo) // size), min(m, (stop - lo + size - 1) // size)):
+            values[d] = v
+            if not (yield from walk(d + 1, lo + v * size)):
+                vanished = False
+            elif pure[d]:
+                break  # every later child vanishes as this one did
+        return vanished
+
+    return walk(0, 0)
+
+
 def _parallel_failures(session: _Session, names: list[str], total: int, jobs: int):
-    """Split the serial enumeration into `jobs` consecutive ranges and scan
-    them all in worker processes that exit on their own (terminating one
-    while it writes its result leaves the result queue locked); add their
-    undecided counts to the session and yield the nonvanishing assignment of
-    the failing range with the lowest start, the serial run's witness."""
+    """Split the serial enumeration into `jobs` consecutive windows and walk
+    them all (`_exhaustive_decisions`) in worker processes that exit on
+    their own (terminating one while it writes its result leaves the result
+    queue locked); add their undecided counts to the session and yield the
+    nonvanishing assignment of the failing window with the lowest start, the
+    serial run's witness."""
     import multiprocessing as mp
 
     step = (total + jobs - 1) // jobs
@@ -474,15 +560,11 @@ def _worker_init(doc, rep, names):
 
 
 def _worker_scan(bounds) -> Verdict:
-    """Exhaustive verdict over one range of linear assignment indices, in
-    the serial order (last name fastest)."""
+    """Exhaustive verdict over one window [start, stop) of the serial order."""
     doc, rep, names = _WORKER_STATE["args"]
-    m = rep.group.order
-    last = len(names) - 1
-    source = ({name: (linear // m ** (last - i)) % m for i, name in enumerate(names)}
-              for linear in range(*bounds))
-    return _verify(_Session(doc, rep), "exhaustive", source, {}, time.time(),
-                   total=True)
+    session = _Session(doc, rep)
+    return _verify(session, "exhaustive", _exhaustive_decisions(session, names, *bounds),
+                   {}, time.time())
 
 
 def holds_guarded(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 5) -> Verdict:
@@ -506,7 +588,7 @@ def holds_guarded(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 5)
               "args_exhaustive": exhaustive_args}
     source = _guarded_assignments(session, groups, args, orderings, exhaustive_args,
                                   detail)
-    return _verify(session, "guarded", source, detail, t0)
+    return _verify(session, "guarded", session.decisions(source), detail, t0)
 
 
 def _guarded_assignments(session: _Session, groups: dict, args: list[str], orderings: int,
@@ -631,7 +713,7 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
 
     symmetric = True
     for f in session.value_factors:
-        ab = session.differences.get(id(f))
+        ab = session.differences.get(f)
         if ab and ab[0] in group_of and group_of[ab[0]] == group_of.get(ab[1]):
             pairs[group_of[ab[0]]][frozenset(ab)] += 1
         elif not psi_only(f):
@@ -654,8 +736,8 @@ def holds_sampled(doc: IdentityDoc, rep: Rep, n: int = 500, seed: int = 0) -> Ve
     session = _Session(doc, rep, seed)
     rng = session.rng
     source = ({name: rng.randrange(m) for name in names} for _ in range(n))
-    return _verify(session, "sampled", source, {"n": n, "seed": seed}, t0,
-                   total=True, search=True)
+    return _verify(session, "sampled", session.decisions(source, True),
+                   {"n": n, "seed": seed}, t0, search=True)
 
 
 def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0,
@@ -678,7 +760,7 @@ def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0,
     first = next(family, None)
     if first is None:
         return holds_sampled(doc, rep, n=extra_samples, seed=seed + 1)
-    return _verify(session, "structured", itertools.chain([first], family),
+    return _verify(session, "structured", session.decisions(itertools.chain([first], family)),
                    {"seed": seed, "orderings": STRUCTURED_ORDERINGS}, t0,
                    fail_detail={"seed": seed, "family": doc.family})
 

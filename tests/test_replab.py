@@ -357,6 +357,16 @@ def test_induced_rep_z4():
     assert [ind.character.value(g) for g in range(4)] == [2, 0, -2, 0]
 
 
+def test_induced_rep_rejects_disagreeing_subgroup():
+    """sub_elements and sub_map must hold the same subgroup: [0, 1] against
+    the map of {0, 2} is an error, not a silent use of the map."""
+    group = catalog.cyclic(4).group
+    sub, sub_map = subgroup_group(group, [0, 2])
+    sign = Rep(sub, [Mat.identity(1), Mat(((Cyc.from_rational(-1),),))], name="sgn")
+    with pytest.raises(RepError, match="different subgroups"):
+        induced_rep(group, [0, 1], sign, sub_map)
+
+
 def test_induction_to_whole_group_is_identity_up_to_equivalence(s4):
     rho4 = s4.rep("rho4")
     sub, sub_map = subgroup_group(s4.group, range(24))

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
 from repident import catalog, idfactory as idf, verifier as vf
 from repident.exactnum import Cyc
@@ -326,6 +327,250 @@ def test_parallel_exhaustive_of_planned_sums_matches_serial(s3_std):
         assert parallel == serial
 
 
+def test_parallel_exhaustive_separator_heavy_matches_serial(s3_std):
+    """Each worker walks its own window of the serial order and skips what
+    vanishes there: x^3 on H3:theta1 (two separators around one value)
+    holds over all 27^3 assignments, and a^2 on S3:std, where a sorts
+    before the separators, fails at its first 3-cycle, the first assignment
+    of the second window."""
+    theta1 = catalog.heisenberg(3).rep("theta1")
+    cube = idf.disjunctive_identity([power(var("x"), 3)])
+    serial = _verdict_json(vf.holds_exhaustive(cube, theta1))
+    assert serial == {"status": "holds", "evidence": "exhaustive", "assignments": 19683}
+    parallel = _verdict_json(vf.holds_exhaustive(cube, theta1, jobs=2))
+    assert parallel.pop("jobs") == 2
+    assert parallel == serial
+    square = idf.disjunctive_identity([power(var("a"), 2)])
+    serial = _verdict_json(vf.holds_exhaustive(square, s3_std))
+    assert serial["status"] == "fails" and serial["witness"] == {"a": 3, "u0": 0, "u1": 0}
+    assert 3 * 6 ** 2 == 6 ** 3 // 2  # the witness's index starts the second window
+    parallel = _verdict_json(vf.holds_exhaustive(square, s3_std, jobs=2))
+    assert parallel.pop("jobs") == 2
+    assert parallel == serial
+
+
+def _enumerated_exhaustive(doc, rep) -> dict:
+    """The exhaustive verdict JSON (timing aside) of the plain enumeration:
+    every assignment, last name fastest, decided by `_Session.decide`."""
+    names = sorted(doc.expr.free_vars())
+    m = rep.group.order
+    session = vf._Session(doc, rep)
+    verdict = vf._verify(session, "exhaustive",
+                         session.decisions(vf._all_assignments(names, m, 10**5), True),
+                         {"assignments": m ** len(names)}, 0.0)
+    return _verdict_json(verdict)
+
+
+def _d4_dim2():
+    """The 2-dim rep of the order-8 dihedral group: the reflections in
+    perpendicular mirrors make (s - 1)(t - 1) vanish, while (s - 1) u (t - 1)
+    does not for u a quarter turn, so a separator decides a product."""
+    from repident.matrices import Mat
+    from repident.replab import Rep
+
+    quarter = Mat(tuple(tuple(Cyc.from_rational(v) for v in row) for row in ((0, -1), (1, 0))))
+    mirror = Mat(tuple(tuple(Cyc.from_rational(v) for v in row) for row in ((1, 0), (0, -1))))
+    group, images = catalog.matrix_group([quarter, mirror], 1, "D4")
+    return Rep(group, images, name="D4:dim2")
+
+
+_SOURCE_REPS = {
+    "D4:dim2": _d4_dim2,
+    "S3:std": lambda: catalog.symmetric(3).rep("std"),
+    "S3:sign": lambda: catalog.symmetric(3).rep("sign"),
+    "Q8:dim2": lambda: catalog.quaternion().rep("dim2"),
+    "Z3^2:reducible": lambda: catalog.abelian_rep(3, 2, 2, [[1, 0], [0, 1]]),
+}
+
+# value variables that sort before the separators u0, u1, u2 ("a"),
+# between them ("u0a", "u1a") and after them ("z")
+_letters = st.sampled_from(["a", "u0a", "u1a", "z"])
+_words = st.lists(st.tuples(_letters, st.sampled_from([-1, 1, 2, 3, 4, 6])),
+                  min_size=1, max_size=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clauses=st.lists(_words, min_size=1, max_size=2),
+       rep_name=st.sampled_from(sorted(_SOURCE_REPS)))
+def test_exhaustive_source_matches_enumeration(clauses, rep_name):
+    """The exhaustive source skips only assignments whose root factors
+    already vanish: on disjunctive documents, with value variables on every
+    side of the separators, the verdict JSON (timing aside) is that of the
+    plain enumeration, witness included."""
+    rep = _SOURCE_REPS[rep_name]()
+    words = [prod([power(var(n), e) for n, e in word]) for word in clauses]
+    doc = idf.disjunctive_identity(words)
+    assume(rep.group.order ** len(doc.expr.free_vars()) <= 5000)
+    expected = _enumerated_exhaustive(doc, rep)
+    event(expected["status"])
+    assert _verdict_json(vf.holds_exhaustive(doc, rep)) == expected
+
+
+def test_exhaustive_source_matches_enumeration_on_fixed_documents():
+    """Holds and fails, minimal polynomials of both variants, a reducible
+    rep, a product that only a later separator value fails, and undecided
+    streamed products with and without a separator: the verdict JSON
+    (timing aside) is the plain enumeration's."""
+    from repident.freeexpr import stream_subsets
+
+    s3, tau = catalog.symmetric(3).rep("std"), catalog.alternating(4).rep("tau")
+    rho4, z2 = catalog.symmetric(4).rep("rho4"), catalog.cyclic(2).rep("chi1")
+    reducible, d4 = _SOURCE_REPS["Z3^2:reducible"](), _d4_dim2()
+    x = var("x")
+    # on D4, a^2 + 1 vanishes at the quarter turns and a - 1, a + 1 at the
+    # two central elements, so no root factor vanishes at a reflection s;
+    # there (s - 1)(s + 1) = 0 with v2 the identity, but not with v2 a
+    # quarter turn, so only a later separator value fails the document
+    separator_decided = idf.IdentityDoc(
+        "test", prod([sum_([power(var("a"), 2), const(1)]), var("v1"), sub(var("a"), const(1)),
+                      var("v2"), sum_([var("a"), const(1)])]),
+        {"a": {"role": "psi-argument"}, "v1": {"role": "separator"},
+         "v2": {"role": "separator"}}, {}, "separator-decided product")
+    stream = stream_subsets([sub(x, const(1))], 1, "s", psd=False)
+    undecided = idf.IdentityDoc("test", stream, {"x": {"role": "psi-argument"}}, {},
+                                "undecided")
+    separated = idf.IdentityDoc("test", prod([var("u"), stream]),
+                                {"x": {"role": "psi-argument"}, "u": {"role": "separator"}},
+                                {}, "undecided and separated")
+    cases = [
+        (idf.disjunctive_identity([power(x, 6)]), s3, "holds"),
+        (idf.disjunctive_identity([power(x, 3)]), s3, "fails"),
+        (idf.disjunctive_identity([power(x, 3), power(var("a"), 2)]), reducible, "holds"),
+        (idf.minimal_poly_identity(tau, "maximal"), tau, "holds"),
+        (idf.minimal_poly_identity(tau, "union"), tau, "holds"),
+        (idf.minimal_poly_identity(tau, "maximal"), rho4, "fails"),
+        (separator_decided, d4, "fails"),
+        (undecided, z2, "holds"),
+        (separated, z2, "holds"),
+    ]
+    for doc, rep, status in cases:
+        expected = _enumerated_exhaustive(doc, rep)
+        assert expected["status"] == status
+        assert _verdict_json(vf.holds_exhaustive(doc, rep)) == expected, doc
+    assert expected["undecided"] == 2  # x = 0 under each of u = 0, 1
+
+
+def test_exhaustive_source_windows_match_enumeration(s3_std):
+    """Each window [start, stop) of the serial order, as a worker walks it,
+    yields exactly the assignments of that window on which the root factor
+    scan finds no vanishing factor, in order, whether the value variable
+    sorts before, between or after the separators."""
+    for name in ("a", "u0a", "z"):
+        doc = idf.disjunctive_identity([power(var(name), 2)])
+        names = sorted(doc.expr.free_vars())
+        total = 6 ** len(names)
+        reference = vf._Session(doc, s3_std)
+        survivors = [(i, assignment)
+                     for i, assignment in enumerate(vf._all_assignments(names, 6, total))
+                     if not reference.scan_factors(assignment, reference.value_factors)[0]]
+        for start in range(0, total, 17):
+            for stop in [*range(start + 1, total, 23), total]:
+                session = vf._Session(doc, s3_std)
+                walked = [a for a, _ in vf._exhaustive_decisions(session, names, start, stop)]
+                assert walked == [a for i, a in survivors if start <= i < stop], \
+                    (name, start, stop)
+
+
+def test_exhaustive_source_raises_where_the_enumeration_does(monkeypatch):
+    """A value part whose scan raises is never skipped: the walk raises the
+    enumeration's exception at the same assignment.  On Z3, (a - 1)(a - w)
+    vanishes for a = 0, 1, and inv(a - w^2) has no inverse at a = 2."""
+    from repident.exactnum import cyc_root_of_unity
+
+    rep = catalog.cyclic(3).rep("chi1")
+    w, a = cyc_root_of_unity(3, 1), var("a")
+    vanishes_below_2 = sum_([power(a, 2), prod([const(-(Cyc.one() + w)), a]), const(w)])
+    expr = prod([var("u0"), vanishes_below_2, var("u1"), inv(sub(a, const(w * w)))])
+    roles = {"a": {"role": "psi-argument"}, "u0": {"role": "separator"},
+             "u1": {"role": "separator"}}
+    doc = idf.IdentityDoc("test", expr, roles, {}, "raises at a = 2")
+    scanned = []
+    scan = vf._Session.scan_factors
+
+    def recording_scan(self, assignment, factors, keys=None):
+        scanned.append(dict(assignment))
+        return scan(self, assignment, factors, keys)
+
+    monkeypatch.setattr(vf._Session, "scan_factors", recording_scan)
+    raised = []
+    for run in (lambda: _enumerated_exhaustive(doc, rep),
+                lambda: vf.holds_exhaustive(doc, rep)):
+        scanned.clear()
+        with pytest.raises(Exception) as info:
+            run()
+        raised.append((type(info.value), str(info.value), scanned[-1]))
+    assert raised[0] == raised[1]
+    assert raised[0][2] == {"a": 2, "u0": 0, "u1": 0}
+
+
+def test_exhaustive_source_skips_vanishing_separator_subtrees(monkeypatch):
+    """x^3 on H3:theta1 has 27^3 assignments but one value variable: the
+    walk scans each value of x once, under the first separator values, and
+    no assignment goes on to a decision past the scan."""
+    theta1 = catalog.heisenberg(3).rep("theta1")
+    doc = idf.disjunctive_identity([power(var("x"), 3)])
+    (root,) = vf._doc_tables(doc).value_factors
+    evaluations, scanned, decided = [], [], []
+    evaluate, scan = Evaluator._eval, vf._Session.scan_factors
+    decide, settle = vf._Session.decide, vf._Session.settle
+
+    def counting_eval(self, e, assignment, memo):
+        if e is root:
+            evaluations.append(assignment["x"])
+        return evaluate(self, e, assignment, memo)
+
+    def counting_scan(self, assignment, factors, keys=None):
+        scanned.append(dict(assignment))
+        return scan(self, assignment, factors, keys)
+
+    def counting_decide(self, assignment, total=False):
+        decided.append(assignment)
+        return decide(self, assignment, total)
+
+    def counting_settle(self, assignment, blocked, total=False):
+        decided.append(assignment)
+        return settle(self, assignment, blocked, total)
+
+    monkeypatch.setattr(Evaluator, "_eval", counting_eval)
+    monkeypatch.setattr(vf._Session, "scan_factors", counting_scan)
+    monkeypatch.setattr(vf._Session, "decide", counting_decide)
+    monkeypatch.setattr(vf._Session, "settle", counting_settle)
+    verdict = _verdict_json(vf.holds_exhaustive(doc, theta1))
+    assert verdict == {"status": "holds", "evidence": "exhaustive", "assignments": 19683}
+    assert len(evaluations) <= 27 and not decided
+    assert scanned == [{"u0": 0, "u1": 0, "x": x} for x in range(27)]
+
+
+def test_exhaustive_source_scans_each_assignment_once(monkeypatch):
+    """The walk hands its scan to the decision: with no pure separator,
+    every assignment is scanned exactly once, and an undecided streamed
+    factor is evaluated once per assignment, as in the plain enumeration."""
+    from repident.freeexpr import stream_subsets
+
+    s3, z2 = catalog.symmetric(3).rep("std"), catalog.cyclic(2).rep("chi1")
+    stream = stream_subsets([sub(var("x"), const(1))], 1, "s", psd=False)
+    separated = idf.IdentityDoc("test", prod([var("u"), stream]),
+                                {"x": {"role": "psi-argument"}, "u": {"role": "separator"}},
+                                {}, "undecided and separated")
+    scanned = []
+    scan = vf._Session.scan_factors
+
+    def counting_scan(self, assignment, factors, keys=None):
+        scanned.append(dict(assignment))
+        return scan(self, assignment, factors, keys)
+
+    monkeypatch.setattr(vf._Session, "scan_factors", counting_scan)
+    for doc, rep in ((idf.standard_identity(4), s3), (separated, z2)):
+        names = sorted(doc.expr.free_vars())
+        every = list(vf._all_assignments(names, rep.group.order, 10**4))
+        scanned.clear()
+        expected = _enumerated_exhaustive(doc, rep)
+        assert scanned == every
+        scanned.clear()
+        assert _verdict_json(vf.holds_exhaustive(doc, rep)) == expected
+        assert scanned == every, doc.citation
+
+
 def _no_root_factor_vanishes(doc, rep, witness) -> bool:
     """A no-vanishing-factor witness re-validates: under it, a fresh
     evaluator finds every root factor nonzero, a streamed one by certifying
@@ -497,7 +742,8 @@ def test_witness_search_give_up_is_undecided(s3_std):
     assert session.decide(assignment) == "search-failed"
     assert session.undecided_count == 1
     assert not Evaluator(s3_std).evaluate(expr, {**assignment, "v": 2}).is_zero()
-    verdict = vf._verify(vf._Session(doc, s3_std, seed=0), "guarded", [assignment], {}, 0.0)
+    session = vf._Session(doc, s3_std, seed=0)
+    verdict = vf._verify(session, "guarded", session.decisions([assignment]), {}, 0.0)
     assert verdict.holds and verdict.detail["undecided"] == 1
     # no u fits the slot of v: on a reducible rep, x = 1 and z = 3 act as
     # diag(1, zeta) and diag(zeta, 1), so (x - 1) v (z - 1) vanishes for every
@@ -616,7 +862,7 @@ def test_differences_are_decided_from_kernel_cosets(rep_name):
     doc = idf.IdentityDoc("test", prod([forward, var("v"), backward]), roles, {},
                           "two differences")
     session = vf._Session(doc, rep, seed=0)
-    assert session.differences == {id(forward): ("a", "b"), id(backward): ("b", "a")}
+    assert session.differences == {forward: ("a", "b"), backward: ("b", "a")}
     ev = Evaluator(rep)
     session.ev._eval = None  # a scan that evaluates would raise
     kernel = set(rep.kernel)
@@ -638,6 +884,24 @@ def test_differences_are_decided_from_kernel_cosets(rep_name):
     else:
         with pytest.raises(vf.VerifierError, match="vanishing factor"):
             session.witness_value({"a": 0, "b": max(kernel), "v": 0})
+
+
+def test_document_tables_are_built_once_and_survive_pickling(s3_std):
+    """Sessions on one document share its root factor tables, and a
+    pickled document's tables name its own unpickled factors, so its
+    verdicts are the original's."""
+    import pickle
+
+    doc = idf.character_identity(s3_std)
+    first = vf._Session(doc, s3_std)
+    assert vf._Session(doc, s3_std).value_factors is first.value_factors
+    verdict = _verdict_json(vf.holds_guarded(doc, s3_std, seed=2, orderings=2))
+    copy = pickle.loads(pickle.dumps(doc))
+    tables = vf._doc_tables(copy)
+    roots = {id(f) for f in copy.expr.children}
+    assert tables.differences and all(id(f) in roots for f in tables.differences)
+    assert len(tables.differences) == len(first.differences)
+    assert _verdict_json(vf.holds_guarded(copy, s3_std, seed=2, orderings=2)) == verdict
 
 
 def test_guarded_argument_keys_stay_within_an_ordering(s3_std):

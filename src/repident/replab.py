@@ -12,6 +12,12 @@ rotation, so each multiplicity is a sum of d rotated vectors reduced
 modulo the L-th cyclotomic polynomial once: exact, and no Cyc product.
 A spectrum is a class function, so it is computed once per conjugacy class
 (Rep.class_spectra) and every per-element query is a lookup.
+
+A Rep is proved a homomorphism once, when it is built, over the same kind
+of integer vectors: every image is lifted to the rep's conductor n over one
+common denominator, each entry of a product rho(a) rho(s) is a sum of
+convolutions reduced modulo Phi_n once, and it is compared as a vector of
+integers.  Rep.integer_images keeps that layout for group-algebra sums.
 """
 
 from __future__ import annotations
@@ -20,13 +26,33 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .exactnum import Cyc, cyc_root_of_unity, demote, euler_phi, mod_p, reduce_cyclic
+from .exactnum import Cyc, _field, cyc_root_of_unity, demote, euler_phi, mod_p, reduce_cyclic
 from .grouplab import FiniteGroup, GroupError
 from .matrices import Mat
 
 
 class RepError(ValueError):
     pass
+
+
+def _integer_entries(images, n: int):
+    """(phi, den, entries): every image lifted to conductor n, of degree phi,
+    over one common denominator den.  entries[g] lists the nonzero entries of
+    image g in row-major order as (i*dim + j, vector), vector the phi integer
+    power-basis coefficients of den times the entry."""
+    den = 1
+    lifted = []
+    for mt in images:
+        image = []
+        for idx, v in enumerate(v for row in mt.rows for v in row):
+            if not v.is_zero():
+                v = v.lift(n)
+                image.append((idx, v.num, v.den))
+                den = lcm(den, v.den)
+        lifted.append(image)
+    entries = [[(idx, vec if d == den else tuple(c * (den // d) for c in vec))
+                for idx, vec, d in image] for image in lifted]
+    return euler_phi(n), den, entries
 
 
 class Rep:
@@ -36,6 +62,8 @@ class Rep:
         if len(self.images) != group.order:
             raise RepError("need one matrix per group element")
         self.dim = self.images[0].n
+        if any(mt.n != self.dim for mt in self.images):
+            raise RepError("images must be square matrices of one dimension")
         self.name = name or f"rep{self.dim}d"
         if validate:
             self._validate()
@@ -44,14 +72,47 @@ class Rep:
         """rho(e) = I and rho(a) rho(s) = rho(as) for every a and every s in a
         generating set.  That proves rho a homomorphism: every b is a word
         s1...sk in the generators, so by induction on k rho(b) =
-        rho(s1)...rho(sk), and then rho(a) rho(b) = rho(ab) step by step."""
+        rho(s1)...rho(sk), and then rho(a) rho(b) = rho(ab) step by step.
+
+        The products are taken over integer coefficient vectors: every image
+        is lifted once to the conductor n as D times its entries (the layout
+        of integer_images, kept local here).  Entry (i, j) of
+        D rho(a) D rho(s) is the sum over k of the convolutions of the
+        vectors of (i, k) and (k, j), reduced modulo Phi_n once, and it must
+        equal D times entry (i, j) of D rho(as): exact, and no Cyc is made.
+        """
         if not self.images[0].is_identity():
             raise RepError("identity element must map to the identity matrix")
+        n = self.conductor
+        field = _field(n)
+        phi, den, entries = _integer_entries(self.images, n)
+        dim, width, zero = self.dim, 2 * phi - 1, [0] * phi
+        # nonzero coefficients of each vector, for the convolutions
+        sparse = [[(idx, tuple((k, c) for k, c in enumerate(vec) if c)) for idx, vec in image]
+                  for image in entries]
+        # D times each entry of D rho(g), to compare with a reduced product
+        targets = [{idx: [den * c for c in vec] for idx, vec in image} for image in entries]
         table = self.group.table
         for s in self.group.small_generating_set():
-            image = self.images[s]
+            right = [[] for _ in range(dim)]  # row k of D rho(s): (j, terms)
+            for idx, terms in sparse[s]:
+                k, j = divmod(idx, dim)
+                right[k].append((j, terms))
             for a in range(self.group.order):
-                if self.images[a] * image != self.images[table[a][s]]:
+                acc: dict[int, list[int]] = {}
+                for idx, xs in sparse[a]:
+                    i, k = divmod(idx, dim)
+                    for j, ys in right[k]:
+                        out = i * dim + j
+                        conv = acc.get(out)
+                        if conv is None:
+                            conv = acc[out] = [0] * width
+                        for p, x in xs:
+                            for q, y in ys:
+                                conv[p + q] += x * y
+                target = targets[table[a][s]]
+                if not target.keys() <= acc.keys() or any(
+                        field.reduce(conv) != target.get(out, zero) for out, conv in acc.items()):
                     raise RepError(f"homomorphism fails at pair ({a},{s})")
 
     def image(self, g: int) -> Mat:
@@ -209,27 +270,16 @@ class Rep:
     def integer_images(self) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
         """(phi, den, vectors): every image lifted to the rep's conductor, of
         degree phi, as an integer coefficient vector over one common
-        denominator den.
+        denominator den (the lift _validate also makes, but does not keep).
 
         vectors[g] lists the nonzero (position, value) pairs of image g, where
         entry (i, j) holds positions (i*dim + j)*phi .. +phi-1 in the power
         basis of the conductor.
         """
-        n = self.conductor
-        phi = euler_phi(n)
-        lifted = [[v.lift(n) for row in mt.rows for v in row] for mt in self.images]
-        den = 1
-        for entries in lifted:
-            for v in entries:
-                den = lcm(den, v.den)
-        vectors = []
-        for entries in lifted:
-            vec = []
-            for idx, v in enumerate(entries):
-                s = den // v.den
-                vec.extend((idx * phi + k, c * s) for k, c in enumerate(v.num) if c)
-            vectors.append(tuple(vec))
-        return phi, den, tuple(vectors)
+        phi, den, entries = _integer_entries(self.images, self.conductor)
+        vectors = tuple(tuple((idx * phi + k, c) for idx, vec in image
+                              for k, c in enumerate(vec) if c) for image in entries)
+        return phi, den, vectors
 
     @cached_property
     def images_mod_p(self) -> tuple:

@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import repident
+from repident import catalog
 from repident.cli import UsageError, _load
+from repident.exactnum import Cyc
 
 # the CLI subprocess imports the same package as the tests
 _SRC = str(Path(repident.__file__).resolve().parents[1])
@@ -160,6 +162,11 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
     not_json.write_text("not json")
     x3 = tmp_path / "x3.json"
     assert run_cli("build", "disjunctive", "--words", "x^3", "-o", str(x3)).returncode == 0
+    # S3:std with one entry of one image changed: not a homomorphism
+    bad_rep = catalog.symmetric(3).rep("std").to_json()
+    bad_rep["images"][1][0] = Cyc.from_rational(5).to_json()
+    not_hom = tmp_path / "not_hom.json"
+    not_hom.write_text(json.dumps(bad_rep))
     cases = [
         # a guard group of 3 variables on a group of order 6
         (str(psi), "--rep", "catalog:S3:std", "--mode", "guarded"),
@@ -168,6 +175,7 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
         (str(char),),
         (str(char), "--rep", f"file:{no_group}"),
         (str(char), "--rep", f"file:{not_json}"),
+        (str(char), "--rep", f"file:{not_hom}"),
         (str(not_json), "--rep", "catalog:S3:std"),
         (str(no_group), "--rep", "catalog:S3:std"),
         # counts out of range, which would check nothing and read as holds

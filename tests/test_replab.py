@@ -540,3 +540,67 @@ def test_validation_matches_the_all_pairs_check():
             assert accepted == expected, rep.name
             outcomes.add(accepted)
     assert outcomes == {True, False}
+
+
+def _mat_product_proof(group, images) -> str | None:
+    """The homomorphism proof as a loop of Mat products: the message of its
+    first failure, or None when the images pass."""
+    if not images[0].is_identity():
+        return "identity element must map to the identity matrix"
+    for s in group.small_generating_set():
+        for a in range(group.order):
+            if images[a] * images[s] != images[group.table[a][s]]:
+                return f"homomorphism fails at pair ({a},{s})"
+    return None
+
+
+@pytest.mark.parametrize("ref", ["A5:dim3a", "gamma(7,9,2):pi(1,2)", "W3:rho_w"])
+def test_integer_proof_matches_the_mat_product_proof(ref):
+    """The proof over integer coefficient vectors accepts and rejects exactly
+    the image lists the Mat product loop does, at the same first failing
+    pair.  The reps have conductors 5 (denominator 5), 21 and 3; each gets
+    single-entry corruptions of its generator images and of a non-generator
+    image: a zeta_7 added (a new conductor), 1/3 added (a new denominator),
+    a nonzero entry set to zero and a zero entry set to 1."""
+    group_name, rep_name = ref.rsplit(":", 1)
+    rep = catalog.get_entry(group_name).rep(rep_name)
+    group = rep.group
+    gens = group.small_generating_set()
+    other = next(g for g in reversed(range(group.order)) if g not in gens)
+    cases = [list(rep.images)]
+    for g in (*gens, other):
+        rows = rep.images[g].rows
+        cells = [(i, j) for i in range(rep.dim) for j in range(rep.dim)]
+        i, j = next(c for c in cells if not rows[c[0]][c[1]].is_zero())
+        changes = [(i, j, rows[i][j] + cyc_root_of_unity(7, 1)),
+                   (i, j, rows[i][j] + Fraction(1, 3)), (i, j, Cyc.zero())]
+        zeros = [c for c in cells if rows[c[0]][c[1]].is_zero()]
+        if zeros:
+            changes.append((*zeros[0], Cyc.one()))
+        for i, j, value in changes:
+            new = [list(row) for row in rows]
+            new[i][j] = value
+            images = list(rep.images)
+            images[g] = Mat(new)
+            cases.append(images)
+    outcomes = []
+    for images in cases:
+        try:
+            Rep(group, images)
+            got = None
+        except RepError as exc:
+            got = str(exc)
+        assert got == _mat_product_proof(group, images), ref
+        outcomes.append(got)
+    assert outcomes[0] is None
+    assert all(outcomes[1:]), ref
+
+
+def test_images_of_mixed_dimension_are_a_rep_error():
+    """Images of two dimensions are refused before the proof multiplies
+    them (a Mat product of a 2x2 and a 1x1 image raises IndexError)."""
+    z2 = catalog.cyclic(2).group
+    with pytest.raises(RepError, match="one dimension"):
+        Rep(z2, [Mat.identity(2), Mat(((Cyc.one(),),))])
+    with pytest.raises(RepError, match="one dimension"):
+        Rep(z2, [Mat.identity(2), Mat(((Cyc.one(),),))], validate=False)

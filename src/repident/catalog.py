@@ -625,20 +625,10 @@ def _pi_kl_rep(group: FiniteGroup, elems, gamma: GammaGroup, k: int, l: int) -> 
 # -- wreath product Z_p^p . C_p ----------------------------------------------
 
 
-def shift_perm_matrix(p: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the coordinate cycle on Z_p^p (ones above the diagonal pattern)."""
-    return tuple(tuple(1 if j == (i + 1) % p else 0 for j in range(p)) for i in range(p))
-
-
 def circulant(w: tuple[int, ...], p: int) -> tuple[tuple[int, ...], ...]:
-    """Circulant matrix of a form w as sum w_i shift^(i-1), entries mod p."""
-    powm = _iterate_powers(shift_perm_matrix(p), p)
-    acc = [[0] * p for _ in range(p)]
-    for i, wi in enumerate(w):
-        for a in range(p):
-            for b in range(p):
-                acc[a][b] = (acc[a][b] + wi * powm[i][a][b]) % p
-    return tuple(tuple(r) for r in acc)
+    """Circulant matrix of a form w as sum w_i shift^i, entries mod p: entry
+    (a, b) is w[(b - a) mod p]."""
+    return tuple(tuple(w[(b - a) % p] % p for b in range(p)) for a in range(p))
 
 
 def _mat_mod_det(mat, p) -> int:
@@ -672,37 +662,22 @@ def is_admissible(w: tuple[int, ...], p: int) -> bool:
 def find_unit_h(p: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """First (lexicographically) circulant unit of order p outside the shift powers.
 
-    Returns (coefficient vector, matrix mod p).
+    The shift powers are the circulants of the unit coefficient vectors.  A
+    singular circulant has no power equal to the identity, so the order test
+    alone keeps the units.  Returns (coefficient vector, matrix mod p).
     """
-    shift = shift_perm_matrix(p)
-    shift_powers = {powm for powm in _iterate_powers(shift, p)}
-    ident = tuple(tuple(1 if i == j else 0 for j in range(p)) for i in range(p))
+    ident = circulant((1,) + (0,) * (p - 1), p)
     for coeffs in itertools.product(range(p), repeat=p):
-        h = circulant(coeffs, p)
-        if _mat_mod_det(h, p) == 0:
-            continue
-        if h in shift_powers:
-            continue
-        x = h
+        if sum(coeffs) == 1:
+            continue  # a unit vector: a power of the shift
+        h = x = circulant(coeffs, p)
         order = 1
-        while x != ident:
+        while x != ident and order <= p:
             x = mat_mul_mod(x, h, p)
             order += 1
-            if order > p:
-                break
         if order == p:
             return coeffs, h
     raise CatalogError("no unit of order p found (p must be an odd prime > 2)")
-
-
-def _iterate_powers(mat, p):
-    ident = tuple(tuple(1 if i == j else 0 for j in range(len(mat))) for i in range(len(mat)))
-    out = [ident]
-    x = mat
-    while x != ident:
-        out.append(x)
-        x = mat_mul_mod(x, mat, p)
-    return out
 
 
 @lru_cache(maxsize=None)

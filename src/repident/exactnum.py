@@ -502,12 +502,6 @@ def cyc_root_of_unity(n: int, k: int) -> Cyc:
     return Cyc(n, f.pows[k % n], 1)
 
 
-def reduce_cyclic(vec: list[int]) -> list[int]:
-    """Reduce an integer vector of length n, an element of Z[x]/(x^n - 1),
-    modulo Phi_n to its phi(n) power-basis coefficients at conductor n."""
-    return _field(len(vec)).reduce(vec)
-
-
 def cyc_arith(a: Cyc, b: Cyc, op: str) -> Cyc:
     if op == "add":
         return a + b

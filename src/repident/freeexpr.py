@@ -420,10 +420,9 @@ class Evaluator:
     repeat (the verifier's vanishing table).
     """
 
-    def __init__(self, rep=None, shortcircuit: bool = True, dim: int | None = None):
+    def __init__(self, rep=None, dim: int | None = None):
         self.rep = rep
         self.dim = dim if dim is not None else (rep.dim if rep is not None else None)
-        self.shortcircuit = shortcircuit
         # a product of two _A values convolves while |A|*|B| stays below
         # the cost of one matrix product
         self._convolve_limit = 2 * self.dim ** 3 if self.dim else 0
@@ -712,12 +711,12 @@ class Evaluator:
         """(s, a, T, b) with s a T b the value of the product e: s the product
         of its scalars, a and b the words before and after T, T the
         group-algebra product (an _A value, or None for 1) of its other
-        values and the words between them.  With shortcircuit a zero scalar
-        gives s = 0 at once, and so does a zero non-leaf child with another
-        non-leaf child after it.  The fold of a product with two or more
-        non-leaf children is kept in the memo under the node itself, so a
-        product shared by several sums convolves once per call.  None for a
-        matrix, a convolution that costs more than matrices, or no rep."""
+        values and the words between them.  A zero scalar gives s = 0 at
+        once, and so does a zero non-leaf child with another non-leaf child
+        after it.  The fold of a product with two or more non-leaf children
+        is kept in the memo under the node itself, so a product shared by
+        several sums convolves once per call.  None for a matrix, a
+        convolution that costs more than matrices, or no rep."""
         if self.rep is None:
             return None
         cores = len([c for c in e.children if c.kind != "var" and c.kind != "const"])
@@ -737,7 +736,7 @@ class Evaluator:
             else:
                 cores -= 1
                 val = self._eval(c, assignment, memo)
-                if cores and self.shortcircuit and self._is_zero(val):
+                if cores and self._is_zero(val):
                     out = (0, 0, None, 0)
                     break
                 tag, g = val
@@ -758,7 +757,7 @@ class Evaluator:
                     core, b = (_A, _convolve(terms, g, table)), 0
             elif tag == _S:
                 s = _mul(s, demote(g))
-                if not s and self.shortcircuit:
+                if not s:
                     out = (0, 0, None, 0)
                     break
             else:  # a matrix
@@ -797,11 +796,11 @@ class Evaluator:
             val = self._eval(c, assignment, memo)
             if c.kind != "var" and c.kind != "const":
                 cores -= 1
-                if cores and self.shortcircuit and self._is_zero(val):
+                if cores and self._is_zero(val):
                     return (_S, Cyc.zero())
             tag, payload = val
             if tag == _S:
-                if self.shortcircuit and payload.is_zero():
+                if payload.is_zero():
                     return (_S, Cyc.zero())
                 scalar = payload if scalar is None else scalar * payload
             else:
@@ -822,7 +821,7 @@ class Evaluator:
         # no subset of size t can consist of vanishing terms only; with
         # positive semidefinite terms every factor is then nonzero
         if psd:
-            raise StreamNonvanishing(zeros, t)
+            raise self._no_vanishing_factor(zeros, t, "streamed product")
         raise StreamUndecided("non-psd streamed product with no vanishing subset")
 
     def _eval_stream_perm_body(self, e, assignment, memo):
@@ -834,8 +833,8 @@ class Evaluator:
         the vanishing pairs contain a perfect matching.  When every group has
         one, the whole body is zero.  Otherwise the body is certified nonzero
         only when all pair values are scalars (the guard-respecting case,
-        where each term is a nonnegative multiple of the identity); mixed
-        matrix values are reported undecided.
+        where each term is a nonnegative multiple of the identity) and the
+        rep is irreducible; mixed matrix values are reported undecided.
         """
         (group_sizes,) = e.extra
         offset = 0
@@ -860,7 +859,7 @@ class Evaluator:
         if all_matched:
             return (_S, Cyc.zero())
         if all_scalar:
-            raise StreamNonvanishing(0, 1)
+            raise self._no_vanishing_factor(0, 1, "permutation body")
         raise StreamUndecided("permutation body with non-scalar pair values")
 
     def _eval_stream_partitions(self, e, assignment, memo):
@@ -871,7 +870,17 @@ class Evaluator:
         found = self._find_zero_partition(mats, list(sizes), target_mats, assignment, var_names)
         if found:
             return (_S, Cyc.zero())
-        raise StreamNonvanishing(0, 1)
+        raise self._no_vanishing_factor(0, 1, "partition product")
+
+    def _no_vanishing_factor(self, zero_count: int, needed: int, what: str) -> Exception:
+        """The exception for a streamed product with no vanishing factor.
+        With fresh separators between nonzero factors some separator choice
+        keeps the product nonzero when the images span all matrices
+        (Burnside's theorem), so the product is certified nonvanishing on an
+        irreducible rep only; elsewhere it is undecided."""
+        if self.rep is not None and self.rep.is_irreducible():
+            return StreamNonvanishing(zero_count, needed)
+        return StreamUndecided(f"{what} with no vanishing factor off an irreducible rep")
 
     def _find_zero_partition(self, mats, sizes, target_mats, assignment, var_names) -> bool:
         """Search for a typed partition whose every block sum matches its target."""

@@ -436,8 +436,9 @@ def from_cayley_table(table, labels=None, name=None) -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name=name)
 
 
-def group_from_elements(elements, mul, name=None, labels=None) -> FiniteGroup:
-    """Build an index table from abstract elements and a multiplication callable.
+def group_from_elements(elements, mul, name=None) -> tuple[FiniteGroup, list]:
+    """Build an index table from abstract elements and a multiplication
+    callable: (group, elements in index order), each element's label its str.
 
     The identity is detected and moved to index 0.
     """
@@ -453,8 +454,4 @@ def group_from_elements(elements, mul, name=None, labels=None) -> FiniteGroup:
     elems.insert(0, ident)
     index = {e: i for i, e in enumerate(elems)}
     table = [[index[mul(a, b)] for b in elems] for a in elems]
-    if labels is None:
-        labels = [str(e) for e in elems]
-    else:
-        labels = [labels[e] for e in elems] if isinstance(labels, dict) else labels
-    return FiniteGroup(table, labels=labels, name=name), elems
+    return FiniteGroup(table, labels=[str(e) for e in elems], name=name), elems

@@ -161,10 +161,10 @@ def _double_guard(mx: int, my: int):
     return gx + gy, roles, xvars, yvars
 
 
-def guard_C(m: int, var_prefix: str = "y", sep_prefix: str = "u") -> IdentityDoc:
+def guard_C(m: int) -> IdentityDoc:
     if m < 2:
         raise BuildError("guard needs m >= 2")
-    factors, roles, _ = guard_factors(m, var_prefix, sep_prefix)
+    factors, roles, _ = guard_factors(m)
     return IdentityDoc(
         "guard",
         prod(factors),
@@ -194,14 +194,14 @@ def _distance_sum(row, ratio: Cyc, x: Expr, yvars: list[Expr]) -> Expr:
     return sum_(terms)
 
 
-def psi(m: int, x_name: str = "x", var_prefix: str = "y") -> IdentityDoc:
+def psi(m: int) -> IdentityDoc:
     _need_positive(m=m)
-    yvars = [var(f"{var_prefix}{i}") for i in range(1, m + 1)]
-    roles = {f"{var_prefix}{i}": _role("guard", var_prefix.upper()) for i in range(1, m + 1)}
-    roles[x_name] = _role("psi-argument")
+    yvars = [var(f"y{i}") for i in range(1, m + 1)]
+    roles = {f"y{i}": _role("guard", "Y") for i in range(1, m + 1)}
+    roles["x"] = _role("psi-argument")
     return IdentityDoc(
         "psi",
-        psi_expr(var(x_name), yvars),
+        psi_expr(var("x"), yvars),
         roles,
         {"m": m},
         "sum of m conjugates of one variable; a scalar multiple of the trace "

@@ -29,14 +29,11 @@ class Mat:
 
     @staticmethod
     def identity(n: int, conductor: int = 1) -> "Mat":
-        one = Cyc.one(conductor)
-        zero = Cyc.zero(conductor)
-        return Mat(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return Mat.scalar(n, Cyc.one(conductor))
 
     @staticmethod
     def zeros(n: int, conductor: int = 1) -> "Mat":
-        zero = Cyc.zero(conductor)
-        return Mat(tuple(tuple(zero for _ in range(n)) for _ in range(n)))
+        return Mat.scalar(n, Cyc.zero(conductor))
 
     @staticmethod
     def scalar(n: int, value: Cyc) -> "Mat":
@@ -62,14 +59,7 @@ class Mat:
         return all(v.is_zero() for r in self.rows for v in r)
 
     def is_identity(self) -> bool:
-        for i, r in enumerate(self.rows):
-            for j, v in enumerate(r):
-                if i == j:
-                    if v != 1:
-                        return False
-                elif not v.is_zero():
-                    return False
-        return True
+        return self.is_scalar() == 1
 
     def is_scalar(self):
         """The scalar c when the matrix equals c*I, else None."""

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-from .exactnum import Cyc, _field, cyc_root_of_unity, demote, euler_phi, mod_p, reduce_cyclic
+from .exactnum import Cyc, _field, cyc_root_of_unity, demote, euler_phi, mod_p
 from .grouplab import FiniteGroup, GroupError
 from .matrices import Mat
 
@@ -169,11 +169,12 @@ class Rep:
                 step, scale = n // v.conductor, den // v.den
                 terms.extend((j * step, c * scale, s * t) for j, c in enumerate(v.num) if c)
             spec = []
+            reduce = _field(n).reduce
             for k in range(d):
                 vec = [0] * n
                 for pos, c, rot in terms:
                     vec[(pos - k * rot) % n] += c
-                red = reduce_cyclic(vec)
+                red = reduce(vec)
                 mult, rem = divmod(red[0], d * den)
                 if any(red[1:]) or rem or mult < 0:
                     raise RepError("non-integer eigenvalue multiplicity; not a representation")

@@ -26,7 +26,10 @@ the exhaustive walk makes the same decision from its own scan), counts the
 undecided ones and builds the verdict.  A decision first scans
 the root factors: one vanishing settles it, an undecided streamed factor
 makes it undecided, and a streamed factor certified nonvanishing makes it
-"blocked" (a no-vanishing-factor witness) in every mode.  Otherwise it
+"blocked" (a no-vanishing-factor witness) in every mode.  Only an
+irreducible rep certifies a streamed factor with no vanishing factor of its
+own (Burnside's theorem; `Evaluator._no_vanishing_factor`); on a reducible
+one it is undecided.  Otherwise it
 ends in one of two exact zero tests: the total test (the whole expression
 under the assignment as drawn; used by exhaustive and sampled) or the
 separator search (a separator choice keeping the product nonzero; used by
@@ -58,7 +61,8 @@ exact zero test.  No floating point enters any decision.
 A fails verdict always carries a counterexample whose re-evaluation is
 nonzero (or, for streamed products too large to materialize, an
 assignment on which no factor vanishes, which with fresh separators and
-an irreducible target implies nonvanishing).
+an irreducible rep implies nonvanishing; the factors' own nonvanishing
+under a stream_subsets node rests on its document's psd flag).
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from repident.catalog import (
     is_admissible,
     validate_catalog_rep,
 )
-from repident.exactnum import cyc_root_of_unity
+from repident.exactnum import cyc_root_of_unity, mat_mul_mod
 from repident.matrices import Mat
 from repident.replab import RepError
 
@@ -158,6 +159,50 @@ def test_wreath_constructors():
     assert rep.dim == 3 and rep.is_irreducible() and rep.is_faithful()
     with pytest.raises(CatalogError):
         catalog.rho_w(w3, (1, 1, 1))
+
+
+def _shift_powers(p: int) -> list:
+    """S^0, ..., S^(p-1) mod p as matrix powers, S the coordinate cycle of
+    Z_p^p (S[i][j] = 1 exactly when j = i + 1 mod p)."""
+    shift = tuple(tuple(int(j == (i + 1) % p) for j in range(p)) for i in range(p))
+    powers = [tuple(tuple(int(i == j) for j in range(p)) for i in range(p))]
+    for _ in range(p - 1):
+        powers.append(mat_mul_mod(powers[-1], shift, p))
+    return powers
+
+
+def _sum_of_shift_powers(w, powers, p):
+    return tuple(tuple(sum(wi * s[a][b] for wi, s in zip(w, powers)) % p for b in range(p))
+                 for a in range(p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_circulant_is_a_sum_of_shift_powers(p):
+    rng = random.Random(p)
+    powers = _shift_powers(p)
+    for _ in range(20):
+        w = tuple(rng.randrange(-2 * p, 2 * p) for _ in range(p))
+        assert circulant(w, p) == _sum_of_shift_powers(w, powers, p), w
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_find_unit_h_is_the_first_unit_of_order_p_off_the_shift_powers(p):
+    """The rule written out: the first coefficient vector, lexicographically,
+    whose circulant has a nonzero determinant, is no power of the shift and
+    has order p (powers taken up to p)."""
+    from repident.catalog import _mat_mod_det
+
+    powers = _shift_powers(p)
+    for coeffs in itertools.product(range(p), repeat=p):
+        h = _sum_of_shift_powers(coeffs, powers, p)
+        if _mat_mod_det(h, p) == 0 or h in powers:
+            continue
+        x, order = h, 1
+        while x != powers[0] and order <= p:
+            x, order = mat_mul_mod(x, h, p), order + 1
+        if order == p:
+            break
+    assert find_unit_h(p) == (coeffs, h)
 
 
 def test_binary_tetrahedral():

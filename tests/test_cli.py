@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import repident
-from repident import catalog
+from repident import catalog, idfactory
 from repident.cli import UsageError, _load
-from repident.exactnum import Cyc
+from repident.exactnum import Cyc, cyc_root_of_unity
+from repident.freeexpr import const, sub, var
 
 # the CLI subprocess imports the same package as the tests
 _SRC = str(Path(repident.__file__).resolve().parents[1])
@@ -167,6 +168,10 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
     bad_rep["images"][1][0] = Cyc.from_rational(5).to_json()
     not_hom = tmp_path / "not_hom.json"
     not_hom.write_text(json.dumps(bad_rep))
+    # a streamed product: no representation to certify it on 2x2 matrices
+    streamed = tmp_path / "streamed.json"
+    streamed.write_text(json.dumps(
+        idfactory.probability_identity(sub(var("x"), const(1)), 1, 2).to_json()))
     cases = [
         # a guard group of 3 variables on a group of order 6
         (str(psi), "--rep", "catalog:S3:std", "--mode", "guarded"),
@@ -184,12 +189,28 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
         (str(char), "--rep", "catalog:S3:std", "--mode", "guarded", "--orderings", "-1"),
         (str(x3), "--rep", "catalog:S3:std", "--jobs", "0"),
         (str(x3), "--sl2", "--trials", "0"),
+        (str(streamed), "--sl2", "--trials", "5"),
     ]
     for args in cases:
         proc = run_cli("check", *args)
         assert proc.returncode == 2, args
         assert json.loads(proc.stderr)["error"], args
         assert "Traceback" not in proc.stderr, args
+
+
+def test_check_on_a_reducible_file_rep_is_not_certified_nonvanishing(tmp_path):
+    """A streamed product with no vanishing base on a reducible `file:` rep
+    is undecided, not a no-vanishing-factor failure: exit 0, holds, with an
+    undecided count, in auto and exhaustive mode."""
+    doc = idfactory.probability_identity(sub(var("x"), const(cyc_root_of_unity(3, 1))), 1, 3)
+    doc_path, rep_path = tmp_path / "doc.json", tmp_path / "rep.json"
+    doc_path.write_text(json.dumps(doc.to_json()))
+    rep_path.write_text(json.dumps(catalog.abelian_rep(3, 1, 2, [[1], [2]]).to_json()))
+    for mode in ("auto", "exhaustive"):
+        proc = run_cli("check", str(doc_path), "--rep", f"file:{rep_path}", "--mode", mode)
+        assert proc.returncode == 0, (mode, proc.stdout, proc.stderr)
+        payload = json.loads(proc.stdout)
+        assert payload["status"] == "holds" and payload["undecided"] > 0, (mode, payload)
 
 
 def test_load_pauses_the_collector_and_restores_it(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from repident import catalog, idfactory as idf, verifier as vf
-from repident.exactnum import Cyc
+from repident.exactnum import Cyc, cyc_root_of_unity
 from repident.freeexpr import Evaluator, const, inv, power, prod, sub, sum_, var
 
 
@@ -757,6 +757,28 @@ def test_witness_search_give_up_is_undecided(s3_std):
     assert session.undecided_count == 1
 
 
+def test_no_vanishing_factor_on_a_reducible_rep_is_undecided():
+    """The no-vanishing-factor certificate rests on Burnside's theorem, which
+    needs an irreducible rep.  On diag(zeta^a, zeta^2a) over Z3, no base of
+    the streamed product of x - zeta_3 vanishes at a != 0, yet the product
+    vanishes for every separator choice (its expansion holds on every
+    assignment): every mode holds with undecided assignments and none
+    fails."""
+    rep = catalog.abelian_rep(3, 1, 2, [[1], [2]])
+    assert not rep.is_irreducible()
+    doc = idf.probability_identity(sub(var("x"), const(cyc_root_of_unity(3, 1))), 1, 3)
+    verdicts = {
+        "auto": vf.check(doc, rep),
+        "exhaustive": vf.check(doc, rep, mode="exhaustive"),
+        "sampled": vf.check(doc, rep, mode="sampled", n=50),
+    }
+    for mode, verdict in verdicts.items():
+        assert verdict.holds and verdict.detail["undecided"] > 0, (mode, verdict.to_json())
+    assert verdicts["auto"].evidence == "guarded"
+    expanded = vf.holds_exhaustive(idf.expand_doc(doc), rep)
+    assert expanded.holds and expanded.detail == {"assignments": 3 ** 10}
+
+
 def _factor_expr(rng, names, depth=1):
     """A random root factor: words, differences, powers minus one and
     commutators, and sums and products of them."""
@@ -834,9 +856,12 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
         streams = {id(f) for f in factors if f.kind == "stream_subsets"}
         assert all(vanishes for (node, _), vanishes in session.vanishing.items()
                    if node in streams)
-    # zero found, nothing found, a certified stream, an undecided stream
+    # zero found, nothing found, a certified stream, an undecided stream; on
+    # the reducible rep no stream is certified (Burnside's theorem, on which
+    # the certificate rests, needs an irreducible rep), so one stays undecided
     assert {found for (found, _), _ in seen} == {True, False}
-    assert {blocked for (_, blocked), _ in seen} == {True, False}
+    certified = {False} if rep_name == "Z3^2:reducible" else {True, False}
+    assert {blocked for (_, blocked), _ in seen} == certified
     assert {undecided for _, undecided in seen} == {True, False}
 
 

@@ -18,7 +18,8 @@ from fractions import Fraction
 
 from . import catalog, equivalence, idfactory, verifier
 from .exactnum import Cyc, cyc_root_of_unity
-from .freeexpr import Expr, StreamUndecided, const, inv, power, prod, sub, var
+from .freeexpr import (Expr, NonGroupSubtermError, StreamUndecided, const, inv, power, prod,
+                       sub, var)
 from .idfactory import IdentityDoc
 from .replab import Rep
 
@@ -479,7 +480,8 @@ def main(argv=None) -> int:
             raise UsageError("--strict refuses the default seed; pass --seed")
         return args.func(args)
     except (UsageError, catalog.CatalogError, idfactory.BuildError,
-            verifier.VerifierError, StreamUndecided, FileNotFoundError) as exc:
+            verifier.VerifierError, StreamUndecided, NonGroupSubtermError,
+            FileNotFoundError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -959,8 +959,8 @@ def conditional_relation_probability(u: Expr, v: Expr, rep: Rep,
 
 def random_sl2(rng: random.Random, shears: int = 4, height: int = 10) -> Mat:
     """Product of elementary shears with bounded rational entries (det = 1),
-    formed as four integers over one common denominator and lifted to a Mat
-    once (each entry reduced by `Cyc`)."""
+    formed as four integers over one common denominator: the Mat's integer
+    form."""
     a, b, c, d, den = 1, 0, 0, 1, 1
     for _ in range(shears):
         n, k = rng.randint(-height, height), rng.randint(1, height)  # q = n / k
@@ -969,7 +969,7 @@ def random_sl2(rng: random.Random, shears: int = 4, height: int = 10) -> Mat:
         else:  # times ((1, 0), (q, 1))
             a, b, c, d = a * k + b * n, b * k, c * k + d * n, d * k
         den *= k
-    return Mat([[Cyc(1, (v,), den) for v in row] for row in ((a, b), (c, d))])
+    return Mat.rational(((a, b), (c, d)), den)
 
 
 def sl2_sample_check(expr: Expr, trials: int = 1000, seed: int = 0) -> Verdict:
@@ -1001,9 +1001,9 @@ def sl2_trace_identity_check(trials: int = 1000, seed: int = 0) -> Verdict:
     for trial in range(trials):
         a = random_sl2(rng)
         tr = a.trace()
-        tr2 = (a * a).trace()
-        det2 = (tr * tr - tr2) * half
-        value = a * a - a.scale(tr) + Mat.identity(2).scale(det2)
+        square = a * a
+        det2 = (tr * tr - square.trace()) * half
+        value = square - a.scale(tr) + Mat.scalar(2, det2)
         if not value.is_zero():
             witness = {"x": [[str(v.rational_value()) for v in row] for row in a.rows]}
             return Verdict("fails", "sampled", {"n": trials, "seed": seed},

@@ -11,7 +11,7 @@ import repident
 from repident import catalog, idfactory
 from repident.cli import UsageError, _load
 from repident.exactnum import Cyc, cyc_root_of_unity
-from repident.freeexpr import const, sub, var
+from repident.freeexpr import const, inv, sub, var
 
 # the CLI subprocess imports the same package as the tests
 _SRC = str(Path(repident.__file__).resolve().parents[1])
@@ -172,6 +172,11 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
     streamed = tmp_path / "streamed.json"
     streamed.write_text(json.dumps(
         idfactory.probability_identity(sub(var("x"), const(1)), 1, 2).to_json()))
+    # the inverse of x - x: singular for every value of x
+    singular = tmp_path / "singular.json"
+    singular.write_text(json.dumps(idfactory.IdentityDoc(
+        "test", inv(sub(var("x"), var("x"))), {"x": {"role": "value"}}, {},
+        "singular inverse").to_json()))
     cases = [
         # a guard group of 3 variables on a group of order 6
         (str(psi), "--rep", "catalog:S3:std", "--mode", "guarded"),
@@ -190,6 +195,8 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
         (str(x3), "--rep", "catalog:S3:std", "--jobs", "0"),
         (str(x3), "--sl2", "--trials", "0"),
         (str(streamed), "--sl2", "--trials", "5"),
+        (str(singular), "--sl2", "--trials", "5", "--seed", "1"),
+        (str(singular), "--rep", "catalog:S3:std"),
     ]
     for args in cases:
         proc = run_cli("check", *args)

@@ -179,3 +179,133 @@ def test_cyclotomic_inverse_and_det(pair):
                 m.inverse()
         else:
             assert m * m.inverse() == Mat.identity(m.n)
+
+
+# -- the integer form, against entry-by-entry Cyc arithmetic ----------------------
+
+
+def _triples(rows):
+    return [[(v.conductor, v.num, v.den) for v in r] for r in rows]
+
+
+def _cyc_det(rows):
+    """Laplace expansion in Cyc arithmetic."""
+    acc = Cyc.one()
+    if rows:
+        acc = Cyc.zero()
+        for j, v in enumerate(rows[0]):
+            term = v * _cyc_det([r[:j] + r[j + 1:] for r in rows[1:]])
+            acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def _cyc_product(a, b):
+    """Entry i, j is the Cyc sum of the nonzero products a[i][k] b[k][j], or
+    the conductor-1 zero when there are none."""
+    n = len(a)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            terms = [a[i][k] * b[k][j] for k in range(n)
+                     if not a[i][k].is_zero() and not b[k][j].is_zero()]
+            row.append(sum(terms[1:], terms[0]) if terms else Cyc.zero())
+        out.append(row)
+    return out
+
+
+@st.composite
+def integer_forms(draw, n):
+    """(numerator rows, den) of an n x n rational matrix: entries are zero
+    with a coin flip, numerators and denominators reach 10^15 and 10^12, the
+    denominator may be negative, and the matrix may be scalar or have its last
+    row a multiple of its first."""
+    den = draw(st.one_of(st.integers(1, 12), st.integers(10**9, 10**12)))
+    den *= draw(st.sampled_from([1, -1]))
+    entry = st.one_of(st.just(0), st.integers(-30, 30), st.integers(-10**15, 10**15))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["dense", "singular", "scalar"]))
+    if shape == "singular":
+        c = draw(st.integers(-3, 3))
+        rows[-1] = [c * v for v in rows[0]]
+    elif shape == "scalar":
+        rows = [[rows[0][0] if i == j else 0 for j in range(n)] for i in range(n)]
+    return rows, den
+
+
+@st.composite
+def integer_form_pairs(draw):
+    """Two matrices of one size 1..3 (each made by Mat.rational or from Cyc
+    rows), their entries as Cyc rows, and a rational scalar, zero included."""
+    n = draw(st.integers(1, 3))
+    out = []
+    for _ in range(2):
+        nums, den = draw(integer_forms(n))
+        rows = [[Cyc.from_rational(Fraction(v, den)) for v in r] for r in nums]
+        out.append((Mat.rational(nums, den) if draw(st.booleans()) else Mat(rows), rows))
+    c = draw(st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=10**6)))
+    return out, Cyc.from_rational(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_form_pairs())
+def test_integer_form_matches_cyc_entries(case):
+    ((a, ra), (b, rb)), c = case
+    n = len(ra)
+    want = {
+        "+": [[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)],
+        "-": [[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)],
+        "*": _cyc_product(ra, rb),
+        "scale": [[c * v for v in r] for r in ra],
+        "neg": [[-v for v in r] for r in ra],
+    }
+    got = {"+": a + b, "-": a - b, "*": a * b, "scale": a.scale(c), "neg": -a}
+    for op, rows in want.items():
+        assert _triples(got[op].rows) == _triples(rows), op
+        assert got[op].is_zero() == all(v.is_zero() for r in rows for v in r), op
+    assert _triples([[a.trace()]]) == _triples([[sum((ra[i][i] for i in range(n)), Cyc.zero())]])
+    diagonal = {_triples([[ra[i][i]]])[0][0] for i in range(n)}
+    off_zero = all(ra[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
+    scalar = a.is_scalar()
+    if off_zero and len(diagonal) == 1:
+        assert _triples([[scalar]]) == _triples([[ra[0][0]]])
+    else:
+        assert scalar is None
+    assert (a == b) == (_triples(ra) == _triples(rb))
+    assert a == Mat(ra) and Mat(ra) == a
+    det = _cyc_det(ra)
+    if det.is_zero():
+        with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+            a.inverse()
+    else:
+        inverse = [[_cyc_det([r[:i] + r[i + 1:] for k, r in enumerate(ra) if k != j])
+                    * Cyc.from_rational((-1) ** (i + j)) / det for j in range(n)]
+                   for i in range(n)]
+        assert _triples(a.inverse().rows) == _triples(inverse)
+
+
+def test_integer_form_meets_cyclotomic_entries():
+    """A rational operand next to a Q(zeta_3) one takes the Cyc path and gives
+    the entries, conductors included, that entry-by-entry Cyc arithmetic does."""
+    z, zero3 = cyc_root_of_unity(3, 1), Cyc.zero(3)
+    a = Mat.rational(((1, -2), (0, 3)), 4)
+    ra = [[Cyc.from_rational(Fraction(v, 4)) for v in r] for r in ((1, -2), (0, 3))]
+    rb = [[z, zero3], [Cyc.one(), z * z]]
+    b = Mat(rb)
+    assert _triples((a * b).rows) == _triples(_cyc_product(ra, rb))
+    assert _triples((b * a).rows) == _triples(_cyc_product(rb, ra))
+    assert _triples((a + b).rows) == _triples([[x + y for x, y in zip(p, q)]
+                                               for p, q in zip(ra, rb)])
+    assert _triples(a.scale(z).rows) == _triples([[z * v for v in r] for r in ra])
+    assert a != b and not (a - b).is_zero()
+    # rational values at conductor 3 keep their conductor
+    c3 = Mat([[Cyc.from_rational(Fraction(v, 4), 3) for v in r] for r in ((1, -2), (0, 3))])
+    assert a == c3
+    assert _triples((a - c3).rows) == [[(3, (0, 0), 1)] * 2] * 2
+
+
+def test_integer_form_singular_inverse_raises():
+    for m in (Mat.rational(((0,),)), Mat.rational(((1, 2), (2, 4)), 7),
+              Mat.rational(((1, 2, 3), (4, 5, 6), (5, 7, 9)), -2)):
+        with pytest.raises(ZeroDivisionError, match="matrix is singular"):
+            m.inverse()

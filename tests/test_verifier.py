@@ -9,7 +9,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from repident import catalog, idfactory as idf, verifier as vf
 from repident.exactnum import Cyc, cyc_root_of_unity
-from repident.freeexpr import Evaluator, const, inv, power, prod, sub, sum_, var
+from repident.freeexpr import Evaluator, const, inv, power, prod, smul, sub, sum_, var
 
 
 @pytest.fixture(scope="module")
@@ -166,8 +166,6 @@ def test_sl2_checks():
     x, y = var("x"), var("y")
     s2 = sub(prod([sum_([y, inv(y)]), x]), prod([x, sum_([y, inv(y)])]))
     assert vf.sl2_sample_check(s2, trials=300, seed=3).holds
-    from repident.freeexpr import smul
-
     bad = sub(prod([sum_([y, inv(y)]), x]), smul(2, x))
     v = vf.sl2_sample_check(bad, trials=50, seed=3)
     assert not v.holds and v.detail["trial"] < 50
@@ -213,8 +211,9 @@ def _pinned_cases():
     s4 = catalog.symmetric(4)
     rho4, rho5 = s4.rep("rho4"), s4.rep("rho5")
     z2, z3 = catalog.cyclic(2).rep("chi1"), catalog.cyclic(3).rep("chi1")
-    x = var("x")
+    x, y = var("x"), var("y")
     comm = sub(prod([inv(var("a")), inv(var("b")), var("a"), var("b")]), const(1))
+    tr_y = sum_([y, inv(y)])
     return {
         "exhaustive-holds": lambda: vf.holds_exhaustive(idf.guard_C(3), z2, budget=10**4),
         "exhaustive-fails": lambda: vf.holds_exhaustive(idf.guard_C(3), z3, budget=10**4),
@@ -238,6 +237,11 @@ def _pinned_cases():
                                                            seed=5),
         "structured-series": lambda: vf.holds_structured(
             idf.central_series_gassmann_identity(s3_std, 1, 1), s3_std, seed=0),
+        "sl2-holds": lambda: vf.sl2_sample_check(
+            sub(prod([tr_y, x]), prod([x, tr_y])), trials=300, seed=3),
+        "sl2-fails": lambda: vf.sl2_sample_check(
+            sub(prod([tr_y, x]), smul(2, x)), trials=50, seed=3),
+        "sl2-trace": lambda: vf.sl2_trace_identity_check(trials=300, seed=3),
     }
 
 
@@ -656,7 +660,6 @@ def test_witness_search_falls_back_to_exact_on_a_false_modular_zero(s3_std, monk
     """A factor p (1 - x) is nonzero but vanishes mod p, the prime of the
     witness search: every candidate from it on is zero mod p, so the search
     decides it exactly and returns the witness exact arithmetic chooses."""
-    from repident.freeexpr import smul
     from repident.matrices import Mat
 
     p = s3_std.images_mod_p[0].p

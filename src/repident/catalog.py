@@ -178,6 +178,8 @@ def _linear_characters(group: FiniteGroup, gens: list[int]) -> list[Rep]:
 
 @lru_cache(maxsize=None)
 def cyclic(n: int) -> CatalogEntry:
+    if n < 1:
+        raise CatalogError("cyclic(n) needs n >= 1")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     group = FiniteGroup(table, name=f"Z{n}")
     builders = {}
@@ -508,6 +510,8 @@ def binary_tetrahedral() -> CatalogEntry:
 @lru_cache(maxsize=None)
 def heisenberg(p: int) -> CatalogEntry:
     """Minimal Heisenberg p-group of order p^3 (p an odd prime)."""
+    if p < 1:
+        raise CatalogError("heisenberg(p) needs p >= 1")
     triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
 
     def mul(x, y):
@@ -781,10 +785,11 @@ def get_entry(name: str) -> CatalogEntry:
     if name.startswith("W") and name[1:].isdigit():
         return wreath(int(name[1:]))
     if name.startswith("gamma(") and name.endswith(")"):
-        parts = name[6:-1].split(",")
-        if len(parts) != 3:
-            raise CatalogError("gamma groups are written gamma(m,n,r)")
-        return gamma_d(int(parts[0]), int(parts[1]), int(parts[2]))
+        try:
+            m, n, r = (int(part) for part in name[6:-1].split(","))
+        except ValueError:
+            raise CatalogError(f"{name!r} is not gamma(m,n,r) with integers m, n, r") from None
+        return gamma_d(m, n, r)
     raise CatalogError(f"unknown catalog group {name!r}")
 
 

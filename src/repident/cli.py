@@ -381,6 +381,8 @@ def cmd_catalog(args) -> int:
         _emit(out, args.output)
         return 0
     if args.action == "show":
+        if not args.name:
+            raise UsageError("catalog show needs a group name, for example S3")
         entry = catalog.get_entry(args.name)
         out = {
             "command": "catalog",

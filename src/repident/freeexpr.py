@@ -1,9 +1,10 @@
 """Evaluable expression DAGs over the group algebra of a free group.
 
-An Expr is a DAG with node kinds Const / Var / Inv / Star / Sum / Prod,
-plus two streamed product kinds (indexed over subsets or over typed
-partitions of a variable set) whose factors are generated on demand and
-never held resident at once.
+An Expr is a DAG with node kinds const / var / inv / sum / prod, plus
+streamed kinds (stream_subsets, stream_partitions, stream_perm_body) whose
+factors are generated on demand and never held resident at once.  The star
+involution is structural (`star`: coefficients conjugated, words inverted),
+so a JSON {"kind": "star"} node loads as the conjugate of its child.
 
 Expressions are structural objects: words are never freely reduced, so
 y * y^-1 persists as a Prod node.  Evaluation semantics is unaffected;
@@ -95,7 +96,7 @@ class Expr:
         if self._fvs is None:
             if self.kind == "var":
                 self._fvs = frozenset({self.value})
-            elif self.kind in ("inv", "star"):
+            elif self.kind == "inv":
                 self._fvs = self.children[0].free_vars()
             elif self.kind in ("const", "sum", "prod", "stream_subsets",
                                "stream_partitions", "stream_perm_body"):
@@ -113,8 +114,6 @@ class Expr:
             return repr(self.value)
         if self.kind == "inv":
             return f"({self.children[0]!r})^-1"
-        if self.kind == "star":
-            return f"star({self.children[0]!r})"
         if self.kind == "sum":
             return "(" + " + ".join(repr(c) for c in self.children) + ")"
         if self.kind == "prod":
@@ -128,8 +127,8 @@ class Expr:
             return {"kind": "const", "value": self.value.to_json()}
         if self.kind == "var":
             return {"kind": "var", "name": self.value}
-        if self.kind in ("inv", "star"):
-            return {"kind": self.kind, "child": self.children[0].to_json()}
+        if self.kind == "inv":
+            return {"kind": "inv", "child": self.children[0].to_json()}
         if self.kind in ("sum", "prod"):
             return {"kind": self.kind, "children": [c.to_json() for c in self.children]}
         if self.kind == "stream_subsets":
@@ -163,7 +162,7 @@ class Expr:
     def from_json(obj: dict) -> "Expr":
         """The Expr a to_json() document describes.  Equal subtrees load as
         one node, so a loaded document keeps the sharing of the builder that
-        wrote it."""
+        wrote it.  A star node loads as star(child)."""
         return _from_json(obj, {})
 
 
@@ -178,7 +177,7 @@ def _from_json(obj: dict, nodes: dict) -> Expr:
     elif kind == "inv":
         e = inv(_from_json(obj["child"], nodes))
     elif kind == "star":
-        e = Expr("star", children=(_from_json(obj["child"], nodes),))
+        e = star(_from_json(obj["child"], nodes))
     elif kind == "sum":
         e = sum_([_from_json(c, nodes) for c in obj["children"]])
     elif kind == "prod":
@@ -315,8 +314,6 @@ def star(e: Expr) -> Expr:
         out = inv(e)
     elif e.kind == "inv":
         out = inv(star(e.children[0]))
-    elif e.kind == "star":
-        out = e.children[0]
     elif e.kind == "sum":
         out = sum_([star(c) for c in e.children])
     elif e.kind == "prod":
@@ -593,8 +590,6 @@ class Evaluator:
             out = (_G, v) if isinstance(v, int) else (_M, v)
         elif kind == "inv":
             out = self._eval_inv(e, assignment, memo)
-        elif kind == "star":
-            out = self._eval(star(e), assignment, memo)
         elif kind == "sum":
             out = self._eval_sum(e, assignment, memo)
         elif kind == "prod":

@@ -95,10 +95,18 @@ class IdentityDoc:
 
     @staticmethod
     def from_json(obj: dict) -> "IdentityDoc":
+        """The document a to_json() dict describes; each var_roles entry
+        must be a dict with a role (any name), a guard's with its group."""
+        roles = dict(obj["var_roles"])
+        for name, role in roles.items():
+            if not isinstance(role, dict) or "role" not in role:
+                raise BuildError(f"role of {name!r} is not an object with a 'role'")
+            if role["role"] == "guard" and "group" not in role:
+                raise BuildError(f"guard {name!r} has no 'group'")
         return IdentityDoc(
             obj["family"],
             Expr.from_json(obj["expr"]),
-            dict(obj["var_roles"]),
+            roles,
             dict(obj["params"]),
             obj["citation"],
             is_identity=obj.get("is_identity", True),
@@ -819,17 +827,16 @@ def substitute(e: Expr, mapping: dict[str, Expr]) -> Expr:
 
 
 def _rewrite(e: Expr, leaf, memo: dict) -> Expr:
-    """Rebuild e through its sums, products, inverses and stars with every
-    other node replaced by leaf(node); a shared node is rebuilt once."""
+    """Rebuild e through its sums, products and inverses with every other
+    node replaced by leaf(node); a shared node is rebuilt once."""
     hit = memo.get(id(e))
     if hit is not None:
         return hit
     if e.kind in ("sum", "prod"):
         children = [_rewrite(c, leaf, memo) for c in e.children]
         out = sum_(children) if e.kind == "sum" else prod(children)
-    elif e.kind in ("inv", "star"):
-        child = _rewrite(e.children[0], leaf, memo)
-        out = inv(child) if e.kind == "inv" else star(child)
+    elif e.kind == "inv":
+        out = inv(_rewrite(e.children[0], leaf, memo))
     else:
         out = leaf(e)
     memo[id(e)] = out

@@ -1,11 +1,9 @@
 """Dense matrices over Cyc with exact linear algebra.
 
 Internal plumbing shared by the representation and evaluation layers.
-All operations are pure; matrices are immutable once built.  A monomial
-fast path (one nonzero entry per row) keeps products of induced /
-permutation-style representation images cheap.  One Gauss-Jordan
-elimination serves `rref`, `Mat.inverse` (on [A | I]) and `Mat.det`
-(the signed product of its pivots).
+All operations are pure; matrices are immutable once built.  One
+Gauss-Jordan elimination serves `rref`, `Mat.inverse` (on [A | I]) and
+`Mat.det` (the signed product of its pivots).
 
 A matrix whose entries all have conductor 1 also has an integer form:
 one positive denominator and n^2 integer numerators with no factor
@@ -32,7 +30,7 @@ from .exactnum import Cyc
 class Mat:
     # _q: the integer form (den, numerators row by row), False when an entry
     # has another conductor, None until it is first needed
-    __slots__ = ("n", "rows", "_mono", "_q")
+    __slots__ = ("n", "rows", "_q")
 
     def __init__(self, rows):
         rows = tuple(tuple(r) for r in rows)
@@ -41,7 +39,6 @@ class Mat:
             if len(r) != self.n:
                 raise ValueError("matrix must be square")
         self.rows = rows
-        self._mono = None
         self._q = None
 
     def __getattr__(self, name):
@@ -93,17 +90,15 @@ class Mat:
     # -- structure ------------------------------------------------------
 
     def monomial_form(self):
-        """[(col, value)] per row when each row has exactly one nonzero entry."""
-        if self._mono is None:
-            form = []
-            for r in self.rows:
-                nz = [(j, v) for j, v in enumerate(r) if not v.is_zero()]
-                if len(nz) != 1:
-                    form = False
-                    break
-                form.append(nz[0])
-            self._mono = form if form is not False else False
-        return self._mono
+        """[(col, value)] per row when each row has exactly one nonzero
+        entry, else False."""
+        form = []
+        for r in self.rows:
+            nz = [(j, v) for j, v in enumerate(r) if not v.is_zero()]
+            if len(nz) != 1:
+                return False
+            form.append(nz[0])
+        return form
 
     def is_zero(self) -> bool:
         q = self._q
@@ -195,37 +190,21 @@ class Mat:
         r = q and other._ints()
         if r:
             return _from_ints(n, q[0] * r[0], _mul_ints(n, q[1], r[1]))
-        ma, mb = self.monomial_form(), other.monomial_form()
-        if ma and mb:
-            # (row i) -> col ma[i][0] with value ma[i][1]; compose
-            out_rows = []
-            zero = Cyc.zero()
-            for i in range(n):
-                k, va = ma[i]
-                j, vb = mb[k]
-                val = va * vb
-                row = [zero] * n
-                row[j] = val
-                out_rows.append(tuple(row))
-            m = Mat(tuple(out_rows))
-            return m
-        rows_a, rows_b = self.rows, other.rows
+        # zero entries are skipped, tested as any(v.num) without a method
+        # call per entry: monomial images make most of them zero
+        rows_b = other.rows
+        zero = Cyc.zero()
         out = []
-        for i in range(n):
-            ra = rows_a[i]
+        for ra in self.rows:
             acc: list = [None] * n
-            for k in range(n):
-                a = ra[k]
-                if a.is_zero():
+            for a, rb in zip(ra, rows_b):
+                if not any(a.num):
                     continue
-                rb = rows_b[k]
-                for j in range(n):
-                    b = rb[j]
-                    if b.is_zero():
-                        continue
-                    p = a * b
-                    acc[j] = p if acc[j] is None else acc[j] + p
-            out.append(tuple(v if v is not None else Cyc.zero() for v in acc))
+                for j, b in enumerate(rb):
+                    if any(b.num):
+                        p = a * b
+                        acc[j] = p if acc[j] is None else acc[j] + p
+            out.append(tuple(zero if v is None else v for v in acc))
         return Mat(tuple(out))
 
     def pow_int(self, e: int) -> "Mat":
@@ -321,7 +300,7 @@ def _from_ints(n: int, den: int, nums: tuple) -> Mat:
     if g != 1:
         den, nums = den // g, tuple(v // g for v in nums)
     m = Mat.__new__(Mat)
-    m.n, m._mono, m._q = n, None, (den, nums)
+    m.n, m._q = n, (den, nums)
     return m
 
 

@@ -113,6 +113,12 @@ def test_usage_errors():
         ("build", "cayley-hamilton", "--m", "0", "--n", "2"),
         ("build", "su", "--m", "0", "--n", "1"),
         ("build", "su", "--m", "2", "--n", "0"),
+        # catalog references that name no valid group
+        ("catalog", "show"),
+        ("catalog", "show", "gamma(a,b,c)"),
+        ("catalog", "show", "Z0"),
+        ("catalog", "show", "H0"),
+        ("build", "character", "--rep", "catalog:gamma(a,b,c):pi(1,1)"),
     ]
     for args in cases:
         proc = run_cli(*args)
@@ -177,7 +183,16 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
     singular.write_text(json.dumps(idfactory.IdentityDoc(
         "test", inv(sub(var("x"), var("x"))), {"x": {"role": "value"}}, {},
         "singular inverse").to_json()))
-    cases = [
+    # var_roles entries that are not a dict with a role, or a guard's with
+    # no group
+    bad_roles = []
+    for k, role in enumerate(({"rol": "psi-argument"}, "psi-argument", {"role": "guard"})):
+        path = tmp_path / f"bad_roles{k}.json"
+        doc = json.loads(x3.read_text())
+        doc["var_roles"]["x"] = role
+        path.write_text(json.dumps(doc))
+        bad_roles.append((str(path), "--rep", "catalog:S3:std"))
+    cases = bad_roles + [
         # a guard group of 3 variables on a group of order 6
         (str(psi), "--rep", "catalog:S3:std", "--mode", "guarded"),
         # the character family has no structured handler
@@ -203,6 +218,41 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
         assert proc.returncode == 2, args
         assert json.loads(proc.stderr)["error"], args
         assert "Traceback" not in proc.stderr, args
+
+
+def _star_doc(child: dict, var_names) -> dict:
+    """A document whose expression is star(child) * x * y - 1."""
+    minus_one = {"kind": "const", "value": Cyc.from_rational(-1).to_json()}
+    return {
+        "family": "test", "params": {}, "citation": "loaded star node",
+        "var_roles": {name: {"role": "psi-argument"} for name in var_names},
+        "expr": {"kind": "sum", "children": [
+            {"kind": "prod", "children": [{"kind": "star", "child": child},
+                                          var("x").to_json(), var("y").to_json()]},
+            minus_one]},
+    }
+
+
+def test_loaded_star_node_is_its_conjugate(tmp_path):
+    """star(x y) x y - 1 = y^-1 x^-1 x y - 1 vanishes on every assignment."""
+    path = tmp_path / "star.json"
+    xy = {"kind": "prod", "children": [var("x").to_json(), var("y").to_json()]}
+    path.write_text(json.dumps(_star_doc(xy, ["x", "y"])))
+    proc = run_cli("check", str(path), "--rep", "catalog:S3:std", "--mode", "exhaustive")
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
+    payload = json.loads(proc.stdout)
+    assert payload["status"] == "holds" and payload["assignments"] == 36, payload
+
+
+def test_star_over_a_partition_stream_is_a_usage_error(tmp_path):
+    path = tmp_path / "star_stream.json"
+    stream = {"kind": "stream_partitions", "vars": ["x", "y"], "sizes": [1, 1],
+              "targets": [Cyc.from_rational(1).to_json()] * 2, "separator_prefix": "v"}
+    path.write_text(json.dumps(_star_doc(stream, ["x", "y"])))
+    proc = run_cli("check", str(path), "--rep", "catalog:S3:std")
+    assert proc.returncode == 2
+    assert "star unsupported" in json.loads(proc.stderr)["error"]
+    assert "Traceback" not in proc.stderr
 
 
 def test_check_on_a_reducible_file_rep_is_not_certified_nonvanishing(tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from repident import catalog
-from repident.exactnum import cyc_root_of_unity
+from repident.exactnum import Cyc, cyc_root_of_unity
 from repident.freeexpr import (
     Evaluator,
     Expr,
@@ -35,8 +35,6 @@ def naive_eval(e: Expr, assignment: dict, rep) -> Mat:
         return v if isinstance(v, Mat) else rep.images[v]
     if e.kind == "inv":
         return naive_eval(e.children[0], assignment, rep).inverse()
-    if e.kind == "star":
-        return naive_eval(star(e.children[0]), assignment, rep)
     if e.kind == "sum":
         acc = Mat.zeros(n)
         for c in e.children:
@@ -330,6 +328,115 @@ def test_scalar_subgroup_fold_on_2t():
         # two terms, folded onto one coset by the zero test
         assert ev._is_zero(val) and val[0] == _A
         assert ev.evaluate(e, {"x": x, "z": z}).is_zero()
+
+
+# -- star nodes in loaded documents ----------------------------------------------
+
+
+def _star_reps():
+    return [
+        catalog.symmetric(3).rep("std"),
+        catalog.quaternion().rep("dim2"),
+        catalog.abelian_rep(3, 1, 2, [[1], [2]]),
+    ]
+
+
+def _star_json(rng, names, pool, depth=3) -> dict:
+    """A random expression document with star nodes over algebra terms, a
+    star inside a star, irrational constants and subterms drawn again from
+    pool (equal subtrees, which load as one node)."""
+    if pool and rng.random() < 0.15:
+        return rng.choice(pool)
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.6:
+            return var(rng.choice(names)).to_json()
+        if rng.random() < 0.5:
+            c = cyc_root_of_unity(rng.choice([3, 4]), rng.randrange(1, 3))
+        else:
+            c = Cyc.from_rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        return {"kind": "const", "value": c.to_json()}
+    kind = rng.choice(["sum", "prod", "prod", "inv", "star", "star", "cancel"])
+    child = _star_json(rng, names, pool, depth - 1)
+    if kind == "inv":
+        obj = {"kind": "inv", "child": child}
+    elif kind == "star":
+        obj = {"kind": "star", "child": child}
+        if rng.random() < 0.3:
+            obj = {"kind": "star", "child": obj}
+    elif kind == "cancel":
+        # e - star(star(e)): zero wherever it is defined
+        twice = {"kind": "star", "child": {"kind": "star", "child": child}}
+        minus = {"kind": "const", "value": Cyc.from_rational(-1).to_json()}
+        obj = {"kind": "sum", "children": [
+            child, {"kind": "prod", "children": [minus, twice]}]}
+    else:
+        children = [child] + [_star_json(rng, names, pool, depth - 1)
+                              for _ in range(rng.randint(1, 3))]
+        obj = {"kind": kind, "children": children}
+    pool.append(obj)
+    return obj
+
+
+def _naive_json(obj: dict, assignment: dict, rep, starred: bool = False) -> Mat:
+    """Oracle over the document itself: a starred node takes conjugate
+    coefficients, inverse words and its factors in reverse order."""
+    kind = obj["kind"]
+    if kind == "const":
+        c = Cyc.from_json(obj["value"])
+        return Mat.scalar(rep.dim, c.conjugate() if starred else c)
+    if kind == "var":
+        g = assignment[obj["name"]]
+        return rep.images[rep.group.inverse[g] if starred else g]
+    if kind == "inv":
+        return _naive_json(obj["child"], assignment, rep, starred).inverse()
+    if kind == "star":
+        return _naive_json(obj["child"], assignment, rep, not starred)
+    values = [_naive_json(c, assignment, rep, starred) for c in obj["children"]]
+    if kind == "sum":
+        return sum(values[1:], values[0])
+    acc = Mat.identity(rep.dim)
+    for v in reversed(values) if starred else values:
+        acc = acc * v
+    return acc
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_loaded_star_nodes_match_naive_oracle(index):
+    """A star node loads as the conjugate of its child: the loaded DAG holds
+    no star node, and its values and zero tests equal an oracle that
+    evaluates the document's star nodes itself."""
+    rep = _star_reps()[index]
+    rng = random.Random(290 + index)
+    names = ["a", "b", "c"]
+    ev = Evaluator(rep)
+    checked = zeros = 0
+    for _ in range(60):
+        obj = _star_json(rng, names, [])
+        e = Expr.from_json(obj)
+        nodes = {}
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.children)
+        assert all(node.kind != "star" for node in nodes.values())
+        for _ in range(2):
+            assignment = {n: rng.randrange(rep.group.order) for n in names}
+            try:
+                slow = _naive_json(obj, assignment, rep)
+            except ZeroDivisionError:
+                continue
+            try:
+                fast = ev.evaluate(e, assignment)
+            except NonGroupSubtermError:
+                continue
+            assert fast == slow
+            assert naive_eval(e, assignment, rep) == slow
+            assert ev._is_zero(ev.evaluate_value(e, assignment)) == slow.is_zero()
+            checked += 1
+            zeros += slow.is_zero()
+    assert checked >= 60 and zeros >= 10, (checked, zeros)
 
 
 def test_conjugation_average_collapses_to_scalar_on_a5():

@@ -26,7 +26,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .exactnum import Cyc, cyc_root_of_unity, golden_ratio, mat_mul_mod
+from .exactnum import (_MR_LIMIT, Cyc, _is_prime, cyc_root_of_unity, golden_ratio,
+                       mat_mul_mod)
 from .grouplab import FiniteGroup, GroupError, group_from_elements
 from .matrices import Mat, column_space_basis
 from .replab import Rep, RepError, induced_rep, restrict_rep, subgroup_group
@@ -510,8 +511,8 @@ def binary_tetrahedral() -> CatalogEntry:
 @lru_cache(maxsize=None)
 def heisenberg(p: int) -> CatalogEntry:
     """Minimal Heisenberg p-group of order p^3 (p an odd prime)."""
-    if p < 1:
-        raise CatalogError("heisenberg(p) needs p >= 1")
+    if p == 2 or p >= _MR_LIMIT or not _is_prime(p):
+        raise CatalogError("heisenberg(p) needs an odd prime p")
     triples = [(a, b, c) for a in range(p) for b in range(p) for c in range(p)]
 
     def mul(x, y):
@@ -686,9 +687,9 @@ def find_unit_h(p: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
 
 @lru_cache(maxsize=None)
 def wreath(p: int) -> CatalogEntry:
-    """Semidirect product Z_p^p . C_p via the coordinate cycle (order p^(p+1))."""
-    if p < 3:
-        raise CatalogError("wreath(p) needs an odd prime p >= 3")
+    """Semidirect product Z_p^p . C_p via the coordinate cycle (order p^(p+1)), p an odd prime."""
+    if p == 2 or p >= _MR_LIMIT or not _is_prime(p):
+        raise CatalogError("wreath(p) needs an odd prime p")
     vectors = list(itertools.product(range(p), repeat=p))
 
     def act(s, a):
@@ -798,4 +799,5 @@ def get_rep(group_name: str, rep_name: str) -> Rep:
 
 
 def list_known() -> list[str]:
-    return ["Z<n>", "S2..S5", "A4", "A5", "Q8", "2T", "H<p>", "W<p>", "gamma(m,n,r)"]
+    return ["Z<n>", "S2..S5", "A4", "A5", "Q8", "2T", "H<p> (p an odd prime)",
+            "W<p> (p an odd prime)", "gamma(m,n,r)"]

@@ -9,6 +9,9 @@ so a JSON {"kind": "star"} node loads as the conjugate of its child.
 Expressions are structural objects: words are never freely reduced, so
 y * y^-1 persists as a Prod node.  Evaluation semantics is unaffected;
 structural equality is simply finer than equality in the group algebra.
+Nodes are interned, so sharing is structural: equal subterms are one node
+wherever they were built, a loaded document is its builder's DAG, and what
+a node keeps (free variables, star, psi blocks, word plan) is shared.
 
 Evaluation maps Vars to group element indices (with a Rep supplying the
 matrices) or directly to matrices.  Words are composed in the group; sums
@@ -45,6 +48,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 from typing import Iterable
+from weakref import ref
 
 from .exactnum import Cyc, demote
 from .matrices import Mat
@@ -70,7 +74,7 @@ class StreamUndecided(Exception):
 
 class Expr:
     __slots__ = ("kind", "value", "children", "_fvs", "_fvt", "_star", "_psi", "_plan",
-                 "extra")
+                 "extra", "__weakref__")
 
     def __init__(self, kind: str, value=None, children: tuple = (), extra=None):
         self.kind = kind
@@ -160,61 +164,64 @@ class Expr:
 
     @staticmethod
     def from_json(obj: dict) -> "Expr":
-        """The Expr a to_json() document describes.  Equal subtrees load as
-        one node, so a loaded document keeps the sharing of the builder that
-        wrote it.  A star node loads as star(child)."""
-        return _from_json(obj, {})
-
-
-def _from_json(obj: dict, nodes: dict) -> Expr:
-    """Expr.from_json with nodes mapping each node key (_node_key) to the
-    node already loaded for it."""
-    kind = obj["kind"]
-    if kind == "const":
-        e = const(Cyc.from_json(obj["value"]))
-    elif kind == "var":
-        e = var(obj["name"])
-    elif kind == "inv":
-        e = inv(_from_json(obj["child"], nodes))
-    elif kind == "star":
-        e = star(_from_json(obj["child"], nodes))
-    elif kind == "sum":
-        e = sum_([_from_json(c, nodes) for c in obj["children"]])
-    elif kind == "prod":
-        e = prod([_from_json(c, nodes) for c in obj["children"]])
-    elif kind == "stream_subsets":
-        e = stream_subsets(
-            [_from_json(c, nodes) for c in obj["bases"]],
-            obj["subset_size"],
-            obj["separator_prefix"],
-            psd=obj["psd"],
-        )
-    elif kind == "stream_partitions":
-        # its children are made from its parameters; it is loaded unshared
-        return stream_partitions(
-            obj["vars"],
-            obj["sizes"],
-            [Cyc.from_json(t) for t in obj["targets"]],
-            obj["separator_prefix"],
-        )
-    elif kind == "stream_perm_body":
-        e = stream_perm_body(
-            obj["group_sizes"],
-            [_from_json(c, nodes) for c in obj["pairs"]],
-        )
-    else:
+        """The Expr a to_json() document describes, built by the
+        constructors.  Sharing is structural: equal subtrees load as one
+        node, and while the builder's DAG is alive the loaded document is
+        that DAG.  A star node loads as star(child)."""
+        kind = obj["kind"]
+        load = Expr.from_json
+        if kind == "const":
+            return const(Cyc.from_json(obj["value"]))
+        if kind == "var":
+            return var(obj["name"])
+        if kind == "inv":
+            return inv(load(obj["child"]))
+        if kind == "star":
+            return star(load(obj["child"]))
+        if kind == "sum":
+            return sum_([load(c) for c in obj["children"]])
+        if kind == "prod":
+            return prod([load(c) for c in obj["children"]])
+        if kind == "stream_subsets":
+            return stream_subsets([load(c) for c in obj["bases"]], obj["subset_size"],
+                                  obj["separator_prefix"], psd=obj["psd"])
+        if kind == "stream_partitions":
+            return stream_partitions(obj["vars"], obj["sizes"],
+                                     [Cyc.from_json(t) for t in obj["targets"]],
+                                     obj["separator_prefix"])
+        if kind == "stream_perm_body":
+            return stream_perm_body(obj["group_sizes"], [load(c) for c in obj["pairs"]])
         raise ValueError(f"unknown node kind {kind!r}")
-    return nodes.setdefault(_node_key(e), e)
 
 
-def _node_key(e: Expr) -> tuple:
-    """A hashable key equal for two nodes exactly when they have the same
-    kind, value and parameters and the same child objects (not for
-    stream_partitions, whose parameters hold Cycs)."""
-    value = e.value
-    if e.kind == "const":
-        value = (value.conductor, value.num, value.den)
-    return (e.kind, value, e.extra, tuple(map(id, e.children)))
+# every live node by its key: kind, value and extra (a Cyc as its fields)
+# and the ids of its children; a node's children outlive it, so the ids in
+# a live node's key are its children's.  Values are weak references.
+_nodes: dict = {}
+
+
+class _Ref(ref):
+    """A weak reference to an interned node that knows the node's key."""
+    __slots__ = ("key",)
+
+
+def _forget(r: _Ref) -> None:
+    """Drop a dead node's entry, unless a new node holds its key."""
+    if _nodes.get(r.key) is r:
+        del _nodes[r.key]
+
+
+def _interned(kind: str, params, value=None, children: tuple = (), extra=None) -> Expr:
+    """The live node of this kind, params (hashable, standing for value and
+    extra) and children, made when there is none."""
+    key = (kind, params, tuple(map(id, children)))
+    r = _nodes.get(key)
+    e = r() if r is not None else None
+    if e is None:
+        e = Expr(kind, value, children, extra)
+        r = _nodes[key] = _Ref(e, _forget)
+        r.key = key
+    return e
 
 
 # -- constructors (with canonical flattening) ----------------------------
@@ -223,15 +230,15 @@ def _node_key(e: Expr) -> tuple:
 def const(c) -> Expr:
     if isinstance(c, (int, Fraction)):
         c = Cyc.from_rational(c)
-    return Expr("const", value=c)
+    return _interned("const", (c.conductor, c.num, c.den), c)
 
 
 def var(name: str) -> Expr:
-    return Expr("var", value=name)
+    return _interned("var", name, name)
 
 
 def inv(e: Expr) -> Expr:
-    return Expr("inv", children=(e,))
+    return _interned("inv", None, children=(e,))
 
 
 def sum_(terms: Iterable[Expr]) -> Expr:
@@ -245,7 +252,7 @@ def sum_(terms: Iterable[Expr]) -> Expr:
         return const(0)
     if len(flat) == 1:
         return flat[0]
-    return Expr("sum", children=tuple(flat))
+    return _interned("sum", None, children=tuple(flat))
 
 
 def prod(factors: Iterable[Expr]) -> Expr:
@@ -259,7 +266,7 @@ def prod(factors: Iterable[Expr]) -> Expr:
         return const(1)
     if len(flat) == 1:
         return flat[0]
-    return Expr("prod", children=tuple(flat))
+    return _interned("prod", None, children=tuple(flat))
 
 
 def smul(c, e: Expr) -> Expr:
@@ -279,14 +286,17 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 
 def stream_subsets(bases, t: int, sep_prefix: str, psd: bool = True) -> Expr:
-    return Expr("stream_subsets", children=tuple(bases), extra=(t, sep_prefix, psd))
+    extra = (t, sep_prefix, psd)
+    return _interned("stream_subsets", extra, children=tuple(bases), extra=extra)
 
 
 def stream_partitions(var_names, sizes, targets, sep_prefix: str) -> Expr:
-    return Expr(
+    var_names, sizes, targets = tuple(var_names), tuple(sizes), tuple(targets)
+    return _interned(
         "stream_partitions",
-        children=tuple(var(v) for v in var_names),
-        extra=(tuple(var_names), tuple(sizes), tuple(targets), sep_prefix),
+        (var_names, sizes, tuple((t.conductor, t.num, t.den) for t in targets), sep_prefix),
+        children=tuple(map(var, var_names)),
+        extra=(var_names, sizes, targets, sep_prefix),
     )
 
 
@@ -297,8 +307,8 @@ def stream_perm_body(group_sizes, pair_exprs) -> Expr:
     pair_exprs is flattened group-by-group in row-major (a, b) order; the
     node never materializes the factorial-size products.
     """
-    return Expr("stream_perm_body", children=tuple(pair_exprs),
-                extra=(tuple(group_sizes),))
+    extra = (tuple(group_sizes),)
+    return _interned("stream_perm_body", extra, children=tuple(pair_exprs), extra=extra)
 
 
 # -- the star involution --------------------------------------------------
@@ -632,8 +642,8 @@ class Evaluator:
                 e._psi = _psi_blocks(e)
             if e._psi:
                 blocks, children = e._psi
-                for names, key, middle, members in blocks:
-                    if not self._add_class_sums(terms, names, key, middle, assignment, memo):
+                for names, middle, members in blocks:
+                    if not self._add_class_sums(terms, names, middle, assignment, memo):
                         children += members
         for c in children:
             lin = self._linear(c, assignment, memo) if c.kind == "prod" else None
@@ -648,7 +658,7 @@ class Evaluator:
             return self._element(terms)
         return (_M, mat + self._to_mat(self._element(terms)) if terms else mat)
 
-    def _add_class_sums(self, terms: dict, names, key, middle, assignment, memo) -> bool:
+    def _add_class_sums(self, terms: dict, names, middle, assignment, memo) -> bool:
         """terms += psi_Y(T) = sum_{y in Y} y T y^-1 for the values Y of names
         and T of middle; False, with terms untouched, unless Y is a bijection
         onto the group.
@@ -658,9 +668,7 @@ class Evaluator:
         at the identity.  On a reducible rep, sum_y y h y^-1 = |C_G(h)| K_h
         for a group element h, with K_h the sum of h's class, and psi_Y is
         linear in T; a matrix T is left to the terms.  The bijection test is
-        made once per call (memo) and name tuple, and T is evaluated once per
-        call and key, the ids of its factors: sums that share the factors
-        build their own middle nodes."""
+        made once per call (memo) and name tuple."""
         group = self.rep.group
         bijective = memo.get(names)
         if bijective is None:
@@ -670,9 +678,7 @@ class Evaluator:
                 and len(set(values)) == len(names))
         if not bijective:
             return False
-        if key not in memo:
-            memo[key] = self._eval(middle, assignment, memo)
-        tag, payload = memo[key]
+        tag, payload = self._eval(middle, assignment, memo)
         if self.rep.is_irreducible():
             c = _mul(self._trace(tag, payload), group.order // self.rep.dim)
             terms[0] = _add(terms[0], c) if 0 in terms else c
@@ -957,25 +963,24 @@ def _psi_blocks(e: Expr):
     """The conjugation averages among a sum's children, found once per sum
     node: (blocks, rest), or () when there is none.
 
-    A block is every child prod([y, *M, inv(y)]) with the same middle factors
-    M (the same objects), when there are at least two.  Each block is
-    (names, key, middle, members): the y names in child order, the ids of
-    M, the node prod(M) and the member children; rest holds the other
-    children in order.  M has one value per assignment whatever names it
-    holds, and repeated names fail the bijection test, so neither bars a
-    block."""
+    A block is every child prod([y, *M, inv(y)]) with the same middle node
+    prod(M), when there are at least two.  Each block is (names, middle,
+    members): the y names in child order, prod(M) and the member children;
+    rest holds the other children in order.  M has one value per
+    assignment whatever names it holds, and repeated names fail the
+    bijection test, so neither bars a block."""
     groups: dict = {}
     for c in e.children:
         ch = c.children
         if (c.kind == "prod" and len(ch) > 2 and ch[0].kind == "var"
                 and ch[-1].kind == "inv" and ch[-1].children[0].kind == "var"
                 and ch[-1].children[0].value == ch[0].value):
-            groups.setdefault(tuple(map(id, ch[1:-1])), []).append(c)
+            groups.setdefault(prod(ch[1:-1]), []).append(c)
     blocks, in_block = [], set()
-    for key, members in groups.items():
+    for middle, members in groups.items():
         if len(members) > 1:
             names = tuple(c.children[0].value for c in members)
-            blocks.append((names, key, prod(members[0].children[1:-1]), tuple(members)))
+            blocks.append((names, middle, tuple(members)))
             in_block.update(map(id, members))
     if not blocks:
         return ()

@@ -459,23 +459,14 @@ def sigma_monomials(i: int) -> list[tuple[Fraction, tuple[int, ...]]]:
     return [(coef, mono) for mono, coef in sorted(e[i].items(), key=lambda kv: kv[0])]
 
 
-def _psi_power_nodes(x: Expr, yvars: list[Expr], ks) -> dict[int, Expr]:
-    return {k: psi_expr(power(x, k), yvars) for k in sorted(ks)}
-
-
-def sigma_hat_expr(i: int, x: Expr, yvars: list[Expr], m: int, n: int,
-                   psi_nodes: dict[int, Expr] | None = None) -> Expr:
+def sigma_hat_expr(i: int, x: Expr, yvars: list[Expr], m: int, n: int) -> Expr:
     """The trace polynomial for the i-th symmetric invariant with every trace
     replaced by (n/m) times the conjugation average."""
-    monos = sigma_monomials(i)
-    ks = {k for _, mono in monos for k in mono}
-    if psi_nodes is None:
-        psi_nodes = _psi_power_nodes(x, yvars, ks)
     ratio = Fraction(n, m)
     terms = []
-    for coef, mono in monos:
+    for coef, mono in sigma_monomials(i):
         scale = coef * ratio ** len(mono)
-        parts = [const(scale)] + [psi_nodes[k] for k in mono]
+        parts = [const(scale)] + [psi_expr(power(x, k), yvars) for k in mono]
         terms.append(prod(parts))
     return sum_(terms)
 
@@ -485,10 +476,9 @@ def cayley_hamilton_identity(m: int, n: int) -> IdentityDoc:
     gf, roles, yvars = guard_factors(m)
     roles["x"] = _role("psi-argument")
     x = var("x")
-    psi_nodes = _psi_power_nodes(x, yvars, range(1, n + 1))
     terms = [power(x, n)]
     for i in range(1, n + 1):
-        sig = sigma_hat_expr(i, x, yvars, m, n, psi_nodes)
+        sig = sigma_hat_expr(i, x, yvars, m, n)
         body = sig if i == n else prod([sig, power(x, n - i)])
         terms.append(smul(Fraction(-1) ** i, body))
     return IdentityDoc(
@@ -967,8 +957,7 @@ def fixed_point_identity(rep: Rep, i: int) -> IdentityDoc:
         if group.element_order(g) == d_i:
             cyc = group.subgroup_generated([g])
             dims.add(fixed_point_dimension(rep, sorted(cyc)))
-    psi_nodes = _psi_power_nodes(x, yvars, range(1, d_i))
-    avg = sum_([const(m)] + [psi_nodes[k] for k in range(1, d_i)])
+    avg = sum_([const(m)] + [psi_expr(power(x, k), yvars) for k in range(1, d_i)])
     for idx, dim in enumerate(sorted(dims), start=1):
         target = Fraction(m, n) * d_i * dim
         factors.append(sum_([avg, const(-target)]))

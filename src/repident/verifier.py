@@ -704,7 +704,7 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
                 e._psi = _psi_blocks(e)
             if e._psi:
                 blocks, children = e._psi
-                for names, _, middle, members in blocks:
+                for names, middle, members in blocks:
                     if guards.isdisjoint(names):
                         children += members
                         continue

@@ -118,6 +118,12 @@ def test_usage_errors():
         ("catalog", "show", "gamma(a,b,c)"),
         ("catalog", "show", "Z0"),
         ("catalog", "show", "H0"),
+        # Heisenberg and wreath groups need an odd prime p
+        ("catalog", "show", "H1"),
+        ("catalog", "show", "H2"),
+        ("catalog", "show", "H4"),
+        ("catalog", "show", "W4"),
+        ("catalog", "show", "H4000000000000000000000000001"),
         ("build", "character", "--rep", "catalog:gamma(a,b,c):pi(1,1)"),
     ]
     for args in cases:

@@ -1,7 +1,10 @@
 """Every public builder's output is pinned in tests/data/docs_pinned.json:
 the sha256 of its JSON and its count of distinct DAG nodes (the evaluator
 memoises per node, so the sharing a builder produces is part of what it
-promises), or the BuildError message of a bad argument.
+promises), or the BuildError message of a bad argument.  Nodes are
+interned when they are built, so sharing is structural: the count is that
+of distinct subterms, and a document loaded from its JSON is the DAG its
+builder made.
 
 It needs no pytest; to check on an interpreter without it, run
 
@@ -185,12 +188,35 @@ def _mismatches() -> list[str]:
     return out
 
 
+def _not_loaded_as_built() -> list[str]:
+    """The cases whose expression, written to JSON and loaded back, is not
+    the built node itself."""
+    out = []
+    for name, build in _cases().items():
+        try:
+            built = build()
+        except idf.BuildError:
+            continue
+        if isinstance(built, idf.IdentityDoc):
+            loaded = idf.IdentityDoc.from_json(json.loads(json.dumps(built.to_json())))
+            if loaded.expr is not built.expr:
+                out.append(name)
+        elif isinstance(built, Expr):
+            if Expr.from_json(json.loads(json.dumps(built.to_json()))) is not built:
+                out.append(name)
+    return out
+
+
 def test_builder_documents_pinned():
     assert _mismatches() == []
 
 
+def test_loaded_documents_are_their_builders_dags():
+    assert _not_loaded_as_built() == []
+
+
 if __name__ == "__main__":
-    bad = _mismatches()
+    bad = _mismatches() + [f"{name} (loaded)" for name in _not_loaded_as_built()]
     for name in bad:
         print("MISMATCH", name)
     print(f"{len(_cases())} cases, {len(bad)} mismatches")

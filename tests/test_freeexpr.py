@@ -984,7 +984,9 @@ def test_plan_values_cancel_to_zero_and_reduce_to_one_word():
 
 def test_plan_compiled_once_per_node(monkeypatch):
     """Each sum node's plan is compiled on its first evaluation and kept on
-    the node: later calls, and other evaluators, compile nothing."""
+    the node: later calls, and other evaluators, compile nothing.  Nodes are
+    interned, so the document's sums may be shared with an earlier build;
+    their plans are reset first."""
     from repident import idfactory, wordplan
 
     compiled = []
@@ -996,6 +998,8 @@ def test_plan_compiled_once_per_node(monkeypatch):
 
     monkeypatch.setattr(wordplan, "word_plan", counting)
     doc = idfactory.standard_identity(6)
+    for n in [doc.expr] + _inner_sums(doc.expr):
+        n._plan = False
     rng = random.Random(43)
     for rep in (catalog.symmetric(3).rep("std"), catalog.quaternion().rep("dim2")):
         ev = Evaluator(rep)
@@ -1053,8 +1057,8 @@ def _psi_middles(rep):
 
 def _psi_shapes(middles, names):
     """(shape, middle kinds, build): build(middle factory for a kind) gives
-    the sum; a factory returning one shared node makes psi blocks, a fresh
-    node per call makes none."""
+    the sum.  Nodes are interned, so a factory returning one shared node and
+    one building a fresh node per call give the same sum and psi blocks."""
     return [
         ("alone", ("word",), lambda mk: sum_(_psi_sum(mk("word"), names))),
         ("alone", ("scalar",), lambda mk: sum_(_psi_sum(mk("scalar"), names))),
@@ -1093,7 +1097,8 @@ def test_psi_class_sums_match_term_by_term_and_naive_oracle(index, evaluated):
     """psi over a bijection onto the group, with T a word, a scalar, a sum
     or a matrix, alone, as two blocks of one sum and beside other terms:
     the operator equals the one the same sum gives term by term, and
-    evaluate and the zero test agree with the naive oracle.  On an
+    evaluate and the zero test agree with the naive oracle.  The term by
+    term value is the same node's with its psi blocks turned off.  On an
     irreducible rep psi is the scalar (|G| / d) tr rho(T), so no psi child
     is evaluated for any T and a sum of psi blocks alone is a scalar; on the
     reducible rep the class sums give the term-by-term value itself, and
@@ -1109,10 +1114,10 @@ def test_psi_class_sums_match_term_by_term_and_naive_oracle(index, evaluated):
     ev = Evaluator(rep)
     for shape, kinds, build in _psi_shapes(middles, names):
         shared = {k: middles[k]() for k in kinds}
-        fast = build(lambda k: (lambda: shared[k]))
-        slow = build(lambda k: middles[k])
-        assert fast.to_json() == slow.to_json()
-        assert len(_psi_children(fast)) == 2 * len(kinds) * m
+        e = build(lambda k: middles[k])
+        assert build(lambda k: (lambda: shared[k])) is e
+        # the psi products, and one inv(y) node per y for all of them
+        assert len(_psi_children(e)) == (len(kinds) + 1) * m
         for _ in range(3):
             order = list(range(m))
             rng.shuffle(order)
@@ -1121,9 +1126,13 @@ def test_psi_class_sums_match_term_by_term_and_naive_oracle(index, evaluated):
             assignment.update(x=rng.randrange(m), z=rng.randrange(m),
                               w=rep.images[g] + rep.images[h])
             evaluated.clear()
-            val = ev.evaluate_value(fast, assignment)
-            touched = _psi_children(fast) & set(map(id, evaluated))
-            term_by_term = ev.evaluate_value(slow, assignment)
+            val = ev.evaluate_value(e, assignment)
+            touched = _psi_children(e) & set(map(id, evaluated))
+            blocks, e._psi = e._psi, ()
+            try:
+                term_by_term = ev.evaluate_value(e, assignment)
+            finally:
+                e._psi = blocks
             if irreducible:
                 assert not touched, (shape, kinds)
                 assert val[0] == _S or shape == "mixed", (shape, kinds)
@@ -1131,8 +1140,8 @@ def test_psi_class_sums_match_term_by_term_and_naive_oracle(index, evaluated):
                 assert bool(touched) == ("matrix" in kinds), (shape, kinds)
                 assert val == term_by_term, (shape, kinds)
             assert ev._to_mat(val) == ev._to_mat(term_by_term), (shape, kinds)
-            expected = naive_eval(fast, assignment, rep)
-            assert ev.evaluate(fast, assignment) == expected
+            expected = naive_eval(e, assignment, rep)
+            assert ev.evaluate(e, assignment) == expected
             assert ev._is_zero(val) == expected.is_zero()
 
 
@@ -1268,17 +1277,26 @@ def _as_cyc(c):
     return c if isinstance(c, Cyc) else Cyc.from_rational(c)
 
 
-# -- loaded documents keep the builder's sharing --------------------------------
+# -- interned nodes: a loaded document is its builder's DAG ---------------------
 
 
-def _node_count(root) -> int:
-    seen, stack = set(), [root]
-    while stack:
-        e = stack.pop()
-        if id(e) not in seen:
-            seen.add(id(e))
-            stack.extend(e.children)
-    return len(seen)
+def test_intern_table_keeps_nothing_alive():
+    """The intern table holds its nodes weakly: a built and evaluated
+    document, once dropped, leaves the table as it found it."""
+    import gc
+
+    from repident import freeexpr, idfactory
+
+    rep = catalog.symmetric(3).rep("std")
+    gc.collect()
+    before = len(freeexpr._nodes)
+    doc = idfactory.character_identity(rep)
+    assignment = {n: g % rep.group.order for g, n in enumerate(doc.expr.sorted_vars())}
+    Evaluator(rep).evaluate_value(doc.expr, assignment)
+    assert len(freeexpr._nodes) > before
+    del doc
+    gc.collect()
+    assert len(freeexpr._nodes) == before
 
 
 @pytest.mark.parametrize("rep_ref, family", [
@@ -1287,9 +1305,9 @@ def _node_count(root) -> int:
     (("H3", "theta1"), "spectrum"),
 ])
 def test_from_json_shares_equal_subtrees(rep_ref, family):
-    """A document loaded from its JSON writes the same JSON, has no more
-    distinct nodes than the builder made, and gets the same guarded verdict
-    (timing aside)."""
+    """A document loaded from its JSON writes the same JSON, is the
+    builder's DAG itself, and gets the same guarded verdict (timing
+    aside)."""
     import json
 
     from repident import idfactory, verifier
@@ -1300,7 +1318,7 @@ def test_from_json_shares_equal_subtrees(rep_ref, family):
     doc = build(rep)
     loaded = idfactory.IdentityDoc.from_json(json.loads(json.dumps(doc.to_json())))
     assert loaded.to_json() == doc.to_json()
-    assert _node_count(loaded.expr) <= _node_count(doc.expr)
+    assert loaded.expr is doc.expr
     verdicts = []
     for d in (doc, loaded):
         out = verifier.holds_guarded(d, rep, seed=3, orderings=2).to_json()

@@ -136,12 +136,12 @@ class Expr:
         if self.kind in ("sum", "prod"):
             return {"kind": self.kind, "children": [c.to_json() for c in self.children]}
         if self.kind == "stream_subsets":
-            t, sep_prefix, psd = self.extra
+            t, sep_prefix, premise = self.extra
             return {
                 "kind": "stream_subsets",
                 "subset_size": t,
                 "separator_prefix": sep_prefix,
-                "psd": psd,
+                "psd": premise,
                 "bases": [c.to_json() for c in self.children],
             }
         if self.kind == "stream_partitions":
@@ -154,7 +154,7 @@ class Expr:
                 "separator_prefix": sep_prefix,
             }
         if self.kind == "stream_perm_body":
-            (group_sizes,) = self.extra
+            group_sizes, _ = self.extra
             return {
                 "kind": "stream_perm_body",
                 "group_sizes": list(group_sizes),
@@ -167,7 +167,9 @@ class Expr:
         """The Expr a to_json() document describes, built by the
         constructors.  Sharing is structural: equal subtrees load as one
         node, and while the builder's DAG is alive the loaded document is
-        that DAG.  A star node loads as star(child)."""
+        that DAG.  A star node loads as star(child).  A stream_subsets
+        node's "psd" entry is not read: the node derives its premise from
+        its bases, as a built one does."""
         kind = obj["kind"]
         load = Expr.from_json
         if kind == "const":
@@ -184,7 +186,7 @@ class Expr:
             return prod([load(c) for c in obj["children"]])
         if kind == "stream_subsets":
             return stream_subsets([load(c) for c in obj["bases"]], obj["subset_size"],
-                                  obj["separator_prefix"], psd=obj["psd"])
+                                  obj["separator_prefix"])
         if kind == "stream_partitions":
             return stream_partitions(obj["vars"], obj["sizes"],
                                      [Cyc.from_json(t) for t in obj["targets"]],
@@ -285,9 +287,16 @@ def sub(a: Expr, b: Expr) -> Expr:
     return sum_([a, smul(-1, b)])
 
 
-def stream_subsets(bases, t: int, sep_prefix: str, psd: bool = True) -> Expr:
-    extra = (t, sep_prefix, psd)
-    return _interned("stream_subsets", extra, children=tuple(bases), extra=extra)
+def stream_subsets(bases, t: int, sep_prefix: str) -> Expr:
+    """Product over all t-subsets S of the bases of (sum_{i in S} base_i) v_S.
+
+    Its premise, that a subset sum vanishes only when each of its bases
+    does, is derived here: it holds when t = 1 or every base is psd
+    (`is_psd`).  It is kept in extra and written as the JSON's "psd"."""
+    bases = tuple(bases)
+    premise = t == 1 or all(is_psd(b) for b in bases)
+    return _interned("stream_subsets", (t, sep_prefix), children=bases,
+                     extra=(t, sep_prefix, premise))
 
 
 def stream_partitions(var_names, sizes, targets, sep_prefix: str) -> Expr:
@@ -305,35 +314,109 @@ def stream_perm_body(group_sizes, pair_exprs) -> Expr:
     within-group pair sums: sum_i prod_{nu in S(A_i)} sum_a pairs[a][nu(a)].
 
     pair_exprs is flattened group-by-group in row-major (a, b) order; the
-    node never materializes the factorial-size products.
+    node never materializes the factorial-size products.  Whether every
+    pair is psd (`is_psd`) is derived here and kept in extra.
     """
-    extra = (tuple(group_sizes),)
-    return _interned("stream_perm_body", extra, children=tuple(pair_exprs), extra=extra)
+    group_sizes, pair_exprs = tuple(group_sizes), tuple(pair_exprs)
+    return _interned("stream_perm_body", group_sizes, children=pair_exprs,
+                     extra=(group_sizes, all(is_psd(p) for p in pair_exprs)))
+
+
+# -- proved positive semidefinite terms -------------------------------------
+
+
+def is_psd(e: Expr) -> bool:
+    """e is a sum of terms, each a positive rational multiple of a product
+    L star(L), read from its structure with inv(inv(f)) taken as f.  A rep
+    of a finite group is similar to a unitary one, where star is the
+    adjoint, so each term's value is similar to a positive semidefinite
+    matrix and a sum of them vanishes only where every term does.  False
+    proves nothing."""
+    memo: dict = {}
+    return all(_is_gram(c, memo) for c in (e.children if e.kind == "sum" else (e,)))
+
+
+def _is_gram(e: Expr, memo: dict) -> bool:
+    """e is prod([q, *L, *star(L)]) with q an optional positive rational."""
+    if e.kind != "prod":
+        return False
+    ch = e.children
+    if _is_mirror(ch, memo):
+        return True
+    q = ch[0]
+    return (q.kind == "const" and q.value.is_rational() and demote(q.value) > 0
+            and _is_mirror(ch[1:], memo))
+
+
+def _is_mirror(factors: tuple, memo: dict) -> bool:
+    """factors are L then star(L), for L the first half."""
+    n = len(factors)
+    return n > 0 and n % 2 == 0 and all(
+        _is_star_of(factors[i], factors[n - 1 - i], memo) for i in range(n // 2))
+
+
+def _is_star_of(a: Expr, b: Expr, memo: dict) -> bool:
+    """b is star(a) up to inv(inv(f)) = f.  memo maps the id of each sum or
+    product found so to its star, so a shared DAG is compared once; a
+    mismatch ends the comparison."""
+    a, j = _strip_inv(a)
+    b, k = _strip_inv(b)
+    kind = a.kind
+    if kind == "var":
+        # star(inv^j(x)) = inv^(j+1)(x)
+        return b is a and k != j
+    if kind != b.kind or j != k or len(a.children) != len(b.children):
+        return False
+    if kind == "const":
+        return b.value == a.value.conjugate()
+    if kind != "sum" and kind != "prod":
+        return False
+    if memo.get(id(a)) is b:
+        return True
+    for x, y in zip(a.children, b.children if kind == "sum" else reversed(b.children)):
+        if not _is_star_of(x, y, memo):
+            return False
+    memo[id(a)] = b
+    return True
+
+
+def _strip_inv(e: Expr) -> tuple[Expr, int]:
+    """(f, parity) with e = inv^k(f), f no inverse and parity k mod 2."""
+    k = 0
+    while e.kind == "inv":
+        e, k = e.children[0], k ^ 1
+    return e, k
 
 
 # -- the star involution --------------------------------------------------
 
 
 def star(e: Expr) -> Expr:
-    """Conjugate of a group-algebra element: coefficients conjugated, words inverted."""
+    """Conjugate of a group-algebra element: coefficients conjugated, words inverted.
+
+    Only a sum, product or streamed node with a variable keeps its
+    conjugate (`_star`), which then never leads back to it: star(var) and
+    star(inv(f)) hold their argument, and a node with no variable is the
+    star of its star.  A dropped document is freed by reference counting."""
     if e._star is not None:
         return e._star
     if e.kind == "const":
-        out = const(e.value.conjugate())
-    elif e.kind == "var":
-        out = inv(e)
-    elif e.kind == "inv":
-        out = inv(star(e.children[0]))
-    elif e.kind == "sum":
+        return const(e.value.conjugate())
+    if e.kind == "var":
+        return inv(e)
+    if e.kind == "inv":
+        return inv(star(e.children[0]))
+    if e.kind == "sum":
         out = sum_([star(c) for c in e.children])
     elif e.kind == "prod":
         out = prod([star(c) for c in reversed(e.children)])
     elif e.kind == "stream_subsets":
-        t, sep_prefix, psd = e.extra
-        out = stream_subsets([star(b) for b in e.children], t, sep_prefix + "*", psd)
+        t, sep_prefix, _ = e.extra
+        out = stream_subsets([star(b) for b in e.children], t, sep_prefix + "*")
     else:
         raise ValueError(f"star unsupported on {e.kind}")
-    e._star = out
+    if e.free_vars():
+        e._star = out
     return out
 
 
@@ -814,16 +897,17 @@ class Evaluator:
     # -- streamed products ------------------------------------------------
 
     def _eval_stream_subsets(self, e, assignment, memo):
-        t, _sep, psd = e.extra
+        t, _sep, premise = e.extra
         base_vals = [self._eval(b, assignment, memo) for b in e.children]
         zeros = sum(1 for v in base_vals if self._is_zero(v))
         if zeros >= t:
             return (_S, Cyc.zero())
-        # no subset of size t can consist of vanishing terms only; with
-        # positive semidefinite terms every factor is then nonzero
-        if psd:
+        # every subset holds a nonzero base; its sum is nonzero when it is
+        # that base alone (t = 1) or when every base is psd
+        if premise:
             raise self._no_vanishing_factor(zeros, t, "streamed product")
-        raise StreamUndecided("non-psd streamed product with no vanishing subset")
+        raise StreamUndecided("streamed product with no vanishing subset and "
+                              "bases not proved psd")
 
     def _eval_stream_perm_body(self, e, assignment, memo):
         """Sum over groups of factorial-size permutation products, decided by
@@ -833,13 +917,16 @@ class Evaluator:
         vanishes, so the product over all permutations of a group vanishes iff
         the vanishing pairs contain a perfect matching.  When every group has
         one, the whole body is zero.  Otherwise the body is certified nonzero
-        only when all pair values are scalars (the guard-respecting case,
-        where each term is a nonnegative multiple of the identity) and the
-        rep is irreducible; mixed matrix values are reported undecided.
+        only when every pair expression is proved psd (`is_psd`), every
+        pair value is a scalar and the rep is irreducible: a psd scalar is
+        a nonnegative multiple of the identity, so a group with no perfect
+        matching has a positive product and the sum over groups is
+        positive.  Any other body is undecided.
         """
-        (group_sizes,) = e.extra
+        group_sizes, premise = e.extra
         offset = 0
-        all_scalar = True
+        # psd pairs whose values are all scalars, probed until one is not
+        all_scalar = premise
         all_matched = True
         for size in group_sizes:
             vals = []
@@ -848,10 +935,8 @@ class Evaluator:
                 for b in range(size):
                     val = self._eval(e.children[offset + a * size + b], assignment, memo)
                     row.append(val)
-                    if val[0] != _S:
-                        mat = self._to_mat(val)
-                        if mat.is_scalar() is None:
-                            all_scalar = False
+                    if all_scalar and val[0] != _S:
+                        all_scalar = self._to_mat(val).is_scalar() is not None
                 vals.append(row)
             offset += size * size
             zero = [[self._is_zero(vals[a][b]) for b in range(size)] for a in range(size)]
@@ -861,7 +946,8 @@ class Evaluator:
             return (_S, Cyc.zero())
         if all_scalar:
             raise self._no_vanishing_factor(0, 1, "permutation body")
-        raise StreamUndecided("permutation body with non-scalar pair values")
+        raise StreamUndecided("permutation body with pairs not proved psd or "
+                              "not scalar")
 
     def _eval_stream_partitions(self, e, assignment, memo):
         var_names, sizes, targets, _sep = e.extra
@@ -1026,7 +1112,7 @@ def expand_stream(e: Expr, limit: int = 10_000) -> Expr:
         from itertools import permutations
         from math import factorial
 
-        (group_sizes,) = e.extra
+        group_sizes, _ = e.extra
         total = 1
         for size in group_sizes:
             total *= factorial(size)

@@ -235,7 +235,7 @@ def theta(m: int) -> IdentityDoc:
     )
 
 
-def character_identity(rep: Rep, separated: bool = True) -> IdentityDoc:
+def character_identity(rep: Rep) -> IdentityDoc:
     if not rep.is_irreducible() or not rep.is_faithful():
         raise BuildError("character identity requires a faithful irreducible rep")
     m, n = rep.group.order, rep.dim
@@ -250,10 +250,10 @@ def character_identity(rep: Rep, separated: bool = True) -> IdentityDoc:
         c = chi * Cyc.from_rational(ratio)
         constants.append(c)
         factors.append(sum_([psi_node, const(-c)]))
-        if separated and i < len(values):
+        if i < len(values):
             _separate(factors, roles, f"v{i}")
     return IdentityDoc(
-        "character" if separated else "character-unseparated",
+        "character",
         prod(factors),
         roles,
         {
@@ -979,23 +979,14 @@ def standard_identity(k: int) -> IdentityDoc:
         raise BuildError("need k >= 1")
     names = [f"y{i}" for i in range(1, k + 1)]
     roles = {nm: _role("psi-argument") for nm in names}
-    nodes: dict[frozenset, Expr] = {}
-
-    def node(s: frozenset) -> Expr:
-        if s in nodes:
-            return nodes[s]
-        if len(s) == 1:
-            out = var(names[next(iter(s))])
-        else:
-            terms = []
-            for i in sorted(s):
-                sign = (-1) ** len([j for j in s if j > i])
-                terms.append(smul(sign, prod([node(s - {i}), var(names[i])])))
-            out = sum_(terms)
-        nodes[s] = out
-        return out
-
-    expr = node(frozenset(range(k)))
+    # the node of each subset, built from those one smaller
+    nodes = {(i,): var(nm) for i, nm in enumerate(names)}
+    for size in range(2, k + 1):
+        for s in itertools.combinations(range(k), size):
+            nodes[s] = sum_([smul((-1) ** (size - 1 - pos),
+                                  prod([nodes[s[:pos] + s[pos + 1:]], var(names[i])]))
+                             for pos, i in enumerate(s)])
+    expr = nodes[tuple(range(k))]
     return IdentityDoc(
         "standard",
         expr,

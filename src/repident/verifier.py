@@ -61,8 +61,9 @@ exact zero test.  No floating point enters any decision.
 A fails verdict always carries a counterexample whose re-evaluation is
 nonzero (or, for streamed products too large to materialize, an
 assignment on which no factor vanishes, which with fresh separators and
-an irreducible rep implies nonvanishing; the factors' own nonvanishing
-under a stream_subsets node rests on its document's psd flag).
+an irreducible rep implies nonvanishing; that each factor of a
+stream_subsets node or a permutation body is nonzero is proved from its
+terms, `freeexpr.is_psd`, else the assignment is undecided).
 """
 
 from __future__ import annotations

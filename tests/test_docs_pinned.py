@@ -113,8 +113,6 @@ def _cases() -> dict:
         add("psi_expr", lambda m=m: idf.psi_expr(
             power(x, 2), [var(f"y{j}") for j in range(1, m + 1)]))
         add("character", lambda rep=rep: idf.character_identity(rep))
-        add("character-unseparated",
-            lambda rep=rep: idf.character_identity(rep, separated=False))
         values = rep.character.range_values(rep.key_conductor)
         for j in range(1, len(values) + 1 if small else 2):
             add(f"range({j})",

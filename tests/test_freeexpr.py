@@ -9,10 +9,13 @@ from repident.freeexpr import (
     Evaluator,
     Expr,
     NonGroupSubtermError,
+    StreamNonvanishing,
+    StreamUndecided,
     const,
     expand_stream,
     free_vars,
     inv,
+    is_psd,
     power,
     prod,
     smul,
@@ -220,17 +223,87 @@ def test_power_helper(s3_std):
 
 
 def test_stream_subsets_zero_counting(s3_std):
-    # bases: (x_i - x_i) always zero for two indices, nonzero otherwise
+    # bases: (a - a) always zero for two indices, nonzero otherwise
     bases = [sub(var("a"), var("a")), sub(var("a"), var("a")), sub(var("a"), var("b"))]
     node = stream_subsets(bases, 2, "v_S")
     ev = Evaluator(s3_std)
     val = ev.evaluate_value(node, {"a": 1, "b": 2})
     assert ev._is_zero(val)
-    from repident.freeexpr import StreamNonvanishing
-
-    node2 = stream_subsets(bases, 3, "v_S")
+    # the one 3-subset holds the nonzero a - b, but a - b is not proved psd,
+    # so the sum of the three bases is not known to be nonzero
+    with pytest.raises(StreamUndecided):
+        ev.evaluate_value(stream_subsets(bases, 3, "v_S"), {"a": 1, "b": 2})
+    # with psd bases d star(d), a sum holding a nonzero one is nonzero
+    grams = [prod([d, star(d)]) for d in bases]
     with pytest.raises(StreamNonvanishing):
-        ev.evaluate_value(node2, {"a": 1, "b": 2})
+        ev.evaluate_value(stream_subsets(grams, 3, "v_S"), {"a": 1, "b": 2})
+
+
+def test_is_psd_reads_gram_terms_from_structure():
+    """A term is psd when it is a positive rational multiple of L star(L),
+    with inv(inv(f)) taken as f, and a sum when each of its terms is."""
+    x, y = var("x"), var("y")
+    u = sub(prod([x, y]), const(cyc_root_of_unity(3, 1)))
+    gram = prod([u, star(u)])
+    assert is_psd(gram)
+    assert is_psd(smul(Fraction(1, 2), gram))
+    assert is_psd(sum_([gram, prod([x, inv(x)])]))
+    # L = 2x: its star's 2 stands last
+    assert is_psd(prod([smul(2, x), star(smul(2, x))]))
+    # the hand-built factor y x^-1 y^-1 matches star(y x y^-1), which is
+    # inv(inv(y)) x^-1 y^-1
+    left = sum_([prod([y, x, inv(y)]), const(-1)])
+    right = sum_([prod([y, inv(x), inv(y)]), const(-1)])
+    assert star(left) is not right
+    assert is_psd(prod([left, right]))
+    for term in (sub(x, const(1)), smul(-1, gram), smul(cyc_root_of_unity(4, 1), gram),
+                 prod([u, star(u), x]), prod([u, u]), const(1), x):
+        assert not is_psd(term), term
+
+
+def test_builders_prove_their_stream_premises(s3_std):
+    """Every builder's streamed node proves its premise from its terms:
+    u star(u), the power-trace distance sums and the class terms."""
+    from repident import idfactory as idf
+
+    comm = sub(prod([inv(var("a")), inv(var("b")), var("a"), var("b")]), const(1))
+    docs = [idf.level_set_identity(s3_std, 1), idf.gassmann_identity(s3_std, 1),
+            idf.probability_identity(comm, 3, 2),
+            idf.central_series_gassmann_identity(catalog.quaternion().rep("dim2"), 1, 1),
+            idf.class_identity(s3_std), idf.class_identity(s3_std, "adams")]
+    for doc in docs:
+        streams = [e for e in _walk(doc.expr) if e.kind.startswith("stream_")]
+        assert streams, doc.family
+        for e in streams:
+            assert e.extra[-1] is True, doc.family
+
+
+def _walk(e):
+    seen, stack = set(), [e]
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen.add(id(e))
+            stack.extend(e.children)
+            yield e
+
+
+def test_loaded_stream_derives_its_premise():
+    """A stream_subsets node's stored "psd" is not read: bases x - 1 and
+    1 - x load as a node whose premise fails whatever the file says, and
+    the node writes its derived value.  star derives its own premise."""
+    x = var("x")
+    node = stream_subsets([sub(x, const(1)), sub(const(1), x)], 2, "s")
+    blob = node.to_json()
+    assert blob["psd"] is False
+    blob["psd"] = True
+    assert Expr.from_json(blob) is node
+    assert node.to_json()["psd"] is False
+    assert star(node).extra[2] is False
+    grams = stream_subsets([prod([b, star(b)]) for b in node.children], 2, "s")
+    assert star(grams).extra[2] is True
+    # a single base needs no premise
+    assert stream_subsets([sub(x, const(1))], 1, "s").to_json()["psd"] is True
 
 
 def test_expand_stream_matches_naming():
@@ -1297,6 +1370,44 @@ def test_intern_table_keeps_nothing_alive():
     del doc
     gc.collect()
     assert len(freeexpr._nodes) == before
+
+
+def test_dropped_documents_are_freed_by_reference_counting():
+    """With the cyclic collector off, dropping a built document returns the
+    intern table to its size before the build: s6 (evaluated, so its word
+    plan is compiled), a class identity (whose terms hold star nodes) and a
+    probability document.  Run in a fresh interpreter, so no live node of
+    another test shares a subterm."""
+    import os
+    import subprocess
+    import sys
+
+    import repident
+
+    script = """
+import gc
+from repident import catalog, freeexpr, idfactory as idf
+from repident.freeexpr import Evaluator, const, sub, var
+gc.disable()
+rep = catalog.get_rep("S4", "rho4")
+u = sub(var("a"), const(1))
+builds = [lambda: idf.standard_identity(6), lambda: idf.class_identity(rep),
+          lambda: idf.class_identity(rep, "adams"), lambda: idf.probability_identity(u, 2, 3)]
+for build in builds:
+    before = len(freeexpr._nodes)
+    doc = build()
+    Evaluator(rep).evaluate_value(doc.expr, dict.fromkeys(doc.expr.free_vars(), 1))
+    grown = len(freeexpr._nodes) > before
+    del doc
+    print(grown, len(freeexpr._nodes) - before)
+"""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(repident.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:-1] == ["True 0"] * 4
 
 
 @pytest.mark.parametrize("rep_ref, family", [

@@ -132,8 +132,8 @@ def test_class_identity_structure(s4):
     assert doc.params["size_groups"] == [[1], [2, 3], [4], [5]]
     body = doc.expr.children[-1]
     assert body.kind == "stream_perm_body"
-    (group_sizes,) = body.extra
-    assert group_sizes == (1, 2, 1, 1)
+    # the group sizes, and every pair proved psd
+    assert body.extra == ((1, 2, 1, 1), True)
     # the equal-size pair contributes |S(A_i)| = 2 permutation factors
     from repident.freeexpr import expand_stream
 

@@ -3,6 +3,7 @@ predicates they characterize."""
 
 import pytest
 
+from helpers import unseparated_character_doc
 from repident import catalog, equivalence as eq, idfactory as idf, verifier as vf
 from repident.freeexpr import var
 
@@ -128,8 +129,7 @@ def test_psi_prime_and_theta_equivalent_to_character_identity(s4):
     ]
     for rho, sigma in targets:
         sep = vf.holds_guarded(idf.character_identity(rho), sigma, seed=4).holds
-        unsep = vf.holds_guarded(idf.character_identity(rho, separated=False),
-                                 sigma, seed=4).holds
+        unsep = vf.holds_guarded(unseparated_character_doc(rho), sigma, seed=4).holds
         theta = vf.holds_guarded(idf.theta(rho.group.order), sigma, seed=4).holds
         assert theta
         assert sep == unsep

@@ -7,9 +7,18 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
+from helpers import unseparated_character_doc
 from repident import catalog, idfactory as idf, verifier as vf
 from repident.exactnum import Cyc, cyc_root_of_unity
-from repident.freeexpr import Evaluator, const, inv, power, prod, smul, sub, sum_, var
+from repident.freeexpr import (Evaluator, const, inv, power, prod, smul, star,
+                               stream_perm_body, stream_subsets, sub, sum_, var)
+
+
+def _undecided_stream(base):
+    """The streamed product of (base + base) over the one 2-subset of
+    [base, base]: zero exactly where base is, and undecided elsewhere, since
+    a base such as x - 1 is not proved psd."""
+    return stream_subsets([base, base], 2, "s")
 
 
 @pytest.fixture(scope="module")
@@ -292,11 +301,9 @@ def test_psi_verdict_json_pinned():
 def test_parallel_exhaustive_reports_undecided():
     """Workers' undecided counts reach the verdict: --jobs 2 reports what
     --jobs 1 does."""
-    from repident.freeexpr import stream_subsets
-
     z2 = catalog.cyclic(2).rep("chi1")
-    # a non-psd streamed product that cannot be decided when x = 0
-    expr = stream_subsets([sub(var("x"), const(1))], 1, "s", psd=False)
+    # a streamed product that cannot be decided where x is not the identity
+    expr = _undecided_stream(sub(var("x"), const(1)))
     doc = idf.IdentityDoc("test", expr, {"x": {"role": "psi-argument"}}, {}, "undecided")
     serial = _verdict_json(vf.holds_exhaustive(doc, z2, budget=100))
     parallel = _verdict_json(vf.holds_exhaustive(doc, z2, budget=100, jobs=2))
@@ -415,8 +422,6 @@ def test_exhaustive_source_matches_enumeration_on_fixed_documents():
     rep, a product that only a later separator value fails, and undecided
     streamed products with and without a separator: the verdict JSON
     (timing aside) is the plain enumeration's."""
-    from repident.freeexpr import stream_subsets
-
     s3, tau = catalog.symmetric(3).rep("std"), catalog.alternating(4).rep("tau")
     rho4, z2 = catalog.symmetric(4).rep("rho4"), catalog.cyclic(2).rep("chi1")
     reducible, d4 = _SOURCE_REPS["Z3^2:reducible"](), _d4_dim2()
@@ -430,7 +435,7 @@ def test_exhaustive_source_matches_enumeration_on_fixed_documents():
                       var("v2"), sum_([var("a"), const(1)])]),
         {"a": {"role": "psi-argument"}, "v1": {"role": "separator"},
          "v2": {"role": "separator"}}, {}, "separator-decided product")
-    stream = stream_subsets([sub(x, const(1))], 1, "s", psd=False)
+    stream = _undecided_stream(sub(x, const(1)))
     undecided = idf.IdentityDoc("test", stream, {"x": {"role": "psi-argument"}}, {},
                                 "undecided")
     separated = idf.IdentityDoc("test", prod([var("u"), stream]),
@@ -549,10 +554,8 @@ def test_exhaustive_source_scans_each_assignment_once(monkeypatch):
     """The walk hands its scan to the decision: with no pure separator,
     every assignment is scanned exactly once, and an undecided streamed
     factor is evaluated once per assignment, as in the plain enumeration."""
-    from repident.freeexpr import stream_subsets
-
     s3, z2 = catalog.symmetric(3).rep("std"), catalog.cyclic(2).rep("chi1")
-    stream = stream_subsets([sub(var("x"), const(1))], 1, "s", psd=False)
+    stream = _undecided_stream(sub(var("x"), const(1)))
     separated = idf.IdentityDoc("test", prod([var("u"), stream]),
                                 {"x": {"role": "psi-argument"}, "u": {"role": "separator"}},
                                 {}, "undecided and separated")
@@ -596,8 +599,6 @@ def test_streamed_product_witness_is_labelled_alike_in_every_mode(s3_std):
     no-vanishing-factor witness whether the assignments are enumerated
     (serially or over workers) or sampled: no mode reports its unevaluable
     value as a plain witness."""
-    from repident.freeexpr import stream_subsets
-
     expr = prod([stream_subsets([sub(var("x"), const(1))], 1, "s"), var("u")])
     roles = {"x": {"role": "psi-argument"}, "u": {"role": "separator"}}
     doc = idf.IdentityDoc("test", expr, roles, {}, "streamed product")
@@ -693,26 +694,116 @@ def test_witness_search_falls_back_to_exact_on_a_false_modular_zero(s3_std, monk
     assert tested == [True] * u + [False] + [True] * w + [False]
 
 
-def test_relation_probability_counts_certified_nonvanishing_streams(s3_std):
-    from repident.freeexpr import stream_subsets
+def _streamed_repros():
+    """Two streamed documents whose expansions hold on S3:std: (x - 1) and
+    (1 - x) summed over their one 2-subset, and a permutation body over
+    constant pairs 1, -1, 1, -1 whose two permutation sums are 0, times x.
+    Neither has a vanishing factor off the identity, yet neither may fail:
+    x - 1 is not proved psd, and a constant pair is not."""
+    x = var("x")
+    subsets = stream_subsets([sub(x, const(1)), sub(const(1), x)], 2, "s")
+    body = stream_perm_body([2], [const(1), const(-1), const(1), const(-1)])
+    roles = {"x": {"role": "psi-argument"}}
+    return [idf.IdentityDoc("test", subsets, roles, {}, "cancelling subset sum"),
+            idf.IdentityDoc("test", prod([body, x]), roles, {}, "cancelling permutation body")]
 
+
+def test_streams_with_unproved_premises_are_undecided(s3_std):
+    """Checked exhaustively on S3:std, serially and over two workers, each
+    document holds with every assignment it cannot settle undecided, as its
+    expansion holds."""
+    for doc, undecided in zip(_streamed_repros(), (5, 6)):
+        serial = _verdict_json(vf.holds_exhaustive(doc, s3_std))
+        parallel = _verdict_json(vf.holds_exhaustive(doc, s3_std, jobs=2))
+        assert serial == {"status": "holds", "evidence": "exhaustive", "assignments": 6,
+                          "undecided": undecided}
+        assert parallel.pop("jobs") == 2
+        assert parallel == serial
+        assert vf.holds_exhaustive(idf.expand_doc(doc), s3_std).holds
+
+
+_STREAM_REPS = {
+    "S3:std": lambda: catalog.symmetric(3).rep("std"),
+    "Q8:dim2": lambda: catalog.quaternion().rep("dim2"),
+    "Z3:reducible": lambda: catalog.abelian_rep(3, 1, 2, [[1], [2]]),
+    "Z3^2:reducible": lambda: catalog.abelian_rep(3, 2, 2, [[1, 0], [0, 1]]),
+}
+_x = var("x")
+_atoms = st.sampled_from([_x, inv(_x), power(_x, 2), const(1)])
+_coefficients = st.sampled_from([1, -1, 2, cyc_root_of_unity(3, 1), cyc_root_of_unity(4, 1)])
+_diffs = st.builds(lambda c1, a1, c2, a2: sum_([smul(c1, a1), smul(c2, a2)]),
+                   _coefficients, _atoms, _coefficients, _atoms)
+
+
+def _gram(u):
+    return prod([u, star(u)])
+
+
+# psd terms, terms that are psd but not proved so, and terms that are not psd
+_stream_terms = st.one_of(
+    _diffs.map(_gram),
+    st.builds(lambda u, w: sum_([_gram(u), _gram(w)]), _diffs, _diffs),
+    st.builds(lambda q, u: smul(q, _gram(u)), st.sampled_from([Fraction(1, 2), 3, -1]), _diffs),
+    # u star(u) of a scaled word: a scalar
+    st.builds(lambda c, k: _gram(smul(c, power(_x, k))), _coefficients, st.sampled_from([1, 2])),
+    _diffs,
+    st.sampled_from([const(1), const(-1), const(0)]),
+)
+
+
+@st.composite
+def _streamed_docs(draw):
+    """A subset stream or a permutation body over drawn terms, alone or
+    times x; some cancel as the repros do, so that their expansions hold."""
+    cancel = draw(st.booleans())
+    if draw(st.booleans()):
+        bases = draw(st.lists(_stream_terms, min_size=1 if cancel else 2, max_size=2))
+        if cancel:
+            bases.append(smul(-1, bases[0]))
+        node = stream_subsets(bases, draw(st.integers(2, len(bases))), "s")
+    elif cancel:
+        # pairs a, -a, a, -a: both permutation sums of the group vanish
+        a = draw(_stream_terms)
+        node = stream_perm_body([2], [a, smul(-1, a), a, smul(-1, a)])
+    else:
+        sizes = draw(st.sampled_from([[2], [1, 2], [1, 1]]))
+        count = sum(k * k for k in sizes)
+        pairs = draw(st.lists(_stream_terms, min_size=count, max_size=count))
+        node = stream_perm_body(sizes, pairs)
+    expr = prod([node, _x]) if draw(st.booleans()) else node
+    return idf.IdentityDoc("test", expr, {"x": {"role": "psi-argument"}}, {}, "streamed")
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_streamed_docs(), rep_name=st.sampled_from(sorted(_STREAM_REPS)))
+def test_streamed_verdicts_never_contradict_their_expansion(doc, rep_name):
+    """A streamed document never fails where its expansion holds, and never
+    holds with nothing undecided where its expansion fails: its premises
+    (every factor nonzero, an irreducible rep) are proved, not assumed."""
+    rep = _STREAM_REPS[rep_name]()
+    streamed = vf.holds_exhaustive(doc, rep).to_json()
+    expanded = vf.holds_exhaustive(idf.expand_doc(doc), rep).to_json()
+    event(f"{streamed['status']} / {expanded['status']}")
+    if expanded["status"] == "holds":
+        assert streamed["status"] == "holds"
+    else:
+        assert streamed["status"] == "fails" or streamed.get("undecided")
+
+
+def test_relation_probability_counts_certified_nonvanishing_streams(s3_std):
     # vanishes exactly when x = 1; otherwise certified nonvanishing
     expr = stream_subsets([sub(var("x"), const(1))], 1, "s")
     assert vf.relation_probability(expr, s3_std) == Fraction(1, 6)
 
 
 def test_conditional_probability_counts_certified_nonvanishing_streams(s3_std):
-    from repident.freeexpr import stream_subsets
-
     u = stream_subsets([sub(var("x"), const(1))], 1, "s")
     v = sub(power(var("x"), 2), const(1))
     assert vf.conditional_relation_probability(u, v, s3_std) == Fraction(1, 4)
 
 
 def test_relation_probability_rejects_undecided_streams(s3_std):
-    from repident.freeexpr import stream_subsets
-
-    expr = stream_subsets([sub(var("x"), const(1))], 1, "s", psd=False)
+    expr = _undecided_stream(sub(var("x"), const(1)))
     with pytest.raises(vf.VerifierError):
         vf.relation_probability(expr, s3_std)
     with pytest.raises(vf.VerifierError):
@@ -720,10 +811,8 @@ def test_relation_probability_rejects_undecided_streams(s3_std):
 
 
 def test_expectation_rejects_streamed_values(s3_std):
-    from repident.freeexpr import stream_subsets
-
-    for psd in (True, False):
-        expr = stream_subsets([sub(var("x"), const(1))], 1, "s", psd=psd)
+    base = sub(var("x"), const(1))
+    for expr in (stream_subsets([base], 1, "s"), _undecided_stream(base)):
         with pytest.raises(vf.VerifierError):
             vf.expectation(expr, s3_std)
 
@@ -804,7 +893,7 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
     """Over assignments that repeat values, the session's scan (with its
     vanishing table) returns what a fresh Evaluator gives factor by factor,
     streamed factors included."""
-    from repident.freeexpr import StreamNonvanishing, StreamUndecided, stream_subsets
+    from repident.freeexpr import StreamNonvanishing, StreamUndecided
 
     rep = {
         "S3:std": lambda: catalog.symmetric(3).rep("std"),
@@ -834,9 +923,10 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
     seen = set()
     for _ in range(8):
         factors = [_factor_expr(rng, names) for _ in range(3)]
-        for psd in (True, False):
+        for certified in (True, False):
             if rng.random() < 0.5:
-                stream = stream_subsets([sub(var(rng.choice(names)), const(1))], 1, "s", psd)
+                base = sub(var(rng.choice(names)), const(1))
+                stream = stream_subsets([base], 1, "s") if certified else _undecided_stream(base)
                 factors.insert(rng.randrange(len(factors) + 1), stream)
         roles = {n: {"role": "psi-argument"} for n in names}
         doc = idf.IdentityDoc("test", prod(factors), roles, {}, "random factors")
@@ -981,14 +1071,11 @@ def _guard_doc(rep, extra):
 
 def _undecided_doc(rep):
     """Guards, psi_Y(x) (zero exactly on the transpositions of S3:std) and a
-    non-psd streamed product of (x - 1), undecided wherever x is not the
-    identity: every assignment that no factor settles is undecided, so the
-    verdict runs through every ordering."""
-    from repident.freeexpr import stream_subsets
-
+    streamed product of (x - 1) not proved psd, undecided wherever x is not
+    the identity: every assignment that no factor settles is undecided, so
+    the verdict runs through every ordering."""
     return _guard_doc(rep, lambda ys: [idf.psi_expr(var("x"), ys), var("v"),
-                                       stream_subsets([sub(var("x"), const(1))], 1, "s",
-                                                      psd=False)])
+                                       _undecided_stream(sub(var("x"), const(1)))])
 
 
 def _certified_cases():
@@ -1000,7 +1087,7 @@ def _certified_cases():
     h3 = catalog.heisenberg(3).rep("theta1")
     return {
         "character": (idf.character_identity(rho4), rho4),
-        "character-unseparated": (idf.character_identity(rho4, separated=False), rho4),
+        "character-unseparated": (unseparated_character_doc(rho4), rho4),
         "s4-separation": (idf.s4_separating_identity(rho4), rho5),
         "gamma-separation": (idf.gamma_separating_identity(gam, 1), gam.rep("pi(1,2)")),
         "spectrum": (idf.spectrum_identity(h3), h3),
@@ -1011,8 +1098,6 @@ def _certified_cases():
 
 
 def _refused_cases():
-    from repident.freeexpr import stream_subsets
-
     s3 = catalog.symmetric(3).rep("std")
     h3 = catalog.heisenberg(3).rep("theta1")
     z3, z4 = catalog.cyclic(3).rep("chi1"), catalog.cyclic(4).rep("chi1")
@@ -1044,8 +1129,8 @@ def _refused_cases():
             idf.psi_expr(prod([var("x"), ys[0]]), ys)]), s3),
         "bare guard variable": (_guard_doc(s3, lambda ys: [sub(prod([ys[0], var("x")]),
                                                                const(1))]), s3),
-        "psi inside a streamed node": (_guard_doc(s3, lambda ys: [stream_subsets(
-            [idf.psi_expr(var("x"), ys)], 1, "s", psd=False)]), s3),
+        "psi inside a streamed node": (_guard_doc(s3, lambda ys: [
+            _undecided_stream(idf.psi_expr(var("x"), ys))]), s3),
     }
 
 

@@ -60,12 +60,12 @@ class NonGroupSubtermError(ValueError):
 
 
 class StreamNonvanishing(Exception):
-    """A streamed product has no vanishing factor under the given assignment."""
+    """The streamed product node has no vanishing factor under the given
+    assignment."""
 
-    def __init__(self, zero_count: int, needed: int):
-        self.zero_count = zero_count
-        self.needed = needed
-        super().__init__(f"no vanishing factor (zeros={zero_count}, needed={needed})")
+    def __init__(self, node: "Expr", what: str):
+        self.node = node
+        super().__init__(f"{what} with no vanishing factor")
 
 
 class StreamUndecided(Exception):
@@ -905,7 +905,7 @@ class Evaluator:
         # every subset holds a nonzero base; its sum is nonzero when it is
         # that base alone (t = 1) or when every base is psd
         if premise:
-            raise self._no_vanishing_factor(zeros, t, "streamed product")
+            raise self._no_vanishing_factor(e, "streamed product")
         raise StreamUndecided("streamed product with no vanishing subset and "
                               "bases not proved psd")
 
@@ -945,7 +945,7 @@ class Evaluator:
         if all_matched:
             return (_S, Cyc.zero())
         if all_scalar:
-            raise self._no_vanishing_factor(0, 1, "permutation body")
+            raise self._no_vanishing_factor(e, "permutation body")
         raise StreamUndecided("permutation body with pairs not proved psd or "
                               "not scalar")
 
@@ -957,16 +957,16 @@ class Evaluator:
         found = self._find_zero_partition(mats, list(sizes), target_mats, assignment, var_names)
         if found:
             return (_S, Cyc.zero())
-        raise self._no_vanishing_factor(0, 1, "partition product")
+        raise self._no_vanishing_factor(e, "partition product")
 
-    def _no_vanishing_factor(self, zero_count: int, needed: int, what: str) -> Exception:
-        """The exception for a streamed product with no vanishing factor.
+    def _no_vanishing_factor(self, e: Expr, what: str) -> Exception:
+        """The exception for the streamed product e with no vanishing factor.
         With fresh separators between nonzero factors some separator choice
         keeps the product nonzero when the images span all matrices
         (Burnside's theorem), so the product is certified nonvanishing on an
         irreducible rep only; elsewhere it is undecided."""
         if self.rep is not None and self.rep.is_irreducible():
-            return StreamNonvanishing(zero_count, needed)
+            return StreamNonvanishing(e, what)
         return StreamUndecided(f"{what} with no vanishing factor off an irreducible rep")
 
     def _find_zero_partition(self, mats, sizes, target_mats, assignment, var_names) -> bool:

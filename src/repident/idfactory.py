@@ -58,12 +58,6 @@ class IdentityDoc:
         self.citation = citation
         self.is_identity = is_identity
         self.vacuous = vacuous
-        # whether guarded mode may decide every guard ordering from the
-        # first; set by verifier._guards_symmetric on first use
-        self.guards_symmetric: bool | None = None
-        # the verifier's tables of this document's root factors
-        # (verifier._doc_tables); set on first use
-        self.tables = None
         fv = expr.free_vars()
         missing = fv - set(var_roles)
         if missing:

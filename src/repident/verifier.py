@@ -1,77 +1,67 @@
 """Decides whether an identity holds in a representation, with graded
-evidence. Every mode is a source of assignments:
+evidence. Every mode is a source of (assignment, decision) pairs:
 
 - exhaustive: every assignment enumerated (budget-bounded), last name
   fastest, optionally split over worker processes that each walk one window
-  of that order.  A pure separator is a variable no root value factor
-  reads, so it cannot change whether a root factor vanishes: once every
-  assignment under one value of a pure separator (and fixed values of the
-  names before it) has a vanishing root factor, its other values are
-  skipped (`_exhaustive_decisions`);
+  of that order and return its first failing decision; a pure separator (a
+  variable no root value factor reads) is not enumerated past a value under
+  which every assignment vanished (`_exhaustive_decisions`);
 - guarded: guard sets range over full group enumerations (canonical plus
-  K random orderings), argument variables enumerated or sampled, streamed
-  products decided by zero-subset counting; on a document symmetric in its
-  guards (`_guards_symmetric`: guard differences over every pair, and guard
-  variables otherwise only inside full conjugation averages) which
-  enumerated arguments vanish is the same in every ordering, so orderings
-  past the first reuse the first's results;
+  K random orderings), argument variables enumerated or sampled; on a
+  document symmetric in its guards (`_guards_symmetric`) an enumerated
+  argument's scan is the same in every ordering, so orderings past the
+  first reuse the first's scans;
 - structured: the assignment family that the construction singles out
   (class representatives x centralizer transversals, or series-complement
   tuples); on a group the family does not fit, where it is empty, the
   verdict is that of uniform samples;
 - sampled(N, seed): N uniform assignments.
 
-One loop (`_verify`) takes each assignment's decision (`_Session.decide`;
-the exhaustive walk makes the same decision from its own scan), counts the
-undecided ones and builds the verdict.  A decision first scans
-the root factors: one vanishing settles it, an undecided streamed factor
-makes it undecided, and a streamed factor certified nonvanishing makes it
-"blocked" (a no-vanishing-factor witness) in every mode.  Only an
-irreducible rep certifies a streamed factor with no vanishing factor of its
-own (Burnside's theorem; `Evaluator._no_vanishing_factor`); on a reducible
-one it is undecided.  Otherwise it
-ends in one of two exact zero tests: the total test (the whole expression
-under the assignment as drawn; used by exhaustive and sampled) or the
-separator search (a separator choice keeping the product nonzero; used by
-guarded and structured).  A search that gives up is counted as undecided,
-never as vanishing.
+Each assignment is decided once: one scan of its root factors
+(`_Session.scan_factors`; guarded mode scans the factors free of arguments
+once per ordering), then `_Session.settle`.  One loop (`_verify`) takes
+the decisions, counts the undecided ones and builds the verdict.  A scan
+has one outcome: VANISHES (a root factor vanishes) settles the assignment,
+UNDECIDED (a streamed factor was not decided) makes it undecided, and
+CERTIFIED (a streamed factor certified nonvanishing) makes it "blocked",
+a no-vanishing-factor witness, in every mode.  The certificate says that nonzero factors with fresh
+separators between them have a nonzero product for some separator choice.
+Its premises are proved, else the assignment is undecided: (a) every
+factor of the stream is nonzero (`freeexpr.is_psd`); (b) the rep is
+irreducible (Burnside's theorem; `Evaluator._no_vanishing_factor`); (c)
+the root factor raised the certificate itself, not a streamed node inside
+it, and every root value factor after the first follows a fresh separator
+(one that occurs once in the root product and that no value factor reads)
+or a subset or partition stream, which ends in its own separator.
+Otherwise a decision ends in one of two exact zero tests: the total test
+(the whole expression under the assignment as drawn; exhaustive and
+sampled) or the separator search (a separator choice keeping the product
+nonzero; guarded and structured, and a sampled witness).  A search that
+gives up is counted as undecided, never as vanishing.
 
-Every mode changes a few variables from one assignment to the next (the
-last name fastest, or an argument sweep under one guard ordering), so a
-root factor meets the same values of its own variables many times.  The
-session's vanishing table remembers, per root factor and per values of
-that factor's variables, whether the factor vanishes, so a factor is
-evaluated at most once per tuple of its variables' values.  In exhaustive
-mode the walk scans each assignment once, and one that differs from a
-vanishing assignment only in pure separators, by the rule above, is not
-even enumerated.  The root factor lists the scan reads are built once per
-document (`_doc_tables`).  A streamed
-factor that certifies nonvanishing or stays undecided is never stored.  A
-root factor var(a) - var(b) (`_difference`) is neither evaluated nor
-stored: rho(x) - rho(y) vanishes exactly when x and y lie in one coset of
-ker rho, read from `Rep.kernel_cosets`, and the witness search builds its
-value and its image mod p from the two terms.
-
-The separator search carries the running product modulo a prime
-p = 1 (mod N) (`exactnum.mod_p`): a nonzero image proves the product
-nonzero, and only a zero image sends it to exact arithmetic, so the search
-chooses the witness exact arithmetic would and gives up only after an
-exact zero test.  No floating point enters any decision.
+The session's vanishing table remembers, per root factor and per values of
+that factor's variables, whether the factor vanishes; a streamed factor
+that certifies nonvanishing or stays undecided is never stored.  What the
+verifier derives from a document alone is built once per document
+(`_DocTables`).  A root factor var(a) - var(b) (`_difference`) is never
+evaluated: rho(x) - rho(y) vanishes exactly when x and y lie in one coset
+of ker rho (`Rep.kernel_cosets`).  The separator search carries the
+running product modulo a prime (`_Prefix`) and tests it exactly only where
+its image is zero.  No floating point enters any decision.
 
 A fails verdict always carries a counterexample whose re-evaluation is
-nonzero (or, for streamed products too large to materialize, an
-assignment on which no factor vanishes, which with fresh separators and
-an irreducible rep implies nonvanishing; that each factor of a
-stream_subsets node or a permutation body is nonzero is proved from its
-terms, `freeexpr.is_psd`, else the assignment is undecided).
+nonzero, or, for a certified streamed product too large to materialize,
+an assignment on which no root factor vanishes.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import random
 import time
+import weakref
 from fractions import Fraction
 
 from .exactnum import Cyc, mat_mul_mod
@@ -85,7 +75,6 @@ from .freeexpr import (
     _psi_blocks,
     prod,
     star,
-    sum_,
 )
 from .idfactory import IdentityDoc
 from .matrices import Mat
@@ -148,34 +137,60 @@ def _vacuous(evidence: str, t0: float, **detail) -> Verdict:
     return Verdict("holds", evidence, {**detail, "vacuous": True}, timing_ms=_ms(t0))
 
 
-_DocTables = collections.namedtuple(
-    "_DocTables", "factors separators sep_list value_factors differences value_vars")
+# the outcomes of a root factor scan, in order of precedence: the scan of a
+# union of factor sets is the largest of their scans.  CERTIFIED: a streamed
+# factor certified nonvanishing; UNDECIDED: a streamed factor not decided.
+NONE, CERTIFIED, UNDECIDED, VANISHES = range(4)
+
+
+# the decisions that fail no verdict: vanishing, and the two undecided ones
+_NOT_FAILING = (None, "undecided", "search-failed")
+
+
+class _DocTables:
+    """What the verifier derives from one document alone (`_doc_tables`);
+    it holds no reference to the document."""
+
+    symmetric = None  # the guard-symmetry certificate, set by `_guards_symmetric`
+
+    def __init__(self, doc: IdentityDoc):
+        self.factors = factors = (list(doc.expr.children) if doc.expr.kind == "prod"
+                                  else [doc.expr])
+        self.separators = seps = {name for name, role in doc.var_roles.items()
+                                  if role["role"] in ("separator", "subset-tag")}
+        self.sep_list = sorted(seps)
+        # the root factors whose value can vanish, in expression order
+        self.value_factors = [f for f in factors if not (f.kind == "var" and f.value in seps)]
+        # root factor -> (a, b) of the factors var(a) - var(b) with a != b,
+        # decided from `Rep.kernel_cosets` and never stored
+        self.differences = {f: ab for f in self.value_factors
+                            if (ab := _difference(f)) and ab[0] != ab[1]}
+        # the variables some root value factor reads; the others (pure
+        # separators) cannot change whether a root factor vanishes
+        self.value_vars = frozenset().union(*[f.free_vars() for f in self.value_factors])
+
+    @functools.cached_property
+    def separated(self) -> bool:
+        """Premise (c): each value factor after the first follows a subset or
+        partition stream or a fresh separator (interned: one node per name).
+        Read only when a streamed factor raises the certificate."""
+        counts = collections.Counter(self.factors)
+        is_value = [not (f.kind == "var" and f.value in self.separators) for f in self.factors]
+        opens = [f.kind in ("stream_subsets", "stream_partitions")
+                 or (not value and counts[f] == 1 and f.value not in self.value_vars)
+                 for f, value in zip(self.factors, is_value)]
+        at = [i for i, value in enumerate(is_value) if value]
+        return all(opens[i - 1] for i in at[1:])
+
+
+# document -> its _DocTables, dropped with the document
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _doc_tables(doc: IdentityDoc) -> _DocTables:
-    """What a session reads of its document alone, built on first use and
-    kept on the document (`IdentityDoc.tables`).  Root factors are keyed by
-    the factor objects themselves, never by id, so a pickled document
-    carries its tables intact."""
-    if doc.tables is None:
-        factors = list(doc.expr.children) if doc.expr.kind == "prod" else [doc.expr]
-        separators = {name for name, role in doc.var_roles.items()
-                      if role["role"] in ("separator", "subset-tag")}
-        # the root factors whose value can vanish, in expression order
-        value_factors = [f for f in factors
-                         if not (f.kind == "var" and f.value in separators)]
-        # root factor -> (a, b) of the factors var(a) - var(b) with a != b:
-        # rho(x) - rho(y) vanishes exactly when x and y share a coset of
-        # ker rho, so these are decided from `Rep.kernel_cosets`, never
-        # evaluated, and never stored in the vanishing table
-        differences = {f: ab for f in value_factors
-                       if (ab := _difference(f)) and ab[0] != ab[1]}
-        # the variables some root value factor reads; the others (pure
-        # separators) cannot change whether a root factor vanishes
-        value_vars = frozenset().union(*[f.free_vars() for f in value_factors])
-        doc.tables = _DocTables(factors, separators, sorted(separators), value_factors,
-                                differences, value_vars)
-    return doc.tables
+    if doc not in _TABLES:
+        _TABLES[doc] = _DocTables(doc)
+    return _TABLES[doc]
 
 
 class _Session:
@@ -186,39 +201,35 @@ class _Session:
         self.rep = rep
         self.rng = random.Random(seed)
         self.ev = Evaluator(rep)
-        (self.factors, self.separators, self.sep_list, self.value_factors,
-         self.differences, self.value_vars) = _doc_tables(doc)
-        self.cosets = rep.kernel_cosets if self.differences else None
-        self.last_undecided = False
+        self.tables = _doc_tables(doc)
+        self.cosets = rep.kernel_cosets if self.tables.differences else None
         self.undecided_count = 0
         # (id(root factor), values of its sorted_vars()) -> vanishes.  The
         # session keeps doc alive, so an id stays its factor's, and keys of
         # ints are not tracked by the garbage collector.
         self.vanishing: dict = {}
 
-    def scan_factors(self, assignment: dict, factors, keys=None) -> tuple[bool, bool]:
-        """(found_zero, stream_blocked) over the given factor subset.
+    def scan_factors(self, assignment: dict, factors, keys=None) -> int:
+        """The scan outcome of the given root factors under assignment.  A
+        `StreamNonvanishing` certifies its factor only under premise (c):
+        it names the factor, and the document separates its value factors.
 
-        stream_blocked means a streamed factor certified nonvanishing, so no
-        explicit witness value can be materialized. Sets the per-call
-        undecided flag when a streamed factor could neither vanish nor
-        certify nonvanishing.  Zero tests are looked up in, and recorded in,
-        the session's vanishing table keyed by all of a factor's variables,
-        or as keys gives: one (variables, table) per factor.  A difference
-        var(a) - var(b) is never in a table: it vanishes when its two values
-        share a kernel coset.
+        Zero tests are looked up in, and recorded in, the session's
+        vanishing table keyed by all of a factor's variables, or as keys
+        gives: one (variables, table) per factor.  A difference
+        var(a) - var(b) vanishes when its two values share a kernel coset.
         """
         memo: dict = {}
-        blocked = False
-        self.last_undecided = False
-        cosets, differences = self.cosets, self.differences
+        outcome = NONE
+        tables = self.tables
+        cosets, differences = self.cosets, tables.differences
         value = assignment.__getitem__
         for i, f in enumerate(factors):
             if cosets is not None:
                 ab = differences.get(f)
                 if ab is not None:
                     if cosets[assignment[ab[0]]] == cosets[assignment[ab[1]]]:
-                        return True, False
+                        return VANISHES
                     continue
             names, table = keys[i] if keys else (f.sorted_vars(), self.vanishing)
             key = (id(f), tuple(map(value, names)))
@@ -226,16 +237,17 @@ class _Session:
             if vanishes is None:
                 try:
                     val = self.ev._eval(f, assignment, memo)
-                except StreamNonvanishing:
-                    blocked = True
+                except StreamNonvanishing as exc:
+                    certified = exc.node is f and tables.separated
+                    outcome = max(outcome, CERTIFIED if certified else UNDECIDED)
                     continue
                 except StreamUndecided:
-                    self.last_undecided = True
+                    outcome = UNDECIDED
                     continue
                 vanishes = table[key] = self.ev._is_zero(val)
             if vanishes:
-                return True, False
-        return False, blocked
+                return VANISHES
+        return outcome
 
     def witness_value(self, assignment: dict) -> dict | str:
         """Choose separators greedily left to right so the running product
@@ -257,12 +269,13 @@ class _Session:
         assign = dict(assignment)
         prefix = _Prefix(self.ev)
         images = self.rep.images_mod_p[1]
+        separators, differences = self.tables.separators, self.tables.differences
         pending: list[str] = []
-        for child in self.factors:
-            if child.kind == "var" and child.value in self.separators:
+        for child in self.tables.factors:
+            if child.kind == "var" and child.value in separators:
                 pending.append(child.value)
                 continue
-            ab = self.differences.get(child)
+            ab = differences.get(child)
             if ab is not None:
                 f = self._difference_factor(assign[ab[0]], assign[ab[1]])
             else:
@@ -311,43 +324,27 @@ class _Session:
         return _Factor(self.ev, self.ev._element({x: 1, y: -1}), mod)
 
     def decide(self, assignment: dict, total: bool = False):
-        """Decision for one assignment.
+        """`settle` after one scan of every root value factor."""
+        return self.settle(assignment, self.scan_factors(assignment, self.tables.value_factors),
+                           total)
 
-        The root factors are scanned first.  Then, with total, the whole
-        expression is tested under the assignment as drawn, separators
-        included; otherwise the separators are chosen by `witness_value`.
-
-        Returns None when the value vanishes, a witness assignment dict when
-        it does not (with total, the assignment itself), "blocked" when a
-        streamed factor certifies nonvanishing without a materializable
-        value, "undecided" when a streamed factor could not be decided, or
-        "search-failed" when the separator search gave up.  The last two are
-        counted as undecided, never treated as a verdict.
-        """
-        vanished, blocked = self.scan_factors(assignment, self.value_factors)
-        return None if vanished else self.settle(assignment, blocked, total)
-
-    def decisions(self, assignments, total: bool = False):
-        """(assignment, `decide`'s outcome) for each assignment."""
-        return ((assignment, self.decide(assignment, total)) for assignment in assignments)
-
-    def settle(self, assignment: dict, blocked: bool, total: bool = False):
-        """`decide`'s outcome after a root factor scan of assignment, just
-        made, found no vanishing factor (blocked as the scan returned it)."""
-        if self.last_undecided:
+    def settle(self, assignment: dict, scan: int, total: bool = False):
+        """The decision for assignment, given the scan of its root value
+        factors: None when it vanishes, "undecided", "blocked" (certified
+        nonvanishing), or after a NONE scan, in which no root factor raised,
+        the exact zero test of the whole expression as drawn with total (the
+        assignment itself when nonzero), else `witness_value`'s.  "undecided"
+        and "search-failed" are counted as undecided."""
+        if scan == VANISHES:
+            return None
+        if scan == UNDECIDED:
             self.undecided_count += 1
             return "undecided"
-        if blocked:
+        if scan == CERTIFIED:
             return "blocked"
         if total:
-            try:
-                if self.ev._is_zero(self.ev.evaluate_value(self.doc.expr, assignment)):
-                    return None
-            except StreamNonvanishing:
-                pass
-            except StreamUndecided:
-                self.undecided_count += 1
-                return "undecided"
+            if self.ev._is_zero(self.ev.evaluate_value(self.doc.expr, assignment)):
+                return None
             return assignment
         outcome = self.witness_value(assignment)
         if outcome == "search-failed":
@@ -427,23 +424,14 @@ class _Prefix:
 
 
 def _verify(session: _Session, evidence: str, decisions, detail: dict, t0: float,
-            search: bool = False, fail_detail: dict | None = None) -> Verdict:
-    """The verification loop of every mode: take each (assignment, outcome)
-    the mode decides (`_Session.decisions`, or the exhaustive walk), count
-    the undecided ones, build the verdict.
-
-    The first assignment that does not vanish fails the verdict (with
-    fail_detail, if given, in place of detail).  Its witness is the
-    decision's; with search, a total decision's witness takes the
-    separators of `_Session.witness_value` where it finds them.
-    """
+            fail_detail: dict | None = None) -> Verdict:
+    """The verification loop of every mode: the first failing decision of
+    the mode's source fails the verdict, with its witness (and fail_detail,
+    if given, in place of detail); otherwise it holds, with the session's
+    undecided count."""
     for assignment, outcome in decisions:
-        if outcome in (None, "undecided", "search-failed"):
+        if outcome in _NOT_FAILING:
             continue
-        if search and outcome is assignment:
-            found = session.witness_value(assignment)
-            if found != "search-failed":
-                outcome = found
         detail = fail_detail or detail
         if outcome == "blocked":
             evidence, outcome = "structured", assignment
@@ -468,7 +456,7 @@ def holds_exhaustive(doc: IdentityDoc, rep: Rep, budget: int = 300_000,
     session = _Session(doc, rep)
     if jobs > 1:
         detail["jobs"] = jobs
-        decisions = session.decisions(_parallel_failures(session, names, total, jobs), True)
+        decisions = _parallel_failures(session, names, total, jobs)
     else:
         decisions = _exhaustive_decisions(session, names, 0, total)
     return _verify(session, "exhaustive", decisions, detail, t0)
@@ -490,57 +478,50 @@ def _all_assignments(names: list[str], m: int, budget: int):
 
 
 def _exhaustive_decisions(session: _Session, names: list[str], start: int, stop: int):
-    """The source of exhaustive mode: (assignment, outcome of
-    `_Session.decide` with total) for the assignments with linear index in
-    [start, stop) of the serial order (every assignment of group elements
-    to names, last name fastest), less those whose root factor scan finds a
-    vanishing factor, which `decide` would settle as None.
+    """The source of exhaustive mode: (assignment, `_Session.settle`'s
+    decision with total) for each assignment with linear index in
+    [start, stop) of the serial order (last name fastest) whose one root
+    factor scan finds no vanishing factor.  The walk goes down the tree of
+    that order, one name per level.  Once a child at the level of a pure
+    separator (a name no root value factor reads) lies in the window and
+    every one of its leaves vanished, its later siblings, whose leaves
+    match its own but for that name, are skipped.  A scan that raises ends
+    the walk at its assignment."""
+    pure = [name not in session.tables.value_vars for name in names]
+    return _walk(session, names, pure, [0] * len(names), (start, stop), 0, 0)
 
-    A pure separator is a name that no root value factor reads
-    (`_Session.value_vars`), so whether the scan finds a vanishing factor
-    depends on the other names' values alone.  The walk goes down the tree
-    of the serial order, one name per level.  Under a node, the children
-    that differ in the value of a pure separator have the same leaves up to
-    that name: once one of them lies in the window and every one of its
-    leaves vanished in the scan, so do the later ones, which are never
-    entered.  A scan that raises ends the walk at its assignment.  Without
-    a pure separator every assignment of the window is scanned, in order.
-    """
-    m, k = session.rep.group.order, len(names)
-    pure = [name not in session.value_vars for name in names]
-    leaves = [m ** (k - d) for d in range(k + 1)]  # under a node at depth d
-    values = [0] * k
 
-    def walk(d: int, lo: int):
-        """Yield the decisions of the window's nonvanishing leaves under the
-        node at depth d whose first leaf has index lo; return whether the
-        node lies in the window and every one of its leaves vanished."""
-        if d == k:
-            assignment = dict(zip(names, values))
-            vanished, blocked = session.scan_factors(assignment, session.value_factors)
-            if not vanished:
-                yield assignment, session.settle(assignment, blocked, total=True)
-            return vanished
-        vanished = start <= lo and lo + leaves[d] <= stop
-        size = leaves[d + 1]
-        for v in range(max(0, (start - lo) // size), min(m, (stop - lo + size - 1) // size)):
-            values[d] = v
-            if not (yield from walk(d + 1, lo + v * size)):
-                vanished = False
-            elif pure[d]:
-                break  # every later child vanishes as this one did
-        return vanished
-
-    return walk(0, 0)
+def _walk(session: _Session, names: list[str], pure: list[bool], values: list[int],
+          window: tuple[int, int], d: int, lo: int):
+    """Yield the decisions of the window's nonvanishing leaves under the
+    node at depth d whose first leaf has index lo; return whether the node
+    lies in the window and every one of its leaves vanished.  (A closure
+    that names itself would tie the session into a reference cycle.)"""
+    if d == len(names):
+        assignment = dict(zip(names, values))
+        scan = session.scan_factors(assignment, session.tables.value_factors)
+        if scan == VANISHES:
+            return True
+        yield assignment, session.settle(assignment, scan, total=True)
+        return False
+    (start, stop), m = window, session.rep.group.order
+    size = m ** (len(names) - d - 1)  # leaves under a child
+    vanished = start <= lo and lo + m * size <= stop
+    for v in range(max(0, (start - lo) // size), min(m, (stop - lo + size - 1) // size)):
+        values[d] = v
+        if not (yield from _walk(session, names, pure, values, window, d + 1, lo + v * size)):
+            vanished = False
+        elif pure[d]:
+            break  # every later child vanishes as this one did
+    return vanished
 
 
 def _parallel_failures(session: _Session, names: list[str], total: int, jobs: int):
-    """Split the serial enumeration into `jobs` consecutive windows and walk
-    them all (`_exhaustive_decisions`) in worker processes that exit on
-    their own (terminating one while it writes its result leaves the result
-    queue locked); add their undecided counts to the session and yield the
-    nonvanishing assignment of the failing window with the lowest start, the
-    serial run's witness."""
+    """Walk `jobs` consecutive windows of the serial enumeration
+    (`_window_failure`) in worker processes that exit on their own
+    (terminating one while it writes its result locks the result queue);
+    add their undecided counts to the session and yield the failing
+    decision of the failing window with the lowest start: the serial run's."""
     import multiprocessing as mp
 
     step = (total + jobs - 1) // jobs
@@ -548,13 +529,13 @@ def _parallel_failures(session: _Session, names: list[str], total: int, jobs: in
     ctx = mp.get_context("fork")
     with ctx.Pool(jobs, initializer=_worker_init,
                   initargs=(session.doc, session.rep, names)) as pool:
-        verdicts = pool.map(_worker_scan, ranges)
+        windows = pool.map(_window_failure, ranges)
         pool.close()
         pool.join()
-    for verdict in verdicts:
-        session.undecided_count += verdict.detail.get("undecided", 0)
-        if not verdict.holds:
-            yield verdict.counterexample
+    for undecided, failing in windows:
+        session.undecided_count += undecided
+        if failing is not None:
+            yield failing
 
 
 _WORKER_STATE: dict = {}
@@ -564,12 +545,14 @@ def _worker_init(doc, rep, names):
     _WORKER_STATE["args"] = (doc, rep, names)
 
 
-def _worker_scan(bounds) -> Verdict:
-    """Exhaustive verdict over one window [start, stop) of the serial order."""
+def _window_failure(bounds) -> tuple:
+    """(undecided count, first failing decision or None) of the
+    exhaustive source over one window [start, stop)."""
     doc, rep, names = _WORKER_STATE["args"]
     session = _Session(doc, rep)
-    return _verify(session, "exhaustive", _exhaustive_decisions(session, names, *bounds),
-                   {}, time.time())
+    failing = next((pair for pair in _exhaustive_decisions(session, names, *bounds)
+                    if pair[1] not in _NOT_FAILING), None)
+    return session.undecided_count, failing
 
 
 def holds_guarded(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 5) -> Verdict:
@@ -591,51 +574,49 @@ def holds_guarded(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 5)
     exhaustive_args = m ** len(args) <= GUARDED_ARG_BUDGET if args else True
     detail = {"orderings": orderings, "seed": seed, "checked": 0,
               "args_exhaustive": exhaustive_args}
-    source = _guarded_assignments(session, groups, args, orderings, exhaustive_args,
-                                  detail)
-    return _verify(session, "guarded", session.decisions(source), detail, t0)
+    source = _guarded_decisions(session, groups, args, orderings, exhaustive_args, detail)
+    return _verify(session, "guarded", source, detail, t0)
 
 
-def _guarded_assignments(session: _Session, groups: dict, args: list[str], orderings: int,
-                         exhaustive_args: bool, detail: dict):
-    """Guard orderings times argument values; detail["checked"] counts them.
-
-    Per ordering, the factors free of arguments are scanned once and a zero
-    among them settles every argument value; otherwise an assignment is
-    yielded only when no argument-dependent factor vanishes, keyed by its
-    argument values in a table of the ordering (in the session's table,
-    across orderings, when all its variables are arguments).
-
-    With exhaustive arguments on a document symmetric in its guards
-    (`_guards_symmetric`), which arguments vanish is the same in every
-    ordering, so an ordering past the first scans nothing: it counts what
-    the first counted and yields, with its own guard values, the argument
-    values on which no factor vanished in the first.  Its shuffle is still
-    drawn, so the generator's draws are the same.
+def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderings: int,
+                       exhaustive_args: bool, detail: dict):
+    """The source of guarded mode: (assignment, `_Session.settle`'s
+    decision) over guard orderings times argument values, less those found
+    vanishing; detail["checked"] counts them.  Per ordering, the factors
+    free of arguments are scanned once (a zero among them settles every
+    argument value) and the others per argument value, keyed by its
+    argument values in a table of the ordering (the session's, when all its
+    variables are arguments).  With exhaustive arguments on a document
+    symmetric in its guards (`_guards_symmetric`), an argument value's scan
+    is the same in every ordering: an ordering past the first scans
+    nothing, and settles the first's nonvanishing argument values, with its
+    own guard values, by their first scans.  It still draws its shuffle.
     """
     m = session.rep.group.order
     rng = session.rng
     arg_set = set(args)
-    static = [f for f in session.value_factors if not f.free_vars() & arg_set]
-    dynamic = [f for f in session.value_factors if f.free_vars() & arg_set]
+    value_factors = session.tables.value_factors
+    static = [f for f in value_factors if not f.free_vars() & arg_set]
+    dynamic = [f for f in value_factors if f.free_vars() & arg_set]
     arg_names = [tuple(v for v in f.sorted_vars() if v in arg_set) for f in dynamic]
     reuse = exhaustive_args and _guards_symmetric(session, groups)
-    survivors: list = []  # the first ordering's argument values on which nothing vanished
+    survivors: list = []  # (argument values, scan) of the first ordering's nonvanishing ones
     for rnd in range(orderings + 1):
         local: dict = {}
         keys = [(names, session.vanishing if len(names) == len(f.sorted_vars()) else local)
                 for f, names in zip(dynamic, arg_names)]
-        assignment: dict = {s: 0 for s in session.sep_list}
+        assignment: dict = {s: 0 for s in session.tables.sep_list}
         for vars_ in groups.values():
             order = list(range(m))
             if rnd > 0:
                 rng.shuffle(order)
             assignment.update(zip(vars_, order))
         if rnd > 0 and reuse:
-            detail["checked"] += 1 if static_zero else m ** len(args)
-            for combo in survivors:
+            detail["checked"] += 1 if static_scan == VANISHES else m ** len(args)
+            for combo, scan in survivors:
                 assignment.update(zip(args, combo))
-                yield dict(assignment)
+                settled = dict(assignment)
+                yield settled, session.settle(settled, scan)
             continue
         if exhaustive_args:
             arg_iter = itertools.product(range(m), repeat=len(args))
@@ -643,16 +624,18 @@ def _guarded_assignments(session: _Session, groups: dict, args: list[str], order
             arg_iter = (
                 tuple(rng.randrange(m) for _ in args) for _ in range(GUARDED_ARG_SAMPLES)
             )
-        static_zero = session.scan_factors(assignment, static)[0]
-        if static_zero:
+        static_scan = session.scan_factors(assignment, static)
+        if static_scan == VANISHES:
             detail["checked"] += 1
             continue
         for combo in arg_iter:
             assignment.update(zip(args, combo))
             detail["checked"] += 1
-            if not session.scan_factors(assignment, dynamic, keys)[0]:
-                survivors.append(combo)
-                yield dict(assignment)
+            scan = max(static_scan, session.scan_factors(assignment, dynamic, keys))
+            if scan != VANISHES:
+                survivors.append((combo, scan))
+                settled = dict(assignment)
+                yield settled, session.settle(settled, scan)
 
 
 def _difference(f: Expr) -> tuple[str, str] | None:
@@ -672,10 +655,10 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
     """The guard-symmetry certificate: True when renaming the variables of a
     guard group by any permutation cannot change whether some root value
     factor vanishes on a bijection onto the group.  Computed once per
-    document and kept on it.
+    document and kept in its tables (`_DocTables.symmetric`).
 
     Every group Y passes two checks.  (a) The root factors var(a) - var(b)
-    (`_Session.differences`) with a != b in Y cover every unordered pair of
+    (`_DocTables.differences`) with a != b in Y cover every unordered pair of
     Y equally often, or there are none: on a bijection some one vanishes
     exactly when the rep is not faithful.
     (b) Every other root value factor mentions guard variables only as the
@@ -684,9 +667,9 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
     for every bijection.  A streamed node that mentions a guard variable,
     or a guard variable anywhere else, refuses the certificate.
     """
-    doc = session.doc
-    if doc.guards_symmetric is not None:
-        return doc.guards_symmetric
+    tables = session.tables
+    if tables.symmetric is not None:
+        return tables.symmetric
     group_of = {v: label for label, vars_ in groups.items() for v in vars_}
     guards = frozenset(group_of)
     pairs: dict = {label: collections.Counter() for label in groups}
@@ -717,8 +700,8 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
         return all(psi_only(c) for c in children)
 
     symmetric = True
-    for f in session.value_factors:
-        ab = session.differences.get(f)
+    for f in tables.value_factors:
+        ab = tables.differences.get(f)
         if ab and ab[0] in group_of and group_of[ab[0]] == group_of.get(ab[1]):
             pairs[group_of[ab[0]]][frozenset(ab)] += 1
         elif not psi_only(f):
@@ -728,36 +711,46 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
         n = len(groups[label])
         if counts and (len(counts) != n * (n - 1) // 2 or len(set(counts.values())) > 1):
             symmetric = False
-    doc.guards_symmetric = symmetric
+    tables.symmetric = symmetric
     return symmetric
+
 
 
 def holds_sampled(doc: IdentityDoc, rep: Rep, n: int = 500, seed: int = 0) -> Verdict:
     t0 = time.time()
     if doc.vacuous:
         return _vacuous("sampled", t0, n=0, seed=seed)
-    m = rep.group.order
-    names = sorted(doc.expr.free_vars())
     session = _Session(doc, rep, seed)
-    rng = session.rng
-    source = ({name: rng.randrange(m) for name in names} for _ in range(n))
-    return _verify(session, "sampled", session.decisions(source, True),
-                   {"n": n, "seed": seed}, t0, search=True)
+    source = _sampled_decisions(session, sorted(doc.expr.free_vars()), n)
+    return _verify(session, "sampled", source, {"n": n, "seed": seed}, t0)
+
+
+def _sampled_decisions(session: _Session, names: list[str], n: int):
+    """The source of sampled mode: n uniform assignments decided with the
+    total test; a nonvanishing one takes the separators
+    `_Session.witness_value` chooses, where it finds them."""
+    m, rng = session.rep.group.order, session.rng
+    for _ in range(n):
+        assignment = {name: rng.randrange(m) for name in names}
+        outcome = session.decide(assignment, total=True)
+        if outcome is assignment:
+            found = session.witness_value(assignment)
+            if found != "search-failed":
+                outcome = found
+        yield assignment, outcome
 
 
 def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0,
                      extra_samples: int = 200) -> Verdict:
-    """Checks the assignment family the construction singles out. A family
-    that does not fit rep's group is empty; the verdict is then that of
-    extra_samples uniform samples, holds_sampled at seed + 1."""
+    """Checks the assignment family the construction singles out
+    (`_FAMILY_SOURCES`). A family that does not fit rep's group is empty;
+    the verdict is then that of extra_samples uniform samples, holds_sampled
+    at seed + 1."""
     t0 = time.time()
     if doc.vacuous:
         return _vacuous("structured", t0)
-    if doc.family in ("class", "class-adams"):
-        source = _class_assignments
-    elif doc.family == "central-series-gassmann":
-        source = _series_assignments
-    else:
+    source = _FAMILY_SOURCES.get(doc.family)
+    if source is None:
         raise VerifierError(f"no structured family handler for {doc.family}")
     session = _Session(doc, rep, seed)
     family = source(doc, session, STRUCTURED_ORDERINGS)
@@ -765,7 +758,9 @@ def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0,
     first = next(family, None)
     if first is None:
         return holds_sampled(doc, rep, n=extra_samples, seed=seed + 1)
-    return _verify(session, "structured", session.decisions(itertools.chain([first], family)),
+    decisions = ((assignment, session.decide(assignment))
+                 for assignment in itertools.chain([first], family))
+    return _verify(session, "structured", decisions,
                    {"seed": seed, "orderings": STRUCTURED_ORDERINGS}, t0,
                    fail_detail={"seed": seed, "family": doc.family})
 
@@ -785,7 +780,7 @@ def _class_assignments(doc: IdentityDoc, session: _Session, orderings: int):
     s = doc.params["s"]
     cc = group.conjugacy_classes
     size_groups = doc.params["size_groups"]
-    base_assign = {sep: 0 for sep in session.sep_list}
+    base_assign = {sep: 0 for sep in session.tables.sep_list}
 
     def left_transversal(x: int, shuffle: bool) -> list[int]:
         # the first member of each coset in the (shuffled) element order;
@@ -848,7 +843,7 @@ def _series_assignments(doc: IdentityDoc, session: _Session, orderings: int):
     unames = [f"c{j}_{st}" for j in range(1, s + 1) for st in range(1, t + 1)]
     ynames = [f"y{i}" for i in range(1, m + 1)]
     for rnd in range(orderings + 1):
-        assignment = {sep: 0 for sep in session.sep_list}
+        assignment = {sep: 0 for sep in session.tables.sep_list}
         order = list(range(m))
         if rnd > 0:
             rng.shuffle(order)
@@ -860,6 +855,15 @@ def _series_assignments(doc: IdentityDoc, session: _Session, orderings: int):
         for u in unames:
             assignment[u] = 0 if rnd == 0 else rng.randrange(m)
         yield assignment
+
+
+
+# document family -> the assignment family structured mode checks
+_FAMILY_SOURCES = {
+    "class": _class_assignments,
+    "class-adams": _class_assignments,
+    "central-series-gassmann": _series_assignments,
+}
 
 
 def check(doc: IdentityDoc, rep: Rep, mode: str = "auto", seed: int = 0,
@@ -877,7 +881,7 @@ def check(doc: IdentityDoc, rep: Rep, mode: str = "auto", seed: int = 0,
         raise VerifierError(f"unknown mode {mode!r}")
     if doc.vacuous:
         return Verdict("holds", "structured", {"vacuous": True})
-    if doc.family in ("class", "class-adams", "central-series-gassmann"):
+    if doc.family in _FAMILY_SOURCES:
         return holds_structured(doc, rep, seed=seed, extra_samples=n)
     m = rep.group.order
     groups = doc.guard_groups()
@@ -887,6 +891,8 @@ def check(doc: IdentityDoc, rep: Rep, mode: str = "auto", seed: int = 0,
     if total <= budget:
         return holds_exhaustive(doc, rep, budget=budget, jobs=jobs)
     return holds_sampled(doc, rep, n=n, seed=seed)
+
+
 
 
 # -- scalar and probabilistic analytics ---------------------------------------
@@ -913,43 +919,41 @@ def expectation(expr: Expr, rep: Rep, budget: int = 300_000) -> Mat:
     return acc.scale(Cyc.from_rational(Fraction(1, total)))
 
 
-def _vanishes(ev: Evaluator, expr: Expr, assignment: dict) -> bool:
-    """Exact zero test of the relation probabilities: a streamed product
-    certified nonvanishing counts as nonvanishing, and one that cannot be
-    decided raises VerifierError."""
-    try:
-        return ev._is_zero(ev.evaluate_value(expr, assignment))
-    except StreamNonvanishing:
-        return False
-    except StreamUndecided as exc:
-        raise VerifierError(f"relation undecided at {assignment}: {exc}") from exc
+def _relation_session(expr: Expr, rep: Rep) -> _Session:
+    """A session deciding expr at given values of all its variables, so
+    none is a separator (premise (c) then asks for streams between factors)."""
+    roles = dict.fromkeys(expr.free_vars(), {"role": "argument"})
+    return _Session(IdentityDoc("relation", expr, roles, {}, "relation"), rep)
+
+
+def _vanishes(session: _Session, assignment: dict) -> bool:
+    """Exact zero test of the relation probabilities (`_Session.decide`): a
+    certified streamed product counts as nonvanishing, an undecided one raises."""
+    outcome = session.decide(assignment, total=True)
+    if outcome == "undecided":
+        raise VerifierError(f"relation undecided at {assignment}")
+    return outcome is None
 
 
 def relation_probability(expr: Expr, rep: Rep, budget: int = 300_000) -> Fraction:
-    ev = Evaluator(rep)
-    hits = total = 0
-    for assignment in _all_assignments(sorted(expr.free_vars()), rep.group.order, budget):
-        if _vanishes(ev, expr, assignment):
-            hits += 1
-        total += 1
-    return Fraction(hits, total)
+    session, names = _relation_session(expr, rep), sorted(expr.free_vars())
+    hits = sum(_vanishes(session, a) for a in _all_assignments(names, rep.group.order, budget))
+    return Fraction(hits, rep.group.order ** len(names))
 
 
 def conditional_relation_probability(u: Expr, v: Expr, rep: Rep,
                                      budget: int = 300_000) -> Fraction:
-    """Pr(u | v) via the positive-semidefinite combination u u* + v v*."""
+    """Pr(u | v) via the positive-semidefinite combination u u* + v v*: the
+    share of the assignments where v v* vanishes on which the combination
+    vanishes too, that is, where u u* does."""
     names = sorted(u.free_vars() | v.free_vars())
-    ev = Evaluator(rep)
-    uu = prod([u, star(u)])
-    vv = prod([v, star(v)])
-    both = 0
-    v_only = 0
-    combined = sum_([uu, vv])
+    uu = _relation_session(prod([u, star(u)]), rep)
+    vv = _relation_session(prod([v, star(v)]), rep)
+    both = v_only = 0
     for assignment in _all_assignments(names, rep.group.order, budget):
-        if _vanishes(ev, vv, assignment):
+        if _vanishes(vv, assignment):
             v_only += 1
-            if _vanishes(ev, combined, assignment):
-                both += 1
+            both += _vanishes(uu, assignment)
     if v_only == 0:
         raise VerifierError("conditioning relation never holds")
     return Fraction(both, v_only)

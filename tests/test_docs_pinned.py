@@ -22,15 +22,20 @@ from repident.freeexpr import Expr, const, inv, power, prod, stream_subsets, sub
 PINNED = Path(__file__).parent / "data" / "docs_pinned.json"
 
 
-def _node_count(roots) -> int:
-    seen = set()
+def _nodes(roots) -> list:
+    """The distinct nodes of the DAGs under roots."""
+    seen: dict = {}
     stack = list(roots)
     while stack:
         e = stack.pop()
         if id(e) not in seen:
-            seen.add(id(e))
+            seen[id(e)] = e
             stack.extend(e.children)
-    return len(seen)
+    return list(seen.values())
+
+
+def _node_count(roots) -> int:
+    return len(_nodes(roots))
 
 
 def _pin(build) -> dict:
@@ -203,6 +208,27 @@ def _not_loaded_as_built() -> list[str]:
             if Expr.from_json(json.loads(json.dumps(built.to_json()))) is not built:
                 out.append(name)
     return out
+
+
+def test_streamed_builder_documents_separate_their_factors():
+    """Premise (c) of the no-vanishing-factor certificate holds on every
+    builder document with a streamed node: each root value factor after the
+    first follows a fresh separator or a subset or partition stream, so a
+    streamed root factor with no vanishing factor is certified where
+    premises (a) and (b) hold."""
+    from repident import verifier
+
+    streamed = []
+    for name, build in _cases().items():
+        try:
+            doc = build()
+        except idf.BuildError:
+            continue
+        if isinstance(doc, idf.IdentityDoc) and any(
+                n.kind.startswith("stream") for n in _nodes([doc.expr])):
+            streamed.append(name)
+            assert verifier._doc_tables(doc).separated, name
+    assert len(streamed) > 20
 
 
 def test_builder_documents_pinned():

@@ -1375,9 +1375,10 @@ def test_intern_table_keeps_nothing_alive():
 def test_dropped_documents_are_freed_by_reference_counting():
     """With the cyclic collector off, dropping a built document returns the
     intern table to its size before the build: s6 (evaluated, so its word
-    plan is compiled), a class identity (whose terms hold star nodes) and a
-    probability document.  Run in a fresh interpreter, so no live node of
-    another test shares a subterm."""
+    plan is compiled), a class identity (whose terms hold star nodes), a
+    probability document, and s4 after an exhaustive verdict (the verifier
+    keeps the document's tables only while the document lives).  Run in a
+    fresh interpreter, so no live node of another test shares a subterm."""
     import os
     import subprocess
     import sys
@@ -1386,7 +1387,7 @@ def test_dropped_documents_are_freed_by_reference_counting():
 
     script = """
 import gc
-from repident import catalog, freeexpr, idfactory as idf
+from repident import catalog, freeexpr, idfactory as idf, verifier
 from repident.freeexpr import Evaluator, const, sub, var
 gc.disable()
 rep = catalog.get_rep("S4", "rho4")
@@ -1400,6 +1401,12 @@ for build in builds:
     grown = len(freeexpr._nodes) > before
     del doc
     print(grown, len(freeexpr._nodes) - before)
+before = len(freeexpr._nodes)
+doc = idf.standard_identity(4)
+assert verifier.holds_exhaustive(doc, catalog.get_rep("S3", "std")).holds
+grown = len(freeexpr._nodes) > before
+del doc
+print(grown, len(freeexpr._nodes) - before)
 """
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(repident.__file__))
@@ -1407,7 +1414,7 @@ for build in builds:
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:-1] == ["True 0"] * 4
+    assert proc.stdout.split("\n")[:-1] == ["True 0"] * 5
 
 
 @pytest.mark.parametrize("rep_ref, family", [

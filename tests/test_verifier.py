@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from helpers import unseparated_character_doc
 from repident import catalog, idfactory as idf, verifier as vf
@@ -366,9 +366,10 @@ def _enumerated_exhaustive(doc, rep) -> dict:
     names = sorted(doc.expr.free_vars())
     m = rep.group.order
     session = vf._Session(doc, rep)
-    verdict = vf._verify(session, "exhaustive",
-                         session.decisions(vf._all_assignments(names, m, 10**5), True),
-                         {"assignments": m ** len(names)}, 0.0)
+    decisions = ((assignment, session.decide(assignment, True))
+                 for assignment in vf._all_assignments(names, m, 10**5))
+    verdict = vf._verify(session, "exhaustive", decisions, {"assignments": m ** len(names)},
+                         0.0)
     return _verdict_json(verdict)
 
 
@@ -471,7 +472,8 @@ def test_exhaustive_source_windows_match_enumeration(s3_std):
         reference = vf._Session(doc, s3_std)
         survivors = [(i, assignment)
                      for i, assignment in enumerate(vf._all_assignments(names, 6, total))
-                     if not reference.scan_factors(assignment, reference.value_factors)[0]]
+                     if reference.scan_factors(assignment, reference.tables.value_factors)
+                     != vf.VANISHES]
         for start in range(0, total, 17):
             for stop in [*range(start + 1, total, 23), total]:
                 session = vf._Session(doc, s3_std)
@@ -536,9 +538,9 @@ def test_exhaustive_source_skips_vanishing_separator_subtrees(monkeypatch):
         decided.append(assignment)
         return decide(self, assignment, total)
 
-    def counting_settle(self, assignment, blocked, total=False):
+    def counting_settle(self, assignment, scan, total=False):
         decided.append(assignment)
-        return settle(self, assignment, blocked, total)
+        return settle(self, assignment, scan, total)
 
     monkeypatch.setattr(Evaluator, "_eval", counting_eval)
     monkeypatch.setattr(vf._Session, "scan_factors", counting_scan)
@@ -708,6 +710,47 @@ def _streamed_repros():
             idf.IdentityDoc("test", prod([body, x]), roles, {}, "cancelling permutation body")]
 
 
+def _unseparated_repros():
+    """Three documents whose expansions hold on S3:std, each with a streamed
+    node certified nonvanishing at every x (x is invertible) in a place
+    that does not separate it from the rest of the product, with the
+    undecided count of each."""
+    x, one = var("x"), const(1)
+    s = stream_subsets([x], 1, "s")
+    return [
+        (sub(s, s), 6),
+        (stream_subsets([s, sub(x, x)], 1, "o"), 6),
+        (prod([prod([sum_([one, x]), sum_([one, x, power(x, 2)])]),
+               stream_subsets([sub(one, x)], 1, "s")]), 3),
+    ]
+
+
+def _argument_doc(expr, citation="streamed"):
+    return idf.IdentityDoc("test", expr, {"x": {"role": "psi-argument"}}, {}, citation)
+
+
+def test_streams_without_separation_are_undecided(s3_std):
+    """Premise (c): a streamed node is certified only when it raised the
+    certificate itself, as a root factor, and the root product separates
+    its value factors.  s - s raises it from s inside a difference, the
+    outer stream raises it from its base s, and the stream of 1 - x
+    follows (1 + x)(1 + x + x^2) with no separator between them, though
+    (1 + x)(1 - x) = 0 on a transposition.  Each holds with its undecided
+    count, serially and over two workers, as its expansion holds; the
+    relation probability of s - s is not decided."""
+    for expr, undecided in _unseparated_repros():
+        doc = _argument_doc(expr, "unseparated")
+        serial = _verdict_json(vf.holds_exhaustive(doc, s3_std))
+        parallel = _verdict_json(vf.holds_exhaustive(doc, s3_std, jobs=2))
+        assert serial == {"status": "holds", "evidence": "exhaustive", "assignments": 6,
+                          "undecided": undecided}
+        assert parallel.pop("jobs") == 2
+        assert parallel == serial
+        assert vf.holds_exhaustive(idf.expand_doc(doc), s3_std).holds
+    with pytest.raises(vf.VerifierError):
+        vf.relation_probability(_unseparated_repros()[0][0], s3_std)
+
+
 def test_streams_with_unproved_premises_are_undecided(s3_std):
     """Checked exhaustively on S3:std, serially and over two workers, each
     document holds with every assignment it cannot settle undecided, as its
@@ -753,14 +796,16 @@ _stream_terms = st.one_of(
 
 @st.composite
 def _streamed_docs(draw):
-    """A subset stream or a permutation body over drawn terms, alone or
-    times x; some cancel as the repros do, so that their expansions hold."""
+    """A subset stream or a permutation body over drawn terms, alone, times
+    x, or in a shape that does not separate it: minus itself, a base of a
+    stream, or after a drawn term; some cancel as the repros do, so that
+    their expansions hold."""
     cancel = draw(st.booleans())
     if draw(st.booleans()):
         bases = draw(st.lists(_stream_terms, min_size=1 if cancel else 2, max_size=2))
         if cancel:
             bases.append(smul(-1, bases[0]))
-        node = stream_subsets(bases, draw(st.integers(2, len(bases))), "s")
+        node = stream_subsets(bases, draw(st.integers(1, len(bases))), "s")
     elif cancel:
         # pairs a, -a, a, -a: both permutation sums of the group vanish
         a = draw(_stream_terms)
@@ -770,16 +815,27 @@ def _streamed_docs(draw):
         count = sum(k * k for k in sizes)
         pairs = draw(st.lists(_stream_terms, min_size=count, max_size=count))
         node = stream_perm_body(sizes, pairs)
-    expr = prod([node, _x]) if draw(st.booleans()) else node
-    return idf.IdentityDoc("test", expr, {"x": {"role": "psi-argument"}}, {}, "streamed")
+    shape = draw(st.sampled_from(["alone", "times x", "difference", "base", "after"]))
+    expr = {
+        "alone": lambda: node,
+        "times x": lambda: prod([node, _x]),
+        "difference": lambda: sub(node, node),
+        "base": lambda: stream_subsets([node, sub(_x, _x)], 1, "o"),
+        "after": lambda: prod([draw(_stream_terms), node]),
+    }[shape]()
+    return _argument_doc(expr)
 
 
 @settings(max_examples=200, deadline=None)
 @given(doc=_streamed_docs(), rep_name=st.sampled_from(sorted(_STREAM_REPS)))
+@example(doc=_argument_doc(_unseparated_repros()[0][0]), rep_name="S3:std")
+@example(doc=_argument_doc(_unseparated_repros()[1][0]), rep_name="S3:std")
+@example(doc=_argument_doc(_unseparated_repros()[2][0]), rep_name="S3:std")
 def test_streamed_verdicts_never_contradict_their_expansion(doc, rep_name):
     """A streamed document never fails where its expansion holds, and never
     holds with nothing undecided where its expansion fails: its premises
-    (every factor nonzero, an irreducible rep) are proved, not assumed."""
+    (every factor nonzero, an irreducible rep, a root product that
+    separates its factors) are proved, not assumed."""
     rep = _STREAM_REPS[rep_name]()
     streamed = vf.holds_exhaustive(doc, rep).to_json()
     expanded = vf.holds_exhaustive(idf.expand_doc(doc), rep).to_json()
@@ -829,13 +885,14 @@ def test_witness_search_give_up_is_undecided(s3_std):
     doc = idf.IdentityDoc("test", expr, roles, {}, "greedy search gives up")
     session = vf._Session(doc, s3_std, seed=0)
     assignment = {f"y{i + 1}": i for i in range(6)}
-    assignment.update(dict.fromkeys(session.sep_list, 0))
+    assignment.update(dict.fromkeys(session.tables.sep_list, 0))
     assignment.update(x=1, z=3, w=5)
     assert session.decide(assignment) == "search-failed"
     assert session.undecided_count == 1
     assert not Evaluator(s3_std).evaluate(expr, {**assignment, "v": 2}).is_zero()
     session = vf._Session(doc, s3_std, seed=0)
-    verdict = vf._verify(session, "guarded", session.decisions([assignment]), {}, 0.0)
+    verdict = vf._verify(session, "guarded", [(assignment, session.decide(assignment))], {},
+                         0.0)
     assert verdict.holds and verdict.detail["undecided"] == 1
     # no u fits the slot of v: on a reducible rep, x = 1 and z = 3 act as
     # diag(1, zeta) and diag(zeta, 1), so (x - 1) v (z - 1) vanishes for every
@@ -888,11 +945,16 @@ def _factor_expr(rng, names, depth=1):
     return sum_(children) if rng.random() < 0.5 else prod(children)
 
 
+def _is_separator(f) -> bool:
+    return f.kind == "var" and f.value.startswith("v")
+
+
 @pytest.mark.parametrize("rep_name", ["S3:std", "Q8:dim2", "Z6:chi1", "Z3^2:reducible"])
 def test_vanishing_table_matches_fresh_evaluation(rep_name):
     """Over assignments that repeat values, the session's scan (with its
     vanishing table) returns what a fresh Evaluator gives factor by factor,
-    streamed factors included."""
+    streamed factors included; a stream is certified only in a product
+    that separates its factors (premise (c))."""
     from repident.freeexpr import StreamNonvanishing, StreamUndecided
 
     rep = {
@@ -904,24 +966,31 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
     rng = random.Random(rep_name)
     names = ["a", "b", "c"]
 
-    def fresh_scan(factors, assignment):
-        blocked = undecided = False
+    def fresh_scan(factors, assignment, separated):
+        """The scan by a fresh Evaluator per factor: a stream is certified
+        only when it raised the certificate itself and the product
+        separates its factors (premise (c))."""
+        outcome = vf.NONE
         for f in factors:
+            if _is_separator(f):
+                continue
             ev = Evaluator(rep)
             try:
                 val = ev.evaluate_value(f, assignment)
-            except StreamNonvanishing:
-                blocked = True
+            except StreamNonvanishing as exc:
+                certified = exc.node is f and separated
+                refused.append(not certified)
+                outcome = max(outcome, vf.CERTIFIED if certified else vf.UNDECIDED)
                 continue
             except StreamUndecided:
-                undecided = True
+                outcome = vf.UNDECIDED
                 continue
             if ev._is_zero(val):
-                return (True, False), undecided
-        return (False, blocked), undecided
+                return vf.VANISHES
+        return outcome
 
-    seen = set()
-    for _ in range(8):
+    seen, refused = set(), []
+    for trial in range(24):
         factors = [_factor_expr(rng, names) for _ in range(3)]
         for certified in (True, False):
             if rng.random() < 0.5:
@@ -929,7 +998,17 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
                 stream = stream_subsets([base], 1, "s") if certified else _undecided_stream(base)
                 factors.insert(rng.randrange(len(factors) + 1), stream)
         roles = {n: {"role": "psi-argument"} for n in names}
+        # a product factor joins the root product
+        factors = list(prod(factors).children)
+        if trial % 2:  # a fresh separator between the root factors
+            for i in range(len(factors) - 1, 0, -1):
+                factors.insert(i, var(f"v{i}"))
+                roles[f"v{i}"] = {"role": "separator"}
         doc = idf.IdentityDoc("test", prod(factors), roles, {}, "random factors")
+        # premise (c): each value factor after the first follows a separator
+        # or a stream
+        separated = all(a.kind == "stream_subsets" or _is_separator(a)
+                        for a, b in zip(factors, factors[1:]) if not _is_separator(b))
         session = vf._Session(doc, rep, seed=0)
         # sweeps of the last variable under values of the others drawn from
         # a few elements, so that whole assignments repeat too
@@ -939,23 +1018,27 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
             assignment = {n: rng.choice(pool) for n in names}
             for c in pool:
                 assignment["c"] = c
-                expected, undecided = fresh_scan(factors, assignment)
-                assert session.scan_factors(assignment, session.value_factors) == expected
-                assert session.last_undecided == undecided
-                seen.add((expected, undecided))
+                expected = fresh_scan(factors, assignment, separated)
+                assert session.scan_factors(assignment, session.tables.value_factors) \
+                    == expected
+                seen.add((expected, separated))
                 scans += 1
         assert len(session.vanishing) < scans * len(factors)
         # a streamed factor is stored only when it vanished: what it raises is not
         streams = {id(f) for f in factors if f.kind == "stream_subsets"}
         assert all(vanishes for (node, _), vanishes in session.vanishing.items()
                    if node in streams)
-    # zero found, nothing found, a certified stream, an undecided stream; on
-    # the reducible rep no stream is certified (Burnside's theorem, on which
-    # the certificate rests, needs an irreducible rep), so one stays undecided
-    assert {found for (found, _), _ in seen} == {True, False}
-    certified = {False} if rep_name == "Z3^2:reducible" else {True, False}
-    assert {blocked for (_, blocked), _ in seen} == certified
-    assert {undecided for _, undecided in seen} == {True, False}
+    # every outcome, a certified stream only in a separated product, and
+    # none on the reducible rep (Burnside's theorem, on which the
+    # certificate rests, needs an irreducible rep)
+    reducible = rep_name == "Z3^2:reducible"
+    outcomes = {vf.NONE, vf.CERTIFIED, vf.UNDECIDED, vf.VANISHES}
+    assert {scan for scan, _ in seen} == outcomes - ({vf.CERTIFIED} if reducible else set())
+    assert {separated for scan, separated in seen if scan == vf.CERTIFIED} == (
+        set() if reducible else {True})
+    assert {separated for _, separated in seen} == {True, False}
+    # an unseparated product's certificate is refused: its stream is undecided
+    assert any(refused) != reducible
 
 
 @pytest.mark.parametrize("rep_name", ["S3:std", "S4:rho2", "S4:rho1", "Z3^2:reducible",
@@ -980,7 +1063,7 @@ def test_differences_are_decided_from_kernel_cosets(rep_name):
     doc = idf.IdentityDoc("test", prod([forward, var("v"), backward]), roles, {},
                           "two differences")
     session = vf._Session(doc, rep, seed=0)
-    assert session.differences == {forward: ("a", "b"), backward: ("b", "a")}
+    assert session.tables.differences == {forward: ("a", "b"), backward: ("b", "a")}
     ev = Evaluator(rep)
     session.ev._eval = None  # a scan that evaluates would raise
     kernel = set(rep.kernel)
@@ -990,7 +1073,8 @@ def test_differences_are_decided_from_kernel_cosets(rep_name):
         want = ev._is_zero(val)
         assert want == (rep.group.table[rep.group.inverse[x]][y] in kernel)
         for f in (forward, backward):
-            assert session.scan_factors(assignment, [f]) == (want, False)
+            assert session.scan_factors(assignment, [f]) == (
+                vf.VANISHES if want else vf.NONE)
         got = session._difference_factor(x, y)
         assert got.val == val and got.mod == ev._mod_p(val)
     assert not session.vanishing
@@ -1004,21 +1088,22 @@ def test_differences_are_decided_from_kernel_cosets(rep_name):
             session.witness_value({"a": 0, "b": max(kernel), "v": 0})
 
 
-def test_document_tables_are_built_once_and_survive_pickling(s3_std):
-    """Sessions on one document share its root factor tables, and a
-    pickled document's tables name its own unpickled factors, so its
+def test_document_tables_are_built_once_per_document(s3_std):
+    """Sessions on one document share its tables, and a pickled copy of
+    the document gets its own, naming its own unpickled factors, so its
     verdicts are the original's."""
     import pickle
 
     doc = idf.character_identity(s3_std)
     first = vf._Session(doc, s3_std)
-    assert vf._Session(doc, s3_std).value_factors is first.value_factors
+    assert vf._Session(doc, s3_std).tables is first.tables
     verdict = _verdict_json(vf.holds_guarded(doc, s3_std, seed=2, orderings=2))
     copy = pickle.loads(pickle.dumps(doc))
     tables = vf._doc_tables(copy)
     roots = {id(f) for f in copy.expr.children}
+    assert tables is not first.tables
     assert tables.differences and all(id(f) in roots for f in tables.differences)
-    assert len(tables.differences) == len(first.differences)
+    assert len(tables.differences) == len(first.tables.differences)
     assert _verdict_json(vf.holds_guarded(copy, s3_std, seed=2, orderings=2)) == verdict
 
 
@@ -1046,8 +1131,8 @@ def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
         return scan(assignment, factors, *keys)
 
     session.scan_factors = recording
-    yielded = list(vf._guarded_assignments(session, doc.guard_groups(), ["x"], 5, True,
-                                           {"checked": 0}))
+    yielded = [a for a, _ in vf._guarded_decisions(session, doc.guard_groups(), ["x"], 5, True,
+                                                   {"checked": 0})]
     ev = Evaluator(s3_std)
     expected = [(guard["y1"], x) for guard in orderings for x in range(m)
                 if not any(ev._is_zero(ev.evaluate_value(f, dict(guard, x=x)))
@@ -1138,14 +1223,14 @@ def _refused_cases():
 def test_guard_certificate_accepts(name):
     doc, rep = _certified_cases()[name]
     assert vf._guards_symmetric(vf._Session(doc, rep, seed=0), doc.guard_groups())
-    assert doc.guards_symmetric is True
+    assert vf._doc_tables(doc).symmetric is True
 
 
 @pytest.mark.parametrize("name", list(_refused_cases()))
 def test_guard_certificate_refuses(name):
     doc, rep = _refused_cases()[name]
     assert not vf._guards_symmetric(vf._Session(doc, rep, seed=0), doc.guard_groups())
-    assert doc.guards_symmetric is False
+    assert vf._doc_tables(doc).symmetric is False
 
 
 def _same_verdict_cases():
@@ -1172,25 +1257,32 @@ def _same_verdict_cases():
 
 @pytest.mark.parametrize("name", list(_same_verdict_cases()))
 def test_certified_guarded_verdicts_match_the_reference(name, monkeypatch):
-    """A certified document decides orderings past the first from the first;
-    with the certificate refused (the reference path, which scans every
-    ordering) the verdict JSON, the yielded assignments, their guard values
-    and the rng draws are the same for 0 to 4 extra orderings, and sampled
-    arguments (every ordering draws its own) keep the reference path."""
+    """A certified document decides orderings past the first from the first's
+    scans; with the certificate refused (the reference path, which scans
+    every ordering) the verdict JSON, the yielded assignments, their guard
+    values, their scans and the rng draws are the same for 0 to 4 extra
+    orderings, and sampled arguments (every ordering draws its own) keep
+    the reference path."""
     doc, rep, status = _same_verdict_cases()[name]
     groups = doc.guard_groups()
     args = doc.vars_with_role("psi-argument")
     certified = vf._guards_symmetric
     monkeypatch.setattr(vf, "GUARDED_ARG_SAMPLES", 20)
 
+    settle = vf._Session.settle
+
     def run(orderings):
         out = [_verdict_json(vf.holds_guarded(doc, rep, seed=orderings, orderings=orderings))]
+        # the sources yield their scans in place of decisions: a failing
+        # document would make a witness search per assignment
+        monkeypatch.setattr(vf._Session, "settle", lambda self, assignment, scan: scan)
         for exhaustive in (True, False):
             detail = {"checked": 0}
             session = vf._Session(doc, rep, seed=orderings)
-            out.append(list(vf._guarded_assignments(session, groups, args, orderings,
-                                                    exhaustive, detail)))
+            out.append(list(vf._guarded_decisions(session, groups, args, orderings,
+                                                  exhaustive, detail)))
             out += [detail, session.rng.random()]
+        monkeypatch.setattr(vf._Session, "settle", settle)
         return out
 
     for orderings in range(5):
@@ -1199,11 +1291,11 @@ def test_certified_guarded_verdicts_match_the_reference(name, monkeypatch):
         monkeypatch.setattr(vf, "_guards_symmetric", lambda *_: False)
         assert got == run(orderings), orderings
         assert got[0]["status"] == status
-    assert doc.guards_symmetric is True
+    assert vf._doc_tables(doc).symmetric is True
     if name == "undecided stream":
         # the two 3-cycles are undecided in every ordering
         assert got[0]["undecided"] == 2 * 5
-        assert len({tuple(a[y] for y in groups["Y"]) for a in got[1]}) == 5
+        assert len({tuple(a[y] for y in groups["Y"]) for a, _ in got[1]}) == 5
 
 
 def test_certified_orderings_scan_once(monkeypatch):
@@ -1280,3 +1372,73 @@ def test_uncertified_vanishing_pattern_moves_with_the_ordering():
     doc, rep = _refused_cases()["bare guard variable"]
     patterns = _ordering_patterns(doc, rep, 3, seed=1)
     assert len(set(patterns)) > 1
+
+
+def test_each_yielded_assignment_is_scanned_once(s3_std, monkeypatch):
+    """Every mode decides an assignment from one root factor scan: no
+    assignment is scanned twice, each one a source yields was scanned once
+    (an ordering that reuses the first's scans scans none), and the parent
+    of a --jobs 2 run, which takes its workers' decisions, scans nothing."""
+    import collections
+
+    scans = collections.Counter()
+    yielded = []
+    scan, verify = vf._Session.scan_factors, vf._verify
+
+    def key(assignment):
+        return tuple(sorted(assignment.items()))
+
+    def counting_scan(self, assignment, factors, keys=None):
+        scans[key(assignment)] += 1
+        return scan(self, assignment, factors, keys)
+
+    def recording_verify(session, evidence, decisions, *args, **kwargs):
+        def tee():
+            for assignment, outcome in decisions:
+                yielded.append(key(assignment))
+                yield assignment, outcome
+        return verify(session, evidence, tee(), *args, **kwargs)
+
+    def run(verdict):
+        scans.clear()
+        yielded.clear()
+        return _verdict_json(verdict())
+
+    monkeypatch.setattr(vf._Session, "scan_factors", counting_scan)
+    monkeypatch.setattr(vf, "_verify", recording_verify)
+    # undecided wherever x is not the identity, so sources yield those
+    stream = _undecided_stream(sub(var("x"), const(1)))
+    roles = {"x": {"role": "psi-argument"}, "u": {"role": "separator"}}
+    undecided = idf.IdentityDoc("test", prod([var("u"), stream]), roles, {}, "undecided")
+    assert run(lambda: vf.holds_exhaustive(undecided, s3_std))["undecided"] == 30
+    assert len(yielded) == 30 and all(scans[k] == 1 for k in yielded)
+    assert max(scans.values()) == 1
+    assert run(lambda: vf.holds_sampled(undecided, s3_std, n=40, seed=1))["undecided"] > 0
+    assert len(yielded) == 40 and scans == collections.Counter(yielded)
+    assert run(lambda: vf.holds_structured(idf.class_identity(s3_std), s3_std))["status"] \
+        == "holds"
+    assert yielded and scans == collections.Counter(yielded)
+    # guarded: the two 3-cycles are undecided in each of four orderings;
+    # the document is symmetric in its guards, so three reuse the first's
+    # scans, or scan afresh when the certificate is refused
+    guarded = _undecided_doc(s3_std)
+    assert run(lambda: vf.holds_guarded(guarded, s3_std, orderings=3))["undecided"] == 8
+    assert [scans[k] for k in yielded] == [1] * 2 + [0] * 6
+    assert max(scans.values()) == 1
+    monkeypatch.setattr(vf, "_guards_symmetric", lambda *_: False)
+    assert run(lambda: vf.holds_guarded(guarded, s3_std, orderings=3))["undecided"] == 8
+    assert [scans[k] for k in yielded] == [1] * 8
+    assert max(scans.values()) == 1
+    # --jobs 2: each window, walked in process as a worker walks it, scans
+    # its assignments once; the parent scans none
+    failing, z3 = idf.guard_C(3), catalog.cyclic(3).rep("chi1")
+    names = sorted(failing.expr.free_vars())
+    total = 3 ** len(names)
+    monkeypatch.setitem(vf._WORKER_STATE, "args", (failing, z3, names))
+    for bounds in ((0, (total + 1) // 2), ((total + 1) // 2, total)):
+        scans.clear()
+        _, found = vf._window_failure(bounds)
+        assert max(scans.values()) == 1
+        assert found is None or scans[key(found[0])] == 1
+    assert run(lambda: vf.holds_exhaustive(failing, z3, jobs=2))["status"] == "fails"
+    assert not scans and len(yielded) == 1

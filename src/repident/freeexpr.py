@@ -13,13 +13,12 @@ Nodes are interned, so sharing is structural: equal subterms are one node
 wherever they were built, a loaded document is its builder's DAG, and what
 a node keeps (free variables, star, psi blocks, word plan) is shared.
 
-Evaluation maps Vars to group element indices (with a Rep supplying the
-matrices) or directly to matrices.  Words are composed in the group; sums
-and scalar multiples of words stay sparse elements of the group algebra
-Q(zeta)[G].  Zero tests fold the support by the scalar subgroup and, for
-rational coefficients, sum integer image vectors; a matrix is built when a
-caller asks for one, or when irrational coefficients leave more than two
-terms.  That is what makes guard-heavy identities affordable.
+The Evaluator maps Vars to group element indices, with a Rep supplying
+the matrices.  Words are composed in the group; sums and scalar multiples
+of words stay sparse elements of the group algebra Q(zeta)[G].  Zero tests
+fold the support by the scalar subgroup and, for rational coefficients,
+sum integer image vectors; a matrix is built when a caller asks for one,
+or when irrational coefficients leave more than two terms.  That is what makes guard-heavy identities affordable.
 A Prod is one fold s a T b: s the product of its scalars, a and b words,
 T the group-algebra product of its other values and the words between
 them.  A Sum adds s a T b to its terms without building the product.  A
@@ -37,13 +36,14 @@ conjugation average) that holds another word sum compiles a flat plan
 (`wordplan`) on its first evaluation, kept on the node: its sub-sums in
 topological order, shared ones once, each term a rational coefficient,
 the words before and after one inner sum, and that sum.  It runs as
-loops of group table lookups into dicts whenever every variable is a
-group element.
-Node values live for one evaluation.
+loops of group table lookups into dicts.
+Node values live for one evaluation.  `reference_eval` is the plain
+walker over matrices: the tests' reference, and the sl2 sampling check's.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -69,7 +69,7 @@ class StreamNonvanishing(Exception):
 
 
 class StreamUndecided(Exception):
-    """A streamed product could not be decided within budget."""
+    """A streamed product was not decided: over budget, or with no representation."""
 
 
 class Expr:
@@ -424,6 +424,43 @@ def free_vars(e: Expr) -> frozenset[str]:
     return e.free_vars()
 
 
+# -- the reference walker ------------------------------------------------------
+
+
+def reference_eval(e: Expr, assignment: dict, n: int) -> Mat:
+    """The value of e with every variable assigned an n x n Mat, each node
+    evaluated once per call: a const is c I, and inv, sum and prod fold
+    from their first child, with no shortcut.  A singular inverse raises
+    NonGroupSubtermError, and a streamed node StreamUndecided."""
+    return _walk(e, assignment, n, {})
+
+
+def _walk(e: Expr, assignment: dict, n: int, memo: dict) -> Mat:
+    out = memo.get(id(e))
+    if out is not None:
+        return out
+    kind = e.kind
+    if kind == "const":
+        out = Mat.scalar(n, e.value)
+    elif kind == "var":
+        out = assignment[e.value]
+    elif kind == "inv":
+        try:
+            out = _walk(e.children[0], assignment, n, memo).inverse()
+        except ZeroDivisionError as exc:
+            raise NonGroupSubtermError("inverse of a singular matrix subterm") from exc
+    elif kind == "sum" or kind == "prod":
+        first, *rest = e.children
+        out = _walk(first, assignment, n, memo)
+        for c in rest:
+            v = _walk(c, assignment, n, memo)
+            out = out + v if kind == "sum" else out * v
+    else:
+        raise StreamUndecided(f"a {kind} node is decided on a representation only")
+    memo[id(e)] = out
+    return out
+
+
 # -- evaluation ------------------------------------------------------------
 
 # Value tags: group index, scalar (a Cyc), matrix, group-algebra element.
@@ -477,17 +514,16 @@ def _convolve(a: dict, b: dict, table) -> dict:
 
 
 class Evaluator:
-    """Evaluates Exprs against a Rep (or raw matrix assignments).
+    """Evaluates Exprs against a Rep, each variable assigned a group element.
 
     Words are composed in the group (_G).  Sums and scalar multiples of
     words, and their products while the supports stay small, are sparse
     elements of Q(zeta)[G] (_A); one supported on the identity alone is a
-    scalar (_S).  Matrices (_M) appear only for matrix-valued assignments,
-    inverses of sums and products whose convolution would cost more than
-    the matrices.  An _A value is lifted to a matrix when a caller asks for
-    one (`_to_mat`), and by its zero test (`_is_zero`) only when irrational
-    coefficients leave more than two terms after folding by the scalar
-    subgroup.  A product is one fold s a T b (`_linear`), which a sum adds
+    scalar (_S).  Matrices (_M) appear only for inverses of sums and
+    products whose convolution would cost more than the matrices.  An _A
+    value is lifted to a matrix when a caller asks for one (`_to_mat`), and
+    by its zero test (`_is_zero`) only when irrational coefficients leave
+    more than two terms after folding by the scalar subgroup.  A product is one fold s a T b (`_linear`), which a sum adds
     to its terms as s c_g at a g b, and whose convolutions are made once
     per call; only a non-leaf factor with another non-leaf after it is
     zero-tested.  A product that does not fold is one matrix product, its
@@ -501,8 +537,7 @@ class Evaluator:
     one, which they still do off a bijection or for a matrix T there.
     A word sum holding another word sum is evaluated from its plan
     (`wordplan.plan_terms`): its sub-sums step by step, each term added by
-    table lookups, with no recursion and no product folds; with a
-    matrix-valued variable it takes the path above.
+    table lookups, with no recursion and no product folds.
 
     Node values and product folds are shared within one call (its memo),
     never across calls.
@@ -510,12 +545,11 @@ class Evaluator:
     repeat (the verifier's vanishing table).
     """
 
-    def __init__(self, rep=None, dim: int | None = None):
+    def __init__(self, rep):
         self.rep = rep
-        self.dim = dim if dim is not None else (rep.dim if rep is not None else None)
         # a product of two _A values convolves while |A|*|B| stays below
         # the cost of one matrix product
-        self._convolve_limit = 2 * self.dim ** 3 if self.dim else 0
+        self._convolve_limit = 2 * rep.dim ** 3
 
     # value helpers
 
@@ -527,10 +561,7 @@ class Evaluator:
             return self.rep.image(payload)
         if tag == _A:
             return self._materialize(payload)
-        # scalar
-        if self.dim is None:
-            raise ValueError("cannot materialize a scalar without a dimension hint")
-        return Mat.scalar(self.dim, payload)
+        return Mat.scalar(self.rep.dim, payload)
 
     def _is_zero(self, val) -> bool:
         tag, payload = val
@@ -549,7 +580,7 @@ class Evaluator:
         tag, payload = val
         if tag == _G:
             return images[payload]
-        d, p = self.dim, red.p
+        d, p = self.rep.dim, red.p
         if tag == _S:
             c = red(payload)
             if c is None:
@@ -558,19 +589,19 @@ class Evaluator:
         if tag == _M:
             rows = tuple(tuple(red(v) for v in row) for row in payload.rows)
             return None if any(None in row for row in rows) else rows
-        acc = [[0] * d for _ in range(d)]
+        coefficients, terms = [], []
         for g, c in payload.items():
             c, image = red(c), images[g]
             if c is None or image is None:
                 return None
-            for out, row in zip(acc, image):
-                for j, v in enumerate(row):
-                    out[j] += c * v
-        return tuple(tuple(v % p for v in row) for row in acc)
+            coefficients.append(c)
+            terms.append(image)
+        # entry (i, j) sums c_g rho_p(g)[i][j] over the terms
+        return tuple([tuple([sum(map(operator.mul, coefficients, entries)) % p
+                             for entries in zip(*rows)]) for rows in zip(*terms)])
 
     def evaluate(self, e: Expr, assignment: dict) -> Mat:
-        val = self._eval(e, assignment, {})
-        return self._to_mat(val)
+        return self._to_mat(self._eval(e, assignment, {}))
 
     def evaluate_value(self, e: Expr, assignment: dict):
         """Raw tagged value; used by the verifier for zero tests without materializing."""
@@ -579,10 +610,7 @@ class Evaluator:
     def scalar_of(self, e: Expr, assignment: dict):
         """The scalar c when the value equals c*I, else None."""
         val = self._eval(e, assignment, {})
-        tag, payload = val
-        if tag == _S:
-            return payload
-        return self._to_mat(val).is_scalar()
+        return val[1] if val[0] == _S else self._to_mat(val).is_scalar()
 
     # group-algebra values
 
@@ -641,7 +669,7 @@ class Evaluator:
         scale = 1
         for c in terms.values():
             scale = lcm(scale, c.denominator)
-        acc = [0] * (self.dim * self.dim * phi)
+        acc = [0] * (self.rep.dim ** 2 * phi)
         for g, c in terms.items():
             k = c.numerator * (scale // c.denominator)
             for pos, v in vectors[g]:
@@ -650,7 +678,7 @@ class Evaluator:
 
     def _materialize(self, terms: dict) -> Mat:
         rep = self.rep
-        n, d = rep.conductor, self.dim
+        n, d = rep.conductor, rep.dim
         phi = rep.integer_images[0]
         acc, den = self._integer_sum({g: c for g, c in terms.items()
                                       if not isinstance(c, Cyc)})
@@ -679,8 +707,7 @@ class Evaluator:
         if kind == "const":
             out = (_S, e.value)
         elif kind == "var":
-            v = assignment[e.value]
-            out = (_G, v) if isinstance(v, int) else (_M, v)
+            out = (_G, assignment[e.value])
         elif kind == "inv":
             out = self._eval_inv(e, assignment, memo)
         elif kind == "sum":
@@ -701,7 +728,7 @@ class Evaluator:
     def _eval_inv(self, e, assignment, memo):
         tag, payload = self._eval(e.children[0], assignment, memo)
         if tag == _G:
-            return (_G, self.rep.group.inverse[payload] if self.rep else payload)
+            return (_G, self.rep.group.inverse[payload])
         if tag == _S:
             if payload.is_zero():
                 raise NonGroupSubtermError("inverse of a zero scalar subterm")
@@ -714,20 +741,19 @@ class Evaluator:
             raise NonGroupSubtermError("inverse of a singular matrix subterm") from exc
 
     def _eval_sum(self, e, assignment, memo):
+        planned = plan_terms(e, self.rep.group.table, assignment)
+        if planned is not None:
+            return self._element(planned)
         terms: dict = {}
         mat = None
         children = e.children
-        if self.rep is not None:
-            planned = plan_terms(e, self.rep.group.table, assignment)
-            if planned is not None:
-                return self._element(planned)
-            if e._psi is None:
-                e._psi = _psi_blocks(e)
-            if e._psi:
-                blocks, children = e._psi
-                for names, middle, members in blocks:
-                    if not self._add_class_sums(terms, names, middle, assignment, memo):
-                        children += members
+        if e._psi is None:
+            e._psi = _psi_blocks(e)
+        if e._psi:
+            blocks, children = e._psi
+            for names, middle, members in blocks:
+                if not self._add_class_sums(terms, names, middle, assignment, memo):
+                    children += members
         for c in children:
             lin = self._linear(c, assignment, memo) if c.kind == "prod" else None
             if lin is None:
@@ -755,10 +781,9 @@ class Evaluator:
         group = self.rep.group
         bijective = memo.get(names)
         if bijective is None:
-            values = [assignment[n] for n in names]
             bijective = memo[names] = (
-                len(names) == group.order and all(isinstance(v, int) for v in values)
-                and len(set(values)) == len(names))
+                len(names) == group.order
+                and len({assignment[n] for n in names}) == len(names))
         if not bijective:
             return False
         tag, payload = self._eval(middle, assignment, memo)
@@ -799,10 +824,8 @@ class Evaluator:
         once, and so does a zero non-leaf child with another non-leaf child
         after it.  The fold of a product with two or more non-leaf children
         is kept in the memo under the node itself, so a product shared by
-        several sums convolves once per call.  None for a matrix, a
-        convolution that costs more than matrices, or no rep."""
-        if self.rep is None:
-            return None
+        several sums convolves once per call.  None for a matrix or a
+        convolution that costs more than matrices."""
         cores = len([c for c in e.children if c.kind != "var" and c.kind != "const"])
         shared = cores > 1
         if shared and e in memo:
@@ -813,8 +836,6 @@ class Evaluator:
         for c in e.children:
             if c.kind == "var":
                 tag, g = _G, assignment[c.value]
-                if not isinstance(g, int):
-                    break
             elif c.kind == "const":
                 tag, g = _S, c.value
             else:
@@ -952,8 +973,7 @@ class Evaluator:
     def _eval_stream_partitions(self, e, assignment, memo):
         var_names, sizes, targets, _sep = e.extra
         mats = [self._to_mat(self._eval(c, assignment, memo)) for c in e.children]
-        n = mats[0].n
-        target_mats = [Mat.scalar(n, c) for c in targets]
+        target_mats = [Mat.scalar(self.rep.dim, c) for c in targets]
         found = self._find_zero_partition(mats, list(sizes), target_mats, assignment, var_names)
         if found:
             return (_S, Cyc.zero())
@@ -965,18 +985,16 @@ class Evaluator:
         keeps the product nonzero when the images span all matrices
         (Burnside's theorem), so the product is certified nonvanishing on an
         irreducible rep only; elsewhere it is undecided."""
-        if self.rep is not None and self.rep.is_irreducible():
+        if self.rep.is_irreducible():
             return StreamNonvanishing(e, what)
         return StreamUndecided(f"{what} with no vanishing factor off an irreducible rep")
 
     def _find_zero_partition(self, mats, sizes, target_mats, assignment, var_names) -> bool:
         """Search for a typed partition whose every block sum matches its target."""
         m = len(mats)
-        # hint: when values are group elements of the rep's group, try
-        # assembling blocks from whole conjugacy classes first
-        if self.rep is not None and all(isinstance(assignment.get(v), int) for v in var_names):
-            if self._class_assembly_hint(assignment, var_names, sizes, target_mats, mats):
-                return True
+        # try assembling blocks from whole conjugacy classes first
+        if self._class_assembly_hint(assignment, var_names, sizes, target_mats, mats):
+            return True
         order = sorted(range(len(sizes)), key=lambda i: sizes[i])
         budget = [PARTITION_BUDGET]
 

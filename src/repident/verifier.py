@@ -67,13 +67,13 @@ from fractions import Fraction
 from .exactnum import Cyc, mat_mul_mod
 from .freeexpr import (
     _G,
-    _S,
     Evaluator,
     Expr,
     StreamNonvanishing,
     StreamUndecided,
     _psi_blocks,
     prod,
+    reference_eval,
     star,
 )
 from .idfactory import IdentityDoc
@@ -277,13 +277,15 @@ class _Session:
                 continue
             ab = differences.get(child)
             if ab is not None:
-                f = self._difference_factor(assign[ab[0]], assign[ab[1]])
+                # from its two terms, not evaluated ({x: 1, x: -1} keeps one)
+                x, y = assign[ab[0]], assign[ab[1]]
+                val = self.ev._element({x: 1, y: -1} if x != y else {})
             else:
                 try:
                     val = self.ev._eval(child, assign, memo)
                 except StreamNonvanishing:
                     return "search-failed"
-                f = _Factor(self.ev, val, self.ev._mod_p(val))
+            f = _Factor(self.ev, val, self.ev._mod_p(val))
             if not f.nonzero_mod_p() and self.ev._is_zero(f.val):
                 raise VerifierError("internal: vanishing factor inside witness search")
             if not pending or not prefix.vals:
@@ -309,19 +311,6 @@ class _Session:
         if not prefix.vals:
             return "search-failed"
         return assign
-
-    def _difference_factor(self, x: int, y: int) -> "_Factor":
-        """The factor rho(x) - rho(y) of the witness product, built from its
-        two terms and the rows of `Rep.images_mod_p`, not evaluated."""
-        if x == y:
-            val = (_S, Cyc.zero())
-            return _Factor(self.ev, val, self.ev._mod_p(val))
-        red, images = self.rep.images_mod_p
-        p, mod = red.p, None
-        if images[x] is not None and images[y] is not None:
-            mod = tuple([tuple([(a - b) % p for a, b in zip(rx, ry)])
-                         for rx, ry in zip(images[x], images[y])])
-        return _Factor(self.ev, self.ev._element({x: 1, y: -1}), mod)
 
     def decide(self, assignment: dict, total: bool = False):
         """`settle` after one scan of every root value factor."""
@@ -388,7 +377,7 @@ class _Prefix:
     def __init__(self, ev: Evaluator):
         self.ev = ev
         self.p = ev.rep.images_mod_p[0].p
-        d = ev.dim
+        d = ev.rep.dim
         # None once the prefix is carried exactly
         self.mod = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
         # the tagged values multiplied so far; _Factor objects are not kept,
@@ -978,14 +967,14 @@ def random_sl2(rng: random.Random, shears: int = 4, height: int = 10) -> Mat:
 
 
 def sl2_sample_check(expr: Expr, trials: int = 1000, seed: int = 0) -> Verdict:
+    """expr on random determinant-one rational matrices (`random_sl2`),
+    evaluated by `freeexpr.reference_eval`."""
     t0 = time.time()
     names = sorted(expr.free_vars())
     rng = random.Random(seed)
-    ev = Evaluator(rep=None, dim=2)
     for trial in range(trials):
         assignment = {name: random_sl2(rng) for name in names}
-        value = ev.evaluate(expr, assignment)
-        if not value.is_zero():
+        if not reference_eval(expr, assignment, 2).is_zero():
             witness = {
                 name: [[str(v.rational_value()) for v in row] for row in mat.rows]
                 for name, mat in assignment.items()

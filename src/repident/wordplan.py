@@ -23,19 +23,17 @@ def word_plan(e):
     """The plan of a sum, or None when e is not a word sum holding another
     word sum.
 
-    The plan is (names, steps): the variable names it reads, and one step
-    per word sum of e's sub-DAG in topological order, e last, a sum shared
-    in the DAG being one step.  A step lists its children as terms
-    (q, prefix, i, suffix), the value q a V_i b with V_i the value of step
-    i (i is None for 1) and a, b the words of the prefix and suffix
-    names."""
+    The plan is its steps: one per word sum of e's sub-DAG in topological
+    order, e last, a sum shared in the DAG being one step.  A step lists
+    its children as terms (q, prefix, i, suffix), the value q a V_i b with
+    V_i the value of step i (i is None for 1) and a, b the words of the
+    prefix and suffix names."""
     if not _holds_sum(e):
         return None
     steps: list = []
-    names: set = set()
-    if _add_step(e, steps, {}, names) is None:
+    if _add_step(e, steps, {}) is None:
         return None
-    return tuple(sorted(names)), tuple(steps)
+    return tuple(steps)
 
 
 def _holds_sum(e) -> bool:
@@ -50,7 +48,7 @@ def _holds_sum(e) -> bool:
     return False
 
 
-def _add_step(s, steps: list, index: dict, names: set):
+def _add_step(s, steps: list, index: dict):
     """The index of the step of the sum s, appended to steps after those of
     its inner sums; None when s is not a word sum.  index maps the id of
     each sum seen to its step, or to None."""
@@ -65,11 +63,10 @@ def _add_step(s, steps: list, index: dict, names: set):
     for q, prefix, core, suffix in terms:
         i = None
         if core is not None:
-            i = _add_step(core, steps, index, names)
+            i = _add_step(core, steps, index)
             if i is None:
                 return None
         step.append((q, prefix, i, suffix))
-        names.update(prefix, suffix)
     index[key] = len(steps)
     steps.append(tuple(step))
     return index[key]
@@ -98,20 +95,15 @@ def _word_terms(s):
 
 def plan_terms(e, table, assignment: dict):
     """The terms {group index: coefficient} of the sum e from its plan,
-    under the group's multiplication table; None when e has no plan or a
-    variable of the plan is not assigned a group element.  The plan is
-    compiled on first use and kept in e._plan.  Terms may hold zero
+    under the group's multiplication table; None when e has no plan.  The
+    plan is compiled on first use and kept in e._plan.  Terms may hold zero
     coefficients."""
     if e._plan is False:
         e._plan = word_plan(e)
     if e._plan is None:
         return None
-    names, steps = e._plan
-    for n in names:
-        if not isinstance(assignment.get(n), int):
-            return None
     values = []
-    for step in steps:
+    for step in e._plan:
         out: dict = {}
         get = out.get
         for q, prefix, child, suffix in step:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -144,15 +145,28 @@ def test_experiment_sweep():
 
 
 def test_sl2_check(tmp_path):
-    out = tmp_path / "s2.json"
-    # the standard identity in two variables is the determinant-one relation
-    proc = run_cli("build", "standard", "--m", "2", "-o", str(out))
-    assert proc.returncode == 0
-    # s_2 alternating sum does not vanish over 2x2; just exercise the path
-    proc = run_cli("check", str(out), "--sl2", "--trials", "10", "--seed", "1")
-    assert proc.returncode in (0, 1)
+    """s2 is the commutator y1 y2 - y2 y1: it fails on 2x2 matrices, with a
+    witness whose commutator is nonzero in Fraction arithmetic.  s4 holds
+    on 2x2 matrices (Amitsur-Levitzki)."""
+    s2, s4 = tmp_path / "s2.json", tmp_path / "s4.json"
+    for m, out in ((2, s2), (4, s4)):
+        assert run_cli("build", "standard", "--m", str(m), "-o", str(out)).returncode == 0
+    proc = run_cli("check", str(s2), "--sl2", "--trials", "10", "--seed", "1")
+    assert proc.returncode == 1, proc.stderr
     payload = json.loads(proc.stdout)
-    assert payload["evidence"] == "sampled"
+    assert (payload["status"], payload["evidence"]) == ("fails", "sampled")
+    a, b = ([[Fraction(v) for v in row] for row in payload["witness"][name]]
+            for name in ("y1", "y2"))
+
+    def mul(p, q):
+        return [[sum(p[i][k] * q[k][j] for k in range(2)) for j in range(2)]
+                for i in range(2)]
+
+    assert mul(a, b) != mul(b, a)
+    proc = run_cli("check", str(s4), "--sl2", "--trials", "10", "--seed", "1")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["status"], payload["evidence"]) == ("holds", "sampled")
 
 
 def test_expansion_over_the_limit_is_a_usage_error():

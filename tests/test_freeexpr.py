@@ -18,6 +18,7 @@ from repident.freeexpr import (
     is_psd,
     power,
     prod,
+    reference_eval,
     smul,
     star,
     stream_subsets,
@@ -29,26 +30,8 @@ from repident.matrices import Mat
 
 
 def naive_eval(e: Expr, assignment: dict, rep) -> Mat:
-    """Independent oracle: materialize every node, no sharing, no shortcuts."""
-    n = rep.dim
-    if e.kind == "const":
-        return Mat.scalar(n, e.value)
-    if e.kind == "var":
-        v = assignment[e.value]
-        return v if isinstance(v, Mat) else rep.images[v]
-    if e.kind == "inv":
-        return naive_eval(e.children[0], assignment, rep).inverse()
-    if e.kind == "sum":
-        acc = Mat.zeros(n)
-        for c in e.children:
-            acc = acc + naive_eval(c, assignment, rep)
-        return acc
-    if e.kind == "prod":
-        acc = Mat.identity(n)
-        for c in e.children:
-            acc = acc * naive_eval(c, assignment, rep)
-        return acc
-    raise AssertionError(e.kind)
+    """The reference walker on the images of the assigned group elements."""
+    return reference_eval(e, {n: rep.images[g] for n, g in assignment.items()}, rep.dim)
 
 
 def random_expr(rng, names, depth=3) -> Expr:
@@ -201,7 +184,7 @@ def test_shortcircuit_regression(s3_std):
         assignment = {n: rng.randrange(6) for n in names}
         try:
             expected = naive_eval(e, assignment, s3_std)
-        except ZeroDivisionError:
+        except NonGroupSubtermError:
             continue
         assert expected.is_zero()
         assert ev.evaluate(e, assignment) == expected
@@ -212,6 +195,39 @@ def test_inv_of_noninvertible_signals(s3_std):
     ev = Evaluator(s3_std)
     with pytest.raises(NonGroupSubtermError):
         ev.evaluate(e, {"a": 1})
+
+
+def test_reference_walker_signals_singular_inverses_and_streams():
+    """On free 2x2 matrices the reference walker raises NonGroupSubtermError
+    on inv(x - x) and StreamUndecided on a streamed node, which it has no
+    representation to decide on."""
+    x = var("x")
+    assignment = {"x": Mat.rational(((1, 1), (0, 1)))}
+    with pytest.raises(NonGroupSubtermError):
+        reference_eval(inv(sub(x, x)), assignment, 2)
+    streamed = stream_subsets([sub(x, const(1))], 1, "s")
+    for e in (streamed, sum_([x, streamed])):
+        with pytest.raises(StreamUndecided):
+            reference_eval(e, assignment, 2)
+
+
+def test_reference_walker_evaluates_each_node_once(monkeypatch):
+    """tr(y) = y + y^-1 is one node in [tr(y), x], so one call inverts y
+    once; its value is the commutator, zero on SL2 by Cayley-Hamilton."""
+    inverses = []
+    original = Mat.inverse
+
+    def inverse(self):
+        inverses.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Mat, "inverse", inverse)
+    x, y = var("x"), var("y")
+    tr_y = sum_([y, inv(y)])
+    commutator = sub(prod([tr_y, x]), prod([x, tr_y]))
+    assignment = {"x": Mat.rational(((2, 1), (1, 1))), "y": Mat.rational(((1, 3), (0, 1)))}
+    assert reference_eval(commutator, assignment, 2).is_zero()
+    assert len(inverses) == 1
 
 
 def test_power_helper(s3_std):
@@ -370,7 +386,7 @@ def test_group_algebra_values_match_matrices(index):
         assignment = {n: rng.randrange(rep.group.order) for n in names}
         try:
             slow = naive_eval(e, assignment, rep)
-        except ZeroDivisionError:
+        except NonGroupSubtermError:
             continue
         try:
             fast = ev.evaluate(e, assignment)
@@ -583,7 +599,7 @@ def test_zero_factor_before_leaves_matches_naive_oracle(index):
         assignment.update(extras)
         try:
             slow = naive_eval(e, assignment, rep)
-        except ZeroDivisionError:
+        except NonGroupSubtermError:
             continue
         assert ev.evaluate(e, assignment) == slow
         assert ev._is_zero(ev.evaluate_value(e, assignment)) == slow.is_zero()
@@ -604,12 +620,15 @@ def test_zero_factor_before_leaves_matches_naive_oracle(index):
 def test_zero_factor_guards_exceptions(index):
     """A zero product followed by leaves only still raises under inv; a zero
     factor still spares an inverse of a zero element after it, also in a
-    product that a matrix-valued variable m before it sends to matrices."""
-    from repident.freeexpr import _A
+    product that a matrix-valued factor inv(2 + w) before it sends to
+    matrices."""
+    from repident.freeexpr import _A, _M
 
     rep, extras, zeros = _zero_factor_cases()[index]
-    assignment = dict(extras, a=1, b=2, m=rep.images[1] + rep.images[2])
+    assignment = dict(extras, a=1, b=2, w=1)
+    matrix = inv(sum_([const(2), var("w")]))
     ev = Evaluator(rep)
+    assert ev.evaluate_value(matrix, assignment)[0] == _M
     tags = [ev.evaluate_value(zero, assignment)[0] for zero in zeros]
     assert all(ev._is_zero(ev.evaluate_value(zero, assignment)) for zero in zeros)
     assert (_A in tags) == (len(zeros) == 2)
@@ -620,7 +639,7 @@ def test_zero_factor_guards_exceptions(index):
             val = ev.evaluate_value(prod([zero, inv(other)]), assignment)
             assert ev._is_zero(val)
             assert ev.evaluate(prod([var("b"), zero, inv(other)]), assignment).is_zero()
-            assert ev.evaluate(prod([var("m"), zero, inv(other)]), assignment).is_zero()
+            assert ev.evaluate(prod([matrix, zero, inv(other)]), assignment).is_zero()
 
 
 def test_standard_identity_makes_no_group_algebra_zero_tests(monkeypatch):
@@ -655,10 +674,11 @@ def test_linear_products_match_naive_oracle(index, monkeypatch):
     them, rational and irrational constants and zero constants before and
     after a lone non-leaf.  One product node is shared by two sums and is
     also a root factor, all three evaluated under one memo.  Values and zero
-    tests agree with the naive oracle, with a matrix-valued variable and
-    with products whose convolution is over the evaluator's limit (lowered
-    to 4 on a second evaluator: Z3 has no support larger than 3), which
-    take the matrix fallback."""
+    tests agree with the naive oracle, with a matrix-valued factor
+    inv(2 + w) in place of the variable c, and with products whose
+    convolution is over the evaluator's limit (lowered to 4 on a second
+    evaluator: Z3 has no support larger than 3), which take the matrix
+    fallback."""
     from repident.freeexpr import _M
 
     rep, extras, zeros = _zero_factor_cases()[index]
@@ -676,6 +696,10 @@ def test_linear_products_match_naive_oracle(index, monkeypatch):
         return out
 
     monkeypatch.setattr(Evaluator, "_linear", linear)
+    # invertible for every w: rho(w) has eigenvalues of modulus 1; a matrix
+    # for w not the identity
+    matrix = inv(sum_([const(2), var("w")]))
+    with_matrix = False
 
     def leaf():
         pick = rng.random()
@@ -685,7 +709,8 @@ def test_linear_products_match_naive_oracle(index, monkeypatch):
             return const(cyc_root_of_unity(rng.choice([3, 4]), 1))
         if pick < 0.45:
             return const(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3)))
-        return var(rng.choice(names))
+        name = rng.choice(names)
+        return matrix if with_matrix and name == "c" else var(name)
 
     def product(cores):
         children = [leaf() for _ in range(rng.randint(1, 3))]
@@ -697,9 +722,7 @@ def test_linear_products_match_naive_oracle(index, monkeypatch):
     def is_leaf(c):
         return c.kind in ("var", "const")
 
-    def matrix_valued(c, assignment, memo):
-        if c.kind == "var":
-            return not isinstance(assignment[c.value], int)
+    def matrix_valued(c, memo):
         return not is_leaf(c) and memo.get(id(c), (None,))[0] == _M
 
     tight = Evaluator(rep)
@@ -707,19 +730,17 @@ def test_linear_products_match_naive_oracle(index, monkeypatch):
     evaluators = (Evaluator(rep), tight)
     checked = 0
     for _ in range(120):
+        with_matrix = rng.random() < 0.25
         cores = [_algebra_expr(rng, names, depth=2) for _ in range(2)] + zeros
         shared = product(cores)
         factors = [sum_([shared] + [product(cores) for _ in range(rng.randint(1, 3))]),
                    shared,
                    sum_([product(cores), leaf(), shared])]
         assignment = {n: rng.randrange(rep.group.order) for n in names}
-        assignment.update(extras)
-        if rng.random() < 0.25:
-            g, h = rng.sample(range(rep.group.order), 2)
-            assignment["c"] = rep.images[g] + rep.images[h]
+        assignment.update(extras, w=rng.randrange(1, rep.group.order))
         try:
             slow = [naive_eval(f, assignment, rep) for f in factors]
-        except ZeroDivisionError:
+        except NonGroupSubtermError:
             continue
         folds.clear()
         for ev in evaluators:
@@ -731,7 +752,7 @@ def test_linear_products_match_naive_oracle(index, monkeypatch):
                 assert ev.evaluate(f, assignment) == expected
         # a fold is None for a matrix value or a convolution over the limit
         seen["over the limit"] += sum(
-            out is None and not any(matrix_valued(c, assignment, memo) for c in e.children)
+            out is None and not any(matrix_valued(c, memo) for c in e.children)
             for e, memo, out in folds)
         products = [f for s in factors if s.kind == "sum" for f in s.children
                     if f.kind == "prod"]
@@ -749,7 +770,7 @@ def test_linear_products_match_naive_oracle(index, monkeypatch):
                         seen["zero before core" if i < core else "zero after core"] += 1
             seen["irrational"] += any(c.kind == "const" and not c.value.is_rational()
                                       for c in p.children)
-        seen["matrix"] += not isinstance(assignment["c"], int)
+        seen["matrix"] += with_matrix
         checked += 1
     assert checked >= 40
     assert all(n >= 5 for n in seen.values()), seen
@@ -877,7 +898,7 @@ def test_standard_polynomials_match_naive_oracle(index):
             _check_against_oracle(ev, doc.expr, assignment, rep)
         if k >= 3:
             # one step per subset of two or more variables: s_k's shared sums
-            assert len(doc.expr._plan[1]) == 2 ** k - k - 1
+            assert len(doc.expr._plan) == 2 ** k - k - 1
         elif k == 2:
             assert doc.expr._plan is None
 
@@ -1002,37 +1023,21 @@ def test_plan_leaves_conjugation_averages_to_class_sums(monkeypatch):
     assert class_sums and all(class_sums)
 
 
-def test_plan_refuses_irrational_constants_and_matrices(monkeypatch):
-    """A word sum with an irrational constant has no plan; a planned sum
-    with a variable assigned a matrix takes the recursive path for that
-    call.  Values equal the naive oracle's."""
-    from repident import freeexpr, idfactory
+def test_plan_refuses_irrational_constants():
+    """A word sum with an irrational constant has no plan, while the word
+    sum inside it has one.  Values equal the naive oracle's."""
+    from repident import idfactory
 
     rep = catalog.alternating(5).rep("dim3a")
     s3 = idfactory.standard_identity(3).expr
     i = cyc_root_of_unity(5, 1)
     irrational = sum_([prod([const(i), s3, var("y1")]), var("y2")])
-    runs = []
-    original = freeexpr.plan_terms
-
-    def recording(e, table, assignment):
-        out = original(e, table, assignment)
-        if e is s3:
-            runs.append(out)
-        return out
-
-    monkeypatch.setattr(freeexpr, "plan_terms", recording)
     ev = Evaluator(rep)
     rng = random.Random(41)
     for _ in range(3):
         assignment = {f"y{i}": rng.randrange(60) for i in range(1, 4)}
         _check_against_oracle(ev, irrational, assignment, rep)
-        runs.clear()
-        with_matrix = dict(assignment, y2=rep.images[rng.randrange(60)] + rep.images[0])
-        _check_against_oracle(ev, s3, with_matrix, rep)
-        assert runs and all(out is None for out in runs)
-        assert s3._plan is not None
-    assert irrational._plan is None
+    assert irrational._plan is None and s3._plan is not None
 
 
 def test_plan_values_cancel_to_zero_and_reduce_to_one_word():
@@ -1118,13 +1123,14 @@ def _psi_sum(middle, names):
 
 def _psi_middles(rep):
     """T builders, each tagged by the kind of value T takes: a word (_G),
-    x^exponent = 1 (_S), a sum (_A) and a matrix assigned to w (_M)."""
+    x^exponent = 1 (_S), a sum (_A) and the inverse of 2 + w, for w not the
+    identity (_M)."""
     i = cyc_root_of_unity(4, 1)
     return {
         "word": lambda: var("x"),
         "scalar": lambda: power(var("x"), rep.group.exponent()),
         "sum": lambda: sum_([var("x"), smul(i, var("z")), const(Fraction(1, 2))]),
-        "matrix": lambda: var("w"),
+        "matrix": lambda: inv(sum_([const(2), var("w")])),
     }
 
 
@@ -1195,9 +1201,8 @@ def test_psi_class_sums_match_term_by_term_and_naive_oracle(index, evaluated):
             order = list(range(m))
             rng.shuffle(order)
             assignment = dict(zip(names, order))
-            g, h = rng.sample(range(m), 2)
             assignment.update(x=rng.randrange(m), z=rng.randrange(m),
-                              w=rep.images[g] + rep.images[h])
+                              w=rng.randrange(1, m))
             evaluated.clear()
             val = ev.evaluate_value(e, assignment)
             touched = _psi_children(e) & set(map(id, evaluated))

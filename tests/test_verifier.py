@@ -1043,12 +1043,12 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
 
 @pytest.mark.parametrize("rep_name", ["S3:std", "S4:rho2", "S4:rho1", "Z3^2:reducible",
                                       "gamma:pi(1,1)"])
-def test_differences_are_decided_from_kernel_cosets(rep_name):
+def test_differences_are_decided_from_kernel_cosets(rep_name, monkeypatch):
     """A root factor var(a) - var(b), in either child order, is decided
     without evaluation and stored in no table: for every ordered pair (x, y)
     the session's decision is an exact zero test of the evaluated
-    difference.  The witness search builds its value and image mod p from
-    the two terms, and both equal the evaluator's."""
+    difference.  The witness search builds its value from the two terms,
+    also when x = y, and its value and image mod p equal the evaluator's."""
     rep = {
         "S3:std": lambda: catalog.symmetric(3).rep("std"),  # faithful
         "S4:rho2": lambda: catalog.symmetric(4).rep("rho2"),  # kernel A4
@@ -1075,12 +1075,31 @@ def test_differences_are_decided_from_kernel_cosets(rep_name):
         for f in (forward, backward):
             assert session.scan_factors(assignment, [f]) == (
                 vf.VANISHES if want else vf.NONE)
-        got = session._difference_factor(x, y)
-        assert got.val == val and got.mod == ev._mod_p(val)
     assert not session.vanishing
     assert len(kernel) == {"S3:std": 1, "S4:rho2": 12, "S4:rho1": 24, "Z3^2:reducible": 3,
                            "gamma:pi(1,1)": 1}[rep_name]
     del session.ev._eval
+    built = []
+
+    class Recording(vf._Factor):
+        __slots__ = ()
+
+        def __init__(self, ev, val, mod):
+            super().__init__(ev, val, mod)
+            built.append(self)
+
+    monkeypatch.setattr(vf, "_Factor", Recording)
+    for x, y in itertools.product(range(min(rep.group.order, 6)), repeat=2):
+        assignment = {"a": x, "b": y, "v": 0}
+        val = ev._eval(forward, assignment, {})
+        built.clear()
+        if ev._is_zero(val):
+            with pytest.raises(vf.VerifierError, match="vanishing factor"):
+                session.witness_value(assignment)
+        else:
+            session.witness_value(assignment)
+        # the first factor built is the forward difference
+        assert built[0].val == val and built[0].mod == ev._mod_p(val)
     if len(kernel) == 1:
         assert session.decide({"a": 1, "b": 2, "v": 0}) == {"a": 1, "b": 2, "v": 0}
     else:

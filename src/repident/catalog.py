@@ -546,10 +546,6 @@ class GammaGroup:
     nprime: int
     entry_name: str
 
-    @property
-    def entry(self) -> CatalogEntry:
-        return gamma_d(self.m, self.n, self.r)
-
 
 def _mult_order(r: int, m: int) -> int:
     if gcd(r, m) != 1:

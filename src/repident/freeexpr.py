@@ -19,12 +19,13 @@ of words stay sparse elements of the group algebra Q(zeta)[G].  Zero tests
 fold the support by the scalar subgroup and, for rational coefficients,
 sum integer image vectors; a matrix is built when a caller asks for one,
 or when irrational coefficients leave more than two terms.  That is what makes guard-heavy identities affordable.
-A Prod is one fold s a T b: s the product of its scalars, a and b words,
-T the group-algebra product of its other values and the words between
-them.  A Sum adds s a T b to its terms without building the product.  A
-zero constant makes a Prod zero at once, and so does a zero non-leaf
-factor with another non-leaf after it.  A Prod with a matrix value, or
-whose convolution would cost more than matrices, is one matrix product.
+A Prod is one left-to-right fold s a T b: s the product of its scalars,
+a and b words, T the product of its other values and the words between
+them.  T is a group-algebra element until a value is a matrix or a
+convolution would cost more than matrices, and a matrix from then on.
+A Sum adds s a T b to its terms without building the product.  The zero
+rule: a zero scalar, or a zero non-leaf factor with another non-leaf
+after it, ends the Prod at once.
 A conjugation average
 sum_{y in Y} y T y^-1 inside a Sum is recognized once per node and, when Y
 is a bijection onto the group, added without evaluating a term: on an
@@ -38,7 +39,8 @@ topological order, shared ones once, each term a rational coefficient,
 the words before and after one inner sum, and that sum.  It runs as
 loops of group table lookups into dicts.
 Node values live for one evaluation.  `reference_eval` is the plain
-walker over matrices: the tests' reference, and the sl2 sampling check's.
+walker over matrices, with the same zero rule: the tests' reference, and
+the sl2 sampling check's.
 """
 
 from __future__ import annotations
@@ -430,8 +432,10 @@ def free_vars(e: Expr) -> frozenset[str]:
 def reference_eval(e: Expr, assignment: dict, n: int) -> Mat:
     """The value of e with every variable assigned an n x n Mat, each node
     evaluated once per call: a const is c I, and inv, sum and prod fold
-    from their first child, with no shortcut.  A singular inverse raises
-    NonGroupSubtermError, and a streamed node StreamUndecided."""
+    from their first child.  A product is zero at its first zero factor
+    (variables are taken as invertible), as in the Evaluator, and evaluates
+    no non-leaf factor after it; there is no other shortcut.  A singular
+    inverse raises NonGroupSubtermError, and a streamed node StreamUndecided."""
     return _walk(e, assignment, n, {})
 
 
@@ -450,11 +454,20 @@ def _walk(e: Expr, assignment: dict, n: int, memo: dict) -> Mat:
         except ZeroDivisionError as exc:
             raise NonGroupSubtermError("inverse of a singular matrix subterm") from exc
     elif kind == "sum" or kind == "prod":
-        first, *rest = e.children
-        out = _walk(first, assignment, n, memo)
-        for c in rest:
+        # the Evaluator's zero rule: a zero constant, or a zero non-leaf factor
+        # before the last non-leaf, ends a product (only a non-leaf can raise)
+        children = e.children
+        last = len(children) - 1 if kind == "prod" else 0
+        while last and (children[last].kind == "var" or children[last].kind == "const"):
+            last -= 1
+        out = None
+        for i, c in enumerate(children):
             v = _walk(c, assignment, n, memo)
-            out = out + v if kind == "sum" else out * v
+            if i < last and c.kind != "var" and (
+                    c.value.is_zero() if c.kind == "const" else v.is_zero()):
+                out = v
+                break
+            out = v if out is None else out + v if kind == "sum" else out * v
     else:
         raise StreamUndecided(f"a {kind} node is decided on a representation only")
     memo[id(e)] = out
@@ -523,11 +536,12 @@ class Evaluator:
     products whose convolution would cost more than the matrices.  An _A
     value is lifted to a matrix when a caller asks for one (`_to_mat`), and
     by its zero test (`_is_zero`) only when irrational coefficients leave
-    more than two terms after folding by the scalar subgroup.  A product is one fold s a T b (`_linear`), which a sum adds
-    to its terms as s c_g at a g b, and whose convolutions are made once
-    per call; only a non-leaf factor with another non-leaf after it is
-    zero-tested.  A product that does not fold is one matrix product, its
-    scalars folded into one scale.
+    more than two terms after folding by the scalar subgroup.  A product is
+    one fold s a T b (`_linear`), whose T turns into a matrix at a matrix
+    value or a convolution over the limit; a sum adds a group-algebra fold
+    to its terms as s c_g at a g b, and a matrix fold to its matrix.  A
+    fold with two or more non-leaf factors is made once per call; only a
+    non-leaf factor with another non-leaf after it is zero-tested.
     A sum's conjugation averages psi_Y(T) (`_psi_blocks`) over a bijection Y
     onto the group are added without a term y T y^-1 (`_add_class_sums`).
     On an irreducible rep of degree d, psi_Y(T) is the scalar
@@ -755,14 +769,13 @@ class Evaluator:
                 if not self._add_class_sums(terms, names, middle, assignment, memo):
                     children += members
         for c in children:
-            lin = self._linear(c, assignment, memo) if c.kind == "prod" else None
-            if lin is None:
-                val = self._eval(c, assignment, memo)
-                if val[0] == _M:
-                    mat = val[1] if mat is None else mat + val[1]
-                    continue
-                lin = (1, 0, val, 0)
-            self._accumulate(terms, *lin)
+            fold = (self._linear(c, assignment, memo) if c.kind == "prod"
+                    else (1, 0, self._eval(c, assignment, memo), 0))
+            if fold[2] is not None and fold[2][0] == _M:
+                m = self._fold_matrix(*fold)
+                mat = m if mat is None else mat + m
+            else:
+                self._accumulate(terms, *fold)
         if mat is None:
             return self._element(terms)
         return (_M, mat + self._to_mat(self._element(terms)) if terms else mat)
@@ -817,22 +830,23 @@ class Evaluator:
         return trace
 
     def _linear(self, e, assignment, memo):
-        """(s, a, T, b) with s a T b the value of the product e: s the product
-        of its scalars, a and b the words before and after T, T the
-        group-algebra product (an _A value, or None for 1) of its other
-        values and the words between them.  A zero scalar gives s = 0 at
-        once, and so does a zero non-leaf child with another non-leaf child
-        after it.  The fold of a product with two or more non-leaf children
-        is kept in the memo under the node itself, so a product shared by
-        several sums convolves once per call.  None for a matrix or a
-        convolution that costs more than matrices."""
+        """(s, a, T, b) with s a T b the value of the product e, folded left
+        to right: s the product of its scalars, a and b the words before and
+        after T, and T (None for 1) the product of its other values and the
+        words between them.  T is a group-algebra element (_A) until a value
+        is a matrix or a convolution would cost more than matrices; from
+        then on it is a matrix (_M), T rho(b) times the next value.  The
+        zero rule: a zero scalar, or a zero non-leaf child with another
+        non-leaf child after it, ends the product with s = 0.  The fold of a
+        product with two or more non-leaf children is kept in the memo under
+        the node itself, so a product shared by several sums is folded once
+        per call."""
         cores = len([c for c in e.children if c.kind != "var" and c.kind != "const"])
         shared = cores > 1
         if shared and e in memo:
             return memo[e]
         table = self.rep.group.table
         s, a, core, b = 1, 0, None, 0
-        out = None
         for c in e.children:
             if c.kind == "var":
                 tag, g = _G, assignment[c.value]
@@ -842,7 +856,7 @@ class Evaluator:
                 cores -= 1
                 val = self._eval(c, assignment, memo)
                 if cores and self._is_zero(val):
-                    out = (0, 0, None, 0)
+                    s = 0
                     break
                 tag, g = val
             if tag == _G:
@@ -850,32 +864,29 @@ class Evaluator:
                     a = table[a][g]
                 else:
                     b = table[b][g]
-            elif tag == _A:
-                if core is None:
-                    core = val
-                elif len(core[1]) * len(g) > self._convolve_limit:
-                    break
-                else:
-                    terms = core[1]
-                    if b:
-                        terms = {table[h][b]: x for h, x in terms.items()}
-                    core, b = (_A, _convolve(terms, g, table)), 0
             elif tag == _S:
                 s = _mul(s, demote(g))
                 if not s:
-                    out = (0, 0, None, 0)
                     break
-            else:  # a matrix
-                break
-        else:
-            out = (s, a, core, b)
+            elif core is None:
+                core = val
+            else:
+                if b:
+                    core = ((_A, {table[h][b]: x for h, x in core[1].items()})
+                            if core[0] == _A else (_M, core[1] * self.rep.image(b)))
+                    b = 0
+                if core[0] == _A and tag == _A and len(core[1]) * len(g) <= self._convolve_limit:
+                    core = (_A, _convolve(core[1], g, table))
+                else:
+                    core = (_M, self._to_mat(core) * self._to_mat(val))
+        out = (s, a, core, b) if s else (0, 0, None, 0)
         if shared:
             memo[e] = out
         return out
 
     def _accumulate(self, terms: dict, s, a, core, b) -> dict:
         """terms += s a T b, coefficient by coefficient, for a tagged value T
-        (1 when core is None); returns terms."""
+        other than a matrix (1 when core is None); returns terms."""
         tag, payload = core or (_G, 0)
         if not s:
             return terms
@@ -890,30 +901,20 @@ class Evaluator:
             terms[g] = _add(terms[g], c) if g in terms else c
         return terms
 
+    def _fold_matrix(self, s, a, core, b) -> Mat:
+        """s rho(a) T rho(b) for a matrix T."""
+        m = core[1]
+        if a:
+            m = self.rep.image(a) * m
+        if b:
+            m = m * self.rep.image(b)
+        return m if s == 1 else m.scale(_cyc(s))
+
     def _eval_prod(self, e, assignment, memo):
-        lin = self._linear(e, assignment, memo)
-        if lin is not None:
-            return self._element(self._accumulate({}, *lin))
-        # one matrix product, its scalars folded into one scale
-        cores = len([c for c in e.children if c.kind != "var" and c.kind != "const"])
-        scalar = mat = None
-        for c in e.children:
-            val = self._eval(c, assignment, memo)
-            if c.kind != "var" and c.kind != "const":
-                cores -= 1
-                if cores and self._is_zero(val):
-                    return (_S, Cyc.zero())
-            tag, payload = val
-            if tag == _S:
-                if payload.is_zero():
-                    return (_S, Cyc.zero())
-                scalar = payload if scalar is None else scalar * payload
-            else:
-                m = self._to_mat(val)
-                mat = m if mat is None else mat * m
-        if mat is None:
-            return (_S, Cyc.one() if scalar is None else scalar)
-        return (_M, mat if scalar is None else mat.scale(scalar))
+        fold = self._linear(e, assignment, memo)
+        if fold[2] is None or fold[2][0] != _M:
+            return self._element(self._accumulate({}, *fold))
+        return (_M, self._fold_matrix(*fold))
 
     # -- streamed products ------------------------------------------------
 

@@ -134,7 +134,7 @@ class Rep:
 
     @cached_property
     def character(self) -> "Character":
-        return Character(self.group, [mt.trace() for mt in self.images], rep=self)
+        return Character(self.group, [mt.trace() for mt in self.images])
 
     @cached_property
     def class_spectra(self) -> list[list[tuple[int, int, int]]]:
@@ -357,10 +357,9 @@ class Character:
     not change once either has been read.
     """
 
-    def __init__(self, group: FiniteGroup, values, rep: Rep | None = None):
+    def __init__(self, group: FiniteGroup, values):
         self.group = group
         self.values = list(values)
-        self.rep = rep
         self._key_conductor: int | None = None
         self._class_keys: dict[int, list[tuple]] = {}
 

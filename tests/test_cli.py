@@ -12,7 +12,7 @@ import repident
 from repident import catalog, idfactory
 from repident.cli import UsageError, _load
 from repident.exactnum import Cyc, cyc_root_of_unity
-from repident.freeexpr import const, inv, sub, var
+from repident.freeexpr import const, inv, prod, sub, var
 
 # the CLI subprocess imports the same package as the tests
 _SRC = str(Path(repident.__file__).resolve().parents[1])
@@ -238,6 +238,27 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
         assert proc.returncode == 2, args
         assert json.loads(proc.stderr)["error"], args
         assert "Traceback" not in proc.stderr, args
+
+
+def test_a_zero_factor_spares_a_singular_inverse_after_it(tmp_path):
+    """0 * inv(x - x) holds on 2x2 matrices and on S3:std alike: a product
+    stops at its first zero factor.  inv(x - x) * 0 takes the singular
+    inverse first, a usage error in both modes."""
+    x = var("x")
+    singular = inv(sub(x, x))
+    for factors, code in (([const(0), singular], 0), ([singular, const(0)], 2)):
+        path = tmp_path / f"zero_factor{code}.json"
+        path.write_text(json.dumps(idfactory.IdentityDoc(
+            "test", prod(factors), {"x": {"role": "value"}}, {}, "zero factor").to_json()))
+        for mode in (("--sl2", "--trials", "5"),
+                     ("--rep", "catalog:S3:std", "--mode", "exhaustive")):
+            proc = run_cli("check", str(path), *mode)
+            assert proc.returncode == code, (factors, mode, proc.stderr)
+            if code == 0:
+                assert json.loads(proc.stdout)["status"] == "holds"
+            else:
+                assert json.loads(proc.stderr)["error"]
+                assert "Traceback" not in proc.stderr
 
 
 def _star_doc(child: dict, var_names) -> dict:

@@ -211,6 +211,24 @@ def test_reference_walker_signals_singular_inverses_and_streams():
             reference_eval(e, assignment, 2)
 
 
+def test_reference_walker_stops_a_product_at_its_first_zero_factor(s3_std):
+    """The walker's zero rule is the Evaluator's: a product is zero at its
+    first zero factor, so an inverse of x - x after it is never taken, and
+    one before it still raises."""
+    x = var("x")
+    singular = inv(sub(x, x))
+    ev = Evaluator(s3_std)
+    assignment = {"x": Mat.rational(((1, 1), (0, 1)))}
+    for e in (prod([const(0), singular]), prod([x, sub(x, x), singular])):
+        assert reference_eval(e, assignment, 2).is_zero()
+        assert ev.evaluate(e, {"x": 1}).is_zero()
+    late = prod([singular, const(0)])
+    with pytest.raises(NonGroupSubtermError):
+        reference_eval(late, assignment, 2)
+    with pytest.raises(NonGroupSubtermError):
+        ev.evaluate(late, {"x": 1})
+
+
 def test_reference_walker_evaluates_each_node_once(monkeypatch):
     """tr(y) = y + y^-1 is one node in [tr(y), x], so one call inverts y
     once; its value is the commutator, zero on SL2 by Cayley-Hamilton."""
@@ -665,7 +683,7 @@ def test_standard_identity_makes_no_group_algebra_zero_tests(monkeypatch):
     assert calls == []
 
 
-# -- products: one fold, matrices when it cannot be done -----------------------
+# -- products: one fold, whose T becomes a matrix when it must ------------------
 
 
 @pytest.mark.parametrize("index", range(3))
@@ -676,9 +694,9 @@ def test_linear_products_match_naive_oracle(index, monkeypatch):
     also a root factor, all three evaluated under one memo.  Values and zero
     tests agree with the naive oracle, with a matrix-valued factor
     inv(2 + w) in place of the variable c, and with products whose
-    convolution is over the evaluator's limit (lowered to 4 on a second
-    evaluator: Z3 has no support larger than 3), which take the matrix
-    fallback."""
+    convolution is over the evaluator's limit (lowered to 2 on a second
+    evaluator, so two factors of two or more terms each pass it), whose
+    folds go on as matrices."""
     from repident.freeexpr import _M
 
     rep, extras, zeros = _zero_factor_cases()[index]
@@ -726,7 +744,7 @@ def test_linear_products_match_naive_oracle(index, monkeypatch):
         return not is_leaf(c) and memo.get(id(c), (None,))[0] == _M
 
     tight = Evaluator(rep)
-    tight._convolve_limit = 4
+    tight._convolve_limit = 2
     evaluators = (Evaluator(rep), tight)
     checked = 0
     for _ in range(120):
@@ -750,10 +768,12 @@ def test_linear_products_match_naive_oracle(index, monkeypatch):
                 assert ev._to_mat(val) == expected
                 assert ev._is_zero(val) == expected.is_zero()
                 assert ev.evaluate(f, assignment) == expected
-        # a fold is None for a matrix value or a convolution over the limit
-        seen["over the limit"] += sum(
-            out is None and not any(matrix_valued(c, memo) for c in e.children)
-            for e, memo, out in folds)
+        # a product over the limit folds to a matrix T with no matrix-valued
+        # child; each product node counts once
+        seen["over the limit"] += len({
+            id(e) for e, memo, (_s, _a, core, _b) in folds
+            if core is not None and core[0] == _M
+            and not any(matrix_valued(c, memo) for c in e.children)})
         products = [f for s in factors if s.kind == "sum" for f in s.children
                     if f.kind == "prod"]
         for p in products:
@@ -774,6 +794,48 @@ def test_linear_products_match_naive_oracle(index, monkeypatch):
         checked += 1
     assert checked >= 40
     assert all(n >= 5 for n in seen.values()), seen
+
+
+def test_matrix_product_is_one_fold(s3_std, monkeypatch):
+    """prod([x, y, inv(2 + w), z, x]) is one fold whose T is a matrix, in a
+    sum and then on its own under one memo: each call folds it once, never
+    evaluates its variables as nodes and evaluates inv(2 + w) once; on its
+    own it takes two matrix products, rho(x y) T rho(z x)."""
+    x, y, z = var("x"), var("y"), var("z")
+    middle = inv(sum_([const(2), var("w")]))
+    p = prod([x, y, middle, z, x])
+    assignment = {"x": 1, "y": 3, "z": 4, "w": 2}
+    evaluated, folded, products = [], [], []
+    original_eval, original_linear, original_mul = Evaluator._eval, Evaluator._linear, Mat.__mul__
+
+    def eval_(self, e, assignment, memo):
+        evaluated.append(e)
+        return original_eval(self, e, assignment, memo)
+
+    def linear(self, e, assignment, memo):
+        folded.append(e)
+        return original_linear(self, e, assignment, memo)
+
+    def mul(self, other):
+        products.append(other)
+        return original_mul(self, other)
+
+    monkeypatch.setattr(Evaluator, "_eval", eval_)
+    monkeypatch.setattr(Evaluator, "_linear", linear)
+    monkeypatch.setattr(Mat, "__mul__", mul)
+    ev = Evaluator(s3_std)
+    memo: dict = {}
+    for e in (sum_([p, const(1)]), p):
+        evaluated.clear()
+        folded.clear()
+        products.clear()
+        val = ev._eval(e, assignment, memo)
+        assert [f for f in folded if f is p] == [p]
+        assert not any(n is x or n is y or n is z for n in evaluated)
+        assert [n for n in evaluated if n is middle] == [middle]
+        if e is p:
+            assert len(products) == 2
+        assert ev._to_mat(val) == naive_eval(e, assignment, s3_std)
 
 
 @pytest.mark.parametrize("index", range(3))

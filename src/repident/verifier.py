@@ -3,36 +3,39 @@ evidence. Every mode is a source of (assignment, decision) pairs:
 
 - exhaustive: every assignment enumerated (budget-bounded), last name
   fastest, optionally split over worker processes that each walk one window
-  of that order and return its first failing decision; a pure separator (a
-  variable no root value factor reads) is not enumerated past a value under
-  which every assignment vanished (`_exhaustive_decisions`);
+  of that order and return its first failing decision; a separator is not
+  enumerated past a value under which every assignment vanished
+  (`_exhaustive_decisions`);
 - guarded: guard sets range over full group enumerations (canonical plus
-  K random orderings), argument variables enumerated or sampled; on a
-  document symmetric in its guards (`_guards_symmetric`) an enumerated
-  argument's scan is the same in every ordering, so orderings past the
-  first reuse the first's scans;
+  K random orderings), arguments (the variables that are neither guards
+  nor separators) enumerated or sampled; on a document symmetric in its
+  guards (`_guards_symmetric`) an enumerated argument's scan is the same in
+  every ordering, so orderings past the first reuse the first's scans;
 - structured: the assignment family that the construction singles out
   (class representatives x centralizer transversals, or series-complement
   tuples); on a group the family does not fit, where it is empty, the
   verdict is that of uniform samples;
 - sampled(N, seed): N uniform assignments.
 
-Each assignment is decided once: one scan of its root factors
-(`_Session.scan_factors`; guarded mode scans the factors free of arguments
-once per ordering), then `_Session.settle`.  One loop (`_verify`) takes
-the decisions, counts the undecided ones and builds the verdict.  A scan
-has one outcome: VANISHES (a root factor vanishes) settles the assignment,
-UNDECIDED (a streamed factor was not decided) makes it undecided, and
-CERTIFIED (a streamed factor certified nonvanishing) makes it "blocked",
-a no-vanishing-factor witness, in every mode.  The certificate says that nonzero factors with fresh
+A separator is a variable declared `separator` or `subset-tag` that is a
+root factor exactly once and occurs in no other root factor; every other
+root factor is a value factor, whose slot is the separator just before it,
+if any (`_DocTables` alone decides both).  Each assignment is decided
+once: one scan of its root value factors (`_Session.scan_factors`; guarded
+mode scans the factors free of arguments once per ordering), then
+`_Session.settle`.  One loop (`_verify`) takes the decisions, counts the
+undecided ones and builds the verdict.  A scan has one outcome: VANISHES
+(a root factor vanishes) settles the assignment, UNDECIDED (a streamed
+factor was not decided) makes it undecided, and CERTIFIED (a streamed
+factor certified nonvanishing) makes it "blocked", a no-vanishing-factor
+witness, in every mode.  The certificate says that nonzero factors with
 separators between them have a nonzero product for some separator choice.
 Its premises are proved, else the assignment is undecided: (a) every
 factor of the stream is nonzero (`freeexpr.is_psd`); (b) the rep is
 irreducible (Burnside's theorem; `Evaluator._no_vanishing_factor`); (c)
 the root factor raised the certificate itself, not a streamed node inside
-it, and every root value factor after the first follows a fresh separator
-(one that occurs once in the root product and that no value factor reads)
-or a subset or partition stream, which ends in its own separator.
+it, and every root value factor after the first has a slot or follows a
+subset or partition stream, which ends in its own separator.
 Otherwise a decision ends in one of two exact zero tests: the total test
 (the whole expression under the assignment as drawn; exhaustive and
 sampled) or the separator search (a separator choice keeping the product
@@ -76,7 +79,7 @@ from .freeexpr import (
     reference_eval,
     star,
 )
-from .idfactory import IdentityDoc
+from .idfactory import IdentityDoc, _var_sort_key
 from .matrices import Mat
 from .replab import Rep
 
@@ -154,33 +157,40 @@ class _DocTables:
     symmetric = None  # the guard-symmetry certificate, set by `_guards_symmetric`
 
     def __init__(self, doc: IdentityDoc):
-        self.factors = factors = (list(doc.expr.children) if doc.expr.kind == "prod"
-                                  else [doc.expr])
-        self.separators = seps = {name for name, role in doc.var_roles.items()
-                                  if role["role"] in ("separator", "subset-tag")}
+        roots = list(doc.expr.children) if doc.expr.kind == "prod" else [doc.expr]
+        declared = {name for name, role in doc.var_roles.items()
+                    if role["role"] in ("separator", "subset-tag")}
+        bare = collections.Counter(f.value for f in roots if f.kind == "var")
+        read = frozenset().union(*[f.free_vars() for f in roots if f.kind != "var"])
+        # the separators: declared variables that are root factors once and
+        # occur in no other root factor, so no value factor reads them
+        self.separators = seps = {name for name, k in bare.items()
+                                  if k == 1 and name in declared and name not in read}
         self.sep_list = sorted(seps)
-        # the root factors whose value can vanish, in expression order
-        self.value_factors = [f for f in factors if not (f.kind == "var" and f.value in seps)]
+        # the root factors whose value can vanish, in expression order, and
+        # the slot of each: the separator just before it, or None
+        self.value_factors: list = []
+        self.slots: list = []
+        slot = None
+        for f in roots:
+            if f.kind == "var" and f.value in seps:
+                slot = f.value
+            else:
+                self.value_factors.append(f)
+                self.slots.append(slot)
+                slot = None
         # root factor -> (a, b) of the factors var(a) - var(b) with a != b,
         # decided from `Rep.kernel_cosets` and never stored
         self.differences = {f: ab for f in self.value_factors
                             if (ab := _difference(f)) and ab[0] != ab[1]}
-        # the variables some root value factor reads; the others (pure
-        # separators) cannot change whether a root factor vanishes
-        self.value_vars = frozenset().union(*[f.free_vars() for f in self.value_factors])
 
     @functools.cached_property
     def separated(self) -> bool:
         """Premise (c): each value factor after the first follows a subset or
-        partition stream or a fresh separator (interned: one node per name).
-        Read only when a streamed factor raises the certificate."""
-        counts = collections.Counter(self.factors)
-        is_value = [not (f.kind == "var" and f.value in self.separators) for f in self.factors]
-        opens = [f.kind in ("stream_subsets", "stream_partitions")
-                 or (not value and counts[f] == 1 and f.value not in self.value_vars)
-                 for f, value in zip(self.factors, is_value)]
-        at = [i for i, value in enumerate(is_value) if value]
-        return all(opens[i - 1] for i in at[1:])
+        partition stream or has a separator slot.  Read only when a streamed
+        factor raises the certificate."""
+        return all(slot is not None or f.kind in ("stream_subsets", "stream_partitions")
+                   for f, slot in zip(self.value_factors, self.slots[1:]))
 
 
 # document -> its _DocTables, dropped with the document
@@ -251,11 +261,13 @@ class _Session:
 
     def witness_value(self, assignment: dict) -> dict | str:
         """Choose separators greedily left to right so the running product
-        stays nonzero: each free slot takes the first group element u that
-        keeps it nonzero.  On an irreducible target a choice always exists:
-        the two-sided ideal of a nonzero prefix meets any nonzero factor, and
-        by linearity over the span of the image some group element realizes
-        it.
+        stays nonzero: every separator starts at the identity, and the slot
+        of each value factor after the first (`_DocTables.slots`) takes the
+        first group element u that keeps it nonzero.  On an irreducible
+        target a choice always exists: the two-sided ideal of a nonzero
+        prefix meets any nonzero factor, and by linearity over the span of
+        the image some group element realizes it.  No value factor reads a
+        separator, so each is evaluated where the scan evaluated it.
 
         The product is carried modulo a prime (`_Prefix`), which proves it
         nonzero cheaply; a product whose image is zero is decided exactly.
@@ -266,50 +278,31 @@ class _Session:
         """
         m = self.rep.group.order
         memo: dict = {}
-        assign = dict(assignment)
+        tables = self.tables
+        assign = {**assignment, **dict.fromkeys(tables.sep_list, 0)}
         prefix = _Prefix(self.ev)
         images = self.rep.images_mod_p[1]
-        separators, differences = self.tables.separators, self.tables.differences
-        pending: list[str] = []
-        for child in self.tables.factors:
-            if child.kind == "var" and child.value in separators:
-                pending.append(child.value)
-                continue
-            ab = differences.get(child)
+        for child, slot in zip(tables.value_factors, tables.slots):
+            ab = tables.differences.get(child)
             if ab is not None:
                 # from its two terms, not evaluated ({x: 1, x: -1} keeps one)
                 x, y = assign[ab[0]], assign[ab[1]]
                 val = self.ev._element({x: 1, y: -1} if x != y else {})
             else:
-                try:
-                    val = self.ev._eval(child, assign, memo)
-                except StreamNonvanishing:
-                    return "search-failed"
+                val = self.ev._eval(child, assign, memo)
             f = _Factor(self.ev, val, self.ev._mod_p(val))
             if not f.nonzero_mod_p() and self.ev._is_zero(f.val):
                 raise VerifierError("internal: vanishing factor inside witness search")
-            if not pending or not prefix.vals:
-                for s in pending:
-                    assign[s] = 0
-                pending = []
+            if slot is None or not prefix.vals:
                 if not prefix.extend([f]):
                     return "search-failed"  # adjacent factors collapse; no separator freedom
                 continue
-            # one free separator slot carries the choice; earlier ones identity
-            for s in pending[:-1]:
-                assign[s] = 0
-            slot = pending[-1]
-            pending = []
             for u in range(m):
                 if prefix.extend([_Factor(self.ev, (_G, u), images[u]), f] if u else [f]):
                     break
             else:
                 return "search-failed"
             assign[slot] = u
-        for s in pending:
-            assign[s] = 0
-        if not prefix.vals:
-            return "search-failed"
         return assign
 
     def decide(self, assignment: dict, total: bool = False):
@@ -471,12 +464,12 @@ def _exhaustive_decisions(session: _Session, names: list[str], start: int, stop:
     decision with total) for each assignment with linear index in
     [start, stop) of the serial order (last name fastest) whose one root
     factor scan finds no vanishing factor.  The walk goes down the tree of
-    that order, one name per level.  Once a child at the level of a pure
-    separator (a name no root value factor reads) lies in the window and
+    that order, one name per level.  Once a child at the level of a
+    separator (which no root value factor reads) lies in the window and
     every one of its leaves vanished, its later siblings, whose leaves
     match its own but for that name, are skipped.  A scan that raises ends
     the walk at its assignment."""
-    pure = [name not in session.tables.value_vars for name in names]
+    pure = [name in session.tables.separators for name in names]
     return _walk(session, names, pure, [0] * len(names), (start, stop), 0, 0)
 
 
@@ -558,8 +551,10 @@ def holds_guarded(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 5)
                 f"guard group {label} has {len(vars_)} variables but the group "
                 f"has order {m}; use the structured mode"
             )
-    args = doc.vars_with_role("psi-argument")
     session = _Session(doc, rep, seed)
+    guards = {v for vars_ in groups.values() for v in vars_}
+    args = sorted(doc.expr.free_vars() - guards - session.tables.separators,
+                  key=_var_sort_key)
     exhaustive_args = m ** len(args) <= GUARDED_ARG_BUDGET if args else True
     detail = {"orderings": orderings, "seed": seed, "checked": 0,
               "args_exhaustive": exhaustive_args}
@@ -747,6 +742,9 @@ def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0,
     first = next(family, None)
     if first is None:
         return holds_sampled(doc, rep, n=extra_samples, seed=seed + 1)
+    missing = doc.expr.free_vars() - first.keys()
+    if missing:
+        raise VerifierError(f"the {doc.family} family assigns no value to {sorted(missing)}")
     decisions = ((assignment, session.decide(assignment))
                  for assignment in itertools.chain([first], family))
     return _verify(session, "structured", decisions,

@@ -261,6 +261,29 @@ def test_a_zero_factor_spares_a_singular_inverse_after_it(tmp_path):
                 assert "Traceback" not in proc.stderr
 
 
+def test_roles_do_not_make_separators_or_arguments(tmp_path):
+    """A guarded document whose x has the role "argument" is decided: x is
+    an argument as every variable but guards and separators is.  A class
+    document with q - 1 first, which its family never assigns, is a usage
+    error."""
+    factors, roles, _ = idfactory.guard_factors(6)
+    other = tmp_path / "other_role.json"
+    other.write_text(json.dumps(idfactory.IdentityDoc(
+        "test", prod(factors + [sub(var("x"), const(1))]), {**roles, "x": {"role": "argument"}},
+        {}, "an argument of another role").to_json()))
+    proc = run_cli("check", str(other), "--rep", "catalog:S3:std")
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "fails" and "Traceback" not in proc.stderr
+    doc = idfactory.class_identity(catalog.symmetric(4).rep("rho4"))
+    unassigned = tmp_path / "unassigned.json"
+    unassigned.write_text(json.dumps(idfactory.IdentityDoc(
+        doc.family, prod([sub(var("q"), const(1))] + list(doc.expr.children)),
+        {**doc.var_roles, "q": {"role": "psi-argument"}}, doc.params, doc.citation).to_json()))
+    proc = run_cli("check", str(unassigned), "--rep", "catalog:S4:rho4")
+    assert proc.returncode == 2
+    assert "q" in json.loads(proc.stderr)["error"] and "Traceback" not in proc.stderr
+
+
 def _star_doc(child: dict, var_names) -> dict:
     """A document whose expression is star(child) * x * y - 1."""
     minus_one = {"kind": "const", "value": Cyc.from_rational(-1).to_json()}

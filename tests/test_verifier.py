@@ -10,8 +10,8 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 from helpers import unseparated_character_doc
 from repident import catalog, idfactory as idf, verifier as vf
 from repident.exactnum import Cyc, cyc_root_of_unity
-from repident.freeexpr import (Evaluator, const, inv, power, prod, smul, star,
-                               stream_perm_body, stream_subsets, sub, sum_, var)
+from repident.freeexpr import (Evaluator, const, inv, power, prod, reference_eval, smul,
+                               star, stream_perm_body, stream_subsets, sub, sum_, var)
 
 
 def _undecided_stream(base):
@@ -1135,9 +1135,9 @@ def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
     moving = sub(prod([var("y1"), var("x")]), const(1))
     fixed = sub(prod([var("x"), var("x")]), const(1))
     roles = {f"y{i}": {"role": "guard", "group": "g"} for i in range(1, m + 1)}
-    roles.update(x={"role": "psi-argument"}, u={"role": "separator"})
+    roles.update(x={"role": "psi-argument"}, u={"role": "separator"}, w={"role": "separator"})
     guards = prod([var(f"y{i}") for i in range(2, m + 1)])
-    doc = idf.IdentityDoc("test", prod([moving, var("u"), fixed, var("u"), guards]),
+    doc = idf.IdentityDoc("test", prod([moving, var("u"), fixed, var("w"), guards]),
                           roles, {}, "a zero set that moves with the ordering")
     session = vf._Session(doc, s3_std, seed=4)
     assert not vf._guards_symmetric(session, doc.guard_groups())
@@ -1461,3 +1461,105 @@ def test_each_yielded_assignment_is_scanned_once(s3_std, monkeypatch):
         assert found is None or scans[key(found[0])] == 1
     assert run(lambda: vf.holds_exhaustive(failing, z3, jobs=2))["status"] == "fails"
     assert not scans and len(yielded) == 1
+
+
+# -- separators are read from the root product ----------------------------------------
+
+
+def _roles_doc(factors, roles) -> idf.IdentityDoc:
+    return idf.IdentityDoc("test", prod(factors), roles, {}, "separator test")
+
+
+def _guarded_repro(extra, roles):
+    """guard_factors(6) followed by extra, with the given extra roles."""
+    factors, guard_roles, _ = idf.guard_factors(6)
+    return _roles_doc(factors + extra, {**guard_roles, **roles})
+
+
+def _witness_nonzero(doc, rep, verdict) -> bool:
+    images = {name: rep.images[g] for name, g in verdict.counterexample.items()}
+    return not reference_eval(doc.expr, images, rep.dim).is_zero()
+
+
+def test_a_separator_read_by_a_value_factor_is_an_argument(s3_std):
+    """v is declared a separator, but the factor after it, v^-1 sum_{k<6}
+    x^k + 0, reads v, and the product holds: (x - 1) sum x^k = x^6 - 1 = 0.
+    Choosing v as a separator would change that factor's value after it
+    was evaluated, and fail the identity with a witness that re-evaluates
+    to zero.  v is an argument, and the assignments on which no factor
+    vanishes are left undecided by the adjacent-factor search."""
+    x, v = var("x"), var("v")
+    read = sum_([prod([inv(v), sum_([power(x, k) for k in range(6)])]), const(0)])
+    doc = _guarded_repro([sub(x, const(1)), v, read],
+                         {"x": {"role": "psi-argument"}, "v": {"role": "separator"}})
+    verdict = vf.check(doc, s3_std)
+    assert verdict.status == "holds" and verdict.detail["undecided"] == 108
+    assert vf._doc_tables(doc).separators == set(vf._doc_tables(idf.guard_C(6)).separators)
+
+
+def test_a_separator_inside_a_value_factor_gets_no_slot(s3_std):
+    """prod([x - 1, v, v - 1]): v is read by v - 1, so it is no separator,
+    and x - 1, v and v - 1 are adjacent value factors.  The search keeps
+    the sampled v, so the fails witness re-evaluates nonzero."""
+    x, v = var("x"), var("v")
+    doc = _roles_doc([sub(x, const(1)), v, sub(v, const(1))],
+                     {"x": {"role": "psi-argument"}, "v": {"role": "separator"}})
+    verdict = vf.check(doc, s3_std, mode="sampled", n=50)
+    assert verdict.status == "fails" and _witness_nonzero(doc, s3_std, verdict)
+    assert vf._doc_tables(doc).slots == [None, None, None]
+
+
+def test_guarded_mode_enumerates_a_separator_read_by_a_factor(s3_std):
+    """prod(guards + [v - 1]) with v declared a separator: v is read by
+    v - 1, so guarded mode enumerates it as an argument and fails at v = 1,
+    as sampled mode does."""
+    doc = _guarded_repro([sub(var("v"), const(1))], {"v": {"role": "separator"}})
+    verdict = vf.check(doc, s3_std)
+    assert verdict.evidence == "guarded" and verdict.status == "fails"
+    assert verdict.counterexample["v"] == 1 and _witness_nonzero(doc, s3_std, verdict)
+    sampled = vf.check(doc, s3_std, mode="sampled")
+    assert sampled.status == "fails" and _witness_nonzero(doc, s3_std, sampled)
+
+
+def test_guarded_arguments_are_every_other_variable(s3_std):
+    """A variable whose role is neither guard, separator nor psi-argument
+    is an argument of guarded mode, and the verdict is decided."""
+    doc = _guarded_repro([sub(var("x"), const(1))], {"x": {"role": "argument"}})
+    verdict = vf.check(doc, s3_std)
+    assert verdict.status == "fails" and _witness_nonzero(doc, s3_std, verdict)
+
+
+def test_a_lone_separator_fails_at_the_identity(s3_std):
+    """A root product of separators alone is a group element: it fails with
+    every separator at the identity, not an undecided search."""
+    roles = {"u": {"role": "separator"}}
+    roles.update({f"y{i}": {"role": "guard", "group": "Y"} for i in range(1, 7)})
+    doc = idf.IdentityDoc("test", var("u"), roles, {}, "a lone separator")
+    verdict = vf.holds_guarded(doc, s3_std)
+    assert verdict.status == "fails" and verdict.counterexample["u"] == 0
+    assert "undecided" not in verdict.detail and _witness_nonzero(doc, s3_std, verdict)
+
+
+def test_central_laurent_separators_are_guarded_arguments(s3_std):
+    """central_laurent's declared separators sit inside its psi sum, not in
+    the root product: they are arguments, too many to enumerate."""
+    doc = idf.central_laurent(6)
+    assert vf._doc_tables(doc).separators == set()
+    verdict = vf.holds_guarded(doc, s3_std)
+    assert verdict.status == "fails" and verdict.detail["args_exhaustive"] is False
+    assert _witness_nonzero(doc, s3_std, verdict)
+
+
+@pytest.mark.parametrize("first", [True, False])
+def test_structured_family_must_assign_every_variable(first):
+    """The class family assigns no q, so the check is refused whether q - 1
+    comes first or last, where an earlier vanishing factor would hide it."""
+    rho4 = catalog.symmetric(4).rep("rho4")
+    doc = idf.class_identity(rho4)
+    extra = [sub(var("q"), const(1))]
+    children = list(doc.expr.children)
+    bad = idf.IdentityDoc(doc.family, prod(extra + children if first else children + extra),
+                          {**doc.var_roles, "q": {"role": "psi-argument"}}, doc.params,
+                          doc.citation)
+    with pytest.raises(vf.VerifierError, match="q"):
+        vf.holds_structured(bad, rho4)

@@ -233,10 +233,12 @@ class ModP:
 
 
 def mat_mul_mod(a, b, p: int) -> tuple[tuple[int, ...], ...]:
-    """Product of two square integer matrices (row tuples), entries mod p."""
+    """Product of two square integer matrices (row tuples), entries mod p;
+    a zero row of a gives a zero row at no cost."""
     cols = tuple(zip(*b))
+    zero = (0,) * len(cols)
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols)
-                 for row in a)
+                 if any(row) else zero for row in a)
 
 
 _MOD_P: dict[int, ModP] = {}

@@ -237,6 +237,10 @@ def const(c) -> Expr:
     return _interned("const", (c.conductor, c.num, c.den), c)
 
 
+# the constant of every difference `sub` builds, made once
+_MINUS_ONE = const(-1)
+
+
 def var(name: str) -> Expr:
     return _interned("var", name, name)
 
@@ -286,7 +290,7 @@ def power(e: Expr, k: int) -> Expr:
 
 
 def sub(a: Expr, b: Expr) -> Expr:
-    return sum_([a, smul(-1, b)])
+    return sum_([a, prod([_MINUS_ONE, b])])
 
 
 def stream_subsets(bases, t: int, sep_prefix: str) -> Expr:

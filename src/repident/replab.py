@@ -200,6 +200,16 @@ class Rep:
             out.append(tuple(sorted(pairs)))
         return out
 
+    @cached_property
+    def difference_ranks(self) -> list[int]:
+        """Entry g is the rank of rho(g) - I: the dimension less the
+        multiplicity of eigenvalue 1 (`class_spectra`; rho(g) has finite
+        order, so it is diagonalizable).  rho(a) - rho(b) = rho(a) (I -
+        rho(a^-1 b)) has rank entry a^-1 b."""
+        ranks = [self.dim - sum(mult for _, k, mult in spec if k == 0)
+                 for spec in self.class_spectra]
+        return self.group.conjugacy_classes.spread(ranks)
+
     # -- predicates -------------------------------------------------------
 
     @cached_property
@@ -241,10 +251,9 @@ class Rep:
         return all(mt.conj_transpose() * s * mt == s for mt in self.images)
 
     def is_fixed_point_free(self) -> bool:
-        """No nontrivial element has eigenvalue 1."""
-        reps = self.group.conjugacy_classes.representatives
-        return not any(k == 0 for g, spec in zip(reps, self.class_spectra) if g
-                       for _, k, _ in spec)
+        """No nontrivial element has eigenvalue 1: rho(g) - I is invertible
+        for every g other than the identity."""
+        return all(r == self.dim for r in self.difference_ranks[1:])
 
     # -- lazy facts for group-algebra evaluation ------------------------------
 

@@ -48,9 +48,13 @@ that certifies nonvanishing or stays undecided is never stored.  What the
 verifier derives from a document alone is built once per document
 (`_DocTables`).  A root factor var(a) - var(b) (`_difference`) is never
 evaluated: rho(x) - rho(y) vanishes exactly when x and y lie in one coset
-of ker rho (`Rep.kernel_cosets`).  The separator search carries the
-running product modulo a prime (`_Prefix`) and tests it exactly only where
-its image is zero.  No floating point enters any decision.
+of ker rho (`Rep.kernel_cosets`).  The separator search carries a matrix
+with the row space of the running product (`_Prefix`): none while the
+product is invertible, the factor itself after a factor of rank 1 (a
+difference's rank is read from `Rep.difference_ranks`), and one row once
+the product has rank 1.  It carries that matrix modulo a prime and tests
+it exactly only where its image is zero.  No floating point enters any
+decision.
 
 A fails verdict always carries a counterexample whose re-evaluation is
 nonzero, or, for a certified streamed product too large to materialize,
@@ -269,8 +273,11 @@ class _Session:
         the image some group element realizes it.  No value factor reads a
         separator, so each is evaluated where the scan evaluated it.
 
-        The product is carried modulo a prime (`_Prefix`), which proves it
-        nonzero cheaply; a product whose image is zero is decided exactly.
+        The product is carried as a matrix with its row space (`_Prefix`),
+        modulo a prime, which proves it nonzero cheaply; a product whose
+        image is zero is decided exactly.  A difference var(a) - var(b) has
+        its exact rank from `Rep.difference_ranks`: an invertible one keeps
+        an invertible product invertible at u = 0, and is never built.
         "search-failed" (the search gives up: a nonzero value may still
         exist for other separators) and the vanishing-factor error both
         follow an exact zero test only, so the witness is the one exact
@@ -279,26 +286,31 @@ class _Session:
         m = self.rep.group.order
         memo: dict = {}
         tables = self.tables
+        ev = self.ev
         assign = {**assignment, **dict.fromkeys(tables.sep_list, 0)}
-        prefix = _Prefix(self.ev)
-        images = self.rep.images_mod_p[1]
+        prefix = _Prefix(ev)
+        table, inverse = self.rep.group.table, self.rep.group.inverse
+        ranks = self.rep.difference_ranks if tables.differences else None
         for child, slot in zip(tables.value_factors, tables.slots):
             ab = tables.differences.get(child)
-            if ab is not None:
-                # from its two terms, not evaluated ({x: 1, x: -1} keeps one)
-                x, y = assign[ab[0]], assign[ab[1]]
-                val = self.ev._element({x: 1, y: -1} if x != y else {})
+            if ab is None:
+                val, rank = ev._eval(child, assign, memo), None
             else:
-                val = self.ev._eval(child, assign, memo)
-            f = _Factor(self.ev, val, self.ev._mod_p(val))
-            if not f.nonzero_mod_p() and self.ev._is_zero(f.val):
+                x, y = assign[ab[0]], assign[ab[1]]
+                rank = ranks[table[inverse[x]][y]]  # rank of rho(x) - rho(y)
+                if rank == prefix.dim and prefix.pending is None:
+                    continue
+                # from its two terms, not evaluated ({x: 1, x: -1} keeps one)
+                val = ev._element({x: 1, y: -1} if rank else {})
+            f = _Factor(ev, val, rank)
+            if not f.nonzero_mod_p() and ev._is_zero(val):
                 raise VerifierError("internal: vanishing factor inside witness search")
-            if slot is None or not prefix.vals:
-                if not prefix.extend([f]):
+            if slot is None:
+                if not prefix.extend(f):
                     return "search-failed"  # adjacent factors collapse; no separator freedom
                 continue
             for u in range(m):
-                if prefix.extend([_Factor(self.ev, (_G, u), images[u]), f] if u else [f]):
+                if prefix.extend(f, u):
                     break
             else:
                 return "search-failed"
@@ -335,16 +347,18 @@ class _Session:
 
 
 class _Factor:
-    """A factor of the witness product: its tagged value, its image mod p
-    (`Evaluator._mod_p`; None when an entry does not reduce) and its exact
-    matrix, built on first use."""
+    """A factor of the witness product: its tagged value, its exact rank
+    when known (a difference's, from `Rep.difference_ranks`), its image mod
+    p (`Evaluator._mod_p`; None when an entry does not reduce) and its
+    exact matrix, built on first use."""
 
-    __slots__ = ("ev", "val", "mod", "_mat")
+    __slots__ = ("ev", "val", "rank", "mod", "_mat")
 
-    def __init__(self, ev: Evaluator, val, mod):
+    def __init__(self, ev: Evaluator, val, rank: int | None = None):
         self.ev = ev
         self.val = val
-        self.mod = mod
+        self.rank = rank
+        self.mod = ev._mod_p(val)
         self._mat = None
 
     def nonzero_mod_p(self) -> bool:
@@ -357,52 +371,115 @@ class _Factor:
 
 
 class _Prefix:
-    """The running product of the witness search.
+    """A matrix R with the row space of the running product P of the
+    witness search.  A zero test P X = 0 depends on the row space of P
+    alone, and R M has the row space of P M, so R stands for P in every
+    test and every extension.  Three exact rules skip or shrink products:
 
-    It is carried modulo the prime p of `Rep.images_mod_p`: reduction is a
+    1. While P is invertible, no matrix is carried (`pending` is None).  An
+       invertible factor keeps it so at no cost; any other factor F becomes
+       R, since rowspace(P rho(u) F) = rowspace(F).
+    2. After a nonzero extension by a factor F of exact rank 1, R is F,
+       since rowspace(P rho(u) F) is a nonzero subspace of rowspace(F).
+    3. When exact arithmetic finds R, or a product of its first factors,
+       of exact rank 1 (every 2 x 2 minor zero), that product keeps one
+       nonzero row, one whose image in R mod p is nonzero where there is
+       one, and zeros elsewhere: the other rows are multiples of it, so R
+       keeps its row space.  Later products keep the zero rows, and cost
+       one row's arithmetic, mod p and exactly.
+
+    R is carried modulo the prime p of `Rep.images_mod_p`: reduction is a
     ring map, so a product whose image is nonzero is nonzero.  A product
     whose image is zero is tested exactly, from the recorded factor values
     multiplied lazily and incrementally.  When that test finds it nonzero,
-    the image is a false zero and would stay zero, so from then on the
-    prefix is carried exactly.
+    the image is a false zero and would stay zero, so R is carried exactly
+    until rule 2 makes a factor R again.
     """
 
     def __init__(self, ev: Evaluator):
         self.ev = ev
-        self.p = ev.rep.images_mod_p[0].p
-        d = ev.rep.dim
-        # None once the prefix is carried exactly
-        self.mod = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-        # the tagged values multiplied so far; _Factor objects are not kept,
-        # so a long search leaves no per-factor objects for the collector
-        self.vals: list = []
-        self.exact: Mat | None = None  # product of vals[:done]
-        self.done = 0
+        red, self.images = ev.rep.images_mod_p
+        self.p = red.p
+        self.dim = ev.rep.dim
+        # R is exact (None: no factor) times the tagged values in pending,
+        # and pending is None while P is invertible.  _Factor objects are
+        # not kept, so a long search leaves no per-factor objects for the
+        # collector.
+        self.exact: Mat | None = None
+        self.pending: list | None = None
+        self.mod = None  # the image of R, None while R is carried exactly
+        self.one_row = False  # R has one nonzero row (rule 3)
 
-    def extend(self, factors: list[_Factor]) -> bool:
-        """Multiply the prefix by factors when the product is nonzero;
-        return False, leaving the prefix as it was, when it is zero."""
-        if self.mod is not None and all(f.mod is not None for f in factors):
-            cand = self.mod
-            for f in factors:
-                cand = mat_mul_mod(cand, f.mod, self.p)
-            if any(any(row) for row in cand):
-                self.mod = cand
-                self.vals.extend(f.val for f in factors)
-                return True
-        for val in self.vals[self.done:]:
-            mat = self.ev._to_mat(val)
-            self.exact = mat if self.exact is None else self.exact * mat
-        self.done = len(self.vals)
-        cand = self.exact
-        for f in factors:
-            cand = f.mat() if cand is None else cand * f.mat()
-        if cand.is_zero():
-            return False
-        self.mod = None
-        self.vals.extend(f.val for f in factors)
-        self.exact, self.done = cand, len(self.vals)
+    def extend(self, f: _Factor, u: int = 0) -> bool:
+        """Multiply the product by rho(u) f, a nonzero factor, when that
+        keeps it nonzero; return False, leaving the prefix as it was, when
+        it does not."""
+        if self.pending is None:
+            # P rho(u) is invertible and f is nonzero
+            if f.rank != self.dim:
+                self._reset(f)
+            return True
+        cand = exact = None
+        g = self.images[u]
+        if self.mod is not None and f.mod is not None and g is not None:
+            cand = mat_mul_mod(self.mod, g, self.p) if u else self.mod
+            cand = mat_mul_mod(cand, f.mod, self.p)
+        if cand is None or not any(any(row) for row in cand):
+            self._catch_up()
+            exact = (self.exact * self.ev.rep.image(u) if u else self.exact) * f.mat()
+            if exact.is_zero():
+                return False
+        if f.rank == 1:
+            self._reset(f)
+        elif exact is None:
+            self.pending += [(_G, u), f.val] if u else [f.val]
+            self.mod = cand
+        else:
+            self.mod = None  # a false zero, or no image
+            self.exact = self._reduced(exact)
         return True
+
+    def _reset(self, f: _Factor) -> None:
+        """R becomes f (rules 1 and 2)."""
+        self.exact, self.pending = None, [f.val]
+        self.mod = f.mod if f.nonzero_mod_p() else None
+        self.one_row = False
+
+    def _catch_up(self) -> None:
+        """Multiply the pending values into exact."""
+        exact = self.exact
+        for val in self.pending:
+            mat = self.ev._to_mat(val)
+            exact = self._reduced(mat if exact is None else exact * mat)
+        self.exact, self.pending = exact, []
+
+    def _reduced(self, mat: Mat) -> Mat:
+        """mat, a product of R's first factors, or its one row when it has
+        rank 1 (rule 3)."""
+        if self.one_row:
+            return mat
+        rows = mat.rows
+        nonzero = [i for i, row in enumerate(rows) if any(any(v.num) for v in row)]
+        if len(nonzero) > 1 and not _proportional(rows, nonzero):
+            return mat
+        self.one_row = True
+        if len(nonzero) == 1:
+            return mat
+        mod = self.mod
+        keep = next((i for i in nonzero if mod is not None and any(mod[i])), nonzero[0])
+        if mod is not None:
+            self.mod = tuple(row if i == keep else (0,) * self.dim
+                             for i, row in enumerate(mod))
+        zero = (Cyc.zero(),) * self.dim
+        return Mat(row if i == keep else zero for i, row in enumerate(rows))
+
+
+def _proportional(rows, nonzero: list[int]) -> bool:
+    """The rows listed in nonzero (the nonzero rows) are multiples of the
+    first of them: every 2 x 2 minor is zero, so the matrix has rank 1."""
+    first, n = rows[nonzero[0]], len(rows)
+    return all((first[j] * rows[i][k] - first[k] * rows[i][j]).is_zero()
+               for i in nonzero[1:] for j in range(n) for k in range(j + 1, n))
 
 
 def _verify(session: _Session, evidence: str, decisions, detail: dict, t0: float,

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repident import catalog, equivalence as eq
 from repident.exactnum import Cyc, cyc_root_of_unity
-from repident.matrices import Mat
+from repident.matrices import Mat, rref
 from repident.replab import (
     Rep,
     RepError,
@@ -298,6 +298,24 @@ def test_class_spectra_match_reference_on_every_class(group, name):
     assert len(rep.class_spectra) == len(reps)
     for g, spec in zip(reps, rep.class_spectra):
         assert spec == _spectrum_reference(rep, g)
+
+
+@pytest.mark.parametrize("group, name", [
+    ("S3", "std"), ("S4", "rho4"), ("S4", "rho5"), ("gamma(7,9,2)", "pi(1,2)"),
+    ("H3", "theta1"), ("Z3^2", "reducible"),
+])
+def test_difference_ranks_are_exact_ranks(group, name):
+    """Entry g of `Rep.difference_ranks` is the rank of rho(g) - I, the
+    number of pivots `matrices.rref` finds, on every element, a reducible
+    rep (eigenvalue 1 in one block of some images) included."""
+    if group == "Z3^2":
+        rep = catalog.abelian_rep(3, 2, 3, [[1, 0], [0, 1], [1, 1]])
+    else:
+        rep = catalog.get_entry(group).rep(name)
+    identity = Mat.identity(rep.dim)
+    assert rep.difference_ranks == [len(rref([list(row) for row in (mt - identity).rows])[1])
+                                    for mt in rep.images]
+    assert rep.is_fixed_point_free() == (group == "gamma(7,9,2)")
 
 
 @pytest.mark.parametrize("order, values, message", [

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -696,6 +697,159 @@ def test_witness_search_falls_back_to_exact_on_a_false_modular_zero(s3_std, monk
     assert tested == [True] * u + [False] + [True] * w + [False]
 
 
+def test_fixed_point_free_guard_costs_no_product(monkeypatch):
+    """Every guard difference of gamma(7,9,2):pi(1,2) is invertible, so the
+    witness search of the gamma-sep fails verdict multiplies nothing through
+    its 1,953 differences: the first of the three factors after them becomes
+    the prefix, and the other two cost one product mod p each."""
+    gam = catalog.gamma_d(7, 9, 2)
+    rep = gam.rep("pi(1,2)")
+    assert rep.is_fixed_point_free()
+    products = []
+    mat_mul_mod = vf.mat_mul_mod
+
+    def spy(a, b, p):
+        products.append(1)
+        return mat_mul_mod(a, b, p)
+
+    monkeypatch.setattr(vf, "mat_mul_mod", spy)
+    verdict = vf.holds_guarded(idf.gamma_separating_identity(gam, 1), rep, seed=1, orderings=1)
+    assert verdict.status == "fails" and len(products) == 2
+
+
+def test_prefix_keeps_one_row_of_a_rank_one_product_only():
+    """Rule 3 of `_Prefix`: a product of exact rank 1 keeps one nonzero row
+    (one with a nonzero image mod p) and so its row space; a product of
+    larger rank is kept whole.  Products (rho(g) - I)(rho(h) - I) on W3's
+    3-dimensional rho_w have every rank from 1 to 3."""
+    from repident.freeexpr import _M
+    from repident.matrices import Mat, rref
+
+    rep = catalog.get_rep("W3", "rho_w")
+    ev, identity = Evaluator(rep), Mat.identity(rep.dim)
+    ranks = set()
+    for g, h in itertools.product(range(0, rep.group.order, 5), repeat=2):
+        product = (rep.image(g) - identity) * (rep.image(h) - identity)
+        echelon, pivots = rref([list(row) for row in product.rows])
+        if not pivots:
+            continue
+        ranks.add(len(pivots))
+        prefix = vf._Prefix(ev)
+        prefix.mod = mod = ev._mod_p((_M, product))
+        kept = prefix._reduced(product)
+        nonzero = [i for i, row in enumerate(kept.rows) if any(not v.is_zero() for v in row)]
+        assert prefix.one_row == (len(nonzero) == 1) == (len(pivots) == 1)
+        if len(pivots) > 1:
+            assert kept is product and prefix.mod is mod
+            continue
+        assert rref([list(row) for row in kept.rows]) == (echelon, pivots)
+        (i,) = nonzero
+        assert any(mod[i]) and prefix.mod == tuple(
+            row if k == i else (0,) * rep.dim for k, row in enumerate(mod))
+    assert ranks == {1, 2, 3}
+
+
+def _exact_greedy(session, assignment: dict) -> dict | str:
+    """The witness search in exact arithmetic alone: every factor evaluated
+    and every candidate product an exact Mat product, with no reduction mod
+    p and no row space; each slot takes the first u keeping it nonzero."""
+    rep, tables = session.rep, session.tables
+    assign = {**assignment, **dict.fromkeys(tables.sep_list, 0)}
+    prefix = None
+    for child, slot in zip(tables.value_factors, tables.slots):
+        f = session.ev.evaluate(child, assign)
+        if prefix is None or slot is None:
+            prefix = f if prefix is None else prefix * f
+            if prefix.is_zero():
+                return "search-failed"
+            continue
+        for u in range(rep.group.order):
+            cand = prefix * rep.image(u) * f
+            if not cand.is_zero():
+                break
+        else:
+            return "search-failed"
+        prefix, assign[slot] = cand, u
+    return assign
+
+
+def _witness_cases():
+    """Documents with guard differences of every exact rank, on reps where
+    the row-space prefix skips (fixed-point free), resets (rank-one
+    differences) and shrinks (rank-one products) the witness product; each
+    built on first use."""
+    s3 = lambda: catalog.symmetric(3).rep("std")  # noqa: E731
+    s4 = lambda name: catalog.symmetric(4).rep(name)  # noqa: E731
+    gam = lambda: catalog.gamma_d(7, 9, 2)  # noqa: E731
+    three = lambda: catalog.abelian_rep(3, 2, 3, [[1, 0], [0, 1], [1, 1]])  # noqa: E731
+    return {
+        "gamma-sep on pi(1,2)": lambda: (idf.gamma_separating_identity(gam(), 1),
+                                         gam().rep("pi(1,2)")),
+        "s4-separation of rho4 on rho5": lambda: (idf.s4_separating_identity(s4("rho4")),
+                                                  s4("rho5")),
+        "s4-separation of rho5 on rho4": lambda: (idf.s4_separating_identity(s4("rho5")),
+                                                  s4("rho4")),
+        **{f"S3 dimension n={n}": lambda n=n: (idf.dimension_identity(6, n), s3())
+           for n in (1, 3, 4)},
+        "guard on a reducible Z3^2": lambda: (
+            idf.guard_C(9), catalog.abelian_rep(3, 2, 2, [[1, 0], [0, 1]])),
+        "short guard and argument on a reducible Z3^2": lambda: (_short_guard_doc(), three()),
+    }
+
+
+def _short_guard_doc():
+    """Three guard variables, psi over them, a separator v and x - 1: on a
+    reducible rep the search finds a witness on some assignments and gives
+    up on others."""
+    x = var("x")
+    factors, roles, ys = idf.guard_factors(3)
+    roles.update({"x": {"role": "psi-argument"}, "v": {"role": "separator"}})
+    expr = prod(factors + [idf.psi_expr(x, ys), var("v"), sub(x, const(1))])
+    return idf.IdentityDoc("test", expr, roles, {}, "a short guard")
+
+
+@functools.cache
+def _nonvanishing_arguments(name):
+    """(document, rep, argument names, the argument values on which no root
+    factor that reads an argument vanishes under the identity bijections)."""
+    doc, rep = _witness_cases()[name]()
+    session = vf._Session(doc, rep)
+    assignment = {v: i for vars_ in doc.guard_groups().values() for i, v in enumerate(vars_)}
+    args = sorted(doc.expr.free_vars() - assignment.keys() - session.tables.separators)
+    factors = [f for f in session.tables.value_factors if f.free_vars() & set(args)]
+    combos = []
+    for combo in itertools.product(range(rep.group.order), repeat=len(args)):
+        assignment.update(zip(args, combo))
+        if session.scan_factors(assignment, factors) != vf.VANISHES:
+            combos.append(combo)
+    return doc, rep, args, combos
+
+
+@pytest.mark.parametrize("name", list(_witness_cases()))
+def test_witness_search_matches_exact_greedy(name):
+    """On random assignments where no root factor vanishes (the guards a
+    random injection into the group), the witness search returns what the
+    greedy search in exact arithmetic alone returns: the same witness, or
+    "search-failed".  (The exact search takes about 2 s on gamma-sep.)"""
+    doc, rep, args, combos = _nonvanishing_arguments(name)
+    assert combos
+
+    @settings(max_examples=2 if name.startswith("gamma") else 12, deadline=None)
+    @given(data=st.data())
+    def search(data):
+        assignment = {}
+        for vars_ in doc.guard_groups().values():
+            assignment.update(zip(vars_, data.draw(st.permutations(range(rep.group.order)))))
+        assignment.update(zip(args, data.draw(st.sampled_from(combos))))
+        session = vf._Session(doc, rep)
+        assume(session.scan_factors(assignment, session.tables.value_factors) != vf.VANISHES)
+        outcome = session.witness_value(assignment)
+        event("search-failed" if outcome == "search-failed" else "witness")
+        assert outcome == _exact_greedy(session, assignment)
+
+    search()
+
+
 def _streamed_repros():
     """Two streamed documents whose expansions hold on S3:std: (x - 1) and
     (1 - x) summed over their one 2-subset, and a permutation body over
@@ -1047,8 +1201,10 @@ def test_differences_are_decided_from_kernel_cosets(rep_name, monkeypatch):
     """A root factor var(a) - var(b), in either child order, is decided
     without evaluation and stored in no table: for every ordered pair (x, y)
     the session's decision is an exact zero test of the evaluated
-    difference.  The witness search builds its value from the two terms,
-    also when x = y, and its value and image mod p equal the evaluator's."""
+    difference.  The witness search reads its exact rank from
+    `Rep.difference_ranks`: it builds no factor for an invertible
+    difference, builds any other from its two terms first, with the
+    evaluator's value and image mod p, and raises on a vanishing one."""
     rep = {
         "S3:std": lambda: catalog.symmetric(3).rep("std"),  # faithful
         "S4:rho2": lambda: catalog.symmetric(4).rep("rho2"),  # kernel A4
@@ -1084,22 +1240,29 @@ def test_differences_are_decided_from_kernel_cosets(rep_name, monkeypatch):
     class Recording(vf._Factor):
         __slots__ = ()
 
-        def __init__(self, ev, val, mod):
-            super().__init__(ev, val, mod)
+        def __init__(self, ev, val, rank=None):
+            super().__init__(ev, val, rank)
             built.append(self)
 
     monkeypatch.setattr(vf, "_Factor", Recording)
-    for x, y in itertools.product(range(min(rep.group.order, 6)), repeat=2):
+    group = rep.group
+    for x, y in itertools.product(range(min(group.order, 6)), repeat=2):
         assignment = {"a": x, "b": y, "v": 0}
         val = ev._eval(forward, assignment, {})
+        rank = rep.difference_ranks[group.table[group.inverse[x]][y]]
         built.clear()
         if ev._is_zero(val):
+            assert rank == 0
             with pytest.raises(vf.VerifierError, match="vanishing factor"):
                 session.witness_value(assignment)
+            continue
+        session.witness_value(assignment)
+        if rank == rep.dim:
+            assert not built  # the product stays invertible
         else:
-            session.witness_value(assignment)
-        # the first factor built is the forward difference
-        assert built[0].val == val and built[0].mod == ev._mod_p(val)
+            # the first factor built is the forward difference
+            assert built[0].val == val and built[0].mod == ev._mod_p(val)
+            assert built[0].rank == rank
     if len(kernel) == 1:
         assert session.decide({"a": 1, "b": 2, "v": 0}) == {"a": 1, "b": 2, "v": 0}
     else:

@@ -138,12 +138,11 @@ class Expr:
         if self.kind in ("sum", "prod"):
             return {"kind": self.kind, "children": [c.to_json() for c in self.children]}
         if self.kind == "stream_subsets":
-            t, sep_prefix, premise = self.extra
+            t, sep_prefix, _ = self.extra
             return {
                 "kind": "stream_subsets",
                 "subset_size": t,
                 "separator_prefix": sep_prefix,
-                "psd": premise,
                 "bases": [c.to_json() for c in self.children],
             }
         if self.kind == "stream_partitions":
@@ -170,8 +169,7 @@ class Expr:
         constructors.  Sharing is structural: equal subtrees load as one
         node, and while the builder's DAG is alive the loaded document is
         that DAG.  A star node loads as star(child).  A stream_subsets
-        node's "psd" entry is not read: the node derives its premise from
-        its bases, as a built one does."""
+        node derives its premise from its bases, as a built one does."""
         kind = obj["kind"]
         load = Expr.from_json
         if kind == "const":
@@ -298,7 +296,7 @@ def stream_subsets(bases, t: int, sep_prefix: str) -> Expr:
 
     Its premise, that a subset sum vanishes only when each of its bases
     does, is derived here: it holds when t = 1 or every base is psd
-    (`is_psd`).  It is kept in extra and written as the JSON's "psd"."""
+    (`is_psd`).  It is kept in extra, not written."""
     bases = tuple(bases)
     premise = t == 1 or all(is_psd(b) for b in bases)
     return _interned("stream_subsets", (t, sep_prefix), children=bases,

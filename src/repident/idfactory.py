@@ -1,9 +1,12 @@
 """Deterministic builders for every identity family, each returning an
-IdentityDoc: an evaluable expression plus variable-role metadata and a
-short description of the family.
+IdentityDoc: an evaluable expression, its guard groups and a short
+description of the family.
 
 Every family is assembled from the same pieces: guard products, conjugation
-averages psi, separator variables and power-trace distance sums.
+averages psi, separator variables and power-trace distance sums.  A
+document declares its guard groups only: which variables are separators
+(fresh root factors) and which are arguments (every other variable) is
+read from the expression by the verifier.
 
 Naming conventions are fixed so rebuilding with equal parameters yields a
 byte-identical serialization: guard variables y1..ym / x1..xm, guard
@@ -18,6 +21,7 @@ their factors are generated on demand and never materialized at once.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from fractions import Fraction
 from math import comb
@@ -47,34 +51,28 @@ class BuildError(ValueError):
 
 
 class IdentityDoc:
-    """An expression with role metadata: the unit the verifier consumes."""
+    """An expression with its guard groups: the unit the verifier consumes.
 
-    def __init__(self, family: str, expr: Expr, var_roles: dict, params: dict,
+    guards maps each group to its variables, kept in `_var_sort_key` order
+    (groups too); each is a variable of the expression, in one group."""
+
+    def __init__(self, family: str, expr: Expr, guards: dict, params: dict,
                  citation: str, is_identity: bool = True, vacuous: bool = False):
         self.family = family
         self.expr = expr
-        self.var_roles = var_roles
+        self.guards = {g: sorted(guards[g], key=_var_sort_key)
+                       for g in sorted(guards, key=_var_sort_key)}
         self.params = params
         self.citation = citation
         self.is_identity = is_identity
         self.vacuous = vacuous
-        fv = expr.free_vars()
-        missing = fv - set(var_roles)
-        if missing:
-            raise BuildError(f"variables without roles: {sorted(missing)}")
-
-    def guard_groups(self) -> dict:
-        groups: dict[str, list[str]] = {}
-        for name, role in self.var_roles.items():
-            if role["role"] == "guard":
-                groups.setdefault(role["group"], []).append(name)
-        for g in groups:
-            groups[g].sort(key=_var_sort_key)
-        return groups
-
-    def vars_with_role(self, role: str) -> list[str]:
-        return sorted((n for n, r in self.var_roles.items() if r["role"] == role),
-                      key=_var_sort_key)
+        listed = collections.Counter(n for names in guards.values() for n in names)
+        twice = sorted(n for n, k in listed.items() if k > 1)
+        if twice:
+            raise BuildError(f"guard variables listed twice: {twice}")
+        unknown = sorted(listed.keys() - expr.free_vars())
+        if unknown:
+            raise BuildError(f"guards that are not variables of the expression: {unknown}")
 
     def to_json(self) -> dict:
         return {
@@ -83,24 +81,28 @@ class IdentityDoc:
             "citation": self.citation,
             "is_identity": self.is_identity,
             "vacuous": self.vacuous,
-            "var_roles": {k: self.var_roles[k] for k in sorted(self.var_roles)},
+            "guards": self.guards,
             "expr": self.expr.to_json(),
         }
 
     @staticmethod
     def from_json(obj: dict) -> "IdentityDoc":
-        """The document a to_json() dict describes; each var_roles entry
-        must be a dict with a role (any name), a guard's with its group."""
-        roles = dict(obj["var_roles"])
-        for name, role in roles.items():
-            if not isinstance(role, dict) or "role" not in role:
-                raise BuildError(f"role of {name!r} is not an object with a 'role'")
-            if role["role"] == "guard" and "group" not in role:
-                raise BuildError(f"guard {name!r} has no 'group'")
+        """The document a to_json() dict describes; its guards must be an
+        object of lists of names.  A key to_json() does not write, such as
+        an older role map, is refused, not translated."""
+        unread = sorted(set(obj) - _DOC_KEYS)
+        if unread:
+            raise BuildError(f"document keys that are not read: {unread}; a document "
+                             "declares its guard groups under 'guards'")
+        guards = obj["guards"]
+        if not (isinstance(guards, dict) and all(
+                isinstance(names, list) and all(isinstance(n, str) for n in names)
+                for names in guards.values())):
+            raise BuildError("'guards' is not an object of lists of variable names")
         return IdentityDoc(
             obj["family"],
             Expr.from_json(obj["expr"]),
-            roles,
+            guards,
             dict(obj["params"]),
             obj["citation"],
             is_identity=obj.get("is_identity", True),
@@ -108,7 +110,10 @@ class IdentityDoc:
         )
 
     def __repr__(self):
-        return f"IdentityDoc({self.family}, vars={len(self.var_roles)})"
+        return f"IdentityDoc({self.family}, guards={list(self.guards)})"
+
+
+_DOC_KEYS = {"family", "params", "citation", "is_identity", "vacuous", "guards", "expr"}
 
 
 def _var_sort_key(name: str):
@@ -123,54 +128,40 @@ def _need_positive(**sizes: int) -> None:
             raise BuildError(f"need {name} >= 1")
 
 
-def _role(role: str, group: str | None = None) -> dict:
-    out = {"role": role}
-    if group is not None:
-        out["group"] = group
-    return out
-
-
-def _separate(factors: list, roles: dict, name: str) -> None:
-    """Append the separator variable `name` to a factor list."""
-    factors.append(var(name))
-    roles[name] = _role("separator")
+def _names(yvars: list[Expr]) -> list[str]:
+    return [y.value for y in yvars]
 
 
 # -- guard term ---------------------------------------------------------------
 
 
 def guard_factors(m: int, var_prefix: str = "y", sep_prefix: str = "u"):
-    """Flattened factor list u0 (y_i - y_j) u{i}_{j} ... plus the role map."""
-    factors: list[Expr] = []
-    roles: dict = {}
-    _separate(factors, roles, f"{sep_prefix}0")
+    """Flattened factor list u0 (y_i - y_j) u{i}_{j} ... and the guard
+    variables."""
     yvars = [var(f"{var_prefix}{i}") for i in range(1, m + 1)]
-    for name in (f"{var_prefix}{i}" for i in range(1, m + 1)):
-        roles[name] = _role("guard", var_prefix.upper())
+    factors = [var(f"{sep_prefix}0")]
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
-            factors.append(sub(yvars[i - 1], yvars[j - 1]))
-            _separate(factors, roles, f"{sep_prefix}{i}_{j}")
-    return factors, roles, yvars
+            factors += [sub(yvars[i - 1], yvars[j - 1]), var(f"{sep_prefix}{i}_{j}")]
+    return factors, yvars
 
 
 def _double_guard(mx: int, my: int):
     """The x/s guard on mx variables followed by the y/u guard on my:
-    (factors, roles, xvars, yvars)."""
-    gx, roles, xvars = guard_factors(mx, "x", "s")
-    gy, roles_y, yvars = guard_factors(my, "y", "u")
-    roles.update(roles_y)
-    return gx + gy, roles, xvars, yvars
+    (factors, guard groups X and Y, xvars, yvars)."""
+    gx, xvars = guard_factors(mx, "x", "s")
+    gy, yvars = guard_factors(my, "y", "u")
+    return gx + gy, {"X": _names(xvars), "Y": _names(yvars)}, xvars, yvars
 
 
 def guard_C(m: int) -> IdentityDoc:
     if m < 2:
         raise BuildError("guard needs m >= 2")
-    factors, roles, _ = guard_factors(m)
+    factors, yvars = guard_factors(m)
     return IdentityDoc(
         "guard",
         prod(factors),
-        roles,
+        {"Y": _names(yvars)},
         {"m": m},
         "separated product of pairwise differences; vanishes unless all "
         "guard variables take distinct values",
@@ -199,12 +190,10 @@ def _distance_sum(row, ratio: Cyc, x: Expr, yvars: list[Expr]) -> Expr:
 def psi(m: int) -> IdentityDoc:
     _need_positive(m=m)
     yvars = [var(f"y{i}") for i in range(1, m + 1)]
-    roles = {f"y{i}": _role("guard", "Y") for i in range(1, m + 1)}
-    roles["x"] = _role("psi-argument")
     return IdentityDoc(
         "psi",
         psi_expr(var("x"), yvars),
-        roles,
+        {"Y": _names(yvars)},
         {"m": m},
         "sum of m conjugates of one variable; a scalar multiple of the trace "
         "on a full distinct assignment",
@@ -214,16 +203,14 @@ def psi(m: int) -> IdentityDoc:
 
 def theta(m: int) -> IdentityDoc:
     _need_positive(m=m)
-    gf, roles, yvars = guard_factors(m)
+    gf, yvars = guard_factors(m)
     psi_node = psi_expr(var("x"), yvars)
     yfree = var("z")
-    roles["x"] = _role("psi-argument")
-    roles["z"] = _role("psi-argument")
     commute = sub(prod([psi_node, yfree]), prod([yfree, psi_node]))
     return IdentityDoc(
         "theta",
         prod(gf + [commute]),
-        roles,
+        {"Y": _names(yvars)},
         {"m": m},
         "guarded commutation of the conjugation average with a free variable",
     )
@@ -234,9 +221,8 @@ def character_identity(rep: Rep) -> IdentityDoc:
         raise BuildError("character identity requires a faithful irreducible rep")
     m, n = rep.group.order, rep.dim
     values = rep.character.range_values(rep.key_conductor)
-    gf, roles, yvars = guard_factors(m)
+    gf, yvars = guard_factors(m)
     psi_node = psi_expr(var("x"), yvars)
-    roles["x"] = _role("psi-argument")
     ratio = Fraction(m, n)
     factors = gf
     constants = []
@@ -245,11 +231,11 @@ def character_identity(rep: Rep) -> IdentityDoc:
         constants.append(c)
         factors.append(sum_([psi_node, const(-c)]))
         if i < len(values):
-            _separate(factors, roles, f"v{i}")
+            factors.append(var(f"v{i}"))
     return IdentityDoc(
         "character",
         prod(factors),
-        roles,
+        {"Y": _names(yvars)},
         {
             "m": m,
             "n": n,
@@ -261,13 +247,13 @@ def character_identity(rep: Rep) -> IdentityDoc:
 
 def dimension_identity(m: int, n: int) -> IdentityDoc:
     _need_positive(m=m, n=n)
-    guards, roles, xvars, yvars = _double_guard(m, m)
+    guards, groups, xvars, yvars = _double_guard(m, m)
     terms = [prod([psi_expr(x, yvars), inv(x)]) for x in xvars]
     body = sum_(terms + [const(-Cyc.from_rational(Fraction(m, n) ** 2))])
     return IdentityDoc(
         "dimension",
         prod(guards + [body]),
-        roles,
+        groups,
         {"m": m, "n": n},
         "doubly guarded sum of averaged commutators minus the squared ratio "
         "of group order to dimension",
@@ -276,13 +262,13 @@ def dimension_identity(m: int, n: int) -> IdentityDoc:
 
 def dimension_identity_alt(m: int, n: int) -> IdentityDoc:
     _need_positive(m=m, n=n)
-    guards, roles, xvars, yvars = _double_guard(m, m)
+    guards, groups, xvars, yvars = _double_guard(m, m)
     terms = [prod([psi_expr(x, yvars), psi_expr(inv(x), yvars)]) for x in xvars]
     body = sum_(terms + [const(-Cyc.from_rational(Fraction(m**3, n**2)))])
     return IdentityDoc(
         "dimension-alt",
         prod(guards + [body]),
-        roles,
+        groups,
         {"m": m, "n": n},
         "doubly guarded sum of conjugation averages paired with their "
         "inverse-argument averages",
@@ -296,15 +282,15 @@ def range_identity(rep: Rep, xi: Cyc) -> IdentityDoc:
     if not in_range:
         raise BuildError("value outside the character range would make the "
                          "identity vacuous by construction")
-    factors, roles, xvars, yvars = _double_guard(m, m)
+    factors, groups, xvars, yvars = _double_guard(m, m)
     c = xi * Cyc.from_rational(Fraction(m, n))
     for i, x in enumerate(xvars, start=1):
         factors.append(sum_([psi_expr(x, yvars), const(-c)]))
-        _separate(factors, roles, f"v{i}")
+        factors.append(var(f"v{i}"))
     return IdentityDoc(
         "range",
         prod(factors),
-        roles,
+        groups,
         {"m": m, "n": n, "xi": xi.to_json()},
         "guarded product asserting one prescribed character value is attained",
     )
@@ -318,14 +304,14 @@ def level_set_identity(rep: Rep, i: int) -> IdentityDoc:
         raise BuildError(f"level index {i} out of range 1..{len(values)}")
     chi_i = values[i - 1]
     t_i = len(rep.character.level_set(chi_i))
-    guards, roles, xvars, yvars = _double_guard(m, m)
+    guards, groups, xvars, yvars = _double_guard(m, m)
     ratio = Cyc.from_rational(Fraction(m, n))
     bases = [_distance_sum([chi_i], ratio, x, yvars) for x in xvars]
     node = stream_subsets(bases, t_i, "v_S")
     return IdentityDoc(
         "level-set",
         prod(guards + [node]),
-        roles,
+        groups,
         {
             "m": m,
             "n": n,
@@ -357,19 +343,9 @@ def class_identity(rep: Rep, variant: str = "character") -> IdentityDoc:
     if group.order == 1:
         return IdentityDoc("class", const(0), {}, {"s": 0, "variant": variant},
                            "empty-class degenerate form", vacuous=True)
-    roles: dict = {}
-    xvars = []
-    yvar_sets = []
-    for r in range(1, s + 1):
-        xname = f"x{r}"
-        roles[xname] = _role("psi-argument")
-        xvars.append(var(xname))
-        ys = []
-        for idx in range(1, sizes[r - 1] + 1):
-            yname = f"y{r}_{idx}"
-            roles[yname] = _role("guard", f"Y{r}")
-            ys.append(var(yname))
-        yvar_sets.append(ys)
+    xvars = [var(f"x{r}") for r in range(1, s + 1)]
+    yvar_sets = [[var(f"y{r}_{idx}") for idx in range(1, sizes[r - 1] + 1)]
+                 for r in range(1, s + 1)]
 
     factors = []
     # commutator blocks force Y_r into pairwise distinct left centralizer
@@ -383,14 +359,14 @@ def class_identity(rep: Rep, variant: str = "character") -> IdentityDoc:
                 word = prod([inv(ys[a]), ys[b]])
                 comm = prod([inv(xr), inv(word), xr, word])
                 factors.append(sub(const(1), comm))
-                _separate(factors, roles, f"u{r}_{a + 1}_{b + 1}")
+                factors.append(var(f"u{r}_{a + 1}_{b + 1}"))
     # cross-class separation: x_q avoids every conjugate of x_p over Y_p;
     # conjugation is y x y^-1 so left-coset-distinct Y_p covers the class
     for p in range(1, s + 1):
         for q in range(p + 1, s + 1):
             for idx, y in enumerate(yvar_sets[p - 1], start=1):
                 factors.append(sub(xvars[q - 1], prod([y, xvars[p - 1], inv(y)])))
-                _separate(factors, roles, f"v{p}_{q}_{idx}")
+                factors.append(var(f"v{p}_{q}_{idx}"))
 
     def e_term(a: int, b: int) -> Expr:
         # conjugation average of x_a over Y_a against class-b data
@@ -419,7 +395,7 @@ def class_identity(rep: Rep, variant: str = "character") -> IdentityDoc:
     return IdentityDoc(
         "class" if variant == "character" else "class-adams",
         prod(factors + [body]),
-        roles,
+        {f"Y{r}": _names(ys) for r, ys in enumerate(yvar_sets, start=1)},
         {
             "s": s,
             "sizes": sizes,
@@ -467,8 +443,7 @@ def sigma_hat_expr(i: int, x: Expr, yvars: list[Expr], m: int, n: int) -> Expr:
 
 def cayley_hamilton_identity(m: int, n: int) -> IdentityDoc:
     _need_positive(m=m, n=n)
-    gf, roles, yvars = guard_factors(m)
-    roles["x"] = _role("psi-argument")
+    gf, yvars = guard_factors(m)
     x = var("x")
     terms = [power(x, n)]
     for i in range(1, n + 1):
@@ -478,7 +453,7 @@ def cayley_hamilton_identity(m: int, n: int) -> IdentityDoc:
     return IdentityDoc(
         "cayley-hamilton",
         prod(gf + [sum_(terms)]),
-        roles,
+        {"Y": _names(yvars)},
         {"m": m, "n": n},
         "guarded characteristic polynomial with traces replaced by scaled "
         "conjugation averages",
@@ -495,17 +470,16 @@ def sigma_identity(rep: Rep, i: int) -> IdentityDoc:
         v = sigma_value(rep, g, i)
         seen.setdefault(v.key(kc), v)
     deltas = [seen[k] for k in sorted(seen)]
-    gf, roles, yvars = guard_factors(m)
-    roles["x"] = _role("psi-argument")
+    gf, yvars = guard_factors(m)
     sig = sigma_hat_expr(i, var("x"), yvars, m, n)
     factors = gf
     for idx, d in enumerate(deltas, start=1):
         factors.append(sum_([sig, const(-d)]))
-        _separate(factors, roles, f"vd{idx}")
+        factors.append(var(f"vd{idx}"))
     return IdentityDoc(
         "sigma",
         prod(factors),
-        roles,
+        {"Y": _names(yvars)},
         {"m": m, "n": n, "index": i, "values": [d.to_json() for d in deltas]},
         "guarded product over all attained values of one symmetric invariant",
     )
@@ -513,13 +487,12 @@ def sigma_identity(rep: Rep, i: int) -> IdentityDoc:
 
 def su_membership_identity(m: int, n: int) -> IdentityDoc:
     _need_positive(m=m, n=n)
-    gf, roles, yvars = guard_factors(m)
-    roles["x"] = _role("psi-argument")
+    gf, yvars = guard_factors(m)
     sig = sigma_hat_expr(n, var("x"), yvars, m, n)
     return IdentityDoc(
         "su-membership",
         prod(gf + [sum_([sig, const(-1)])]),
-        roles,
+        {"Y": _names(yvars)},
         {"m": m, "n": n},
         "guarded determinant-equals-one test",
     )
@@ -539,17 +512,16 @@ def adams_block_expr(rep: Rep, i: int, x: Expr, yvars: list[Expr]) -> Expr:
 def spectrum_identity(rep: Rep) -> IdentityDoc:
     m = rep.group.order
     blocks = rep.adams_partition
-    gf, roles, yvars = guard_factors(m)
-    roles["x"] = _role("psi-argument")
+    gf, yvars = guard_factors(m)
     factors = gf
     for i in range(1, len(blocks) + 1):
         factors.append(adams_block_expr(rep, i, var("x"), yvars))
         if i < len(blocks):
-            _separate(factors, roles, f"v{i}")
+            factors.append(var(f"v{i}"))
     return IdentityDoc(
         "spectrum",
         prod(factors),
-        roles,
+        {"Y": _names(yvars)},
         {"m": m, "n": rep.dim, "blocks": [len(b) for b in blocks]},
         "guarded product of spectral-block factors, one per distinct "
         "power-trace vector",
@@ -558,14 +530,14 @@ def spectrum_identity(rep: Rep) -> IdentityDoc:
 
 def spectrum_level_identity(rep: Rep, i: int) -> IdentityDoc:
     m = rep.group.order
-    factors, roles, xvars, yvars = _double_guard(m, m)
+    factors, groups, xvars, yvars = _double_guard(m, m)
     for j, x in enumerate(xvars, start=1):
         factors.append(adams_block_expr(rep, i, x, yvars))
-        _separate(factors, roles, f"w{j}")
+        factors.append(var(f"w{j}"))
     return IdentityDoc(
         "spectrum-level",
         prod(factors),
-        roles,
+        groups,
         {"m": m, "n": rep.dim, "index": i},
         "guarded product asserting one spectral block is attained by every "
         "guard position",
@@ -578,13 +550,13 @@ def gassmann_identity(rep: Rep, i: int) -> IdentityDoc:
     if not 1 <= i <= len(blocks):
         raise BuildError(f"block index {i} out of range 1..{len(blocks)}")
     t = len(blocks[i - 1])
-    guards, roles, xvars, yvars = _double_guard(m, m)
+    guards, groups, xvars, yvars = _double_guard(m, m)
     bases = [adams_block_expr(rep, i, x, yvars) for x in xvars]
     node = stream_subsets(bases, t, "v_S")
     return IdentityDoc(
         "gassmann",
         prod(guards + [node]),
-        roles,
+        groups,
         {
             "m": m,
             "n": rep.dim,
@@ -619,7 +591,7 @@ def central_series_gassmann_identity(rep: Rep, t: int, i: int) -> IdentityDoc:
         raise BuildError(f"block index {i} out of range 1..{len(blocks)}")
     block = blocks[i - 1]
     m, n = group.order, rep.dim
-    factors, roles, xvars, yvars = _double_guard(s, m)
+    factors, groups, xvars, yvars = _double_guard(s, m)
     ratio = Cyc.from_rational(Fraction(m, n))
     row = rep.adams_vector(block[0])
     bases = [_distance_sum(row, ratio, x, yvars) for x in xvars]
@@ -628,16 +600,14 @@ def central_series_gassmann_identity(rep: Rep, t: int, i: int) -> IdentityDoc:
     for j, x in enumerate(xvars, start=1):
         word = x
         for step in range(1, t + 1):
-            uname = f"c{j}_{step}"
-            roles[uname] = _role("psi-argument")
-            u = var(uname)
+            u = var(f"c{j}_{step}")
             word = prod([inv(word), inv(u), word, u])
         factors.append(sub(word, const(1)))
-        _separate(factors, roles, f"vx{j}")
+        factors.append(var(f"vx{j}"))
     return IdentityDoc(
         "central-series-gassmann",
         prod(factors),
-        roles,
+        groups,
         {
             "t": t,
             "index": i,
@@ -658,14 +628,13 @@ def central_series_gassmann_identity(rep: Rep, t: int, i: int) -> IdentityDoc:
 def minimal_poly_identity(rep: Rep, variant: str = "maximal") -> IdentityDoc:
     kc = rep.key_conductor
     x = var("x")
-    roles = {"x": _role("psi-argument")}
     if variant == "union":
         exps = eig_union(rep)
         factors = [sub(x, const(cyc_root_of_unity(kc, e))) for e in exps]
         return IdentityDoc(
             "minimal-poly-union",
             prod(factors),
-            roles,
+            {},
             {"eigenvalues": list(exps), "conductor": kc},
             "one-variable product over every eigenvalue attained by the "
             "representation",
@@ -678,11 +647,11 @@ def minimal_poly_identity(rep: Rep, variant: str = "maximal") -> IdentityDoc:
         poly = prod([sub(x, const(cyc_root_of_unity(kc, e))) for e in eset])
         factors.append(poly)
         if i < len(max_sets):
-            _separate(factors, roles, f"v{i}")
+            factors.append(var(f"v{i}"))
     return IdentityDoc(
         "minimal-poly",
         prod(factors),
-        roles,
+        {},
         {"maximal_sets": [list(s) for s in max_sets], "conductor": kc},
         "separated product of minimal polynomials of the maximal "
         "eigenvalue sets",
@@ -707,13 +676,13 @@ def central_partition_identity(rep: Rep, partition: list[list[int]]) -> Identity
         if lam is None:
             raise BuildError("a block sum is not scalar; not a central partition")
         targets.append(lam * Cyc.from_rational(Fraction(1, len(block))))
-    gx, roles, xvars = guard_factors(m, "x", "s")
+    gx, xvars = guard_factors(m, "x", "s")
     sizes = [len(b) for b in partition]
     node = stream_partitions([f"x{i}" for i in range(1, m + 1)], sizes, targets, "v_P")
     return IdentityDoc(
         "central-partition",
         prod(gx + [node]),
-        roles,
+        {"X": _names(xvars)},
         {
             "m": m,
             "sizes": sizes,
@@ -770,16 +739,10 @@ def probability_identity(u: Expr, t: int, m: int) -> IdentityDoc:
     p = len(uvars)
     if t > m**p:
         raise BuildError(f"t={t} exceeds the universe size {m}**{p}")
-    roles: dict = {}
     guard_parts: list = []
     var_sets = []
     for axis in range(1, p + 1):
-        gf, g_roles, gvars = guard_factors(m, f"x{axis}_", f"s{axis}_")
-        # rename the guard group per axis
-        for name, role in g_roles.items():
-            if role["role"] == "guard":
-                role = _role("guard", f"X{axis}")
-            roles[name] = role
+        gf, gvars = guard_factors(m, f"x{axis}_", f"s{axis}_")
         guard_parts.extend(gf)
         var_sets.append(gvars)
     bases = []
@@ -791,7 +754,7 @@ def probability_identity(u: Expr, t: int, m: int) -> IdentityDoc:
     return IdentityDoc(
         "probability",
         prod(guard_parts + [node]),
-        roles,
+        {f"X{axis}": _names(gvars) for axis, gvars in enumerate(var_sets, start=1)},
         {"m": m, "p": p, "t": t, "stream_factors": comb(m**p, t),
          "stream_separator": "v_S"},
         "guarded streamed product over t-subsets of assignment tuples of the "
@@ -833,13 +796,13 @@ def _rewrite(e: Expr, leaf, memo: dict) -> Expr:
 def central_laurent(m: int) -> IdentityDoc:
     if m < 2:
         raise BuildError("need m >= 2")
-    gf, roles, yvars = guard_factors(m)
+    gf, yvars = guard_factors(m)
     guard_node = prod(gf)
     body = sum_([prod([y, guard_node, inv(y)]) for y in yvars])
     return IdentityDoc(
         "central-laurent",
         body,
-        roles,
+        {"Y": _names(yvars)},
         {"m": m},
         "conjugation average of the guard product: scalar-valued on every "
         "assignment, and not identically zero on a faithful irreducible "
@@ -860,9 +823,7 @@ def gamma_separating_identity(entry, l: int) -> IdentityDoc:
         raise BuildError("requires the cyclic part exponent divisible by the "
                          "diagonal block size")
     mn = m * n
-    gf, roles, yvars = guard_factors(mn)
-    roles["x"] = _role("psi-argument")
-    roles["z"] = _role("psi-argument")
+    gf, yvars = guard_factors(mn)
     x, y = var("x"), var("z")
     sig = sigma_hat_expr(d, y, yvars, mn, d)
     factors = gf
@@ -873,7 +834,7 @@ def gamma_separating_identity(entry, l: int) -> IdentityDoc:
     return IdentityDoc(
         "gamma-separation",
         prod(factors),
-        roles,
+        {"Y": _names(yvars)},
         {"m": m, "n": n, "r": r, "d": d, "nprime": nprime, "l": l},
         "guarded determinant-value factors times the conjugation relation on "
         "n-th powers",
@@ -886,18 +847,13 @@ def gamma_separating_identity(entry, l: int) -> IdentityDoc:
 def disjunctive_identity(words: list[Expr]) -> IdentityDoc:
     if not words:
         raise BuildError("need at least one word")
-    factors: list[Expr] = []
-    roles: dict = {}
-    _separate(factors, roles, "u0")
+    factors = [var("u0")]
     for i, w in enumerate(words, start=1):
-        factors.append(sub(w, const(1)))
-        _separate(factors, roles, f"u{i}")
-        for name in w.free_vars():
-            roles.setdefault(name, _role("psi-argument"))
+        factors += [sub(w, const(1)), var(f"u{i}")]
     return IdentityDoc(
         "disjunctive",
         prod(factors),
-        roles,
+        {},
         {"clauses": len(words)},
         "separated product of word-minus-one factors",
     )
@@ -913,16 +869,13 @@ def s4_separating_identity(rep: Rep) -> IdentityDoc:
         raise BuildError("expects a 3-dimensional rep of the order-24 group")
     four_cycle = next(g for g in range(m) if group.element_order(g) == 4)
     c = rep.character.value(four_cycle) * Cyc.from_rational(Fraction(m, n))
-    gf, roles, yvars = guard_factors(m)
-    roles["x"] = _role("psi-argument")
+    gf, yvars = guard_factors(m)
     x = var("x")
-    factors = gf + [sub(power(x, 6), const(1))]
-    _separate(factors, roles, "y25")
-    factors.append(sum_([psi_expr(x, yvars), const(-c)]))
+    factors = gf + [sub(power(x, 6), const(1)), var("y25"), sum_([psi_expr(x, yvars), const(-c)])]
     return IdentityDoc(
         "s4-separation",
         prod(factors),
-        roles,
+        {"Y": _names(yvars)},
         {"m": m, "n": n, "constant": c.to_json()},
         "sixth-power clause or the 4-cycle character value is attained",
     )
@@ -937,14 +890,13 @@ def fixed_point_identity(rep: Rep, i: int) -> IdentityDoc:
         raise BuildError(f"order index {i} out of range 1..{len(orders)}")
     d_i = orders[i - 1]
     m, n = group.order, rep.dim
-    gf, roles, yvars = guard_factors(m)
-    roles["x"] = _role("psi-argument")
+    gf, yvars = guard_factors(m)
     x = var("x")
     factors = gf
     for d in orders:
         if d != d_i:
             factors.append(sub(power(x, d), const(1)))
-            _separate(factors, roles, f"yd{d}")
+            factors.append(var(f"yd{d}"))
     # distinct fixed-space dimensions of order-d_i cyclic subgroups
     dims = set()
     for g in range(group.order):
@@ -955,11 +907,11 @@ def fixed_point_identity(rep: Rep, i: int) -> IdentityDoc:
     for idx, dim in enumerate(sorted(dims), start=1):
         target = Fraction(m, n) * d_i * dim
         factors.append(sum_([avg, const(-target)]))
-        _separate(factors, roles, f"w{idx}")
+        factors.append(var(f"w{idx}"))
     return IdentityDoc(
         "fixed-point",
         prod(factors),
-        roles,
+        {"Y": _names(yvars)},
         {"m": m, "n": n, "order": d_i, "dims": sorted(dims)},
         "order clauses against one element order, then cyclic averages "
         "pinned to fixed-space dimensions",
@@ -972,7 +924,6 @@ def standard_identity(k: int) -> IdentityDoc:
     if k < 1:
         raise BuildError("need k >= 1")
     names = [f"y{i}" for i in range(1, k + 1)]
-    roles = {nm: _role("psi-argument") for nm in names}
     # the node of each subset, built from those one smaller
     nodes = {(i,): var(nm) for i, nm in enumerate(names)}
     for size in range(2, k + 1):
@@ -984,7 +935,7 @@ def standard_identity(k: int) -> IdentityDoc:
     return IdentityDoc(
         "standard",
         expr,
-        roles,
+        {},
         {"k": k},
         "fully alternating multilinear sum over all orderings of the variables",
     )
@@ -993,8 +944,5 @@ def standard_identity(k: int) -> IdentityDoc:
 def expand_doc(doc: IdentityDoc, limit: int = 10_000) -> IdentityDoc:
     """Unroll streamed products into explicit factors (size-guarded)."""
     expr = _rewrite(doc.expr, lambda e: expand_stream(e, limit), {})
-    roles = dict(doc.var_roles)
-    for name in expr.free_vars() - set(roles):
-        roles[name] = _role("subset-tag")
-    return IdentityDoc(doc.family + "-expanded", expr, roles, dict(doc.params),
+    return IdentityDoc(doc.family + "-expanded", expr, doc.guards, dict(doc.params),
                        doc.citation, is_identity=doc.is_identity, vacuous=doc.vacuous)

@@ -17,10 +17,11 @@ evidence. Every mode is a source of (assignment, decision) pairs:
   verdict is that of uniform samples;
 - sampled(N, seed): N uniform assignments.
 
-A separator is a variable declared `separator` or `subset-tag` that is a
-root factor exactly once and occurs in no other root factor; every other
-root factor is a value factor, whose slot is the separator just before it,
-if any (`_DocTables` alone decides both).  Each assignment is decided
+A separator is a variable, not a guard, that is a root factor exactly
+once and occurs in no other root factor; a document declares none, and a
+relation, decided at given values, has none.  Every other root factor is a
+value factor, whose slot is the separator just before it, if any
+(`_DocTables` alone decides both).  Each assignment is decided
 once: one scan of its root value factors (`_Session.scan_factors`; guarded
 mode scans the factors free of arguments once per ordering), then
 `_Session.settle`.  One loop (`_verify`) takes the decisions, counts the
@@ -160,16 +161,16 @@ class _DocTables:
 
     symmetric = None  # the guard-symmetry certificate, set by `_guards_symmetric`
 
-    def __init__(self, doc: IdentityDoc):
+    def __init__(self, doc: IdentityDoc, relation: bool = False):
         roots = list(doc.expr.children) if doc.expr.kind == "prod" else [doc.expr]
-        declared = {name for name, role in doc.var_roles.items()
-                    if role["role"] in ("separator", "subset-tag")}
         bare = collections.Counter(f.value for f in roots if f.kind == "var")
-        read = frozenset().union(*[f.free_vars() for f in roots if f.kind != "var"])
-        # the separators: declared variables that are root factors once and
-        # occur in no other root factor, so no value factor reads them
-        self.separators = seps = {name for name, k in bare.items()
-                                  if k == 1 and name in declared and name not in read}
+        # the guards, and the variables some other root factor reads
+        taken = frozenset().union(*doc.guards.values(),
+                                  *[f.free_vars() for f in roots if f.kind != "var"])
+        # the separators: the other root factors once, which no value factor
+        # reads; a relation has none
+        self.separators = seps = set() if relation else {
+            name for name, k in bare.items() if k == 1 and name not in taken}
         self.sep_list = sorted(seps)
         # the root factors whose value can vanish, in expression order, and
         # the slot of each: the separator just before it, or None
@@ -619,9 +620,9 @@ def holds_guarded(doc: IdentityDoc, rep: Rep, seed: int = 0, orderings: int = 5)
     if doc.vacuous:
         return _vacuous("guarded", t0)
     m = rep.group.order
-    groups = doc.guard_groups()
+    groups = doc.guards
     if not groups:
-        raise VerifierError("document declares no guard roles; use another mode")
+        raise VerifierError("document declares no guard groups; use another mode")
     for label, vars_ in groups.items():
         if len(vars_) != m:
             raise VerifierError(
@@ -948,7 +949,7 @@ def check(doc: IdentityDoc, rep: Rep, mode: str = "auto", seed: int = 0,
     if doc.family in _FAMILY_SOURCES:
         return holds_structured(doc, rep, seed=seed, extra_samples=n)
     m = rep.group.order
-    groups = doc.guard_groups()
+    groups = doc.guards
     if groups and all(len(v) == m for v in groups.values()):
         return holds_guarded(doc, rep, seed=seed, orderings=orderings)
     total = m ** len(doc.expr.free_vars())
@@ -984,10 +985,11 @@ def expectation(expr: Expr, rep: Rep, budget: int = 300_000) -> Mat:
 
 
 def _relation_session(expr: Expr, rep: Rep) -> _Session:
-    """A session deciding expr at given values of all its variables, so
-    none is a separator (premise (c) then asks for streams between factors)."""
-    roles = dict.fromkeys(expr.free_vars(), {"role": "argument"})
-    return _Session(IdentityDoc("relation", expr, roles, {}, "relation"), rep)
+    """A session deciding expr at given values of all its variables: it has
+    no separators (premise (c) then asks for streams between factors)."""
+    doc = IdentityDoc("relation", expr, {}, {}, "relation")
+    _TABLES[doc] = _DocTables(doc, relation=True)
+    return _Session(doc, rep)
 
 
 def _vanishes(session: _Session, assignment: dict) -> bool:

@@ -108,19 +108,17 @@ def test_criterion_2_companion_printed_three_dim_constants_fail():
     a5 = catalog.alternating(5)
     rep = a5.rep("dim3a")
     with Budget("2-companion", 60):
-        gf, roles, yvars = idf.guard_factors(60)
+        gf, yvars = idf.guard_factors(60)
         psi_node = idf.psi_expr(var("x"), yvars)
-        roles["x"] = {"role": "psi-argument"}
         ten = Cyc.from_rational(10, 5)
         c = ten + ten * sqrt5()
         factors = []
         for i, value in enumerate([Cyc.zero(5), Cyc.from_rational(60, 5), -c, c]):
             factors.append(sum_([psi_node, const(-value)]))
             if i < 3:
-                sep = f"v{i + 1}"
-                roles[sep] = {"role": "separator"}
-                factors.append(var(sep))
-        doc = idf.IdentityDoc("character-printed-3dim", prod(gf + factors), roles,
+                factors.append(var(f"v{i + 1}"))
+        doc = idf.IdentityDoc("character-printed-3dim", prod(gf + factors),
+                              {"Y": idf._names(yvars)},
                               {"m": 60, "n": 3}, "printed four-factor variant")
         verdict = vf.holds_guarded(doc, rep, seed=7)
         assert not verdict.holds
@@ -252,7 +250,8 @@ def test_criterion_9_central_objects():
         c6 = idf.central_laurent(6)
         ev = Evaluator(std)
         rng = random.Random(17)
-        seps = c6.vars_with_role("separator")
+        # the guard separators, which sit inside the psi sum
+        seps = sorted(c6.expr.free_vars() - set(c6.guards["Y"]))
         nonzero = False
         for order in itertools.permutations(range(6)):
             assign = {f"y{i + 1}": order[i] for i in range(6)}

@@ -201,18 +201,24 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
     # the inverse of x - x: singular for every value of x
     singular = tmp_path / "singular.json"
     singular.write_text(json.dumps(idfactory.IdentityDoc(
-        "test", inv(sub(var("x"), var("x"))), {"x": {"role": "value"}}, {},
-        "singular inverse").to_json()))
-    # var_roles entries that are not a dict with a role, or a guard's with
-    # no group
-    bad_roles = []
-    for k, role in enumerate(({"rol": "psi-argument"}, "psi-argument", {"role": "guard"})):
-        path = tmp_path / f"bad_roles{k}.json"
+        "test", inv(sub(var("x"), var("x"))), {}, {}, "singular inverse").to_json()))
+    # guards that are not an object of lists of names, a name in two groups,
+    # a guard that is not a variable of the expression, and the older role
+    # map in place of guards
+    bad_guards = []
+    for k, guards in enumerate((["x"], {"X": "x"}, {"X": [1]}, {"A": ["x"], "B": ["x"]},
+                                {"X": ["q"]}, None)):
+        path = tmp_path / f"bad_guards{k}.json"
         doc = json.loads(x3.read_text())
-        doc["var_roles"]["x"] = role
+        if guards is None:
+            del doc["guards"]
+            doc["var_roles"] = {"x": {"role": "psi-argument"}, "u0": {"role": "separator"},
+                                "u1": {"role": "separator"}}
+        else:
+            doc["guards"] = guards
         path.write_text(json.dumps(doc))
-        bad_roles.append((str(path), "--rep", "catalog:S3:std"))
-    cases = bad_roles + [
+        bad_guards.append((str(path), "--rep", "catalog:S3:std"))
+    cases = bad_guards + [
         # a guard group of 3 variables on a group of order 6
         (str(psi), "--rep", "catalog:S3:std", "--mode", "guarded"),
         # the character family has no structured handler
@@ -238,6 +244,8 @@ def test_check_bad_input_is_a_usage_error(tmp_path):
         assert proc.returncode == 2, args
         assert json.loads(proc.stderr)["error"], args
         assert "Traceback" not in proc.stderr, args
+    proc = run_cli("check", bad_guards[-1][0], "--rep", "catalog:S3:std")
+    assert "var_roles" in json.loads(proc.stderr)["error"]
 
 
 def test_a_zero_factor_spares_a_singular_inverse_after_it(tmp_path):
@@ -249,7 +257,7 @@ def test_a_zero_factor_spares_a_singular_inverse_after_it(tmp_path):
     for factors, code in (([const(0), singular], 0), ([singular, const(0)], 2)):
         path = tmp_path / f"zero_factor{code}.json"
         path.write_text(json.dumps(idfactory.IdentityDoc(
-            "test", prod(factors), {"x": {"role": "value"}}, {}, "zero factor").to_json()))
+            "test", prod(factors), {}, {}, "zero factor").to_json()))
         for mode in (("--sl2", "--trials", "5"),
                      ("--rep", "catalog:S3:std", "--mode", "exhaustive")):
             proc = run_cli("check", str(path), *mode)
@@ -262,15 +270,15 @@ def test_a_zero_factor_spares_a_singular_inverse_after_it(tmp_path):
 
 
 def test_roles_do_not_make_separators_or_arguments(tmp_path):
-    """A guarded document whose x has the role "argument" is decided: x is
-    an argument as every variable but guards and separators is.  A class
-    document with q - 1 first, which its family never assigns, is a usage
-    error."""
-    factors, roles, _ = idfactory.guard_factors(6)
-    other = tmp_path / "other_role.json"
+    """A guarded document is decided whatever its variables other than
+    guards are: x, read by x - 1, is an argument, as every variable but
+    guards and separators is.  A class document with q - 1 first, which its
+    family never assigns, is a usage error."""
+    factors, yvars = idfactory.guard_factors(6)
+    other = tmp_path / "undeclared.json"
     other.write_text(json.dumps(idfactory.IdentityDoc(
-        "test", prod(factors + [sub(var("x"), const(1))]), {**roles, "x": {"role": "argument"}},
-        {}, "an argument of another role").to_json()))
+        "test", prod(factors + [sub(var("x"), const(1))]), {"Y": idfactory._names(yvars)},
+        {}, "an undeclared argument").to_json()))
     proc = run_cli("check", str(other), "--rep", "catalog:S3:std")
     assert proc.returncode == 1, proc.stderr
     assert json.loads(proc.stdout)["status"] == "fails" and "Traceback" not in proc.stderr
@@ -278,18 +286,18 @@ def test_roles_do_not_make_separators_or_arguments(tmp_path):
     unassigned = tmp_path / "unassigned.json"
     unassigned.write_text(json.dumps(idfactory.IdentityDoc(
         doc.family, prod([sub(var("q"), const(1))] + list(doc.expr.children)),
-        {**doc.var_roles, "q": {"role": "psi-argument"}}, doc.params, doc.citation).to_json()))
+        doc.guards, doc.params, doc.citation).to_json()))
     proc = run_cli("check", str(unassigned), "--rep", "catalog:S4:rho4")
     assert proc.returncode == 2
     assert "q" in json.loads(proc.stderr)["error"] and "Traceback" not in proc.stderr
 
 
-def _star_doc(child: dict, var_names) -> dict:
+def _star_doc(child: dict) -> dict:
     """A document whose expression is star(child) * x * y - 1."""
     minus_one = {"kind": "const", "value": Cyc.from_rational(-1).to_json()}
     return {
         "family": "test", "params": {}, "citation": "loaded star node",
-        "var_roles": {name: {"role": "psi-argument"} for name in var_names},
+        "guards": {},
         "expr": {"kind": "sum", "children": [
             {"kind": "prod", "children": [{"kind": "star", "child": child},
                                           var("x").to_json(), var("y").to_json()]},
@@ -301,7 +309,7 @@ def test_loaded_star_node_is_its_conjugate(tmp_path):
     """star(x y) x y - 1 = y^-1 x^-1 x y - 1 vanishes on every assignment."""
     path = tmp_path / "star.json"
     xy = {"kind": "prod", "children": [var("x").to_json(), var("y").to_json()]}
-    path.write_text(json.dumps(_star_doc(xy, ["x", "y"])))
+    path.write_text(json.dumps(_star_doc(xy)))
     proc = run_cli("check", str(path), "--rep", "catalog:S3:std", "--mode", "exhaustive")
     assert proc.returncode == 0, (proc.stdout, proc.stderr)
     payload = json.loads(proc.stdout)
@@ -312,7 +320,7 @@ def test_star_over_a_partition_stream_is_a_usage_error(tmp_path):
     path = tmp_path / "star_stream.json"
     stream = {"kind": "stream_partitions", "vars": ["x", "y"], "sizes": [1, 1],
               "targets": [Cyc.from_rational(1).to_json()] * 2, "separator_prefix": "v"}
-    path.write_text(json.dumps(_star_doc(stream, ["x", "y"])))
+    path.write_text(json.dumps(_star_doc(stream)))
     proc = run_cli("check", str(path), "--rep", "catalog:S3:std")
     assert proc.returncode == 2
     assert "star unsupported" in json.loads(proc.stderr)["error"]

@@ -47,10 +47,9 @@ def _pin(build) -> dict:
         blob, roots = out.to_json(), [out.expr]
     elif isinstance(out, Expr):
         blob, roots = out.to_json(), [out]
-    else:  # guard_factors: (factors, roles, guard variables)
-        factors, roles, gvars = out
-        blob = {"factors": [f.to_json() for f in factors], "roles": roles,
-                "vars": [g.to_json() for g in gvars]}
+    else:  # guard_factors: (factors, guard variables)
+        factors, gvars = out
+        blob = {"factors": [f.to_json() for f in factors], "vars": [g.to_json() for g in gvars]}
         roots = factors + gvars
     text = json.dumps(blob)
     return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "nodes": _node_count(roots)}

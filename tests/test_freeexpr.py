@@ -323,21 +323,20 @@ def _walk(e):
 
 
 def test_loaded_stream_derives_its_premise():
-    """A stream_subsets node's stored "psd" is not read: bases x - 1 and
-    1 - x load as a node whose premise fails whatever the file says, and
-    the node writes its derived value.  star derives its own premise."""
+    """A stream_subsets node derives its premise from its bases and does
+    not write it: bases x - 1 and 1 - x load as a node whose premise fails,
+    even from a file whose node says "psd": true.  star derives its own
+    premise."""
     x = var("x")
     node = stream_subsets([sub(x, const(1)), sub(const(1), x)], 2, "s")
     blob = node.to_json()
-    assert blob["psd"] is False
-    blob["psd"] = True
-    assert Expr.from_json(blob) is node
-    assert node.to_json()["psd"] is False
+    assert "psd" not in blob and node.extra[2] is False
+    assert Expr.from_json(dict(blob, psd=True)) is node
     assert star(node).extra[2] is False
     grams = stream_subsets([prod([b, star(b)]) for b in node.children], 2, "s")
     assert star(grams).extra[2] is True
     # a single base needs no premise
-    assert stream_subsets([sub(x, const(1))], 1, "s").to_json()["psd"] is True
+    assert stream_subsets([sub(x, const(1))], 1, "s").extra[2] is True
 
 
 def test_expand_stream_matches_naming():

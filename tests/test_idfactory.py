@@ -23,9 +23,9 @@ def test_guard_shape():
     doc = idf.guard_C(3)
     assert doc.params["m"] == 3
     # m(m-1)/2 difference factors, one leading and one separator each
-    seps = doc.vars_with_role("separator")
+    seps = vf._doc_tables(doc).separators
     assert len(seps) == 1 + 3
-    guards = doc.guard_groups()["Y"]
+    guards = doc.guards["Y"]
     assert guards == ["y1", "y2", "y3"]
     with pytest.raises(idf.BuildError):
         idf.guard_C(1)
@@ -213,7 +213,7 @@ def test_probability_identity_universe(s3_std):
     comm = sub(prod([inv(var("a")), inv(var("b")), var("a"), var("b")]), const(1))
     doc = idf.probability_identity(comm, 18, 6)
     assert doc.params["p"] == 2
-    groups = doc.guard_groups()
+    groups = doc.guards
     assert set(groups) == {"X1", "X2"}
     assert all(len(v) == 6 for v in groups.values())
     with pytest.raises(idf.BuildError):

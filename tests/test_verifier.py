@@ -94,7 +94,7 @@ def test_agreement_across_modes():
         vs = vf.holds_sampled(doc, rep, n=300, seed=1)
         assert ve.holds == expected
         assert vs.holds == expected
-        groups = doc.guard_groups()
+        groups = doc.guards
         if groups and all(len(v) == rep.group.order for v in groups.values()):
             vg = vf.holds_guarded(doc, rep, seed=1)
             assert vg.holds == expected
@@ -305,7 +305,7 @@ def test_parallel_exhaustive_reports_undecided():
     z2 = catalog.cyclic(2).rep("chi1")
     # a streamed product that cannot be decided where x is not the identity
     expr = _undecided_stream(sub(var("x"), const(1)))
-    doc = idf.IdentityDoc("test", expr, {"x": {"role": "psi-argument"}}, {}, "undecided")
+    doc = idf.IdentityDoc("test", expr, {}, {}, "undecided")
     serial = _verdict_json(vf.holds_exhaustive(doc, z2, budget=100))
     parallel = _verdict_json(vf.holds_exhaustive(doc, z2, budget=100, jobs=2))
     assert serial == {"status": "holds", "evidence": "exhaustive", "assignments": 2,
@@ -435,14 +435,11 @@ def test_exhaustive_source_matches_enumeration_on_fixed_documents():
     separator_decided = idf.IdentityDoc(
         "test", prod([sum_([power(var("a"), 2), const(1)]), var("v1"), sub(var("a"), const(1)),
                       var("v2"), sum_([var("a"), const(1)])]),
-        {"a": {"role": "psi-argument"}, "v1": {"role": "separator"},
-         "v2": {"role": "separator"}}, {}, "separator-decided product")
+        {}, {}, "separator-decided product")
     stream = _undecided_stream(sub(x, const(1)))
-    undecided = idf.IdentityDoc("test", stream, {"x": {"role": "psi-argument"}}, {},
-                                "undecided")
-    separated = idf.IdentityDoc("test", prod([var("u"), stream]),
-                                {"x": {"role": "psi-argument"}, "u": {"role": "separator"}},
-                                {}, "undecided and separated")
+    undecided = idf.IdentityDoc("test", stream, {}, {}, "undecided")
+    separated = idf.IdentityDoc("test", prod([var("u"), stream]), {}, {},
+                                "undecided and separated")
     cases = [
         (idf.disjunctive_identity([power(x, 6)]), s3, "holds"),
         (idf.disjunctive_identity([power(x, 3)]), s3, "fails"),
@@ -493,9 +490,7 @@ def test_exhaustive_source_raises_where_the_enumeration_does(monkeypatch):
     w, a = cyc_root_of_unity(3, 1), var("a")
     vanishes_below_2 = sum_([power(a, 2), prod([const(-(Cyc.one() + w)), a]), const(w)])
     expr = prod([var("u0"), vanishes_below_2, var("u1"), inv(sub(a, const(w * w)))])
-    roles = {"a": {"role": "psi-argument"}, "u0": {"role": "separator"},
-             "u1": {"role": "separator"}}
-    doc = idf.IdentityDoc("test", expr, roles, {}, "raises at a = 2")
+    doc = idf.IdentityDoc("test", expr, {}, {}, "raises at a = 2")
     scanned = []
     scan = vf._Session.scan_factors
 
@@ -559,9 +554,8 @@ def test_exhaustive_source_scans_each_assignment_once(monkeypatch):
     factor is evaluated once per assignment, as in the plain enumeration."""
     s3, z2 = catalog.symmetric(3).rep("std"), catalog.cyclic(2).rep("chi1")
     stream = _undecided_stream(sub(var("x"), const(1)))
-    separated = idf.IdentityDoc("test", prod([var("u"), stream]),
-                                {"x": {"role": "psi-argument"}, "u": {"role": "separator"}},
-                                {}, "undecided and separated")
+    separated = idf.IdentityDoc("test", prod([var("u"), stream]), {}, {},
+                                "undecided and separated")
     scanned = []
     scan = vf._Session.scan_factors
 
@@ -603,8 +597,7 @@ def test_streamed_product_witness_is_labelled_alike_in_every_mode(s3_std):
     (serially or over workers) or sampled: no mode reports its unevaluable
     value as a plain witness."""
     expr = prod([stream_subsets([sub(var("x"), const(1))], 1, "s"), var("u")])
-    roles = {"x": {"role": "psi-argument"}, "u": {"role": "separator"}}
-    doc = idf.IdentityDoc("test", expr, roles, {}, "streamed product")
+    doc = idf.IdentityDoc("test", expr, {}, {}, "streamed product")
     kind = ("no-vanishing-factor (streamed product; nonzero by simplicity "
             "with fresh separators)")
     exhaustive = _verdict_json(vf.holds_exhaustive(doc, s3_std))
@@ -671,9 +664,7 @@ def test_witness_search_falls_back_to_exact_on_a_false_modular_zero(s3_std, monk
     plus, minus = sum_([const(1), x]), sub(const(p), smul(p, x))
     # (1 + x) rho(u) p (1 - x) rho(w) (1 + x): u = 0 gives p (1 - x^2) = 0
     expr = prod([plus, var("u"), minus, var("w"), plus])
-    roles = {"x": {"role": "psi-argument"}, "u": {"role": "separator"},
-             "w": {"role": "separator"}}
-    doc = idf.IdentityDoc("test", expr, roles, {}, "false modular zero")
+    doc = idf.IdentityDoc("test", expr, {}, {}, "false modular zero")
     t = next(g for g in range(6) if s3_std.group.element_order(g) == 2)
     session = vf._Session(doc, s3_std, seed=0)
     tested = []
@@ -802,10 +793,9 @@ def _short_guard_doc():
     reducible rep the search finds a witness on some assignments and gives
     up on others."""
     x = var("x")
-    factors, roles, ys = idf.guard_factors(3)
-    roles.update({"x": {"role": "psi-argument"}, "v": {"role": "separator"}})
+    factors, ys = idf.guard_factors(3)
     expr = prod(factors + [idf.psi_expr(x, ys), var("v"), sub(x, const(1))])
-    return idf.IdentityDoc("test", expr, roles, {}, "a short guard")
+    return idf.IdentityDoc("test", expr, {"Y": idf._names(ys)}, {}, "a short guard")
 
 
 @functools.cache
@@ -814,7 +804,7 @@ def _nonvanishing_arguments(name):
     factor that reads an argument vanishes under the identity bijections)."""
     doc, rep = _witness_cases()[name]()
     session = vf._Session(doc, rep)
-    assignment = {v: i for vars_ in doc.guard_groups().values() for i, v in enumerate(vars_)}
+    assignment = {v: i for vars_ in doc.guards.values() for i, v in enumerate(vars_)}
     args = sorted(doc.expr.free_vars() - assignment.keys() - session.tables.separators)
     factors = [f for f in session.tables.value_factors if f.free_vars() & set(args)]
     combos = []
@@ -838,7 +828,7 @@ def test_witness_search_matches_exact_greedy(name):
     @given(data=st.data())
     def search(data):
         assignment = {}
-        for vars_ in doc.guard_groups().values():
+        for vars_ in doc.guards.values():
             assignment.update(zip(vars_, data.draw(st.permutations(range(rep.group.order)))))
         assignment.update(zip(args, data.draw(st.sampled_from(combos))))
         session = vf._Session(doc, rep)
@@ -859,9 +849,8 @@ def _streamed_repros():
     x = var("x")
     subsets = stream_subsets([sub(x, const(1)), sub(const(1), x)], 2, "s")
     body = stream_perm_body([2], [const(1), const(-1), const(1), const(-1)])
-    roles = {"x": {"role": "psi-argument"}}
-    return [idf.IdentityDoc("test", subsets, roles, {}, "cancelling subset sum"),
-            idf.IdentityDoc("test", prod([body, x]), roles, {}, "cancelling permutation body")]
+    return [idf.IdentityDoc("test", subsets, {}, {}, "cancelling subset sum"),
+            idf.IdentityDoc("test", prod([body, x]), {}, {}, "cancelling permutation body")]
 
 
 def _unseparated_repros():
@@ -880,7 +869,7 @@ def _unseparated_repros():
 
 
 def _argument_doc(expr, citation="streamed"):
-    return idf.IdentityDoc("test", expr, {"x": {"role": "psi-argument"}}, {}, citation)
+    return idf.IdentityDoc("test", expr, {}, {}, citation)
 
 
 def test_streams_without_separation_are_undecided(s3_std):
@@ -1031,12 +1020,10 @@ def test_witness_search_give_up_is_undecided(s3_std):
     """The greedy search fixes v at the first u keeping (z - 1) nonzero and
     then has no separator before (w - 1): it gives up.  That is counted as
     undecided, not as vanishing, since v = 2 makes the product nonzero."""
-    gf, roles, _ = idf.guard_factors(6)
+    gf, ys = idf.guard_factors(6)
     one = const(1)
     expr = prod(gf + [sub(var("x"), one), var("v"), sub(var("z"), one), sub(var("w"), one)])
-    roles.update({name: {"role": "psi-argument"} for name in "xzw"})
-    roles["v"] = {"role": "separator"}
-    doc = idf.IdentityDoc("test", expr, roles, {}, "greedy search gives up")
+    doc = idf.IdentityDoc("test", expr, {"Y": idf._names(ys)}, {}, "greedy search gives up")
     session = vf._Session(doc, s3_std, seed=0)
     assignment = {f"y{i + 1}": i for i in range(6)}
     assignment.update(dict.fromkeys(session.tables.sep_list, 0))
@@ -1053,9 +1040,7 @@ def test_witness_search_give_up_is_undecided(s3_std):
     # v, and the search gives up
     rep = catalog.abelian_rep(3, 2, 2, [[1, 0], [0, 1]])
     expr = prod([sub(var("x"), one), var("v"), sub(var("z"), one)])
-    roles = {"x": {"role": "psi-argument"}, "z": {"role": "psi-argument"},
-             "v": {"role": "separator"}}
-    session = vf._Session(idf.IdentityDoc("test", expr, roles, {}, "no u fits"), rep, seed=0)
+    session = vf._Session(idf.IdentityDoc("test", expr, {}, {}, "no u fits"), rep, seed=0)
     assert session.decide({"x": 1, "z": 3, "v": 0}) == "search-failed"
     assert session.undecided_count == 1
 
@@ -1151,14 +1136,12 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
                 base = sub(var(rng.choice(names)), const(1))
                 stream = stream_subsets([base], 1, "s") if certified else _undecided_stream(base)
                 factors.insert(rng.randrange(len(factors) + 1), stream)
-        roles = {n: {"role": "psi-argument"} for n in names}
         # a product factor joins the root product
         factors = list(prod(factors).children)
         if trial % 2:  # a fresh separator between the root factors
             for i in range(len(factors) - 1, 0, -1):
                 factors.insert(i, var(f"v{i}"))
-                roles[f"v{i}"] = {"role": "separator"}
-        doc = idf.IdentityDoc("test", prod(factors), roles, {}, "random factors")
+        doc = idf.IdentityDoc("test", prod(factors), {}, {}, "random factors")
         # premise (c): each value factor after the first follows a separator
         # or a stream
         separated = all(a.kind == "stream_subsets" or _is_separator(a)
@@ -1214,9 +1197,7 @@ def test_differences_are_decided_from_kernel_cosets(rep_name, monkeypatch):
     }[rep_name]()
     a, b = var("a"), var("b")
     forward, backward = sub(a, b), sum_([prod([const(-1), a]), b])  # a - b, -a + b
-    roles = {"a": {"role": "psi-argument"}, "b": {"role": "psi-argument"},
-             "v": {"role": "separator"}}
-    doc = idf.IdentityDoc("test", prod([forward, var("v"), backward]), roles, {},
+    doc = idf.IdentityDoc("test", prod([forward, var("v"), backward]), {}, {},
                           "two differences")
     session = vf._Session(doc, rep, seed=0)
     assert session.tables.differences == {forward: ("a", "b"), backward: ("b", "a")}
@@ -1297,13 +1278,12 @@ def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
     m = s3_std.group.order
     moving = sub(prod([var("y1"), var("x")]), const(1))
     fixed = sub(prod([var("x"), var("x")]), const(1))
-    roles = {f"y{i}": {"role": "guard", "group": "g"} for i in range(1, m + 1)}
-    roles.update(x={"role": "psi-argument"}, u={"role": "separator"}, w={"role": "separator"})
-    guards = prod([var(f"y{i}") for i in range(2, m + 1)])
+    names = [f"y{i}" for i in range(1, m + 1)]
+    guards = prod([var(name) for name in names[1:]])
     doc = idf.IdentityDoc("test", prod([moving, var("u"), fixed, var("w"), guards]),
-                          roles, {}, "a zero set that moves with the ordering")
+                          {"g": names}, {}, "a zero set that moves with the ordering")
     session = vf._Session(doc, s3_std, seed=4)
-    assert not vf._guards_symmetric(session, doc.guard_groups())
+    assert not vf._guards_symmetric(session, doc.guards)
     orderings = []
     scan = session.scan_factors
 
@@ -1313,7 +1293,7 @@ def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
         return scan(assignment, factors, *keys)
 
     session.scan_factors = recording
-    yielded = [a for a, _ in vf._guarded_decisions(session, doc.guard_groups(), ["x"], 5, True,
+    yielded = [a for a, _ in vf._guarded_decisions(session, doc.guards, ["x"], 5, True,
                                                    {"checked": 0})]
     ev = Evaluator(s3_std)
     expected = [(guard["y1"], x) for guard in orderings for x in range(m)
@@ -1327,13 +1307,10 @@ def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
 
 
 def _guard_doc(rep, extra):
-    """guard_factors over the group order followed by extra(yvars), with x
-    an argument and v a separator."""
-    factors, roles, yvars = idf.guard_factors(rep.group.order)
-    expr = prod(factors + extra(yvars))
-    roles.update({name: {"role": role} for name, role in
-                  (("x", "psi-argument"), ("v", "separator")) if name in expr.free_vars()})
-    return idf.IdentityDoc("test", expr, roles, {}, "a guarded test document")
+    """guard_factors over the group order followed by extra(yvars)."""
+    factors, yvars = idf.guard_factors(rep.group.order)
+    return idf.IdentityDoc("test", prod(factors + extra(yvars)), {"Y": idf._names(yvars)}, {},
+                           "a guarded test document")
 
 
 def _undecided_doc(rep):
@@ -1384,7 +1361,7 @@ def _refused_cases():
         # guard variables inside a streamed node
         "probability": (idf.probability_identity(comm, 19, 6), s3),
         "guard minus one difference": (idf.IdentityDoc(
-            "guard", prod(missing), guard4.var_roles, {}, "pair (2, 4) uncovered"), z4),
+            "guard", prod(missing), guard4.guards, {}, "pair (2, 4) uncovered"), z4),
         "a pair covered twice": (_guard_doc(z3, lambda ys: [sub(ys[0], ys[1])]), z3),
         "psi over all but one": (_guard_doc(s3, lambda ys: [idf.psi_expr(var("x"), ys[:-1])]),
                                  s3),
@@ -1404,14 +1381,14 @@ def _refused_cases():
 @pytest.mark.parametrize("name", list(_certified_cases()))
 def test_guard_certificate_accepts(name):
     doc, rep = _certified_cases()[name]
-    assert vf._guards_symmetric(vf._Session(doc, rep, seed=0), doc.guard_groups())
+    assert vf._guards_symmetric(vf._Session(doc, rep, seed=0), doc.guards)
     assert vf._doc_tables(doc).symmetric is True
 
 
 @pytest.mark.parametrize("name", list(_refused_cases()))
 def test_guard_certificate_refuses(name):
     doc, rep = _refused_cases()[name]
-    assert not vf._guards_symmetric(vf._Session(doc, rep, seed=0), doc.guard_groups())
+    assert not vf._guards_symmetric(vf._Session(doc, rep, seed=0), doc.guards)
     assert vf._doc_tables(doc).symmetric is False
 
 
@@ -1437,6 +1414,14 @@ def _same_verdict_cases():
     }
 
 
+def _arguments(doc):
+    """The arguments of guarded mode: the variables that are neither guards
+    nor separators, in `_var_sort_key` order."""
+    guards = {v for vars_ in doc.guards.values() for v in vars_}
+    return sorted(doc.expr.free_vars() - guards - vf._doc_tables(doc).separators,
+                  key=idf._var_sort_key)
+
+
 @pytest.mark.parametrize("name", list(_same_verdict_cases()))
 def test_certified_guarded_verdicts_match_the_reference(name, monkeypatch):
     """A certified document decides orderings past the first from the first's
@@ -1446,8 +1431,8 @@ def test_certified_guarded_verdicts_match_the_reference(name, monkeypatch):
     orderings, and sampled arguments (every ordering draws its own) keep
     the reference path."""
     doc, rep, status = _same_verdict_cases()[name]
-    groups = doc.guard_groups()
-    args = doc.vars_with_role("psi-argument")
+    groups = doc.guards
+    args = _arguments(doc)
     certified = vf._guards_symmetric
     monkeypatch.setattr(vf, "GUARDED_ARG_SAMPLES", 20)
 
@@ -1500,10 +1485,10 @@ def test_certified_orderings_scan_once(monkeypatch):
 def _vanishing_pattern(doc, rep, guard_values, ev):
     """Per argument tuple, whether some root value factor of doc vanishes
     when the guards take guard_values, each factor evaluated afresh."""
-    separators = set(doc.vars_with_role("separator"))
+    separators = vf._doc_tables(doc).separators
     factors = [f for f in (doc.expr.children if doc.expr.kind == "prod" else [doc.expr])
                if not (f.kind == "var" and f.value in separators)]
-    args = doc.vars_with_role("psi-argument")
+    args = _arguments(doc)
     static = [f for f in factors if f.free_vars().isdisjoint(args)]
     dynamic = [f for f in factors if not f.free_vars().isdisjoint(args)]
     base = dict(guard_values, **{s: 0 for s in separators})
@@ -1525,7 +1510,7 @@ def _ordering_patterns(doc, rep, k, seed):
     patterns = []
     for rnd in range(k + 1):
         values = {}
-        for vars_ in doc.guard_groups().values():
+        for vars_ in doc.guards.values():
             order = list(range(rep.group.order))
             if rnd:
                 rng.shuffle(order)
@@ -1541,7 +1526,7 @@ def test_certified_vanishing_pattern_is_ordering_independent(name):
     certified document vanishes on exactly the arguments it vanishes on
     under the canonical one."""
     doc, rep = _certified_cases()[name]
-    assert vf._guards_symmetric(vf._Session(doc, rep, seed=0), doc.guard_groups())
+    assert vf._guards_symmetric(vf._Session(doc, rep, seed=0), doc.guards)
     patterns = _ordering_patterns(doc, rep, 3, seed=name)
     assert all(p == patterns[0] for p in patterns)
     if name == "s4-separation":  # the rho4 document fails on rho5
@@ -1590,8 +1575,7 @@ def test_each_yielded_assignment_is_scanned_once(s3_std, monkeypatch):
     monkeypatch.setattr(vf, "_verify", recording_verify)
     # undecided wherever x is not the identity, so sources yield those
     stream = _undecided_stream(sub(var("x"), const(1)))
-    roles = {"x": {"role": "psi-argument"}, "u": {"role": "separator"}}
-    undecided = idf.IdentityDoc("test", prod([var("u"), stream]), roles, {}, "undecided")
+    undecided = idf.IdentityDoc("test", prod([var("u"), stream]), {}, {}, "undecided")
     assert run(lambda: vf.holds_exhaustive(undecided, s3_std))["undecided"] == 30
     assert len(yielded) == 30 and all(scans[k] == 1 for k in yielded)
     assert max(scans.values()) == 1
@@ -1629,14 +1613,14 @@ def test_each_yielded_assignment_is_scanned_once(s3_std, monkeypatch):
 # -- separators are read from the root product ----------------------------------------
 
 
-def _roles_doc(factors, roles) -> idf.IdentityDoc:
-    return idf.IdentityDoc("test", prod(factors), roles, {}, "separator test")
+def _product_doc(factors, guards=None) -> idf.IdentityDoc:
+    return idf.IdentityDoc("test", prod(factors), guards or {}, {}, "separator test")
 
 
-def _guarded_repro(extra, roles):
-    """guard_factors(6) followed by extra, with the given extra roles."""
-    factors, guard_roles, _ = idf.guard_factors(6)
-    return _roles_doc(factors + extra, {**guard_roles, **roles})
+def _guarded_repro(extra):
+    """guard_factors(6) followed by extra."""
+    factors, ys = idf.guard_factors(6)
+    return _product_doc(factors + extra, {"Y": idf._names(ys)})
 
 
 def _witness_nonzero(doc, rep, verdict) -> bool:
@@ -1645,7 +1629,7 @@ def _witness_nonzero(doc, rep, verdict) -> bool:
 
 
 def test_a_separator_read_by_a_value_factor_is_an_argument(s3_std):
-    """v is declared a separator, but the factor after it, v^-1 sum_{k<6}
+    """v is a root factor once, but the factor after it, v^-1 sum_{k<6}
     x^k + 0, reads v, and the product holds: (x - 1) sum x^k = x^6 - 1 = 0.
     Choosing v as a separator would change that factor's value after it
     was evaluated, and fail the identity with a witness that re-evaluates
@@ -1653,8 +1637,7 @@ def test_a_separator_read_by_a_value_factor_is_an_argument(s3_std):
     vanishes are left undecided by the adjacent-factor search."""
     x, v = var("x"), var("v")
     read = sum_([prod([inv(v), sum_([power(x, k) for k in range(6)])]), const(0)])
-    doc = _guarded_repro([sub(x, const(1)), v, read],
-                         {"x": {"role": "psi-argument"}, "v": {"role": "separator"}})
+    doc = _guarded_repro([sub(x, const(1)), v, read])
     verdict = vf.check(doc, s3_std)
     assert verdict.status == "holds" and verdict.detail["undecided"] == 108
     assert vf._doc_tables(doc).separators == set(vf._doc_tables(idf.guard_C(6)).separators)
@@ -1665,18 +1648,16 @@ def test_a_separator_inside_a_value_factor_gets_no_slot(s3_std):
     and x - 1, v and v - 1 are adjacent value factors.  The search keeps
     the sampled v, so the fails witness re-evaluates nonzero."""
     x, v = var("x"), var("v")
-    doc = _roles_doc([sub(x, const(1)), v, sub(v, const(1))],
-                     {"x": {"role": "psi-argument"}, "v": {"role": "separator"}})
+    doc = _product_doc([sub(x, const(1)), v, sub(v, const(1))])
     verdict = vf.check(doc, s3_std, mode="sampled", n=50)
     assert verdict.status == "fails" and _witness_nonzero(doc, s3_std, verdict)
     assert vf._doc_tables(doc).slots == [None, None, None]
 
 
 def test_guarded_mode_enumerates_a_separator_read_by_a_factor(s3_std):
-    """prod(guards + [v - 1]) with v declared a separator: v is read by
-    v - 1, so guarded mode enumerates it as an argument and fails at v = 1,
+    """prod(guards + [v - 1]): v is read by v - 1, so guarded mode enumerates it as an argument and fails at v = 1,
     as sampled mode does."""
-    doc = _guarded_repro([sub(var("v"), const(1))], {"v": {"role": "separator"}})
+    doc = _guarded_repro([sub(var("v"), const(1))])
     verdict = vf.check(doc, s3_std)
     assert verdict.evidence == "guarded" and verdict.status == "fails"
     assert verdict.counterexample["v"] == 1 and _witness_nonzero(doc, s3_std, verdict)
@@ -1685,22 +1666,48 @@ def test_guarded_mode_enumerates_a_separator_read_by_a_factor(s3_std):
 
 
 def test_guarded_arguments_are_every_other_variable(s3_std):
-    """A variable whose role is neither guard, separator nor psi-argument
-    is an argument of guarded mode, and the verdict is decided."""
-    doc = _guarded_repro([sub(var("x"), const(1))], {"x": {"role": "argument"}})
+    """A variable that is neither a guard nor a separator is an argument of
+    guarded mode, and the verdict is decided."""
+    doc = _guarded_repro([sub(var("x"), const(1))])
     verdict = vf.check(doc, s3_std)
     assert verdict.status == "fails" and _witness_nonzero(doc, s3_std, verdict)
 
 
 def test_a_lone_separator_fails_at_the_identity(s3_std):
     """A root product of separators alone is a group element: it fails with
-    every separator at the identity, not an undecided search."""
-    roles = {"u": {"role": "separator"}}
-    roles.update({f"y{i}": {"role": "guard", "group": "Y"} for i in range(1, 7)})
-    doc = idf.IdentityDoc("test", var("u"), roles, {}, "a lone separator")
-    verdict = vf.holds_guarded(doc, s3_std)
+    every separator at the identity (the first sample draws u = 3), not an
+    undecided search."""
+    doc = idf.IdentityDoc("test", var("u"), {}, {}, "a lone separator")
+    assert vf._doc_tables(doc).separators == {"u"}
+    verdict = vf.holds_sampled(doc, s3_std, seed=0)
     assert verdict.status == "fails" and verdict.counterexample["u"] == 0
     assert "undecided" not in verdict.detail and _witness_nonzero(doc, s3_std, verdict)
+
+
+def test_a_guard_is_never_a_separator():
+    """Guards y1..y6 that are fresh root factors, as u is, stay guards: u
+    alone is a separator, and guarded mode enumerates no argument."""
+    names = [f"y{i}" for i in range(1, 7)]
+    doc = _product_doc([var("u")] + [var(name) for name in names], {"Y": names})
+    tables = vf._doc_tables(doc)
+    assert tables.separators == {"u"} and tables.slots == ["u"] + [None] * 5
+    assert _arguments(doc) == []
+
+
+def test_a_relation_has_no_separators():
+    """The relation (1 + 2x + 2x^2 + x^3) v stream_subsets([1 - x], 1) is
+    decided at given values of x and v: v is no separator, so the stream,
+    not separated from the cubic, is undecided where x is not the
+    identity.  Read as a separator, v would let the certificate count the
+    stream nonvanishing and the probability would read 1/2, not 2/3 (24 of
+    the 36 pairs vanish)."""
+    s3 = catalog.symmetric(3).rep("std")
+    x = var("x")
+    cubic = sum_([const(1), smul(2, x), smul(2, power(x, 2)), power(x, 3)])
+    expr = prod([cubic, var("v"), stream_subsets([sub(const(1), x)], 1, "s")])
+    assert vf._relation_session(expr, s3).tables.separators == set()
+    with pytest.raises(vf.VerifierError, match="relation undecided"):
+        vf.relation_probability(expr, s3)
 
 
 def test_central_laurent_separators_are_guarded_arguments(s3_std):
@@ -1722,7 +1729,6 @@ def test_structured_family_must_assign_every_variable(first):
     extra = [sub(var("q"), const(1))]
     children = list(doc.expr.children)
     bad = idf.IdentityDoc(doc.family, prod(extra + children if first else children + extra),
-                          {**doc.var_roles, "q": {"role": "psi-argument"}}, doc.params,
-                          doc.citation)
+                          doc.guards, doc.params, doc.citation)
     with pytest.raises(vf.VerifierError, match="q"):
         vf.holds_structured(bad, rho4)

@@ -28,7 +28,7 @@ from math import gcd, lcm
 
 from .exactnum import Cyc, _field, cyc_root_of_unity, demote, euler_phi, mod_p
 from .grouplab import FiniteGroup, GroupError
-from .matrices import Mat
+from .matrices import Mat, rref
 
 
 class RepError(ValueError):
@@ -209,6 +209,14 @@ class Rep:
         ranks = [self.dim - sum(mult for _, k, mult in spec if k == 0)
                  for spec in self.class_spectra]
         return self.group.conjugacy_classes.spread(ranks)
+
+    @cached_property
+    def span_basis(self) -> tuple[int, ...]:
+        """The least group elements whose images form a basis of the span of
+        all the images (the pivot columns of `rref` of the images, one
+        column each)."""
+        columns = [[v for row in mt.rows for v in row] for mt in self.images]
+        return tuple(rref([list(row) for row in zip(*columns)])[1])
 
     # -- predicates -------------------------------------------------------
 

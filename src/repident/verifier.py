@@ -20,8 +20,9 @@ evidence. Every mode is a source of (assignment, decision) pairs:
 A separator is a variable, not a guard, that is a root factor exactly
 once and occurs in no other root factor; a document declares none, and a
 relation, decided at given values, has none.  Every other root factor is a
-value factor, whose slot is the separator just before it, if any
-(`_DocTables` alone decides both).  Each assignment is decided
+value factor, whose slot is the separator just before it, if any; a block
+is a value factor with a slot, or the first, and the value factors up to
+the next slot (`_DocTables` alone decides all three).  Each assignment is decided
 once: one scan of its root value factors (`_Session.scan_factors`; guarded
 mode scans the factors free of arguments once per ordering), then
 `_Session.settle`.  One loop (`_verify`) takes the decisions, counts the
@@ -39,9 +40,14 @@ it, and every root value factor after the first has a slot or follows a
 subset or partition stream, which ends in its own separator.
 Otherwise a decision ends in one of two exact zero tests: the total test
 (the whole expression under the assignment as drawn; exhaustive and
-sampled) or the separator search (a separator choice keeping the product
-nonzero; guarded and structured, and a sampled witness).  A search that
-gives up is counted as undecided, never as vanishing.
+sampled) or the separator decision (`_Session.witness_value`; guarded and
+structured, and a sampled witness): separators keeping the product
+nonzero, or None when every separator choice makes it vanish.  The
+product is linear in each separator, so that question is decided exactly,
+block by block of the value factors between two slots: on an irreducible
+rep a product of nonzero blocks is nonzero for some choice (Burnside), and
+on a reducible rep the space the rest of the product lives in decides.
+Only a streamed factor leaves an assignment undecided.
 
 The session's vanishing table remembers, per root factor and per values of
 that factor's variables, whether the factor vanishes; a streamed factor
@@ -75,6 +81,7 @@ from fractions import Fraction
 from .exactnum import Cyc, mat_mul_mod
 from .freeexpr import (
     _G,
+    _M,
     Evaluator,
     Expr,
     StreamNonvanishing,
@@ -85,7 +92,7 @@ from .freeexpr import (
     star,
 )
 from .idfactory import IdentityDoc, _var_sort_key
-from .matrices import Mat
+from .matrices import Mat, rref
 from .replab import Rep
 
 
@@ -151,8 +158,8 @@ def _vacuous(evidence: str, t0: float, **detail) -> Verdict:
 NONE, CERTIFIED, UNDECIDED, VANISHES = range(4)
 
 
-# the decisions that fail no verdict: vanishing, and the two undecided ones
-_NOT_FAILING = (None, "undecided", "search-failed")
+# the decisions that fail no verdict: vanishing, and undecided
+_NOT_FAILING = (None, "undecided")
 
 
 class _DocTables:
@@ -196,6 +203,13 @@ class _DocTables:
         factor raises the certificate."""
         return all(slot is not None or f.kind in ("stream_subsets", "stream_partitions")
                    for f, slot in zip(self.value_factors, self.slots[1:]))
+
+    def blocks(self):
+        """Yield the value factors in blocks (slot, factors): a block opens
+        at each slot and at the first value factor."""
+        opens = [i for i, slot in enumerate(self.slots) if i == 0 or slot is not None]
+        for i, j in zip(opens, opens[1:] + [len(self.slots)]):
+            yield self.slots[i], self.value_factors[i:j]
 
 
 # document -> its _DocTables, dropped with the document
@@ -264,59 +278,143 @@ class _Session:
                 return VANISHES
         return outcome
 
-    def witness_value(self, assignment: dict) -> dict | str:
-        """Choose separators greedily left to right so the running product
-        stays nonzero: every separator starts at the identity, and the slot
-        of each value factor after the first (`_DocTables.slots`) takes the
-        first group element u that keeps it nonzero.  On an irreducible
-        target a choice always exists: the two-sided ideal of a nonzero
-        prefix meets any nonzero factor, and by linearity over the span of
-        the image some group element realizes it.  No value factor reads a
-        separator, so each is evaluated where the scan evaluated it.
+    def witness_value(self, assignment: dict) -> dict | None:
+        """The separator decision for an assignment on which no root value
+        factor vanishes: the assignment with separators that keep the
+        product nonzero, or None when every separator choice makes it
+        vanish.
+
+        The product is A_0 X_1 A_1 ... X_k A_k: the block A_i of value
+        factors after slot X_i (`_DocTables.blocks`; A_0 may be empty).  It
+        is linear in each X_i, so some group elements make it nonzero
+        exactly when some X_i in the span of the image do.  Every separator
+        starts at the identity, and each slot takes the first group element
+        u for which the running product P rho(u) A_i extends to a nonzero
+        product; when no u does, none ever could, and the decision is None.
+        A u that zeroes P rho(u) F, F the first factor of A_i, zeroes every
+        longer product, so wherever extending by one factor at a time finds
+        a witness, this is the witness it finds.  On an irreducible rep,
+        P rho(u) A_i != 0 is the whole test: the image spans every matrix
+        (Burnside's theorem), so a nonzero P M A_{i+1} exists for every
+        nonzero P and A_{i+1}.  On a reducible rep the last factor of A_i is
+        taken times a projection onto the space the rest of the product
+        lives in (`_suffix_ends`), and the same test decides.  No value
+        factor reads a separator, so each is evaluated where the scan
+        evaluated it.
 
         The product is carried as a matrix with its row space (`_Prefix`),
         modulo a prime, which proves it nonzero cheaply; a product whose
-        image is zero is decided exactly.  A difference var(a) - var(b) has
-        its exact rank from `Rep.difference_ranks`: an invertible one keeps
-        an invertible product invertible at u = 0, and is never built.
-        "search-failed" (the search gives up: a nonzero value may still
-        exist for other separators) and the vanishing-factor error both
-        follow an exact zero test only, so the witness is the one exact
-        arithmetic alone would choose.
+        image is zero is decided exactly, so the decision is the one exact
+        arithmetic alone makes.  A difference var(a) - var(b) has its exact
+        rank from `Rep.difference_ranks`: an invertible one keeps an
+        invertible product invertible at every u, and is never built.
         """
-        m = self.rep.group.order
-        memo: dict = {}
-        tables = self.tables
-        ev = self.ev
+        group, dim = self.rep.group, self.rep.dim
+        tables, ev = self.tables, self.ev
+        differences = tables.differences
+        diff_ranks = self.rep.difference_ranks if differences else None
         assign = {**assignment, **dict.fromkeys(tables.sep_list, 0)}
+        memo: dict = {}
+        built: dict = {}
+
+        def rank(child) -> int | None:
+            """The exact rank of child under assign when it is a difference."""
+            ab = differences.get(child)
+            if ab is not None:
+                return diff_ranks[group.table[group.inverse[assign[ab[0]]]][assign[ab[1]]]]
+            return None
+
+        def build(child) -> _Factor:
+            """child's factor, built once: a difference from its two terms,
+            not evaluated ({x: 1, x: -1} keeps one)."""
+            f = built.get(child)
+            if f is None:
+                r = rank(child)
+                if r is None:
+                    val = ev._eval(child, assign, memo)
+                else:
+                    a, b = differences[child]
+                    val = ev._element({assign[a]: 1, assign[b]: -1} if r else {})
+                f = built[child] = _Factor(ev, val, r)
+                if not f.nonzero_mod_p() and ev._is_zero(val):
+                    raise VerifierError("internal: vanishing factor inside witness search")
+            return f
+
         prefix = _Prefix(ev)
-        table, inverse = self.rep.group.table, self.rep.group.inverse
-        ranks = self.rep.difference_ranks if tables.differences else None
-        for child, slot in zip(tables.value_factors, tables.slots):
-            ab = tables.differences.get(child)
-            if ab is None:
-                val, rank = ev._eval(child, assign, memo), None
-            else:
-                x, y = assign[ab[0]], assign[ab[1]]
-                rank = ranks[table[inverse[x]][y]]  # rank of rho(x) - rho(y)
-                if rank == prefix.dim and prefix.pending is None:
-                    continue
-                # from its two terms, not evaluated ({x: 1, x: -1} keeps one)
-                val = ev._element({x: 1, y: -1} if rank else {})
-            f = _Factor(ev, val, rank)
-            if not f.nonzero_mod_p() and ev._is_zero(val):
-                raise VerifierError("internal: vanishing factor inside witness search")
-            if slot is None:
-                if not prefix.extend(f):
-                    return "search-failed"  # adjacent factors collapse; no separator freedom
-                continue
-            for u in range(m):
-                if prefix.extend(f, u):
-                    break
-            else:
-                return "search-failed"
-            assign[slot] = u
+
+        def extends(block: list, end, u: int, saved) -> bool:
+            """Multiply the product by rho(u) and the factors of block, the
+            last replaced by end when given; when that makes it zero, return
+            False with the product as it was (saved before the block)."""
+            for k, child in enumerate(block):
+                if end is not None and k == len(block) - 1:
+                    f = end
+                elif prefix.pending is None and rank(child) == dim:
+                    continue  # P rho(u) f stays invertible
+                else:
+                    f = build(child)
+                if not prefix.extend(f, u if k == 0 else 0):
+                    if k:
+                        prefix.restore(saved)
+                    return False
+            return True
+
+        blocks, ends = tables.blocks(), itertools.repeat(None)
+        if not self.rep.is_irreducible():
+            blocks = list(blocks)
+            ends = self._suffix_ends(blocks, build, rank)
+            if ends is None:
+                return None
+        for (slot, block), end in zip(blocks, ends):
+            built.clear()  # the factors of one block serve its next u only
+            saved = prefix.save() if len(block) > 1 else None
+            u = next((u for u in range(1 if slot is None else group.order)
+                      if extends(block, end, u, saved)), None)
+            if u is None:
+                return None
+            if slot is not None:
+                assign[slot] = u
         return assign
+
+    def _suffix_ends(self, blocks: list, build, rank) -> list | None:
+        """On a reducible rep: per block, its last factor times a projection
+        E onto the space W that the rest of the product lives in (None where
+        W is the whole space), or None when the product vanishes for every
+        separator choice.
+
+        From right to left, U is the column space of the block times the E
+        after it, and W, for the block before, is the span of rho(g) U over
+        g in `Rep.span_basis`; E fixes W, and its columns are W's reduced
+        basis at the pivots.  The product vanishes for every choice exactly
+        when some U is zero.  The rest of the product has its columns in W,
+        so E changes no product that reaches the end, and P F E != 0 exactly
+        when some choice makes P F times the rest nonzero."""
+        rep, dim = self.rep, self.rep.dim
+        ends: list = []
+        proj = None  # the E after the block; None: W is the whole space
+        for _, block in reversed(blocks):
+            if proj is None and all(rank(child) == dim for child in block):
+                ends.append(None)  # U, and so W, is the whole space
+                continue
+            *rest, last = block
+            mat = build(last).mat()
+            if proj is None:
+                ends.append(None)
+            else:
+                mat = mat * proj
+                ends.append(_Factor(self.ev, (_M, mat)))
+            for child in reversed(rest):
+                mat = build(child).mat() * mat
+            if mat.is_zero():
+                return None
+            rows = [row for g in rep.span_basis for row in (rep.image(g) * mat).transpose().rows]
+            reduced, pivots = rref(rows)
+            proj = None
+            if len(pivots) < dim:
+                column, zero = dict(zip(pivots, reduced)), Cyc.zero()
+                proj = Mat([[column[j][i] if j in column else zero for j in range(dim)]
+                            for i in range(dim)])
+        return ends[::-1]
 
     def decide(self, assignment: dict, total: bool = False):
         """`settle` after one scan of every root value factor."""
@@ -325,11 +423,11 @@ class _Session:
 
     def settle(self, assignment: dict, scan: int, total: bool = False):
         """The decision for assignment, given the scan of its root value
-        factors: None when it vanishes, "undecided", "blocked" (certified
-        nonvanishing), or after a NONE scan, in which no root factor raised,
-        the exact zero test of the whole expression as drawn with total (the
-        assignment itself when nonzero), else `witness_value`'s.  "undecided"
-        and "search-failed" are counted as undecided."""
+        factors: None when it vanishes, "undecided" (counted), "blocked"
+        (certified nonvanishing), or after a NONE scan, in which no root
+        factor raised, the exact zero test of the whole expression as drawn
+        with total (the assignment itself when nonzero), else
+        `witness_value`'s exact separator decision."""
         if scan == VANISHES:
             return None
         if scan == UNDECIDED:
@@ -341,10 +439,7 @@ class _Session:
             if self.ev._is_zero(self.ev.evaluate_value(self.doc.expr, assignment)):
                 return None
             return assignment
-        outcome = self.witness_value(assignment)
-        if outcome == "search-failed":
-            self.undecided_count += 1
-        return outcome
+        return self.witness_value(assignment)
 
 
 class _Factor:
@@ -439,6 +534,15 @@ class _Prefix:
             self.mod = None  # a false zero, or no image
             self.exact = self._reduced(exact)
         return True
+
+    def save(self) -> tuple:
+        """The state that `restore` returns to."""
+        pending = self.pending
+        return self.exact, None if pending is None else tuple(pending), self.mod, self.one_row
+
+    def restore(self, state: tuple) -> None:
+        self.exact, pending, self.mod, self.one_row = state
+        self.pending = pending if pending is None else list(pending)
 
     def _reset(self, f: _Factor) -> None:
         """R becomes f (rules 1 and 2)."""
@@ -790,15 +894,16 @@ def holds_sampled(doc: IdentityDoc, rep: Rep, n: int = 500, seed: int = 0) -> Ve
 def _sampled_decisions(session: _Session, names: list[str], n: int):
     """The source of sampled mode: n uniform assignments decided with the
     total test; a nonvanishing one takes the separators
-    `_Session.witness_value` chooses, where it finds them."""
+    `_Session.witness_value` chooses, which exist since the drawn ones
+    keep the product nonzero."""
     m, rng = session.rep.group.order, session.rng
     for _ in range(n):
         assignment = {name: rng.randrange(m) for name in names}
         outcome = session.decide(assignment, total=True)
         if outcome is assignment:
-            found = session.witness_value(assignment)
-            if found != "search-failed":
-                outcome = found
+            outcome = session.witness_value(assignment)
+            if outcome is None:
+                raise VerifierError(f"internal: no separators for the nonzero {assignment}")
         yield assignment, outcome
 
 

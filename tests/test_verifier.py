@@ -13,6 +13,7 @@ from repident import catalog, idfactory as idf, verifier as vf
 from repident.exactnum import Cyc, cyc_root_of_unity
 from repident.freeexpr import (Evaluator, const, inv, power, prod, reference_eval, smul,
                                star, stream_perm_body, stream_subsets, sub, sum_, var)
+from repident.matrices import Mat
 
 
 def _undecided_stream(base):
@@ -740,10 +741,12 @@ def test_prefix_keeps_one_row_of_a_rank_one_product_only():
     assert ranks == {1, 2, 3}
 
 
-def _exact_greedy(session, assignment: dict) -> dict | str:
-    """The witness search in exact arithmetic alone: every factor evaluated
-    and every candidate product an exact Mat product, with no reduction mod
-    p and no row space; each slot takes the first u keeping it nonzero."""
+def _exact_greedy(session, assignment: dict) -> dict | None:
+    """Greedy separator search in exact arithmetic alone: every factor
+    evaluated and every candidate product an exact Mat product, with no
+    reduction mod p and no row space; each slot takes the first u keeping
+    the product nonzero, and the search gives up (None) at a factor that
+    no u keeps nonzero."""
     rep, tables = session.rep, session.tables
     assign = {**assignment, **dict.fromkeys(tables.sep_list, 0)}
     prefix = None
@@ -752,16 +755,67 @@ def _exact_greedy(session, assignment: dict) -> dict | str:
         if prefix is None or slot is None:
             prefix = f if prefix is None else prefix * f
             if prefix.is_zero():
-                return "search-failed"
+                return None
             continue
         for u in range(rep.group.order):
             cand = prefix * rep.image(u) * f
             if not cand.is_zero():
                 break
         else:
-            return "search-failed"
+            return None
         prefix, assign[slot] = cand, u
     return assign
+
+
+def _first_nonzero_separators(doc, rep, assignment: dict) -> dict | None:
+    """Brute force over every value of every separator, in the order of the
+    root product: the values, first in lexicographic order, that keep the
+    product nonzero, or None when every choice makes it vanish.  Each value
+    factor is evaluated once with `reference_eval`; a partial product at a
+    position where the same product already had no nonzero completion is
+    not extended again."""
+    seps = vf._doc_tables(doc).separators
+    images = {name: rep.image(g) for name, g in assignment.items() if name not in seps}
+    roots = doc.expr.children if doc.expr.kind == "prod" else (doc.expr,)
+    steps = [f.value if f.kind == "var" and f.value in seps
+             else reference_eval(f, images, rep.dim) for f in roots]
+    dead: set = set()
+
+    def search(i: int, product):
+        if product.is_zero():
+            return None
+        if i == len(steps):
+            return {}
+        key = (i, json.dumps(product.to_json()))
+        if key not in dead:
+            step = steps[i]
+            if isinstance(step, str):
+                for u in range(rep.group.order):
+                    found = search(i + 1, product * rep.image(u))
+                    if found is not None:
+                        return {step: u, **found}
+            else:
+                found = search(i + 1, product * step)
+                if found is not None:
+                    return found
+            dead.add(key)
+        return None
+
+    return search(0, Mat.identity(rep.dim))
+
+
+def _assert_brute_force_decision(doc, rep, assignment: dict, outcome) -> None:
+    """outcome, the separator decision, is None exactly when brute force
+    finds no separators keeping the product nonzero, and otherwise takes
+    brute force's first such separators and re-evaluates to nonzero."""
+    first = _first_nonzero_separators(doc, rep, assignment)
+    if first is None:
+        assert outcome is None
+        return
+    seps = vf._doc_tables(doc).separators
+    assert outcome is not None and {s: outcome[s] for s in seps} == first
+    images = {name: rep.image(g) for name, g in outcome.items()}
+    assert not reference_eval(doc.expr, images, rep.dim).is_zero()
 
 
 def _witness_cases():
@@ -818,9 +872,11 @@ def _nonvanishing_arguments(name):
 @pytest.mark.parametrize("name", list(_witness_cases()))
 def test_witness_search_matches_exact_greedy(name):
     """On random assignments where no root factor vanishes (the guards a
-    random injection into the group), the witness search returns what the
-    greedy search in exact arithmetic alone returns: the same witness, or
-    "search-failed".  (The exact search takes about 2 s on gamma-sep.)"""
+    random injection into the group), the witness search returns the
+    witness of the greedy search in exact arithmetic alone wherever that
+    finds one.  Where it gives up (on the reducible Z3^2 reps), the
+    decision is brute force's: no separators keep the product nonzero, or
+    the first that do.  (The exact search takes about 2 s on gamma-sep.)"""
     doc, rep, args, combos = _nonvanishing_arguments(name)
     assert combos
 
@@ -834,10 +890,83 @@ def test_witness_search_matches_exact_greedy(name):
         session = vf._Session(doc, rep)
         assume(session.scan_factors(assignment, session.tables.value_factors) != vf.VANISHES)
         outcome = session.witness_value(assignment)
-        event("search-failed" if outcome == "search-failed" else "witness")
-        assert outcome == _exact_greedy(session, assignment)
+        greedy = _exact_greedy(session, assignment)
+        event("greedy gives up" if greedy is None else "greedy witness")
+        if greedy is None:
+            _assert_brute_force_decision(doc, rep, assignment, outcome)
+        else:
+            assert outcome == greedy
 
     search()
+
+
+def _s3_permutation_rep():
+    """The 3-dimensional permutation rep of S3, induced from the trivial rep
+    of an order-2 subgroup: reducible and not diagonal."""
+    from repident.replab import Rep, induced_rep, subgroup_group
+
+    group = catalog.symmetric(3).group
+    t = next(g for g in range(group.order) if group.element_order(g) == 2)
+    sub_group, sub_map = subgroup_group(group, [0, t])
+    trivial = Rep(sub_group, [Mat.identity(1)] * 2, name="trivial")
+    return induced_rep(group, [0, t], trivial, sub_map, name="S3:perm")
+
+
+_DECISION_REPS = {
+    "S3:std": lambda: catalog.symmetric(3).rep("std"),
+    "Q8:dim2": lambda: catalog.get_rep("Q8", "dim2"),
+    "S4:rho4": lambda: catalog.symmetric(4).rep("rho4"),
+    "S3:perm": _s3_permutation_rep,
+}
+
+
+@functools.cache
+def _decision_rep(name):
+    return _DECISION_REPS[name]()
+
+
+@st.composite
+def _separated_products(draw):
+    """A product of 1-4 sums of 2-3 distinct words in x and z (coefficients
+    1 or -1, words of length 0-2), with 0-3 fresh separators s1, s2, s3 put
+    anywhere between them."""
+    word = st.sampled_from(["", "x", "z", "xx", "xz", "zx", "zz"])
+    factor = st.lists(word, min_size=2, max_size=3, unique=True).flatmap(
+        lambda words: st.lists(st.sampled_from([1, -1]), min_size=len(words),
+                               max_size=len(words)).map(
+            lambda signs: sum_([smul(c, prod([var(v) for v in w]))
+                                for c, w in zip(signs, words)])))
+    factors = draw(st.lists(factor, min_size=1, max_size=4))
+    for k in range(1, draw(st.integers(0, 3)) + 1):
+        factors.insert(draw(st.integers(0, len(factors))), var(f"s{k}"))
+    return prod(factors)
+
+
+@pytest.mark.parametrize("rep_name", list(_DECISION_REPS))
+def test_separator_decision_matches_brute_force(rep_name):
+    """On random separated products of word sums, at x and z where no
+    factor vanishes, the separator decision is None exactly when no value
+    of any separator keeps the product nonzero (brute force over every
+    value, `reference_eval`), and otherwise brute force's first separators,
+    whose product re-evaluates to nonzero.  S3:perm is reducible, so its
+    decisions rest on the suffix spaces."""
+    rep = _decision_rep(rep_name)
+    assert rep.is_irreducible() == (rep_name != "S3:perm")
+    m = rep.group.order
+
+    @settings(max_examples=150, deadline=None)
+    @given(expr=_separated_products(), x=st.integers(0, m - 1), z=st.integers(0, m - 1))
+    def decide(expr, x, z):
+        doc = idf.IdentityDoc("test", expr, {}, {}, "separated product")
+        session = vf._Session(doc, rep)
+        values = {"x": x, "z": z}
+        assignment = {name: values.get(name, 0) for name in expr.free_vars()}
+        assume(session.scan_factors(assignment, session.tables.value_factors) != vf.VANISHES)
+        outcome = session.witness_value(assignment)
+        event("vanishes" if outcome is None else "witness")
+        _assert_brute_force_decision(doc, rep, assignment, outcome)
+
+    decide()
 
 
 def _streamed_repros():
@@ -1016,10 +1145,11 @@ def test_expectation_rejects_streamed_values(s3_std):
             vf.expectation(expr, s3_std)
 
 
-def test_witness_search_give_up_is_undecided(s3_std):
+def test_separator_decision_is_exact_where_greedy_gives_up(s3_std):
     """The greedy search fixes v at the first u keeping (z - 1) nonzero and
-    then has no separator before (w - 1): it gives up.  That is counted as
-    undecided, not as vanishing, since v = 2 makes the product nonzero."""
+    then has no separator before (w - 1), where it would give up.  The
+    block (z - 1)(w - 1) after the slot of v is decided whole: v = 2 keeps
+    the product nonzero, and nothing is undecided."""
     gf, ys = idf.guard_factors(6)
     one = const(1)
     expr = prod(gf + [sub(var("x"), one), var("v"), sub(var("z"), one), sub(var("w"), one)])
@@ -1028,21 +1158,19 @@ def test_witness_search_give_up_is_undecided(s3_std):
     assignment = {f"y{i + 1}": i for i in range(6)}
     assignment.update(dict.fromkeys(session.tables.sep_list, 0))
     assignment.update(x=1, z=3, w=5)
-    assert session.decide(assignment) == "search-failed"
-    assert session.undecided_count == 1
-    assert not Evaluator(s3_std).evaluate(expr, {**assignment, "v": 2}).is_zero()
-    session = vf._Session(doc, s3_std, seed=0)
-    verdict = vf._verify(session, "guarded", [(assignment, session.decide(assignment))], {},
-                         0.0)
-    assert verdict.holds and verdict.detail["undecided"] == 1
-    # no u fits the slot of v: on a reducible rep, x = 1 and z = 3 act as
-    # diag(1, zeta) and diag(zeta, 1), so (x - 1) v (z - 1) vanishes for every
-    # v, and the search gives up
+    assert _exact_greedy(session, assignment) is None
+    outcome = session.decide(assignment)
+    assert outcome == {**assignment, "v": 2} and session.undecided_count == 0
+    _assert_brute_force_decision(doc, s3_std, assignment, outcome)
+    # on a reducible rep, x = 1 and z = 3 act as diag(1, zeta) and
+    # diag(zeta, 1), so (x - 1) v (z - 1) vanishes for every v
     rep = catalog.abelian_rep(3, 2, 2, [[1, 0], [0, 1]])
     expr = prod([sub(var("x"), one), var("v"), sub(var("z"), one)])
-    session = vf._Session(idf.IdentityDoc("test", expr, {}, {}, "no u fits"), rep, seed=0)
-    assert session.decide({"x": 1, "z": 3, "v": 0}) == "search-failed"
-    assert session.undecided_count == 1
+    doc = idf.IdentityDoc("test", expr, {}, {}, "no u fits")
+    session = vf._Session(doc, rep, seed=0)
+    assignment = {"x": 1, "z": 3, "v": 0}
+    assert session.decide(assignment) is None and session.undecided_count == 0
+    _assert_brute_force_decision(doc, rep, assignment, None)
 
 
 def test_no_vanishing_factor_on_a_reducible_rep_is_undecided():
@@ -1633,13 +1761,14 @@ def test_a_separator_read_by_a_value_factor_is_an_argument(s3_std):
     x^k + 0, reads v, and the product holds: (x - 1) sum x^k = x^6 - 1 = 0.
     Choosing v as a separator would change that factor's value after it
     was evaluated, and fail the identity with a witness that re-evaluates
-    to zero.  v is an argument, and the assignments on which no factor
-    vanishes are left undecided by the adjacent-factor search."""
+    to zero.  v is an argument, and on the assignments on which no factor
+    vanishes the block (x - 1) v (v^-1 sum x^k) multiplies out to zero:
+    nothing is undecided."""
     x, v = var("x"), var("v")
     read = sum_([prod([inv(v), sum_([power(x, k) for k in range(6)])]), const(0)])
     doc = _guarded_repro([sub(x, const(1)), v, read])
     verdict = vf.check(doc, s3_std)
-    assert verdict.status == "holds" and verdict.detail["undecided"] == 108
+    assert verdict.status == "holds" and "undecided" not in verdict.detail
     assert vf._doc_tables(doc).separators == set(vf._doc_tables(idf.guard_C(6)).separators)
 
 

@@ -43,10 +43,12 @@ Otherwise a decision ends in one of two exact zero tests: the total test
 sampled) or the separator decision (`_Session.witness_value`; guarded and
 structured, and a sampled witness): separators keeping the product
 nonzero, or None when every separator choice makes it vanish.  The
-product is linear in each separator, so that question is decided exactly,
-block by block of the value factors between two slots: on an irreducible
-rep a product of nonzero blocks is nonzero for some choice (Burnside), and
-on a reducible rep the space the rest of the product lives in decides.
+product is linear in each separator, so that question is decided exactly.
+Every block is one factor of the product.  One pass from right to left,
+on every rep, decides None before any search as soon as a block vanishes
+(on a reducible rep, the block times a projection onto the space the rest
+of the product lives in).  Past it some choice keeps the product nonzero
+(Burnside on an irreducible rep), so the search for it cannot fail.
 Only a streamed factor leaves an assignment undecided.
 
 The session's vanishing table remembers, per root factor and per values of
@@ -55,13 +57,13 @@ that certifies nonvanishing or stays undecided is never stored.  What the
 verifier derives from a document alone is built once per document
 (`_DocTables`).  A root factor var(a) - var(b) (`_difference`) is never
 evaluated: rho(x) - rho(y) vanishes exactly when x and y lie in one coset
-of ker rho (`Rep.kernel_cosets`).  The separator search carries a matrix
-with the row space of the running product (`_Prefix`): none while the
-product is invertible, the factor itself after a factor of rank 1 (a
-difference's rank is read from `Rep.difference_ranks`), and one row once
-the product has rank 1.  It carries that matrix modulo a prime and tests
-it exactly only where its image is zero.  No floating point enters any
-decision.
+of ker rho (`Rep.kernel_cosets`).  The separator search extends the
+running product by one block factor at a time and carries a matrix with
+its row space (`_Prefix`): none while the product is invertible, the
+factor itself after a factor of rank 1 (a difference's rank is read from
+`Rep.difference_ranks`), and one row once the product has rank 1.  It
+carries that matrix modulo a prime and tests it exactly only where its
+image is zero.  No floating point enters any decision.
 
 A fails verdict always carries a counterexample whose re-evaluation is
 nonzero, or, for a certified streamed product too large to materialize,
@@ -204,12 +206,15 @@ class _DocTables:
         return all(slot is not None or f.kind in ("stream_subsets", "stream_partitions")
                    for f, slot in zip(self.value_factors, self.slots[1:]))
 
-    def blocks(self):
-        """Yield the value factors in blocks (slot, factors): a block opens
-        at each slot and at the first value factor."""
+    @functools.cached_property
+    def blocks(self) -> list:
+        """The blocks (slot, factors, node) of the witness search: a block
+        opens at each slot and at the first value factor, and node is the
+        product of its factors (its one factor: no root factor is a
+        product).  Built when the search first reads them."""
         opens = [i for i, slot in enumerate(self.slots) if i == 0 or slot is not None]
-        for i, j in zip(opens, opens[1:] + [len(self.slots)]):
-            yield self.slots[i], self.value_factors[i:j]
+        return [(self.slots[i], self.value_factors[i:j], prod(self.value_factors[i:j]))
+                for i, j in zip(opens, opens[1:] + [len(self.slots)])]
 
 
 # document -> its _DocTables, dropped with the document
@@ -285,22 +290,16 @@ class _Session:
         vanish.
 
         The product is A_0 X_1 A_1 ... X_k A_k: the block A_i of value
-        factors after slot X_i (`_DocTables.blocks`; A_0 may be empty).  It
-        is linear in each X_i, so some group elements make it nonzero
-        exactly when some X_i in the span of the image do.  Every separator
-        starts at the identity, and each slot takes the first group element
-        u for which the running product P rho(u) A_i extends to a nonzero
-        product; when no u does, none ever could, and the decision is None.
-        A u that zeroes P rho(u) F, F the first factor of A_i, zeroes every
-        longer product, so wherever extending by one factor at a time finds
-        a witness, this is the witness it finds.  On an irreducible rep,
-        P rho(u) A_i != 0 is the whole test: the image spans every matrix
-        (Burnside's theorem), so a nonzero P M A_{i+1} exists for every
-        nonzero P and A_{i+1}.  On a reducible rep the last factor of A_i is
-        taken times a projection onto the space the rest of the product
-        lives in (`_suffix_ends`), and the same test decides.  No value
-        factor reads a separator, so each is evaluated where the scan
-        evaluated it.
+        factors after slot X_i (`_DocTables.blocks`; A_0 may be empty), each
+        block one factor.  It is linear in each X_i, so some group elements
+        make it nonzero exactly when some X_i in the span of the image do.
+        `_block_factors` decides None before any search when a block
+        vanishes, and otherwise gives each block its factor F_i, A_i times
+        a projection onto the space the rest of the product lives in.
+        Every separator starts at the identity, and each slot takes the
+        first group element u with P rho(u) F_i != 0, P the running
+        product; after that pass some u always does.  No value factor reads
+        a separator, so each is evaluated where the scan evaluated it.
 
         The product is carried as a matrix with its row space (`_Prefix`),
         modulo a prime, which proves it nonzero cheaply; a product whose
@@ -310,111 +309,96 @@ class _Session:
         invertible product invertible at every u, and is never built.
         """
         group, dim = self.rep.group, self.rep.dim
-        tables, ev = self.tables, self.ev
-        differences = tables.differences
+        ev, differences = self.ev, self.tables.differences
         diff_ranks = self.rep.difference_ranks if differences else None
-        assign = {**assignment, **dict.fromkeys(tables.sep_list, 0)}
+        assign = {**assignment, **dict.fromkeys(self.tables.sep_list, 0)}
         memo: dict = {}
-        built: dict = {}
 
-        def rank(child) -> int | None:
-            """The exact rank of child under assign when it is a difference."""
-            ab = differences.get(child)
+        def rank(node) -> int | None:
+            """The exact rank of node under assign when it is a difference."""
+            ab = differences.get(node)
             if ab is not None:
                 return diff_ranks[group.table[group.inverse[assign[ab[0]]]][assign[ab[1]]]]
             return None
 
-        def build(child) -> _Factor:
-            """child's factor, built once: a difference from its two terms,
-            not evaluated ({x: 1, x: -1} keeps one)."""
-            f = built.get(child)
-            if f is None:
-                r = rank(child)
-                if r is None:
-                    val = ev._eval(child, assign, memo)
-                else:
-                    a, b = differences[child]
-                    val = ev._element({assign[a]: 1, assign[b]: -1} if r else {})
-                f = built[child] = _Factor(ev, val, r)
-                if not f.nonzero_mod_p() and ev._is_zero(val):
-                    raise VerifierError("internal: vanishing factor inside witness search")
-            return f
+        def build(block: list, node) -> _Factor | None:
+            """The block's factor, node's value (a difference's from its two
+            terms, not evaluated: {x: 1, x: -1} keeps one), or None when a
+            block of several factors multiplies out to zero."""
+            r = rank(node)
+            if r is None:
+                val = ev._eval(node, assign, memo)
+            else:
+                a, b = differences[node]
+                val = ev._element({assign[a]: 1, assign[b]: -1} if r else {})
+            f = _Factor(ev, val, r)
+            if f.nonzero_mod_p() or not ev._is_zero(val):
+                return f
+            if len(block) == 1:
+                raise VerifierError("internal: vanishing factor inside witness search")
+            return None
 
+        factors = self._block_factors(build, rank)
+        if factors is None:
+            return None
         prefix = _Prefix(ev)
-
-        def extends(block: list, end, u: int, saved) -> bool:
-            """Multiply the product by rho(u) and the factors of block, the
-            last replaced by end when given; when that makes it zero, return
-            False with the product as it was (saved before the block)."""
-            for k, child in enumerate(block):
-                if end is not None and k == len(block) - 1:
-                    f = end
-                elif prefix.pending is None and rank(child) == dim:
-                    continue  # P rho(u) f stays invertible
-                else:
-                    f = build(child)
-                if not prefix.extend(f, u if k == 0 else 0):
-                    if k:
-                        prefix.restore(saved)
-                    return False
-            return True
-
-        blocks, ends = tables.blocks(), itertools.repeat(None)
-        if not self.rep.is_irreducible():
-            blocks = list(blocks)
-            ends = self._suffix_ends(blocks, build, rank)
-            if ends is None:
-                return None
-        for (slot, block), end in zip(blocks, ends):
-            built.clear()  # the factors of one block serve its next u only
-            saved = prefix.save() if len(block) > 1 else None
-            u = next((u for u in range(1 if slot is None else group.order)
-                      if extends(block, end, u, saved)), None)
+        for (slot, block, node), f in zip(self.tables.blocks, factors):
+            if f is None:
+                if prefix.pending is None and rank(node) == dim:
+                    continue  # P rho(u) F_i stays invertible
+                f = build(block, node)
+            u = next((u for u in range(group.order) if prefix.extend(f, u)), None)
             if u is None:
-                return None
+                raise VerifierError("internal: no separator keeps the witness product nonzero")
             if slot is not None:
                 assign[slot] = u
         return assign
 
-    def _suffix_ends(self, blocks: list, build, rank) -> list | None:
-        """On a reducible rep: per block, its last factor times a projection
-        E onto the space W that the rest of the product lives in (None where
-        W is the whole space), or None when the product vanishes for every
-        separator choice.
+    def _block_factors(self, build, rank) -> list | None:
+        """Per block, its factor F in the witness product, or None for a
+        block of one factor that the search builds where it needs it; None
+        in place of the list when the product vanishes for every separator
+        choice.
 
-        From right to left, U is the column space of the block times the E
-        after it, and W, for the block before, is the span of rho(g) U over
-        g in `Rep.span_basis`; E fixes W, and its columns are W's reduced
-        basis at the pivots.  The product vanishes for every choice exactly
-        when some U is zero.  The rest of the product has its columns in W,
-        so E changes no product that reaches the end, and P F E != 0 exactly
-        when some choice makes P F times the rest nonzero."""
+        From right to left, F is the block's product times the projection
+        E after it, and U is F's column space; the product vanishes for
+        every choice exactly when some U is zero.  For the block before, W
+        is the span of rho(g) U over g in `Rep.span_basis`, and E fixes W:
+        its columns are W's reduced basis at the pivots.  On an irreducible
+        rep W is the whole space for every nonzero U (Burnside's theorem),
+        so no E is built, and a block of one factor, which the scan found
+        nonzero, is left to the search.
+        The rest of the product has its columns in W, so E changes no
+        product that reaches the end, and a nonzero product ending in F
+        times rho(u) and the next block's factor is nonzero for some u."""
         rep, dim = self.rep, self.rep.dim
-        ends: list = []
+        irreducible = rep.is_irreducible()
+        factors: list = []
         proj = None  # the E after the block; None: W is the whole space
-        for _, block in reversed(blocks):
-            if proj is None and all(rank(child) == dim for child in block):
-                ends.append(None)  # U, and so W, is the whole space
+        for _, block, node in reversed(self.tables.blocks):
+            if proj is None and len(block) == 1 and (irreducible or rank(node) == dim):
+                factors.append(None)  # nonzero, and W is the whole space
                 continue
-            *rest, last = block
-            mat = build(last).mat()
-            if proj is None:
-                ends.append(None)
-            else:
-                mat = mat * proj
-                ends.append(_Factor(self.ev, (_M, mat)))
-            for child in reversed(rest):
-                mat = build(child).mat() * mat
-            if mat.is_zero():
+            f = build(block, node)
+            if f is None:
                 return None
-            rows = [row for g in rep.span_basis for row in (rep.image(g) * mat).transpose().rows]
+            if proj is not None:
+                mat = f.mat() * proj
+                if mat.is_zero():
+                    return None
+                f = _Factor(self.ev, (_M, mat))
+            factors.append(f)
+            if irreducible:
+                continue
+            rows = [row for g in rep.span_basis
+                    for row in (rep.image(g) * f.mat()).transpose().rows]
             reduced, pivots = rref(rows)
             proj = None
             if len(pivots) < dim:
                 column, zero = dict(zip(pivots, reduced)), Cyc.zero()
                 proj = Mat([[column[j][i] if j in column else zero for j in range(dim)]
                             for i in range(dim)])
-        return ends[::-1]
+        return factors[::-1]
 
     def decide(self, assignment: dict, total: bool = False):
         """`settle` after one scan of every root value factor."""
@@ -468,9 +452,12 @@ class _Factor:
 
 class _Prefix:
     """A matrix R with the row space of the running product P of the
-    witness search.  A zero test P X = 0 depends on the row space of P
-    alone, and R M has the row space of P M, so R stands for P in every
-    test and every extension.  Three exact rules skip or shrink products:
+    witness search, which extends P by rho(u) and one block factor at a
+    time; an extension that would make P zero leaves it as it was, so
+    nothing is saved or restored.  A zero test P X = 0 depends on the row
+    space of P alone, and R M has the row space of P M, so R stands for P
+    in every test and every extension.  Three exact rules skip or shrink
+    products:
 
     1. While P is invertible, no matrix is carried (`pending` is None).  An
        invertible factor keeps it so at no cost; any other factor F becomes
@@ -534,15 +521,6 @@ class _Prefix:
             self.mod = None  # a false zero, or no image
             self.exact = self._reduced(exact)
         return True
-
-    def save(self) -> tuple:
-        """The state that `restore` returns to."""
-        pending = self.pending
-        return self.exact, None if pending is None else tuple(pending), self.mod, self.one_row
-
-    def restore(self, state: tuple) -> None:
-        self.exact, pending, self.mod, self.one_row = state
-        self.pending = pending if pending is None else list(pending)
 
     def _reset(self, f: _Factor) -> None:
         """R becomes f (rules 1 and 2)."""

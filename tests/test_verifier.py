@@ -692,8 +692,8 @@ def test_witness_search_falls_back_to_exact_on_a_false_modular_zero(s3_std, monk
 def test_fixed_point_free_guard_costs_no_product(monkeypatch):
     """Every guard difference of gamma(7,9,2):pi(1,2) is invertible, so the
     witness search of the gamma-sep fails verdict multiplies nothing through
-    its 1,953 differences: the first of the three factors after them becomes
-    the prefix, and the other two cost one product mod p each."""
+    its 1,953 differences: the three factors after them form one block,
+    whose factor becomes the prefix, so no product mod p is made at all."""
     gam = catalog.gamma_d(7, 9, 2)
     rep = gam.rep("pi(1,2)")
     assert rep.is_fixed_point_free()
@@ -706,7 +706,7 @@ def test_fixed_point_free_guard_costs_no_product(monkeypatch):
 
     monkeypatch.setattr(vf, "mat_mul_mod", spy)
     verdict = vf.holds_guarded(idf.gamma_separating_identity(gam, 1), rep, seed=1, orderings=1)
-    assert verdict.status == "fails" and len(products) == 2
+    assert verdict.status == "fails" and not products
 
 
 def test_prefix_keeps_one_row_of_a_rank_one_product_only():
@@ -1171,6 +1171,28 @@ def test_separator_decision_is_exact_where_greedy_gives_up(s3_std):
     assignment = {"x": 1, "z": 3, "v": 0}
     assert session.decide(assignment) is None and session.undecided_count == 0
     _assert_brute_force_decision(doc, rep, assignment, None)
+
+
+def test_a_vanishing_block_decides_before_any_search(s3_std, monkeypatch):
+    """After the guards, the block (x - 1) v (v^-1 sum_{k<6} x^k + 0)
+    multiplies out to x^6 - 1 = 0 (v is read by a value factor, so it is no
+    separator).  Every assignment on which no factor vanishes is decided
+    None from that block alone: the verdict holds, nothing is undecided,
+    and the running product is never extended."""
+    x, v = var("x"), var("v")
+    read = sum_([prod([inv(v), sum_([power(x, k) for k in range(6)])]), const(0)])
+    doc = _guarded_repro([sub(x, const(1)), v, read])
+    extended = []
+    extend = vf._Prefix.extend
+
+    def spy(prefix, f, u=0):
+        extended.append(u)
+        return extend(prefix, f, u)
+
+    monkeypatch.setattr(vf._Prefix, "extend", spy)
+    verdict = vf.check(doc, s3_std)
+    assert verdict.status == "holds" and "undecided" not in verdict.detail
+    assert not extended
 
 
 def test_no_vanishing_factor_on_a_reducible_rep_is_undecided():

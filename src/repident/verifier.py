@@ -55,13 +55,14 @@ The session's vanishing table remembers, per root factor and per values of
 that factor's variables, whether the factor vanishes; a streamed factor
 that certifies nonvanishing or stays undecided is never stored.  What the
 verifier derives from a document alone is built once per document
-(`_DocTables`).  A root factor var(a) - var(b) (`_difference`) is never
-evaluated: rho(x) - rho(y) vanishes exactly when x and y lie in one coset
-of ker rho (`Rep.kernel_cosets`).  The separator search extends the
-running product by one block factor at a time and carries a matrix with
-its row space (`_Prefix`): none while the product is invertible, the
-factor itself after a factor of rank 1 (a difference's rank is read from
-`Rep.difference_ranks`), and one row once the product has rank 1.  It
+(`_DocTables`).  A root factor w1 - w2 of two group words (`_difference`;
+a guard difference y_i - y_j is the one-letter case) is never evaluated:
+rho(w1) - rho(w2) vanishes exactly when the words' group elements lie in
+one coset of ker rho (`Rep.kernel_cosets`).  The separator search extends
+the running product by one block factor at a time and carries a matrix
+with its row space (`_Prefix`): none while the product is invertible, the
+factor itself after a factor of rank 1 (a word difference's rank is read
+from `Rep.difference_ranks`), and one row once the product has rank 1.  It
 carries that matrix modulo a prime and tests it exactly only where its
 image is zero.  No floating point enters any decision.
 
@@ -166,7 +167,11 @@ _NOT_FAILING = (None, "undecided")
 
 class _DocTables:
     """What the verifier derives from one document alone (`_doc_tables`);
-    it holds no reference to the document."""
+    it holds no reference to the document: the separators, the value
+    factors and their slots, and `differences`, the two words of every
+    root value factor that is a word difference (`_difference`), which
+    the scan and the witness search decide from the words' group
+    elements."""
 
     symmetric = None  # the guard-symmetry certificate, set by `_guards_symmetric`
 
@@ -193,8 +198,8 @@ class _DocTables:
                 self.value_factors.append(f)
                 self.slots.append(slot)
                 slot = None
-        # root factor -> (a, b) of the factors var(a) - var(b) with a != b,
-        # decided from `Rep.kernel_cosets` and never stored
+        # root factor -> the words (a, b) of the factors a - b with a != b
+        # (`_difference`), decided from `Rep.kernel_cosets` and never stored
         self.differences = {f: ab for f in self.value_factors
                             if (ab := _difference(f)) and ab[0] != ab[1]}
 
@@ -250,19 +255,32 @@ class _Session:
 
         Zero tests are looked up in, and recorded in, the session's
         vanishing table keyed by all of a factor's variables, or as keys
-        gives: one (variables, table) per factor.  A difference
-        var(a) - var(b) vanishes when its two values share a kernel coset.
+        gives: one (variables, table) per factor.  A word difference a - b
+        (`_DocTables.differences`) is never evaluated nor stored: it
+        vanishes when the group elements of its two words share a kernel
+        coset.  A difference of two vars is kept as two names and decided
+        by two lookups; any other word is folded through the group table
+        (`_word_element`).  Folding one-letter words as well slows the
+        character identities on 2T:nat and H3:theta1, which scan 276 and
+        351 guard differences per ordering, by 7 to 19%
+        (`BENCH_word_differences.json`).
         """
         memo: dict = {}
         outcome = NONE
         tables = self.tables
         cosets, differences = self.cosets, tables.differences
         value = assignment.__getitem__
+        group = self.rep.group
         for i, f in enumerate(factors):
             if cosets is not None:
                 ab = differences.get(f)
                 if ab is not None:
-                    if cosets[assignment[ab[0]]] == cosets[assignment[ab[1]]]:
+                    a, b = ab
+                    if a.__class__ is str:
+                        if cosets[assignment[a]] == cosets[assignment[b]]:
+                            return VANISHES
+                    elif (cosets[_word_element(a, assignment, group)]
+                            == cosets[_word_element(b, assignment, group)]):
                         return VANISHES
                     continue
             names, table = keys[i] if keys else (f.sorted_vars(), self.vanishing)
@@ -304,8 +322,9 @@ class _Session:
         The product is carried as a matrix with its row space (`_Prefix`),
         modulo a prime, which proves it nonzero cheaply; a product whose
         image is zero is decided exactly, so the decision is the one exact
-        arithmetic alone makes.  A difference var(a) - var(b) has its exact
-        rank from `Rep.difference_ranks`: an invertible one keeps an
+        arithmetic alone makes.  A word difference a - b has the exact rank
+        of rho(g_a) - rho(g_b), g_a and g_b its words' group elements, from
+        `Rep.difference_ranks` at g_a^-1 g_b: an invertible one keeps an
         invertible product invertible at every u, and is never built.
         """
         group, dim = self.rep.group, self.rep.dim
@@ -314,23 +333,33 @@ class _Session:
         assign = {**assignment, **dict.fromkeys(self.tables.sep_list, 0)}
         memo: dict = {}
 
+        def elements(node) -> tuple[int, int] | None:
+            """(g_a, g_b) under assign when node is a word difference a - b."""
+            ab = differences.get(node)
+            if ab is None:
+                return None
+            a, b = ab
+            if a.__class__ is str:
+                return assign[a], assign[b]
+            return _word_element(a, assign, group), _word_element(b, assign, group)
+
         def rank(node) -> int | None:
             """The exact rank of node under assign when it is a difference."""
-            ab = differences.get(node)
-            if ab is not None:
-                return diff_ranks[group.table[group.inverse[assign[ab[0]]]][assign[ab[1]]]]
+            g = elements(node)
+            if g is not None:
+                return diff_ranks[group.table[group.inverse[g[0]]][g[1]]]
             return None
 
         def build(block: list, node) -> _Factor | None:
             """The block's factor, node's value (a difference's from its two
-            terms, not evaluated: {x: 1, x: -1} keeps one), or None when a
-            block of several factors multiplies out to zero."""
+            group elements, not evaluated: {g: 1, g: -1} keeps one), or None
+            when a block of several factors multiplies out to zero."""
             r = rank(node)
             if r is None:
                 val = ev._eval(node, assign, memo)
             else:
-                a, b = differences[node]
-                val = ev._element({assign[a]: 1, assign[b]: -1} if r else {})
+                g_a, g_b = elements(node)
+                val = ev._element({g_a: 1, g_b: -1} if r else {})
             f = _Factor(ev, val, r)
             if f.nonzero_mod_p() or not ev._is_zero(val):
                 return f
@@ -782,17 +811,61 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
                 yield settled, session.settle(settled, scan)
 
 
-def _difference(f: Expr) -> tuple[str, str] | None:
-    """(a, b) when f is var(a) - var(b) as `sub` builds it, in either child
-    order, else None."""
+def _difference(f: Expr) -> tuple | None:
+    """The words (a, b) when f is a - b as `sub` builds it, in either child
+    order, else None.  A word is a var, `inv` of a word, a `prod` of words
+    or const(1); a power is a product of repeats.  Two words of one var
+    each are kept as their two names, which the scan looks up directly
+    (`_Session.scan_factors`) and `_guards_symmetric` counts as guard
+    pairs; any other two are kept as their (name, inverted) letter tuples
+    (`_word_letters`)."""
     if f.kind == "sum" and len(f.children) == 2:
         for a, b in (f.children, f.children[::-1]):
-            if (a.kind == "var" and b.kind == "prod" and len(b.children) == 2
-                    and b.children[0].kind == "const" and b.children[1].kind == "var"):
+            if (b.kind == "prod" and len(b.children) > 1
+                    and b.children[0].kind == "const"):
                 c = b.children[0].value  # -1 is (-1, 0, ...) / 1 at every conductor
                 if c.den == 1 and c.num[0] == -1 and c.is_rational():
-                    return a.value, b.children[1].value
+                    wa, wb = _word_letters([a]), _word_letters(b.children[1:])
+                    if wa is None or wb is None:
+                        return None
+                    if len(wa) == len(wb) == 1 and not (wa[0][1] or wb[0][1]):
+                        return wa[0][0], wb[0][0]
+                    return tuple(wa), tuple(wb)
     return None
+
+
+def _word_letters(factors, inverted: bool = False) -> list | None:
+    """The (name, inverted) letters, left to right, of the product of
+    factors, or of its inverse when inverted; None when a factor is not a
+    word."""
+    letters: list = []
+    for e in reversed(factors) if inverted else factors:
+        if e.kind == "var":
+            letters.append((e.value, inverted))
+            continue
+        if e.kind == "const":
+            c = e.value
+            if c.is_rational() and c.rational_value() == 1:
+                continue
+            return None
+        if e.kind not in ("inv", "prod"):
+            return None
+        inner = _word_letters(e.children, inverted != (e.kind == "inv"))
+        if inner is None:
+            return None
+        letters += inner
+    return letters
+
+
+def _word_element(letters: tuple, assignment: dict, group) -> int:
+    """The group element of a word's letters (`_difference`) under
+    assignment, folded through the group table from the identity (0)."""
+    table, inverse = group.table, group.inverse
+    g = 0
+    for name, inverted in letters:
+        h = assignment[name]
+        g = table[g][inverse[h] if inverted else h]
+    return g
 
 
 def _guards_symmetric(session: _Session, groups: dict) -> bool:
@@ -801,15 +874,16 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
     factor vanishes on a bijection onto the group.  Computed once per
     document and kept in its tables (`_DocTables.symmetric`).
 
-    Every group Y passes two checks.  (a) The root factors var(a) - var(b)
-    (`_DocTables.differences`) with a != b in Y cover every unordered pair of
-    Y equally often, or there are none: on a bijection some one vanishes
-    exactly when the rep is not faithful.
+    Every group Y passes two checks.  (a) The differences y_a - y_b of two
+    vars of Y (the entries of `_DocTables.differences` that are two names)
+    cover every unordered pair of Y equally often, or there are none: on a
+    bijection some one vanishes exactly when the rep is not faithful.
     (b) Every other root value factor mentions guard variables only as the
     conjugators y of a psi block (`freeexpr._psi_blocks`) over all of one
     group, with a middle free of guard variables, so its value is the same
     for every bijection.  A streamed node that mentions a guard variable,
-    or a guard variable anywhere else, refuses the certificate.
+    or a guard variable anywhere else, a word difference of longer words
+    among them, refuses the certificate.
     """
     tables = session.tables
     if tables.symmetric is not None:
@@ -846,7 +920,9 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
     symmetric = True
     for f in tables.value_factors:
         ab = tables.differences.get(f)
-        if ab and ab[0] in group_of and group_of[ab[0]] == group_of.get(ab[1]):
+        # two names, not two letter tuples, exactly when f is var(a) - var(b)
+        if (ab and ab[0].__class__ is str
+                and ab[0] in group_of and group_of[ab[0]] == group_of.get(ab[1])):
             pairs[group_of[ab[0]]][frozenset(ab)] += 1
         elif not psi_only(f):
             symmetric = False

@@ -1328,43 +1328,77 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
     assert any(refused) != reducible
 
 
-@pytest.mark.parametrize("rep_name", ["S3:std", "S4:rho2", "S4:rho1", "Z3^2:reducible",
-                                      "gamma:pi(1,1)"])
-def test_differences_are_decided_from_kernel_cosets(rep_name, monkeypatch):
-    """A root factor var(a) - var(b), in either child order, is decided
-    without evaluation and stored in no table: for every ordered pair (x, y)
-    the session's decision is an exact zero test of the evaluated
-    difference.  The witness search reads its exact rank from
-    `Rep.difference_ranks`: it builds no factor for an invertible
-    difference, builds any other from its two terms first, with the
-    evaluator's value and image mod p, and raises on a vanishing one."""
-    rep = {
-        "S3:std": lambda: catalog.symmetric(3).rep("std"),  # faithful
-        "S4:rho2": lambda: catalog.symmetric(4).rep("rho2"),  # kernel A4
-        "S4:rho1": lambda: catalog.symmetric(4).rep("rho1"),  # kernel S4
-        "Z3^2:reducible": lambda: catalog.abelian_rep(3, 2, 2, [[1, 0], [1, 0]]),
-        "gamma:pi(1,1)": lambda: catalog.gamma_d(7, 9, 2).rep("pi(1,1)"),
-    }[rep_name]()
-    a, b = var("a"), var("b")
-    forward, backward = sub(a, b), sum_([prod([const(-1), a]), b])  # a - b, -a + b
+# name -> (rep, order of its kernel)
+_DIFFERENCE_REPS = {
+    "S3:std": (lambda: catalog.symmetric(3).rep("std"), 1),
+    "Q8:dim2": (lambda: catalog.get_rep("Q8", "dim2"), 1),
+    "S4:rho1": (lambda: catalog.symmetric(4).rep("rho1"), 24),  # kernel S4
+    "S4:rho2": (lambda: catalog.symmetric(4).rep("rho2"), 12),  # kernel A4
+    "S4:rho3": (lambda: catalog.symmetric(4).rep("rho3"), 4),  # kernel V4
+    "S3:sign": (lambda: catalog.symmetric(3).rep("sign"), 3),  # kernel A3
+    "S3:perm": (_s3_permutation_rep, 1),  # reducible
+    "Z3^2:reducible": (lambda: catalog.abelian_rep(3, 2, 2, [[1, 0], [1, 0]]), 3),
+    "gamma:pi(1,1)": (lambda: catalog.gamma_d(7, 9, 2).rep("pi(1,1)"), 1),
+}
+
+# name -> the words (w1, w2) in a and b of a difference w1 - w2
+_a, _b = var("a"), var("b")
+_WORD_PAIRS = {
+    "a - b": (_a, _b),
+    "[a, b] - 1": (prod([inv(_a), inv(_b), _a, _b]), const(1)),
+    "ab - ba": (prod([_a, _b]), prod([_b, _a])),
+    "a^2 - b^-1": (power(_a, 2), inv(_b)),
+    "bab^-1 - a^-1": (prod([_b, _a, inv(_b)]), power(_a, -1)),
+    "(ab)^-1 - b": (inv(prod([_a, _b])), prod([_b, const(1)])),
+}
+
+
+@pytest.mark.parametrize("rep_name, words", [
+    *(pytest.param(rep_name, "a - b", id=rep_name)
+      for rep_name in ["S3:std", "S4:rho2", "S4:rho1", "Z3^2:reducible", "gamma:pi(1,1)"]),
+    *(pytest.param(rep_name, words, id=f"{rep_name}-{words}")
+      for rep_name in ["S3:std", "S4:rho3", "S3:sign", "S3:perm"]
+      for words in list(_WORD_PAIRS)[1:]),
+])
+def test_differences_are_decided_from_kernel_cosets(rep_name, words, monkeypatch):
+    """A root factor w1 - w2 of two group words, in either child order, is
+    decided without evaluation and stored in no table: on every
+    assignment of a and b the session's decision is an exact zero test of
+    the evaluated difference.  The witness search reads its exact rank
+    from `Rep.difference_ranks`: it builds no factor for an invertible
+    difference, builds any other from its two group elements, with the
+    evaluator's value and image mod p and the rank of the matrix
+    `reference_eval` finds, and raises on a vanishing one."""
+    from repident.matrices import rref
+
+    make_rep, kernel_order = _DIFFERENCE_REPS[rep_name]
+    rep = make_rep()
+    w1, w2 = _WORD_PAIRS[words]
+    forward, backward = sub(w1, w2), sum_([prod([const(-1), w1]), w2])  # w1 - w2, -w1 + w2
     doc = idf.IdentityDoc("test", prod([forward, var("v"), backward]), {}, {},
                           "two differences")
     session = vf._Session(doc, rep, seed=0)
-    assert session.tables.differences == {forward: ("a", "b"), backward: ("b", "a")}
+    differences = session.tables.differences
+    assert differences.keys() == {forward, backward}
+    assert differences[backward] == differences[forward][::-1]
+    if words == "a - b":
+        assert differences[forward] == ("a", "b")
     ev = Evaluator(rep)
     session.ev._eval = None  # a scan that evaluates would raise
     kernel = set(rep.kernel)
-    for x, y in itertools.product(range(rep.group.order), repeat=2):
-        assignment = {"a": x, "b": y, "v": 0}
-        val = ev._eval(forward, assignment, {})
-        want = ev._is_zero(val)
-        assert want == (rep.group.table[rep.group.inverse[x]][y] in kernel)
+    group = rep.group
+    assignments = [{"a": x, "b": y, "v": 0}
+                   for x, y in itertools.product(range(group.order), repeat=2)]
+    for assignment in assignments:
+        want = ev._is_zero(ev._eval(forward, assignment, {}))
+        if words == "a - b":
+            x, y = assignment["a"], assignment["b"]
+            assert want == (group.table[group.inverse[x]][y] in kernel)
         for f in (forward, backward):
             assert session.scan_factors(assignment, [f]) == (
                 vf.VANISHES if want else vf.NONE)
     assert not session.vanishing
-    assert len(kernel) == {"S3:std": 1, "S4:rho2": 12, "S4:rho1": 24, "Z3^2:reducible": 3,
-                           "gamma:pi(1,1)": 1}[rep_name]
+    assert len(kernel) == kernel_order
     del session.ev._eval
     built = []
 
@@ -1376,29 +1410,94 @@ def test_differences_are_decided_from_kernel_cosets(rep_name, monkeypatch):
             built.append(self)
 
     monkeypatch.setattr(vf, "_Factor", Recording)
-    group = rep.group
-    for x, y in itertools.product(range(min(group.order, 6)), repeat=2):
-        assignment = {"a": x, "b": y, "v": 0}
+    nonzero = None
+    for assignment in assignments[:576]:
         val = ev._eval(forward, assignment, {})
-        rank = rep.difference_ranks[group.table[group.inverse[x]][y]]
+        mat = reference_eval(forward, {v: rep.image(g) for v, g in assignment.items()},
+                             rep.dim)
+        rank = len(rref([list(row) for row in mat.rows])[1])
         built.clear()
-        if ev._is_zero(val):
-            assert rank == 0
+        if rank == 0:
+            assert ev._is_zero(val)
             with pytest.raises(vf.VerifierError, match="vanishing factor"):
                 session.witness_value(assignment)
             continue
-        session.witness_value(assignment)
+        nonzero = nonzero or assignment
+        assert session.witness_value(assignment) == assignment
         if rank == rep.dim:
             assert not built  # the product stays invertible
         else:
-            # the first factor built is the forward difference
-            assert built[0].val == val and built[0].mod == ev._mod_p(val)
-            assert built[0].rank == rank
-    if len(kernel) == 1:
-        assert session.decide({"a": 1, "b": 2, "v": 0}) == {"a": 1, "b": 2, "v": 0}
-    else:
-        with pytest.raises(vf.VerifierError, match="vanishing factor"):
-            session.witness_value({"a": 0, "b": max(kernel), "v": 0})
+            # the forward difference is built first, or on a reducible rep,
+            # whose blocks are built right to left, after the backward one
+            f = built[0 if rep.is_irreducible() else 1]
+            assert f.val == val and f.mod == ev._mod_p(val)
+            assert f.rank == rank and f.mat() == mat
+    if nonzero:
+        assert session.decide(nonzero) == nonzero
+
+
+# group words in a, b and c: vars and const 1, inverses, products, powers
+_group_words = st.recursive(
+    st.sampled_from(["a", "b", "c", ""]).map(lambda name: var(name) if name else const(1)),
+    lambda inner: st.one_of(
+        inner.map(inv),
+        st.lists(inner, min_size=2, max_size=3).map(prod),
+        st.tuples(inner, st.integers(-3, 3)).map(lambda wk: power(*wk))),
+    max_leaves=6)
+
+
+@pytest.mark.parametrize("rep_name", ["S3:std", "Q8:dim2", "S4:rho3", "S3:sign", "S3:perm"])
+def test_word_differences_decide_as_reference_eval(rep_name):
+    """A root factor w1 - w2 of two group words, in either child order, is
+    a word difference (`_DocTables.differences`, unless its words are
+    equal), and its scan, which evaluates nothing and stores nothing,
+    vanishes exactly where `reference_eval` finds it zero: on every
+    assignment of a, b and c, or on 64 drawn ones on S4."""
+    rep = _DIFFERENCE_REPS[rep_name][0]()
+    m = rep.group.order
+    images = [rep.image(g) for g in range(m)]
+    every = list(itertools.product(range(m), repeat=3))
+
+    @settings(max_examples=40, deadline=None)
+    @given(w1=_group_words, w2=_group_words, flipped=st.booleans(), seed=st.integers(0, 99))
+    # (ab)^-1 = b^-1 a^-1: an inverse reverses its product
+    @example(w1=inv(prod([_a, _b])), w2=prod([inv(_b), inv(_a)]), flipped=True, seed=0)
+    def decide(w1, w2, flipped, seed):
+        # w1 - w2 as `sub` builds it, or with its children in the other order
+        f = sum_([prod([const(-1), w2]), w1]) if flipped else sub(w1, w2)
+        a, b = vf._difference(f)
+        doc = idf.IdentityDoc("test", f, {}, {}, "a word difference")
+        session = vf._Session(doc, rep)
+        assert (f in session.tables.differences) == (a != b)
+        if a != b:
+            session.ev._eval = None  # a scan that evaluates would raise
+        zeros = 0
+        for values in every if m ** 3 <= 512 else random.Random(seed).sample(every, 64):
+            assignment = dict(zip("abc", values))
+            want = reference_eval(f, {v: images[g] for v, g in assignment.items()},
+                                  rep.dim).is_zero()
+            zeros += want
+            assert session.scan_factors(assignment, [f]) == (
+                vf.VANISHES if want else vf.NONE), assignment
+        assert not session.vanishing or a == b
+        event(f"vanishes: {'never' if not zeros else 'somewhere'}")
+
+    decide()
+
+
+def test_word_differences_cover_the_benchmark_documents():
+    """Every word difference of the gamma separating identity, the S4
+    separating identity and the class identity is one: all their value
+    factors but the determinant sums, the psi sum and the streamed body."""
+    rho4 = catalog.symmetric(4).rep("rho4")
+    docs = {
+        "gamma-sep": (idf.gamma_separating_identity(catalog.gamma_d(7, 9, 2), 1), 1954, 1956),
+        "s4-separation": (idf.s4_separating_identity(rho4), 277, 278),
+        "class": (idf.class_identity(rho4), 126, 127),
+    }
+    for name, (doc, words, factors) in docs.items():
+        tables = vf._doc_tables(doc)
+        assert (len(tables.differences), len(tables.value_factors)) == (words, factors), name
 
 
 def test_document_tables_are_built_once_per_document(s3_std):
@@ -1421,17 +1520,26 @@ def test_document_tables_are_built_once_per_document(s3_std):
 
 
 def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
-    """(y1 x - 1) vanishes at x = y1^-1, which moves with the guard
+    """(y1 x + x y1 - 2) vanishes, on a rep similar to a unitary one, where
+    both words map to 1, at x = y1^-1, which moves with the guard
     ordering: in every ordering the guarded source yields exactly the x a
-    fresh evaluation finds nonvanishing.  The all-argument factor (x x - 1)
-    is decided once per x across orderings, in the session's table."""
+    fresh evaluation finds nonvanishing.  The all-argument factor
+    (x^2 + x^-2 - 2), zero where x^2 is, is decided once per x across
+    orderings, in the session's table.  The word differences y1 x - 1 and
+    x x - 1 have the same zero sets and are decided from kernel cosets, so
+    they leave no entry in it."""
     m = s3_std.group.order
-    moving = sub(prod([var("y1"), var("x")]), const(1))
-    fixed = sub(prod([var("x"), var("x")]), const(1))
+    arg, y1, two = var("x"), var("y1"), const(-2)
+    moving = sum_([prod([y1, arg]), prod([arg, y1]), two])
+    fixed = sum_([power(arg, 2), power(arg, -2), two])
     names = [f"y{i}" for i in range(1, m + 1)]
     guards = prod([var(name) for name in names[1:]])
-    doc = idf.IdentityDoc("test", prod([moving, var("u"), fixed, var("w"), guards]),
-                          {"g": names}, {}, "a zero set that moves with the ordering")
+
+    def guard_doc(moving, fixed):
+        return idf.IdentityDoc("test", prod([moving, var("u"), fixed, var("w"), guards]),
+                               {"g": names}, {}, "a zero set that moves with the ordering")
+
+    doc = guard_doc(moving, fixed)
     session = vf._Session(doc, s3_std, seed=4)
     assert not vf._guards_symmetric(session, doc.guards)
     orderings = []
@@ -1454,6 +1562,12 @@ def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
     assert not any(node == id(moving) for node, _ in session.vanishing)
     assert sorted(key for node, key in session.vanishing if node == id(fixed)) == [
         (x,) for x in range(m)]
+    # the word differences leave no entry: the table holds the bare guards alone
+    words = vf._Session(guard_doc(sub(prod([y1, arg]), const(1)),
+                                  sub(prod([arg, arg]), const(1))), s3_std, seed=4)
+    assert [(a["y1"], a["x"]) for a, _ in vf._guarded_decisions(
+        words, doc.guards, ["x"], 5, True, {"checked": 0})] == expected
+    assert {node for node, _ in words.vanishing} == {id(f) for f in guards.children}
 
 
 def _guard_doc(rep, extra):

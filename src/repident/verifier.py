@@ -1,11 +1,11 @@
 """Decides whether an identity holds in a representation, with graded
 evidence. Every mode is a source of (assignment, decision) pairs:
 
-- exhaustive: every assignment enumerated (budget-bounded), last name
-  fastest, optionally split over worker processes that each walk one window
-  of that order and return its first failing decision; a separator is not
-  enumerated past a value under which every assignment vanished
-  (`_exhaustive_decisions`);
+- exhaustive: every tuple of values of the variables the root value
+  factors read (`_DocTables.read_names`; budget-bounded by the count of all
+  assignments), last name fastest, optionally split over worker processes
+  that each walk one window of that order and return its first failing
+  decision;
 - guarded: guard sets range over full group enumerations (canonical plus
   K random orderings), arguments (the variables that are neither guards
   nor separators) enumerated or sampled; on a document symmetric in its
@@ -15,18 +15,22 @@ evidence. Every mode is a source of (assignment, decision) pairs:
   (class representatives x centralizer transversals, or series-complement
   tuples); on a group the family does not fit, where it is empty, the
   verdict is that of uniform samples;
-- sampled(N, seed): N uniform assignments.
+- sampled(N, seed): N uniform draws of the variables the root value
+  factors read.
 
 A separator is a variable, not a guard, that is a root factor exactly
 once and occurs in no other root factor; a document declares none, and a
 relation, decided at given values, has none.  Every other root factor is a
 value factor, whose slot is the separator just before it, if any; a block
 is a value factor with a slot, or the first, and the value factors up to
-the next slot (`_DocTables` alone decides all three).  Each assignment is decided
-once: one scan of its root value factors (`_Session.scan_factors`; guarded
-mode scans the factors free of arguments once per ordering), then
-`_Session.settle`.  One loop (`_verify`) takes the decisions, counts the
-undecided ones and builds the verdict.  A scan has one outcome: VANISHES
+the next slot (`_DocTables` alone decides all three).  Exhaustive and
+sampled mode never enumerate or draw a separator: it changes no scan, and
+the separator decision covers every choice of it.  Each assignment is
+decided once: one scan of its root value factors
+(`_Session.scan_factors`; guarded mode scans the factors free of
+arguments once per ordering), then `_Session.settle`.  One loop
+(`_verify`) takes the decisions, counts the undecided ones and builds the
+verdict.  A scan has one outcome: VANISHES
 (a root factor vanishes) settles the assignment, UNDECIDED (a streamed
 factor was not decided) makes it undecided, and CERTIFIED (a streamed
 factor certified nonvanishing) makes it "blocked", a no-vanishing-factor
@@ -38,12 +42,10 @@ irreducible (Burnside's theorem; `Evaluator._no_vanishing_factor`); (c)
 the root factor raised the certificate itself, not a streamed node inside
 it, and every root value factor after the first has a slot or follows a
 subset or partition stream, which ends in its own separator.
-Otherwise a decision ends in one of two exact zero tests: the total test
-(the whole expression under the assignment as drawn; exhaustive and
-sampled) or the separator decision (`_Session.witness_value`; guarded and
-structured, and a sampled witness): separators keeping the product
-nonzero, or None when every separator choice makes it vanish.  The
-product is linear in each separator, so that question is decided exactly.
+Otherwise, in every mode, a decision ends in the separator decision
+(`_Session.witness_value`): separators keeping the product nonzero, or
+None when every separator choice makes it vanish.  The product is linear
+in each separator, so that question is decided exactly.
 Every block is one factor of the product.  One pass from right to left,
 on every rep, decides None before any search as soon as a block vanishes
 (on a reducible rep, the block times a projection onto the space the rest
@@ -53,7 +55,8 @@ Only a streamed factor leaves an assignment undecided.
 
 The session's vanishing table remembers, per root factor and per values of
 that factor's variables, whether the factor vanishes; a streamed factor
-that certifies nonvanishing or stays undecided is never stored.  What the
+that certifies nonvanishing or stays undecided is never stored, nor is a
+factor that the exhaustive walk sees once per key.  What the
 verifier derives from a document alone is built once per document
 (`_DocTables`).  A root factor w1 - w2 of two group words (`_difference`;
 a guard difference y_i - y_j is the one-letter case) is never evaluated:
@@ -212,6 +215,13 @@ class _DocTables:
                    for f, slot in zip(self.value_factors, self.slots[1:]))
 
     @functools.cached_property
+    def read_names(self) -> list[str]:
+        """The sorted variables the root value factors read: every variable
+        but the separators.  Built when exhaustive or sampled mode first
+        reads them."""
+        return sorted(frozenset().union(*[f.free_vars() for f in self.value_factors]))
+
+    @functools.cached_property
     def blocks(self) -> list:
         """The blocks (slot, factors, node) of the witness search: a block
         opens at each slot and at the first value factor, and node is the
@@ -255,12 +265,13 @@ class _Session:
 
         Zero tests are looked up in, and recorded in, the session's
         vanishing table keyed by all of a factor's variables, or as keys
-        gives: one (variables, table) per factor.  A word difference a - b
-        (`_DocTables.differences`) is never evaluated nor stored: it
-        vanishes when the group elements of its two words share a kernel
-        coset.  A difference of two vars is kept as two names and decided
-        by two lookups; any other word is folded through the group table
-        (`_word_element`).  Folding one-letter words as well slows the
+        gives: one (variables, table) per factor, table None for a factor
+        that is evaluated every time and records nothing.  A word
+        difference a - b (`_DocTables.differences`) is never evaluated nor
+        stored: it vanishes when the group elements of its two words share
+        a kernel coset.  A difference of two vars is kept as two names and
+        decided by two lookups; any other word is folded through the group
+        table (`_word_element`).  Folding one-letter words as well slows the
         character identities on 2T:nat and H3:theta1, which scan 276 and
         351 guard differences per ordering, by 7 to 19%
         (`BENCH_word_differences.json`).
@@ -284,8 +295,10 @@ class _Session:
                         return VANISHES
                     continue
             names, table = keys[i] if keys else (f.sorted_vars(), self.vanishing)
-            key = (id(f), tuple(map(value, names)))
-            vanishes = table.get(key)
+            key = vanishes = None
+            if table is not None:
+                key = (id(f), tuple(map(value, names)))
+                vanishes = table.get(key)
             if vanishes is None:
                 try:
                     val = self.ev._eval(f, assignment, memo)
@@ -296,7 +309,9 @@ class _Session:
                 except StreamUndecided:
                     outcome = UNDECIDED
                     continue
-                vanishes = table[key] = self.ev._is_zero(val)
+                vanishes = self.ev._is_zero(val)
+                if table is not None:
+                    table[key] = vanishes
             if vanishes:
                 return VANISHES
         return outcome
@@ -429,29 +444,24 @@ class _Session:
                             for i in range(dim)])
         return factors[::-1]
 
-    def decide(self, assignment: dict, total: bool = False):
-        """`settle` after one scan of every root value factor."""
-        return self.settle(assignment, self.scan_factors(assignment, self.tables.value_factors),
-                           total)
+    def decide(self, assignment: dict):
+        """`settle` after one scan of every root value factor: the decision
+        of structured and sampled mode and of the relation probabilities."""
+        return self.settle(assignment, self.scan_factors(assignment, self.tables.value_factors))
 
-    def settle(self, assignment: dict, scan: int, total: bool = False):
+    def settle(self, assignment: dict, scan: int, weight: int = 1):
         """The decision for assignment, given the scan of its root value
-        factors: None when it vanishes, "undecided" (counted), "blocked"
-        (certified nonvanishing), or after a NONE scan, in which no root
-        factor raised, the exact zero test of the whole expression as drawn
-        with total (the assignment itself when nonzero), else
-        `witness_value`'s exact separator decision."""
+        factors: None when it vanishes, "undecided" (counted weight times,
+        the number of assignments it stands for), "blocked" (certified
+        nonvanishing), or after a NONE scan, in which no root factor
+        raised, `witness_value`'s exact separator decision, in every mode."""
         if scan == VANISHES:
             return None
         if scan == UNDECIDED:
-            self.undecided_count += 1
+            self.undecided_count += weight
             return "undecided"
         if scan == CERTIFIED:
             return "blocked"
-        if total:
-            if self.ev._is_zero(self.ev.evaluate_value(self.doc.expr, assignment)):
-                return None
-            return assignment
         return self.witness_value(assignment)
 
 
@@ -627,9 +637,9 @@ def holds_exhaustive(doc: IdentityDoc, rep: Rep, budget: int = 300_000,
     session = _Session(doc, rep)
     if jobs > 1:
         detail["jobs"] = jobs
-        decisions = _parallel_failures(session, names, total, jobs)
+        decisions = _parallel_failures(session, names, jobs)
     else:
-        decisions = _exhaustive_decisions(session, names, 0, total)
+        decisions = _exhaustive_decisions(session, names, 0, None)
     return _verify(session, "exhaustive", decisions, detail, t0)
 
 
@@ -648,53 +658,38 @@ def _all_assignments(names: list[str], m: int, budget: int):
     return (dict(zip(names, combo)) for combo in itertools.product(range(m), repeat=len(names)))
 
 
-def _exhaustive_decisions(session: _Session, names: list[str], start: int, stop: int):
-    """The source of exhaustive mode: (assignment, `_Session.settle`'s
-    decision with total) for each assignment with linear index in
-    [start, stop) of the serial order (last name fastest) whose one root
-    factor scan finds no vanishing factor.  The walk goes down the tree of
-    that order, one name per level.  Once a child at the level of a
-    separator (which no root value factor reads) lies in the window and
-    every one of its leaves vanished, its later siblings, whose leaves
-    match its own but for that name, are skipped.  A scan that raises ends
-    the walk at its assignment."""
-    pure = [name in session.tables.separators for name in names]
-    return _walk(session, names, pure, [0] * len(names), (start, stop), 0, 0)
-
-
-def _walk(session: _Session, names: list[str], pure: list[bool], values: list[int],
-          window: tuple[int, int], d: int, lo: int):
-    """Yield the decisions of the window's nonvanishing leaves under the
-    node at depth d whose first leaf has index lo; return whether the node
-    lies in the window and every one of its leaves vanished.  (A closure
-    that names itself would tie the session into a reference cycle.)"""
-    if d == len(names):
+def _exhaustive_decisions(session: _Session, names: list[str], start: int, stop: int | None):
+    """The source of exhaustive mode: the read tuples (values of
+    `_DocTables.read_names`, last name fastest) with index in [start,
+    stop), each as the assignment of names with every separator at the
+    identity, and `_Session.settle`'s decision for those whose scan finds
+    no vanishing factor.  A separator changes no scan, so an undecided
+    tuple stands for m ** (number of separators) undecided assignments.  A
+    factor that reads every read name sees each of its keys once, so it
+    records nothing in the vanishing table.  A scan that raises ends the
+    walk at its assignment."""
+    tables, m = session.tables, session.rep.group.order
+    read = set(tables.read_names)
+    weight = m ** (len(names) - len(read))
+    keys = [(f.sorted_vars(), None if len(f.sorted_vars()) == len(read) else session.vanishing)
+            for f in tables.value_factors]
+    ranges = [range(m) if name in read else (0,) for name in names]
+    for values in itertools.islice(itertools.product(*ranges), start, stop):
         assignment = dict(zip(names, values))
-        scan = session.scan_factors(assignment, session.tables.value_factors)
-        if scan == VANISHES:
-            return True
-        yield assignment, session.settle(assignment, scan, total=True)
-        return False
-    (start, stop), m = window, session.rep.group.order
-    size = m ** (len(names) - d - 1)  # leaves under a child
-    vanished = start <= lo and lo + m * size <= stop
-    for v in range(max(0, (start - lo) // size), min(m, (stop - lo + size - 1) // size)):
-        values[d] = v
-        if not (yield from _walk(session, names, pure, values, window, d + 1, lo + v * size)):
-            vanished = False
-        elif pure[d]:
-            break  # every later child vanishes as this one did
-    return vanished
+        scan = session.scan_factors(assignment, tables.value_factors, keys)
+        if scan != VANISHES:
+            yield assignment, session.settle(assignment, scan, weight)
 
 
-def _parallel_failures(session: _Session, names: list[str], total: int, jobs: int):
-    """Walk `jobs` consecutive windows of the serial enumeration
+def _parallel_failures(session: _Session, names: list[str], jobs: int):
+    """Walk `jobs` consecutive windows of the serial order of read tuples
     (`_window_failure`) in worker processes that exit on their own
     (terminating one while it writes its result locks the result queue);
     add their undecided counts to the session and yield the failing
     decision of the failing window with the lowest start: the serial run's."""
     import multiprocessing as mp
 
+    total = session.rep.group.order ** len(session.tables.read_names)
     step = (total + jobs - 1) // jobs
     ranges = [(start, min(start + step, total)) for start in range(0, total, step)]
     ctx = mp.get_context("fork")
@@ -718,7 +713,7 @@ def _worker_init(doc, rep, names):
 
 def _window_failure(bounds) -> tuple:
     """(undecided count, first failing decision or None) of the
-    exhaustive source over one window [start, stop)."""
+    exhaustive source over one window [start, stop) of read tuples."""
     doc, rep, names = _WORKER_STATE["args"]
     session = _Session(doc, rep)
     failing = next((pair for pair in _exhaustive_decisions(session, names, *bounds)
@@ -946,19 +941,17 @@ def holds_sampled(doc: IdentityDoc, rep: Rep, n: int = 500, seed: int = 0) -> Ve
 
 
 def _sampled_decisions(session: _Session, names: list[str], n: int):
-    """The source of sampled mode: n uniform assignments decided with the
-    total test; a nonvanishing one takes the separators
-    `_Session.witness_value` chooses, which exist since the drawn ones
-    keep the product nonzero."""
-    m, rng = session.rep.group.order, session.rng
+    """The source of sampled mode: n assignments of names, each drawing the
+    variables of `_DocTables.read_names` uniformly, in that order, with
+    every separator at the identity, decided by `_Session.decide`: a
+    separator changes no scan, and the separator decision covers every
+    choice of them."""
+    m, randrange = session.rep.group.order, session.rng.randrange
+    read, template = session.tables.read_names, dict.fromkeys(names, 0)
     for _ in range(n):
-        assignment = {name: rng.randrange(m) for name in names}
-        outcome = session.decide(assignment, total=True)
-        if outcome is assignment:
-            outcome = session.witness_value(assignment)
-            if outcome is None:
-                raise VerifierError(f"internal: no separators for the nonzero {assignment}")
-        yield assignment, outcome
+        assignment = dict(template)
+        assignment.update(zip(read, [randrange(m) for _ in read]))
+        yield assignment, session.decide(assignment)
 
 
 def holds_structured(doc: IdentityDoc, rep: Rep, seed: int = 0,
@@ -1152,9 +1145,11 @@ def _relation_session(expr: Expr, rep: Rep) -> _Session:
 
 
 def _vanishes(session: _Session, assignment: dict) -> bool:
-    """Exact zero test of the relation probabilities (`_Session.decide`): a
-    certified streamed product counts as nonvanishing, an undecided one raises."""
-    outcome = session.decide(assignment, total=True)
+    """Exact zero test of the relation probabilities (`_Session.decide`,
+    whose separator decision, with no separators, is the zero test of the
+    product of the root factors): a certified streamed product counts as
+    nonvanishing, an undecided one raises."""
+    outcome = session.decide(assignment)
     if outcome == "undecided":
         raise VerifierError(f"relation undecided at {assignment}")
     return outcome is None

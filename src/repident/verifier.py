@@ -56,7 +56,7 @@ Only a streamed factor leaves an assignment undecided.
 The session's vanishing table remembers, per root factor and per values of
 that factor's variables, whether the factor vanishes; a streamed factor
 that certifies nonvanishing or stays undecided is never stored, nor is a
-factor that the exhaustive walk sees once per key.  What the
+factor that a walk over every assignment sees once per key.  What the
 verifier derives from a document alone is built once per document
 (`_DocTables`).  A root factor w1 - w2 of two group words (`_difference`;
 a guard difference y_i - y_j is the one-letter case) is never evaluated:
@@ -65,9 +65,10 @@ one coset of ker rho (`Rep.kernel_cosets`).  The separator search extends
 the running product by one block factor at a time and carries a matrix
 with its row space (`_Prefix`): none while the product is invertible, the
 factor itself after a factor of rank 1 (a word difference's rank is read
-from `Rep.difference_ranks`), and one row once the product has rank 1.  It
-carries that matrix modulo a prime and tests it exactly only where its
-image is zero.  No floating point enters any decision.
+from `Rep.difference_ranks`), and one row once its image has rank 1.  It
+works modulo a prime: a word difference is two image lookups, and a slot
+is decided exactly only when no group element gives a nonzero image.  No
+floating point enters any decision.
 
 A fails verdict always carries a counterexample whose re-evaluation is
 nonzero, or, for a certified streamed product too large to materialize,
@@ -329,18 +330,21 @@ class _Session:
         `_block_factors` decides None before any search when a block
         vanishes, and otherwise gives each block its factor F_i, A_i times
         a projection onto the space the rest of the product lives in.
-        Every separator starts at the identity, and each slot takes the
-        first group element u with P rho(u) F_i != 0, P the running
-        product; after that pass some u always does.  No value factor reads
-        a separator, so each is evaluated where the scan evaluated it.
+        Every separator starts at the identity, and each slot takes a
+        group element u with P rho(u) F_i != 0, P the running product;
+        after that pass some u always does.  No value factor reads a
+        separator, so each is evaluated where the scan evaluated it.
 
         The product is carried as a matrix with its row space (`_Prefix`),
-        modulo a prime, which proves it nonzero cheaply; a product whose
-        image is zero is decided exactly, so the decision is the one exact
-        arithmetic alone makes.  A word difference a - b has the exact rank
-        of rho(g_a) - rho(g_b), g_a and g_b its words' group elements, from
-        `Rep.difference_ranks` at g_a^-1 g_b: an invertible one keeps an
-        invertible product invertible at every u, and is never built.
+        modulo a prime: a slot takes the first u whose product has a
+        nonzero image, and is decided exactly only when none has.  So the
+        decision is the one exact arithmetic alone makes, and the witness
+        differs from an exact search's only after a false zero mod p.  A
+        word difference a - b has the exact rank of rho(g_a) - rho(g_b),
+        g_a and g_b its words' group elements, from `Rep.difference_ranks`
+        at g_a^-1 g_b: an invertible one keeps an invertible product
+        invertible at every u and is skipped, and any other enters the
+        prefix as (g_a, g_b, rank), neither evaluated nor built.
         """
         group, dim = self.rep.group, self.rep.dim
         ev, differences = self.ev, self.tables.differences
@@ -348,35 +352,29 @@ class _Session:
         assign = {**assignment, **dict.fromkeys(self.tables.sep_list, 0)}
         memo: dict = {}
 
-        def elements(node) -> tuple[int, int] | None:
-            """(g_a, g_b) under assign when node is a word difference a - b."""
+        def difference(node) -> tuple | None:
+            """(g_a, g_b, the exact rank of rho(g_a) - rho(g_b)) under assign
+            when node is a word difference a - b."""
             ab = differences.get(node)
             if ab is None:
                 return None
             a, b = ab
             if a.__class__ is str:
-                return assign[a], assign[b]
-            return _word_element(a, assign, group), _word_element(b, assign, group)
+                g_a, g_b = assign[a], assign[b]
+            else:
+                g_a, g_b = _word_element(a, assign, group), _word_element(b, assign, group)
+            return g_a, g_b, diff_ranks[group.table[group.inverse[g_a]][g_b]]
 
         def rank(node) -> int | None:
-            """The exact rank of node under assign when it is a difference."""
-            g = elements(node)
-            if g is not None:
-                return diff_ranks[group.table[group.inverse[g[0]]][g[1]]]
-            return None
+            d = difference(node)
+            return d and d[2]
 
         def build(block: list, node) -> _Factor | None:
-            """The block's factor, node's value (a difference's from its two
-            group elements, not evaluated: {g: 1, g: -1} keeps one), or None
-            when a block of several factors multiplies out to zero."""
-            r = rank(node)
-            if r is None:
-                val = ev._eval(node, assign, memo)
-            else:
-                g_a, g_b = elements(node)
-                val = ev._element({g_a: 1, g_b: -1} if r else {})
-            f = _Factor(ev, val, r)
-            if f.nonzero_mod_p() or not ev._is_zero(val):
+            """The block's factor (node's value, with a word difference's
+            rank), or None when a block of several factors multiplies out
+            to zero."""
+            f = _Factor(ev, ev._eval(node, assign, memo), rank(node))
+            if (f.mod is not None and any(map(any, f.mod))) or not ev._is_zero(f.val):
                 return f
             if len(block) == 1:
                 raise VerifierError("internal: vanishing factor inside witness search")
@@ -388,12 +386,12 @@ class _Session:
         prefix = _Prefix(ev)
         for (slot, block, node), f in zip(self.tables.blocks, factors):
             if f is None:
-                if prefix.pending is None and rank(node) == dim:
+                f = difference(node)
+                if f is None or not f[2]:
+                    f = build(block, node)  # raises on a vanishing difference
+                elif prefix.pending is None and f[2] == dim:
                     continue  # P rho(u) F_i stays invertible
-                f = build(block, node)
-            u = next((u for u in range(group.order) if prefix.extend(f, u)), None)
-            if u is None:
-                raise VerifierError("internal: no separator keeps the witness product nonzero")
+            u = prefix.extend(f)
             if slot is not None:
                 assign[slot] = u
         return assign
@@ -444,10 +442,12 @@ class _Session:
                             for i in range(dim)])
         return factors[::-1]
 
-    def decide(self, assignment: dict):
-        """`settle` after one scan of every root value factor: the decision
-        of structured and sampled mode and of the relation probabilities."""
-        return self.settle(assignment, self.scan_factors(assignment, self.tables.value_factors))
+    def decide(self, assignment: dict, keys=None):
+        """`settle` after one scan of every root value factor (keyed as
+        `scan_factors` takes keys): the decision of structured and sampled
+        mode and of the relation probabilities."""
+        return self.settle(assignment,
+                           self.scan_factors(assignment, self.tables.value_factors, keys))
 
     def settle(self, assignment: dict, scan: int, weight: int = 1):
         """The decision for assignment, given the scan of its root value
@@ -480,9 +480,6 @@ class _Factor:
         self.mod = ev._mod_p(val)
         self._mat = None
 
-    def nonzero_mod_p(self) -> bool:
-        return self.mod is not None and any(any(row) for row in self.mod)
-
     def mat(self) -> Mat:
         if self._mat is None:
             self._mat = self.ev._to_mat(self.val)
@@ -491,117 +488,111 @@ class _Factor:
 
 class _Prefix:
     """A matrix R with the row space of the running product P of the
-    witness search, which extends P by rho(u) and one block factor at a
-    time; an extension that would make P zero leaves it as it was, so
-    nothing is saved or restored.  A zero test P X = 0 depends on the row
-    space of P alone, and R M has the row space of P M, so R stands for P
-    in every test and every extension.  Three exact rules skip or shrink
-    products:
+    witness search, which extends P by rho(u) and one block factor F at a
+    time: a `_Factor`, or a word difference given as (g_a, g_b, its rank),
+    whose image mod p is the difference of two looked-up images.  A zero
+    test P X = 0 depends on the row space of P alone, and R M has the row
+    space of P M, so R stands for P in every test and every extension.
+    Three rules skip or shrink products:
 
     1. While P is invertible, no matrix is carried (`pending` is None).  An
        invertible factor keeps it so at no cost; any other factor F becomes
        R, since rowspace(P rho(u) F) = rowspace(F).
     2. After a nonzero extension by a factor F of exact rank 1, R is F,
        since rowspace(P rho(u) F) is a nonzero subspace of rowspace(F).
-    3. When exact arithmetic finds R, or a product of its first factors,
-       of exact rank 1 (every 2 x 2 minor zero), that product keeps one
-       nonzero row, one whose image in R mod p is nonzero where there is
-       one, and zeros elsewhere: the other rows are multiples of it, so R
-       keeps its row space.  Later products keep the zero rows, and cost
-       one row's arithmetic, mod p and exactly.
+    3. Once the image of R mod p has rank 1, it keeps its first nonzero
+       row, the image of a row of R, and zeros elsewhere.
 
-    R is carried modulo the prime p of `Rep.images_mod_p`: reduction is a
-    ring map, so a product whose image is nonzero is nonzero.  A product
-    whose image is zero is tested exactly, from the recorded factor values
-    multiplied lazily and incrementally.  When that test finds it nonzero,
-    the image is a false zero and would stay zero, so R is carried exactly
-    until rule 2 makes a factor R again.
+    R is carried modulo the prime p of `Rep.images_mod_p` (`mod`), and as
+    `exact` times the values recorded in `pending`.  Reduction is a ring
+    map and every row of the image is the image of a row of R, so a
+    product with a nonzero image is nonzero: each slot takes the first u
+    with one.  Only when none has, or R or F has no image, are the values
+    multiplied (`_catch_up`), the slot takes the first u whose exact
+    product is nonzero, and R is carried exactly until the next reset.
     """
 
     def __init__(self, ev: Evaluator):
-        self.ev = ev
-        red, self.images = ev.rep.images_mod_p
-        self.p = red.p
-        self.dim = ev.rep.dim
+        self.ev, rep = ev, ev.rep
+        red, images = rep.images_mod_p
+        self.images = None if None in images else images  # None: some image does not reduce
+        self.p, self.dim, self.order = red.p, rep.dim, rep.group.order
         # R is exact (None: no factor) times the tagged values in pending,
-        # and pending is None while P is invertible.  _Factor objects are
-        # not kept, so a long search leaves no per-factor objects for the
-        # collector.
-        self.exact: Mat | None = None
-        self.pending: list | None = None
-        self.mod = None  # the image of R, None while R is carried exactly
-        self.one_row = False  # R has one nonzero row (rule 3)
+        # (None, (a, b)) standing for rho(a) - rho(b); pending is None while
+        # P is invertible, and mod is None while R is carried exactly
+        self.exact = self.pending = self.mod = None
 
-    def extend(self, f: _Factor, u: int = 0) -> bool:
-        """Multiply the product by rho(u) f, a nonzero factor, when that
-        keeps it nonzero; return False, leaving the prefix as it was, when
-        it does not."""
-        if self.pending is None:
-            # P rho(u) is invertible and f is nonzero
-            if f.rank != self.dim:
-                self._reset(f)
-            return True
-        cand = exact = None
-        g = self.images[u]
-        if self.mod is not None and f.mod is not None and g is not None:
-            cand = mat_mul_mod(self.mod, g, self.p) if u else self.mod
-            cand = mat_mul_mod(cand, f.mod, self.p)
-        if cand is None or not any(any(row) for row in cand):
-            self._catch_up()
-            exact = (self.exact * self.ev.rep.image(u) if u else self.exact) * f.mat()
-            if exact.is_zero():
-                return False
-        if f.rank == 1:
-            self._reset(f)
-        elif exact is None:
-            self.pending += [(_G, u), f.val] if u else [f.val]
-            self.mod = cand
+    def extend(self, f) -> int:
+        """Multiply the product by rho(u) F, F a nonzero factor, for the
+        first group element u that keeps it nonzero, and return u."""
+        if f.__class__ is tuple:
+            a, b, rank = f
+            val, images, p = (None, (a, b)), self.images, self.p
+            fmod = images and tuple(tuple((s - t) % p for s, t in zip(*rows))
+                                    for rows in zip(images[a], images[b]))
         else:
+            val, fmod, rank = f.val, f.mod, f.rank
+        if self.pending is None:
+            # P rho(0) is invertible and F is nonzero
+            if rank != self.dim:
+                self._reset(val, fmod)
+            return 0
+        mod, p = self.mod, self.p
+        found = None
+        if mod is not None and fmod is not None:
+            cands = (mat_mul_mod(mat_mul_mod(mod, g, p) if u else mod, fmod, p)
+                     for u, g in enumerate(self.images))
+            found = next(((u, c) for u, c in enumerate(cands) if any(map(any, c))), None)
+        if found is None:
+            self._catch_up()
+            exact, image, mat = self.exact, self.ev.rep.image, self._matrix(val)
+            cands = ((exact * image(u) if u else exact) * mat for u in range(self.order))
+            found = next(((u, c) for u, c in enumerate(cands) if not c.is_zero()), None)
+            if found is None:
+                raise VerifierError("internal: no separator keeps the witness product nonzero")
+            u, self.exact = found
             self.mod = None  # a false zero, or no image
-            self.exact = self._reduced(exact)
-        return True
+        else:
+            u, mod = found
+            if rank != 1:
+                self.pending += [(_G, u), val] if u else [val]
+                self.mod = _one_row(mod, p)
+        if rank == 1:
+            self._reset(val, fmod)
+        return u
 
-    def _reset(self, f: _Factor) -> None:
-        """R becomes f (rules 1 and 2)."""
-        self.exact, self.pending = None, [f.val]
-        self.mod = f.mod if f.nonzero_mod_p() else None
-        self.one_row = False
+    def _reset(self, val, mod) -> None:
+        """R becomes the factor of value val and image mod (rules 1 and 2)."""
+        self.exact, self.pending = None, [val]
+        self.mod = (_one_row(mod, self.p) if self.images and mod and any(map(any, mod))
+                    else None)
+
+    def _matrix(self, val) -> Mat:
+        """The exact matrix of a recorded value."""
+        if val[0] is None:
+            a, b = val[1]
+            return self.ev.rep.image(a) - self.ev.rep.image(b)
+        return self.ev._to_mat(val)
 
     def _catch_up(self) -> None:
         """Multiply the pending values into exact."""
-        exact = self.exact
         for val in self.pending:
-            mat = self.ev._to_mat(val)
-            exact = self._reduced(mat if exact is None else exact * mat)
-        self.exact, self.pending = exact, []
-
-    def _reduced(self, mat: Mat) -> Mat:
-        """mat, a product of R's first factors, or its one row when it has
-        rank 1 (rule 3)."""
-        if self.one_row:
-            return mat
-        rows = mat.rows
-        nonzero = [i for i, row in enumerate(rows) if any(any(v.num) for v in row)]
-        if len(nonzero) > 1 and not _proportional(rows, nonzero):
-            return mat
-        self.one_row = True
-        if len(nonzero) == 1:
-            return mat
-        mod = self.mod
-        keep = next((i for i in nonzero if mod is not None and any(mod[i])), nonzero[0])
-        if mod is not None:
-            self.mod = tuple(row if i == keep else (0,) * self.dim
-                             for i, row in enumerate(mod))
-        zero = (Cyc.zero(),) * self.dim
-        return Mat(row if i == keep else zero for i, row in enumerate(rows))
+            mat = self._matrix(val)
+            self.exact = mat if self.exact is None else self.exact * mat
+        self.pending = []
 
 
-def _proportional(rows, nonzero: list[int]) -> bool:
-    """The rows listed in nonzero (the nonzero rows) are multiples of the
-    first of them: every 2 x 2 minor is zero, so the matrix has rank 1."""
-    first, n = rows[nonzero[0]], len(rows)
-    return all((first[j] * rows[i][k] - first[k] * rows[i][j]).is_zero()
-               for i in nonzero[1:] for j in range(n) for k in range(j + 1, n))
+def _one_row(mod, p: int) -> tuple:
+    """Rule 3 of `_Prefix`: mod, a nonzero matrix mod p, or its first
+    nonzero row alone, zeros elsewhere, when the other rows are multiples
+    of it (every minor with its first nonzero column vanishes)."""
+    rows = [i for i, row in enumerate(mod) if any(row)]
+    first = mod[rows[0]]
+    j = next(k for k, v in enumerate(first) if v)
+    if len(rows) == 1 or any((first[j] * mod[i][k] - first[k] * mod[i][j]) % p
+                             for i in rows[1:] for k in range(len(first))):
+        return mod
+    return tuple(row if i == rows[0] else (0,) * len(row) for i, row in enumerate(mod))
 
 
 def _verify(session: _Session, evidence: str, decisions, detail: dict, t0: float,
@@ -671,14 +662,21 @@ def _exhaustive_decisions(session: _Session, names: list[str], start: int, stop:
     tables, m = session.tables, session.rep.group.order
     read = set(tables.read_names)
     weight = m ** (len(names) - len(read))
-    keys = [(f.sorted_vars(), None if len(f.sorted_vars()) == len(read) else session.vanishing)
-            for f in tables.value_factors]
+    keys = _walk_keys(session, len(read))
     ranges = [range(m) if name in read else (0,) for name in names]
     for values in itertools.islice(itertools.product(*ranges), start, stop):
         assignment = dict(zip(names, values))
         scan = session.scan_factors(assignment, tables.value_factors, keys)
         if scan != VANISHES:
             yield assignment, session.settle(assignment, scan, weight)
+
+
+def _walk_keys(session: _Session, walked: int) -> list:
+    """The scan keys (`_Session.scan_factors`) of a walk over every value
+    of `walked` names that the root value factors read: a factor that reads
+    all of them sees each of its keys once, so it records nothing."""
+    return [(f.sorted_vars(), None if len(f.sorted_vars()) == walked else session.vanishing)
+            for f in session.tables.value_factors]
 
 
 def _parallel_failures(session: _Session, names: list[str], jobs: int):
@@ -1144,12 +1142,12 @@ def _relation_session(expr: Expr, rep: Rep) -> _Session:
     return _Session(doc, rep)
 
 
-def _vanishes(session: _Session, assignment: dict) -> bool:
-    """Exact zero test of the relation probabilities (`_Session.decide`,
-    whose separator decision, with no separators, is the zero test of the
-    product of the root factors): a certified streamed product counts as
-    nonvanishing, an undecided one raises."""
-    outcome = session.decide(assignment)
+def _vanishes(session: _Session, assignment: dict, keys: list) -> bool:
+    """Exact zero test of the relation probabilities (`_Session.decide`
+    keyed by `_walk_keys`; with no separators, its separator decision is the
+    zero test of the product of the root factors): a certified streamed
+    product counts as nonvanishing, an undecided one raises."""
+    outcome = session.decide(assignment, keys)
     if outcome == "undecided":
         raise VerifierError(f"relation undecided at {assignment}")
     return outcome is None
@@ -1157,8 +1155,9 @@ def _vanishes(session: _Session, assignment: dict) -> bool:
 
 def relation_probability(expr: Expr, rep: Rep, budget: int = 300_000) -> Fraction:
     session, names = _relation_session(expr, rep), sorted(expr.free_vars())
-    hits = sum(_vanishes(session, a) for a in _all_assignments(names, rep.group.order, budget))
-    return Fraction(hits, rep.group.order ** len(names))
+    keys, m = _walk_keys(session, len(names)), rep.group.order
+    hits = sum(_vanishes(session, a, keys) for a in _all_assignments(names, m, budget))
+    return Fraction(hits, m ** len(names))
 
 
 def conditional_relation_probability(u: Expr, v: Expr, rep: Rep,
@@ -1169,11 +1168,12 @@ def conditional_relation_probability(u: Expr, v: Expr, rep: Rep,
     names = sorted(u.free_vars() | v.free_vars())
     uu = _relation_session(prod([u, star(u)]), rep)
     vv = _relation_session(prod([v, star(v)]), rep)
+    uu_keys, vv_keys = _walk_keys(uu, len(names)), _walk_keys(vv, len(names))
     both = v_only = 0
     for assignment in _all_assignments(names, rep.group.order, budget):
-        if _vanishes(vv, assignment):
+        if _vanishes(vv, assignment, vv_keys):
             v_only += 1
-            both += _vanishes(uu, assignment)
+            both += _vanishes(uu, assignment, uu_keys)
     if v_only == 0:
         raise VerifierError("conditioning relation never holds")
     return Fraction(both, v_only)

@@ -164,6 +164,36 @@ def test_conditional_probability(s3_std):
     assert vf.conditional_relation_probability(u, v, s3_std) == Fraction(1, 4)
 
 
+def test_relation_probabilities_record_no_key_per_assignment(monkeypatch):
+    """The relation probabilities walk every assignment of the relation's
+    variables, so a root factor that reads all of them sees each of its
+    keys once and, as in the exhaustive walk, records nothing in the
+    vanishing table.  The probabilities are those of a direct count:
+    ab + ba + 1 vanishes on no pair of S4:rho4 (`reference_eval`), and
+    ab - ba on the 120 commuting pairs of the 576 (rho4 is faithful)."""
+    rep = catalog.symmetric(4).rep("rho4")
+    a, b = var("a"), var("b")
+    anti = sum_([prod([a, b]), prod([b, a]), const(1)])
+    comm, equal = sub(prod([a, b]), prod([b, a])), sub(a, b)
+    table = rep.group.table
+    assert sum(table[x][y] == table[y][x] for x in range(24) for y in range(24)) == 120
+    assert not any(reference_eval(anti, {"a": rep.image(x), "b": rep.image(y)}, 3).is_zero()
+                   for x in range(24) for y in range(24))
+    sessions = []
+    relation_session = vf._relation_session
+
+    def record(expr, rep):
+        sessions.append(relation_session(expr, rep))
+        return sessions[-1]
+
+    monkeypatch.setattr(vf, "_relation_session", record)
+    assert vf.relation_probability(anti, rep) == 0
+    assert vf.relation_probability(comm, rep) == Fraction(120, 576)
+    assert vf.conditional_relation_probability(anti, comm, rep) == 0
+    assert vf.conditional_relation_probability(comm, equal, rep) == 1
+    assert len(sessions) == 6 and not any(s.vanishing for s in sessions)
+
+
 def test_parallel_exhaustive(z3_chi):
     doc = idf.guard_C(3)
     v = vf.holds_exhaustive(doc, z3_chi, budget=10**7, jobs=2)
@@ -814,6 +844,110 @@ def test_witness_search_falls_back_to_exact_on_a_false_modular_zero(s3_std, monk
     assert tested == [True] * u + [False] + [True] * w + [False]
 
 
+def test_s4_separation_witness_is_decided_modulo_p(monkeypatch):
+    """s4-sep of rho5 fails on S4:rho4 (guarded, four orderings).  Every
+    slot of its witness search takes a candidate whose image mod p is
+    nonzero: no exact matrix product is made and no recorded factor is
+    multiplied out, and the witness, with x of order 4, is the one of exact
+    arithmetic alone."""
+    s4 = catalog.symmetric(4)
+    rep, doc = s4.rep("rho4"), idf.s4_separating_identity(s4.rep("rho5"))
+    calls = []
+    mul, catch_up = Mat.__mul__, vf._Prefix._catch_up
+    monkeypatch.setattr(Mat, "__mul__", lambda a, b: calls.append("mul") or mul(a, b))
+    monkeypatch.setattr(vf._Prefix, "_catch_up",
+                        lambda prefix: calls.append("catch-up") or catch_up(prefix))
+    verdict = vf.holds_guarded(doc, rep, seed=0, orderings=4)
+    monkeypatch.undo()
+    assert verdict.status == "fails" and not calls
+    witness = verdict.counterexample
+    assert _exact_greedy(vf._Session(doc, rep), witness) == witness
+    assert rep.group.element_order(witness["x"]) == 4
+    images = {name: rep.image(g) for name, g in witness.items()}
+    assert not reference_eval(doc.expr, images, rep.dim).is_zero()
+
+
+def _zero_modular_pass(monkeypatch):
+    """Make every candidate image mod p of one slot of each witness search
+    read zero, as false zeros would: the k-th slot that tests images, k
+    the entry of the returned list.  The second list records (slot number,
+    zeroed) per slot that tests images."""
+    extend, mat_mul_mod = vf._Prefix.extend, vf.mat_mul_mod
+    slot, passes, zeroing = [0], [], [False]
+
+    def spy_extend(prefix, f):
+        if prefix.pending is None or prefix.mod is None:
+            return extend(prefix, f)
+        prefix.passes = getattr(prefix, "passes", 0) + 1
+        passes.append((prefix.passes, prefix.passes == slot[0]))
+        zeroing[0] = passes[-1][1]
+        try:
+            return extend(prefix, f)
+        finally:
+            zeroing[0] = False
+
+    def spy_mul(a, b, p):
+        product = mat_mul_mod(a, b, p)
+        return tuple((0,) * len(row) for row in product) if zeroing[0] else product
+
+    monkeypatch.setattr(vf._Prefix, "extend", spy_extend)
+    monkeypatch.setattr(vf, "mat_mul_mod", spy_mul)
+    return slot, passes
+
+
+@pytest.mark.parametrize("name", ["s4-separation of rho5 on rho4",
+                                  "s4-separation of rho4 on rho5", "S3 dimension n=3"])
+def test_a_slot_without_a_nonzero_image_is_decided_exactly(name, monkeypatch):
+    """When every candidate of one slot has a zero image mod p, that slot
+    is decided in exact arithmetic: the recorded factors are multiplied
+    out, the slot takes the first u whose exact product is nonzero, and
+    the product is carried exactly until a factor of rank 1 resets it.
+    The witness is then still the one of exact arithmetic alone."""
+    doc, rep, args, combos = _nonvanishing_arguments(name)
+    assignment = {v: i for vars_ in doc.guards.values() for i, v in enumerate(vars_)}
+    assignment.update(zip(args, combos[-1]))
+    session = vf._Session(doc, rep)
+    greedy = _exact_greedy(session, assignment)
+    assert greedy is not None
+    slot, passes = _zero_modular_pass(monkeypatch)
+    assert session.witness_value(assignment) == greedy  # no pass zeroed
+    count = len(passes)
+    assert count > 1
+    catch_up, caught = vf._Prefix._catch_up, []
+    monkeypatch.setattr(vf._Prefix, "_catch_up",
+                        lambda prefix: caught.append(1) or catch_up(prefix))
+    for k in sorted({1, 2, count // 2, count}):
+        slot[0], passes[:], caught[:] = k, [], []
+        assert session.witness_value(assignment) == greedy
+        assert (k, True) in passes and caught
+
+
+def test_a_slot_decided_exactly_on_a_reducible_rep_matches_brute_force(monkeypatch):
+    """On the S3 permutation rep, random separated products of word sums
+    with the candidates of one slot zeroed mod p reach the separator
+    decision of brute force (`_assert_brute_force_decision`)."""
+    rep = _decision_rep("S3:perm")
+    slot, passes = _zero_modular_pass(monkeypatch)
+
+    @settings(max_examples=120, deadline=None)
+    @given(expr=_separated_products(), x=st.integers(0, 5), z=st.integers(0, 5),
+           data=st.data())
+    def decide(expr, x, z, data):
+        doc = idf.IdentityDoc("test", expr, {}, {}, "separated product")
+        session = vf._Session(doc, rep)
+        values = {"x": x, "z": z}
+        assignment = {name: values.get(name, 0) for name in expr.free_vars()}
+        assume(len(session.tables.blocks) > 1)
+        assume(session.scan_factors(assignment, session.tables.value_factors) != vf.VANISHES)
+        k = data.draw(st.integers(1, len(session.tables.blocks) - 1))
+        slot[0], passes[:] = k, []
+        outcome = session.witness_value(assignment)
+        event("a slot decided exactly" if (k, True) in passes else "no pass zeroed")
+        _assert_brute_force_decision(doc, rep, assignment, outcome)
+
+    decide()
+
+
 def test_fixed_point_free_guard_costs_no_product(monkeypatch):
     """Every guard difference of gamma(7,9,2):pi(1,2) is invertible, so the
     witness search of the gamma-sep fails verdict multiplies nothing through
@@ -835,34 +969,34 @@ def test_fixed_point_free_guard_costs_no_product(monkeypatch):
 
 
 def test_prefix_keeps_one_row_of_a_rank_one_product_only():
-    """Rule 3 of `_Prefix`: a product of exact rank 1 keeps one nonzero row
-    (one with a nonzero image mod p) and so its row space; a product of
-    larger rank is kept whole.  Products (rho(g) - I)(rho(h) - I) on W3's
-    3-dimensional rho_w have every rank from 1 to 3."""
+    """Rule 3 of `_Prefix`, on the image mod p: the image of a product of
+    exact rank 1 keeps its first nonzero row, the image of that row of the
+    exact product, and zeros elsewhere, so it keeps its row space; the
+    image of a product of larger rank is kept whole.  Products (rho(g) -
+    I)(rho(h) - I) on W3's 3-dimensional rho_w have every rank from 1 to
+    3."""
     from repident.freeexpr import _M
     from repident.matrices import Mat, rref
 
     rep = catalog.get_rep("W3", "rho_w")
     ev, identity = Evaluator(rep), Mat.identity(rep.dim)
+    p = rep.images_mod_p[0].p
     ranks = set()
     for g, h in itertools.product(range(0, rep.group.order, 5), repeat=2):
         product = (rep.image(g) - identity) * (rep.image(h) - identity)
-        echelon, pivots = rref([list(row) for row in product.rows])
+        pivots = rref([list(row) for row in product.rows])[1]
         if not pivots:
             continue
         ranks.add(len(pivots))
-        prefix = vf._Prefix(ev)
-        prefix.mod = mod = ev._mod_p((_M, product))
-        kept = prefix._reduced(product)
-        nonzero = [i for i, row in enumerate(kept.rows) if any(not v.is_zero() for v in row)]
-        assert prefix.one_row == (len(nonzero) == 1) == (len(pivots) == 1)
+        mod = ev._mod_p((_M, product))
+        kept = vf._one_row(mod, p)
         if len(pivots) > 1:
-            assert kept is product and prefix.mod is mod
+            assert kept is mod
             continue
-        assert rref([list(row) for row in kept.rows]) == (echelon, pivots)
-        (i,) = nonzero
-        assert any(mod[i]) and prefix.mod == tuple(
-            row if k == i else (0,) * rep.dim for k, row in enumerate(mod))
+        nonzero = [i for i, row in enumerate(product.rows) if any(not v.is_zero() for v in row)]
+        i = nonzero[0]
+        assert kept == tuple(row if k == i else (0,) * rep.dim for k, row in enumerate(mod))
+        assert any(kept[i]) and vf._one_row(kept, p) is kept
     assert ranks == {1, 2, 3}
 
 
@@ -1490,10 +1624,13 @@ def test_differences_are_decided_from_kernel_cosets(rep_name, words, monkeypatch
     decided without evaluation and stored in no table: on every
     assignment of a and b the session's decision is an exact zero test of
     the evaluated difference.  The witness search reads its exact rank
-    from `Rep.difference_ranks`: it builds no factor for an invertible
-    difference, builds any other from its two group elements, with the
-    evaluator's value and image mod p and the rank of the matrix
-    `reference_eval` finds, and raises on a vanishing one."""
+    from `Rep.difference_ranks` and raises on a vanishing one.  It skips
+    an invertible difference; on an irreducible rep it takes any other as
+    its two group elements, building no factor, with the rank of the
+    matrix `reference_eval` finds and the difference of their images mod
+    p; on a reducible rep, whose blocks are projected, it builds the
+    factor from the two elements, with the evaluator's value and image."""
+    from repident.freeexpr import _M
     from repident.matrices import rref
 
     make_rep, kernel_order = _DIFFERENCE_REPS[rep_name]
@@ -1525,16 +1662,21 @@ def test_differences_are_decided_from_kernel_cosets(rep_name, words, monkeypatch
     assert not session.vanishing
     assert len(kernel) == kernel_order
     del session.ev._eval
-    built = []
+    built, states = [], []
+    factor, extend = vf._Factor, vf._Prefix.extend
 
-    class Recording(vf._Factor):
-        __slots__ = ()
+    def record_factor(*args):
+        built.append(factor(*args))
+        return built[-1]
 
-        def __init__(self, ev, val, rank=None):
-            super().__init__(ev, val, rank)
-            built.append(self)
+    def record_extend(prefix, f):
+        u = extend(prefix, f)
+        states.append((f, prefix.pending and list(prefix.pending), prefix.mod))
+        return u
 
-    monkeypatch.setattr(vf, "_Factor", Recording)
+    monkeypatch.setattr(vf, "_Factor", record_factor)
+    monkeypatch.setattr(vf._Prefix, "extend", record_extend)
+    p = rep.images_mod_p[0].p
     nonzero = None
     for assignment in assignments[:576]:
         val = ev._eval(forward, assignment, {})
@@ -1542,6 +1684,7 @@ def test_differences_are_decided_from_kernel_cosets(rep_name, words, monkeypatch
                              rep.dim)
         rank = len(rref([list(row) for row in mat.rows])[1])
         built.clear()
+        states.clear()
         if rank == 0:
             assert ev._is_zero(val)
             with pytest.raises(vf.VerifierError, match="vanishing factor"):
@@ -1550,11 +1693,21 @@ def test_differences_are_decided_from_kernel_cosets(rep_name, words, monkeypatch
         nonzero = nonzero or assignment
         assert session.witness_value(assignment) == assignment
         if rank == rep.dim:
-            assert not built  # the product stays invertible
+            assert not built and not states  # the product stays invertible
+        elif rep.is_irreducible():
+            # no factor is built: the forward difference enters the prefix
+            # as its two group elements, and its image is the difference of
+            # their images, kept to one row when it has rank 1
+            assert not built
+            f, pending, mod = states[0]
+            g_a, g_b = f[:2]
+            assert f[2] == rank and pending == [(None, (g_a, g_b))]
+            assert mat == rep.image(g_a) - rep.image(g_b)
+            assert mod == vf._one_row(ev._mod_p((_M, mat)), p)
         else:
-            # the forward difference is built first, or on a reducible rep,
-            # whose blocks are built right to left, after the backward one
-            f = built[0 if rep.is_irreducible() else 1]
+            # blocks are built right to left on a reducible rep: the forward
+            # difference after the backward one, from its two group elements
+            f = built[1]
             assert f.val == val and f.mod == ev._mod_p(val)
             assert f.rank == rank and f.mat() == mat
     if nonzero:

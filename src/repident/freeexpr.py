@@ -558,7 +558,7 @@ class Evaluator:
     Node values and product folds are shared within one call (its memo),
     never across calls.
     Reuse across assignments belongs to the caller that knows which values
-    repeat (the verifier's vanishing table).
+    repeat (the verifier's vanishing table and guarded mode's walk).
     """
 
     def __init__(self, rep):

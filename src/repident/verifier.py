@@ -28,7 +28,8 @@ sampled mode never enumerate or draw a separator: it changes no scan, and
 the separator decision covers every choice of it.  Each assignment is
 decided once: one scan of its root value factors
 (`_Session.scan_factors`; guarded mode scans the factors free of
-arguments once per ordering), then `_Session.settle`.  One loop
+arguments once per ordering and each argument factor at its level of the
+walk), then `_Session.settle`.  One loop
 (`_verify`) takes the decisions, counts the undecided ones and builds the
 verdict.  A scan has one outcome: VANISHES
 (a root factor vanishes) settles the assignment, UNDECIDED (a streamed
@@ -53,13 +54,20 @@ of the product lives in).  Past it some choice keeps the product nonzero
 (Burnside on an irreducible rep), so the search for it cannot fail.
 Only a streamed factor leaves an assignment undecided.
 
-The session's vanishing table remembers, per root factor and per values of
-that factor's variables, whether the factor vanishes; a streamed factor
-that certifies nonvanishing or stays undecided is never stored, nor is a
-factor that a walk over every assignment sees once per key.  What the
-verifier derives from a document alone is built once per document
-(`_DocTables`).  A root factor w1 - w2 of two group words (`_difference`;
-a guard difference y_i - y_j is the one-letter case) is never evaluated:
+In exhaustive, sampled and structured mode and in the relation
+probabilities, the session's vanishing table remembers, per root factor
+and per values of that factor's variables, whether the factor vanishes; a
+streamed factor that certifies nonvanishing or stays undecided is never
+stored, nor is a factor that a walk over every assignment sees once per
+key.  Guarded mode keeps no such table.  It walks its arguments one level
+at a time (`_GuardedPlan`): each argument factor is decided where its last
+argument is bound, once per values of the arguments it reads, and a factor
+that reads its one argument only inside conjugation averages over a whole
+guard group once per conjugacy class; it keeps a factor's outcomes only
+where their key can recur.  What the verifier derives from a document
+alone is built once per document (`_DocTables`).  A root factor w1 - w2
+of two group words (`_difference`; a guard difference y_i - y_j is the
+one-letter case) is never evaluated:
 rho(w1) - rho(w2) vanishes exactly when the words' group elements lie in
 one coset of ker rho (`Rep.kernel_cosets`).  The separator search extends
 the running product by one block factor at a time and carries a matrix
@@ -80,6 +88,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import operator
 import random
 import time
 import weakref
@@ -178,6 +187,7 @@ class _DocTables:
     elements."""
 
     symmetric = None  # the guard-symmetry certificate, set by `_guards_symmetric`
+    _guarded = None  # guarded mode's walk, built by `guarded_plan`
 
     def __init__(self, doc: IdentityDoc, relation: bool = False):
         roots = list(doc.expr.children) if doc.expr.kind == "prod" else [doc.expr]
@@ -232,6 +242,73 @@ class _DocTables:
         return [(self.slots[i], self.value_factors[i:j], prod(self.value_factors[i:j]))
                 for i, j in zip(opens, opens[1:] + [len(self.slots)])]
 
+    def guarded_plan(self, groups: dict, args: list[str]) -> _GuardedPlan:
+        """Guarded mode's walk over args, the document's arguments under its
+        guard groups (`_GuardedPlan`).  Built when guarded mode first asks."""
+        if self._guarded is None or self._guarded.args != args:
+            self._guarded = _GuardedPlan(self, groups, args)
+        return self._guarded
+
+
+class _GuardedPlan:
+    """How guarded mode walks its arguments: in order, the last fastest,
+    one level per argument.  A root value factor that reads no argument is
+    `static`, scanned once per ordering.  Any other is decided at the level
+    of the last argument it reads, and a vanishing one prunes the values of
+    every later argument:
+
+    - a factor that reads one argument filters that argument's values
+      (`filters`): scanned once per value and ordering, where the walk first
+      binds the value and the level's other factors leave it;
+    - a factor that reads several is scanned per values of the arguments up
+      to its level (`joints`); one that skips a level meets its key once per
+      value of the skipped arguments, so it is keyed.
+
+    A factor that reads its one argument only in the middles of psi blocks
+    over a whole guard group, middles that read no other variable and hold
+    no stream, is keyed by the argument's conjugacy class: guards are a
+    bijection Y onto G in guarded mode, so psi_Y(T(h z h^-1)) = psi_Y(T(z)).
+    Sampled arguments repeat their values in any combination, so there
+    every factor of `dynamic` is keyed.  A word difference is never keyed:
+    kernel cosets decide it.
+
+    Each entry is (factor, names, classed, recurs, guard_free): names, the
+    arguments it reads, None for a word difference; classed when it is
+    keyed by class; recurs when its key recurs within an ordering.  Each
+    list holds the factors that may be keyed, then the word differences,
+    then the others, so that a scan reads known outcomes first.
+    """
+
+    def __init__(self, tables: _DocTables, groups: dict, args: list[str]):
+        self.args = args
+        level_of = {name: i for i, name in enumerate(args)}
+        guards = frozenset().union(*groups.values())
+        self.static: list = []
+        self.dynamic: list = []
+        self.filters: list = [[] for _ in args]
+        self.joints: list = [[] for _ in args]
+        for f in tables.value_factors:
+            read = sorted(level_of[v] for v in f.free_vars() if v in level_of)
+            if not read:
+                self.static.append(f)
+                continue
+            names = tuple(args[i] for i in read)
+            guard_free = f.free_vars().isdisjoint(guards)
+            if f in tables.differences:
+                entry = (f, None, False, False, guard_free)
+            elif len(read) == 1:
+                name = names[0]
+                classed = _confined_to_psi(f, frozenset(names), groups, lambda middle: (
+                    middle.free_vars() == {name} and not _holds_stream(middle)))
+                entry = (f, names, classed, classed, guard_free)
+            else:
+                entry = (f, names, False, read != list(range(read[-1] + 1)), guard_free)
+            self.dynamic.append(entry)
+            (self.filters if len(read) == 1 else self.joints)[read[-1]].append(entry)
+        for entries in [self.dynamic, *self.filters, *self.joints]:
+            entries.sort(key=lambda entry: 1 if entry[1] is None else
+                         0 if entry[3] or entry[4] else 2)
+
 
 # document -> its _DocTables, dropped with the document
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -264,55 +341,66 @@ class _Session:
         `StreamNonvanishing` certifies its factor only under premise (c):
         it names the factor, and the document separates its value factors.
 
-        Zero tests are looked up in, and recorded in, the session's
+        Known outcomes and word differences are read first, in factor
+        order, and the other factors are evaluated after them, in factor
+        order.  Zero tests are looked up in, and recorded in, the session's
         vanishing table keyed by all of a factor's variables, or as keys
-        gives: one (variables, table) per factor, table None for a factor
-        that is evaluated every time and records nothing.  A word
-        difference a - b (`_DocTables.differences`) is never evaluated nor
-        stored: it vanishes when the group elements of its two words share
-        a kernel coset.  A difference of two vars is kept as two names and
-        decided by two lookups; any other word is folded through the group
-        table (`_word_element`).  Folding one-letter words as well slows the
+        gives: one (key_of, table) per factor, the key key_of(assignment),
+        table None for a factor that is evaluated every time and records
+        nothing.  A streamed factor that certifies nonvanishing or stays
+        undecided is never recorded.  A word difference a - b
+        (`_DocTables.differences`) is never evaluated nor stored: it
+        vanishes when the group elements of its two words share a kernel
+        coset.  A difference of two vars is kept as two names and decided
+        by two lookups; any other word is folded through the group table
+        (`_word_element`).  Folding one-letter words as well slows the
         character identities on 2T:nat and H3:theta1, which scan 276 and
         351 guard differences per ordering, by 7 to 19%
         (`BENCH_word_differences.json`).
         """
-        memo: dict = {}
-        outcome = NONE
-        tables = self.tables
-        cosets, differences = self.cosets, tables.differences
+        cosets, differences = self.cosets, self.tables.differences
         value = assignment.__getitem__
         group = self.rep.group
+        pending = []
         for i, f in enumerate(factors):
             if cosets is not None:
                 ab = differences.get(f)
                 if ab is not None:
                     a, b = ab
                     if a.__class__ is str:
-                        if cosets[assignment[a]] == cosets[assignment[b]]:
+                        if cosets[value(a)] == cosets[value(b)]:
                             return VANISHES
                     elif (cosets[_word_element(a, assignment, group)]
                             == cosets[_word_element(b, assignment, group)]):
                         return VANISHES
                     continue
-            names, table = keys[i] if keys else (f.sorted_vars(), self.vanishing)
-            key = vanishes = None
+            if keys is None:
+                table, key = self.vanishing, (id(f), tuple(map(value, f.sorted_vars())))
+            else:
+                key_of, table = keys[i]
+                key = key_of(assignment) if table is not None else None
             if table is not None:
-                key = (id(f), tuple(map(value, names)))
                 vanishes = table.get(key)
-            if vanishes is None:
-                try:
-                    val = self.ev._eval(f, assignment, memo)
-                except StreamNonvanishing as exc:
-                    certified = exc.node is f and tables.separated
-                    outcome = max(outcome, CERTIFIED if certified else UNDECIDED)
+                if vanishes is not None:
+                    if vanishes:
+                        return VANISHES
                     continue
-                except StreamUndecided:
-                    outcome = UNDECIDED
-                    continue
-                vanishes = self.ev._is_zero(val)
-                if table is not None:
-                    table[key] = vanishes
+            pending.append((f, table, key))
+        memo: dict = {}
+        outcome = NONE
+        for f, table, key in pending:
+            try:
+                val = self.ev._eval(f, assignment, memo)
+            except StreamNonvanishing as exc:
+                certified = exc.node is f and self.tables.separated
+                outcome = max(outcome, CERTIFIED if certified else UNDECIDED)
+                continue
+            except StreamUndecided:
+                outcome = UNDECIDED
+                continue
+            vanishes = self.ev._is_zero(val)
+            if table is not None:
+                table[key] = vanishes
             if vanishes:
                 return VANISHES
         return outcome
@@ -674,9 +762,18 @@ def _exhaustive_decisions(session: _Session, names: list[str], start: int, stop:
 def _walk_keys(session: _Session, walked: int) -> list:
     """The scan keys (`_Session.scan_factors`) of a walk over every value
     of `walked` names that the root value factors read: a factor that reads
-    all of them sees each of its keys once, so it records nothing."""
-    return [(f.sorted_vars(), None if len(f.sorted_vars()) == walked else session.vanishing)
-            for f in session.tables.value_factors]
+    all of them sees each of its keys once, so it records nothing; any
+    other keeps the session's key in the session's table."""
+    keys = []
+    for f in session.tables.value_factors:
+        names = f.sorted_vars()
+        if len(names) == walked:
+            keys.append((None, None))
+        else:
+            keys.append((lambda assignment, node=id(f), names=names:
+                         (node, tuple(map(assignment.__getitem__, names))),
+                         session.vanishing))
+    return keys
 
 
 def _parallel_failures(session: _Session, names: list[str], jobs: int):
@@ -750,27 +847,84 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
     decision) over guard orderings times argument values, less those found
     vanishing; detail["checked"] counts them.  Per ordering, the factors
     free of arguments are scanned once (a zero among them settles every
-    argument value) and the others per argument value, keyed by its
-    argument values in a table of the ordering (the session's, when all its
-    variables are arguments).  With exhaustive arguments on a document
-    symmetric in its guards (`_guards_symmetric`), an argument value's scan
-    is the same in every ordering: an ordering past the first scans
-    nothing, and settles the first's nonvanishing argument values, with its
-    own guard values, by their first scans.  It still draws its shuffle.
+    argument value).  Enumerated arguments are walked one level at a time
+    (`_GuardedPlan`): each argument factor is decided once per values of
+    the arguments it reads, a vanishing one prunes that subtree, and the
+    survivors come in lexicographic order, detail["checked"] set from each
+    one's index.  A factor has a table only where its key can recur: one
+    keyed by class, or one that skips a level, keeps it for the ordering,
+    and one that reads no guard keeps it for the verdict when orderings
+    are scanned more than once.  Sampled arguments scan every argument
+    factor per draw, each keyed by the arguments it reads for the ordering
+    (for the verdict when it reads no guard).  With exhaustive arguments on
+    a document symmetric in its guards (`_guards_symmetric`), an argument
+    value's scan is the same in every ordering: an ordering past the first
+    scans nothing, and settles the first's nonvanishing argument values,
+    with its own guard values, by their first scans.  It still draws its
+    shuffle.
     """
     m = session.rep.group.order
-    rng = session.rng
-    arg_set = set(args)
-    value_factors = session.tables.value_factors
-    static = [f for f in value_factors if not f.free_vars() & arg_set]
-    dynamic = [f for f in value_factors if f.free_vars() & arg_set]
-    arg_names = [tuple(v for v in f.sorted_vars() if v in arg_set) for f in dynamic]
+    rng, scan_factors = session.rng, session.scan_factors
+    plan = session.tables.guarded_plan(groups, args)
     reuse = exhaustive_args and _guards_symmetric(session, groups)
+    lasting = orderings > 0 and not reuse  # tables of guard-free factors last the verdict
+    verdict_tables: dict = {}
+
+    def key_of(names: tuple, classed: bool):
+        if classed:
+            name, index_of = names[0], session.rep.group.conjugacy_classes.index_of
+            return lambda assignment: index_of(assignment[name])
+        return operator.itemgetter(*names)
+
+    key_fns = {f: key_of(names, classed) for f, names, classed, _, _ in plan.dynamic
+               if names is not None}
+
+    def keys(entries: list, keyed: bool = False) -> list:
+        """The scan keys of entries for one ordering; every factor but a word
+        difference is keyed when keyed is set."""
+        out = []
+        for f, names, _, recurs, guard_free in entries:
+            if names is None or not (keyed or recurs or guard_free and lasting):
+                out.append((None, None))
+            elif guard_free and lasting:
+                out.append((key_fns[f], verdict_tables.setdefault(f, {})))
+            else:
+                out.append((key_fns[f], {}))
+        return out
+
+    static_keys = [(None, None)] * len(plan.static)
+    dynamic = [entry[0] for entry in plan.dynamic]
+    filter_factors = [[entry[0] for entry in entries] for entries in plan.filters]
+    joint_factors = [[entry[0] for entry in entries] for entries in plan.joints]
+
+    def walk(level: int, outcome: int, index: int):
+        """(index, scan) of the surviving argument tuples below the values
+        bound at the levels before level, in lexicographic order.  A value
+        whose filter scan is known is read first, then the level's other
+        factors are scanned, and the filters are scanned last."""
+        name, last = args[level], level + 1 == len(args)
+        factors, level_keys = joint_factors[level], joint_keys[level]
+        filters, known = filter_factors[level], filtered[level]
+        for v in range(m):
+            scan = known[v]
+            if scan == VANISHES:
+                continue
+            assignment[name] = v
+            joint = scan_factors(assignment, factors, level_keys) if factors else NONE
+            if joint == VANISHES:
+                continue
+            if scan is None:
+                scan = known[v] = scan_factors(assignment, filters, filter_keys[level])
+                if scan == VANISHES:
+                    continue
+            scan = max(outcome, scan, joint)
+            if last:
+                yield index * m + v, scan
+            else:
+                yield from walk(level + 1, scan, index * m + v)
+
     survivors: list = []  # (argument values, scan) of the first ordering's nonvanishing ones
     for rnd in range(orderings + 1):
-        local: dict = {}
-        keys = [(names, session.vanishing if len(names) == len(f.sorted_vars()) else local)
-                for f, names in zip(dynamic, arg_names)]
         assignment: dict = {s: 0 for s in session.tables.sep_list}
         for vars_ in groups.values():
             order = list(range(m))
@@ -784,24 +938,33 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
                 settled = dict(assignment)
                 yield settled, session.settle(settled, scan)
             continue
-        if exhaustive_args:
-            arg_iter = itertools.product(range(m), repeat=len(args))
-        else:
-            arg_iter = (
-                tuple(rng.randrange(m) for _ in args) for _ in range(GUARDED_ARG_SAMPLES)
-            )
-        static_scan = session.scan_factors(assignment, static)
+        static_scan = scan_factors(assignment, plan.static, static_keys)
         if static_scan == VANISHES:
             detail["checked"] += 1
             continue
-        for combo in arg_iter:
-            assignment.update(zip(args, combo))
-            detail["checked"] += 1
-            scan = max(static_scan, session.scan_factors(assignment, dynamic, keys))
-            if scan != VANISHES:
-                survivors.append((combo, scan))
-                settled = dict(assignment)
-                yield settled, session.settle(settled, scan)
+        if not exhaustive_args:
+            dynamic_keys = keys(plan.dynamic, keyed=True)
+            for _ in range(GUARDED_ARG_SAMPLES):
+                assignment.update(zip(args, [rng.randrange(m) for _ in args]))
+                detail["checked"] += 1
+                scan = max(static_scan, scan_factors(assignment, dynamic, dynamic_keys))
+                if scan != VANISHES:
+                    settled = dict(assignment)
+                    yield settled, session.settle(settled, scan)
+            continue
+        filter_keys = [keys(entries) for entries in plan.filters]
+        joint_keys = [keys(entries) for entries in plan.joints]
+        # per level and value, the scan of the level's filters: None until
+        # scanned, NONE for a level without filters
+        filtered = [[None if entries else NONE] * m for entries in plan.filters]
+        base = detail["checked"]
+        for index, scan in walk(0, static_scan, 0) if args else [(0, static_scan)]:
+            detail["checked"] = base + index + 1
+            if reuse:
+                survivors.append((tuple(map(assignment.__getitem__, args)), scan))
+            settled = dict(assignment)
+            yield settled, session.settle(settled, scan)
+        detail["checked"] = base + m ** len(args)
 
 
 def _difference(f: Expr) -> tuple | None:
@@ -884,11 +1047,36 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
     group_of = {v: label for label, vars_ in groups.items() for v in vars_}
     guards = frozenset(group_of)
     pairs: dict = {label: collections.Counter() for label in groups}
+
+    symmetric = True
+    for f in tables.value_factors:
+        ab = tables.differences.get(f)
+        # two names, not two letter tuples, exactly when f is var(a) - var(b)
+        if (ab and ab[0].__class__ is str
+                and ab[0] in group_of and group_of[ab[0]] == group_of.get(ab[1])):
+            pairs[group_of[ab[0]]][frozenset(ab)] += 1
+        elif not _confined_to_psi(f, guards, groups,
+                                  lambda middle: middle.free_vars().isdisjoint(guards)):
+            symmetric = False
+            break
+    for label, counts in pairs.items():
+        n = len(groups[label])
+        if counts and (len(counts) != n * (n - 1) // 2 or len(set(counts.values())) > 1):
+            symmetric = False
+    tables.symmetric = symmetric
+    return symmetric
+
+
+def _confined_to_psi(e: Expr, names: frozenset, groups: dict, middle_ok) -> bool:
+    """True when the variables names occur in e only inside psi blocks
+    (`freeexpr._psi_blocks`) that conjugate by each variable of one guard
+    group exactly once and whose middle passes middle_ok; a streamed node
+    that reads one of them refuses."""
+    whole = {tuple(sorted(vars_)) for vars_ in groups.values()}
     seen: set = set()
 
-    def psi_only(e) -> bool:
-        """Guard variables occur in e only as conjugators of full psi blocks."""
-        if id(e) in seen or e.free_vars().isdisjoint(guards):
+    def confined(e) -> bool:
+        if id(e) in seen or e.free_vars().isdisjoint(names):
             return True
         seen.add(id(e))
         if e.kind == "var" or e.kind.startswith("stream"):
@@ -899,34 +1087,17 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
                 e._psi = _psi_blocks(e)
             if e._psi:
                 blocks, children = e._psi
-                for names, middle, members in blocks:
-                    if guards.isdisjoint(names):
+                for conjugators, middle, members in blocks:
+                    if tuple(sorted(conjugators)) not in whole or not middle_ok(middle):
                         children += members
-                        continue
-                    label = group_of.get(names[0])
-                    # each variable of the group exactly once
-                    if (label is None or sorted(names) != sorted(groups[label])
-                            or not middle.free_vars().isdisjoint(guards)):
-                        return False
-        return all(psi_only(c) for c in children)
+        return all(confined(c) for c in children)
 
-    symmetric = True
-    for f in tables.value_factors:
-        ab = tables.differences.get(f)
-        # two names, not two letter tuples, exactly when f is var(a) - var(b)
-        if (ab and ab[0].__class__ is str
-                and ab[0] in group_of and group_of[ab[0]] == group_of.get(ab[1])):
-            pairs[group_of[ab[0]]][frozenset(ab)] += 1
-        elif not psi_only(f):
-            symmetric = False
-            break
-    for label, counts in pairs.items():
-        n = len(groups[label])
-        if counts and (len(counts) != n * (n - 1) // 2 or len(set(counts.values())) > 1):
-            symmetric = False
-    tables.symmetric = symmetric
-    return symmetric
+    return confined(e)
 
+
+def _holds_stream(e: Expr) -> bool:
+    """Whether a streamed node occurs in e."""
+    return e.kind.startswith("stream") or any(map(_holds_stream, e.children))
 
 
 def holds_sampled(doc: IdentityDoc, rep: Rep, n: int = 500, seed: int = 0) -> Verdict:

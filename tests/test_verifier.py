@@ -1797,15 +1797,17 @@ def test_document_tables_are_built_once_per_document(s3_std):
     assert _verdict_json(vf.holds_guarded(copy, s3_std, seed=2, orderings=2)) == verdict
 
 
-def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
+def test_guarded_argument_factors_are_decided_once_per_key(s3_std):
     """(y1 x + x y1 - 2) vanishes, on a rep similar to a unitary one, where
     both words map to 1, at x = y1^-1, which moves with the guard
     ordering: in every ordering the guarded source yields exactly the x a
-    fresh evaluation finds nonvanishing.  The all-argument factor
-    (x^2 + x^-2 - 2), zero where x^2 is, is decided once per x across
-    orderings, in the session's table.  The word differences y1 x - 1 and
-    x x - 1 have the same zero sets and are decided from kernel cosets, so
-    they leave no entry in it."""
+    fresh evaluation finds nonvanishing.  The guard-free factor
+    (x^2 + x^-2 - 2), zero where x^2 is, is evaluated once per x across
+    all six orderings and read first after that; the moving factor reads a
+    guard, so it is evaluated once per ordering and x the other leaves.
+    Guarded mode keeps nothing in the session's vanishing table, nor do the
+    word differences y1 x - 1 and x x - 1, which have the same zero sets and
+    are decided from kernel cosets."""
     m = s3_std.group.order
     arg, y1, two = var("x"), var("y1"), const(-2)
     moving = sum_([prod([y1, arg]), prod([arg, y1]), two])
@@ -1820,15 +1822,31 @@ def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
     doc = guard_doc(moving, fixed)
     session = vf._Session(doc, s3_std, seed=4)
     assert not vf._guards_symmetric(session, doc.guards)
-    orderings = []
-    scan = session.scan_factors
+    orderings, evaluations = [], []  # static scans; (factor, ordering, x) scan evaluations
+    scan, evaluate = session.scan_factors, session.ev._eval
+    depth = [None]  # evaluation depth within a scan; None outside scans
 
     def recording(assignment, factors, *keys):
         if not any(f is moving for f in factors):  # the static scan of an ordering
             orderings.append(dict(assignment))
-        return scan(assignment, factors, *keys)
+        depth[0] = 0
+        try:
+            return scan(assignment, factors, *keys)
+        finally:
+            depth[0] = None
 
-    session.scan_factors = recording
+    def evaluating(e, assignment, memo):
+        if depth[0] is None:  # the witness search
+            return evaluate(e, assignment, memo)
+        if depth[0] == 0 and (e is moving or e is fixed):
+            evaluations.append((e, len(orderings) - 1, assignment["x"]))
+        depth[0] += 1
+        try:
+            return evaluate(e, assignment, memo)
+        finally:
+            depth[0] -= 1
+
+    session.scan_factors, session.ev._eval = recording, evaluating
     yielded = [a for a, _ in vf._guarded_decisions(session, doc.guards, ["x"], 5, True,
                                                    {"checked": 0})]
     ev = Evaluator(s3_std)
@@ -1837,15 +1855,131 @@ def test_guarded_argument_keys_stay_within_an_ordering(s3_std):
                            for f in (moving, fixed))]
     assert len(orderings) == 6 and len({guard["y1"] for guard in orderings}) > 2
     assert [(a["y1"], a["x"]) for a in yielded] == expected
-    assert not any(node == id(moving) for node, _ in session.vanishing)
-    assert sorted(key for node, key in session.vanishing if node == id(fixed)) == [
-        (x,) for x in range(m)]
-    # the word differences leave no entry: the table holds the bare guards alone
+    assert sorted(x for f, _, x in evaluations if f is fixed) == list(range(m))
+    fixed_zero = {x for x in range(m) if ev._is_zero(ev.evaluate_value(fixed, {"x": x}))}
+    assert 0 < len(fixed_zero) < m
+    assert sorted((k, x) for f, k, x in evaluations if f is moving) == [
+        (k, x) for k in range(6) for x in range(m) if x not in fixed_zero]
+    assert not session.vanishing
     words = vf._Session(guard_doc(sub(prod([y1, arg]), const(1)),
                                   sub(prod([arg, arg]), const(1))), s3_std, seed=4)
     assert [(a["y1"], a["x"]) for a, _ in vf._guarded_decisions(
         words, doc.guards, ["x"], 5, True, {"checked": 0})] == expected
-    assert {node for node, _ in words.vanishing} == {id(f) for f in guards.children}
+    assert not words.vanishing
+
+
+def _naive_guarded(doc, rep, seed: int, orderings: int) -> dict:
+    """The status, checked count and witness of the guarded verdict from a
+    lexicographic scan of every argument tuple of every ordering, each root
+    value factor evaluated with a fresh `Evaluator`; the separator decision
+    is the session's."""
+    m, rng = rep.group.order, random.Random(seed)
+    tables, args = vf._doc_tables(doc), _arguments(doc)
+    static = [f for f in tables.value_factors if f.free_vars().isdisjoint(args)]
+
+    def vanishes(f, assignment):
+        ev = Evaluator(rep)
+        return ev._is_zero(ev.evaluate_value(f, assignment))
+
+    checked = 0
+    for rnd in range(orderings + 1):
+        assignment = dict.fromkeys(tables.sep_list, 0)
+        for names in doc.guards.values():
+            order = list(range(m))
+            if rnd:
+                rng.shuffle(order)
+            assignment.update(zip(names, order))
+        if any(vanishes(f, assignment) for f in static):
+            checked += 1
+            continue
+        for combo in itertools.product(range(m), repeat=len(args)):
+            assignment.update(zip(args, combo))
+            checked += 1
+            if not any(vanishes(f, assignment) for f in tables.value_factors):
+                witness = vf._Session(doc, rep).witness_value(dict(assignment))
+                if witness is not None:
+                    return {"status": "fails", "checked": checked,
+                            "witness": list(witness.items())}
+    return {"status": "holds", "checked": checked}
+
+
+@st.composite
+def _argument_factor_docs(draw, rep):
+    """A guarded document over x, z and one guard group Y, its root value
+    factors drawn from: a sum of signed powers of z (read outside psi,
+    keyed per value), psi_Y(z^k) less its value at a drawn element (keyed
+    per class), psi_Y(x z) and psi_Y(z y1) less a drawn value (a middle
+    that reads another variable), the psi over y1 and y2 alone of z less
+    2 y2 (part of a guard group), y1 x + x y1 - 2 (a guard outside psi,
+    so that every ordering is scanned) and x^e - 1 (a word difference that
+    prunes the x where it vanishes), after the guard differences, with
+    fresh separators before some of them; with the kind of each factor."""
+    group, m, d = rep.group, rep.group.order, rep.dim
+    ys = [var(f"y{i}") for i in range(1, m + 1)]
+    x, z = var("x"), var("z")
+    chi, scale = rep.character.values, Cyc.from_rational(Fraction(m, d))
+
+    def psi_less(middle, word):
+        """psi_Y(middle) less its value, (m / d) chi, at the element word."""
+        g = 0
+        for h in word:
+            g = group.table[g][h]
+        return sum_([idf.psi_expr(middle, ys), const(-(scale * chi[g]))])
+
+    def element():
+        return draw(st.integers(0, m - 1))
+
+    k = draw(st.integers(1, 3))
+    menu = {
+        "z outside psi": lambda: sum_([smul(draw(st.sampled_from([1, -1])), power(z, e))
+                                       for e in draw(st.lists(st.integers(-1, 3), min_size=2,
+                                                              max_size=3, unique=True))]),
+        "psi of z": lambda: psi_less(power(z, k), [element()] * k),
+        "psi of x z": lambda: psi_less(prod([x, z]), [element()]),
+        "psi of z y1": lambda: psi_less(prod([z, ys[0]]), [element()]),
+        "part of a guard group": lambda: sum_([prod([ys[0], z, inv(ys[0])]),
+                                               prod([ys[1], z, inv(ys[1])]),
+                                               smul(-2, ys[1])]),
+        "guard outside psi": lambda: sum_([prod([ys[0], x]), prod([x, ys[0]]), const(-2)]),
+        "x gate": lambda: sub(power(x, draw(st.sampled_from([2, 3]))), const(1)),
+    }
+    chosen = draw(st.lists(st.sampled_from(sorted(menu)), min_size=1, max_size=4))
+    factors, kinds = idf.guard_factors(m)[0], {}
+    for i, name in enumerate(chosen + ["x gate", "z outside psi"]):
+        if draw(st.booleans()):
+            factors.append(var(f"s{i}"))
+        factors.append(menu[name]())
+        kinds[factors[-1]] = name
+    doc = idf.IdentityDoc("test", prod(factors), {"Y": idf._names(ys)}, {},
+                          "argument factors of every kind")
+    return doc, kinds
+
+
+@pytest.mark.parametrize("rep_name, examples", [("S3:std", 40), ("Q8:dim2", 30),
+                                                ("S4:rho4", 10)])
+def test_guarded_walk_matches_a_naive_scan(rep_name, examples):
+    """The level walk's verdict (status, checked count and witness, in its
+    key order) is that of a naive lexicographic scan of every factor with a
+    fresh evaluator, over documents with argument factors of every kind:
+    read per value, per class, through a psi middle that reads x and z or
+    a guard, and through a psi over part of a guard group; the last three
+    are not keyed by class."""
+    rep = _decision_rep(rep_name)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 99), orderings=st.integers(0, 1))
+    def compare(data, seed, orderings):
+        doc, kinds = data.draw(_argument_factor_docs(rep))
+        plan = vf._doc_tables(doc).guarded_plan(doc.guards, _arguments(doc))
+        # psi_Y(z^k) less a value alone is keyed by class
+        assert all(classed == (kinds[f] == "psi of z") for f, _, classed, _, _ in plan.dynamic)
+        verdict = _verdict_json(vf.holds_guarded(doc, rep, seed=seed, orderings=orderings))
+        got = {"status": verdict["status"], "checked": verdict["checked"]}
+        if "witness" in verdict:
+            got["witness"] = list(verdict["witness"].items())
+        assert got == _naive_guarded(doc, rep, seed, orderings)
+
+    compare()
 
 
 def _guard_doc(rep, extra):

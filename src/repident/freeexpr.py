@@ -75,7 +75,7 @@ class StreamUndecided(Exception):
 
 
 class Expr:
-    __slots__ = ("kind", "value", "children", "_fvs", "_fvt", "_star", "_psi", "_plan",
+    __slots__ = ("kind", "value", "children", "_fvs", "_star", "_psi", "_plan",
                  "extra", "__weakref__")
 
     def __init__(self, kind: str, value=None, children: tuple = (), extra=None):
@@ -84,17 +84,11 @@ class Expr:
         self.children = children
         self.extra = extra
         self._fvs = None
-        self._fvt = None
         self._star = None
         self._psi = None
         # a sum's word plan (wordplan.plan_terms): False until compiled,
         # None when the sum has none
         self._plan = False
-
-    def sorted_vars(self) -> tuple[str, ...]:
-        if self._fvt is None:
-            self._fvt = tuple(sorted(self.free_vars()))
-        return self._fvt
 
     # -- free variables ------------------------------------------------
 
@@ -558,7 +552,7 @@ class Evaluator:
     Node values and product folds are shared within one call (its memo),
     never across calls.
     Reuse across assignments belongs to the caller that knows which values
-    repeat (the verifier's vanishing table and guarded mode's walk).
+    repeat (guarded mode's walk in the verifier).
     """
 
     def __init__(self, rep):

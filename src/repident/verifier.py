@@ -55,11 +55,9 @@ of the product lives in).  Past it some choice keeps the product nonzero
 Only a streamed factor leaves an assignment undecided.
 
 In exhaustive, sampled and structured mode and in the relation
-probabilities, the session's vanishing table remembers, per root factor
-and per values of that factor's variables, whether the factor vanishes; a
-streamed factor that certifies nonvanishing or stays undecided is never
-stored, nor is a factor that a walk over every assignment sees once per
-key.  Guarded mode keeps no such table.  It walks its arguments one level
+probabilities, each assignment's scan evaluates its root value factors
+afresh, so its decision depends on that assignment alone.  Only guarded
+mode keeps outcomes across assignments.  It walks its arguments one level
 at a time (`_GuardedPlan`): each argument factor is decided where its last
 argument is bound, once per values of the arguments it reads, and a factor
 that reads its one argument only inside conjugation averages over a whole
@@ -331,10 +329,6 @@ class _Session:
         self.tables = _doc_tables(doc)
         self.cosets = rep.kernel_cosets if self.tables.differences else None
         self.undecided_count = 0
-        # (id(root factor), values of its sorted_vars()) -> vanishes.  The
-        # session keeps doc alive, so an id stays its factor's, and keys of
-        # ints are not tracked by the garbage collector.
-        self.vanishing: dict = {}
 
     def scan_factors(self, assignment: dict, factors, keys=None) -> int:
         """The scan outcome of the given root factors under assignment.  A
@@ -343,19 +337,18 @@ class _Session:
 
         Known outcomes and word differences are read first, in factor
         order, and the other factors are evaluated after them, in factor
-        order.  Zero tests are looked up in, and recorded in, the session's
-        vanishing table keyed by all of a factor's variables, or as keys
-        gives: one (key_of, table) per factor, the key key_of(assignment),
-        table None for a factor that is evaluated every time and records
-        nothing.  A streamed factor that certifies nonvanishing or stays
-        undecided is never recorded.  A word difference a - b
-        (`_DocTables.differences`) is never evaluated nor stored: it
-        vanishes when the group elements of its two words share a kernel
-        coset.  A difference of two vars is kept as two names and decided
-        by two lookups; any other word is folded through the group table
-        (`_word_element`).  Folding one-letter words as well slows the
-        character identities on 2T:nat and H3:theta1, which scan 276 and
-        351 guard differences per ordering, by 7 to 19%
+        order.  keys, guarded mode's, gives one (key_of, table) per factor:
+        its zero test is looked up in, and recorded in, table under the key
+        key_of(assignment), or, with table None, evaluated every time and
+        recorded nowhere.  keys None keys no factor.  A streamed factor that
+        certifies nonvanishing or stays undecided is never recorded.  A word
+        difference a - b (`_DocTables.differences`) is never evaluated nor
+        stored: it vanishes when the group elements of its two words share a
+        kernel coset.  A difference of two vars is kept as two names and
+        decided by two lookups; any other word is folded through the group
+        table (`_word_element`).  Folding one-letter words as well slows the
+        character identities on 2T:nat and H3:theta1, which scan 276 and 351
+        guard differences per ordering, by 7 to 19%
         (`BENCH_word_differences.json`).
         """
         cosets, differences = self.cosets, self.tables.differences
@@ -374,17 +367,16 @@ class _Session:
                             == cosets[_word_element(b, assignment, group)]):
                         return VANISHES
                     continue
-            if keys is None:
-                table, key = self.vanishing, (id(f), tuple(map(value, f.sorted_vars())))
-            else:
+            table = key = None
+            if keys is not None:
                 key_of, table = keys[i]
-                key = key_of(assignment) if table is not None else None
-            if table is not None:
-                vanishes = table.get(key)
-                if vanishes is not None:
-                    if vanishes:
-                        return VANISHES
-                    continue
+                if table is not None:
+                    key = key_of(assignment)
+                    vanishes = table.get(key)
+                    if vanishes is not None:
+                        if vanishes:
+                            return VANISHES
+                        continue
             pending.append((f, table, key))
         memo: dict = {}
         outcome = NONE
@@ -530,12 +522,11 @@ class _Session:
                             for i in range(dim)])
         return factors[::-1]
 
-    def decide(self, assignment: dict, keys=None):
-        """`settle` after one scan of every root value factor (keyed as
-        `scan_factors` takes keys): the decision of structured and sampled
-        mode and of the relation probabilities."""
+    def decide(self, assignment: dict):
+        """`settle` after one scan of every root value factor: the decision
+        of structured and sampled mode and of the relation probabilities."""
         return self.settle(assignment,
-                           self.scan_factors(assignment, self.tables.value_factors, keys))
+                           self.scan_factors(assignment, self.tables.value_factors))
 
     def settle(self, assignment: dict, scan: int, weight: int = 1):
         """The decision for assignment, given the scan of its root value
@@ -743,37 +734,18 @@ def _exhaustive_decisions(session: _Session, names: list[str], start: int, stop:
     stop), each as the assignment of names with every separator at the
     identity, and `_Session.settle`'s decision for those whose scan finds
     no vanishing factor.  A separator changes no scan, so an undecided
-    tuple stands for m ** (number of separators) undecided assignments.  A
-    factor that reads every read name sees each of its keys once, so it
-    records nothing in the vanishing table.  A scan that raises ends the
-    walk at its assignment."""
+    tuple stands for m ** (number of separators) undecided assignments.
+    Each tuple's scan evaluates its factors afresh.  A scan that raises
+    ends the walk at its assignment."""
     tables, m = session.tables, session.rep.group.order
     read = set(tables.read_names)
     weight = m ** (len(names) - len(read))
-    keys = _walk_keys(session, len(read))
     ranges = [range(m) if name in read else (0,) for name in names]
     for values in itertools.islice(itertools.product(*ranges), start, stop):
         assignment = dict(zip(names, values))
-        scan = session.scan_factors(assignment, tables.value_factors, keys)
+        scan = session.scan_factors(assignment, tables.value_factors)
         if scan != VANISHES:
             yield assignment, session.settle(assignment, scan, weight)
-
-
-def _walk_keys(session: _Session, walked: int) -> list:
-    """The scan keys (`_Session.scan_factors`) of a walk over every value
-    of `walked` names that the root value factors read: a factor that reads
-    all of them sees each of its keys once, so it records nothing; any
-    other keeps the session's key in the session's table."""
-    keys = []
-    for f in session.tables.value_factors:
-        names = f.sorted_vars()
-        if len(names) == walked:
-            keys.append((None, None))
-        else:
-            keys.append((lambda assignment, node=id(f), names=names:
-                         (node, tuple(map(assignment.__getitem__, names))),
-                         session.vanishing))
-    return keys
 
 
 def _parallel_failures(session: _Session, names: list[str], jobs: int):
@@ -781,7 +753,9 @@ def _parallel_failures(session: _Session, names: list[str], jobs: int):
     (`_window_failure`) in worker processes that exit on their own
     (terminating one while it writes its result locks the result queue);
     add their undecided counts to the session and yield the failing
-    decision of the failing window with the lowest start: the serial run's."""
+    decision of the failing window with the lowest start, or raise that
+    window's exception when its scan raised first: the serial run's
+    outcome."""
     import multiprocessing as mp
 
     total = session.rep.group.order ** len(session.tables.read_names)
@@ -794,6 +768,8 @@ def _parallel_failures(session: _Session, names: list[str], jobs: int):
         pool.close()
         pool.join()
     for undecided, failing in windows:
+        if isinstance(failing, Exception):
+            raise failing
         session.undecided_count += undecided
         if failing is not None:
             yield failing
@@ -808,11 +784,15 @@ def _worker_init(doc, rep, names):
 
 def _window_failure(bounds) -> tuple:
     """(undecided count, first failing decision or None) of the
-    exhaustive source over one window [start, stop) of read tuples."""
+    exhaustive source over one window [start, stop) of read tuples; a scan
+    that raises first gives its exception in place of the decision."""
     doc, rep, names = _WORKER_STATE["args"]
     session = _Session(doc, rep)
-    failing = next((pair for pair in _exhaustive_decisions(session, names, *bounds)
-                    if pair[1] not in _NOT_FAILING), None)
+    try:
+        failing = next((pair for pair in _exhaustive_decisions(session, names, *bounds)
+                        if pair[1] not in _NOT_FAILING), None)
+    except Exception as exc:  # the parent raises it when no earlier window failed
+        failing = exc
     return session.undecided_count, failing
 
 
@@ -892,7 +872,6 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
                 out.append((key_fns[f], {}))
         return out
 
-    static_keys = [(None, None)] * len(plan.static)
     dynamic = [entry[0] for entry in plan.dynamic]
     filter_factors = [[entry[0] for entry in entries] for entries in plan.filters]
     joint_factors = [[entry[0] for entry in entries] for entries in plan.joints]
@@ -938,7 +917,7 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
                 settled = dict(assignment)
                 yield settled, session.settle(settled, scan)
             continue
-        static_scan = scan_factors(assignment, plan.static, static_keys)
+        static_scan = scan_factors(assignment, plan.static)
         if static_scan == VANISHES:
             detail["checked"] += 1
             continue
@@ -1313,12 +1292,12 @@ def _relation_session(expr: Expr, rep: Rep) -> _Session:
     return _Session(doc, rep)
 
 
-def _vanishes(session: _Session, assignment: dict, keys: list) -> bool:
-    """Exact zero test of the relation probabilities (`_Session.decide`
-    keyed by `_walk_keys`; with no separators, its separator decision is the
-    zero test of the product of the root factors): a certified streamed
-    product counts as nonvanishing, an undecided one raises."""
-    outcome = session.decide(assignment, keys)
+def _vanishes(session: _Session, assignment: dict) -> bool:
+    """Exact zero test of the relation probabilities (`_Session.decide`;
+    with no separators, its separator decision is the zero test of the
+    product of the root factors): a certified streamed product counts as
+    nonvanishing, an undecided one raises."""
+    outcome = session.decide(assignment)
     if outcome == "undecided":
         raise VerifierError(f"relation undecided at {assignment}")
     return outcome is None
@@ -1326,8 +1305,8 @@ def _vanishes(session: _Session, assignment: dict, keys: list) -> bool:
 
 def relation_probability(expr: Expr, rep: Rep, budget: int = 300_000) -> Fraction:
     session, names = _relation_session(expr, rep), sorted(expr.free_vars())
-    keys, m = _walk_keys(session, len(names)), rep.group.order
-    hits = sum(_vanishes(session, a, keys) for a in _all_assignments(names, m, budget))
+    m = rep.group.order
+    hits = sum(_vanishes(session, a) for a in _all_assignments(names, m, budget))
     return Fraction(hits, m ** len(names))
 
 
@@ -1339,12 +1318,11 @@ def conditional_relation_probability(u: Expr, v: Expr, rep: Rep,
     names = sorted(u.free_vars() | v.free_vars())
     uu = _relation_session(prod([u, star(u)]), rep)
     vv = _relation_session(prod([v, star(v)]), rep)
-    uu_keys, vv_keys = _walk_keys(uu, len(names)), _walk_keys(vv, len(names))
     both = v_only = 0
     for assignment in _all_assignments(names, rep.group.order, budget):
-        if _vanishes(vv, assignment, vv_keys):
+        if _vanishes(vv, assignment):
             v_only += 1
-            both += _vanishes(uu, assignment, uu_keys)
+            both += _vanishes(uu, assignment)
     if v_only == 0:
         raise VerifierError("conditioning relation never holds")
     return Fraction(both, v_only)

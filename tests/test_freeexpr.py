@@ -1430,7 +1430,7 @@ def test_intern_table_keeps_nothing_alive():
     gc.collect()
     before = len(freeexpr._nodes)
     doc = idfactory.character_identity(rep)
-    assignment = {n: g % rep.group.order for g, n in enumerate(doc.expr.sorted_vars())}
+    assignment = {n: g % rep.group.order for g, n in enumerate(sorted(doc.expr.free_vars()))}
     Evaluator(rep).evaluate_value(doc.expr, assignment)
     assert len(freeexpr._nodes) > before
     del doc

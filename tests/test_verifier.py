@@ -166,9 +166,8 @@ def test_conditional_probability(s3_std):
 
 def test_relation_probabilities_record_no_key_per_assignment(monkeypatch):
     """The relation probabilities walk every assignment of the relation's
-    variables, so a root factor that reads all of them sees each of its
-    keys once and, as in the exhaustive walk, records nothing in the
-    vanishing table.  The probabilities are those of a direct count:
+    variables, each decided by its own scan, over six relation sessions.
+    The probabilities are those of a direct count:
     ab + ba + 1 vanishes on no pair of S4:rho4 (`reference_eval`), and
     ab - ba on the 120 commuting pairs of the 576 (rho4 is faithful)."""
     rep = catalog.symmetric(4).rep("rho4")
@@ -191,7 +190,7 @@ def test_relation_probabilities_record_no_key_per_assignment(monkeypatch):
     assert vf.relation_probability(comm, rep) == Fraction(120, 576)
     assert vf.conditional_relation_probability(anti, comm, rep) == 0
     assert vf.conditional_relation_probability(comm, equal, rep) == 1
-    assert len(sessions) == 6 and not any(s.vanishing for s in sessions)
+    assert len(sessions) == 6
 
 
 def test_parallel_exhaustive(z3_chi):
@@ -201,6 +200,32 @@ def test_parallel_exhaustive(z3_chi):
     z2 = catalog.cyclic(2).rep("chi1")
     v2 = vf.holds_exhaustive(doc, z2, budget=10**7, jobs=2)
     assert v2.holds and v2.detail["jobs"] == 2
+
+
+def test_parallel_exhaustive_ends_as_the_serial_walk():
+    """Over 1, 2 or 3 workers the exhaustive walk ends as the serial walk
+    does: at its first failing decision or its first raising scan,
+    whichever comes first in the serial order.  (x + y)^-1 (y^2 - 1) on
+    S3:std fails at {x: 0, y: 3}, before any later window meets a singular
+    x + y.  (x - y)^-1 (y + 1) raises at the first assignment, before any
+    later window fails; y^2 - 1 in place of y + 1 would vanish there first,
+    since a word difference is decided before any factor is evaluated."""
+    from repident.freeexpr import NonGroupSubtermError
+
+    rep = catalog.symmetric(3).rep("std")
+    x, y = var("x"), var("y")
+    square = sub(power(y, 2), const(1))
+    fails = idf.IdentityDoc("test", prod([inv(sum_([x, y])), square]), {}, {},
+                            "a singular inverse after the failure")
+    raises = idf.IdentityDoc("test", prod([inv(sub(x, y)), sum_([y, const(1)])]), {}, {},
+                             "a singular inverse first")
+    for jobs in (1, 2, 3):
+        verdict = _verdict_json(vf.holds_exhaustive(fails, rep, jobs=jobs))
+        assert verdict.pop("jobs", 1) == jobs
+        assert verdict == {"status": "fails", "evidence": "exhaustive", "assignments": 36,
+                           "witness": {"x": 0, "y": 3}}
+        with pytest.raises(NonGroupSubtermError):
+            vf.holds_exhaustive(raises, rep, jobs=jobs)
 
 
 def test_sl2_checks():
@@ -687,23 +712,6 @@ def test_exhaustive_source_scans_each_assignment_once(monkeypatch):
     assert scanned == list(vf._all_assignments(["y1", "y2", "y3", "y4"], 6, 6 ** 4))
 
 
-def test_exhaustive_walk_records_only_keys_it_can_meet_again(s3_std):
-    """In the exhaustive walk a root factor that reads every walked name
-    sees each of its keys once, so it records nothing in the vanishing
-    table; a factor that reads a strict subset of them records its keys."""
-    four = idf.standard_identity(4)
-    session = vf._Session(four, s3_std)
-    names = sorted(four.expr.free_vars())
-    assert all(d is None for _, d in vf._exhaustive_decisions(session, names, 0, None))
-    assert vf.holds_exhaustive(four, s3_std).holds and not session.vanishing
-    x, y = var("x"), var("y")
-    part, whole = sum_([x, const(2)]), sum_([x, y, const(1)])
-    doc = idf.IdentityDoc("test", prod([part, var("u"), whole]), {}, {}, "part and whole")
-    session = vf._Session(doc, s3_std)
-    list(vf._exhaustive_decisions(session, sorted(doc.expr.free_vars()), 0, None))
-    assert sorted(session.vanishing) == [(id(part), (g,)) for g in range(6)]
-
-
 def test_sampled_mode_draws_only_what_the_factors_read(monkeypatch):
     """guard_C(28) on H3:theta1 has 407 variables, and its root value
     factors read the 28 guards: 150 samples draw 4,200 values, not 61,050.
@@ -930,14 +938,14 @@ def test_a_slot_decided_exactly_on_a_reducible_rep_matches_brute_force(monkeypat
     slot, passes = _zero_modular_pass(monkeypatch)
 
     @settings(max_examples=120, deadline=None)
-    @given(expr=_separated_products(), x=st.integers(0, 5), z=st.integers(0, 5),
+    @given(expr=_separated_products(split=True), x=st.integers(0, 5), z=st.integers(0, 5),
            data=st.data())
     def decide(expr, x, z, data):
         doc = idf.IdentityDoc("test", expr, {}, {}, "separated product")
         session = vf._Session(doc, rep)
         values = {"x": x, "z": z}
         assignment = {name: values.get(name, 0) for name in expr.free_vars()}
-        assume(len(session.tables.blocks) > 1)
+        assert len(session.tables.blocks) > 1
         assume(session.scan_factors(assignment, session.tables.value_factors) != vf.VANISHES)
         k = data.draw(st.integers(1, len(session.tables.blocks) - 1))
         slot[0], passes[:] = k, []
@@ -1185,19 +1193,25 @@ def _decision_rep(name):
 
 
 @st.composite
-def _separated_products(draw):
+def _separated_products(draw, split: bool = False):
     """A product of 1-4 sums of 2-3 distinct words in x and z (coefficients
     1 or -1, words of length 0-2), with 0-3 fresh separators s1, s2, s3 put
-    anywhere between them."""
+    anywhere between them.  With split, the product has 2-4 sums and s1 goes
+    between two of them, so it has two or more blocks: a later separator put
+    next to s1 leaves a slot before the sum after it."""
     word = st.sampled_from(["", "x", "z", "xx", "xz", "zx", "zz"])
     factor = st.lists(word, min_size=2, max_size=3, unique=True).flatmap(
         lambda words: st.lists(st.sampled_from([1, -1]), min_size=len(words),
                                max_size=len(words)).map(
             lambda signs: sum_([smul(c, prod([var(v) for v in w]))
                                 for c, w in zip(signs, words)])))
-    factors = draw(st.lists(factor, min_size=1, max_size=4))
-    for k in range(1, draw(st.integers(0, 3)) + 1):
-        factors.insert(draw(st.integers(0, len(factors))), var(f"s{k}"))
+    factors = draw(st.lists(factor, min_size=2 if split else 1, max_size=4))
+    for k in range(1, draw(st.integers(1 if split else 0, 3)) + 1):
+        if split and k == 1:  # between two sums
+            at = draw(st.integers(1, len(factors) - 1))
+        else:
+            at = draw(st.integers(0, len(factors)))
+        factors.insert(at, var(f"s{k}"))
     return prod(factors)
 
 
@@ -1498,9 +1512,9 @@ def _is_separator(f) -> bool:
 
 
 @pytest.mark.parametrize("rep_name", ["S3:std", "Q8:dim2", "Z6:chi1", "Z3^2:reducible"])
-def test_vanishing_table_matches_fresh_evaluation(rep_name):
-    """Over assignments that repeat values, the session's scan (with its
-    vanishing table) returns what a fresh Evaluator gives factor by factor,
+def test_scan_matches_fresh_evaluation(rep_name):
+    """Over assignments that repeat values, the session's scan returns what
+    a fresh Evaluator gives factor by factor,
     streamed factors included; a stream is certified only in a product
     that separates its factors (premise (c))."""
     from repident.freeexpr import StreamNonvanishing, StreamUndecided
@@ -1559,7 +1573,6 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
         # sweeps of the last variable under values of the others drawn from
         # a few elements, so that whole assignments repeat too
         pool = rng.sample(range(rep.group.order), 3)
-        scans = 0
         for _ in range(6):
             assignment = {n: rng.choice(pool) for n in names}
             for c in pool:
@@ -1568,12 +1581,6 @@ def test_vanishing_table_matches_fresh_evaluation(rep_name):
                 assert session.scan_factors(assignment, session.tables.value_factors) \
                     == expected
                 seen.add((expected, separated))
-                scans += 1
-        assert len(session.vanishing) < scans * len(factors)
-        # a streamed factor is stored only when it vanished: what it raises is not
-        streams = {id(f) for f in factors if f.kind == "stream_subsets"}
-        assert all(vanishes for (node, _), vanishes in session.vanishing.items()
-                   if node in streams)
     # every outcome, a certified stream only in a separated product, and
     # none on the reducible rep (Burnside's theorem, on which the
     # certificate rests, needs an irreducible rep)
@@ -1621,8 +1628,7 @@ _WORD_PAIRS = {
 ])
 def test_differences_are_decided_from_kernel_cosets(rep_name, words, monkeypatch):
     """A root factor w1 - w2 of two group words, in either child order, is
-    decided without evaluation and stored in no table: on every
-    assignment of a and b the session's decision is an exact zero test of
+    decided without evaluation: on every assignment of a and b the session's decision is an exact zero test of
     the evaluated difference.  The witness search reads its exact rank
     from `Rep.difference_ranks` and raises on a vanishing one.  It skips
     an invertible difference; on an irreducible rep it takes any other as
@@ -1659,7 +1665,6 @@ def test_differences_are_decided_from_kernel_cosets(rep_name, words, monkeypatch
         for f in (forward, backward):
             assert session.scan_factors(assignment, [f]) == (
                 vf.VANISHES if want else vf.NONE)
-    assert not session.vanishing
     assert len(kernel) == kernel_order
     del session.ev._eval
     built, states = [], []
@@ -1728,8 +1733,7 @@ _group_words = st.recursive(
 def test_word_differences_decide_as_reference_eval(rep_name):
     """A root factor w1 - w2 of two group words, in either child order, is
     a word difference (`_DocTables.differences`, unless its words are
-    equal), and its scan, which evaluates nothing and stores nothing,
-    vanishes exactly where `reference_eval` finds it zero: on every
+    equal), and its scan, which evaluates nothing, vanishes exactly where `reference_eval` finds it zero: on every
     assignment of a, b and c, or on 64 drawn ones on S4."""
     rep = _DIFFERENCE_REPS[rep_name][0]()
     m = rep.group.order
@@ -1757,7 +1761,6 @@ def test_word_differences_decide_as_reference_eval(rep_name):
             zeros += want
             assert session.scan_factors(assignment, [f]) == (
                 vf.VANISHES if want else vf.NONE), assignment
-        assert not session.vanishing or a == b
         event(f"vanishes: {'never' if not zeros else 'somewhere'}")
 
     decide()
@@ -1805,9 +1808,8 @@ def test_guarded_argument_factors_are_decided_once_per_key(s3_std):
     (x^2 + x^-2 - 2), zero where x^2 is, is evaluated once per x across
     all six orderings and read first after that; the moving factor reads a
     guard, so it is evaluated once per ordering and x the other leaves.
-    Guarded mode keeps nothing in the session's vanishing table, nor do the
-    word differences y1 x - 1 and x x - 1, which have the same zero sets and
-    are decided from kernel cosets."""
+    The word differences y1 x - 1 and x x - 1, which have the same zero
+    sets and are decided from kernel cosets, yield the same x."""
     m = s3_std.group.order
     arg, y1, two = var("x"), var("y1"), const(-2)
     moving = sum_([prod([y1, arg]), prod([arg, y1]), two])
@@ -1860,12 +1862,10 @@ def test_guarded_argument_factors_are_decided_once_per_key(s3_std):
     assert 0 < len(fixed_zero) < m
     assert sorted((k, x) for f, k, x in evaluations if f is moving) == [
         (k, x) for k in range(6) for x in range(m) if x not in fixed_zero]
-    assert not session.vanishing
     words = vf._Session(guard_doc(sub(prod([y1, arg]), const(1)),
                                   sub(prod([arg, arg]), const(1))), s3_std, seed=4)
     assert [(a["y1"], a["x"]) for a, _ in vf._guarded_decisions(
         words, doc.guards, ["x"], 5, True, {"checked": 0})] == expected
-    assert not words.vanishing
 
 
 def _naive_guarded(doc, rep, seed: int, orderings: int) -> dict:

@@ -57,16 +57,17 @@ Only a streamed factor leaves an assignment undecided.
 In exhaustive, sampled and structured mode and in the relation
 probabilities, each assignment's scan evaluates its root value factors
 afresh, so its decision depends on that assignment alone.  Only guarded
-mode keeps outcomes across assignments.  It walks its arguments one level
-at a time (`_GuardedPlan`): each argument factor is decided where its last
-argument is bound, once per values of the arguments it reads, and a factor
-that reads its one argument only inside conjugation averages over a whole
-guard group once per conjugacy class; it keeps a factor's outcomes only
-where their key can recur.  What the verifier derives from a document
-alone is built once per document (`_DocTables`).  A root factor w1 - w2
-of two group words (`_difference`; a guard difference y_i - y_j is the
-one-letter case) is never evaluated:
-rho(w1) - rho(w2) vanishes exactly when the words' group elements lie in
+mode keeps outcomes across assignments.  It walks enumerated arguments
+one level at a time (`_GuardedPlan`): each argument factor is decided
+where its last argument is bound, once per values of the arguments it
+reads.  Its one kind of outcome table lasts one ordering: a factor that
+reads its one argument only inside conjugation averages over a whole
+guard group is decided once per conjugacy class of that argument, whether
+the arguments are enumerated or sampled.  What the verifier derives from
+a document alone is built once per document (`_DocTables`).  A root
+factor w1 - w2 of two group words (`_difference`; a guard difference
+y_i - y_j is the one-letter case) is never evaluated: rho(w1) - rho(w2)
+vanishes exactly when the words' group elements lie in
 one coset of ker rho (`Rep.kernel_cosets`).  The separator search extends
 the running product by one block factor at a time and carries a matrix
 with its row space (`_Prefix`): none while the product is invertible, the
@@ -86,7 +87,6 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
-import operator
 import random
 import time
 import weakref
@@ -259,28 +259,25 @@ class _GuardedPlan:
       (`filters`): scanned once per value and ordering, where the walk first
       binds the value and the level's other factors leave it;
     - a factor that reads several is scanned per values of the arguments up
-      to its level (`joints`); one that skips a level meets its key once per
-      value of the skipped arguments, so it is keyed.
+      to its level (`joints`).
 
     A factor that reads its one argument only in the middles of psi blocks
     over a whole guard group, middles that read no other variable and hold
     no stream, is keyed by the argument's conjugacy class: guards are a
     bijection Y onto G in guarded mode, so psi_Y(T(h z h^-1)) = psi_Y(T(z)).
-    Sampled arguments repeat their values in any combination, so there
-    every factor of `dynamic` is keyed.  A word difference is never keyed:
-    kernel cosets decide it.
+    It is the only factor keyed, for one ordering, whether the arguments
+    are enumerated or sampled.  A word difference reads its arguments
+    outside psi, so it is never keyed: kernel cosets decide it.
 
-    Each entry is (factor, names, classed, recurs, guard_free): names, the
-    arguments it reads, None for a word difference; classed when it is
-    keyed by class; recurs when its key recurs within an ordering.  Each
-    list holds the factors that may be keyed, then the word differences,
-    then the others, so that a scan reads known outcomes first.
+    Each entry of `dynamic`, every argument factor (sampled arguments scan
+    them all per draw), and of `filters` is (factor, class_name): the
+    argument it is keyed by the class of, else None.  `joints` holds
+    factors.  Every list keeps the order of the root factors.
     """
 
     def __init__(self, tables: _DocTables, groups: dict, args: list[str]):
         self.args = args
         level_of = {name: i for i, name in enumerate(args)}
-        guards = frozenset().union(*groups.values())
         self.static: list = []
         self.dynamic: list = []
         self.filters: list = [[] for _ in args]
@@ -289,23 +286,16 @@ class _GuardedPlan:
             read = sorted(level_of[v] for v in f.free_vars() if v in level_of)
             if not read:
                 self.static.append(f)
-                continue
-            names = tuple(args[i] for i in read)
-            guard_free = f.free_vars().isdisjoint(guards)
-            if f in tables.differences:
-                entry = (f, None, False, False, guard_free)
-            elif len(read) == 1:
-                name = names[0]
-                classed = _confined_to_psi(f, frozenset(names), groups, lambda middle: (
-                    middle.free_vars() == {name} and not _holds_stream(middle)))
-                entry = (f, names, classed, classed, guard_free)
+            elif len(read) > 1:
+                self.dynamic.append((f, None))
+                self.joints[read[-1]].append(f)
             else:
-                entry = (f, names, False, read != list(range(read[-1] + 1)), guard_free)
-            self.dynamic.append(entry)
-            (self.filters if len(read) == 1 else self.joints)[read[-1]].append(entry)
-        for entries in [self.dynamic, *self.filters, *self.joints]:
-            entries.sort(key=lambda entry: 1 if entry[1] is None else
-                         0 if entry[3] or entry[4] else 2)
+                name = args[read[0]]
+                classed = _confined_to_psi(f, frozenset([name]), groups, lambda middle: (
+                    middle.free_vars() == {name} and not _holds_stream(middle)))
+                entry = (f, name if classed else None)
+                self.dynamic.append(entry)
+                self.filters[read[0]].append(entry)
 
 
 # document -> its _DocTables, dropped with the document
@@ -337,10 +327,10 @@ class _Session:
 
         Known outcomes and word differences are read first, in factor
         order, and the other factors are evaluated after them, in factor
-        order.  keys, guarded mode's, gives one (key_of, table) per factor:
-        its zero test is looked up in, and recorded in, table under the key
-        key_of(assignment), or, with table None, evaluated every time and
-        recorded nowhere.  keys None keys no factor.  A streamed factor that
+        order.  keys, guarded mode's, gives per factor None or (name,
+        table): the factor's zero test is looked up in, and recorded in,
+        table under the conjugacy class of the value of name
+        (`_GuardedPlan`).  keys None keys no factor.  A streamed factor that
         certifies nonvanishing or stays undecided is never recorded.  A word
         difference a - b (`_DocTables.differences`) is never evaluated nor
         stored: it vanishes when the group elements of its two words share a
@@ -368,15 +358,14 @@ class _Session:
                         return VANISHES
                     continue
             table = key = None
-            if keys is not None:
-                key_of, table = keys[i]
-                if table is not None:
-                    key = key_of(assignment)
-                    vanishes = table.get(key)
-                    if vanishes is not None:
-                        if vanishes:
-                            return VANISHES
-                        continue
+            if keys is not None and keys[i] is not None:
+                name, table = keys[i]
+                key = group.conjugacy_classes.index_of(value(name))
+                vanishes = table.get(key)
+                if vanishes is not None:
+                    if vanishes:
+                        return VANISHES
+                    continue
             pending.append((f, table, key))
         memo: dict = {}
         outcome = NONE
@@ -831,13 +820,11 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
     (`_GuardedPlan`): each argument factor is decided once per values of
     the arguments it reads, a vanishing one prunes that subtree, and the
     survivors come in lexicographic order, detail["checked"] set from each
-    one's index.  A factor has a table only where its key can recur: one
-    keyed by class, or one that skips a level, keeps it for the ordering,
-    and one that reads no guard keeps it for the verdict when orderings
-    are scanned more than once.  Sampled arguments scan every argument
-    factor per draw, each keyed by the arguments it reads for the ordering
-    (for the verdict when it reads no guard).  With exhaustive arguments on
-    a document symmetric in its guards (`_guards_symmetric`), an argument
+    one's index.  Sampled arguments scan every argument factor per draw.
+    Per ordering, a factor keyed by class (`_GuardedPlan`) keeps its
+    outcomes in a fresh table, for enumerated and sampled arguments alike;
+    no other factor's outcomes are kept.  With exhaustive arguments on a
+    document symmetric in its guards (`_guards_symmetric`), an argument
     value's scan is the same in every ordering: an ordering past the first
     scans nothing, and settles the first's nonvanishing argument values,
     with its own guard values, by their first scans.  It still draws its
@@ -847,34 +834,14 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
     rng, scan_factors = session.rng, session.scan_factors
     plan = session.tables.guarded_plan(groups, args)
     reuse = exhaustive_args and _guards_symmetric(session, groups)
-    lasting = orderings > 0 and not reuse  # tables of guard-free factors last the verdict
-    verdict_tables: dict = {}
 
-    def key_of(names: tuple, classed: bool):
-        if classed:
-            name, index_of = names[0], session.rep.group.conjugacy_classes.index_of
-            return lambda assignment: index_of(assignment[name])
-        return operator.itemgetter(*names)
+    def keys(entries: list) -> list:
+        """The scan keys of entries for one ordering: a fresh table for each
+        factor keyed by class."""
+        return [None if name is None else (name, {}) for _, name in entries]
 
-    key_fns = {f: key_of(names, classed) for f, names, classed, _, _ in plan.dynamic
-               if names is not None}
-
-    def keys(entries: list, keyed: bool = False) -> list:
-        """The scan keys of entries for one ordering; every factor but a word
-        difference is keyed when keyed is set."""
-        out = []
-        for f, names, _, recurs, guard_free in entries:
-            if names is None or not (keyed or recurs or guard_free and lasting):
-                out.append((None, None))
-            elif guard_free and lasting:
-                out.append((key_fns[f], verdict_tables.setdefault(f, {})))
-            else:
-                out.append((key_fns[f], {}))
-        return out
-
-    dynamic = [entry[0] for entry in plan.dynamic]
-    filter_factors = [[entry[0] for entry in entries] for entries in plan.filters]
-    joint_factors = [[entry[0] for entry in entries] for entries in plan.joints]
+    dynamic = [f for f, _ in plan.dynamic]
+    filter_factors = [[f for f, _ in entries] for entries in plan.filters]
 
     def walk(level: int, outcome: int, index: int):
         """(index, scan) of the surviving argument tuples below the values
@@ -882,14 +849,13 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
         whose filter scan is known is read first, then the level's other
         factors are scanned, and the filters are scanned last."""
         name, last = args[level], level + 1 == len(args)
-        factors, level_keys = joint_factors[level], joint_keys[level]
-        filters, known = filter_factors[level], filtered[level]
+        factors, filters, known = plan.joints[level], filter_factors[level], filtered[level]
         for v in range(m):
             scan = known[v]
             if scan == VANISHES:
                 continue
             assignment[name] = v
-            joint = scan_factors(assignment, factors, level_keys) if factors else NONE
+            joint = scan_factors(assignment, factors) if factors else NONE
             if joint == VANISHES:
                 continue
             if scan is None:
@@ -922,7 +888,7 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
             detail["checked"] += 1
             continue
         if not exhaustive_args:
-            dynamic_keys = keys(plan.dynamic, keyed=True)
+            dynamic_keys = keys(plan.dynamic)
             for _ in range(GUARDED_ARG_SAMPLES):
                 assignment.update(zip(args, [rng.randrange(m) for _ in args]))
                 detail["checked"] += 1
@@ -932,7 +898,6 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
                     yield settled, session.settle(settled, scan)
             continue
         filter_keys = [keys(entries) for entries in plan.filters]
-        joint_keys = [keys(entries) for entries in plan.joints]
         # per level and value, the scan of the level's filters: None until
         # scanned, NONE for a level without filters
         filtered = [[None if entries else NONE] * m for entries in plan.filters]

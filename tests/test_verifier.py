@@ -1804,12 +1804,11 @@ def test_guarded_argument_factors_are_decided_once_per_key(s3_std):
     """(y1 x + x y1 - 2) vanishes, on a rep similar to a unitary one, where
     both words map to 1, at x = y1^-1, which moves with the guard
     ordering: in every ordering the guarded source yields exactly the x a
-    fresh evaluation finds nonvanishing.  The guard-free factor
-    (x^2 + x^-2 - 2), zero where x^2 is, is evaluated once per x across
-    all six orderings and read first after that; the moving factor reads a
-    guard, so it is evaluated once per ordering and x the other leaves.
-    The word differences y1 x - 1 and x x - 1, which have the same zero
-    sets and are decided from kernel cosets, yield the same x."""
+    fresh evaluation finds nonvanishing.  Each factor, the moving one and
+    the guard-free (x^2 + x^-2 - 2), zero where x^2 is, is evaluated at
+    most once per ordering and x.  The word differences y1 x - 1 and
+    x x - 1, which have the same zero sets and are decided from kernel
+    cosets, yield the same x."""
     m = s3_std.group.order
     arg, y1, two = var("x"), var("y1"), const(-2)
     moving = sum_([prod([y1, arg]), prod([arg, y1]), two])
@@ -1857,22 +1856,26 @@ def test_guarded_argument_factors_are_decided_once_per_key(s3_std):
                            for f in (moving, fixed))]
     assert len(orderings) == 6 and len({guard["y1"] for guard in orderings}) > 2
     assert [(a["y1"], a["x"]) for a in yielded] == expected
-    assert sorted(x for f, _, x in evaluations if f is fixed) == list(range(m))
     fixed_zero = {x for x in range(m) if ev._is_zero(ev.evaluate_value(fixed, {"x": x}))}
     assert 0 < len(fixed_zero) < m
-    assert sorted((k, x) for f, k, x in evaluations if f is moving) == [
-        (k, x) for k in range(6) for x in range(m) if x not in fixed_zero]
+    for factor in (moving, fixed):
+        scanned = [(k, x) for f, k, x in evaluations if f is factor]
+        assert scanned and len(scanned) == len(set(scanned))
     words = vf._Session(guard_doc(sub(prod([y1, arg]), const(1)),
                                   sub(prod([arg, arg]), const(1))), s3_std, seed=4)
     assert [(a["y1"], a["x"]) for a, _ in vf._guarded_decisions(
         words, doc.guards, ["x"], 5, True, {"checked": 0})] == expected
 
 
-def _naive_guarded(doc, rep, seed: int, orderings: int) -> dict:
+def _naive_guarded(doc, rep, seed: int, orderings: int, samples: int | None = None) -> dict:
     """The status, checked count and witness of the guarded verdict from a
-    lexicographic scan of every argument tuple of every ordering, each root
+    lexicographic scan of every argument tuple of every ordering, or, with
+    samples set, of that many argument tuples drawn per ordering, each root
     value factor evaluated with a fresh `Evaluator`; the separator decision
-    is the session's."""
+    is the session's.  The draws are guarded mode's: a shuffle per guard
+    group in each ordering past the first, then, unless a factor free of
+    arguments vanishes, one value per argument per sample, in
+    `_var_sort_key` order."""
     m, rng = rep.group.order, random.Random(seed)
     tables, args = vf._doc_tables(doc), _arguments(doc)
     static = [f for f in tables.value_factors if f.free_vars().isdisjoint(args)]
@@ -1892,7 +1895,11 @@ def _naive_guarded(doc, rep, seed: int, orderings: int) -> dict:
         if any(vanishes(f, assignment) for f in static):
             checked += 1
             continue
-        for combo in itertools.product(range(m), repeat=len(args)):
+        if samples is None:
+            combos = itertools.product(range(m), repeat=len(args))
+        else:
+            combos = ([rng.randrange(m) for _ in args] for _ in range(samples))
+        for combo in combos:
             assignment.update(zip(args, combo))
             checked += 1
             if not any(vanishes(f, assignment) for f in tables.value_factors):
@@ -1903,11 +1910,21 @@ def _naive_guarded(doc, rep, seed: int, orderings: int) -> dict:
     return {"status": "holds", "checked": checked}
 
 
+def _naive_outcome(verdict) -> dict:
+    """The status, checked count and witness of a guarded verdict, as
+    `_naive_guarded` gives them."""
+    out = _verdict_json(verdict)
+    got = {"status": out["status"], "checked": out["checked"]}
+    if "witness" in out:
+        got["witness"] = list(out["witness"].items())
+    return got
+
+
 @st.composite
 def _argument_factor_docs(draw, rep):
     """A guarded document over x, z and one guard group Y, its root value
     factors drawn from: a sum of signed powers of z (read outside psi,
-    keyed per value), psi_Y(z^k) less its value at a drawn element (keyed
+    decided per value), psi_Y(z^k) less its value at a drawn element (keyed
     per class), psi_Y(x z) and psi_Y(z y1) less a drawn value (a middle
     that reads another variable), the psi over y1 and y2 alone of z less
     2 y2 (part of a guard group), y1 x + x y1 - 2 (a guard outside psi,
@@ -1971,13 +1988,33 @@ def test_guarded_walk_matches_a_naive_scan(rep_name, examples):
     def compare(data, seed, orderings):
         doc, kinds = data.draw(_argument_factor_docs(rep))
         plan = vf._doc_tables(doc).guarded_plan(doc.guards, _arguments(doc))
-        # psi_Y(z^k) less a value alone is keyed by class
-        assert all(classed == (kinds[f] == "psi of z") for f, _, classed, _, _ in plan.dynamic)
-        verdict = _verdict_json(vf.holds_guarded(doc, rep, seed=seed, orderings=orderings))
-        got = {"status": verdict["status"], "checked": verdict["checked"]}
-        if "witness" in verdict:
-            got["witness"] = list(verdict["witness"].items())
-        assert got == _naive_guarded(doc, rep, seed, orderings)
+        # psi_Y(z^k) less a value alone is keyed by the class of z
+        assert all(name == ("z" if kinds[f] == "psi of z" else None) for f, name in plan.dynamic)
+        verdict = vf.holds_guarded(doc, rep, seed=seed, orderings=orderings)
+        assert _naive_outcome(verdict) == _naive_guarded(doc, rep, seed, orderings)
+
+    compare()
+
+
+@pytest.mark.parametrize("rep_name, examples", [("S3:std", 30), ("Q8:dim2", 20)])
+def test_sampled_guarded_arguments_match_a_naive_scan(rep_name, examples, monkeypatch):
+    """With the argument budget at 1, guarded mode samples its arguments,
+    and its verdict (status, checked count and witness) is that of a naive
+    scan of the same draws with a fresh evaluator per factor, over the
+    documents of the level walk's reference test: the factor keyed by
+    class keeps its outcomes across the samples of an ordering."""
+    rep = _decision_rep(rep_name)
+    samples = 12
+    monkeypatch.setattr(vf, "GUARDED_ARG_BUDGET", 1)
+    monkeypatch.setattr(vf, "GUARDED_ARG_SAMPLES", samples)
+
+    @settings(max_examples=examples, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 99), orderings=st.integers(0, 2))
+    def compare(data, seed, orderings):
+        doc, _ = data.draw(_argument_factor_docs(rep))
+        verdict = vf.holds_guarded(doc, rep, seed=seed, orderings=orderings)
+        assert verdict.detail["args_exhaustive"] is False
+        assert _naive_outcome(verdict) == _naive_guarded(doc, rep, seed, orderings, samples)
 
     compare()
 

@@ -26,12 +26,11 @@ is a value factor with a slot, or the first, and the value factors up to
 the next slot (`_DocTables` alone decides all three).  Exhaustive and
 sampled mode never enumerate or draw a separator: it changes no scan, and
 the separator decision covers every choice of it.  Each assignment is
-decided once: one scan of its root value factors
-(`_Session.scan_factors`; guarded mode scans the factors free of
-arguments once per ordering and each argument factor at its level of the
-walk), then `_Session.settle`.  One loop
-(`_verify`) takes the decisions, counts the undecided ones and builds the
-verdict.  A scan has one outcome: VANISHES
+decided once: one scan of its root value factors (`_Session.scan`;
+guarded mode scans the factors free of arguments once per ordering and
+each argument factor at its level of the walk), then `_Session.settle`.
+One loop (`_verify`) takes the decisions, counts the undecided ones and
+builds the verdict.  A scan has one outcome: VANISHES
 (a root factor vanishes) settles the assignment, UNDECIDED (a streamed
 factor was not decided) makes it undecided, and CERTIFIED (a streamed
 factor certified nonvanishing) makes it "blocked", a no-vanishing-factor
@@ -68,7 +67,9 @@ a document alone is built once per document (`_DocTables`).  A root
 factor w1 - w2 of two group words (`_difference`; a guard difference
 y_i - y_j is the one-letter case) is never evaluated: rho(w1) - rho(w2)
 vanishes exactly when the words' group elements lie in
-one coset of ker rho (`Rep.kernel_cosets`).  The separator search extends
+one coset of ker rho (`Rep.kernel_cosets`); a full guard, a guard group
+whose differences cover every pair of its variables, is one test: do two
+of its values share a coset?  The separator search extends
 the running product by one block factor at a time and carries a matrix
 with its row space (`_Prefix`): none while the product is invertible, the
 factor itself after a factor of rank 1 (a word difference's rank is read
@@ -87,6 +88,7 @@ from __future__ import annotations
 import collections
 import functools
 import itertools
+import math
 import random
 import time
 import weakref
@@ -179,10 +181,12 @@ _NOT_FAILING = (None, "undecided")
 class _DocTables:
     """What the verifier derives from one document alone (`_doc_tables`);
     it holds no reference to the document: the separators, the value
-    factors and their slots, and `differences`, the two words of every
-    root value factor that is a word difference (`_difference`), which
-    the scan and the witness search decide from the words' group
-    elements."""
+    factors and their slots, `differences`, the two words of every root
+    value factor that is a word difference (`_difference`), decided from
+    the words' group elements, `full_guards` and `scanned`, the value
+    factors outside them.  A full guard is a guard group whose differences
+    y_a - y_b cover every pair of its variables, kept as its names and
+    tested as a whole (`_Session.scan`)."""
 
     symmetric = None  # the guard-symmetry certificate, set by `_guards_symmetric`
     _guarded = None  # guarded mode's walk, built by `guarded_plan`
@@ -211,9 +215,27 @@ class _DocTables:
                 self.slots.append(slot)
                 slot = None
         # root factor -> the words (a, b) of the factors a - b with a != b
-        # (`_difference`), decided from `Rep.kernel_cosets` and never stored
-        self.differences = {f: ab for f in self.value_factors
-                            if (ab := _difference(f)) and ab[0] != ab[1]}
+        # (`_difference`), decided from `Rep.kernel_cosets` and never
+        # stored; each word is one tuple per document.  Per guard group,
+        # its differences y_a - y_b (label_of maps each guard's one-letter
+        # word to its group): factor -> the pair
+        words: dict = {}
+        label_of = {((v, False),): label for label, vars_ in doc.guards.items() for v in vars_}
+        pairs: dict = {label: {} for label in doc.guards}
+        self.differences = {}
+        for f in self.value_factors:
+            ab = _difference(f)
+            if ab and ab[0] != ab[1]:
+                a, b = self.differences[f] = (words.setdefault(ab[0], ab[0]),
+                                              words.setdefault(ab[1], ab[1]))
+                label = label_of.get(a)
+                if label is not None and label == label_of.get(b):
+                    pairs[label][f] = (a, b) if a < b else (b, a)
+        full = [label for label, found in pairs.items() if found
+                and len(set(found.values())) == math.comb(len(doc.guards[label]), 2)]
+        self.full_guards = [tuple(doc.guards[label]) for label in full]
+        inside = set().union(*[pairs[label] for label in full])
+        self.scanned = [f for f in self.value_factors if f not in inside]
 
     @functools.cached_property
     def separated(self) -> bool:
@@ -250,8 +272,9 @@ class _DocTables:
 
 class _GuardedPlan:
     """How guarded mode walks its arguments: in order, the last fastest,
-    one level per argument.  A root value factor that reads no argument is
-    `static`, scanned once per ordering.  Any other is decided at the level
+    one level per argument.  A factor of `_DocTables.scanned` that reads no
+    argument is `static`, scanned once per ordering after the full guards
+    (`_Session.scan`).  Any other is decided at the level
     of the last argument it reads, and a vanishing one prunes the values of
     every later argument:
 
@@ -282,7 +305,7 @@ class _GuardedPlan:
         self.dynamic: list = []
         self.filters: list = [[] for _ in args]
         self.joints: list = [[] for _ in args]
-        for f in tables.value_factors:
+        for f in tables.scanned:
             read = sorted(level_of[v] for v in f.free_vars() if v in level_of)
             if not read:
                 self.static.append(f)
@@ -320,6 +343,16 @@ class _Session:
         self.cosets = rep.kernel_cosets if self.tables.differences else None
         self.undecided_count = 0
 
+    def scan(self, assignment: dict, factors) -> int:
+        """The scan outcome of the full guards (`_DocTables.full_guards`),
+        then of factors (`scan_factors`).  A full guard vanishes exactly
+        when two of its values share a coset of ker rho."""
+        cosets = self.cosets
+        for names in self.tables.full_guards:
+            if len({cosets[assignment[name]] for name in names}) < len(names):
+                return VANISHES
+        return self.scan_factors(assignment, factors)
+
     def scan_factors(self, assignment: dict, factors, keys=None) -> int:
         """The scan outcome of the given root factors under assignment.  A
         `StreamNonvanishing` certifies its factor only under premise (c):
@@ -333,13 +366,10 @@ class _Session:
         (`_GuardedPlan`).  keys None keys no factor.  A streamed factor that
         certifies nonvanishing or stays undecided is never recorded.  A word
         difference a - b (`_DocTables.differences`) is never evaluated nor
-        stored: it vanishes when the group elements of its two words share a
-        kernel coset.  A difference of two vars is kept as two names and
-        decided by two lookups; any other word is folded through the group
-        table (`_word_element`).  Folding one-letter words as well slows the
-        character identities on 2T:nat and H3:theta1, which scan 276 and 351
-        guard differences per ordering, by 7 to 19%
-        (`BENCH_word_differences.json`).
+        stored: it vanishes when the group elements of its two words, folded
+        through the group table (`_word_element`), share a kernel coset.
+        The differences of a full guard are not among the factors a source
+        passes: `scan` tests each full guard first.
         """
         cosets, differences = self.cosets, self.tables.differences
         value = assignment.__getitem__
@@ -349,12 +379,8 @@ class _Session:
             if cosets is not None:
                 ab = differences.get(f)
                 if ab is not None:
-                    a, b = ab
-                    if a.__class__ is str:
-                        if cosets[value(a)] == cosets[value(b)]:
-                            return VANISHES
-                    elif (cosets[_word_element(a, assignment, group)]
-                            == cosets[_word_element(b, assignment, group)]):
+                    if (cosets[_word_element(ab[0], assignment, group)]
+                            == cosets[_word_element(ab[1], assignment, group)]):
                         return VANISHES
                     continue
             table = key = None
@@ -427,11 +453,7 @@ class _Session:
             ab = differences.get(node)
             if ab is None:
                 return None
-            a, b = ab
-            if a.__class__ is str:
-                g_a, g_b = assign[a], assign[b]
-            else:
-                g_a, g_b = _word_element(a, assign, group), _word_element(b, assign, group)
+            g_a, g_b = _word_element(ab[0], assign, group), _word_element(ab[1], assign, group)
             return g_a, g_b, diff_ranks[group.table[group.inverse[g_a]][g_b]]
 
         def rank(node) -> int | None:
@@ -514,8 +536,7 @@ class _Session:
     def decide(self, assignment: dict):
         """`settle` after one scan of every root value factor: the decision
         of structured and sampled mode and of the relation probabilities."""
-        return self.settle(assignment,
-                           self.scan_factors(assignment, self.tables.value_factors))
+        return self.settle(assignment, self.scan(assignment, self.tables.scanned))
 
     def settle(self, assignment: dict, scan: int, weight: int = 1):
         """The decision for assignment, given the scan of its root value
@@ -732,7 +753,7 @@ def _exhaustive_decisions(session: _Session, names: list[str], start: int, stop:
     ranges = [range(m) if name in read else (0,) for name in names]
     for values in itertools.islice(itertools.product(*ranges), start, stop):
         assignment = dict(zip(names, values))
-        scan = session.scan_factors(assignment, tables.value_factors)
+        scan = session.scan(assignment, tables.scanned)
         if scan != VANISHES:
             yield assignment, session.settle(assignment, scan, weight)
 
@@ -814,21 +835,21 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
                        exhaustive_args: bool, detail: dict):
     """The source of guarded mode: (assignment, `_Session.settle`'s
     decision) over guard orderings times argument values, less those found
-    vanishing; detail["checked"] counts them.  Per ordering, the factors
-    free of arguments are scanned once (a zero among them settles every
-    argument value).  Enumerated arguments are walked one level at a time
-    (`_GuardedPlan`): each argument factor is decided once per values of
-    the arguments it reads, a vanishing one prunes that subtree, and the
-    survivors come in lexicographic order, detail["checked"] set from each
-    one's index.  Sampled arguments scan every argument factor per draw.
-    Per ordering, a factor keyed by class (`_GuardedPlan`) keeps its
-    outcomes in a fresh table, for enumerated and sampled arguments alike;
-    no other factor's outcomes are kept.  With exhaustive arguments on a
-    document symmetric in its guards (`_guards_symmetric`), an argument
-    value's scan is the same in every ordering: an ordering past the first
-    scans nothing, and settles the first's nonvanishing argument values,
-    with its own guard values, by their first scans.  It still draws its
-    shuffle.
+    vanishing; detail["checked"] counts them.  Per ordering, the full
+    guards and the factors free of arguments are scanned once (a zero
+    among them settles every argument value).  Enumerated arguments are
+    walked one level at a time (`_GuardedPlan`): each argument factor is
+    decided once per values of the arguments it reads, a vanishing one
+    prunes that subtree, and the survivors come in lexicographic order,
+    detail["checked"] set from each one's index.  Sampled arguments scan
+    every argument factor per draw.  Per ordering, a factor keyed by class
+    (`_GuardedPlan`) keeps its outcomes in a fresh table, for enumerated
+    and sampled arguments alike; no other factor's outcomes are kept.
+    With exhaustive arguments on a document symmetric in its guards
+    (`_guards_symmetric`), an argument value's scan is the same in every
+    ordering: an ordering past the first scans nothing, and settles the
+    first's nonvanishing argument values, with its own guard values, by
+    their first scans.  It still draws its shuffle.
     """
     m = session.rep.group.order
     rng, scan_factors = session.rng, session.scan_factors
@@ -883,7 +904,7 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
                 settled = dict(assignment)
                 yield settled, session.settle(settled, scan)
             continue
-        static_scan = scan_factors(assignment, plan.static)
+        static_scan = session.scan(assignment, plan.static)
         if static_scan == VANISHES:
             detail["checked"] += 1
             continue
@@ -914,11 +935,9 @@ def _guarded_decisions(session: _Session, groups: dict, args: list[str], orderin
 def _difference(f: Expr) -> tuple | None:
     """The words (a, b) when f is a - b as `sub` builds it, in either child
     order, else None.  A word is a var, `inv` of a word, a `prod` of words
-    or const(1); a power is a product of repeats.  Two words of one var
-    each are kept as their two names, which the scan looks up directly
-    (`_Session.scan_factors`) and `_guards_symmetric` counts as guard
-    pairs; any other two are kept as their (name, inverted) letter tuples
-    (`_word_letters`)."""
+    or const(1); a power is a product of repeats.  Each word is kept as
+    its tuple of (name, inverted) letters (`_word_letters`): a guard
+    difference y_i - y_j is ((y_i, False),), ((y_j, False),)."""
     if f.kind == "sum" and len(f.children) == 2:
         for a, b in (f.children, f.children[::-1]):
             if (b.kind == "prod" and len(b.children) > 1
@@ -928,8 +947,6 @@ def _difference(f: Expr) -> tuple | None:
                     wa, wb = _word_letters([a]), _word_letters(b.children[1:])
                     if wa is None or wb is None:
                         return None
-                    if len(wa) == len(wb) == 1 and not (wa[0][1] or wb[0][1]):
-                        return wa[0][0], wb[0][0]
                     return tuple(wa), tuple(wb)
     return None
 
@@ -974,41 +991,22 @@ def _guards_symmetric(session: _Session, groups: dict) -> bool:
     factor vanishes on a bijection onto the group.  Computed once per
     document and kept in its tables (`_DocTables.symmetric`).
 
-    Every group Y passes two checks.  (a) The differences y_a - y_b of two
-    vars of Y (the entries of `_DocTables.differences` that are two names)
-    cover every unordered pair of Y equally often, or there are none: on a
-    bijection some one vanishes exactly when the rep is not faithful.
-    (b) Every other root value factor mentions guard variables only as the
-    conjugators y of a psi block (`freeexpr._psi_blocks`) over all of one
-    group, with a middle free of guard variables, so its value is the same
-    for every bijection.  A streamed node that mentions a guard variable,
-    or a guard variable anywhere else, a word difference of longer words
-    among them, refuses the certificate.
+    A full guard (`_DocTables.full_guards`) vanishes on a bijection exactly
+    when the rep is not faithful, whatever the ordering.  Every other root
+    value factor (`_DocTables.scanned`) must mention guard variables only
+    as the conjugators y of a psi block (`freeexpr._psi_blocks`) over all
+    of one group, with a middle free of guard variables, so its value is
+    the same for every bijection.  A streamed node that mentions a guard
+    variable, or a guard variable anywhere else, refuses the certificate:
+    a guard difference outside a full guard, or one of longer words, reads
+    a guard variable bare.
     """
     tables = session.tables
-    if tables.symmetric is not None:
-        return tables.symmetric
-    group_of = {v: label for label, vars_ in groups.items() for v in vars_}
-    guards = frozenset(group_of)
-    pairs: dict = {label: collections.Counter() for label in groups}
-
-    symmetric = True
-    for f in tables.value_factors:
-        ab = tables.differences.get(f)
-        # two names, not two letter tuples, exactly when f is var(a) - var(b)
-        if (ab and ab[0].__class__ is str
-                and ab[0] in group_of and group_of[ab[0]] == group_of.get(ab[1])):
-            pairs[group_of[ab[0]]][frozenset(ab)] += 1
-        elif not _confined_to_psi(f, guards, groups,
-                                  lambda middle: middle.free_vars().isdisjoint(guards)):
-            symmetric = False
-            break
-    for label, counts in pairs.items():
-        n = len(groups[label])
-        if counts and (len(counts) != n * (n - 1) // 2 or len(set(counts.values())) > 1):
-            symmetric = False
-    tables.symmetric = symmetric
-    return symmetric
+    if tables.symmetric is None:
+        guards = frozenset(v for vars_ in groups.values() for v in vars_)
+        tables.symmetric = all(_confined_to_psi(f, guards, groups, lambda middle: (
+            middle.free_vars().isdisjoint(guards))) for f in tables.scanned)
+    return tables.symmetric
 
 
 def _confined_to_psi(e: Expr, names: frozenset, groups: dict, middle_ok) -> bool:

@@ -88,6 +88,22 @@ def test_build_guard_and_character(tmp_path):
                    "-o", str(out2)).returncode == 0
 
 
+def test_full_guard_is_one_kernel_coset_test(tmp_path):
+    """The S4:rho4 character identity, checked guarded over three orderings:
+    rho4 is faithful, so its full guard never vanishes on a bijection and
+    all 24 arguments of each ordering are checked; rho3 (kernel V4) and
+    rho2 (kernel A4) are not, so the guard settles each ordering at once."""
+    doc = tmp_path / "character.json"
+    assert run_cli("build", "character", "--rep", "catalog:S4:rho4",
+                   "-o", str(doc)).returncode == 0
+    for rep, checked in (("rho4", 72), ("rho3", 3), ("rho2", 3)):
+        proc = run_cli("check", str(doc), "--rep", f"catalog:S4:{rep}", "--mode", "guarded",
+                       "--orderings", "2")
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert (payload["status"], payload["checked"]) == ("holds", checked), rep
+
+
 def test_compare_cli():
     proc = run_cli("compare", "--rep-a", "catalog:S4:rho4", "--rep-b", "catalog:S4:rho5")
     assert proc.returncode == 1  # not similar

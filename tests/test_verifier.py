@@ -1184,6 +1184,8 @@ _DECISION_REPS = {
     "Q8:dim2": lambda: catalog.get_rep("Q8", "dim2"),
     "S4:rho4": lambda: catalog.symmetric(4).rep("rho4"),
     "S3:perm": _s3_permutation_rep,
+    "S3:sign": lambda: catalog.symmetric(3).rep("sign"),  # kernel A3
+    "S4:rho3": lambda: catalog.symmetric(4).rep("rho3"),  # kernel V4
 }
 
 
@@ -1578,8 +1580,7 @@ def test_scan_matches_fresh_evaluation(rep_name):
             for c in pool:
                 assignment["c"] = c
                 expected = fresh_scan(factors, assignment, separated)
-                assert session.scan_factors(assignment, session.tables.value_factors) \
-                    == expected
+                assert session.scan(assignment, session.tables.scanned) == expected
                 seen.add((expected, separated))
     # every outcome, a certified stream only in a separated product, and
     # none on the reducible rep (Burnside's theorem, on which the
@@ -1592,6 +1593,47 @@ def test_scan_matches_fresh_evaluation(rep_name):
     assert {separated for _, separated in seen} == {True, False}
     # an unseparated product's certificate is refused: its stream is undecided
     assert any(refused) != reducible
+    # guard_C(k) is one full guard, tested as a whole, on values drawn
+    # from two elements, which repeat, or distinct
+    guard_seen = set()
+    for k in range(2, 6):
+        doc = idf.guard_C(k)
+        session = vf._Session(doc, rep, seed=0)
+        names = tuple(doc.guards["Y"])
+        assert session.tables.full_guards == [names] and session.tables.scanned == []
+        pool = rng.sample(range(rep.group.order), 2)
+        for _ in range(8):
+            values = (rng.sample(range(rep.group.order), k) if rng.random() < 0.5
+                      else [rng.choice(pool) for _ in names])
+            assignment = {**dict.fromkeys(doc.expr.free_vars(), 0), **dict(zip(names, values))}
+            expected = fresh_scan(list(doc.expr.children), assignment, True)
+            assert session.scan(assignment, session.tables.scanned) == expected
+            guard_seen.add(expected)
+    assert guard_seen == {vf.NONE, vf.VANISHES}
+
+
+def test_a_partial_guard_is_scanned_pair_by_pair():
+    """On Z4:chi2 (kernel {0, 2}) the guard differences y1 - y2 and y3 - y4
+    cover two of the six pairs of their group, so they form no full guard:
+    the canonical ordering (0, 1, 2, 3) separates both pairs, though its
+    four values share two cosets, and the guarded verdict fails there.
+    guard_C(4), which covers every pair, is one full guard and holds, as
+    chi2 is not faithful."""
+    rep = catalog.cyclic(4).rep("chi2")
+    ys = [var(f"y{i}") for i in range(1, 5)]
+    doc = idf.IdentityDoc("test", prod([var("u0"), sub(ys[0], ys[1]), var("u1"),
+                                        sub(ys[2], ys[3])]),
+                          {"Y": idf._names(ys)}, {}, "two of the six guard pairs")
+    tables = vf._doc_tables(doc)
+    assert tables.full_guards == [] and tables.scanned == tables.value_factors
+    canonical = {"u0": 0, "u1": 0, "y1": 0, "y2": 1, "y3": 2, "y4": 3}
+    assert vf._Session(doc, rep).scan(canonical, tables.scanned) == vf.NONE
+    verdict = _verdict_json(vf.holds_guarded(doc, rep, orderings=0))
+    assert verdict == {"status": "fails", "evidence": "guarded", "orderings": 0, "seed": 0,
+                       "checked": 1, "args_exhaustive": True, "witness": canonical}
+    full = idf.guard_C(4)
+    assert vf._doc_tables(full).full_guards == [("y1", "y2", "y3", "y4")]
+    assert vf.holds_guarded(full, rep, orderings=0).holds
 
 
 # name -> (rep, order of its kernel)
@@ -1650,7 +1692,7 @@ def test_differences_are_decided_from_kernel_cosets(rep_name, words, monkeypatch
     assert differences.keys() == {forward, backward}
     assert differences[backward] == differences[forward][::-1]
     if words == "a - b":
-        assert differences[forward] == ("a", "b")
+        assert differences[forward] == ((("a", False),), (("b", False),))
     ev = Evaluator(rep)
     session.ev._eval = None  # a scan that evaluates would raise
     kernel = set(rep.kernel)
@@ -1930,7 +1972,10 @@ def _argument_factor_docs(draw, rep):
     2 y2 (part of a guard group), y1 x + x y1 - 2 (a guard outside psi,
     so that every ordering is scanned) and x^e - 1 (a word difference that
     prunes the x where it vanishes), after the guard differences, with
-    fresh separators before some of them; with the kind of each factor."""
+    fresh separators before some of them; with the kind of each factor.
+    Now and then one guard difference is dropped, with the separator after
+    it (a partial guard, scanned pair by pair), or repeated at the end of
+    the guard, in either order."""
     group, m, d = rep.group, rep.group.order, rep.dim
     ys = [var(f"y{i}") for i in range(1, m + 1)]
     x, z = var("x"), var("z")
@@ -1962,6 +2007,15 @@ def _argument_factor_docs(draw, rep):
     }
     chosen = draw(st.lists(st.sampled_from(sorted(menu)), min_size=1, max_size=4))
     factors, kinds = idf.guard_factors(m)[0], {}
+    edit = draw(st.sampled_from(["none", "drop", "repeat"]))
+    if edit != "none":
+        a, b = sorted(draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        at = factors.index(sub(ys[a], ys[b]))
+        if edit == "drop":
+            del factors[at:at + 2]
+        else:
+            factors.append(draw(st.sampled_from([sub(ys[a], ys[b]), sub(ys[b], ys[a])])))
     for i, name in enumerate(chosen + ["x gate", "z outside psi"]):
         if draw(st.booleans()):
             factors.append(var(f"s{i}"))
@@ -1973,21 +2027,28 @@ def _argument_factor_docs(draw, rep):
 
 
 @pytest.mark.parametrize("rep_name, examples", [("S3:std", 40), ("Q8:dim2", 30),
-                                                ("S4:rho4", 10)])
+                                                ("S4:rho4", 10), ("S3:sign", 30),
+                                                ("S4:rho3", 10)])
 def test_guarded_walk_matches_a_naive_scan(rep_name, examples):
     """The level walk's verdict (status, checked count and witness, in its
     key order) is that of a naive lexicographic scan of every factor with a
     fresh evaluator, over documents with argument factors of every kind:
     read per value, per class, through a psi middle that reads x and z or
     a guard, and through a psi over part of a guard group; the last three
-    are not keyed by class."""
+    are not keyed by class.  Its guard is full, or lacks or repeats a pair;
+    on the non-faithful S3:sign and S4:rho3 a full guard vanishes in every
+    ordering."""
     rep = _decision_rep(rep_name)
 
     @settings(max_examples=examples, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 99), orderings=st.integers(0, 1))
     def compare(data, seed, orderings):
         doc, kinds = data.draw(_argument_factor_docs(rep))
-        plan = vf._doc_tables(doc).guarded_plan(doc.guards, _arguments(doc))
+        tables = vf._doc_tables(doc)
+        full = tables.full_guards == [tuple(doc.guards["Y"])]
+        event(f"full guard: {full}")
+        assert full == (len(tables.scanned) < len(tables.value_factors))
+        plan = tables.guarded_plan(doc.guards, _arguments(doc))
         # psi_Y(z^k) less a value alone is keyed by the class of z
         assert all(name == ("z" if kinds[f] == "psi of z" else None) for f, name in plan.dynamic)
         verdict = vf.holds_guarded(doc, rep, seed=seed, orderings=orderings)
@@ -2042,6 +2103,7 @@ def _certified_cases():
     rho4, rho5 = s4.rep("rho4"), s4.rep("rho5")
     gam = catalog.gamma_d(7, 9, 2)
     h3 = catalog.heisenberg(3).rep("theta1")
+    z3 = catalog.cyclic(3).rep("chi1")
     return {
         "character": (idf.character_identity(rho4), rho4),
         "character-unseparated": (unseparated_character_doc(rho4), rho4),
@@ -2051,13 +2113,21 @@ def _certified_cases():
         "theta": (idf.theta(6), s3),
         "guard": (idf.guard_C(6), s3),
         "undecided stream": (_undecided_doc(s3), s3),
+        # a full guard vanishes on a bijection exactly when the rep is not
+        # faithful, however often it covers each pair
+        "a pair covered twice": (_pair_covered_twice(z3), z3),
     }
+
+
+def _pair_covered_twice(rep):
+    """guard_factors over the group order, then y1 - y2 once more."""
+    return _guard_doc(rep, lambda ys: [sub(ys[0], ys[1])])
 
 
 def _refused_cases():
     s3 = catalog.symmetric(3).rep("std")
     h3 = catalog.heisenberg(3).rep("theta1")
-    z3, z4 = catalog.cyclic(3).rep("chi1"), catalog.cyclic(4).rep("chi1")
+    z4 = catalog.cyclic(4).rep("chi1")
     comm = sub(prod([inv(var("a")), inv(var("b")), var("a"), var("b")]), const(1))
     xi = s3.character.range_values(s3.key_conductor)[0]
     guard4 = idf.guard_C(4)
@@ -2075,7 +2145,6 @@ def _refused_cases():
         "probability": (idf.probability_identity(comm, 19, 6), s3),
         "guard minus one difference": (idf.IdentityDoc(
             "guard", prod(missing), guard4.guards, {}, "pair (2, 4) uncovered"), z4),
-        "a pair covered twice": (_guard_doc(z3, lambda ys: [sub(ys[0], ys[1])]), z3),
         "psi over all but one": (_guard_doc(s3, lambda ys: [idf.psi_expr(var("x"), ys[:-1])]),
                                  s3),
         "psi repeating y1 for y6": (_guard_doc(s3, lambda ys: [
@@ -2112,6 +2181,7 @@ def _same_verdict_cases():
     h3 = catalog.heisenberg(3).rep("theta1")
     gam = catalog.gamma_d(7, 9, 2)
     s3 = catalog.symmetric(3).rep("std")
+    z3 = catalog.cyclic(3).rep("chi1")
     sep = idf.s4_separating_identity(rho4)
     return {
         "S4 character": (idf.character_identity(rho4), rho4, "holds"),
@@ -2124,6 +2194,7 @@ def _same_verdict_cases():
         # not faithful: some guard difference vanishes in every ordering
         "guard on S3:sign": (idf.guard_C(6), catalog.symmetric(3).rep("sign"), "holds"),
         "undecided stream": (_undecided_doc(s3), s3, "holds"),
+        "a pair covered twice": (_pair_covered_twice(z3), z3, "fails"),
     }
 
 
@@ -2233,7 +2304,7 @@ def _ordering_patterns(doc, rep, k, seed):
 
 
 @pytest.mark.parametrize("name", ["character", "s4-separation", "spectrum", "theta",
-                                  "guard"])
+                                  "guard", "a pair covered twice"])
 def test_certified_vanishing_pattern_is_ordering_independent(name):
     """The fact the certificate rests on: under random guard orderings a
     certified document vanishes on exactly the arguments it vanishes on

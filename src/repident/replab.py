@@ -312,6 +312,14 @@ class Rep:
             images.append(None if any(None in row for row in rows) else rows)
         return red, tuple(images)
 
+    @cached_property
+    def columns_mod_p(self) -> tuple:
+        """`images_mod_p` as column tuples of residues of least absolute
+        value, so that small integer images multiply as small ints."""
+        p = self.images_mod_p[0].p
+        return tuple(m and tuple(tuple((v + p // 2) % p - p // 2 for v in col) for col in zip(*m))
+                     for m in self.images_mod_p[1])
+
     # -- analytics ---------------------------------------------------------
 
     def adams_vector(self, g: int) -> tuple[Cyc, ...]:

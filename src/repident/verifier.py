@@ -69,14 +69,14 @@ y_i - y_j is the one-letter case) is never evaluated: rho(w1) - rho(w2)
 vanishes exactly when the words' group elements lie in
 one coset of ker rho (`Rep.kernel_cosets`); a full guard, a guard group
 whose differences cover every pair of its variables, is one test: do two
-of its values share a coset?  The separator search extends
-the running product by one block factor at a time and carries a matrix
+of its values share a coset?  The separator search extends the running
+product by one block factor at a time and carries the rows of a matrix
 with its row space (`_Prefix`): none while the product is invertible, the
 factor itself after a factor of rank 1 (a word difference's rank is read
 from `Rep.difference_ranks`), and one row once its image has rank 1.  It
-works modulo a prime: a word difference is two image lookups, and a slot
-is decided exactly only when no group element gives a nonzero image.  No
-floating point enters any decision.
+works modulo a prime, row by row (a word difference is two row products
+per row), and decides a slot exactly only when no group element gives a
+nonzero image.  No floating point enters any decision.
 
 A fails verdict always carries a counterexample whose re-evaluation is
 nonzero, or, for a certified streamed product too large to materialize,
@@ -89,12 +89,13 @@ import collections
 import functools
 import itertools
 import math
+import operator
 import random
 import time
 import weakref
 from fractions import Fraction
 
-from .exactnum import Cyc, mat_mul_mod
+from .exactnum import Cyc
 from .freeexpr import (
     _G,
     _M,
@@ -430,16 +431,16 @@ class _Session:
         after that pass some u always does.  No value factor reads a
         separator, so each is evaluated where the scan evaluated it.
 
-        The product is carried as a matrix with its row space (`_Prefix`),
-        modulo a prime: a slot takes the first u whose product has a
-        nonzero image, and is decided exactly only when none has.  So the
-        decision is the one exact arithmetic alone makes, and the witness
-        differs from an exact search's only after a false zero mod p.  A
-        word difference a - b has the exact rank of rho(g_a) - rho(g_b),
-        g_a and g_b its words' group elements, from `Rep.difference_ranks`
-        at g_a^-1 g_b: an invertible one keeps an invertible product
-        invertible at every u and is skipped, and any other enters the
-        prefix as (g_a, g_b, rank), neither evaluated nor built.
+        The product is carried modulo a prime as the rows of a matrix with
+        its row space (`_Prefix`): a slot takes the first u whose product
+        has a nonzero image, and is decided exactly only when none has.  So
+        the decision is the one exact arithmetic alone makes, and the
+        witness differs from an exact search's only after a false zero mod
+        p.  A word difference a - b has the exact rank of rho(g_a) -
+        rho(g_b), g_a and g_b its words' group elements, from
+        `Rep.difference_ranks` at g_a^-1 g_b: an invertible one keeps an
+        invertible product invertible at every u and is skipped, and any
+        other enters as (g_a, g_b, rank), two row products per row of R.
         """
         group, dim = self.rep.group, self.rep.dim
         ev, differences = self.ev, self.tables.differences
@@ -578,11 +579,10 @@ class _Factor:
 class _Prefix:
     """A matrix R with the row space of the running product P of the
     witness search, which extends P by rho(u) and one block factor F at a
-    time: a `_Factor`, or a word difference given as (g_a, g_b, its rank),
-    whose image mod p is the difference of two looked-up images.  A zero
-    test P X = 0 depends on the row space of P alone, and R M has the row
-    space of P M, so R stands for P in every test and every extension.
-    Three rules skip or shrink products:
+    time: a `_Factor`, or a word difference given as (g_a, g_b, its rank).
+    A zero test P X = 0 depends on the row space of P alone, and R M has
+    the row space of P M, so R stands for P in every test and every
+    extension.  Three rules skip or shrink products:
 
     1. While P is invertible, no matrix is carried (`pending` is None).  An
        invertible factor keeps it so at no cost; any other factor F becomes
@@ -590,49 +590,44 @@ class _Prefix:
     2. After a nonzero extension by a factor F of exact rank 1, R is F,
        since rowspace(P rho(u) F) is a nonzero subspace of rowspace(F).
     3. Once the image of R mod p has rank 1, it keeps its first nonzero
-       row, the image of a row of R, and zeros elsewhere.
+       row alone, the image of a row of R.
 
-    R is carried modulo the prime p of `Rep.images_mod_p` (`mod`), and as
-    `exact` times the values recorded in `pending`.  Reduction is a ring
-    map and every row of the image is the image of a row of R, so a
-    product with a nonzero image is nonzero: each slot takes the first u
-    with one.  Only when none has, or R or F has no image, are the values
-    multiplied (`_catch_up`), the slot takes the first u whose exact
-    product is nonzero, and R is carried exactly until the next reset.
+    R is carried modulo the prime p of `Rep.images_mod_p` as the nonzero
+    rows of its image (`rows`), and as `exact` times the values recorded in
+    `pending`.  Each candidate is made row by row (`_rows_times`): a word
+    difference as r rho(u g_a) - r rho(u g_b).  Reduction is a ring map and
+    every row of the image is the image of a row of R, so a product with a
+    nonzero image is nonzero: each slot takes the first u with one.  Only
+    when none has, or R or F has no image, are the values multiplied
+    (`_catch_up`), the slot takes the first u whose exact product is
+    nonzero, and R is carried exactly until the next reset.
     """
 
     def __init__(self, ev: Evaluator):
         self.ev, rep = ev, ev.rep
         red, images = rep.images_mod_p
         self.images = None if None in images else images  # None: some image does not reduce
-        self.p, self.dim, self.order = red.p, rep.dim, rep.group.order
+        self.columns, self.table = rep.columns_mod_p, rep.group.table
+        self.p, self.dim, self.order = red.p, rep.dim, len(self.table)
         # R is exact (None: no factor) times the tagged values in pending,
         # (None, (a, b)) standing for rho(a) - rho(b); pending is None while
-        # P is invertible, and mod is None while R is carried exactly
-        self.exact = self.pending = self.mod = None
+        # P is invertible, and rows is None while R is carried exactly
+        self.exact = self.pending = self.rows = None
 
     def extend(self, f) -> int:
         """Multiply the product by rho(u) F, F a nonzero factor, for the
         first group element u that keeps it nonzero, and return u."""
         if f.__class__ is tuple:
-            a, b, rank = f
-            val, images, p = (None, (a, b)), self.images, self.p
-            fmod = images and tuple(tuple((s - t) % p for s, t in zip(*rows))
-                                    for rows in zip(images[a], images[b]))
+            val, fmod, rank = (None, f[:2]), None, f[2]
         else:
             val, fmod, rank = f.val, f.mod, f.rank
         if self.pending is None:
             # P rho(0) is invertible and F is nonzero
             if rank != self.dim:
-                self._reset(val, fmod)
+                self._reset(val, fmod, rank)
             return 0
-        mod, p = self.mod, self.p
-        found = None
-        if mod is not None and fmod is not None:
-            cands = (mat_mul_mod(mat_mul_mod(mod, g, p) if u else mod, fmod, p)
-                     for u, g in enumerate(self.images))
-            found = next(((u, c) for u, c in enumerate(cands) if any(map(any, c))), None)
-        if found is None:
+        found = self.rows and (fmod or val[0] is None) and self._first(val, fmod)
+        if not found:
             self._catch_up()
             exact, image, mat = self.exact, self.ev.rep.image, self._matrix(val)
             cands = ((exact * image(u) if u else exact) * mat for u in range(self.order))
@@ -640,21 +635,49 @@ class _Prefix:
             if found is None:
                 raise VerifierError("internal: no separator keeps the witness product nonzero")
             u, self.exact = found
-            self.mod = None  # a false zero, or no image
+            self.rows = None  # a false zero, or no image
         else:
-            u, mod = found
+            u, rows = found
             if rank != 1:
                 self.pending += [(_G, u), val] if u else [val]
-                self.mod = _one_row(mod, p)
+                self._keep(rows)
         if rank == 1:
-            self._reset(val, fmod)
+            self._reset(val, fmod, rank)
         return u
 
-    def _reset(self, val, mod) -> None:
-        """R becomes the factor of value val and image mod (rules 1 and 2)."""
-        self.exact, self.pending = None, [val]
-        self.mod = (_one_row(mod, self.p) if self.images and mod and any(map(any, mod))
-                    else None)
+    def _first(self, val, fmod) -> tuple | None:
+        """(u, R rho(u) F mod p as rows) for the first u that makes it nonzero, or None."""
+        rows, columns, p = self.rows, self.columns, self.p
+        fcols = fmod and tuple(zip(*fmod))
+        a, b = (0, 0) if fcols else val[1]
+        for u, at in enumerate(self.table):
+            cand = (_rows_times(_rows_times(rows, columns[u], p), fcols, p) if fcols
+                    else _rows_times(rows, columns[at[a]], p, columns[at[b]]))
+            if any(map(any, cand)):
+                return u, cand
+        return None
+
+    def _reset(self, val, mod, rank) -> None:
+        """R becomes the factor of value val, image mod and rank (rules 1 and 2)."""
+        self.exact, self.pending, self.rows = None, [val], None
+        if self.images and val[0] is None:
+            (a, b), p, h = val[1], self.p, self.p >> 1
+            mod = (tuple([(s - t + h) % p - h for s, t in zip(*rows)])
+                   for rows in zip(self.images[a], self.images[b]))
+        if self.images and mod is not None:
+            self._keep(list(itertools.islice(filter(any, mod), 1 if rank == 1 else None)))
+
+    def _keep(self, rows) -> None:
+        """R mod p becomes the nonzero ones of rows (None: none), or the first alone
+        when every minor with its first nonzero column vanishes (rule 3)."""
+        if len(rows) > 1:
+            rows, p = [row for row in rows if any(row)], self.p
+            first = rows[0]
+            j = next(k for k, v in enumerate(first) if v)
+            if not any((first[j] * row[k] - first[k] * row[j]) % p
+                       for row in rows[1:] for k in range(self.dim)):
+                rows = rows[:1]
+        self.rows = rows or None
 
     def _matrix(self, val) -> Mat:
         """The exact matrix of a recorded value."""
@@ -671,17 +694,16 @@ class _Prefix:
         self.pending = []
 
 
-def _one_row(mod, p: int) -> tuple:
-    """Rule 3 of `_Prefix`: mod, a nonzero matrix mod p, or its first
-    nonzero row alone, zeros elsewhere, when the other rows are multiples
-    of it (every minor with its first nonzero column vanishes)."""
-    rows = [i for i, row in enumerate(mod) if any(row)]
-    first = mod[rows[0]]
-    j = next(k for k, v in enumerate(first) if v)
-    if len(rows) == 1 or any((first[j] * mod[i][k] - first[k] * mod[i][j]) % p
-                             for i in rows[1:] for k in range(len(first))):
-        return mod
-    return tuple(row if i == rows[0] else (0,) * len(row) for i, row in enumerate(mod))
+def _rows_times(rows, columns, p: int, minus=None) -> list:
+    """Each row times the matrix of columns, less its product with that of
+    minus when given, mod p (residues of least absolute value): every
+    candidate product of the witness search is made here."""
+    h, mul = p >> 1, operator.mul
+    if minus is None:
+        return [tuple([(sum(map(mul, row, col)) + h) % p - h for col in columns])
+                for row in rows]
+    return [tuple([(sum(map(mul, row, col)) - sum(map(mul, row, neg)) + h) % p - h
+                   for col, neg in zip(columns, minus)]) for row in rows]
 
 
 def _verify(session: _Session, evidence: str, decisions, detail: dict, t0: float,

@@ -10,8 +10,8 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 
 from helpers import unseparated_character_doc
 from repident import catalog, idfactory as idf, verifier as vf
-from repident.exactnum import Cyc, cyc_root_of_unity
-from repident.freeexpr import (Evaluator, const, inv, power, prod, reference_eval, smul,
+from repident.exactnum import Cyc, cyc_root_of_unity, mat_mul_mod
+from repident.freeexpr import (_G, Evaluator, const, inv, power, prod, reference_eval, smul,
                                star, stream_perm_body, stream_subsets, sub, sum_, var)
 from repident.matrices import Mat
 
@@ -880,11 +880,11 @@ def _zero_modular_pass(monkeypatch):
     read zero, as false zeros would: the k-th slot that tests images, k
     the entry of the returned list.  The second list records (slot number,
     zeroed) per slot that tests images."""
-    extend, mat_mul_mod = vf._Prefix.extend, vf.mat_mul_mod
+    extend, rows_times = vf._Prefix.extend, vf._rows_times
     slot, passes, zeroing = [0], [], [False]
 
     def spy_extend(prefix, f):
-        if prefix.pending is None or prefix.mod is None:
+        if prefix.pending is None or prefix.rows is None:
             return extend(prefix, f)
         prefix.passes = getattr(prefix, "passes", 0) + 1
         passes.append((prefix.passes, prefix.passes == slot[0]))
@@ -894,12 +894,12 @@ def _zero_modular_pass(monkeypatch):
         finally:
             zeroing[0] = False
 
-    def spy_mul(a, b, p):
-        product = mat_mul_mod(a, b, p)
-        return tuple((0,) * len(row) for row in product) if zeroing[0] else product
+    def spy_rows_times(*args):
+        product = rows_times(*args)
+        return [(0,) * len(row) for row in product] if zeroing[0] else product
 
     monkeypatch.setattr(vf._Prefix, "extend", spy_extend)
-    monkeypatch.setattr(vf, "mat_mul_mod", spy_mul)
+    monkeypatch.setattr(vf, "_rows_times", spy_rows_times)
     return slot, passes
 
 
@@ -936,6 +936,7 @@ def test_a_slot_decided_exactly_on_a_reducible_rep_matches_brute_force(monkeypat
     decision of brute force (`_assert_brute_force_decision`)."""
     rep = _decision_rep("S3:perm")
     slot, passes = _zero_modular_pass(monkeypatch)
+    zeroed = []
 
     @settings(max_examples=120, deadline=None)
     @given(expr=_separated_products(split=True), x=st.integers(0, 5), z=st.integers(0, 5),
@@ -950,10 +951,12 @@ def test_a_slot_decided_exactly_on_a_reducible_rep_matches_brute_force(monkeypat
         k = data.draw(st.integers(1, len(session.tables.blocks) - 1))
         slot[0], passes[:] = k, []
         outcome = session.witness_value(assignment)
-        event("a slot decided exactly" if (k, True) in passes else "no pass zeroed")
+        zeroed.append((k, True) in passes)
+        event("a slot decided exactly" if zeroed[-1] else "no pass zeroed")
         _assert_brute_force_decision(doc, rep, assignment, outcome)
 
     decide()
+    assert any(zeroed)  # the zeroing reached some candidate
 
 
 def test_fixed_point_free_guard_costs_no_product(monkeypatch):
@@ -965,30 +968,30 @@ def test_fixed_point_free_guard_costs_no_product(monkeypatch):
     rep = gam.rep("pi(1,2)")
     assert rep.is_fixed_point_free()
     products = []
-    mat_mul_mod = vf.mat_mul_mod
+    rows_times = vf._rows_times
 
-    def spy(a, b, p):
+    def spy(*args):
         products.append(1)
-        return mat_mul_mod(a, b, p)
+        return rows_times(*args)
 
-    monkeypatch.setattr(vf, "mat_mul_mod", spy)
+    monkeypatch.setattr(vf, "_rows_times", spy)
     verdict = vf.holds_guarded(idf.gamma_separating_identity(gam, 1), rep, seed=1, orderings=1)
     assert verdict.status == "fails" and not products
 
 
 def test_prefix_keeps_one_row_of_a_rank_one_product_only():
-    """Rule 3 of `_Prefix`, on the image mod p: the image of a product of
-    exact rank 1 keeps its first nonzero row, the image of that row of the
-    exact product, and zeros elsewhere, so it keeps its row space; the
-    image of a product of larger rank is kept whole.  Products (rho(g) -
-    I)(rho(h) - I) on W3's 3-dimensional rho_w have every rank from 1 to
-    3."""
+    """Rule 3 of `_Prefix`, on the image mod p: reset to a product of exact
+    rank 1, the prefix keeps the first nonzero row of its image alone, the
+    image of that row of the exact product, so it keeps its row space; a
+    product of larger rank keeps every nonzero row.  Keeping the kept rows
+    again changes nothing, and a reset given the exact rank 1 keeps the
+    same row.  Products (rho(g) - I)(rho(h) - I) on W3's 3-dimensional
+    rho_w have every rank from 1 to 3."""
     from repident.freeexpr import _M
     from repident.matrices import Mat, rref
 
     rep = catalog.get_rep("W3", "rho_w")
     ev, identity = Evaluator(rep), Mat.identity(rep.dim)
-    p = rep.images_mod_p[0].p
     ranks = set()
     for g, h in itertools.product(range(0, rep.group.order, 5), repeat=2):
         product = (rep.image(g) - identity) * (rep.image(h) - identity)
@@ -997,14 +1000,18 @@ def test_prefix_keeps_one_row_of_a_rank_one_product_only():
             continue
         ranks.add(len(pivots))
         mod = ev._mod_p((_M, product))
-        kept = vf._one_row(mod, p)
+        prefix = vf._Prefix(ev)
+        assert prefix.extend(vf._Factor(ev, (_M, product))) == 0
+        kept = prefix.rows
+        prefix._keep(kept)
+        assert prefix.rows == kept
         if len(pivots) > 1:
-            assert kept is mod
+            assert kept == [row for row in mod if any(row)] and len(kept) > 1
             continue
         nonzero = [i for i, row in enumerate(product.rows) if any(not v.is_zero() for v in row)]
-        i = nonzero[0]
-        assert kept == tuple(row if k == i else (0,) * rep.dim for k, row in enumerate(mod))
-        assert any(kept[i]) and vf._one_row(kept, p) is kept
+        assert kept == [mod[nonzero[0]]] and any(kept[0])
+        prefix._reset((_M, product), mod, 1)
+        assert prefix.rows == kept
     assert ranks == {1, 2, 3}
 
 
@@ -1240,6 +1247,106 @@ def test_separator_decision_matches_brute_force(rep_name):
         outcome = session.witness_value(assignment)
         event("vanishes" if outcome is None else "witness")
         _assert_brute_force_decision(doc, rep, assignment, outcome)
+
+    decide()
+
+
+class _MatrixPrefix(vf._Prefix):
+    """The witness search's prefix with R mod p carried as a full matrix
+    (`mod`, zero rows kept) and every candidate a full `mat_mul_mod` product,
+    a word difference's as its difference matrix: an oracle for the rows
+    form, sharing only its exact fallback (`_catch_up`, `_matrix`)."""
+
+    def __init__(self, ev):
+        super().__init__(ev)
+        self.mod = None
+
+    def extend(self, f) -> int:
+        p = self.p
+        if f.__class__ is tuple:
+            a, b, rank = f
+            val = (None, (a, b))
+            fmod = self.images and tuple(tuple((s - t) % p for s, t in zip(*rows))
+                                         for rows in zip(self.images[a], self.images[b]))
+        else:
+            val, fmod, rank = f.val, f.mod, f.rank
+        if self.pending is None:
+            if rank != self.dim:
+                self._reset(val, fmod)
+            return 0
+        found = None
+        if self.mod is not None and fmod is not None:
+            for u, g in enumerate(self.images):
+                cand = mat_mul_mod(mat_mul_mod(self.mod, g, p) if u else self.mod, fmod, p)
+                if any(map(any, cand)):
+                    found = u, cand
+                    break
+        if found is None:
+            self._catch_up()
+            exact, mat = self.exact, self._matrix(val)
+            for u in range(self.order):
+                cand = (exact * self.ev.rep.image(u) if u else exact) * mat
+                if not cand.is_zero():
+                    break
+            else:
+                raise vf.VerifierError("no separator keeps the product nonzero")
+            self.exact, self.mod = cand, None
+        else:
+            u, mod = found
+            if rank != 1:
+                self.pending += [(_G, u), val] if u else [val]
+                self.mod = self._one_row(mod)
+        if rank == 1:
+            self._reset(val, fmod)
+        return u
+
+    def _reset(self, val, mod) -> None:
+        self.exact, self.pending = None, [val]
+        self.mod = self._one_row(mod) if self.images and mod and any(map(any, mod)) else None
+
+    def _one_row(self, mod):
+        rows = [i for i, row in enumerate(mod) if any(row)]
+        first = mod[rows[0]]
+        j = next(k for k, v in enumerate(first) if v)
+        if any((first[j] * mod[i][k] - first[k] * mod[i][j]) % self.p
+               for i in rows[1:] for k in range(self.dim)):
+            return mod
+        return tuple(row if i == rows[0] else (0,) * self.dim for i, row in enumerate(mod))
+
+
+@pytest.mark.parametrize("rep_name", ["S3:std", "S3:perm", "W3:rho_w"])
+def test_rows_prefix_matches_a_full_matrix_prefix(rep_name, monkeypatch):
+    """On random separated products of word sums, at x and z where no root
+    factor vanishes, the witness search with its prefix in rows picks the
+    same u at every slot, and returns the same witness, as with a full
+    matrix mod p (`_MatrixPrefix`)."""
+    rep = catalog.get_rep("W3", "rho_w") if rep_name == "W3:rho_w" else _decision_rep(rep_name)
+    m = rep.group.order
+
+    def search(session, assignment, prefix_class):
+        chosen = []
+
+        class Recorded(prefix_class):
+            def extend(self, f):
+                chosen.append(super().extend(f))
+                return chosen[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(vf, "_Prefix", Recorded)
+            return session.witness_value(assignment), chosen
+
+    @settings(max_examples=150, deadline=None)
+    @given(expr=st.booleans().flatmap(lambda split: _separated_products(split=split)),
+           x=st.integers(0, m - 1), z=st.integers(0, m - 1))
+    def decide(expr, x, z):
+        doc = idf.IdentityDoc("test", expr, {}, {}, "separated product")
+        session = vf._Session(doc, rep)
+        values = {"x": x, "z": z}
+        assignment = {name: values.get(name, 0) for name in expr.free_vars()}
+        assume(session.scan_factors(assignment, session.tables.value_factors) != vf.VANISHES)
+        rows = search(session, assignment, vf._Prefix)
+        event(f"{len(rows[1])} slots extended")
+        assert rows == search(session, assignment, _MatrixPrefix)
 
     decide()
 
@@ -1718,7 +1825,7 @@ def test_differences_are_decided_from_kernel_cosets(rep_name, words, monkeypatch
 
     def record_extend(prefix, f):
         u = extend(prefix, f)
-        states.append((f, prefix.pending and list(prefix.pending), prefix.mod))
+        states.append((f, prefix.pending and list(prefix.pending), prefix.rows))
         return u
 
     monkeypatch.setattr(vf, "_Factor", record_factor)
@@ -1743,14 +1850,18 @@ def test_differences_are_decided_from_kernel_cosets(rep_name, words, monkeypatch
             assert not built and not states  # the product stays invertible
         elif rep.is_irreducible():
             # no factor is built: the forward difference enters the prefix
-            # as its two group elements, and its image is the difference of
-            # their images, kept to one row when it has rank 1
+            # as its two group elements, and its image is the nonzero rows
+            # of the difference of their images (residues of least absolute
+            # value), kept to the first when it has rank 1
             assert not built
-            f, pending, mod = states[0]
+            f, pending, rows = states[0]
             g_a, g_b = f[:2]
             assert f[2] == rank and pending == [(None, (g_a, g_b))]
             assert mat == rep.image(g_a) - rep.image(g_b)
-            assert mod == vf._one_row(ev._mod_p((_M, mat)), p)
+            image = [tuple((v + p // 2) % p - p // 2 for v in row)
+                     for row in ev._mod_p((_M, mat))]
+            kept = [row for row in image if any(row)]
+            assert rows == (kept[:1] if rank == 1 else kept) and rows
         else:
             # blocks are built right to left on a reducible rep: the forward
             # difference after the backward one, from its two group elements

@@ -1229,8 +1229,6 @@ def check(doc: IdentityDoc, rep: Rep, mode: str = "auto", seed: int = 0,
         return holds_structured(doc, rep, seed=seed, extra_samples=n)
     if mode != "auto":
         raise VerifierError(f"unknown mode {mode!r}")
-    if doc.vacuous:
-        return Verdict("holds", "structured", {"vacuous": True})
     if doc.family in _FAMILY_SOURCES:
         return holds_structured(doc, rep, seed=seed, extra_samples=n)
     m = rep.group.order

@@ -1,3 +1,14 @@
+"""The `repident` command line, end to end.
+
+Most checks are cases in tests/data/cli_cases.json, grouped by name: the
+cases of group g run in order as the tier-1 test test_g.  A case runs one
+command through `python -m repident.cli` of the package these tests import
+(`run_cli`) and states its exit code and what its output must hold
+(`_run_case`).  A name in braces in an argv is a file made once per session
+(`_Files`).  Run from outside the checkout with `-o pythonpath=`, this
+module checks an installed package instead of `src` (README).
+"""
+
 import gc
 import json
 import os
@@ -9,13 +20,17 @@ from pathlib import Path
 import pytest
 
 import repident
-from repident import catalog, idfactory
-from repident.cli import UsageError, _load
+from repident import catalog, idfactory, verifier
+from repident.cli import UsageError, _load, _resolve_rep
 from repident.exactnum import Cyc, cyc_root_of_unity
-from repident.freeexpr import const, inv, prod, sub, var
+from repident.freeexpr import (const, inv, power, prod, reference_eval, stream_perm_body,
+                               stream_subsets, sub, sum_, var)
+from repident.matrices import Mat
+from repident.replab import Rep, induced_rep, subgroup_group
 
 # the CLI subprocess imports the same package as the tests
 _SRC = str(Path(repident.__file__).resolve().parents[1])
+_TABLE = json.loads((Path(__file__).parent / "data" / "cli_cases.json").read_text())
 
 
 def run_cli(*args):
@@ -30,282 +45,21 @@ def run_cli(*args):
     return proc
 
 
-def test_catalog_list_and_show():
-    proc = run_cli("catalog", "list")
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
-    assert "gamma(m,n,r)" in payload["known"]
-    proc = run_cli("catalog", "show", "S4")
-    payload = json.loads(proc.stdout)
-    assert payload["order"] == 24
-    assert payload["representations"] == ["rho1", "rho2", "rho3", "rho4", "rho5"]
+# -- the files cases read ------------------------------------------------------
+
+_x, _y, _v, _one = var("x"), var("y"), var("v"), const(1)
+_singular = inv(sub(_x, _x))
+_s = stream_subsets([_x], 1, "s")
 
 
-def test_build_check_round_trip(tmp_path):
-    out = tmp_path / "id.json"
-    proc = run_cli("build", "s4-sep", "--rep", "catalog:S4:rho4", "-o", str(out))
-    assert proc.returncode == 0
-    blob = json.loads(out.read_text())
-    assert blob["family"] == "s4-separation"
-    ok = run_cli("check", str(out), "--rep", "catalog:S4:rho4", "--seed", "5")
-    assert ok.returncode == 0
-    payload = json.loads(ok.stdout)
-    assert payload["status"] == "holds" and payload["seed"] == 5
-    bad = run_cli("check", str(out), "--rep", "catalog:S4:rho5", "--seed", "5")
-    assert bad.returncode == 1
-    payload = json.loads(bad.stdout)
-    assert payload["status"] == "fails" and "witness" in payload
+def _doc(expr, guards=None):
+    return idfactory.IdentityDoc("test", expr, guards or {}, {}, "a CLI case").to_json()
 
 
-def test_check_keeps_its_seed_beside_the_fallback_seed(tmp_path):
-    """The Q8 class family does not fit H3, so the structured verdict samples
-    at seed + 1; the command's own seed stays under "seed"."""
-    out = tmp_path / "q8class.json"
-    assert run_cli("build", "class", "--rep", "catalog:Q8:dim2", "-o", str(out)).returncode == 0
-    proc = run_cli("check", str(out), "--rep", "catalog:H3:theta1", "--mode", "structured")
-    assert proc.returncode == 1
-    payload = json.loads(proc.stdout)
-    assert payload["status"] == "fails"
-    assert payload["seed"] == 0 and payload["sample_seed"] == 1
-
-
-def test_build_gamma_sep(tmp_path):
-    out = tmp_path / "gamma.json"
-    proc = run_cli("build", "gamma-sep", "--group", "gamma(7,9,2)", "--l", "1",
-                   "-o", str(out))
-    assert proc.returncode == 0
-    blob = json.loads(out.read_text())
-    assert blob["family"] == "gamma-separation"
-    assert blob["params"]["l"] == 1
-
-
-def test_build_guard_and_character(tmp_path):
-    out = tmp_path / "g.json"
-    assert run_cli("build", "guard", "--m", "3", "-o", str(out)).returncode == 0
-    assert json.loads(out.read_text())["params"]["m"] == 3
-    out2 = tmp_path / "c.json"
-    assert run_cli("build", "character", "--rep", "catalog:S3:std",
-                   "-o", str(out2)).returncode == 0
-
-
-def test_full_guard_is_one_kernel_coset_test(tmp_path):
-    """The S4:rho4 character identity, checked guarded over three orderings:
-    rho4 is faithful, so its full guard never vanishes on a bijection and
-    all 24 arguments of each ordering are checked; rho3 (kernel V4) and
-    rho2 (kernel A4) are not, so the guard settles each ordering at once."""
-    doc = tmp_path / "character.json"
-    assert run_cli("build", "character", "--rep", "catalog:S4:rho4",
-                   "-o", str(doc)).returncode == 0
-    for rep, checked in (("rho4", 72), ("rho3", 3), ("rho2", 3)):
-        proc = run_cli("check", str(doc), "--rep", f"catalog:S4:{rep}", "--mode", "guarded",
-                       "--orderings", "2")
-        assert proc.returncode == 0, proc.stderr
-        payload = json.loads(proc.stdout)
-        assert (payload["status"], payload["checked"]) == ("holds", checked), rep
-
-
-def test_compare_cli():
-    proc = run_cli("compare", "--rep-a", "catalog:S4:rho4", "--rep-b", "catalog:S4:rho5")
-    assert proc.returncode == 1  # not similar
-    payload = json.loads(proc.stdout)
-    assert payload["strong_table_equiv"] is True
-    assert payload["gassmann"] is False
-
-
-def test_usage_errors():
-    cases = [
-        ("build", "not-a-family"),
-        ("check", "missing.json", "--rep", "catalog:S3:std"),
-        ("--strict", "compare", "--rep-a", "catalog:S3:std", "--rep-b", "catalog:S3:std"),
-        # text the word, scalar and block parsers cannot read
-        ("build", "disjunctive", "--words", "x^a"),
-        ("build", "range", "--rep", "catalog:S3:std", "--xi", "abc"),
-        ("build", "range", "--rep", "catalog:S3:std", "--xi", "zeta:5"),
-        ("build", "central-partition", "--rep", "catalog:S3:std", "--blocks", "0,a"),
-        # sizes below 1
-        ("build", "theta", "--m", "0"),
-        ("build", "theta", "--m", "-1"),
-        ("build", "dimension", "--m", "2", "--n", "0"),
-        ("build", "dimension-alt", "--m", "2", "--n", "0"),
-        ("build", "cayley-hamilton", "--m", "0", "--n", "2"),
-        ("build", "su", "--m", "0", "--n", "1"),
-        ("build", "su", "--m", "2", "--n", "0"),
-        # catalog references that name no valid group
-        ("catalog", "show"),
-        ("catalog", "show", "gamma(a,b,c)"),
-        ("catalog", "show", "Z0"),
-        ("catalog", "show", "H0"),
-        # Heisenberg and wreath groups need an odd prime p
-        ("catalog", "show", "H1"),
-        ("catalog", "show", "H2"),
-        ("catalog", "show", "H4"),
-        ("catalog", "show", "W4"),
-        ("catalog", "show", "H4000000000000000000000000001"),
-        ("build", "character", "--rep", "catalog:gamma(a,b,c):pi(1,1)"),
-    ]
-    for args in cases:
-        proc = run_cli(*args)
-        assert proc.returncode == 2, args
-        assert json.loads(proc.stderr)["error"], args
-        assert "Traceback" not in proc.stderr, args
-
-
-def test_experiment_sweep():
-    proc = run_cli("experiment", "table-equivalence", "--groups", "S3,S4", "--seed", "1")
-    assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
-    assert payload["findings"] == []
-    assert "asserts nothing" in payload["note"]
-    proc = run_cli("experiment", "range-ratio", "--groups", "S3,Z6", "--seed", "1")
-    assert proc.returncode == 0
-
-
-def test_sl2_check(tmp_path):
-    """s2 is the commutator y1 y2 - y2 y1: it fails on 2x2 matrices, with a
-    witness whose commutator is nonzero in Fraction arithmetic.  s4 holds
-    on 2x2 matrices (Amitsur-Levitzki)."""
-    s2, s4 = tmp_path / "s2.json", tmp_path / "s4.json"
-    for m, out in ((2, s2), (4, s4)):
-        assert run_cli("build", "standard", "--m", str(m), "-o", str(out)).returncode == 0
-    proc = run_cli("check", str(s2), "--sl2", "--trials", "10", "--seed", "1")
-    assert proc.returncode == 1, proc.stderr
-    payload = json.loads(proc.stdout)
-    assert (payload["status"], payload["evidence"]) == ("fails", "sampled")
-    a, b = ([[Fraction(v) for v in row] for row in payload["witness"][name]]
-            for name in ("y1", "y2"))
-
-    def mul(p, q):
-        return [[sum(p[i][k] * q[k][j] for k in range(2)) for j in range(2)]
-                for i in range(2)]
-
-    assert mul(a, b) != mul(b, a)
-    proc = run_cli("check", str(s4), "--sl2", "--trials", "10", "--seed", "1")
-    assert proc.returncode == 0, proc.stderr
-    payload = json.loads(proc.stdout)
-    assert (payload["status"], payload["evidence"]) == ("holds", "sampled")
-
-
-def test_expansion_over_the_limit_is_a_usage_error():
-    # the class identity's permutation body has 241,920 factors
-    proc = run_cli("build", "class", "--rep", "catalog:H3:theta1", "--emit", "expanded")
-    assert proc.returncode == 2
-    assert "exceed the limit" in json.loads(proc.stderr)["error"]
-    assert "Traceback" not in proc.stderr
-
-
-def test_check_bad_input_is_a_usage_error(tmp_path):
-    psi = tmp_path / "psi.json"
-    assert run_cli("build", "psi", "--m", "3", "-o", str(psi)).returncode == 0
-    char = tmp_path / "char.json"
-    assert run_cli("build", "character", "--rep", "catalog:S3:std",
-                   "-o", str(char)).returncode == 0
-    no_group = tmp_path / "no_group.json"
-    no_group.write_text('{"group": 3}')
-    not_json = tmp_path / "not_json.json"
-    not_json.write_text("not json")
-    x3 = tmp_path / "x3.json"
-    assert run_cli("build", "disjunctive", "--words", "x^3", "-o", str(x3)).returncode == 0
-    # S3:std with one entry of one image changed: not a homomorphism
-    bad_rep = catalog.symmetric(3).rep("std").to_json()
-    bad_rep["images"][1][0] = Cyc.from_rational(5).to_json()
-    not_hom = tmp_path / "not_hom.json"
-    not_hom.write_text(json.dumps(bad_rep))
-    # a streamed product: no representation to certify it on 2x2 matrices
-    streamed = tmp_path / "streamed.json"
-    streamed.write_text(json.dumps(
-        idfactory.probability_identity(sub(var("x"), const(1)), 1, 2).to_json()))
-    # the inverse of x - x: singular for every value of x
-    singular = tmp_path / "singular.json"
-    singular.write_text(json.dumps(idfactory.IdentityDoc(
-        "test", inv(sub(var("x"), var("x"))), {}, {}, "singular inverse").to_json()))
-    # guards that are not an object of lists of names, a name in two groups,
-    # a guard that is not a variable of the expression, and the older role
-    # map in place of guards
-    bad_guards = []
-    for k, guards in enumerate((["x"], {"X": "x"}, {"X": [1]}, {"A": ["x"], "B": ["x"]},
-                                {"X": ["q"]}, None)):
-        path = tmp_path / f"bad_guards{k}.json"
-        doc = json.loads(x3.read_text())
-        if guards is None:
-            del doc["guards"]
-            doc["var_roles"] = {"x": {"role": "psi-argument"}, "u0": {"role": "separator"},
-                                "u1": {"role": "separator"}}
-        else:
-            doc["guards"] = guards
-        path.write_text(json.dumps(doc))
-        bad_guards.append((str(path), "--rep", "catalog:S3:std"))
-    cases = bad_guards + [
-        # a guard group of 3 variables on a group of order 6
-        (str(psi), "--rep", "catalog:S3:std", "--mode", "guarded"),
-        # the character family has no structured handler
-        (str(char), "--rep", "catalog:S3:std", "--mode", "structured"),
-        (str(char),),
-        (str(char), "--rep", f"file:{no_group}"),
-        (str(char), "--rep", f"file:{not_json}"),
-        (str(char), "--rep", f"file:{not_hom}"),
-        (str(not_json), "--rep", "catalog:S3:std"),
-        (str(no_group), "--rep", "catalog:S3:std"),
-        # counts out of range, which would check nothing and read as holds
-        (str(x3), "--rep", "catalog:S3:std", "--mode", "sampled", "--n", "0"),
-        (str(x3), "--rep", "catalog:S3:std", "--mode", "sampled", "--n", "-4"),
-        (str(char), "--rep", "catalog:S3:std", "--mode", "guarded", "--orderings", "-1"),
-        (str(x3), "--rep", "catalog:S3:std", "--jobs", "0"),
-        (str(x3), "--sl2", "--trials", "0"),
-        (str(streamed), "--sl2", "--trials", "5"),
-        (str(singular), "--sl2", "--trials", "5", "--seed", "1"),
-        (str(singular), "--rep", "catalog:S3:std"),
-    ]
-    for args in cases:
-        proc = run_cli("check", *args)
-        assert proc.returncode == 2, args
-        assert json.loads(proc.stderr)["error"], args
-        assert "Traceback" not in proc.stderr, args
-    proc = run_cli("check", bad_guards[-1][0], "--rep", "catalog:S3:std")
-    assert "var_roles" in json.loads(proc.stderr)["error"]
-
-
-def test_a_zero_factor_spares_a_singular_inverse_after_it(tmp_path):
-    """0 * inv(x - x) holds on 2x2 matrices and on S3:std alike: a product
-    stops at its first zero factor.  inv(x - x) * 0 takes the singular
-    inverse first, a usage error in both modes."""
-    x = var("x")
-    singular = inv(sub(x, x))
-    for factors, code in (([const(0), singular], 0), ([singular, const(0)], 2)):
-        path = tmp_path / f"zero_factor{code}.json"
-        path.write_text(json.dumps(idfactory.IdentityDoc(
-            "test", prod(factors), {}, {}, "zero factor").to_json()))
-        for mode in (("--sl2", "--trials", "5"),
-                     ("--rep", "catalog:S3:std", "--mode", "exhaustive")):
-            proc = run_cli("check", str(path), *mode)
-            assert proc.returncode == code, (factors, mode, proc.stderr)
-            if code == 0:
-                assert json.loads(proc.stdout)["status"] == "holds"
-            else:
-                assert json.loads(proc.stderr)["error"]
-                assert "Traceback" not in proc.stderr
-
-
-def test_roles_do_not_make_separators_or_arguments(tmp_path):
-    """A guarded document is decided whatever its variables other than
-    guards are: x, read by x - 1, is an argument, as every variable but
-    guards and separators is.  A class document with q - 1 first, which its
-    family never assigns, is a usage error."""
-    factors, yvars = idfactory.guard_factors(6)
-    other = tmp_path / "undeclared.json"
-    other.write_text(json.dumps(idfactory.IdentityDoc(
-        "test", prod(factors + [sub(var("x"), const(1))]), {"Y": idfactory._names(yvars)},
-        {}, "an undeclared argument").to_json()))
-    proc = run_cli("check", str(other), "--rep", "catalog:S3:std")
-    assert proc.returncode == 1, proc.stderr
-    assert json.loads(proc.stdout)["status"] == "fails" and "Traceback" not in proc.stderr
-    doc = idfactory.class_identity(catalog.symmetric(4).rep("rho4"))
-    unassigned = tmp_path / "unassigned.json"
-    unassigned.write_text(json.dumps(idfactory.IdentityDoc(
-        doc.family, prod([sub(var("q"), const(1))] + list(doc.expr.children)),
-        doc.guards, doc.params, doc.citation).to_json()))
-    proc = run_cli("check", str(unassigned), "--rep", "catalog:S4:rho4")
-    assert proc.returncode == 2
-    assert "q" in json.loads(proc.stderr)["error"] and "Traceback" not in proc.stderr
+def _guarded(*extra):
+    """guard_C(6)'s guard factors followed by extra, a document for S3."""
+    factors, ys = idfactory.guard_factors(6)
+    return _doc(prod(factors + list(extra)), {"Y": idfactory._names(ys)})
 
 
 def _star_doc(child: dict) -> dict:
@@ -316,46 +70,202 @@ def _star_doc(child: dict) -> dict:
         "guards": {},
         "expr": {"kind": "sum", "children": [
             {"kind": "prod", "children": [{"kind": "star", "child": child},
-                                          var("x").to_json(), var("y").to_json()]},
+                                          _x.to_json(), _y.to_json()]},
             minus_one]},
     }
 
 
-def test_loaded_star_node_is_its_conjugate(tmp_path):
-    """star(x y) x y - 1 = y^-1 x^-1 x y - 1 vanishes on every assignment."""
-    path = tmp_path / "star.json"
-    xy = {"kind": "prod", "children": [var("x").to_json(), var("y").to_json()]}
-    path.write_text(json.dumps(_star_doc(xy)))
-    proc = run_cli("check", str(path), "--rep", "catalog:S3:std", "--mode", "exhaustive")
-    assert proc.returncode == 0, (proc.stdout, proc.stderr)
-    payload = json.loads(proc.stdout)
-    assert payload["status"] == "holds" and payload["assignments"] == 36, payload
+def _bad_rep():
+    """S3:std with one entry of one image changed: not a homomorphism."""
+    rep = catalog.symmetric(3).rep("std").to_json()
+    rep["images"][1][0] = Cyc.from_rational(5).to_json()
+    return rep
 
 
-def test_star_over_a_partition_stream_is_a_usage_error(tmp_path):
-    path = tmp_path / "star_stream.json"
-    stream = {"kind": "stream_partitions", "vars": ["x", "y"], "sizes": [1, 1],
-              "targets": [Cyc.from_rational(1).to_json()] * 2, "separator_prefix": "v"}
-    path.write_text(json.dumps(_star_doc(stream)))
-    proc = run_cli("check", str(path), "--rep", "catalog:S3:std")
-    assert proc.returncode == 2
-    assert "star unsupported" in json.loads(proc.stderr)["error"]
-    assert "Traceback" not in proc.stderr
+def _s3_perm_rep():
+    """The permutation rep of S3, induced from the trivial rep of an
+    order-2 subgroup: reducible."""
+    group = catalog.symmetric(3).group
+    t = next(g for g in range(group.order) if group.element_order(g) == 2)
+    sub_group, sub_map = subgroup_group(group, [0, t])
+    trivial = Rep(sub_group, [Mat.identity(1)] * 2, name="trivial")
+    return induced_rep(group, [0, t], trivial, sub_map, name="S3:perm").to_json()
 
 
-def test_check_on_a_reducible_file_rep_is_not_certified_nonvanishing(tmp_path):
-    """A streamed product with no vanishing base on a reducible `file:` rep
-    is undecided, not a no-vanishing-factor failure: exit 0, holds, with an
-    undecided count, in auto and exhaustive mode."""
-    doc = idfactory.probability_identity(sub(var("x"), const(cyc_root_of_unity(3, 1))), 1, 3)
-    doc_path, rep_path = tmp_path / "doc.json", tmp_path / "rep.json"
-    doc_path.write_text(json.dumps(doc.to_json()))
-    rep_path.write_text(json.dumps(catalog.abelian_rep(3, 1, 2, [[1], [2]]).to_json()))
-    for mode in ("auto", "exhaustive"):
-        proc = run_cli("check", str(doc_path), "--rep", f"file:{rep_path}", "--mode", mode)
-        assert proc.returncode == 0, (mode, proc.stdout, proc.stderr)
-        payload = json.loads(proc.stdout)
-        assert payload["status"] == "holds" and payload["undecided"] > 0, (mode, payload)
+def _unassigned():
+    """q - 1, which the class family never assigns, before a class identity."""
+    doc = idfactory.class_identity(catalog.symmetric(4).rep("rho4"))
+    return idfactory.IdentityDoc(doc.family, prod([sub(var("q"), _one)] + list(doc.expr.children)),
+                                 doc.guards, doc.params, doc.citation).to_json()
+
+
+_WRITERS = {
+    "not_json": lambda: "not json",
+    "no_group": lambda: {"group": 3},
+    "s3_rep": lambda: catalog.symmetric(3).rep("std").to_json(),
+    "s3_bad_rep": _bad_rep,
+    "s3_perm_rep": _s3_perm_rep,
+    # diag(zeta^a, zeta^b) on Z3^2, and diag(zeta^a, zeta^2a) on Z3
+    "z3sq_rep": lambda: catalog.abelian_rep(3, 2, 2, [[1, 0], [0, 1]]).to_json(),
+    "reducible_rep": lambda: catalog.abelian_rep(3, 1, 2, [[1], [2]]).to_json(),
+    "reducible_doc": lambda: idfactory.probability_identity(
+        sub(_x, const(cyc_root_of_unity(3, 1))), 1, 3).to_json(),
+    "streamed": lambda: idfactory.probability_identity(sub(_x, _one), 1, 2).to_json(),
+    "singular": lambda: _doc(_singular),
+    "zero_first": lambda: _doc(prod([const(0), _singular])),
+    "zero_last": lambda: _doc(prod([_singular, const(0)])),
+    "inverse": lambda: _doc(prod([inv(sum_([_x, _y])), sub(power(_y, 2), _one)])),
+    "read": lambda: _guarded(sub(_x, _one), _v, sum_(
+        [prod([inv(_v), sum_([power(_x, k) for k in range(6)])]), const(0)])),
+    "bound": lambda: _guarded(sub(_v, _one)),
+    "fresh": lambda: _guarded(var("w"), sub(power(_x, 6), _one)),
+    "undeclared": lambda: _guarded(sub(_x, _one)),
+    "s3_perm_doc": lambda: _guarded(sub(_x, _one), _v, sub(var("z"), _one), sub(var("w"), _one)),
+    "unassigned": _unassigned,
+    "star": lambda: _star_doc({"kind": "prod", "children": [_x.to_json(), _y.to_json()]}),
+    "star_stream": lambda: _star_doc({
+        "kind": "stream_partitions", "vars": ["x", "y"], "sizes": [1, 1],
+        "targets": [Cyc.from_rational(1).to_json()] * 2, "separator_prefix": "v"}),
+    # streamed products that hold on S3:std although no premise certifies
+    # them: bases x - 1 and 1 - x, constant pairs, s - s, s and x - x as
+    # bases, and 1 - x right after (1 + x)(1 + x + x^2), for s the stream
+    # of x over its one 1-subset
+    "subsets": lambda: _doc(stream_subsets([sub(_x, _one), sub(_one, _x)], 2, "s")),
+    "perm_body": lambda: _doc(prod([stream_perm_body([2], [const(c) for c in (1, -1, 1, -1)]),
+                                    _x])),
+    "difference": lambda: _doc(sub(_s, _s)),
+    "nested": lambda: _doc(stream_subsets([_s, sub(_x, _x)], 1, "o")),
+    "adjacent": lambda: _doc(prod([prod([sum_([_one, _x]), sum_([_one, _x, power(_x, 2)])]),
+                                   stream_subsets([sub(_one, _x)], 1, "s")])),
+}
+
+
+class _Files(dict):
+    """Case files by name, each made on first use: a list in the table's
+    "files" is the argv of a build (written with -o), {"patch": f, "with":
+    keys} is file f with those keys set (null removes one), and any other
+    name is made by its writer in `_WRITERS`."""
+
+    def __init__(self, root: Path):
+        super().__init__()
+        self.root = root
+
+    def __missing__(self, name):
+        path = self.root / f"{name}.json"
+        spec = _TABLE["files"].get(name)
+        if isinstance(spec, list):
+            proc = run_cli(*[arg.format_map(self) for arg in spec], "-o", str(path))
+            assert proc.returncode == 0, (name, proc.stderr)
+        elif spec is not None:
+            blob = json.loads(Path(self[spec["patch"]]).read_text())
+            for key, value in spec["with"].items():
+                blob[key] = value
+                if value is None:
+                    del blob[key]
+            path.write_text(json.dumps(blob))
+        else:
+            made = _WRITERS[name]()
+            path.write_text(made if isinstance(made, str) else json.dumps(made))
+        self[name] = str(path)
+        return self[name]
+
+
+@pytest.fixture(scope="session")
+def cli_files(tmp_path_factory):
+    return _Files(tmp_path_factory.mktemp("cli_files"))
+
+
+# -- the case runner -----------------------------------------------------------
+
+def _output(proc, code, name):
+    """The JSON a command printed: its error on stderr when it exits 2."""
+    assert proc.returncode == code, (name, proc.stdout[-2000:], proc.stderr[-2000:])
+    assert "Traceback" not in proc.stderr, (name, proc.stderr)
+    return json.loads(proc.stderr if code == 2 else proc.stdout)
+
+
+def _witness_images(argv, witness):
+    """The witness as matrices, and the rep it was found on (None in sl2)."""
+    if "--sl2" in argv:
+        return {v: Mat([[Cyc.from_rational(Fraction(e)) for e in row] for row in rows])
+                for v, rows in witness.items()}, None
+    rep = _resolve_rep(argv[argv.index("--rep") + 1])
+    return {v: rep.image(g) for v, g in witness.items()}, rep
+
+
+def _run_case(name, case, files):
+    """Run a case: "argv"; "exit" (0 unless given); for exit 2, a JSON
+    error on stderr containing "error" (if given); otherwise the output's
+    "expect" fields, compared as parsed values, no "absent" key and,
+    optionally, a witness that re-evaluates to nonzero in `reference_eval`
+    ("revalidate") and whose variables in "order" are group elements of
+    the given orders, and the same output over each of "jobs" workers,
+    timing aside.  No case may print a traceback."""
+    argv = [arg.format_map(files) for arg in case["argv"]]
+    code = case.get("exit", 0)
+    out = _output(run_cli(*argv), code, name)
+    if code == 2:
+        assert out["error"] and case.get("error", "") in out["error"], (name, out)
+        return
+    expect = case.get("expect", {})
+    assert {key: out.get(key, "<absent>") for key in expect} == expect, (name, out)
+    assert not set(case.get("absent", ())) & set(out), (name, out)
+    if case.get("revalidate"):
+        doc = _load(argv[1], "an identity document", idfactory.IdentityDoc.from_json)
+        images, rep = _witness_images(argv, out["witness"])
+        n = 2 if rep is None else rep.dim
+        assert not reference_eval(doc.expr, images, n).is_zero(), (name, out["witness"])
+        for v, order in case.get("order", {}).items():
+            assert rep.group.element_order(out["witness"][v]) == order, (name, v)
+    out.pop("timing_ms", None)
+    for jobs in case.get("jobs", ()):
+        parallel = _output(run_cli(*argv, "--jobs", str(jobs)), code, name)
+        parallel.pop("timing_ms")
+        assert parallel.pop("jobs") == jobs and parallel == out, (name, jobs, parallel)
+
+
+def _group_test(group, cases):
+    """test_<group>: the group's cases in order; a failure names the case."""
+
+    def test(cli_files):
+        for name, case in cases.items():
+            _run_case(f"{group}: {name}", case, cli_files)
+
+    test.__name__ = test.__qualname__ = f"test_{group}"
+    return test
+
+
+for _group, _cases in _TABLE["cases"].items():
+    globals()[f"test_{_group}"] = _group_test(_group, _cases)
+
+
+# -- checks that need the process -------------------------------------------------
+
+def test_a_loaded_document_is_its_builders_dag(cli_files):
+    """Expression nodes are interned: the spectrum document read from its
+    file is the DAG of an in-process build that is still alive, and the
+    check of the file gives the in-process verdict."""
+    rep = catalog.get_rep("H3", "theta1")
+    built = idfactory.spectrum_identity(rep)
+    path = cli_files["spectrum_h3"]
+    loaded = _load(path, "an identity document", idfactory.IdentityDoc.from_json)
+    assert loaded.expr is built.expr
+    cli = _output(run_cli("check", path, "--rep", "catalog:H3:theta1"), 0, path)
+    for key in ("command", "identity_family", "rep", "mode", "timing_ms"):
+        cli.pop(key)
+    detail = verifier.check(built, rep).to_json()
+    detail.pop("timing_ms", None)
+    assert cli == {"seed": 0, **detail}, (cli, detail)
+
+
+def test_commutators_lie_in_the_sign_kernel():
+    """The premise of the comm(x,y) cases: on S3:sign (kernel A3) every
+    commutator [x, y] lies in the kernel, and not every one is 1."""
+    group = catalog.symmetric(3).group
+    table, inverse = group.table, group.inverse
+    comms = {table[table[inverse[x]][inverse[y]]][table[x][y]]
+             for x in range(6) for y in range(6)}
+    assert comms <= set(catalog.symmetric(3).rep("sign").kernel) and comms != {0}, comms
 
 
 def test_load_pauses_the_collector_and_restores_it(tmp_path):

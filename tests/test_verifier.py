@@ -2020,6 +2020,31 @@ def test_guarded_argument_factors_are_decided_once_per_key(s3_std):
         words, doc.guards, ["x"], 5, True, {"checked": 0})] == expected
 
 
+def test_gamma_separation_decides_its_sigma_factors_once_per_class(monkeypatch):
+    """gamma-sep reads its arguments x and z: its two sigma factors read z
+    alone, inside conjugation averages over the whole guard group, so each
+    is evaluated once per conjugacy class of z (the evaluations no other
+    evaluation starts), not once per (x, z) as 105 times on pi(1,1)."""
+    gamma = catalog.gamma_d(7, 9, 2)
+    doc = idf.gamma_separating_identity(gamma, 1)
+    sigmas = [f for f in doc.expr.children
+              if f.kind == "sum" and f.free_vars() & {"x", "z"} == {"z"}]
+    evaluate, depth, count = Evaluator._eval, [0], [0]
+
+    def spy(self, e, assignment, memo):
+        count[0] += not depth[0] and any(e is f for f in sigmas)
+        depth[0] += 1
+        try:
+            return evaluate(self, e, assignment, memo)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Evaluator, "_eval", spy)
+    verdict = vf.holds_guarded(doc, gamma.rep("pi(1,1)"), orderings=1)
+    assert verdict.holds and verdict.detail["checked"] == 7938, verdict.to_json()
+    assert len(sigmas) == 2 and 0 < count[0] <= 30, count
+
+
 def _naive_guarded(doc, rep, seed: int, orderings: int, samples: int | None = None) -> dict:
     """The status, checked count and witness of the guarded verdict from a
     lexicographic scan of every argument tuple of every ordering, or, with

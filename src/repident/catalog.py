@@ -5,17 +5,26 @@ the metacyclic fixed-point-free family Gamma_d(m,n,r) with its pi_{k,l}
 irreps, the wreath product Z_p^p . C_p with its induced irreps, and
 parametrized diagonal representations of elementary abelian groups.
 
+Group tables are built from right multiplication by a generating set
+alone, the other entries read off along the word tree
+(grouplab.table_from_generators).  That needs an associative
+multiplication, and each one here is: permutation composition, matrix
+products, and the Heisenberg, gamma, wreath and abelian formulas.
+tests/data/groups_pinned.json pins the tables the tests build.
+
 Matrix models are chosen for exactness and speed: permutation-derived
 integral models where they exist, monomial models over small cyclotomic
-fields otherwise.  A model defined by generators (the pi_{k,l}, the split
-3-dimensional models of A5 and the one-dimensional characters that S3:std,
-A4:omega and the 3-dimensional irreps of S4 rest on) is built from its
-generator images alone: each image is its parent's image times one
-generator image along the group's word tree.  Closed-form models are
-written entry by entry.  Either way Rep's validation is the one proof that
-a model is a homomorphism.  It is skipped only where it cannot fail: for
-models that reuse validated images, and for the diagonal abelian models,
-whose exponents V a are linear in a.
+fields otherwise.  The split of A5's exterior square into its two
+3-dimensional models is summed in integers, then scaled in Q(zeta_5).  A
+model defined by generators (the pi_{k,l}, the split 3-dimensional models
+of A5 and the one-dimensional characters that S3:std, A4:omega and the
+3-dimensional irreps of S4 rest on) is built from its generator images
+alone: each image is its parent's image times one generator image along
+the group's word tree.  Closed-form models are written entry by entry.
+Either way Rep's validation is the one proof that a model is a
+homomorphism.  It is skipped only where it cannot fail: for models that
+reuse validated images, and for the diagonal abelian models, whose
+exponents V a are linear in a.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from math import gcd, lcm
 
 from .exactnum import (_MR_LIMIT, Cyc, _is_prime, cyc_root_of_unity, golden_ratio,
                        mat_mul_mod)
-from .grouplab import FiniteGroup, GroupError, group_from_elements
+from .grouplab import FiniteGroup, GroupError, group_from_elements, table_from_generators
 from .matrices import Mat, column_space_basis
 from .replab import Rep, RepError, induced_rep, restrict_rep, subgroup_group
 
@@ -99,22 +108,29 @@ def _perm_group(n: int, even_only: bool):
     return group, elems
 
 
-def _perm_matrix_std(perm, conductor=1) -> Mat:
-    """Standard (n-1)-dimensional integral model: action on e_i - e_{n-1}."""
+def _perm_rows_std(perm) -> list[list[int]]:
+    """Standard (n-1)-dimensional integral model: action on e_i - e_{n-1},
+    as integer rows."""
     n = len(perm)
-    one = Cyc.one(conductor)
-    zero = Cyc.zero(conductor)
-    cols = []
+    rows = [[0] * (n - 1) for _ in range(n - 1)]
+    anchor = perm[n - 1]
     for j in range(n - 1):
-        col = [zero] * (n - 1)
-        tgt = perm[j]
-        if tgt < n - 1:
-            col[tgt] = one
-        anchor = perm[n - 1]
+        if perm[j] < n - 1:
+            rows[perm[j]][j] = 1
         if anchor < n - 1:
-            col = [col[i] - one if i == anchor else col[i] for i in range(n - 1)]
-        cols.append(col)
-    return Mat(tuple(tuple(cols[j][i] for j in range(n - 1)) for i in range(n - 1)))
+            rows[anchor][j] -= 1
+    return rows
+
+
+def _int_mats(mats) -> list[Mat]:
+    """Integer matrices, as lists of rows, with conductor-1 entries."""
+    cyc = {v: Cyc.from_rational(v) for v in {v for rows in mats for row in rows for v in row}}
+    return [Mat(tuple(tuple(cyc[v] for v in row) for row in rows)) for rows in mats]
+
+
+def _perm_mats_std(perms) -> list[Mat]:
+    """The standard integral model of each permutation."""
+    return _int_mats([_perm_rows_std(p) for p in perms])
 
 
 def _scale_rep_by_sign(rep: Rep, elems) -> list[Mat]:
@@ -125,16 +141,11 @@ def _scale_rep_by_sign(rep: Rep, elems) -> list[Mat]:
     return out
 
 
-def _exterior_square(m: Mat) -> Mat:
-    n = m.n
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    rows = []
-    for (i, j) in pairs:
-        row = []
-        for (k, l) in pairs:
-            row.append(m.rows[i][k] * m.rows[j][l] - m.rows[i][l] * m.rows[j][k])
-        rows.append(tuple(row))
-    return Mat(tuple(rows))
+def _exterior_square(rows) -> list[list[int]]:
+    """Exterior square of an integer matrix, on the pairs i < j in order."""
+    pairs = [(i, j) for i in range(len(rows)) for j in range(i + 1, len(rows))]
+    return [[rows[i][k] * rows[j][l] - rows[i][l] * rows[j][k] for (k, l) in pairs]
+            for (i, j) in pairs]
 
 
 def _one_dim_rep(group: FiniteGroup, values: list[Cyc], name: str) -> Rep:
@@ -214,8 +225,7 @@ def symmetric(n: int) -> CatalogEntry:
         builders["rho4"] = lambda: _s4_three_dim(group, elems, "rho4")
         builders["rho5"] = lambda: _s4_three_dim(group, elems, "rho5")
     if n == 5:
-        builders["std4"] = lambda: Rep(group, [_perm_matrix_std(p) for p in elems],
-                                       name="S5:std4")
+        builders["std4"] = lambda: Rep(group, _perm_mats_std(elems), name="S5:std4")
         builders["std4s"] = lambda: Rep(
             group, _scale_rep_by_sign(symmetric(5).rep("std4"), elems), name="S5:std4s"
         )
@@ -224,7 +234,7 @@ def symmetric(n: int) -> CatalogEntry:
             group, _scale_rep_by_sign(symmetric(5).rep("five"), elems), name="S5:fives"
         )
         builders["six"] = lambda: Rep(
-            group, [_exterior_square(m) for m in symmetric(5).rep("std4").images],
+            group, _int_mats([_exterior_square(_perm_rows_std(p)) for p in elems]),
             name="S5:six",
         )
     return CatalogEntry(f"S{n}", group, elems, builders, {"kind": "symmetric"})
@@ -325,11 +335,9 @@ def _s5_five(group: FiniteGroup, elems) -> Rep:
     transversal = sorted(set(leaders))
     coset_idx = {t: i for i, t in enumerate(transversal)}
     # permutation action on cosets, then cut the invariant complement
-    images = []
-    for g in range(group.order):
-        perm = tuple(coset_idx[leaders[group.table[g][t]]] for t in transversal)
-        images.append(_perm_matrix_std(perm))
-    return Rep(group, images, name="S5:five")
+    perms = [tuple(coset_idx[leaders[group.table[g][t]]] for t in transversal)
+             for g in range(group.order)]
+    return Rep(group, _perm_mats_std(perms), name="S5:five")
 
 
 @lru_cache(maxsize=None)
@@ -343,11 +351,9 @@ def alternating(n: int) -> CatalogEntry:
     if n == 4:
         builders["omega"] = lambda: _a4_omega(group, elems, 1, "A4:omega")
         builders["omega2"] = lambda: _a4_omega(group, elems, 2, "A4:omega2")
-        builders["tau"] = lambda: Rep(group, [_perm_matrix_std(p) for p in elems],
-                                      name="A4:tau")
+        builders["tau"] = lambda: Rep(group, _perm_mats_std(elems), name="A4:tau")
     if n == 5:
-        builders["dim4"] = lambda: Rep(group, [_perm_matrix_std(p) for p in elems],
-                                       name="A5:dim4")
+        builders["dim4"] = lambda: Rep(group, _perm_mats_std(elems), name="A5:dim4")
         builders["dim5"] = lambda: _a5_five(group, elems)
         builders["dim3a"] = lambda: _a5_three(group, elems, "a")
         builders["dim3b"] = lambda: _a5_three(group, elems, "b")
@@ -373,34 +379,38 @@ def _a5_five(group, elems) -> Rep:
 
 @lru_cache(maxsize=None)
 def _a5_three_pair() -> tuple[Rep, Rep]:
-    """Split the exterior square of the 4-dim model over Q(zeta_5)."""
+    """Split the exterior square of the 4-dim model over Q(zeta_5).
+
+    The exterior squares are integer matrices.  The central idempotent
+    (3/60) sum chi(g^-1) Lam(g) is summed in integers per value of chi, so
+    only those five sums are scaled in Q(zeta_5).  dim3b is the Galois twist
+    of dim3a's validated images."""
     entry = alternating(5)
     group, elems = entry.group, entry.elements
-    lam = [_exterior_square(_perm_matrix_std(p, conductor=5)) for p in elems]
+    lam = [_exterior_square(_perm_rows_std(p)) for p in elems]
     phi = golden_ratio()
     psi = Cyc.one(5) - phi  # (1 - sqrt5)/2, the algebraic conjugate
     cc = group.conjugacy_classes
     # label the two order-5 classes by minimal representative
     five_classes = [i for i in range(len(cc)) if group.element_order(cc.representatives[i]) == 5]
     five_classes.sort(key=lambda i: cc.representatives[i])
-    chi = {}
+    # the values of chi, and per element the index of its value
+    values = [Cyc.from_rational(3, 5), Cyc.from_rational(-1, 5), Cyc.zero(5), phi, psi]
+    by_order = {1: 0, 2: 1, 3: 2}
+    kind = [by_order[o] if o < 5 else 3 if cc.index_of(g) == five_classes[0] else 4
+            for g, o in enumerate(group.element_orders)]
+    sums = [[[0] * 6 for _ in range(6)] for _ in values]
     for g in range(group.order):
-        o = group.element_order(g)
-        if o == 1:
-            chi[g] = Cyc.from_rational(3, 5)
-        elif o == 2:
-            chi[g] = Cyc.from_rational(-1, 5)
-        elif o == 3:
-            chi[g] = Cyc.zero(5)
-        else:
-            chi[g] = phi if cc.index_of(g) == five_classes[0] else psi
-    # central idempotent (3/60) sum chi(g^-1) Lam(g)
+        acc = sums[kind[group.inverse[g]]]
+        for acc_row, row in zip(acc, lam[g]):
+            for j, v in enumerate(row):
+                acc_row[j] += v
     scale = Cyc.from_rational(Fraction(3, 60), 5)
-    acc = None
-    for g in range(group.order):
-        term = lam[g].scale(chi[group.inverse[g]])
-        acc = term if acc is None else acc + term
-    idem = acc.scale(scale)
+    idem = None
+    for value, total in zip(values, sums):
+        term = Mat(tuple(tuple(Cyc.from_rational(v, 5) for v in row) for row in total))
+        term = term.scale(value * scale)
+        idem = term if idem is None else idem + term
     basis_cols = column_space_basis([list(r) for r in idem.rows])
     if len(basis_cols) != 3:
         raise CatalogError("idempotent image is not 3-dimensional")
@@ -419,18 +429,18 @@ def _a5_three_pair() -> tuple[Rep, Rep]:
         raise CatalogError("no coordinatizing rows found")
     combo, inv3 = sel
 
-    def coordinates(m: Mat) -> Mat:
-        # m acting on the basis columns, read in the coordinatizing rows
+    def coordinates(m) -> Mat:
+        # integer rows m acting on the basis columns, read in the coordinatizing rows
         return inv3 * Mat(tuple(
-            tuple(sum((m.rows[i][k] * b_rows[k][j] for k in range(6)), Cyc.zero(5))
+            tuple(sum((m[i][k] * b_rows[k][j] for k in range(6)), Cyc.zero(5))
                   for j in range(3))
             for i in combo))
 
     gens = group.small_generating_set()
     rep_a = _from_generators(group, gens, [coordinates(lam[g]) for g in gens], "A5:dim3a")
-    if rep_a.character.values != [chi[g] for g in range(group.order)]:
+    if rep_a.character.values != [values[k] for k in kind]:
         raise CatalogError("split rep has unexpected character")
-    rep_b = Rep(group, [m.galois(2) for m in rep_a.images], name="A5:dim3b")
+    rep_b = Rep(group, rep_a.galois_conjugate(2).images, name="A5:dim3b", validate=False)
     return rep_a, rep_b
 
 
@@ -448,28 +458,27 @@ def _mat_key(m: Mat, conductor: int):
 
 def matrix_group(gens: list[Mat], conductor: int, name: str) -> tuple[FiniteGroup, list[Mat]]:
     """Closure of generator matrices; returns the table group (identity first,
-    then BFS discovery order) and the matrix per element."""
+    then BFS discovery order) and the matrix per element.
+
+    The closure's products, each element times each generator, are all the
+    matrix products made: the table follows from them along the word tree
+    (grouplab.table_from_generators), which matrix multiplication, being
+    associative, allows."""
     ident = Mat.identity(gens[0].n, conductor)
     elems = [ident]
     keys = {_mat_key(ident, conductor): 0}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod_m = m * g
-                k = _mat_key(prod_m, conductor)
-                if k not in keys:
-                    keys[k] = len(elems)
-                    elems.append(prod_m)
-                    nxt.append(prod_m)
-        frontier = nxt
-        if len(elems) > 2048:
-            raise CatalogError("matrix group closure too large")
-    order = len(elems)
-    table = [[keys[_mat_key(elems[a] * elems[b], conductor)] for b in range(order)]
-             for a in range(order)]
-    group = FiniteGroup(table, name=name)
+    rights: list[list[int]] = [[] for _ in gens]
+    for m in elems:  # grows while it is walked: breadth first
+        for gi, g in enumerate(gens):
+            prod_m = m * g
+            k = _mat_key(prod_m, conductor)
+            if k not in keys:
+                keys[k] = len(elems)
+                elems.append(prod_m)
+                if len(elems) > 2048:
+                    raise CatalogError("matrix group closure too large")
+            rights[gi].append(keys[k])
+    group = FiniteGroup(table_from_generators(rights, len(elems)), name=name)
     return group, elems
 
 

@@ -2,8 +2,10 @@
 representations, compare representations, and run the experiment sweeps.
 
 All outputs are UTF-8 JSON with insertion-ordered keys.  Exit codes:
-0 for holds/true, 1 for fails/false, 2 for usage errors.  Every random
-decision is seeded and the seed is echoed in the output.
+0 for holds/true, 1 for fails/false, 2 for usage errors, and 141 (128 +
+SIGPIPE, as a shell reports it) when stdout is closed before the output is
+written, as by `| head -1`.  Every random decision is seeded and the seed
+is echoed in the output.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import argparse
 import gc
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -480,7 +483,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.strict and getattr(args, "seed", None) == 0:
             raise UsageError("--strict refuses the default seed; pass --seed")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more can reach the reader; the flush at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (UsageError, catalog.CatalogError, idfactory.BuildError,
             verifier.VerifierError, StreamUndecided, NonGroupSubtermError,
             FileNotFoundError) as exc:

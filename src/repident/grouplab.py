@@ -369,20 +369,7 @@ class FiniteGroup:
     def _word_tree(self, gens) -> list[tuple[int, int, int]]:
         """(element, parent, generator index) for every element but the
         identity, shortest words first: element = parent * gens[index]."""
-        steps = []
-        reached = [False] * self.order
-        reached[0] = True
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for gi, g in enumerate(gens):
-                    y = self.table[x][g]
-                    if not reached[y]:
-                        reached[y] = True
-                        steps.append((y, x, gi))
-                        nxt.append(y)
-            frontier = nxt
+        steps = word_tree([[row[g] for row in self.table] for g in gens], self.order)
         if len(steps) != self.order - 1:
             raise GroupError("given generators do not generate the group")
         return steps
@@ -436,11 +423,58 @@ def from_cayley_table(table, labels=None, name=None) -> FiniteGroup:
     return FiniteGroup(table, labels=labels, name=name)
 
 
+def word_tree(rights, order: int) -> list[tuple[int, int, int]]:
+    """The word tree of generators given by their right multiplications:
+    rights[i][x] is x times generator i, for elements 0..order-1 with 0 the
+    identity.  Returns (element, parent, generator index) for every element
+    the generators reach but the identity, shortest words first (a
+    breadth-first walk, generators in order): element = parent * generator.
+    """
+    steps = []
+    reached = [False] * order
+    reached[0] = True
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gi, right in enumerate(rights):
+                y = right[x]
+                if not reached[y]:
+                    reached[y] = True
+                    steps.append((y, x, gi))
+                    nxt.append(y)
+        frontier = nxt
+    return steps
+
+
+def table_from_generators(rights, order: int) -> list[tuple[int, ...]]:
+    """The multiplication table of a group from right multiplication by a
+    generating set (rights as in word_tree), with no further products.
+
+    Along the word tree, for b = p*s, column b is right_s applied to column
+    p, since a*(p*s) = (a*p)*s.  That holds only for an associative
+    multiplication, which the caller guarantees.
+    """
+    steps = word_tree(rights, order)
+    if len(steps) != order - 1:
+        raise GroupError("given generators do not generate the group")
+    columns: list = [range(order)] + [None] * (order - 1)
+    for y, parent, gi in steps:
+        right = rights[gi]
+        columns[y] = [right[c] for c in columns[parent]]
+    return list(zip(*columns))
+
+
 def group_from_elements(elements, mul, name=None) -> tuple[FiniteGroup, list]:
     """Build an index table from abstract elements and a multiplication
     callable: (group, elements in index order), each element's label its str.
 
-    The identity is detected and moved to index 0.
+    The identity is detected and moved to index 0; the other elements keep
+    their given order.  The table comes from right multiplication by a
+    generating set alone (table_from_generators), m times its size calls of
+    mul, not m^2: generators are taken greedily in index order, each one not
+    yet reached by the earlier ones.  mul must be associative: FiniteGroup's
+    Light test reads this table, so it cannot catch a mul that is not.
     """
     elems = list(elements)
     ident = None
@@ -453,5 +487,14 @@ def group_from_elements(elements, mul, name=None) -> tuple[FiniteGroup, list]:
     elems.remove(ident)
     elems.insert(0, ident)
     index = {e: i for i, e in enumerate(elems)}
-    table = [[index[mul(a, b)] for b in elems] for a in elems]
+    rights = []
+    reached = {0}
+    for g, s in enumerate(elems):
+        if g in reached:
+            continue
+        rights.append([index[mul(a, s)] for a in elems])
+        reached = {0}.union(y for y, _, _ in word_tree(rights, len(elems)))
+        if len(reached) == len(elems):
+            break
+    table = table_from_generators(rights, len(elems))
     return FiniteGroup(table, labels=[str(e) for e in elems], name=name), elems

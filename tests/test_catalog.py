@@ -18,9 +18,10 @@ from repident.catalog import (
 )
 from repident.exactnum import cyc_root_of_unity, mat_mul_mod
 from repident.matrices import Mat
-from repident.replab import RepError
+from repident.replab import Rep, RepError
 
 PINNED = Path(__file__).parent / "data" / "catalog_pinned.json"
+GROUPS_PINNED = Path(__file__).parent / "data" / "groups_pinned.json"
 
 
 def _sha256(obj) -> str:
@@ -45,6 +46,22 @@ def test_catalog_reps_match_the_pinned_models():
         rep = catalog.get_entry(group).rep(name)
         assert rep.name == f"{group}:{name}"
         assert _fingerprint(rep) == expected, key
+
+
+def test_catalog_groups_match_the_pinned_tables():
+    """Every catalog group the tests build keeps its table and labels.  The
+    pins were taken from tables of every product by the group's own
+    multiplication; the tables are now built from a generating set alone."""
+    pinned = json.loads(GROUPS_PINNED.read_text())
+    for name, expected in pinned.items():
+        if name == "Z3^2":
+            group = abelian_rep(3, 2, 2, [[1, 0], [0, 1]]).group
+        else:
+            group = catalog.get_entry(name).group
+        assert group.name == name
+        got = {"table_sha256": _sha256([list(row) for row in group.table]),
+               "labels_sha256": _sha256(group.labels)}
+        assert got == expected, name
 
 
 def test_from_generators_rejects_a_non_homomorphism():
@@ -80,6 +97,11 @@ def test_validation_modes():
     d3a = a5.rep("dim3a")
     assert not d3a.is_unitary()
     assert d3a.has_invariant_form()
+    # dim3b, the twist of dim3a, skips the homomorphism proof when built
+    for name in ("dim3a", "dim3b"):
+        rep = a5.rep(name)
+        Rep(rep.group, rep.images, name=rep.name)
+        validate_catalog_rep(rep)
 
 
 def test_heisenberg_characters_vanish_off_center():

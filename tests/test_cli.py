@@ -33,12 +33,13 @@ _SRC = str(Path(repident.__file__).resolve().parents[1])
 _TABLE = json.loads((Path(__file__).parent / "data" / "cli_cases.json").read_text())
 
 
-def run_cli(*args):
+def run_cli(*args, stdout=subprocess.PIPE):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "repident.cli", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env=env,
     )
@@ -256,6 +257,27 @@ def test_a_loaded_document_is_its_builders_dag(cli_files):
     detail = verifier.check(built, rep).to_json()
     detail.pop("timing_ms", None)
     assert cli == {"seed": 0, **detail}, (cli, detail)
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback(cli_files, monkeypatch):
+    """check whose stdout is a pipe with no reader left: exit 141 (128 +
+    SIGPIPE), not the 0, 1 or 2 of a verdict or a usage error, and nothing
+    on stderr; whether the output fails at print (unbuffered) or at the
+    flush after the command (buffered)."""
+    doc = cli_files["character_s4"]
+    for unbuffered in (False, True):
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_cli("check", doc, "--rep", "catalog:S4:rho4", "--mode", "guarded",
+                           "--orderings", "1", stdout=write)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (141, ""), (unbuffered, proc.stderr)
 
 
 def test_commutators_lie_in_the_sign_kernel():

@@ -1,7 +1,11 @@
+import itertools
+import random
+
 import pytest
 
 from repident import catalog
-from repident.grouplab import FiniteGroup, GroupError, from_cayley_table
+from repident.grouplab import (FiniteGroup, GroupError, from_cayley_table, group_from_elements,
+                               table_from_generators)
 
 
 def cyclic_table(n):
@@ -30,6 +34,34 @@ def test_non_associative_rejected():
 def test_non_latin_rejected():
     with pytest.raises(GroupError):
         from_cayley_table([[0, 0], [1, 1]])
+
+
+def test_group_from_elements_matches_the_naive_table():
+    """The table built from right multiplication by generators is the table
+    of every product, on S4's permutations in a shuffled order with the
+    identity not first: the identity moves to index 0, the other elements
+    keep their order."""
+    ident = tuple(range(4))
+    perms = [p for p in itertools.permutations(range(4)) if p != ident]
+    random.Random(49).shuffle(perms)
+    perms.insert(11, ident)
+
+    def mul(a, b):
+        return tuple(a[b[i]] for i in range(4))
+
+    group, elems = group_from_elements(perms, mul)
+    assert elems == [ident] + perms[:11] + perms[12:]
+    index = {e: i for i, e in enumerate(elems)}
+    assert group.table == tuple(tuple(index[mul(a, b)] for b in elems) for a in elems)
+    assert group.labels == [str(e) for e in elems]
+
+
+def test_table_from_generators_needs_a_generating_set():
+    # right multiplication by 2 in Z4 reaches only {0, 2}
+    with pytest.raises(GroupError):
+        table_from_generators([[2, 3, 0, 1]], 4)
+    assert table_from_generators([[1, 2, 3, 0]], 4) == [tuple((i + j) % 4 for j in range(4))
+                                                         for i in range(4)]
 
 
 def test_s4_classes():
